@@ -15,6 +15,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,9 +45,9 @@ struct ScenarioResult {
   int assimilated = 0;
   int late_applied = 0;  ///< batches admitted past max_stale (deep catch-up)
   /// Mean wall per cycle over the cycles that absorbed a late increment —
-  /// what deep-overlap catch-up costs where it actually happens (falls back
-  /// to the overall mean when no cycle applied late batches).
-  double ingest_catchup_ms = 0.0;
+  /// what deep-overlap catch-up costs where it actually happens (empty when
+  /// no cycle applied late batches).
+  std::optional<double> ingest_catchup_ms;
   double rmse = 0.0;
   da::LetkfTimings phases;  ///< LETKF per-phase breakdown for this scenario
 };
@@ -172,21 +173,19 @@ int main(int argc, char** argv) {
     res.schedule = schedule;
     res.depth = depth;
     res.latency = lat;
-    double catchup_sum = 0.0, all_sum = 0.0;
+    double catchup_sum = 0.0;
     int catchup_n = 0;
     for (const auto& m : metrics) {
       res.forecast_ms += m.forecast_ms / static_cast<double>(metrics.size());
       res.analysis_ms += m.analysis_ms / static_cast<double>(metrics.size());
       res.assimilated += m.batches_assimilated;
       res.late_applied += m.late_applied;
-      all_sum += m.cycle_ms;
       if (m.late_applied > 0) {
         catchup_sum += m.cycle_ms;
         ++catchup_n;
       }
     }
-    res.ingest_catchup_ms = catchup_n > 0 ? catchup_sum / static_cast<double>(catchup_n)
-                                          : all_sum / static_cast<double>(metrics.size());
+    if (catchup_n > 0) res.ingest_catchup_ms = catchup_sum / static_cast<double>(catchup_n);
     res.cycle_ms = total_ms / static_cast<double>(metrics.size());
     res.cycles_per_s = 1000.0 / res.cycle_ms;
     res.misses = stream::count_deadline_misses(metrics);
@@ -228,12 +227,14 @@ int main(int argc, char** argv) {
                                  /*jitter=*/0.3));
 
   io::Table t({"scenario", "cycle [ms]", "fcst [ms]", "analysis [ms]", "cycles/s",
-               "deadline misses", "batches", "late", "RMSE [K]"});
+               "deadline misses", "batches", "late", "catch-up [ms]", "RMSE [K]"});
   for (const auto& s : results) {
     t.add_row({s.name, io::Table::num(s.cycle_ms, 1), io::Table::num(s.forecast_ms, 1),
                io::Table::num(s.analysis_ms, 1), io::Table::num(s.cycles_per_s, 3),
                std::to_string(s.misses), std::to_string(s.assimilated),
-               std::to_string(s.late_applied), io::Table::num(s.rmse, 3)});
+               std::to_string(s.late_applied),
+               s.ingest_catchup_ms ? io::Table::num(*s.ingest_catchup_ms, 1) : "n/a",
+               io::Table::num(s.rmse, 3)});
   }
   t.print();
 
@@ -282,7 +283,12 @@ int main(int argc, char** argv) {
        << ", \"cycles_per_s\": " << s.cycles_per_s << ", \"deadline_misses\": " << s.misses
        << ", \"batches_assimilated\": " << s.assimilated
        << ", \"overlap_depth\": " << s.depth << ", \"late_applied\": " << s.late_applied
-       << ", \"ingest_catchup_ms\": " << s.ingest_catchup_ms << ", \"rmse\": " << s.rmse << "}"
+       << ", \"ingest_catchup_ms\": ";
+    if (s.ingest_catchup_ms)
+      js << *s.ingest_catchup_ms;
+    else
+      js << "null";
+    js << ", \"rmse\": " << s.rmse << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
   js << "  ]\n}\n";

@@ -99,19 +99,14 @@ Status save_checkpoint(const std::string& path, const CheckpointData& data) {
   bytes::put_u64(payload, data.n_members);
   bytes::put_u64(payload, data.dim);
   bytes::put_i32(payload, data.cycles);
-  payload.push_back(data.schedule);
   bytes::put_i32(payload, data.overlap_depth);
   bytes::put_i32(payload, data.next_cycle);
   bytes::put_blob(payload, data.rng_modelerr);
   bytes::put_f64_span(payload, data.ensemble);
-  payload.push_back(data.have_increment);
-  bytes::put_f64_span(payload, data.buf_prior);
-  bytes::put_f64_span(payload, data.buf_post);
   bytes::put_u64(payload, data.ring.size());
   for (const auto& s : data.ring) {
     bytes::put_i32(payload, s.cycle);
-    bytes::put_f64_span(payload, s.prior);
-    bytes::put_f64_span(payload, s.post);
+    bytes::put_f64_span(payload, s.increment);
   }
   bytes::put_blob(payload, data.applied);
   bytes::put_blob(payload, data.stream_state);
@@ -164,20 +159,16 @@ Status load_checkpoint(const std::string& path, CheckpointData& data) {
   data.n_members = pr.u64();
   data.dim = pr.u64();
   data.cycles = pr.i32();
-  data.schedule = pr.u8();
   data.overlap_depth = pr.i32();
   data.next_cycle = pr.i32();
   if (!pr.blob(data.rng_modelerr) || !pr.f64_vec(data.ensemble))
-    return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
-  data.have_increment = pr.u8();
-  if (!pr.f64_vec(data.buf_prior) || !pr.f64_vec(data.buf_post))
     return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
   const std::uint64_t n_ring = pr.u64();
   data.ring.clear();
   for (std::uint64_t i = 0; i < n_ring && pr.ok(); ++i) {
     CheckpointData::StagedSlotData s;
     s.cycle = pr.i32();
-    if (!pr.f64_vec(s.prior) || !pr.f64_vec(s.post))
+    if (!pr.f64_vec(s.increment))
       return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
     data.ring.push_back(std::move(s));
   }
@@ -193,12 +184,8 @@ Status load_checkpoint(const std::string& path, CheckpointData& data) {
   if (!pr.done()) return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
   if (data.ensemble.size() != data.n_members * data.dim)
     return Status(StatusCode::kCorruptData, "checkpoint ensemble size inconsistent");
-  if (data.have_increment != 0 &&
-      (data.buf_prior.size() != data.ensemble.size() ||
-       data.buf_post.size() != data.ensemble.size()))
-    return Status(StatusCode::kCorruptData, "checkpoint analysis buffers inconsistent");
   for (const auto& s : data.ring)
-    if (s.prior.size() != data.ensemble.size() || s.post.size() != data.ensemble.size())
+    if (s.increment.size() != data.ensemble.size())
       return Status(StatusCode::kCorruptData, "checkpoint staged slot inconsistent");
   return Status::Ok();
 }

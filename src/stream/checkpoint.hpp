@@ -2,8 +2,8 @@
 //
 // A real-time assimilation service must survive being killed: the snapshot
 // captures everything the RealtimeRunner needs to continue *bitwise
-// identically* — the ensemble, the cycle index, the overlapped schedule's
-// staged analysis buffers, the duplicate-batch guard, the stream's
+// identically* — the ensemble, the cycle index, the overlap ring's pending
+// analysis increments, the duplicate-batch guard, the stream's
 // undelivered queue and truth ring, the filter's cross-cycle state and the
 // metrics rows already produced. The file format is little-endian with a
 // magic tag, a format version and a CRC-32 trailer over the payload, so a
@@ -24,7 +24,10 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4B434454u;  // "TDCK" LE
 // v2: StreamCycleMetrics grew qc_ms / checkpoint_ms / pool_idle_frac.
 // v3: overlap_depth config echo + deep-overlap staged-analysis ring;
 //     StreamCycleMetrics grew late_applied / ingest_* columns.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// v4: one ring for every depth: overlap_depth echoes the effective depth
+//     (0 = Serial), ring entries hold {cycle, increment}; the schedule byte
+//     and the K = 1 prior/post buffers are gone.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Everything a snapshot holds. The config echo fields let resume() refuse a
 /// checkpoint taken under a different setup instead of diverging silently.
@@ -34,25 +37,18 @@ struct CheckpointData {
   std::uint64_t n_members = 0;
   std::uint64_t dim = 0;
   std::int32_t cycles = 0;
-  std::uint8_t schedule = 0;      ///< static_cast<uint8_t>(Schedule)
-  std::int32_t overlap_depth = 1; ///< Overlapped pipeline depth K
+  std::int32_t overlap_depth = 0;  ///< effective ring depth D (0 = Serial)
 
   std::int32_t next_cycle = 0;  ///< first cycle the resumed run executes
 
   std::vector<std::uint8_t> rng_modelerr;  ///< Rng::kStateBytes
   std::vector<double> ensemble;            ///< n_members * dim, member-major
 
-  // Overlapped schedule: staged analysis buffers (empty unless
-  // have_increment).
-  std::uint8_t have_increment = 0;
-  std::vector<double> buf_prior, buf_post;
-
-  /// Deep-overlap (K > 1) ring: analyses staged but not yet applied at the
-  /// snapshot point, completed (joined) before serialization so the bytes
-  /// are deterministic. Empty for Serial and K == 1 runs.
+  /// Analysis increments staged but not yet applied at the snapshot point,
+  /// in staged order. Empty for Serial runs.
   struct StagedSlotData {
     std::int32_t cycle = -1;
-    std::vector<double> prior, post;
+    std::vector<double> increment;  ///< post - prior, n_members * dim
   };
   std::vector<StagedSlotData> ring;
 

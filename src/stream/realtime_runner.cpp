@@ -119,6 +119,7 @@ RealtimeRunner::RealtimeRunner(RealtimeConfig cfg, ObservationStream& stream,
                                models::ForecastModel& forecast_model, da::Filter* filter,
                                const models::ModelErrorProcess* model_error)
     : cfg_(cfg),
+      depth_(cfg.schedule == Schedule::Serial ? 0 : cfg.overlap_depth),
       stream_(stream),
       forecast_model_(forecast_model),
       filter_(filter),
@@ -208,11 +209,9 @@ RealtimeRunner::CollectResult RealtimeRunner::collect_batches(int cycle) {
       res.apply.push_back(std::move(b));
     } else if (cfg_.catch_up && (age <= cfg_.max_stale_cycles || stale_inflation)) {
       res.apply.push_back(std::move(b));
-    } else if (cfg_.catch_up && cfg_.schedule == Schedule::Overlapped &&
-               cfg_.overlap_depth > 1 &&
-               age <= cfg_.max_stale_cycles + (cfg_.overlap_depth - 1)) {
-      // Deep overlap: a batch up to K-1 cycles past the staleness cutoff is
-      // still in flight as a K-window-late increment rather than dropped —
+    } else if (cfg_.catch_up && age <= cfg_.max_stale_cycles + (depth_ - 1)) {
+      // Deep ring: a batch up to D-1 cycles past the staleness cutoff is
+      // still in flight as a D-window-late increment rather than dropped —
       // assimilate_batches forces age-dependent R inflation on it.
       res.apply.push_back(std::move(b));
     } else {
@@ -357,38 +356,17 @@ void RealtimeRunner::maybe_checkpoint(int completed_cycle,
   data.n_members = cfg_.n_members;
   data.dim = d;
   data.cycles = cfg_.cycles;
-  data.schedule = static_cast<std::uint8_t>(cfg_.schedule);
-  data.overlap_depth = cfg_.overlap_depth;
+  data.overlap_depth = depth_;
   data.next_cycle = next;
   rng_modelerr_->save_state(data.rng_modelerr);
   const double* ep = ens_->data().data();
   data.ensemble.assign(ep, ep + cfg_.n_members * d);
-  if (have_increment_) {
-    data.have_increment = 1;
-    const double* pp = buf_prior_->data().data();
-    const double* qp = buf_post_->data().data();
-    data.buf_prior.assign(pp, pp + cfg_.n_members * d);
-    data.buf_post.assign(qp, qp + cfg_.n_members * d);
-  }
-  if (cfg_.schedule == Schedule::Overlapped && cfg_.overlap_depth > 1) {
-    // Completing (joining + merging — NOT applying) every in-flight slot is
-    // numerics-neutral: the uninterrupted run produces the exact same staged
-    // buffers, just later. It makes the serialized ring deterministic.
-    std::vector<StagedSlot*> pend;
-    for (auto& s : ring_)
-      if (s.pending) pend.push_back(&s);
-    std::sort(pend.begin(), pend.end(),
-              [](const StagedSlot* a, const StagedSlot* b) { return a->cycle < b->cycle; });
-    for (StagedSlot* s : pend) {
-      complete_slot(*s, metrics);
-      CheckpointData::StagedSlotData sd;
-      sd.cycle = s->cycle;
-      const double* pp = s->prior->data().data();
-      const double* qp = s->post->data().data();
-      sd.prior.assign(pp, pp + cfg_.n_members * d);
-      sd.post.assign(qp, qp + cfg_.n_members * d);
-      data.ring.push_back(std::move(sd));
-    }
+  // Pending increments in staged order: those staged at next - D .. next - 1.
+  for (int c = std::max(next - depth_, 0); c < next; ++c) {
+    const StagedSlot& s = ring_[static_cast<std::size_t>(c % depth_)];
+    if (s.cycle != c) continue;
+    const double* ip = s.increment->data().data();
+    data.ring.push_back({c, std::vector<double>(ip, ip + cfg_.n_members * d)});
   }
   data.applied = applied_;
   if (!stream_.save_state(data.stream_state)) {
@@ -420,10 +398,7 @@ std::vector<StreamCycleMetrics> RealtimeRunner::run(std::span<const double> base
   rng_modelerr_ = root.substream(2);
   rng_spread_ = root.substream(4);
   applied_.assign(static_cast<std::size_t>(cfg_.cycles), 0);
-  buf_prior_.reset();
-  buf_post_.reset();
-  have_increment_ = false;
-  ring_.clear();
+  ring_.assign(static_cast<std::size_t>(depth_), StagedSlot{});
   checkpoint_status_ = Status::Ok();
 
   ens_.emplace(cfg_.n_members, d);
@@ -441,12 +416,7 @@ std::vector<StreamCycleMetrics> RealtimeRunner::run(std::span<const double> base
   if (filter_ != nullptr) filter_->prepare(stream_.h(), stream_.r());
 
   std::vector<StreamCycleMetrics> metrics;
-  if (cfg_.schedule == Schedule::Serial)
-    run_serial(0, metrics);
-  else if (cfg_.overlap_depth == 1)
-    run_overlapped(0, metrics);
-  else
-    run_overlapped_deep(0, metrics);
+  run_cycles(0, metrics);
   return metrics;
 }
 
@@ -458,22 +428,21 @@ Status RealtimeRunner::resume(const std::string& path,
 
   const std::size_t d = forecast_model_.dim();
   if (data.seed != cfg_.seed || data.n_members != cfg_.n_members || data.dim != d ||
-      data.cycles != cfg_.cycles || data.schedule != static_cast<std::uint8_t>(cfg_.schedule) ||
-      data.overlap_depth != cfg_.overlap_depth)
+      data.cycles != cfg_.cycles || data.overlap_depth != depth_)
     return Status(StatusCode::kInvalidArgument,
                   "checkpoint was written under a different configuration");
   if (data.next_cycle <= 0 || data.next_cycle >= cfg_.cycles)
     return Status(StatusCode::kCorruptData, "checkpoint cycle index out of range");
   if (data.applied.size() != static_cast<std::size_t>(cfg_.cycles))
     return Status(StatusCode::kCorruptData, "checkpoint duplicate-guard size mismatch");
-  const bool deep = cfg_.schedule == Schedule::Overlapped && cfg_.overlap_depth > 1;
-  if (!deep && !data.ring.empty())
-    return Status(StatusCode::kCorruptData,
-                  "checkpoint staged slots present but schedule is not deep-overlapped");
+  // Each staged cycle must still be pending (applied at cycle + D >=
+  // next_cycle) and map to its own slot; a Serial run (D = 0) stages none.
+  int last_staged = -1;
   for (const auto& sd : data.ring) {
-    if (sd.cycle < 0 || sd.cycle >= data.next_cycle ||
-        data.next_cycle - sd.cycle > cfg_.overlap_depth)
+    if (sd.cycle <= last_staged || sd.cycle >= data.next_cycle ||
+        data.next_cycle - sd.cycle > depth_)
       return Status(StatusCode::kCorruptData, "checkpoint staged slot cycle out of range");
+    last_staged = sd.cycle;
   }
   if (!stream_.restore_state(data.stream_state))
     return Status(StatusCode::kCorruptData, "stream state in checkpoint is malformed");
@@ -490,119 +459,38 @@ Status RealtimeRunner::resume(const std::string& path,
   ens_.emplace(cfg_.n_members, d);
   std::copy(data.ensemble.begin(), data.ensemble.end(), ens_->data().data());
   applied_ = std::move(data.applied);
-  have_increment_ = data.have_increment != 0;
-  buf_prior_.reset();
-  buf_post_.reset();
-  if (have_increment_) {
-    buf_prior_.emplace(cfg_.n_members, d);
-    buf_post_.emplace(cfg_.n_members, d);
-    std::copy(data.buf_prior.begin(), data.buf_prior.end(), buf_prior_->data().data());
-    std::copy(data.buf_post.begin(), data.buf_post.end(), buf_post_->data().data());
-  }
-  ring_.clear();
-  if (deep) {
-    // Restored slots were completed (joined + metrics merged) before the
-    // save; they only await their application cycle.
-    ring_.resize(static_cast<std::size_t>(cfg_.overlap_depth));
-    for (const auto& sd : data.ring) {
-      StagedSlot& s = ring_[static_cast<std::size_t>(sd.cycle % cfg_.overlap_depth)];
-      if (s.pending)
-        return Status(StatusCode::kCorruptData, "checkpoint staged slots collide");
-      s.cycle = sd.cycle;
-      s.pending = true;
-      s.completed = true;
-      s.prior.emplace(cfg_.n_members, d);
-      s.post.emplace(cfg_.n_members, d);
-      std::copy(sd.prior.begin(), sd.prior.end(), s.prior->data().data());
-      std::copy(sd.post.begin(), sd.post.end(), s.post->data().data());
-    }
+  ring_.assign(static_cast<std::size_t>(depth_), StagedSlot{});
+  for (const auto& sd : data.ring) {
+    StagedSlot& s = ring_[static_cast<std::size_t>(sd.cycle % depth_)];
+    s.cycle = sd.cycle;
+    s.increment.emplace(cfg_.n_members, d);
+    std::copy(sd.increment.begin(), sd.increment.end(), s.increment->data().data());
   }
 
   if (filter_ != nullptr) filter_->prepare(stream_.h(), stream_.r());
 
   metrics_out = std::move(data.metrics);
-  if (cfg_.schedule == Schedule::Serial)
-    run_serial(data.next_cycle, metrics_out);
-  else if (cfg_.overlap_depth == 1)
-    run_overlapped(data.next_cycle, metrics_out);
-  else
-    run_overlapped_deep(data.next_cycle, metrics_out);
+  run_cycles(data.next_cycle, metrics_out);
   return Status::Ok();
 }
 
-void RealtimeRunner::run_serial(int start_cycle, std::vector<StreamCycleMetrics>& metrics) {
-  metrics.reserve(static_cast<std::size_t>(cfg_.cycles));
-
-  for (int k = start_cycle; k < cfg_.cycles; ++k) {
-    TURBDA_SPAN("runner.cycle");
-    const PoolIdleProbe idle_probe;
-    const auto t_cycle = Clock::now();
-    const auto ing0 = stream_.ingest_counters();
-    StreamCycleMetrics cm;
-    cm.cycle = k;
-    cm.time_hours = (k + 1) * cfg_.window_hours;
-
-    {
-      TURBDA_SPAN("stream.produce");
-      stream_.produce(k);
-    }
-
-    const auto t_fcst = Clock::now();
-    {
-      TURBDA_SPAN("runner.forecast");
-      forecast_members(k);
-    }
-    cm.forecast_ms = ms_since(t_fcst);
-
-    const auto truth = stream_.truth(k);
-    TURBDA_REQUIRE(!truth.empty(), "stream did not retain the truth state for this cycle");
-    cm.rmse_prior = rmse_vs_truth(*ens_, truth);
-    cm.spread_prior = ens_->mean_spread();
-
-    if (filter_ != nullptr) {
-      CollectResult col = collect_batches(k);
-      cm.deadline_miss = !col.own_on_time;
-      cm.obs_arrival_cycles = col.own_arrival;
-      cm.batches_discarded = col.discarded;
-      if (cm.deadline_miss) TURBDA_TRACE_INSTANT("status.deadline_miss");
-      assimilate_batches(*ens_, col.apply, k, cm);
-    } else {
-      discard_unconsumed(k);
-    }
-    cm.rmse_post = rmse_vs_truth(*ens_, truth);
-    cm.spread_post = ens_->mean_spread();
-    cm.cycle_ms = ms_since(t_cycle);
-    cm.pool_idle_frac = idle_probe.idle_frac();
-    fill_ingest_delta(cm, ing0, stream_.ingest_counters());
-    metrics.push_back(cm);
-
-    if (hook_) {
-      const auto mean = ens_->mean();
-      hook_(k, mean);
-    }
-    maybe_checkpoint(k, metrics);
-    record_cycle_telemetry(metrics.back());
+void RealtimeRunner::apply_staged(int cycle) {
+  if (cycle < 0) return;
+  StagedSlot& slot = ring_[static_cast<std::size_t>(cycle % depth_)];
+  if (slot.cycle != cycle) return;
+  for (std::size_t m = 0; m < cfg_.n_members; ++m) {
+    auto row = ens_->member(m);
+    const auto inc = slot.increment->member(m);
+    for (std::size_t i = 0; i < row.size(); ++i) row[i] += inc[i];
   }
+  slot.cycle = -1;
 }
 
-void RealtimeRunner::run_overlapped(int start_cycle, std::vector<StreamCycleMetrics>& metrics) {
+void RealtimeRunner::run_cycles(int start_cycle, std::vector<StreamCycleMetrics>& metrics) {
   auto& pool = parallel::global_pool();
+  const int D = depth_;
   metrics.reserve(static_cast<std::size_t>(cfg_.cycles));
 
-  // Prologue: nothing to overlap with yet — produce and forecast window 0.
-  // A resumed run restored the pipeline mid-flight (ensemble already
-  // forecast through start_cycle, stream produced through start_cycle) and
-  // skips it.
-  if (start_cycle == 0) {
-    stream_.produce(0);
-    forecast_members(0);
-    have_increment_ = false;
-  }
-
-  // Double buffer: the analysis for cycle k runs on a copy while the
-  // ensemble itself forecasts ahead; the increment lands one cycle later.
-  // Allocated once on first use, reused (assignment keeps capacity) so the
-  // hot loop stays allocation-free after warm-up.
   for (int k = start_cycle; k < cfg_.cycles; ++k) {
     TURBDA_SPAN("runner.cycle");
     const PoolIdleProbe idle_probe;
@@ -612,21 +500,30 @@ void RealtimeRunner::run_overlapped(int start_cycle, std::vector<StreamCycleMetr
     cm.cycle = k;
     cm.time_hours = (k + 1) * cfg_.window_hours;
 
+    // Window k is produced and forecast here unless the previous cycle
+    // already fanned it out behind its analysis (D >= 1 past cycle 0; a
+    // resumed run restored that pipeline state mid-flight).
+    if (D == 0 || k == 0) {
+      {
+        TURBDA_SPAN("stream.produce");
+        stream_.produce(k);
+      }
+      const auto t_fcst = Clock::now();
+      {
+        TURBDA_SPAN("runner.forecast");
+        forecast_members(k);
+      }
+      cm.forecast_ms = ms_since(t_fcst);
+    }
+
     const auto truth = stream_.truth(k);
     TURBDA_REQUIRE(!truth.empty(), "stream did not retain the truth state for this cycle");
     cm.rmse_prior = rmse_vs_truth(*ens_, truth);
     cm.spread_prior = ens_->mean_spread();
 
-    // Apply the lagged increment from cycle k-1's analysis.
-    if (have_increment_) {
-      for (std::size_t m = 0; m < cfg_.n_members; ++m) {
-        auto row = ens_->member(m);
-        const auto post = buf_post_->member(m);
-        const auto prior = buf_prior_->member(m);
-        for (std::size_t i = 0; i < row.size(); ++i) row[i] += post[i] - prior[i];
-      }
-      have_increment_ = false;
-    }
+    // The increment staged D cycles ago lands now; its slot is the one this
+    // cycle is about to reuse.
+    if (D >= 1) apply_staged(k - D);
 
     CollectResult col;
     if (filter_ != nullptr) {
@@ -639,217 +536,15 @@ void RealtimeRunner::run_overlapped(int start_cycle, std::vector<StreamCycleMetr
       discard_unconsumed(k);
     }
 
-    const bool last = (k + 1 == cfg_.cycles);
-    if (last) {
-      // Drain synchronously so the final ensemble reflects every batch.
-      assimilate_batches(*ens_, col.apply, k, cm);
-      cm.rmse_post = rmse_vs_truth(*ens_, truth);
-      cm.spread_post = ens_->mean_spread();
-      cm.cycle_ms = ms_since(t_cycle);
-      cm.pool_idle_frac = idle_probe.idle_frac();
-      fill_ingest_delta(cm, ing0, stream_.ingest_counters());
-      metrics.push_back(cm);
-      record_cycle_telemetry(metrics.back());
-      if (hook_) {
-        const auto mean = ens_->mean();
-        hook_(k, mean);
-      }
-      break;
-    }
-
-    // Post metrics reflect the state after this cycle's update step (the
-    // lagged increment); this cycle's own analysis lands at k+1.
-    cm.rmse_post = rmse_vs_truth(*ens_, truth);
-    cm.spread_post = ens_->mean_spread();
-    if (hook_) {
-      const auto mean = ens_->mean();
-      hook_(k, mean);
-    }
-
-    // Stage this cycle's analysis on the side buffer...
-    const bool staged = !col.apply.empty();
-    if (staged) {
-      if (buf_prior_.has_value()) {
-        buf_prior_->data() = ens_->data();
-        buf_post_->data() = ens_->data();
-      } else {
-        buf_prior_.emplace(*ens_);
-        buf_post_.emplace(*ens_);
-      }
-    }
-
-    // ...then fan the next window out over the pool: the stream's producer
-    // and the member forecasts for k+1 run concurrently with the analysis
-    // below. Per-member work is partition-independent, so this stays
-    // bitwise identical for any pool size.
-    const int k1 = k + 1;
-    const std::vector<double> shared_err = draw_shared_error(k1);
-
-    const auto t_fcst = Clock::now();
-    std::vector<std::future<void>> tasks;
-    tasks.push_back(pool.submit([this, k1] {
-      TURBDA_SPAN("stream.produce");
-      stream_.produce(k1);
-    }));
-    std::size_t par = std::max<std::size_t>(pool.size(), 1);
-    if (cfg_.n_forecast_threads != 0) par = std::min(par, cfg_.n_forecast_threads);
-    if (!forecast_model_.concurrent_safe()) par = 1;
-    par = std::min(par, cfg_.n_members);
-    const std::size_t chunk = (cfg_.n_members + par - 1) / par;
-    for (std::size_t b = 0; b < cfg_.n_members; b += chunk) {
-      const std::size_t e = std::min(b + chunk, cfg_.n_members);
-      tasks.push_back(pool.submit(
-          [this, k1, b, e, &shared_err] { forecast_block(k1, b, e, shared_err); }));
-    }
-
-    // Inline analysis on the caller thread: its internal parallel_for
-    // interleaves with the forecast tasks on the shared pool.
-    std::exception_ptr err;
-    if (staged) {
-      try {
-        assimilate_batches(*buf_post_, col.apply, k, cm);
-      } catch (...) {
-        err = std::current_exception();
-      }
-    }
-    for (auto& t : tasks) {
-      try {
-        t.get();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-    have_increment_ = staged;
-
-    cm.forecast_ms = ms_since(t_fcst);
-    cm.cycle_ms = ms_since(t_cycle);
-    cm.pool_idle_frac = idle_probe.idle_frac();
-    fill_ingest_delta(cm, ing0, stream_.ingest_counters());
-    metrics.push_back(cm);
-    maybe_checkpoint(k, metrics);
-    record_cycle_telemetry(metrics.back());
-  }
-}
-
-void RealtimeRunner::complete_slot(StagedSlot& slot, std::vector<StreamCycleMetrics>& metrics) {
-  if (!slot.pending || slot.completed) return;
-  if (slot.task.valid()) slot.task.get();
-  slot.completed = true;
-  if (slot.error) {
-    std::exception_ptr e = slot.error;
-    slot.error = nullptr;
-    std::rethrow_exception(e);
-  }
-  slot.batches.clear();
-  if (slot.row >= metrics.size()) return;  // restored slot: row merged pre-save
-  StreamCycleMetrics& row = metrics[slot.row];
-  const StreamCycleMetrics& an = slot.an;
-  row.batches_assimilated += an.batches_assimilated;
-  row.batches_rejected += an.batches_rejected;
-  row.obs_rejected += an.obs_rejected;
-  row.late_applied += an.late_applied;
-  row.analysis_failures += an.analysis_failures;
-  row.solver_fallbacks += an.solver_fallbacks;
-  row.spread_recoveries += an.spread_recoveries;
-  row.max_batch_age = std::max(row.max_batch_age, an.max_batch_age);
-  row.max_r_scale = std::max(row.max_r_scale, an.max_r_scale);
-  row.degraded = row.degraded || an.degraded;
-  row.analysis_ms += an.analysis_ms;
-  row.qc_ms += an.qc_ms;
-  record_cycle_telemetry(row);
-}
-
-void RealtimeRunner::run_overlapped_deep(int start_cycle,
-                                         std::vector<StreamCycleMetrics>& metrics) {
-  auto& pool = parallel::global_pool();
-  const int K = cfg_.overlap_depth;
-  if (ring_.size() != static_cast<std::size_t>(K))
-    ring_.resize(static_cast<std::size_t>(K));
-  metrics.reserve(static_cast<std::size_t>(cfg_.cycles));
-
-  // The increment staged at cycle c lands at cycle c+K (members so
-  // checkpoint/resume can replay a half-applied pipeline exactly).
-  const auto apply_slot = [this](StagedSlot& slot) {
-    for (std::size_t m = 0; m < cfg_.n_members; ++m) {
-      auto row = ens_->member(m);
-      const auto post = slot.post->member(m);
-      const auto prior = slot.prior->member(m);
-      for (std::size_t i = 0; i < row.size(); ++i) row[i] += post[i] - prior[i];
-    }
-    slot.pending = false;
-  };
-
-  // Prologue: nothing to overlap with yet (resume restored the pipeline
-  // mid-flight and skips it).
-  if (start_cycle == 0) {
-    stream_.produce(0);
-    forecast_members(0);
-  }
-
-  for (int k = start_cycle; k < cfg_.cycles; ++k) {
-    TURBDA_SPAN("runner.cycle");
-    const PoolIdleProbe idle_probe;
-    const auto t_cycle = Clock::now();
-    const auto ing0 = stream_.ingest_counters();
-    StreamCycleMetrics cm;
-    cm.cycle = k;
-    cm.time_hours = (k + 1) * cfg_.window_hours;
-
-    const auto truth = stream_.truth(k);
-    TURBDA_REQUIRE(!truth.empty(), "stream did not retain the truth state for this cycle");
-    cm.rmse_prior = rmse_vs_truth(*ens_, truth);
-    cm.spread_prior = ens_->mean_spread();
-
-    // Apply the increment staged K cycles ago — its ring slot is the one
-    // this cycle is about to reuse.
-    {
-      StagedSlot& due = ring_[static_cast<std::size_t>(k % K)];
-      if (due.pending && due.cycle == k - K) {
-        complete_slot(due, metrics);
-        apply_slot(due);
-      }
-    }
-
-    CollectResult col;
-    if (filter_ != nullptr) {
-      col = collect_batches(k);
-      cm.deadline_miss = !col.own_on_time;
-      cm.obs_arrival_cycles = col.own_arrival;
-      cm.batches_discarded = col.discarded;
-      if (cm.deadline_miss) TURBDA_TRACE_INSTANT("status.deadline_miss");
-    } else {
-      discard_unconsumed(k);
-    }
-
-    const bool last = (k + 1 == cfg_.cycles);
-    if (last) {
+    const bool drain = D == 0 || k + 1 == cfg_.cycles;
+    if (drain) {
       // Drain the ring in staged order, then this cycle's own batches, so
-      // the final ensemble reflects every admitted batch.
-      for (int c = std::max(k - K + 1, 0); c < k; ++c) {
-        StagedSlot& s = ring_[static_cast<std::size_t>(c % K)];
-        if (s.pending && s.cycle == c) {
-          complete_slot(s, metrics);
-          apply_slot(s);
-        }
-      }
+      // the ensemble reflects every admitted batch.
+      for (int c = k - D + 1; c < k; ++c) apply_staged(c);
       assimilate_batches(*ens_, col.apply, k, cm);
-      cm.rmse_post = rmse_vs_truth(*ens_, truth);
-      cm.spread_post = ens_->mean_spread();
-      cm.cycle_ms = ms_since(t_cycle);
-      cm.pool_idle_frac = idle_probe.idle_frac();
-      fill_ingest_delta(cm, ing0, stream_.ingest_counters());
-      metrics.push_back(cm);
-      record_cycle_telemetry(metrics.back());
-      if (hook_) {
-        const auto mean = ens_->mean();
-        hook_(k, mean);
-      }
-      break;
     }
-
-    // Post metrics reflect the state after this cycle's update step (the
-    // lag-K increment); this cycle's own analysis lands at k+K.
+    // Without a drain, post metrics reflect this cycle's update step (the
+    // lag-D increment); this cycle's own analysis lands at k+D.
     cm.rmse_post = rmse_vs_truth(*ens_, truth);
     cm.spread_post = ens_->mean_spread();
     if (hook_) {
@@ -857,95 +552,79 @@ void RealtimeRunner::run_overlapped_deep(int start_cycle,
       hook_(k, mean);
     }
 
-    // Analysis barrier: the shared filter and the duplicate ledger are not
-    // reentrant, so the previous cycle's staged task must retire before a
-    // new one is submitted. The ring still pays off — the *application* of
-    // each increment (and therefore straggler admission) is deferred K
-    // cycles, not one.
-    if (k > 0) {
-      StagedSlot& prev = ring_[static_cast<std::size_t>((k - 1) % K)];
-      if (prev.pending && prev.cycle == k - 1) complete_slot(prev, metrics);
-    }
-
-    StagedSlot& slot = ring_[static_cast<std::size_t>(k % K)];
-    const bool staged = !col.apply.empty();
-    if (staged) {
-      TURBDA_REQUIRE(!slot.pending, "deep-overlap ring slot still occupied");
-      slot.cycle = k;
-      slot.pending = true;
-      slot.completed = false;
-      slot.error = nullptr;
-      slot.row = static_cast<std::size_t>(-1);  // bound at push below
-      slot.an = StreamCycleMetrics{};
-      slot.an.cycle = k;
-      if (slot.prior.has_value()) {
-        slot.prior->data() = ens_->data();
-        slot.post->data() = ens_->data();
-      } else {
-        slot.prior.emplace(*ens_);
-        slot.post.emplace(*ens_);
-      }
-      slot.batches = std::move(col.apply);
-    }
-
-    // Fan the next window out over the pool: producer + member forecasts for
-    // k+1 run concurrently with the staged analysis below. Per-member work
-    // is partition-independent, so this stays bitwise identical for any
-    // pool size.
-    const int k1 = k + 1;
-    const std::vector<double> shared_err = draw_shared_error(k1);
-
-    const auto t_fcst = Clock::now();
-    std::vector<std::future<void>> tasks;
-    tasks.push_back(pool.submit([this, k1] {
-      TURBDA_SPAN("stream.produce");
-      stream_.produce(k1);
-    }));
-    std::size_t par = std::max<std::size_t>(pool.size(), 1);
-    if (cfg_.n_forecast_threads != 0) par = std::min(par, cfg_.n_forecast_threads);
-    if (!forecast_model_.concurrent_safe()) par = 1;
-    par = std::min(par, cfg_.n_members);
-    const std::size_t chunk = (cfg_.n_members + par - 1) / par;
-    for (std::size_t b = 0; b < cfg_.n_members; b += chunk) {
-      const std::size_t e = std::min(b + chunk, cfg_.n_members);
-      tasks.push_back(pool.submit(
-          [this, k1, b, e, &shared_err] { forecast_block(k1, b, e, shared_err); }));
-    }
-    if (staged) {
-      // The analysis failure mode is captured, not thrown: the task outlives
-      // this cycle body, so complete_slot() rethrows at the join.
-      slot.task = pool.submit([this, &slot, k] {
-        TURBDA_SPAN("runner.staged_analysis");
-        try {
-          assimilate_batches(*slot.post, slot.batches, k, slot.an);
-        } catch (...) {
-          slot.error = std::current_exception();
+    if (!drain) {
+      StagedSlot* slot = nullptr;
+      if (!col.apply.empty()) {
+        slot = &ring_[static_cast<std::size_t>(k % D)];
+        TURBDA_REQUIRE(slot->cycle < 0, "overlap ring slot still occupied");
+        slot->cycle = k;
+        // Assignment keeps capacity, so the loop is allocation-free after
+        // the first staging.
+        for (auto* buf : {&prior_, &slot->increment}) {
+          if (buf->has_value())
+            (*buf)->data() = ens_->data();
+          else
+            buf->emplace(*ens_);
         }
-      });
-    }
+      }
 
-    // Join only the forecast fan-out; the staged analysis keeps running
-    // into the next window (that deferral is the point of the ring).
-    std::exception_ptr err;
-    for (auto& t : tasks) {
-      try {
-        t.get();
-      } catch (...) {
-        if (!err) err = std::current_exception();
+      // Fan the next window out over the pool: the stream's producer and the
+      // member forecasts for k+1 run concurrently with the analysis below.
+      // Per-member work is partition-independent, so this stays bitwise
+      // identical for any pool size.
+      const int k1 = k + 1;
+      const std::vector<double> shared_err = draw_shared_error(k1);
+      const auto t_fcst = Clock::now();
+      std::vector<std::future<void>> tasks;
+      tasks.push_back(pool.submit([this, k1] {
+        TURBDA_SPAN("stream.produce");
+        stream_.produce(k1);
+      }));
+      std::size_t par = std::max<std::size_t>(pool.size(), 1);
+      if (cfg_.n_forecast_threads != 0) par = std::min(par, cfg_.n_forecast_threads);
+      if (!forecast_model_.concurrent_safe()) par = 1;
+      par = std::min(par, cfg_.n_members);
+      const std::size_t chunk = (cfg_.n_members + par - 1) / par;
+      for (std::size_t b = 0; b < cfg_.n_members; b += chunk) {
+        const std::size_t e = std::min(b + chunk, cfg_.n_members);
+        tasks.push_back(pool.submit(
+            [this, k1, b, e, &shared_err] { forecast_block(k1, b, e, shared_err); }));
+      }
+
+      // Inline analysis on the caller thread: its internal parallel_for
+      // interleaves with the forecast tasks on the shared pool. Every task
+      // is joined before any failure propagates — they borrow this frame.
+      std::exception_ptr err;
+      if (slot != nullptr) {
+        try {
+          assimilate_batches(*slot->increment, col.apply, k, cm);
+        } catch (...) {
+          err = std::current_exception();
+        }
+      }
+      for (auto& t : tasks) {
+        try {
+          t.get();
+        } catch (...) {
+          if (!err) err = std::current_exception();
+        }
+      }
+      if (err) std::rethrow_exception(err);
+      cm.forecast_ms += ms_since(t_fcst);
+
+      if (slot != nullptr) {
+        double* inc = slot->increment->data().data();
+        const double* prior = prior_->data().data();
+        for (std::size_t i = 0, n = cfg_.n_members * ens_->dim(); i < n; ++i) inc[i] -= prior[i];
       }
     }
-    if (err) std::rethrow_exception(err);
 
-    cm.forecast_ms = ms_since(t_fcst);
     cm.cycle_ms = ms_since(t_cycle);
     cm.pool_idle_frac = idle_probe.idle_frac();
     fill_ingest_delta(cm, ing0, stream_.ingest_counters());
     metrics.push_back(cm);
-    if (staged) slot.row = metrics.size() - 1;
     maybe_checkpoint(k, metrics);
-    // A staged cycle's telemetry is recorded at complete_slot(), once the
-    // analysis-side record has been merged into its row.
-    if (!staged) record_cycle_telemetry(metrics.back());
+    record_cycle_telemetry(metrics.back());
   }
 }
 

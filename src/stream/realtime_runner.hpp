@@ -2,31 +2,32 @@
 // (PR 2) halves into a real-time assimilation service driven by an
 // ObservationStream.
 //
-// Two schedules:
+// One cycle loop drives both schedules through a ring of analysis
+// increments of depth D (D = 0 for Serial, D = overlap_depth for
+// Overlapped):
 //
-//  - Serial: forecast -> (wait for obs) -> analyze, one cycle at a time.
-//    With a zero-latency in-order stream this reproduces the offline OSSE
-//    loop bitwise (OsseRunner is exactly this configuration).
+//  - Serial (D = 0): forecast -> (wait for obs) -> analyze in place, one
+//    cycle at a time. With a zero-latency in-order stream this reproduces
+//    the offline OSSE loop bitwise (OsseRunner is exactly this
+//    configuration).
 //
-//  - Overlapped: a double-buffered pipeline. After the member forecasts for
-//    cycle k finish, the ensemble is copied into a side buffer, the analysis
-//    for cycle k runs on that buffer while the next window's member
-//    forecasts (and the stream's producer) run on the ThreadPool, and the
-//    resulting analysis increment is applied to the ensemble when the cycle
-//    k+1 forecast lands (a one-window incremental-update lag, the price of
-//    hiding analysis + delivery latency behind forecast compute). The last
-//    cycle drains synchronously so the final ensemble reflects every batch.
+//  - Overlapped (D = K >= 1): after the member forecasts for cycle k land,
+//    the ensemble is copied into ring slot k % D and the analysis for cycle
+//    k runs inline on the caller thread, on that copy, while the next
+//    window's member forecasts (and the stream's producer) run on the
+//    ThreadPool. After the join the slot holds the increment post - prior,
+//    which is added to the ensemble at cycle k+D — a D-window update lag,
+//    the price of hiding analysis + delivery latency behind forecast
+//    compute. The last cycle drains the ring in staged order and analyzes
+//    in place, so the final ensemble reflects every batch.
 //
-//    With overlap_depth K > 1 the double buffer generalizes to a ring of K
-//    staged-analysis slots: the analysis staged at cycle k is applied at
-//    cycle k+K, so the admission window for stragglers stretches by K-1
-//    cycles — a batch that would be dropped under K=1 is instead applied as
-//    a K-window-late increment with forced age-dependent R inflation
-//    (counted as late_applied). Analyses themselves stay serialized (the
-//    shared filter is not reentrant); deeper overlap trades increment
-//    freshness for tolerance of extreme delivery latency. All admission
-//    decisions stay in virtual time, so any K is bitwise reproducible
-//    across thread counts.
+//    The ring depth also sets the admission window: a straggler up to
+//    max_stale_cycles + D - 1 cycles old is still applied, as a late
+//    increment with forced age-dependent R inflation (counted as
+//    late_applied), where D = 1 would drop it. Deeper overlap trades
+//    increment freshness for tolerance of extreme delivery latency. All
+//    admission decisions stay in virtual time, so any D is bitwise
+//    reproducible across thread counts.
 //
 // Deadline semantics: the batch observing window k is "on time" if its
 // virtual arrival stamp is <= (k + 1) + deadline_slack_cycles; an on-time
@@ -41,9 +42,7 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <future>
 #include <optional>
 #include <span>
 #include <string>
@@ -60,7 +59,7 @@ namespace turbda::stream {
 
 enum class Schedule {
   Serial,     ///< forecast and analysis strictly in sequence (OSSE-equivalent)
-  Overlapped  ///< analysis overlapped with the next forecast (1-cycle lag)
+  Overlapped  ///< analysis overlapped with the next forecast (overlap_depth lag)
 };
 
 struct RealtimeConfig {
@@ -76,10 +75,9 @@ struct RealtimeConfig {
   std::size_t n_forecast_threads = 0;
 
   Schedule schedule = Schedule::Serial;
-  /// Overlapped pipeline depth K (ignored by Serial). 1 = the classic double
-  /// buffer (analysis applied one cycle later). K >= 2 stages analyses in a
-  /// ring of K slots applied K cycles later, stretching straggler admission
-  /// by K-1 cycles (see the schedule notes above).
+  /// Overlapped ring depth K (ignored by Serial): each analysis increment is
+  /// applied K cycles after it was staged, stretching straggler admission by
+  /// K-1 cycles (see the schedule notes above).
   int overlap_depth = 1;
   /// R-inflation slope for deep-late batches (age beyond max_stale_cycles)
   /// admitted through the overlap ring: r_scale >= 1 + age * late_r_inflation,
@@ -221,7 +219,7 @@ class RealtimeRunner {
   /// Window-`cycle` shared model-error realization (empty unless configured).
   [[nodiscard]] std::vector<double> draw_shared_error(int cycle) const;
   /// Forecast + model error for the contiguous member block [b, e) — the
-  /// single definition both schedules use, so the bitwise
+  /// single definition every ring depth uses, so the bitwise
   /// serial==overlapped invariant cannot drift apart. Each worker thread
   /// owns one block: the forecast goes through the model's batched entry
   /// point (ForecastModel::forecast_batch, bitwise identical to the
@@ -238,8 +236,8 @@ class RealtimeRunner {
 
   /// QC + duplicate/truncation guards + try_analyze + degradation + spread
   /// watchdog for one cycle's batches, applied to `target` (the live
-  /// ensemble in Serial, the staged analysis buffer in Overlapped). The one
-  /// definition both schedules share, so fault handling cannot drift apart.
+  /// ensemble when draining, a ring slot when staging). The one definition
+  /// every ring depth shares, so fault handling cannot drift apart.
   void assimilate_batches(da::Ensemble& target, std::vector<ObsBatch>& batches, int cycle,
                           StreamCycleMetrics& cm);
   void apply_spread_guard(da::Ensemble& target, int cycle, StreamCycleMetrics& cm);
@@ -247,31 +245,22 @@ class RealtimeRunner {
   /// its wall time on metrics.back().checkpoint_ms when a write happens.
   void maybe_checkpoint(int completed_cycle, std::vector<StreamCycleMetrics>& metrics);
 
-  void run_serial(int start_cycle, std::vector<StreamCycleMetrics>& metrics);
-  void run_overlapped(int start_cycle, std::vector<StreamCycleMetrics>& metrics);
+  /// The cycle loop, from `start_cycle` (0, or a resumed snapshot's
+  /// next_cycle) through cfg.cycles - 1.
+  void run_cycles(int start_cycle, std::vector<StreamCycleMetrics>& metrics);
+  /// Adds the increment staged at `cycle` to the ensemble, if one is pending.
+  void apply_staged(int cycle);
 
-  /// One deep-overlap ring entry: the analysis for `cycle`, staged on its
-  /// own prior/post buffer pair and applied overlap_depth cycles later.
+  /// One ring entry: the analysis increment (post - prior) staged at
+  /// `cycle` and applied depth_ cycles later; cycle < 0 marks a free slot.
   struct StagedSlot {
     int cycle = -1;
-    bool pending = false;    ///< staged; increment not yet applied
-    bool completed = false;  ///< analysis task joined, metrics merged
-    /// Metrics row the analysis-side record merges into (SIZE_MAX for slots
-    /// restored from a checkpoint — their rows were merged before the save).
-    std::size_t row = static_cast<std::size_t>(-1);
-    std::optional<da::Ensemble> prior, post;
-    std::vector<ObsBatch> batches;
-    StreamCycleMetrics an;  ///< metrics the analysis task accumulates
-    std::future<void> task;
-    std::exception_ptr error;
+    std::optional<da::Ensemble> increment;
   };
-  /// Joins the slot's analysis task, rethrows its failure, merges the
-  /// analysis-side metrics into the owning row and records that row's
-  /// telemetry. Idempotent once completed.
-  void complete_slot(StagedSlot& slot, std::vector<StreamCycleMetrics>& metrics);
-  void run_overlapped_deep(int start_cycle, std::vector<StreamCycleMetrics>& metrics);
 
   RealtimeConfig cfg_;
+  /// Effective ring depth D: 0 for Serial, overlap_depth for Overlapped.
+  int depth_;
   ObservationStream& stream_;
   models::ForecastModel& forecast_model_;
   da::Filter* filter_;
@@ -282,12 +271,10 @@ class RealtimeRunner {
   std::optional<rng::Rng> rng_spread_;    ///< spread-guard re-seeding noise
   /// Duplicate guard: applied_[k] set once window k's batch is assimilated.
   std::vector<std::uint8_t> applied_;
-  /// Overlapped double buffer (members so checkpoint/resume can reach them).
-  std::optional<da::Ensemble> buf_prior_, buf_post_;
-  bool have_increment_ = false;
-  /// Deep-overlap staged-analysis ring, overlap_depth slots (K > 1 only);
-  /// slot index for the analysis staged at cycle c is c % overlap_depth.
+  /// depth_ slots; the increment staged at cycle c lives in slot c % depth_.
   std::vector<StagedSlot> ring_;
+  /// The ensemble as staged, shared by every slot (post - prior scratch).
+  std::optional<da::Ensemble> prior_;
   Status checkpoint_status_;
 };
 

@@ -342,5 +342,57 @@ TEST(Checkpoint, MismatchedConfigurationIsRefusedOnResume) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, PreviousFormatVersionIsRefused) {
+  const std::string path = temp_path("ckpt_v3.bin");
+  auto old = make_snapshot(path);
+  ASSERT_GT(old.size(), 8u);
+  // Restamp the little-endian version field as 3, the last format that
+  // carried the schedule byte and the K = 1 prior/post buffers.
+  old[4] = 3;
+  old[5] = old[6] = old[7] = 0;
+  write_bytes(path, old);
+  stream::CheckpointData data;
+  const Status s = stream::load_checkpoint(path, data);
+  EXPECT_EQ(s.code(), StatusCode::kUnsupported);
+  EXPECT_NE(s.message().find("version 3"), std::string::npos) << s.to_string();
+  std::remove(path.c_str());
+}
+
+/// The make_snapshot configuration under a given schedule (ring depth 1 when
+/// overlapped).
+stream::RealtimeConfig schedule_config(stream::Schedule schedule, const std::string& path) {
+  stream::RealtimeConfig rc;
+  rc.cycles = 10;
+  rc.n_members = 8;
+  rc.schedule = schedule;
+  rc.checkpoint_path = path;
+  rc.checkpoint_every = 5;
+  return rc;
+}
+
+TEST(Checkpoint, OverlappedSnapshotIsRefusedBySerialResume) {
+  const std::string path = temp_path("ckpt_k1_to_serial.bin");
+  stream::SyntheticStreamConfig sc;
+  const auto w = run_stack(sc, schedule_config(stream::Schedule::Overlapped, path), nullptr,
+                           FilterKind::Etkf);
+  ASSERT_TRUE(w.ckpt_status.ok()) << w.ckpt_status.to_string();
+  const auto r = run_stack(sc, schedule_config(stream::Schedule::Serial, path), nullptr,
+                           FilterKind::Etkf, false, path);
+  EXPECT_EQ(r.resume_status.code(), StatusCode::kInvalidArgument) << r.resume_status.to_string();
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, SerialSnapshotIsRefusedByOverlappedResume) {
+  const std::string path = temp_path("ckpt_serial_to_k1.bin");
+  stream::SyntheticStreamConfig sc;
+  const auto w =
+      run_stack(sc, schedule_config(stream::Schedule::Serial, path), nullptr, FilterKind::Etkf);
+  ASSERT_TRUE(w.ckpt_status.ok()) << w.ckpt_status.to_string();
+  const auto r = run_stack(sc, schedule_config(stream::Schedule::Overlapped, path), nullptr,
+                           FilterKind::Etkf, false, path);
+  EXPECT_EQ(r.resume_status.code(), StatusCode::kInvalidArgument) << r.resume_status.to_string();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace turbda

@@ -6,6 +6,8 @@
 // analysis RMSE below the free run.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -13,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -523,6 +526,56 @@ TEST(FaultTolerantCycling, FailFastModeStillAborts) {
   FlakyFilter filter(3);
   stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
   EXPECT_THROW((void)runner.run(truth0), Error);
+}
+
+/// Forwards to a model but makes every batch slow and counts the batches in
+/// flight, so a failure that escaped before the forecast fan-out joined
+/// would be seen with forecasts still running on the pool.
+class SlowForecast final : public models::ForecastModel {
+ public:
+  explicit SlowForecast(models::ForecastModel& inner) : inner_(inner) {}
+  [[nodiscard]] std::size_t dim() const override { return inner_.dim(); }
+  void forecast(std::span<double> state) override { forecast_batch(state, 1); }
+  void forecast_batch(std::span<double> states, std::size_t count) override {
+    in_flight_.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    inner_.forecast_batch(states, count);
+    in_flight_.fetch_sub(1);
+  }
+  [[nodiscard]] bool concurrent_safe() const override { return inner_.concurrent_safe(); }
+  [[nodiscard]] std::string name() const override { return "Slow" + inner_.name(); }
+  [[nodiscard]] int in_flight() const { return in_flight_.load(); }
+
+ private:
+  models::ForecastModel& inner_;
+  std::atomic<int> in_flight_{0};
+};
+
+TEST(FaultTolerantCycling, FailFastModeAbortsOverlappedAfterForecastJoin) {
+  for (const int depth : {1, 2}) {
+    stream::SyntheticStreamConfig sc;
+    stream::RealtimeConfig rc;
+    rc.cycles = 10;
+    rc.n_members = 10;
+    rc.schedule = stream::Schedule::Overlapped;
+    rc.overlap_depth = depth;
+    rc.degrade_on_failure = false;
+
+    Lorenz96Config mc;
+    mc.dim = kDim;
+    mc.steps_per_window = 10;
+    Lorenz96 truth_model(mc), l96(mc);
+    SlowForecast fcst_model(l96);
+    da::IdentityObs h(kDim, kNx, kNy, kLev);
+    da::DiagonalR r(kDim, 1.0);
+    const auto truth0 = spun_up_truth();
+    stream::SyntheticStream s(sc, truth_model, h, r, truth0);
+    // The fourth analysis fails inline while the window-4 forecasts run.
+    FlakyFilter filter(3);
+    stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
+    EXPECT_THROW((void)runner.run(truth0), Error) << "depth " << depth;
+    EXPECT_EQ(fcst_model.in_flight(), 0) << "depth " << depth;
+  }
 }
 
 TEST(FaultTolerantCycling, SpreadWatchdogRecoversCollapseAndDivergence) {

@@ -718,6 +718,58 @@ TEST(DeepOverlap, ResumeRefusesOverlapDepthMismatch) {
   std::remove(path.c_str());
 }
 
+/// run_deep's stack resumed from `path` instead of run from scratch.
+RunResult resume_deep(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
+                      const std::string& path) {
+  Lorenz96Config mc;
+  mc.dim = kDim;
+  mc.steps_per_window = 5;  // must match run_deep's model exactly
+  Lorenz96 truth_model(mc), fcst_model(mc);
+  da::IdentityObs h(mc.dim);
+  da::DiagonalR r(mc.dim, 1.0);
+  da::ETKF filter(da::EtkfConfig{.rtps = 0.4});
+  const auto truth0 = spun_up_truth();
+  stream::SyntheticStream s(sc, truth_model, h, r, truth0);
+  stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
+  RunResult out;
+  const Status st = runner.resume(path, out.metrics);
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  if (st.ok()) out.ens = runner.ensemble();
+  return out;
+}
+
+TEST(DeepOverlap, K3CheckpointResumeIsBitwiseAcrossThreadCounts) {
+  const auto sc = very_late_scenario();
+  auto rc = deep_config(3);
+  rc.cycles = 12;
+  const auto uninterrupted = run_deep(sc, rc);
+
+  const std::string path = temp_path("ckpt_deep_k3.bin");
+  auto rc_ck = rc;
+  rc_ck.checkpoint_path = path;
+  rc_ck.checkpoint_every = 7;  // one snapshot, mid-run, with the ring full
+  const auto with_ckpt = run_deep(sc, rc_ck);
+  expect_bitwise_equal(uninterrupted.ens, with_ckpt.ens);
+
+  // Every batch is three windows late, so cycles 4, 5 and 6 each staged an
+  // increment that lands at 7, 8 and 9 — three pending slots in the file.
+  stream::CheckpointData data;
+  ASSERT_TRUE(stream::load_checkpoint(path, data).ok());
+  EXPECT_EQ(data.overlap_depth, 3);
+  EXPECT_EQ(data.next_cycle, 7);
+  ASSERT_EQ(data.ring.size(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(data.ring[static_cast<std::size_t>(i)].cycle, 4 + i);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    auto rc_res = rc_ck;
+    rc_res.n_forecast_threads = threads;
+    const auto resumed = resume_deep(sc, rc_res, path);
+    expect_bitwise_equal(uninterrupted.ens, resumed.ens);
+    expect_accuracy_metrics_bitwise_equal(uninterrupted.metrics, resumed.metrics);
+  }
+  std::remove(path.c_str());
+}
+
 // -------------------------------------------------------- metrics schema ---
 
 TEST(StreamMetrics, IngestColumnsPresentAndRowAligned) {
