@@ -1,16 +1,16 @@
 // SQG forecast hot-path bench: times the real-FFT pair, the spectral
-// tendency, and the full RK4 step at n = 64/128/256 across thread counts,
-// plus the ensemble forecast (the paper's throughput axis) in both the
-// member-parallel per-member and the block-batched (step_batch) form.
-// Reports the active FFT SIMD dispatch level (scalar / avx2 / avx2fma) and
-// per-row hardware context, emits a machine-readable BENCH_sqg.json so
-// later PRs can track the perf trajectory, and verifies that every
-// multi-threaded and batched result is bitwise identical to the
-// single-threaded per-member one.
+// tendency, and the full RK4 step at n = 64/128/256 on one thread, plus the
+// member-parallel ensemble forecast (the paper's throughput axis) across
+// thread counts. Reports the active FFT SIMD dispatch level (scalar / avx2 /
+// avx2fma) and per-row hardware context, emits a machine-readable
+// BENCH_sqg.json so later PRs can track the perf trajectory, and verifies
+// that every multi-threaded ensemble forecast is bitwise identical to the
+// serial one.
 //
-//   build/bench_sqg_step [--sizes=64,128,256] [--threads=1,2,4]
+//   build/bench_sqg_step [--sizes=64,128,256] [--threads=1,<hw>]
 //                        [--members=20] [--reps=3] [--json=BENCH_sqg.json]
 //                        [--smoke]
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -25,6 +25,7 @@
 #include "io/table.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
+#include "simd/dispatch.hpp"
 #include "sqg/sqg.hpp"
 
 using namespace turbda;
@@ -57,24 +58,40 @@ double best_ms(int reps, int iters, F&& fn) {
   return best;
 }
 
-struct Result {
-  std::size_t n = 0;
-  std::size_t threads = 0;
+/// Single-thread kernel timings at one grid size.
+struct Kernels {
   double fft_pair_ms = 0.0;  // full Hermitian-redundant layout (legacy)
   double fft_half_ms = 0.0;  // packed half-spectrum layout (the hot path)
   double tendency_ms = 0.0;
   double step_ms = 0.0;
-  double ens_ms = 0.0;        // per-member forecasts fanned over the pool
-  double ens_batch_ms = 0.0;  // block-batched step_batch forecasts
+};
+
+struct Result {
+  std::size_t n = 0;
+  std::size_t threads = 0;
+  Kernels kernels;      // recorded on the threads == 1 row only
+  double ens_ms = 0.0;  // per-member forecasts fanned over the pool
   bool bitwise = true;
 };
 
-sqg::SqgConfig model_config(std::size_t n, std::size_t fft_threads) {
-  sqg::SqgConfig cfg;
-  cfg.n = n;
-  cfg.dt = 900.0;
-  cfg.n_fft_threads = fft_threads;
-  return cfg;
+/// Thread counts this machine can actually run, always including 1 (the
+/// row that carries the serial kernel timings and the bitwise reference).
+/// Oversubscribed counts (threads > hardware) measure scheduler noise, not
+/// scaling, and have polluted committed baselines before, so they are
+/// refused at record time with a printed note.
+std::vector<std::size_t> runnable_thread_counts(const std::vector<std::size_t>& requested,
+                                                std::size_t hw) {
+  std::vector<std::size_t> counts{1}, refused;
+  for (const std::size_t c : requested) (c <= hw ? counts : refused).push_back(c);
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  if (!refused.empty()) {
+    std::cout << "Note: skipping oversubscribed thread counts (hardware has " << hw << " thread"
+              << (hw == 1 ? "" : "s") << "):";
+    for (const std::size_t c : refused) std::cout << " " << c;
+    std::cout << " — such rows are noise and are not recorded.\n\n";
+  }
+  return counts;
 }
 
 }  // namespace
@@ -84,7 +101,8 @@ int main(int argc, char** argv) {
   if (args.flag("help")) {
     std::cout << "bench_sqg_step: SQG spectral-core timings (FFT / tendency / RK4 / ensemble)\n"
                  "  --sizes=<csv>    grid sizes (default 64,128,256)\n"
-                 "  --threads=<csv>  thread counts for FFT + ensemble scaling (default 1,2,4)\n"
+                 "  --threads=<csv>  thread counts for the ensemble forecast (default 1,<hw>;\n"
+                 "                   counts above the hardware threads are refused)\n"
                  "  --members=<int>  ensemble size for the forecast timing (default 20)\n"
                  "  --reps=<int>     best-of repetitions (default 3)\n"
                  "  --json=<path>    machine-readable output (default BENCH_sqg.json)\n"
@@ -92,13 +110,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bool smoke = args.flag("smoke");
-  auto sizes = parse_list(args.get_str("sizes", smoke ? "32,64" : "64,128,256"));
-  auto threads = parse_list(args.get_str("threads", smoke ? "1,2" : "1,2,4"));
+  const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const auto sizes = parse_list(args.get_str("sizes", smoke ? "32,64" : "64,128,256"));
+  const auto threads =
+      runnable_thread_counts(parse_list(args.get_str("threads", "1," + std::to_string(hw))), hw);
   const auto members = static_cast<std::size_t>(args.get_int("members", smoke ? 6 : 20));
   const int reps = static_cast<int>(args.get_int("reps", smoke ? 1 : 3));
   const std::string json_path = args.get_str("json", "BENCH_sqg.json");
-  const unsigned hw = std::thread::hardware_concurrency();
-  const char* simd = fft::simd_level_name(fft::active_simd_level());
+  const char* simd = simd::simd_level_name(simd::active_simd_level());
 
   std::cout << "=== SQG forecast hot path (" << hw << " hardware threads, FFT SIMD dispatch: "
             << simd << ", best of " << reps << ", " << members << "-member ensemble) ===\n\n";
@@ -110,113 +129,93 @@ int main(int argc, char** argv) {
     const int ten_iters = smoke ? 5 : ((n >= 256) ? 10 : 40);
     const int step_iters = smoke ? 2 : ((n >= 256) ? 5 : 20);
 
-    // Serial (1-thread) reference for the bitwise cross-thread check — run
-    // unconditionally so the claim holds even when 1 is not in --threads.
-    std::vector<double> theta;
-    std::vector<std::vector<double>> ref_members(members);
+    sqg::SqgConfig cfg;
+    cfg.n = n;
+    cfg.dt = 900.0;
+    const sqg::SqgModel model(cfg);
+    sqg::SqgWorkspace ws(n);
+    rng::Rng rng(2024 + n);
+    std::vector<double> theta(model.dim());
+    model.random_init(theta, rng, 1.0, 4);
+
+    // Serial per-member reference for the bitwise cross-thread check.
+    std::vector<std::vector<double>> ref_members(members, theta);
+    for (auto& m : ref_members) model.step(m, 1, ws);
+
+    // Real-FFT pair on one level: legacy full Hermitian-redundant layout vs
+    // the packed half-spectrum pipeline the solver runs on.
+    Kernels k;
+    const fft::Fft2D fft(n, n);
+    std::vector<double> grid(theta.begin(), theta.begin() + static_cast<long>(nn));
+    std::vector<fft::Cplx> spec(nn);
+    k.fft_pair_ms = best_ms(reps, fft_iters, [&] {
+      fft.forward_real(grid, spec);
+      fft.inverse_real(spec, grid);
+    });
+    std::vector<fft::Cplx> hspec(fft.half_size());
+    k.fft_half_ms = best_ms(reps, fft_iters, [&] {
+      fft.forward_half(grid, hspec);
+      fft.inverse_half(hspec, grid);
+    });
+
+    // Spectral tendency (the RK4 inner kernel).
+    std::vector<fft::Cplx> tspec(model.spec_dim()), tout(model.spec_dim());
+    model.to_spectral(theta, tspec);
+    k.tendency_ms = best_ms(reps, ten_iters, [&] { model.tendency(tspec, tout, ws); });
+
+    // Full RK4 step.
     {
-      sqg::SqgModel ref_model(model_config(n, 1));
-      rng::Rng rng(2024 + n);
-      theta.resize(ref_model.dim());
-      ref_model.random_init(theta, rng, 1.0, 4);
-      sqg::SqgWorkspace ws(n);
-      for (std::size_t m = 0; m < members; ++m) {
-        ref_members[m] = theta;
-        ref_model.step(ref_members[m], 1, ws);
-      }
+      std::vector<double> state = theta;
+      model.step(state, 1, ws);  // warm up
+      k.step_ms = best_ms(reps, 1, [&] {
+                    state = theta;
+                    model.step(state, step_iters, ws);
+                  }) /
+                  step_iters;
     }
 
+    // Member-parallel ensemble forecast: `members` independent states, one
+    // RK4 step each, fanned out over the pool with max_par = nt — the shape
+    // of the cycling runners' forecast fan-out.
     for (const std::size_t nt : threads) {
-      sqg::SqgModel model(model_config(n, nt));
-      sqg::SqgWorkspace ws(n);
-
       Result res;
       res.n = n;
       res.threads = nt;
-
-      // Real-FFT pair on one level: legacy full Hermitian-redundant layout vs
-      // the packed half-spectrum pipeline the solver now runs on.
-      fft::Fft2D fft(n, n);
-      fft.set_max_threads(nt);
-      std::vector<double> grid(theta.begin(), theta.begin() + static_cast<long>(nn));
-      std::vector<fft::Cplx> spec(nn);
-      res.fft_pair_ms = best_ms(reps, fft_iters, [&] {
-        fft.forward_real(grid, spec);
-        fft.inverse_real(spec, grid);
-      });
-      std::vector<fft::Cplx> hspec(fft.half_size());
-      res.fft_half_ms = best_ms(reps, fft_iters, [&] {
-        fft.forward_half(grid, hspec);
-        fft.inverse_half(hspec, grid);
-      });
-
-      // Spectral tendency (the RK4 inner kernel).
-      std::vector<fft::Cplx> tspec(model.spec_dim()), tout(model.spec_dim());
-      model.to_spectral(theta, tspec);
-      res.tendency_ms = best_ms(reps, ten_iters, [&] { model.tendency(tspec, tout, ws); });
-
-      // Full RK4 step.
-      {
-        std::vector<double> state = theta;
-        model.step(state, 1, ws);  // warm up
-        res.step_ms = best_ms(reps, 1, [&] { state = theta; model.step(state, step_iters, ws); }) /
-                      step_iters;
-      }
-
-      // Member-parallel ensemble forecast: `members` independent states, one
-      // RK4 step each, fanned out over the pool with max_par = nt.
+      if (nt == 1) res.kernels = k;
       std::vector<std::vector<double>> states(members);
       res.ens_ms = best_ms(reps, 1, [&] {
         for (std::size_t m = 0; m < members; ++m) states[m] = theta;
         parallel::parallel_for(
             members,
             [&](std::size_t b, std::size_t e) {
-              for (std::size_t m = b; m < e; ++m)
-                model.step(states[m], 1, sqg::tls_workspace(n));
+              for (std::size_t m = b; m < e; ++m) model.step(states[m], 1, sqg::tls_workspace(n));
             },
             /*min_grain=*/1, nt);
       });
       for (std::size_t m = 0; m < members; ++m)
         res.bitwise = res.bitwise && std::memcmp(states[m].data(), ref_members[m].data(),
                                                  states[m].size() * sizeof(double)) == 0;
-
-      // Block-batched ensemble forecast: the same members as one contiguous
-      // (members x dim) block, each worker advancing its chunk through
-      // step_batch — the forecast path the cycling runners use.
-      std::vector<double> block(members * model.dim());
-      res.ens_batch_ms = best_ms(reps, 1, [&] {
-        for (std::size_t m = 0; m < members; ++m)
-          std::copy(theta.begin(), theta.end(), block.begin() + static_cast<long>(m * model.dim()));
-        parallel::parallel_for(
-            members,
-            [&](std::size_t b, std::size_t e) {
-              model.step_batch(std::span<double>(block.data() + b * model.dim(),
-                                                 (e - b) * model.dim()),
-                               e - b, 1);
-            },
-            /*min_grain=*/1, nt);
-      });
-      for (std::size_t m = 0; m < members; ++m)
-        res.bitwise = res.bitwise && std::memcmp(block.data() + m * model.dim(),
-                                                 ref_members[m].data(),
-                                                 model.dim() * sizeof(double)) == 0;
       results.push_back(res);
     }
   }
 
+  // Serial kernel columns appear on the threads == 1 row of each size.
+  const auto kernel_cell = [](const Result& r, double v) {
+    return r.threads == 1 ? io::Table::num(v, 3) : std::string("-");
+  };
   io::Table t({"n", "threads", "fft pair [ms]", "half pair [ms]", "tendency [ms]",
-               "RK4 step [ms]", "ens fcst [ms]", "ens batch [ms]", "bitwise == t1"});
+               "RK4 step [ms]", "ens fcst [ms]", "bitwise == t1"});
   for (const auto& r : results) {
-    t.add_row({std::to_string(r.n), std::to_string(r.threads), io::Table::num(r.fft_pair_ms, 3),
-               io::Table::num(r.fft_half_ms, 3), io::Table::num(r.tendency_ms, 3),
-               io::Table::num(r.step_ms, 3), io::Table::num(r.ens_ms, 3),
-               io::Table::num(r.ens_batch_ms, 3), r.bitwise ? "yes" : "NO"});
+    t.add_row({std::to_string(r.n), std::to_string(r.threads),
+               kernel_cell(r, r.kernels.fft_pair_ms), kernel_cell(r, r.kernels.fft_half_ms),
+               kernel_cell(r, r.kernels.tendency_ms), kernel_cell(r, r.kernels.step_ms),
+               io::Table::num(r.ens_ms, 3), r.bitwise ? "yes" : "NO"});
   }
   t.print();
 
   bool all_bitwise = true;
   for (const auto& r : results) all_bitwise = all_bitwise && r.bitwise;
-  std::cout << "\nMulti-threaded results bitwise identical to 1 thread: "
+  std::cout << "\nMulti-threaded ensemble forecasts bitwise identical to 1 thread: "
             << (all_bitwise ? "yes" : "NO") << "\n";
 
   // Per-row hardware context (hw_threads, simd) rides along so downstream
@@ -228,12 +227,15 @@ int main(int argc, char** argv) {
      << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    js << "    {\"n\": " << r.n << ", \"threads\": " << r.threads
-       << ", \"hw_threads\": " << hw << ", \"simd\": \"" << simd << "\""
-       << ", \"fft_pair_ms\": " << r.fft_pair_ms << ", \"fft_half_pair_ms\": " << r.fft_half_ms
-       << ", \"tendency_ms\": " << r.tendency_ms
-       << ", \"rk4_step_ms\": " << r.step_ms << ", \"ens_forecast_ms\": " << r.ens_ms
-       << ", \"ens_batch_forecast_ms\": " << r.ens_batch_ms
+    js << "    {\"n\": " << r.n << ", \"threads\": " << r.threads << ", \"hw_threads\": " << hw
+       << ", \"simd\": \"" << simd << "\"";
+    if (r.threads == 1) {
+      js << ", \"fft_pair_ms\": " << r.kernels.fft_pair_ms
+         << ", \"fft_half_pair_ms\": " << r.kernels.fft_half_ms
+         << ", \"tendency_ms\": " << r.kernels.tendency_ms
+         << ", \"rk4_step_ms\": " << r.kernels.step_ms;
+    }
+    js << ", \"ens_forecast_ms\": " << r.ens_ms
        << ", \"bitwise_vs_t1\": " << (r.bitwise ? "true" : "false") << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }

@@ -44,9 +44,6 @@ struct SqgExperimentConfig {
   /// Worker threads for the per-member forecast loop (0 = all pool workers,
   /// 1 = serial); bitwise identical for any value.
   std::size_t forecast_threads = 0;
-  /// Worker threads inside each 2-D transform (0 = all, 1 = serial). Leave
-  /// at 1 when forecasts already run member-parallel.
-  std::size_t fft_threads = 1;
 };
 
 struct SqgExperiment {
@@ -61,7 +58,6 @@ struct SqgExperiment {
     mc.t_diab = 2.0 * 86400.0;
     mc.r_ekman = 200.0;
     mc.diff_efold = 3.0 * 3600.0;
-    mc.n_fft_threads = cfg.fft_threads;
     model = std::make_shared<sqg::SqgModel>(mc);
     kelvin = models::sqg_kelvin_scale(300.0, mc.f);
 

@@ -23,16 +23,11 @@ int main(int argc, char** argv) {
     std::cout << "sqg_turbulence: spin up the two-surface SQG model and check spectra\n"
                  "  --n=<int>            grid size (default 64)\n"
                  "  --days=<float>       integration length in days (default 60)\n"
-                 "  --fft-threads=<int>  workers inside each 2-D transform\n"
-                 "                       (0 = all, 1 = serial; bitwise identical)\n"
-                 "  --threads=<int>      alias for --fft-threads\n"
                  "  --seed=<int>         initial-condition seed (default 7)\n";
     return 0;
   }
   sqg::SqgConfig cfg;
   cfg.n = static_cast<std::size_t>(args.get_int("n", 64));
-  cfg.n_fft_threads =
-      static_cast<std::size_t>(args.get_int("fft-threads", args.get_int("threads", 0)));
   cfg.dt = (cfg.n <= 32) ? 1800.0 : 900.0;
   cfg.t_diab = 2.0 * 86400.0;
   cfg.r_ekman = 200.0;

@@ -46,10 +46,8 @@ struct OsseConfig {
   /// Worker threads for the member-forecast fan-out: 0 = all pool workers
   /// (default), 1 = serial. Only honored when the forecast model reports
   /// concurrent_safe(). Each worker owns a contiguous member *block* and
-  /// advances it through ForecastModel::forecast_batch (batching-capable
-  /// models — SQG — amortize spectral transforms across the block); the
-  /// batched path is bitwise identical to the member-sequential loop,
-  /// members are disjoint, and per-member model-error noise comes from
+  /// advances it through ForecastModel::forecast_batch (the member loop);
+  /// members are disjoint and per-member model-error noise comes from
   /// counter-based substreams, so results are bitwise identical for any
   /// thread count and block partition.
   std::size_t n_forecast_threads = 0;

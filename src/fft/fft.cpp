@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/math_utils.hpp"
-#include "parallel/thread_pool.hpp"
 #include "telemetry/trace.hpp"
 
 namespace turbda::fft {
@@ -269,46 +269,24 @@ bool all_zero(const Cplx* p, std::size_t n) {
   return true;
 }
 
-/// Runs fn(begin, end) over [0, n): inline when serial — skipping the
-/// std::function round trip of parallel_for on the default single-thread
-/// path — and fanned out over the pool otherwise. Fan-out is bitwise
-/// partition-invariant for all callers here: rows are disjoint and each
-/// row's result depends only on its own data.
-template <class F>
-void run_partitioned(std::size_t n, std::size_t min_grain, std::size_t max_par, F&& fn) {
-  if (max_par == 1) {
-    fn(std::size_t{0}, n);
-  } else {
-    parallel::parallel_for(n, fn, min_grain, max_par);
-  }
-}
-
 /// Transforms `count` contiguous rows of length `len`, skipping all-zero rows
 /// (a transform of zeros is zeros; the SQG tendency inverts dealiased spectra
 /// whose outer third of rows vanishes identically). When `band` < len/2 the
 /// caller guarantees every row is nonzero only on the wrapped index band
 /// (j <= band or j >= len - band) and the input-pruned banded transform is
-/// used; pass band >= len/2 (e.g. len) for dense rows.
+/// used; the default band means dense rows.
 void batch_transform(Cplx* data, std::size_t count, std::size_t len, const Fft1D& plan,
-                     bool inverse, std::size_t max_par, std::size_t band) {
-  if (count * len < 2048) max_par = 1;  // fork/join would dominate
-  run_partitioned(count, /*min_grain=*/4, max_par, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Cplx* row = data + i * len;
-      if (all_zero(row, len)) continue;
-      std::span<Cplx> s(row, len);
-      if (inverse) {
-        plan.inverse_banded(s, band);
-      } else {
-        plan.forward_banded(s, band);
-      }
+                     bool inverse, std::size_t band = std::numeric_limits<std::size_t>::max()) {
+  for (std::size_t i = 0; i < count; ++i) {
+    Cplx* row = data + i * len;
+    if (all_zero(row, len)) continue;
+    std::span<Cplx> s(row, len);
+    if (inverse) {
+      plan.inverse_banded(s, band);
+    } else {
+      plan.forward_banded(s, band);
     }
-  });
-}
-
-void batch_transform(Cplx* data, std::size_t count, std::size_t len, const Fft1D& plan,
-                     bool inverse, std::size_t max_par) {
-  batch_transform(data, count, len, plan, inverse, max_par, /*band=*/len);
+  }
 }
 
 /// Two per-thread scratch arenas (a 2-D transform needs at most two live
@@ -328,10 +306,10 @@ Fft2D::Fft2D(std::size_t n0, std::size_t n1) : n0_(n0), n1_(n1), row_(n1), col_(
 }
 
 void Fft2D::transform2d(std::span<Cplx> x, bool inverse) const {
-  batch_transform(x.data(), n0_, n1_, row_, inverse, threads_);
+  batch_transform(x.data(), n0_, n1_, row_, inverse);
   auto& t = tls_buffer(0, n0_ * n1_);
   transpose_blocked(x.data(), n1_, t.data(), n0_, n1_);
-  batch_transform(t.data(), n1_, n0_, col_, inverse, threads_);
+  batch_transform(t.data(), n1_, n0_, col_, inverse);
   transpose_blocked(t.data(), n0_, x.data(), n1_, n0_);
 }
 
@@ -358,26 +336,22 @@ void Fft2D::forward_real(std::span<const double> grid, std::span<Cplx> spec) con
   auto& hbuf = tls_buffer(0, n0_ * nh);  // half-spectrum rows, n0 x nh
   auto& tbuf = tls_buffer(1, nh * n0_);  // transposed, nh x n0
 
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
-  });
+  for (std::size_t i = 0; i < n0_; ++i)
+    rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
 
   transpose_blocked(hbuf.data(), nh, tbuf.data(), n0_, nh);
-  batch_transform(tbuf.data(), nh, n0_, col_, /*inverse=*/false, threads_);
+  batch_transform(tbuf.data(), nh, n0_, col_, /*inverse=*/false);
   transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, n0_);
 
   // Expand the half spectrum to the full Hermitian-redundant layout:
   // spec[i][j] = conj(spec[(n0-i) mod n0][n1-j]) for the mirrored columns.
-  run_partitioned(n0_, /*min_grain=*/8, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const Cplx* hrow = hbuf.data() + i * nh;
-      Cplx* srow = spec.data() + i * n1_;
-      std::copy(hrow, hrow + nh, srow);
-      const Cplx* mrow = hbuf.data() + ((n0_ - i) % n0_) * nh;
-      for (std::size_t j = nh; j < n1_; ++j) srow[j] = std::conj(mrow[n1_ - j]);
-    }
-  });
+  for (std::size_t i = 0; i < n0_; ++i) {
+    const Cplx* hrow = hbuf.data() + i * nh;
+    Cplx* srow = spec.data() + i * n1_;
+    std::copy(hrow, hrow + nh, srow);
+    const Cplx* mrow = hbuf.data() + ((n0_ - i) % n0_) * nh;
+    for (std::size_t j = nh; j < n1_; ++j) srow[j] = std::conj(mrow[n1_ - j]);
+  }
 }
 
 void Fft2D::inverse_real(std::span<const Cplx> spec, std::span<double> grid) const {
@@ -395,15 +369,12 @@ void Fft2D::inverse_real(std::span<const Cplx> spec, std::span<double> grid) con
   auto& tbuf = tls_buffer(1, nh * n0_);
   // Gather the non-redundant columns 0..n1/2 directly into transposed layout.
   transpose_blocked(spec.data(), n1_, tbuf.data(), n0_, nh);
-  batch_transform(tbuf.data(), nh, n0_, col_, /*inverse=*/true, threads_);
+  batch_transform(tbuf.data(), nh, n0_, col_, /*inverse=*/true);
   auto& hbuf = tls_buffer(0, n0_ * nh);
   transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, n0_);
 
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh),
-                             grid.subspan(i * n1_, n1_));
-  });
+  for (std::size_t i = 0; i < n0_; ++i)
+    rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh), grid.subspan(i * n1_, n1_));
 }
 
 // ---------------------------------------------------------------------------
@@ -425,30 +396,26 @@ void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspe
   const long rowcut = static_cast<long>(std::min(kcut, n0_ / 2));
 
   auto& hbuf = tls_buffer(0, n0_ * nh);
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
-  });
+  for (std::size_t i = 0; i < n0_; ++i)
+    rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
 
   auto& tbuf = tls_buffer(1, cols * n0_);
   transpose_blocked(hbuf.data(), nh, tbuf.data(), n0_, cols);
-  batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/false, threads_);
+  batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/false);
   transpose_blocked(tbuf.data(), n0_, hbuf.data(), cols, n0_);  // hbuf: dense n0 x cols
 
-  run_partitioned(n0_, /*min_grain=*/8, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Cplx* out = hspec.data() + i * nh;
-      const long my = (i <= n0_ / 2) ? static_cast<long>(i)
-                                     : static_cast<long>(i) - static_cast<long>(n0_);
-      if (std::labs(my) > rowcut) {
-        std::fill(out, out + nh, Cplx(0.0, 0.0));
-        continue;
-      }
-      const Cplx* src = hbuf.data() + i * cols;
-      std::copy(src, src + cols, out);
-      std::fill(out + cols, out + nh, Cplx(0.0, 0.0));
+  for (std::size_t i = 0; i < n0_; ++i) {
+    Cplx* out = hspec.data() + i * nh;
+    const long my =
+        (i <= n0_ / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n0_);
+    if (std::labs(my) > rowcut) {
+      std::fill(out, out + nh, Cplx(0.0, 0.0));
+      continue;
     }
-  });
+    const Cplx* src = hbuf.data() + i * cols;
+    std::copy(src, src + cols, out);
+    std::fill(out + cols, out + nh, Cplx(0.0, 0.0));
+  }
 }
 
 void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> grid,
@@ -466,7 +433,7 @@ void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> gri
   // Within each retained column only the 2*kcut+1 low-|my| rows are nonzero
   // (wrapped band); the banded transform prunes the first butterfly stages
   // on that band. Degrades to the dense transform when kcut covers n0/2.
-  batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/true, threads_,
+  batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/true,
                   /*band=*/std::min(kcut, n0_ / 2));
 
   auto& hbuf = tls_buffer(0, n0_ * nh);
@@ -476,49 +443,8 @@ void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> gri
   }
   transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, cols, n0_);
 
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh),
-                             grid.subspan(i * n1_, n1_));
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Batched pruned half-spectrum transforms: one pool fan-out over the whole
-// batch, each worker running complete per-field transforms. Field-granular
-// dispatch deliberately preserves the single-field cache pipeline — a
-// field's rows, transposes and columns stay hot in that worker's scratch
-// across the stages (a fused per-stage sweep over all fields was measured
-// ~8% slower serially at n=128: it streams the whole batch between stages).
-// Serially this is exactly `count` single-field calls; threaded, the grain
-// is whole fields instead of row ranges, and the nested per-field fan-out
-// degrades gracefully to serial inside workers.
-// ---------------------------------------------------------------------------
-
-void Fft2D::forward_half_pruned_batch(std::span<const double* const> grids,
-                                      std::span<Cplx* const> hspecs, std::size_t kcut) const {
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
-  TURBDA_REQUIRE(grids.size() == hspecs.size(),
-                 "forward_half_pruned_batch: " << grids.size() << " grids vs " << hspecs.size()
-                                               << " spectra");
-  run_partitioned(grids.size(), /*min_grain=*/1, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t f = b; f < e; ++f)
-      half_forward_impl(std::span<const double>(grids[f], n0_ * n1_),
-                        std::span<Cplx>(hspecs[f], half_size()), kcut);
-  });
-}
-
-void Fft2D::inverse_half_pruned_batch(std::span<const Cplx* const> hspecs,
-                                      std::span<double* const> grids, std::size_t kcut) const {
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
-  TURBDA_REQUIRE(grids.size() == hspecs.size(),
-                 "inverse_half_pruned_batch: " << hspecs.size() << " spectra vs " << grids.size()
-                                               << " grids");
-  run_partitioned(hspecs.size(), /*min_grain=*/1, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t f = b; f < e; ++f)
-      half_inverse_impl(std::span<const Cplx>(hspecs[f], half_size()),
-                        std::span<double>(grids[f], n0_ * n1_), kcut);
-  });
+  for (std::size_t i = 0; i < n0_; ++i)
+    rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh), grid.subspan(i * n1_, n1_));
 }
 
 void Fft2D::forward_half(std::span<const double> grid, std::span<Cplx> hspec) const {

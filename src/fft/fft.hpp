@@ -6,11 +6,11 @@
 // (Rfft1D): an n-point r2c/c2r costs one n/2-point complex FFT plus an O(n)
 // Hermitian (un)packing pass — half the flops and memory traffic of the
 // complex round trip. 2-D transforms run rows, a cache-blocked transpose,
-// batched contiguous "column" transforms, and a transpose back; the row and
-// column batches are disjoint, so they optionally fan out over the process
-// thread pool with bitwise thread-count-invariant results. Convention
-// matches numpy: forward unnormalized, inverse carries the 1/N factor — so
-// does the sqgturb reference implementation the paper follows.
+// batched contiguous "column" transforms, and a transpose back, all on the
+// calling thread (callers parallelize across independent fields, e.g.
+// ensemble members, never inside one transform). Convention matches numpy:
+// forward unnormalized, inverse carries the 1/N factor — so does the sqgturb
+// reference implementation the paper follows.
 #pragma once
 
 #include <complex>
@@ -125,12 +125,6 @@ class Fft2D {
   [[nodiscard]] std::size_t half_cols() const { return n1_ / 2 + 1; }
   [[nodiscard]] std::size_t half_size() const { return n0_ * half_cols(); }
 
-  /// Worker-thread cap for the row/column transform batches: 1 = serial
-  /// (default), 0 = all pool workers. Any value yields bitwise-identical
-  /// results (disjoint rows; per-row work is partition-invariant).
-  void set_max_threads(std::size_t max_threads) { threads_ = max_threads; }
-  [[nodiscard]] std::size_t max_threads() const { return threads_; }
-
   void forward(std::span<Cplx> x) const;
   void inverse(std::span<Cplx> x) const;
 
@@ -167,20 +161,6 @@ class Fft2D {
   void inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
                            std::size_t kcut) const;
 
-  /// Batched pruned half-spectrum transforms: the transform above applied to
-  /// `grids.size()` independent field pairs through a single pool fan-out,
-  /// each worker running complete per-field transforms (field-granular
-  /// dispatch keeps every field's stages hot in its worker's scratch — see
-  /// the implementation note). This is the ensemble-block shape: the SQG
-  /// batched member step funnels every member's derivative fields through
-  /// one call. Each pointer addresses a full n0*n1 real grid / half_size()
-  /// spectrum; per-field results are bitwise identical to the corresponding
-  /// single-field call for any thread count.
-  void forward_half_pruned_batch(std::span<const double* const> grids,
-                                 std::span<Cplx* const> hspecs, std::size_t kcut) const;
-  void inverse_half_pruned_batch(std::span<const Cplx* const> hspecs,
-                                 std::span<double* const> grids, std::size_t kcut) const;
-
  private:
   void transform2d(std::span<Cplx> x, bool inverse) const;
   void half_forward_impl(std::span<const double> grid, std::span<Cplx> hspec,
@@ -189,7 +169,6 @@ class Fft2D {
                          std::size_t kcut) const;
 
   std::size_t n0_, n1_;
-  std::size_t threads_ = 1;
   Fft1D row_, col_;
   std::optional<Rfft1D> rrow_;  // present when n1 >= 2
 };

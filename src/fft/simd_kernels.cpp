@@ -28,22 +28,23 @@ extern const FftKernels kAvx2Kernels;
 extern const FftKernels kAvx2FmaKernels;
 #endif
 
-const FftKernels& kernels_for(SimdLevel level) {
-  TURBDA_REQUIRE(simd_level_available(level),
-                 "SIMD level " << simd_level_name(level) << " is not available on this build/CPU");
+const FftKernels& kernels_for(simd::SimdLevel level) {
+  TURBDA_REQUIRE(simd::simd_level_available(level),
+                 "SIMD level " << simd::simd_level_name(level)
+                                << " is not available on this build/CPU");
 #if defined(TURBDA_HAVE_AVX2) && defined(__x86_64__)
   switch (level) {
-    case SimdLevel::Avx2:
+    case simd::SimdLevel::Avx2:
       return kAvx2Kernels;
-    case SimdLevel::Avx2Fma:
+    case simd::SimdLevel::Avx2Fma:
       return kAvx2FmaKernels;
-    case SimdLevel::Scalar:
+    case simd::SimdLevel::Scalar:
       break;
   }
 #endif
   return kScalarKernels;
 }
 
-const FftKernels& active_kernels() { return kernels_for(active_simd_level()); }
+const FftKernels& active_kernels() { return kernels_for(simd::active_simd_level()); }
 
 }  // namespace turbda::fft

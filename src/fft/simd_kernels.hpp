@@ -15,14 +15,6 @@
 
 namespace turbda::fft {
 
-// The dispatch level lives in turbda::simd (shared with the LETKF dense
-// kernels); these aliases keep the established fft:: spellings working.
-using simd::SimdLevel;
-using simd::active_simd_level;
-using simd::force_simd_level;
-using simd::simd_level_available;
-using simd::simd_level_name;
-
 /// All FFT inner loops, one function pointer per loop. Buffers are raw
 /// interleaved (re, im) doubles (std::complex array-compatible layout).
 struct FftKernels {
@@ -44,7 +36,7 @@ struct FftKernels {
 };
 
 /// Kernel table for the given level; level must be available.
-[[nodiscard]] const FftKernels& kernels_for(SimdLevel level);
+[[nodiscard]] const FftKernels& kernels_for(simd::SimdLevel level);
 
 /// Table for the active level (detection + TURBDA_SIMD applied on first use).
 [[nodiscard]] const FftKernels& active_kernels();

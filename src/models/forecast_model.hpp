@@ -23,10 +23,9 @@ class ForecastModel {
 
   /// Advance `count` states stored contiguously (count x dim(), row-major —
   /// the Ensemble member layout) in place over one assimilation window.
-  /// Must be bitwise identical to calling forecast() on each row in order
-  /// (the cycling drivers hand each worker thread a member *block* through
-  /// this entry point); models override it to batch cross-member work — the
-  /// SQG core fuses the block's spectral transforms into shared sweeps.
+  /// The cycling drivers hand each worker thread a member *block* through
+  /// this entry point. The default is that member loop; an override (e.g. a
+  /// timing or fault-injection wrapper) must stay bitwise identical to it.
   virtual void forecast_batch(std::span<double> states, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) forecast(states.subspan(i * dim(), dim()));
   }

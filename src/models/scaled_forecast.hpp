@@ -26,16 +26,6 @@ class ScaledForecast final : public ForecastModel {
     for (double& v : state) v *= scale_;
   }
 
-  /// Forward the batched entry point so batching-capable inner models (SQG)
-  /// amortize transforms across the block. Scaling is elementwise, and the
-  /// inner batch contract is bitwise-identical to the member loop, so this
-  /// changes no results.
-  void forecast_batch(std::span<double> states, std::size_t count) override {
-    for (double& v : states) v /= scale_;
-    inner_.forecast_batch(states, count);
-    for (double& v : states) v *= scale_;
-  }
-
   [[nodiscard]] std::string name() const override { return inner_.name() + "-scaled"; }
 
   /// The wrapper itself touches only the caller's state slice.

@@ -23,11 +23,8 @@
 //
 // Determinism contract (same as the dense kernels): every kernel is purely
 // elementwise — no reduction trees — so the Scalar and Avx2 tables are
-// bitwise identical and results never depend on thread count or batch
-// composition. The Avx2Fma table contracts multiplies into FMAs. Because
-// tendency() and tendency_batch() call the SAME table entries per member,
-// batched stepping stays bitwise identical to sequential stepping at every
-// level (test-enforced).
+// bitwise identical and results never depend on thread count. The Avx2Fma
+// table contracts multiplies into FMAs.
 #pragma once
 
 #include <cstddef>

@@ -63,31 +63,6 @@ SqgWorkspace& tls_workspace(std::size_t n) {
   return *cache.back();
 }
 
-void SqgBatchWorkspace::resize(std::size_t grid_n, std::size_t members) {
-  n = grid_n;
-  m = members;
-  const std::size_t nn = grid_n * grid_n;
-  const std::size_t ns = grid_n * (grid_n / 2 + 1);
-  for (auto* v : {&spec, &stage, &k1, &k2, &k3, &k4}) v->resize(m * 2 * ns);
-  for (auto* v : {&psi, &duh, &dvh, &dtx, &dty, &jac}) v->resize(m * ns);
-  for (auto* v : {&gu, &gv, &gtx, &gty, &gj}) v->resize(m * nn);
-  spec_ptrs.reserve(4 * m);
-  out_ptrs.reserve(4 * m);
-  grid_cptrs.reserve(4 * m);
-  grid_ptrs.reserve(4 * m);
-}
-
-SqgBatchWorkspace& tls_batch_workspace(std::size_t n, std::size_t m) {
-  thread_local std::vector<std::unique_ptr<SqgBatchWorkspace>> cache;
-  for (auto& w : cache)
-    if (w->n == n) {
-      if (w->m < m) w->resize(n, m);
-      return *w;
-    }
-  cache.push_back(std::make_unique<SqgBatchWorkspace>(n, m));
-  return *cache.back();
-}
-
 SqgModel::SqgModel(SqgConfig cfg)
     : cfg_(cfg),
       nn_(cfg.n * cfg.n),
@@ -100,7 +75,6 @@ SqgModel::SqgModel(SqgConfig cfg)
   TURBDA_REQUIRE(cfg_.diff_order > 0 && cfg_.diff_order % 2 == 0, "diff_order must be even");
   TURBDA_REQUIRE(cfg_.dt > 0 && cfg_.L > 0 && cfg_.H > 0 && cfg_.f > 0 && cfg_.nsq > 0,
                  "bad SQG configuration");
-  fft_.set_max_threads(cfg_.n_fft_threads);
 
   kx_.resize(ns_);
   ky_.resize(ns_);
@@ -271,6 +245,7 @@ void SqgModel::apply_hyperdiffusion(std::span<Cplx> theta_spec) const {
 }
 
 void SqgModel::step(std::span<double> theta_grid, int nsteps, SqgWorkspace& ws) const {
+  TURBDA_SPAN("sqg.step");
   if (ws.n != cfg_.n) ws.resize(cfg_.n);
   to_spectral(theta_grid, ws.spec);
   const auto& pk = simd::active_pointwise_kernels();
@@ -296,130 +271,6 @@ void SqgModel::step(std::span<double> theta_grid, int nsteps, SqgWorkspace& ws) 
 void SqgModel::advance(std::span<double> theta_grid, double seconds, SqgWorkspace& ws) const {
   const int nsteps = static_cast<int>(std::ceil(seconds / cfg_.dt - 1e-9));
   if (nsteps > 0) step(theta_grid, nsteps, ws);
-}
-
-// ---------------------------------------------------------------------------
-// Batched member stepping: a block of members advances together, with every
-// spectral transform of the tendency fused across the block (shared
-// transposes, one twiddle-table walk per sweep) and the RK4 combines running
-// over the block's bins in one pass. Per-member arithmetic is identical to
-// the scalar step()/tendency() path — the bitwise batch == sequential
-// invariant the forecast drivers rely on (test-enforced).
-// ---------------------------------------------------------------------------
-
-void SqgModel::tendency_batch(std::span<const Cplx> specs, std::span<Cplx> outs,
-                              std::size_t count, SqgBatchWorkspace& ws) const {
-  const std::size_t ns = ns_;
-  const auto& pk = simd::active_pointwise_kernels();
-  for (std::size_t l = 0; l < 2; ++l) {
-    const double* cA2 = (l == 0) ? inv_sinh2_.data() : inv_tanh2_.data();
-    const double* cB2 = (l == 0) ? inv_tanh2_.data() : inv_sinh2_.data();
-    // Pass 1 per member (fused inversion + derivatives; the same kernel call
-    // as tendency()), writing the block's four derivative half-spectra.
-    for (std::size_t b = 0; b < count; ++b) {
-      const Cplx* t0 = specs.data() + b * 2 * ns;
-      pk.sqg_pass1(dview(ws.psi.data() + b * ns), dview(ws.duh.data() + b * ns),
-                   dview(ws.dvh.data() + b * ns), dview(ws.dtx.data() + b * ns),
-                   dview(ws.dty.data() + b * ns), dview(t0), dview(t0 + ns),
-                   dview(t0 + l * ns), inv_kappa2_.data(), cA2, cB2, kx2_.data(), ky2_.data(),
-                   2 * ns);
-    }
-
-    // All 4 x count c2r transforms of the block as one fused batch.
-    ws.spec_ptrs.clear();
-    ws.grid_ptrs.clear();
-    for (std::size_t b = 0; b < count; ++b) {
-      ws.spec_ptrs.push_back(ws.duh.data() + b * ns);
-      ws.grid_ptrs.push_back(ws.gu.data() + b * nn_);
-      ws.spec_ptrs.push_back(ws.dvh.data() + b * ns);
-      ws.grid_ptrs.push_back(ws.gv.data() + b * nn_);
-      ws.spec_ptrs.push_back(ws.dtx.data() + b * ns);
-      ws.grid_ptrs.push_back(ws.gtx.data() + b * nn_);
-      ws.spec_ptrs.push_back(ws.dty.data() + b * ns);
-      ws.grid_ptrs.push_back(ws.gty.data() + b * nn_);
-    }
-    fft_.inverse_half_pruned_batch(ws.spec_ptrs, ws.grid_ptrs, kcut_);
-
-    // Nonlinear advection in grid space, then one batched dealiasing r2c.
-    for (std::size_t b = 0; b < count; ++b) {
-      pk.sqg_jacobian(ws.gj.data() + b * nn_, ws.gu.data() + b * nn_, ws.gtx.data() + b * nn_,
-                      ws.gv.data() + b * nn_, ws.gty.data() + b * nn_, nn_);
-    }
-    ws.grid_cptrs.clear();
-    ws.out_ptrs.clear();
-    for (std::size_t b = 0; b < count; ++b) {
-      ws.grid_cptrs.push_back(ws.gj.data() + b * nn_);
-      ws.out_ptrs.push_back(ws.jac.data() + b * ns);
-    }
-    fft_.forward_half_pruned_batch(ws.grid_cptrs, ws.out_ptrs, kcut_);
-
-    // Pass 2 per member (fused combine; the same kernel call as tendency()).
-    for (std::size_t b = 0; b < count; ++b) {
-      pk.sqg_combine(dview(outs.data() + b * 2 * ns + l * ns),
-                     dview(specs.data() + b * 2 * ns + l * ns), dview(ws.psi.data() + b * ns),
-                     dview(ws.jac.data() + b * ns), dview(op_theta_[l].data()),
-                     dview(op_psi_[l].data()), 2 * ns);
-    }
-  }
-}
-
-void SqgModel::step_batch(std::span<double> states, std::size_t count, int nsteps,
-                          SqgBatchWorkspace& ws) const {
-  TURBDA_SPAN("sqg.step_batch");
-  TURBDA_REQUIRE(states.size() == count * dim(),
-                 "step_batch: state block size " << states.size() << " != " << count << " x "
-                                                 << dim());
-  if (count == 0) return;
-  const std::size_t block = std::min(count, std::max<std::size_t>(cfg_.batch_block, 1));
-  if (ws.n != cfg_.n || ws.m < block) ws.resize(cfg_.n, block);
-  const double dt = cfg_.dt;
-
-  for (std::size_t b0 = 0; b0 < count; b0 += block) {
-    const std::size_t nb = std::min(block, count - b0);
-    // Batched to_spectral: both levels of every member in one sweep.
-    ws.grid_cptrs.clear();
-    ws.out_ptrs.clear();
-    for (std::size_t b = 0; b < nb; ++b)
-      for (std::size_t l = 0; l < 2; ++l) {
-        ws.grid_cptrs.push_back(states.data() + (b0 + b) * dim() + l * nn_);
-        ws.out_ptrs.push_back(ws.spec.data() + b * 2 * ns_ + l * ns_);
-      }
-    fft_.forward_half_pruned_batch(ws.grid_cptrs, ws.out_ptrs, kcut_);
-
-    const auto& pk = simd::active_pointwise_kernels();
-    const std::size_t nd = 2 * (nb * 2 * ns_);  // doubles in the block's state
-    double* spec = dview(ws.spec.data());
-    double* stage = dview(ws.stage.data());
-    for (int s = 0; s < nsteps; ++s) {
-      tendency_batch(ws.spec, ws.k1, nb, ws);
-      pk.add_scaled(stage, spec, dview(ws.k1.data()), nd, 0.5 * dt);
-      tendency_batch(ws.stage, ws.k2, nb, ws);
-      pk.add_scaled(stage, spec, dview(ws.k2.data()), nd, 0.5 * dt);
-      tendency_batch(ws.stage, ws.k3, nb, ws);
-      pk.add_scaled(stage, spec, dview(ws.k3.data()), nd, dt);
-      tendency_batch(ws.stage, ws.k4, nb, ws);
-      pk.rk4_update(spec, dview(ws.k1.data()), dview(ws.k2.data()), dview(ws.k3.data()),
-                    dview(ws.k4.data()), nd, dt / 6.0);
-      for (std::size_t b = 0; b < nb; ++b)
-        apply_hyperdiffusion(std::span<Cplx>(ws.spec.data() + b * 2 * ns_, 2 * ns_));
-    }
-
-    // Batched to_grid.
-    ws.spec_ptrs.clear();
-    ws.grid_ptrs.clear();
-    for (std::size_t b = 0; b < nb; ++b)
-      for (std::size_t l = 0; l < 2; ++l) {
-        ws.spec_ptrs.push_back(ws.spec.data() + b * 2 * ns_ + l * ns_);
-        ws.grid_ptrs.push_back(states.data() + (b0 + b) * dim() + l * nn_);
-      }
-    fft_.inverse_half_pruned_batch(ws.spec_ptrs, ws.grid_ptrs, kcut_);
-  }
-}
-
-void SqgModel::advance_batch(std::span<double> states, std::size_t count, double seconds,
-                             SqgBatchWorkspace& ws) const {
-  const int nsteps = static_cast<int>(std::ceil(seconds / cfg_.dt - 1e-9));
-  if (nsteps > 0) step_batch(states, count, nsteps, ws);
 }
 
 void SqgModel::random_init(std::span<double> theta_grid, rng::Rng& rng, double rms_amplitude,

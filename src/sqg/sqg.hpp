@@ -33,12 +33,13 @@
 // are folded into precomputed per-level operator tables.
 //
 // Concurrency: SqgModel is immutable after construction (an FFT plan plus
-// wavenumber/hyperdiffusion tables). All per-step scratch lives in an
-// explicit SqgWorkspace, so one model instance can step many states from
-// many threads at once with zero per-step allocation — the property the
-// parallel ensemble forecast in OsseRunner relies on. The workspace-less
-// overloads borrow a lazily grown per-thread workspace and are therefore
-// also safe to call concurrently.
+// wavenumber/hyperdiffusion tables) and every transform runs serially on the
+// calling thread. All per-step scratch lives in an explicit SqgWorkspace, so
+// one model instance can step many states from many threads at once with
+// zero per-step allocation — the only parallelism the solver needs: the
+// cycling runners fan ensemble members out over the pool, one member
+// forecast per call. The workspace-less overloads borrow a lazily grown
+// per-thread workspace and are therefore also safe to call concurrently.
 #pragma once
 
 #include <complex>
@@ -67,18 +68,6 @@ struct SqgConfig {
   int diff_order = 8;            ///< hyperdiffusion order (del^8)
   double diff_efold = 86400.0 / 3.0;  ///< e-folding of the highest mode [s]
   double dt = 900.0;             ///< RK4 step [s]
-  /// Worker threads for the 2-D transform row/column batches inside one
-  /// step: 1 = serial (default), 0 = all pool workers. Results are bitwise
-  /// identical for any value; when steps already run member-parallel the
-  /// nested fan-out degrades gracefully to serial.
-  std::size_t n_fft_threads = 1;
-  /// Members per internal sub-block of step_batch: the batched transforms
-  /// fan this many members' fields out per sweep, and the block bounds both
-  /// the batch workspace footprint (~block x the single-member workspace)
-  /// and the pass-to-transform reuse distance (large blocks stream the
-  /// block's fields between tendency phases — measurably worse serially).
-  /// Results are bitwise identical for any value >= 1.
-  std::size_t batch_block = 2;
 };
 
 /// All mutable scratch one in-flight SQG integration needs: half-spectrum
@@ -110,34 +99,6 @@ struct SqgWorkspace {
 /// thread's lifetime. Backs the workspace-less SqgModel overloads.
 SqgWorkspace& tls_workspace(std::size_t n);
 
-/// Scratch for one in-flight *batched* integration of up to `m` members:
-/// the per-member RK4 half-spectrum state plus the batched tendency fields
-/// every member of the block shares one fused transform sweep over.
-/// Stepping performs no heap allocation once sized.
-struct SqgBatchWorkspace {
-  SqgBatchWorkspace() = default;
-  SqgBatchWorkspace(std::size_t n, std::size_t m) { resize(n, m); }
-  void resize(std::size_t n, std::size_t m);
-
-  std::size_t n = 0;  ///< grid points per side
-  std::size_t m = 0;  ///< member capacity of the block
-  // Member-major RK4 state, m x 2 n(n/2+1) bins each.
-  std::vector<Cplx> spec, stage, k1, k2, k3, k4;
-  // Batched tendency scratch for one boundary level at a time:
-  // m x n(n/2+1) spectral / m x n^2 grid-space fields.
-  std::vector<Cplx> psi, duh, dvh, dtx, dty, jac;
-  std::vector<double> gu, gv, gtx, gty, gj;
-  // Pointer tables handed to the batched 2-D transforms.
-  std::vector<const Cplx*> spec_ptrs;
-  std::vector<Cplx*> out_ptrs;
-  std::vector<const double*> grid_cptrs;
-  std::vector<double*> grid_ptrs;
-};
-
-/// Per-thread batch workspace for grid size n and at least m members, grown
-/// lazily and cached. Backs the workspace-less batched overloads.
-SqgBatchWorkspace& tls_batch_workspace(std::size_t n, std::size_t m);
-
 /// The SQG solver. State layout for the DA stack: grid-space theta, level 0
 /// (z=0) then level 1 (z=H), row-major n x n each — i.e. the paper's
 /// "64x64x2 mesh", dim = 2 n^2.
@@ -165,29 +126,6 @@ class SqgModel {
   void advance(std::span<double> theta_grid, double seconds, SqgWorkspace& ws) const;
   void advance(std::span<double> theta_grid, double seconds) const {
     advance(theta_grid, seconds, tls_workspace(cfg_.n));
-  }
-
-  /// Advance `count` member states (contiguous count x dim() block) by
-  /// `nsteps` RK4 steps each. Members are processed in sub-blocks of
-  /// cfg.batch_block; within a block every transform of the tendency runs
-  /// batched across the members (one fused row/column sweep, shared
-  /// twiddles and transposes — see Fft2D::*_half_pruned_batch) and the RK4
-  /// combines run over the whole block's bins in one pass. Bitwise
-  /// identical to `count` sequential step() calls for any block size,
-  /// thread count or member partition.
-  void step_batch(std::span<double> states, std::size_t count, int nsteps,
-                  SqgBatchWorkspace& ws) const;
-  void step_batch(std::span<double> states, std::size_t count, int nsteps = 1) const {
-    step_batch(states, count, nsteps,
-               tls_batch_workspace(cfg_.n, std::min(count, cfg_.batch_block)));
-  }
-
-  /// Batched advance(): ceil(seconds/dt) steps on each of `count` members.
-  void advance_batch(std::span<double> states, std::size_t count, double seconds,
-                     SqgBatchWorkspace& ws) const;
-  void advance_batch(std::span<double> states, std::size_t count, double seconds) const {
-    advance_batch(states, count, seconds,
-                  tls_batch_workspace(cfg_.n, std::min(count, cfg_.batch_block)));
   }
 
   /// Random large-scale initial condition: iid spectral amplitudes confined
@@ -242,11 +180,6 @@ class SqgModel {
 
  private:
   void apply_hyperdiffusion(std::span<Cplx> theta_spec) const;
-  /// Tendency for a block of `count` members (specs/outs: count x spec_dim()
-  /// contiguous, member-major) with all transforms batched across the block.
-  /// Per-member arithmetic is identical to tendency().
-  void tendency_batch(std::span<const Cplx> specs, std::span<Cplx> outs, std::size_t count,
-                      SqgBatchWorkspace& ws) const;
 
   SqgConfig cfg_;
   std::size_t nn_;               // n*n (one level, grid size)
@@ -274,6 +207,8 @@ class SqgModel {
 /// ForecastModel adapter: advances the SQG state over one assimilation
 /// window (`window_seconds`, e.g. 12 h in the paper's OSSE). Stateless apart
 /// from the shared immutable model, so concurrent member forecasts are safe.
+/// A member block (ForecastModel::forecast_batch) runs the base class's
+/// member loop, each member on the calling thread's workspace.
 class SqgForecast final : public models::ForecastModel {
  public:
   SqgForecast(std::shared_ptr<const SqgModel> model, double window_seconds)
@@ -281,9 +216,6 @@ class SqgForecast final : public models::ForecastModel {
 
   [[nodiscard]] std::size_t dim() const override { return model_->dim(); }
   void forecast(std::span<double> state) override { model_->advance(state, window_); }
-  void forecast_batch(std::span<double> states, std::size_t count) override {
-    model_->advance_batch(states, count, window_);
-  }
   [[nodiscard]] std::string name() const override { return "sqg"; }
   [[nodiscard]] bool concurrent_safe() const override { return true; }
 

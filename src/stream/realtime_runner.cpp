@@ -154,7 +154,7 @@ std::vector<double> RealtimeRunner::draw_shared_error(int cycle) const {
 /// Identical to the offline OSSE member loop: disjoint state rows +
 /// counter-based model-error substreams make it bitwise invariant to the
 /// thread count, the schedule, and the block partition (forecast_batch is
-/// bitwise identical to the member-sequential loop by contract).
+/// the member-sequential loop).
 void RealtimeRunner::forecast_block(int cycle, std::size_t b, std::size_t e,
                                     const std::vector<double>& shared_err) {
   TURBDA_SPAN("runner.forecast_block");

@@ -221,10 +221,9 @@ class RealtimeRunner {
   /// Forecast + model error for the contiguous member block [b, e) — the
   /// single definition every ring depth uses, so the bitwise
   /// serial==overlapped invariant cannot drift apart. Each worker thread
-  /// owns one block: the forecast goes through the model's batched entry
-  /// point (ForecastModel::forecast_batch, bitwise identical to the
-  /// member-sequential loop), so batching-capable models amortize
-  /// transforms across the block.
+  /// owns one block and advances it through ForecastModel::forecast_batch,
+  /// the member-sequential loop; this fan-out is the forecast's only
+  /// parallelism.
   void forecast_block(int cycle, std::size_t b, std::size_t e,
                       const std::vector<double>& shared_err);
   void forecast_members(int cycle);

@@ -1,5 +1,5 @@
-// Thread-count determinism: LETKF and EnSF analyses, SQG forecasts and the
-// member-parallel OSSE ensemble loop must be bitwise identical for 1, 2 and
+// Thread-count determinism: LETKF and EnSF analyses and the member-parallel
+// SQG ensemble forecast loop must be bitwise identical for 1, 2 and
 // hardware_concurrency() worker threads, and the row-parallel blocked GEMM
 // must match a serial reference bitwise. This is the contract that makes the
 // parallel hot path safe to enable by default.
@@ -147,29 +147,6 @@ TEST(Determinism, EnsfMinibatchIndependentOfThreadCount) {
     da::EnSF filter(ec);
     filter.analyze(c.ens, c.y, c.h, c.r);
     expect_bitwise_equal(ref_case.ens, c.ens, nt);
-  }
-}
-
-TEST(Determinism, SqgStepIndependentOfFftThreadCount) {
-  // The 2-D transform fans row/column batches out over the pool; disjoint
-  // rows with partition-invariant per-row work must make a full RK4 step —
-  // and the FFT-based random_init — bitwise thread-count independent.
-  auto run_steps = [](std::size_t n_fft_threads) {
-    sqg::SqgConfig cfg;
-    cfg.n = 32;
-    cfg.n_fft_threads = n_fft_threads;
-    sqg::SqgModel model(cfg);
-    rng::Rng rng(4242);
-    std::vector<double> theta(model.dim());
-    model.random_init(theta, rng, 1.0, 4);
-    model.step(theta, 3);
-    return theta;
-  };
-  const auto ref = run_steps(1);
-  for (std::size_t nt : thread_counts()) {
-    const auto got = run_steps(nt);
-    EXPECT_EQ(0, std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)))
-        << nt << " FFT threads";
   }
 }
 

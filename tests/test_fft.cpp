@@ -10,6 +10,7 @@
 #include "common/math_utils.hpp"
 #include "fft/fft.hpp"
 #include "rng/rng.hpp"
+#include "simd/dispatch.hpp"
 
 namespace turbda::fft {
 namespace {
@@ -277,32 +278,6 @@ TEST(Fft2d, ForwardRealMatchesComplexTransform) {
   }
 }
 
-TEST(Fft2d, ResultsBitwiseIndependentOfThreadCount) {
-  const std::size_t n = 32;
-  Rng rng(59);
-  std::vector<double> g(n * n);
-  rng.fill_gaussian(g);
-
-  Fft2D ref_plan(n, n);  // default: serial
-  std::vector<Cplx> ref_spec(n * n);
-  ref_plan.forward_real(g, ref_spec);
-  std::vector<double> ref_back(n * n);
-  ref_plan.inverse_real(ref_spec, ref_back);
-
-  for (std::size_t nt : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
-    Fft2D plan(n, n);
-    plan.set_max_threads(nt);
-    std::vector<Cplx> spec(n * n);
-    plan.forward_real(g, spec);
-    EXPECT_EQ(0, std::memcmp(spec.data(), ref_spec.data(), spec.size() * sizeof(Cplx)))
-        << nt << " threads";
-    std::vector<double> back(n * n);
-    plan.inverse_real(spec, back);
-    EXPECT_EQ(0, std::memcmp(back.data(), ref_back.data(), back.size() * sizeof(double)))
-        << nt << " threads";
-  }
-}
-
 TEST(Fft2d, WrongSizeThrows) {
   Fft2D plan(8, 8);
   std::vector<Cplx> bad(63);
@@ -378,56 +353,24 @@ TEST(Fft2d, PrunedHalfMatchesMaskedUnpruned) {
   }
 }
 
-TEST(Fft2d, HalfResultsBitwiseIndependentOfThreadCount) {
-  const std::size_t n = 32, kcut = n / 3;
-  Rng rng(73);
-  std::vector<double> g(n * n);
-  rng.fill_gaussian(g);
-
-  Fft2D ref_plan(n, n);  // default: serial
-  std::vector<Cplx> ref_h(ref_plan.half_size()), ref_p(ref_plan.half_size());
-  ref_plan.forward_half(g, ref_h);
-  ref_plan.forward_half_pruned(g, ref_p, kcut);
-  std::vector<double> ref_back(n * n), ref_pback(n * n);
-  ref_plan.inverse_half(ref_h, ref_back);
-  ref_plan.inverse_half_pruned(ref_p, ref_pback, kcut);
-
-  for (std::size_t nt : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
-    Fft2D plan(n, n);
-    plan.set_max_threads(nt);
-    std::vector<Cplx> h(plan.half_size()), p(plan.half_size());
-    plan.forward_half(g, h);
-    plan.forward_half_pruned(g, p, kcut);
-    EXPECT_EQ(0, std::memcmp(h.data(), ref_h.data(), h.size() * sizeof(Cplx))) << nt << " threads";
-    EXPECT_EQ(0, std::memcmp(p.data(), ref_p.data(), p.size() * sizeof(Cplx))) << nt << " threads";
-    std::vector<double> back(n * n), pback(n * n);
-    plan.inverse_half(h, back);
-    plan.inverse_half_pruned(p, pback, kcut);
-    EXPECT_EQ(0, std::memcmp(back.data(), ref_back.data(), back.size() * sizeof(double)))
-        << nt << " threads";
-    EXPECT_EQ(0, std::memcmp(pback.data(), ref_pback.data(), pback.size() * sizeof(double)))
-        << nt << " threads";
-  }
-}
-
 // --- SIMD dispatch equivalence ----------------------------------------------
 
 /// Restores the entry dispatch level even when an assertion fails mid-test.
 class SimdLevelGuard {
  public:
-  SimdLevelGuard() : saved_(active_simd_level()) {}
-  ~SimdLevelGuard() { force_simd_level(saved_); }
+  SimdLevelGuard() : saved_(simd::active_simd_level()) {}
+  ~SimdLevelGuard() { simd::force_simd_level(saved_); }
 
  private:
-  SimdLevel saved_;
+  simd::SimdLevel saved_;
 };
 
 TEST(SimdDispatch, ScalarLevelIsAlwaysAvailable) {
   SimdLevelGuard guard;
-  EXPECT_TRUE(simd_level_available(SimdLevel::Scalar));
-  EXPECT_TRUE(force_simd_level(SimdLevel::Scalar));
-  EXPECT_EQ(active_simd_level(), SimdLevel::Scalar);
-  EXPECT_STREQ(simd_level_name(SimdLevel::Scalar), "scalar");
+  EXPECT_TRUE(simd::simd_level_available(simd::SimdLevel::Scalar));
+  EXPECT_TRUE(simd::force_simd_level(simd::SimdLevel::Scalar));
+  EXPECT_EQ(simd::active_simd_level(), simd::SimdLevel::Scalar);
+  EXPECT_STREQ(simd::simd_level_name(simd::SimdLevel::Scalar), "scalar");
 }
 
 // Every dispatched kernel (first pass, fused radix-2^2, odd radix-2, rfft
@@ -443,7 +386,7 @@ TEST(SimdDispatch, Fft1dMatchesScalarAcrossLevels) {
     std::vector<Cplx> x0(n);
     for (auto& v : x0) v = Cplx(rng.gaussian(), rng.gaussian());
     Fft1D plan(n);
-    ASSERT_TRUE(force_simd_level(SimdLevel::Scalar));
+    ASSERT_TRUE(simd::force_simd_level(simd::SimdLevel::Scalar));
     auto fwd_ref = x0;
     plan.forward(fwd_ref);
     auto inv_ref = x0;
@@ -451,18 +394,18 @@ TEST(SimdDispatch, Fft1dMatchesScalarAcrossLevels) {
     double scale = 0.0;
     for (const auto& v : fwd_ref) scale = std::max(scale, std::abs(v));
 
-    for (const SimdLevel level : {SimdLevel::Avx2, SimdLevel::Avx2Fma}) {
-      if (!simd_level_available(level)) continue;
-      ASSERT_TRUE(force_simd_level(level));
+    for (const simd::SimdLevel level : {simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
+      if (!simd::simd_level_available(level)) continue;
+      ASSERT_TRUE(simd::force_simd_level(level));
       auto fwd = x0;
       plan.forward(fwd);
       auto inv = x0;
       plan.inverse(inv);
-      if (level == SimdLevel::Avx2) {
+      if (level == simd::SimdLevel::Avx2) {
         EXPECT_EQ(0, std::memcmp(fwd.data(), fwd_ref.data(), n * sizeof(Cplx)))
-            << "n=" << n << " level=" << simd_level_name(level);
+            << "n=" << n << " level=" << simd::simd_level_name(level);
         EXPECT_EQ(0, std::memcmp(inv.data(), inv_ref.data(), n * sizeof(Cplx)))
-            << "n=" << n << " level=" << simd_level_name(level);
+            << "n=" << n << " level=" << simd::simd_level_name(level);
       } else {
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_NEAR(fwd[i].real(), fwd_ref[i].real(), 1e-12 * scale) << n << "," << i;
@@ -490,20 +433,20 @@ TEST(SimdDispatch, Rfft1dMatchesScalarAcrossLevels) {
       Rfft1D plan(n);
       std::vector<Cplx> spec_ref(plan.spec_size());
       std::vector<double> back_ref(n);
-      ASSERT_TRUE(force_simd_level(SimdLevel::Scalar));
+      ASSERT_TRUE(simd::force_simd_level(simd::SimdLevel::Scalar));
       plan.forward(x, spec_ref);
       plan.inverse(spec_ref, back_ref);
       double scale = 0.0;
       for (const auto& v : spec_ref) scale = std::max(scale, std::abs(v));
 
-      for (const SimdLevel level : {SimdLevel::Avx2, SimdLevel::Avx2Fma}) {
-        if (!simd_level_available(level)) continue;
-        ASSERT_TRUE(force_simd_level(level));
+      for (const simd::SimdLevel level : {simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
+        if (!simd::simd_level_available(level)) continue;
+        ASSERT_TRUE(simd::force_simd_level(level));
         std::vector<Cplx> spec(plan.spec_size());
         std::vector<double> back(n);
         plan.forward(x, spec);
         plan.inverse(spec, back);
-        if (level == SimdLevel::Avx2) {
+        if (level == simd::SimdLevel::Avx2) {
           EXPECT_EQ(0, std::memcmp(spec.data(), spec_ref.data(), spec.size() * sizeof(Cplx)))
               << "n=" << n;
           EXPECT_EQ(0, std::memcmp(back.data(), back_ref.data(), n * sizeof(double)))
@@ -557,59 +500,6 @@ TEST(Fft1d, BandedMatchesDenseOnBandLimitedInput) {
       }
     }
   }
-}
-
-// --- batched pruned transforms ----------------------------------------------
-
-TEST(Fft2d, PrunedBatchMatchesSingleFieldBitwise) {
-  const std::size_t n = 32, kcut = n / 3, F = 5;
-  Rng rng(401);
-  std::vector<std::vector<double>> grids(F, std::vector<double>(n * n));
-  for (auto& g : grids) rng.fill_gaussian(g);
-
-  Fft2D ref_plan(n, n);
-  std::vector<std::vector<Cplx>> spec_ref(F, std::vector<Cplx>(ref_plan.half_size()));
-  std::vector<std::vector<double>> back_ref(F, std::vector<double>(n * n));
-  for (std::size_t f = 0; f < F; ++f) {
-    ref_plan.forward_half_pruned(grids[f], spec_ref[f], kcut);
-    ref_plan.inverse_half_pruned(spec_ref[f], back_ref[f], kcut);
-  }
-
-  for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
-    Fft2D plan(n, n);
-    plan.set_max_threads(nt);
-    std::vector<std::vector<Cplx>> spec(F, std::vector<Cplx>(plan.half_size()));
-    std::vector<std::vector<double>> back(F, std::vector<double>(n * n));
-    std::vector<const double*> gp;
-    std::vector<Cplx*> sp;
-    std::vector<const Cplx*> scp;
-    std::vector<double*> bp;
-    for (std::size_t f = 0; f < F; ++f) {
-      gp.push_back(grids[f].data());
-      sp.push_back(spec[f].data());
-      scp.push_back(spec[f].data());
-      bp.push_back(back[f].data());
-    }
-    plan.forward_half_pruned_batch(gp, sp, kcut);
-    plan.inverse_half_pruned_batch(scp, bp, kcut);
-    for (std::size_t f = 0; f < F; ++f) {
-      EXPECT_EQ(0, std::memcmp(spec[f].data(), spec_ref[f].data(),
-                               spec[f].size() * sizeof(Cplx)))
-          << "field " << f << ", " << nt << " threads";
-      EXPECT_EQ(0,
-                std::memcmp(back[f].data(), back_ref[f].data(), back[f].size() * sizeof(double)))
-          << "field " << f << ", " << nt << " threads";
-    }
-  }
-}
-
-TEST(Fft2d, PrunedBatchRejectsMismatchedCounts) {
-  Fft2D plan(8, 8);
-  std::vector<double> g(64);
-  std::vector<Cplx> h(plan.half_size());
-  std::vector<const double*> gp{g.data()};
-  std::vector<Cplx*> sp{h.data(), h.data()};
-  EXPECT_THROW(plan.forward_half_pruned_batch(gp, sp, 2), Error);
 }
 
 TEST(Fft2d, HalfApiRejectsUnsupportedShapes) {

@@ -10,6 +10,7 @@
 
 #include "common/math_utils.hpp"
 #include "fft/fft.hpp"
+#include "models/scaled_forecast.hpp"
 #include "rng/rng.hpp"
 #include "sqg/sqg.hpp"
 
@@ -510,94 +511,37 @@ TEST(Sqg, StepPerformsNoPerStepHeapAllocations) {
   EXPECT_EQ(allocs, 0u) << "step() performed " << allocs << " heap allocations";
 }
 
-TEST(Sqg, StepBatchMatchesSequentialStepBitwise) {
-  // The batched member step must be bitwise identical to M sequential
-  // step() calls for every batch block size and FFT thread count — the
-  // invariant the forecast drivers' block fan-out relies on.
-  const std::size_t n = 32, M = 5;
-  SqgConfig ref_cfg;
-  ref_cfg.n = n;
-  SqgModel ref_model(ref_cfg);
-  Rng rng(97);
-  std::vector<double> theta(ref_model.dim());
-  ref_model.random_init(theta, rng, 1.0, 4);
-
-  std::vector<double> block0(M * ref_model.dim());
-  for (std::size_t m = 0; m < M; ++m)
-    for (std::size_t i = 0; i < ref_model.dim(); ++i)
-      block0[m * ref_model.dim() + i] = theta[i] * (1.0 + 1e-6 * static_cast<double>(m));
-
-  std::vector<double> ref = block0;
-  SqgWorkspace ws(n);
-  for (std::size_t m = 0; m < M; ++m)
-    ref_model.step(std::span<double>(ref.data() + m * ref_model.dim(), ref_model.dim()), 3, ws);
-
-  for (const std::size_t blk : {std::size_t{1}, std::size_t{2}, std::size_t{4}, M}) {
-    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
-      SqgConfig cfg;
-      cfg.n = n;
-      cfg.batch_block = blk;
-      cfg.n_fft_threads = nt;
-      SqgModel model(cfg);
-      std::vector<double> batch = block0;
-      SqgBatchWorkspace bws(n, std::min(M, blk));
-      model.step_batch(batch, M, 3, bws);
-      EXPECT_EQ(0, std::memcmp(batch.data(), ref.data(), batch.size() * sizeof(double)))
-          << "batch_block=" << blk << " fft_threads=" << nt;
-    }
-  }
-}
-
-TEST(Sqg, AdvanceBatchMatchesSequentialAdvance) {
-  const std::size_t n = 16, M = 3;
-  SqgConfig cfg;
-  cfg.n = n;
-  SqgModel model(cfg);
-  Rng rng(98);
-  std::vector<double> theta(model.dim());
-  model.random_init(theta, rng, 1.0, 3);
-  std::vector<double> block(M * model.dim()), ref(M * model.dim());
-  for (std::size_t m = 0; m < M; ++m)
-    for (std::size_t i = 0; i < model.dim(); ++i)
-      ref[m * model.dim() + i] = block[m * model.dim() + i] =
-          theta[i] * (1.0 + 1e-5 * static_cast<double>(m));
-  const double seconds = 2.5 * cfg.dt;  // rounds up to 3 steps
-  SqgWorkspace ws(n);
-  for (std::size_t m = 0; m < M; ++m)
-    model.advance(std::span<double>(ref.data() + m * model.dim(), model.dim()), seconds, ws);
-  model.advance_batch(block, M, seconds);
-  EXPECT_EQ(0, std::memcmp(block.data(), ref.data(), block.size() * sizeof(double)));
-}
-
-TEST(Sqg, StepBatchRejectsWrongBlockSize) {
-  SqgConfig cfg;
-  cfg.n = 16;
-  SqgModel model(cfg);
-  std::vector<double> block(3 * model.dim() - 1);
-  SqgBatchWorkspace ws(cfg.n, 2);
-  EXPECT_THROW(model.step_batch(block, 3, 1, ws), Error);
-}
-
-TEST(Sqg, StepBatchPerformsNoPerStepHeapAllocations) {
-  // The zero-allocation contract extends to the batched path: after one
-  // warm-up call has sized the batch workspace, its pointer tables and the
-  // per-thread FFT scratch, stepping a member block allocates nothing.
+TEST(Sqg, ForecastBlockPerformsNoPerWindowHeapAllocations) {
+  // The cycling runners advance each worker's member block through
+  // ForecastModel::forecast_batch. After one warm-up window has grown the
+  // per-thread workspace and FFT scratch, a block forecast allocates nothing.
   SqgConfig cfg = inviscid_config(32);
-  cfg.batch_block = 2;  // M = 5 exercises full and partial sub-blocks
-  SqgModel model(cfg);
+  auto model = std::make_shared<const SqgModel>(cfg);
+  SqgForecast fc(model, 3 * cfg.dt);
   Rng rng(92);
-  const std::size_t M = 5;
-  std::vector<double> theta(model.dim());
-  model.random_init(theta, rng, 1.0, 4);
-  std::vector<double> block(M * model.dim());
+  const std::size_t M = 5, d = model->dim();
+  std::vector<double> theta(d);
+  model->random_init(theta, rng, 1.0, 4);
+  std::vector<double> block(M * d);
   for (std::size_t m = 0; m < M; ++m)
-    std::copy(theta.begin(), theta.end(), block.begin() + static_cast<long>(m * model.dim()));
-  SqgBatchWorkspace ws(cfg.n, cfg.batch_block);
-  model.step_batch(block, M, 2, ws);  // warm-up
+    for (std::size_t i = 0; i < d; ++i)
+      block[m * d + i] = theta[i] * (1.0 + 1e-6 * static_cast<double>(m));
+  const std::vector<double> block0 = block;
+
+  fc.forecast_batch(block, M);  // warm-up
   const std::uint64_t before = g_new_calls.load();
-  model.step_batch(block, M, 5, ws);
+  fc.forecast_batch(block, M);
   const std::uint64_t allocs = g_new_calls.load() - before;
-  EXPECT_EQ(allocs, 0u) << "step_batch() performed " << allocs << " heap allocations";
+  EXPECT_EQ(allocs, 0u) << "forecast_batch() performed " << allocs << " heap allocations";
+
+  // The Kelvin-scaled wrapper the DA stack drives: a block forecast is
+  // bitwise the per-member forecast() loop.
+  models::ScaledForecast scaled(fc, models::sqg_kelvin_scale());
+  std::vector<double> batched = block0, looped = block0;
+  scaled.forecast_batch(batched, M);
+  for (std::size_t m = 0; m < M; ++m)
+    scaled.forecast(std::span<double>(looped.data() + m * d, d));
+  EXPECT_EQ(0, std::memcmp(batched.data(), looped.data(), batched.size() * sizeof(double)));
 }
 
 TEST(Sqg, RejectsBadConfig) {
