@@ -121,7 +121,7 @@ struct ScaleRow {
   std::cout << "\nPer-phase breakdown (ms per analysis, summed over workers; plan is a one-time\n"
                "per-network cost, 'other' = wall - phases, only meaningful serially):\n";
   io::Table pt({"threads", "plan", "select", "gather", "gram", "eigh", "weights", "combine",
-                "other", "groups/columns", "batched/scalar cols"});
+                "other", "solved/columns", "full/partial cols"});
   for (const ScaleRow& r0 : rows) {
     if (r0.n != n || r0.members != members) continue;
     const da::LetkfTimings& ph = r0.ph;
@@ -136,8 +136,9 @@ struct ScaleRow {
                 std::to_string(ph.batched_columns) + "/" + std::to_string(ph.scalar_columns)});
   }
   pt.print();
-  std::cout << "('batched/scalar cols' is the SIMD lane-occupancy split: columns solved in\n"
-               " full lane batches vs the sequential remainder path.)\n";
+  std::cout << "('solved' counts columns with local observations, all solved through the\n"
+               " eigensolve; 'full/partial cols' is the SIMD lane-occupancy split: columns in\n"
+               " full lane batches vs columns in padded partial batches plus unobserved ones.)\n";
   if (!all_same) std::cout << "ERROR: multi-threaded analysis diverged from 1 thread\n";
   return all_same;
 }

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -68,17 +65,22 @@ Neighborhood build_neighborhood(const LetkfConfig& cfg) {
 
 }  // namespace
 
+/// Budget for materializing the per-column (obs, weight) lists of a plan.
+/// The benchmark's sparse networks fit; the dense identity network at
+/// n = 128 does not and walks the weight template per column instead.
+constexpr std::uint64_t kPlanBudgetBytes = std::uint64_t{64} << 20;
+
 /// Cached local-observation plan for one observation network on one grid.
 ///
 /// Everything the per-column observation selection used to recompute every
 /// cycle is hoisted here and keyed on the network (locations + R variances):
 /// the Gaspari–Cohn weights collapse to a translation-invariant template
 /// per (analysis level, cell offset, obs level) — all hypot/GC evaluations
-/// happen once per network, not once per column per cycle — and columns
-/// whose resolved local problem (obs indices + weights) is identical are
-/// grouped to share one eigensolve. When the resolved per-column (obs, w)
-/// lists fit the configured budget they are materialized outright, removing
-/// even the template walk from the analysis hot path.
+/// happen once per network, not once per column per cycle — and every
+/// column's local observation count is recorded for the lane-batch
+/// scheduler. When the resolved per-column (obs, w) lists fit
+/// kPlanBudgetBytes they are materialized outright, removing even the
+/// template walk from the analysis hot path.
 struct LETKF::Plan {
   /// One non-negligible template entry: cell offset (di, dj), observation
   /// level (as a flat cell-index base), localization weight.
@@ -99,24 +101,15 @@ struct LETKF::Plan {
   std::vector<std::int32_t> cell_obs;         ///< cell -> obs index, -1 unobserved
   std::vector<double> inv_rvar;               ///< 1 / R diagonal
 
-  // Column grouping: columns of group gr are group_cols[group_off[gr] ..
-  // group_off[gr+1]), first entry is the representative. Groups are ordered
-  // by their representative's column index; ungrouped configs get
-  // singletons.
-  std::vector<std::uint32_t> group_off, group_cols;
-
-  // Materialized per-representative selections (empty ranges otherwise).
+  // Materialized per-column selections (sel_* stay empty otherwise).
   bool materialized = false;
   std::vector<std::uint64_t> col_off;  ///< d + 1 prefix offsets
   std::vector<std::int32_t> sel_idx;
   std::vector<double> sel_w;
 
-  /// Per-column local observation count (valid for every column, cheap to
-  /// keep): lets the lane-batch scheduler bucket groups by problem shape
-  /// without walking the template.
+  /// Per-column local observation count: lets the lane-batch scheduler
+  /// bucket columns by problem shape without walking the template.
   std::vector<std::uint32_t> col_pl;
-
-  [[nodiscard]] std::size_t n_groups() const { return group_off.size() - 1; }
 
   /// Visits this column's local observations in the fixed deterministic
   /// order (neighborhood entry outer, obs level inner): f(obs_index,
@@ -216,89 +209,26 @@ std::unique_ptr<LETKF::Plan> LETKF::Plan::build(const LetkfConfig& cfg,
     }
   }
 
-  // Resolve every column's local problem to a (count, hash) pair; the hash
-  // feeds grouping, the counts feed the materialization budget.
-  std::vector<std::uint64_t> hashes(d);
-  std::vector<std::uint32_t> pls(d);
+  // Every column's local observation count: the scheduler's bucketing key
+  // and the materialization budget's input.
+  pl.col_pl.resize(d);
   parallel::parallel_for(
       d,
       [&](std::size_t b, std::size_t e) {
         for (std::size_t g = b; g < e; ++g) {
-          std::uint64_t hh = 14695981039346656037ull;  // FNV-1a offset basis
           std::uint32_t cnt = 0;
-          pl.for_each(g, [&](std::int32_t o, double wv) {
-            hh ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(o));
-            hh *= 1099511628211ull;
-            hh ^= std::bit_cast<std::uint64_t>(wv);
-            hh *= 1099511628211ull;
-            ++cnt;
-          });
-          hashes[g] = hh;
-          pls[g] = cnt;
+          pl.for_each(g, [&](std::int32_t, double) { ++cnt; });
+          pl.col_pl[g] = cnt;
         }
       },
       cfg.nx, cfg.n_threads);
 
-  // Group columns with identical resolved local problems. Hash buckets are
-  // verified by exact (obs, weight) comparison, so collisions can only cost
-  // time, never correctness. Serial over columns -> group order and
-  // membership are independent of thread count.
-  std::vector<std::vector<std::uint32_t>> groups;
-  if (cfg.group_columns) {
-    std::vector<std::uint32_t> rep_of;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash;
-    std::vector<std::int32_t> ia, ib;
-    std::vector<double> wa, wb;
-    const auto collect = [&](std::size_t g, std::vector<std::int32_t>& vi,
-                             std::vector<double>& vw) {
-      vi.clear();
-      vw.clear();
-      pl.for_each(g, [&](std::int32_t o, double wv) {
-        vi.push_back(o);
-        vw.push_back(wv);
-      });
-    };
-    for (std::size_t g = 0; g < d; ++g) {
-      bool joined = false;
-      auto& bucket = by_hash[hashes[g]];
-      for (const std::uint32_t gid : bucket) {
-        const std::uint32_t rep = rep_of[gid];
-        if (pls[rep] != pls[g]) continue;
-        collect(rep, ia, wa);
-        collect(g, ib, wb);
-        if (ia == ib &&
-            std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(double)) == 0) {
-          groups[gid].push_back(static_cast<std::uint32_t>(g));
-          joined = true;
-          break;
-        }
-      }
-      if (!joined) {
-        bucket.push_back(static_cast<std::uint32_t>(groups.size()));
-        rep_of.push_back(static_cast<std::uint32_t>(g));
-        groups.push_back({static_cast<std::uint32_t>(g)});
-      }
-    }
-  } else {
-    groups.resize(d);
-    for (std::size_t g = 0; g < d; ++g) groups[g] = {static_cast<std::uint32_t>(g)};
-  }
-  pl.group_off.reserve(groups.size() + 1);
-  pl.group_off.push_back(0);
-  pl.group_cols.reserve(d);
-  for (const auto& grp : groups) {
-    pl.group_cols.insert(pl.group_cols.end(), grp.begin(), grp.end());
-    pl.group_off.push_back(static_cast<std::uint32_t>(pl.group_cols.size()));
-  }
-
-  // Materialize representatives' (obs, weight) lists when they fit the
-  // budget; otherwise analyses walk the template per group.
+  // Materialize every column's (obs, weight) list when the lists fit the
+  // budget; otherwise analyses walk the template per column.
   pl.col_off.assign(d + 1, 0);
-  for (const auto& grp : groups) pl.col_off[grp.front() + 1] = pls[grp.front()];
-  for (std::size_t g = 0; g < d; ++g) pl.col_off[g + 1] += pl.col_off[g];
+  for (std::size_t g = 0; g < d; ++g) pl.col_off[g + 1] = pl.col_off[g] + pl.col_pl[g];
   const std::uint64_t total = pl.col_off[d];
-  const std::uint64_t bytes = total * (sizeof(std::int32_t) + sizeof(double));
-  if (bytes <= static_cast<std::uint64_t>(cfg.plan_budget_mb) * (1u << 20)) {
+  if (total * (sizeof(std::int32_t) + sizeof(double)) <= kPlanBudgetBytes) {
     pl.materialized = true;
     pl.sel_idx.resize(total);
     pl.sel_w.resize(total);
@@ -307,7 +237,6 @@ std::unique_ptr<LETKF::Plan> LETKF::Plan::build(const LetkfConfig& cfg,
         [&](std::size_t b, std::size_t e) {
           for (std::size_t g = b; g < e; ++g) {
             std::uint64_t at = pl.col_off[g];
-            if (pl.col_off[g + 1] == at) continue;
             pl.for_each(g, [&](std::int32_t o, double wv) {
               pl.sel_idx[at] = o;
               pl.sel_w[at] = wv;
@@ -317,7 +246,6 @@ std::unique_ptr<LETKF::Plan> LETKF::Plan::build(const LetkfConfig& cfg,
         },
         cfg.nx, cfg.n_threads);
   }
-  pl.col_pl = std::move(pls);
   return plan;
 }
 
@@ -436,199 +364,61 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   // Output analysis, column-major like xbT.
   Tensor xaT({d, m});
   const double sqm1 = std::sqrt(static_cast<double>(m - 1));
-  const std::size_t n_groups = plan.n_groups();
+  const auto keep_forecast = [&](std::size_t g) {
+    for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xbar[g] + xbT(g, k);
+  };
   std::mutex tm_mu;
   std::mutex stats_mu;
-  std::size_t solver_failures = 0, fallback_columns = 0;
+  std::size_t solver_failures = 0;
 
-  // One chunk = one worker's contiguous range of groups, with chunk-local
-  // scratch. Each group solves its local problem once on the
-  // representative's observation selection and applies the resulting weight
-  // matrix to every member column; groups touch disjoint xaT rows, so the
-  // result is bitwise identical for any thread count. With lane_batch the
-  // chunk packs same-size groups into SIMD lane batches (solve_batch below);
-  // every lane reproduces the sequential arithmetic exactly, so the packing
-  // is bitwise invisible.
-  const auto solve_groups = [&](std::size_t gr_begin, std::size_t gr_end) {
+  // One chunk = one worker's contiguous range of columns, with chunk-local
+  // scratch. The chunk sorts its observed columns by local observation
+  // count and cuts every equal-size run into batches of kLaneBatch columns
+  // that advance in lockstep, one per SIMD lane, through the lane-batched
+  // gather/Gram/eigensolve/weights/combine below. A run's last, partial
+  // batch is padded by repeating its last column: every lane then holds a
+  // well-posed problem, the pad copies converge in the same sweeps as that
+  // column so jacobi_eigh_batch runs at full width without extra work, and
+  // only real lanes are written back or counted. A lane's arithmetic never
+  // depends on what shares its batch and columns touch disjoint xaT rows,
+  // so the result is bitwise identical for any thread count — and so for
+  // any chunking, packing and padding.
+  const auto solve_columns = [&](std::size_t c_begin, std::size_t c_end) {
     const auto& dk = simd::active_dense_kernels();
-    std::vector<std::int32_t> sel_idx_l;
-    std::vector<double> sel_w_l;
-    std::vector<double> yT, yTw, wi;
-    Tensor amat({m, m}), vmat;
-    std::vector<double> evals;
-    std::vector<double> cd(m), vtcd(m), wbar(m), wb(m), isq(m), acc(m);
-    std::vector<double> vT(m * m), usT(m * m), wmat(m * m);
-    // Lane-batched scratch: lane-interleaved SoA, one problem per Vec lane.
+    // Lane-interleaved SoA scratch: element e of lane l at buf[e * W + l].
     constexpr std::size_t W = simd::kLaneBatch;
     std::array<std::vector<std::int32_t>, W> sel_idx_b;
     std::array<std::vector<double>, W> sel_w_b;
-    std::vector<double> yTb, yTwb, weffb, wib;
-    std::vector<double> amatb(m * m * W), vb(m * m * W), wlb(m * W);
-    std::vector<double> cdb(m * W), vtcdb(m * W), wbarb(m * W), wbb(m * W), isqb(m * W),
+    simd::LaneBuffer yTb, yTwb, weffb, wib;
+    simd::LaneBuffer amatb(m * m * W), vb(m * m * W), wlb(m * W);
+    simd::LaneBuffer cdb(m * W), vtcdb(m * W), wbarb(m * W), wbb(m * W), isqb(m * W),
         accb(m * W), xbTb(m * W), xaTb(m * W);
-    std::vector<double> vTb(m * m * W), usTb(m * m * W), wmatb(m * m * W);
+    simd::LaneBuffer vTb(m * m * W), usTb(m * m * W), wmatb(m * m * W);
     tensor::EighInfo einfos[W];
     tensor::EighBatchScratch eigh_scratch;
-    std::vector<std::uint32_t> batch_order, rest;
-    std::size_t loc_batched_cols = 0, loc_scalar_cols = 0;
+    std::vector<std::uint32_t> order;
+    std::size_t loc_solved = 0, loc_batched_cols = 0, loc_scalar_cols = 0, loc_failures = 0;
     LetkfTimings pt;
     WallTimer ph;
-    std::size_t loc_failures = 0, loc_fallback_cols = 0;
     auto& tc = telemetry::TraceCollector::instance();
     const std::uint64_t chunk_t0 = tr ? tc.now_ns() : 0;
 
-    const auto solve_one = [&](std::size_t gr) {
-      const std::uint32_t* cols = plan.group_cols.data() + plan.group_off[gr];
-      const std::size_t ncols = plan.group_off[gr + 1] - plan.group_off[gr];
-      const std::size_t rep = cols[0];
-
+    // Solves the W columns cols[0..W) with local problem size pl; lanes at
+    // and past n_real are pads repeating cols[n_real - 1].
+    const auto solve_batch = [&](const std::uint32_t* cols, std::size_t n_real, std::size_t pl) {
       // Local observation selection: materialized list or template walk.
-      if (tm) ph.reset();
-      const std::int32_t* sidx;
-      const double* sw;
-      std::size_t pl;
-      if (plan.materialized) {
-        sidx = plan.sel_idx.data() + plan.col_off[rep];
-        sw = plan.sel_w.data() + plan.col_off[rep];
-        pl = static_cast<std::size_t>(plan.col_off[rep + 1] - plan.col_off[rep]);
-      } else {
-        sel_idx_l.clear();
-        sel_w_l.clear();
-        plan.for_each(rep, [&](std::int32_t o, double wv) {
-          sel_idx_l.push_back(o);
-          sel_w_l.push_back(wv);
-        });
-        sidx = sel_idx_l.data();
-        sw = sel_w_l.data();
-        pl = sel_idx_l.size();
-      }
-      if (tm) pt.select_ms += ph.milliseconds();
-
-      if (pl == 0) {  // no usable obs: analysis = forecast
-        if (tm) ph.reset();
-        for (std::size_t ci = 0; ci < ncols; ++ci) {
-          const std::size_t g = cols[ci];
-          dk.scale_shift(&xaT(g, 0), &xbT(g, 0), m, 1.0, xbar[g]);
-        }
-        if (tm) pt.combine_ms += ph.milliseconds();
-        return;
-      }
-
-      // Gather local Yb^T rows (contiguous m-vectors), the R-localized
-      // copies, and the weighted innovations.
-      if (tm) ph.reset();
-      yT.resize(pl * m);
-      yTw.resize(pl * m);
-      wi.resize(pl);
-      for (std::size_t o = 0; o < pl; ++o) {
-        const auto oidx = static_cast<std::size_t>(sidx[o]);
-        std::memcpy(&yT[o * m], &yensT(oidx, 0), m * sizeof(double));
-        // QC enters here rather than in the plan: the effective weight of a
-        // masked observation is 0 (exact excision) and r_scale uniformly
-        // deflates R^{-1}, so the cached network plan stays valid. With
-        // default options w_eff == sw[o] bitwise (inv_r_scale is exactly 1).
-        const double w_eff =
-            (mask != nullptr && mask[oidx] == 0) ? 0.0 : sw[o] * inv_r_scale;
-        dk.scale(&yTw[o * m], &yT[o * m], m, w_eff);
-        wi[o] = w_eff * innov[oidx];
-      }
-      if (tm) pt.gather_ms += ph.milliseconds();
-
-      // A = (m-1) I + Yb^T Rloc^{-1} Yb, upper triangle row by row.
-      if (tm) ph.reset();
-      for (std::size_t a = 0; a < m; ++a) {
-        std::fill_n(&amat(a, a), m - a, 0.0);
-        dk.accum_rows(&amat(a, a), yTw.data() + a, m, yT.data() + a, m, pl, m - a);
-      }
-      for (std::size_t a = 0; a < m; ++a) {
-        amat(a, a) += static_cast<double>(m - 1);
-        for (std::size_t b = a + 1; b < m; ++b) amat(b, a) = amat(a, b);
-      }
-      if (tm) pt.gram_ms += ph.milliseconds();
-
-      // A non-convergent local solve never crosses a thread boundary as an
-      // exception: with fallback enabled the group keeps its forecast and
-      // cycling continues; otherwise the rethrow is marshalled by
-      // parallel_for to the calling thread, and xaT is simply discarded.
-      if (tm) ph.reset();
-      bool solved = true;
-      try {
-        tensor::jacobi_eigh(amat, vmat, evals, cfg_.eigh_max_sweeps);
-      } catch (const Error&) {
-        if (!cfg_.eigh_fallback) throw;
-        solved = false;
-      }
-      if (tm) pt.eigh_ms += ph.milliseconds();
-      if (!solved) {
-        ++loc_failures;
-        loc_fallback_cols += ncols;
-        for (std::size_t ci = 0; ci < ncols; ++ci) {
-          const std::size_t g = cols[ci];
-          dk.scale_shift(&xaT(g, 0), &xbT(g, 0), m, 1.0, xbar[g]);
-        }
-        return;
-      }
-
-      // Ensemble-space weights: wbar = V diag(1/l) V^T C innov and
-      // wmat(k, i) = (V wbar)_k + sqrt(m-1) sum_a V(k,a) V(i,a) / sqrt(l_a).
-      if (tm) ph.reset();
-      std::fill(cd.begin(), cd.end(), 0.0);
-      dk.accum_rows(cd.data(), wi.data(), 1, yT.data(), m, pl, m);
-      std::fill(vtcd.begin(), vtcd.end(), 0.0);
-      dk.accum_rows(vtcd.data(), cd.data(), 1, vmat.data(), m, m, m);
-      for (std::size_t a = 0; a < m; ++a) {
-        wbar[a] = vtcd[a] / evals[a];
-        isq[a] = 1.0 / std::sqrt(evals[a]);
-      }
-      for (std::size_t a = 0; a < m; ++a) {
-        double* dst = &vT[a * m];
-        for (std::size_t i = 0; i < m; ++i) dst[i] = vmat(i, a);
-      }
-      std::fill(wb.begin(), wb.end(), 0.0);
-      dk.accum_rows(wb.data(), wbar.data(), 1, vT.data(), m, m, m);
-      for (std::size_t a = 0; a < m; ++a) dk.scale(&usT[a * m], &vT[a * m], m, isq[a]);
-      for (std::size_t k = 0; k < m; ++k) {
-        std::fill(acc.begin(), acc.end(), 0.0);
-        dk.accum_rows(acc.data(), &vmat(k, 0), 1, usT.data(), m, m, m);
-        dk.scale_shift(&wmat[k * m], acc.data(), m, sqm1, wb[k]);
-      }
-      if (tm) pt.weights_ms += ph.milliseconds();
-
-      // Posterior combine for every member column of the group:
-      // xa(:, g) = xbar[g] + wmat^T Xb(:, g).
-      if (tm) ph.reset();
-      for (std::size_t ci = 0; ci < ncols; ++ci) {
-        const std::size_t g = cols[ci];
-        std::fill(acc.begin(), acc.end(), 0.0);
-        dk.accum_rows(acc.data(), &xbT(g, 0), 1, wmat.data(), m, m, m);
-        dk.scale_shift(&xaT(g, 0), acc.data(), m, 1.0, xbar[g]);
-      }
-      if (tm) pt.combine_ms += ph.milliseconds();
-    };
-
-    // Lane-batched solve of kLaneBatch groups with identical local problem
-    // size pl: the solve_one phase sequence with every per-problem kernel
-    // replaced by its lane-batched counterpart. Each lane executes the exact
-    // sequential IEEE operation sequence, so routing a group through here
-    // never changes its bits.
-    const auto solve_batch = [&](const std::uint32_t* grs, std::size_t pl) {
       if (tm) ph.reset();
       const std::int32_t* sidx[W];
       const double* sw[W];
-      const std::uint32_t* colsl[W];
-      std::size_t ncolsl[W];
       for (std::size_t l = 0; l < W; ++l) {
-        const std::uint32_t gr = grs[l];
-        colsl[l] = plan.group_cols.data() + plan.group_off[gr];
-        ncolsl[l] = plan.group_off[gr + 1] - plan.group_off[gr];
-        const std::uint32_t rep = colsl[l][0];
+        const std::uint32_t g = cols[l];
         if (plan.materialized) {
-          sidx[l] = plan.sel_idx.data() + plan.col_off[rep];
-          sw[l] = plan.sel_w.data() + plan.col_off[rep];
+          sidx[l] = plan.sel_idx.data() + plan.col_off[g];
+          sw[l] = plan.sel_w.data() + plan.col_off[g];
         } else {
           sel_idx_b[l].clear();
           sel_w_b[l].clear();
-          plan.for_each(rep, [&](std::int32_t o, double wv) {
+          plan.for_each(g, [&](std::int32_t o, double wv) {
             sel_idx_b[l].push_back(o);
             sel_w_b[l].push_back(wv);
           });
@@ -638,7 +428,8 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.select_ms += ph.milliseconds();
 
-      // Gather the four columns' local rows lane-interleaved.
+      // Gather the lanes' local Yb^T rows, the R-localized copies and the
+      // weighted innovations, lane-interleaved.
       if (tm) ph.reset();
       yTb.resize(pl * m * W);
       yTwb.resize(pl * m * W);
@@ -650,6 +441,10 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
           const double* src = &yensT(oidx, 0);
           double* dst = &yTb[o * m * W + l];
           for (std::size_t k = 0; k < m; ++k) dst[k * W] = src[k];
+          // QC enters here rather than in the plan: the effective weight of
+          // a masked observation is 0 (exact excision) and r_scale uniformly
+          // deflates R^{-1}, so the cached network plan stays valid. With
+          // default options w_eff == sw bitwise (inv_r_scale is exactly 1).
           const double w_eff =
               (mask != nullptr && mask[oidx] == 0) ? 0.0 : sw[l][o] * inv_r_scale;
           weffb[o * W + l] = w_eff;
@@ -659,8 +454,8 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.gather_ms += ph.milliseconds();
 
-      // Gram, upper triangle row by row — one Vec op per element keeps all
-      // lanes busy even on the short row tails.
+      // A = (m-1) I + Yb^T Rloc^{-1} Yb, upper triangle row by row — one Vec
+      // op per element keeps all lanes busy even on the short row tails.
       if (tm) ph.reset();
       for (std::size_t a = 0; a < m; ++a) {
         std::fill_n(&amatb[(a * m + a) * W], (m - a) * W, 0.0);
@@ -675,24 +470,25 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.gram_ms += ph.milliseconds();
 
-      // Masked lane-batched eigensolve; per-lane non-convergence follows the
-      // sequential fallback policy.
+      // A non-convergent local solve never crosses a thread boundary as an
+      // exception: with fallback enabled the column keeps its forecast and
+      // cycling continues; otherwise the throw is marshalled by parallel_for
+      // to the calling thread, and xaT is simply discarded.
       if (tm) ph.reset();
       tensor::jacobi_eigh_batch(amatb.data(), m, W, vb.data(), wlb.data(), cfg_.eigh_max_sweeps,
                                 einfos, &eigh_scratch);
       if (tm) pt.eigh_ms += ph.milliseconds();
-      bool fell[W];
-      for (std::size_t l = 0; l < W; ++l) {
-        fell[l] = !einfos[l].converged;
-        if (fell[l])
+      for (std::size_t l = 0; l < n_real; ++l)
+        if (!einfos[l].converged)
           TURBDA_REQUIRE(cfg_.eigh_fallback,
                          "jacobi_eigh: not converged after "
                              << einfos[l].sweeps << " sweeps (off-diagonal Frobenius "
                              << einfos[l].off_fro << ")");
-      }
 
-      // Weights for all lanes (non-converged lanes hold the benign identity
-      // eigensystem; their results are discarded below).
+      // Ensemble-space weights: wbar = V diag(1/l) V^T C innov and
+      // wmat(k, i) = (V wbar)_k + sqrt(m-1) sum_a V(k,a) V(i,a) / sqrt(l_a).
+      // Non-converged lanes hold the benign identity eigensystem; their
+      // results are discarded below.
       if (tm) ph.reset();
       std::fill(cdb.begin(), cdb.end(), 0.0);
       dk.baccum_rows(cdb.data(), wib.data(), 1, yTb.data(), m, pl, m);
@@ -717,95 +513,64 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.weights_ms += ph.milliseconds();
 
-      // Posterior combine, lanes advancing through their column lists in
-      // lockstep; exhausted lanes recompute their last column into scratch
-      // and skip the scatter.
+      // Posterior combine, one column per lane:
+      // xa(:, g) = xbar[g] + wmat^T Xb(:, g). Non-converged real lanes keep
+      // the forecast; pad lanes are never written back.
       if (tm) ph.reset();
-      double xbarb[W] = {0.0, 0.0, 0.0, 0.0};
-      std::size_t max_nc = 0;
-      for (std::size_t l = 0; l < W; ++l)
-        if (!fell[l]) max_nc = std::max(max_nc, ncolsl[l]);
-      for (std::size_t ci = 0; ci < max_nc; ++ci) {
-        for (std::size_t l = 0; l < W; ++l) {
-          if (fell[l] || ci >= ncolsl[l]) continue;
-          const std::size_t g = colsl[l][ci];
-          for (std::size_t k = 0; k < m; ++k) xbTb[k * W + l] = xbT(g, k);
-          xbarb[l] = xbar[g];
-        }
-        std::fill(accb.begin(), accb.end(), 0.0);
-        dk.baccum_rows(accb.data(), xbTb.data(), 1, wmatb.data(), m, m, m);
-        dk.bscale_shift(xaTb.data(), accb.data(), m, 1.0, xbarb);
-        for (std::size_t l = 0; l < W; ++l) {
-          if (fell[l] || ci >= ncolsl[l]) continue;
-          const std::size_t g = colsl[l][ci];
-          for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xaTb[k * W + l];
-        }
-      }
-      // Non-converged lanes keep the forecast, exactly like solve_one.
+      double xbarb[W];
       for (std::size_t l = 0; l < W; ++l) {
-        if (!fell[l]) continue;
-        ++loc_failures;
-        loc_fallback_cols += ncolsl[l];
-        for (std::size_t ci = 0; ci < ncolsl[l]; ++ci) {
-          const std::size_t g = colsl[l][ci];
-          dk.scale_shift(&xaT(g, 0), &xbT(g, 0), m, 1.0, xbar[g]);
+        const std::size_t g = cols[l];
+        for (std::size_t k = 0; k < m; ++k) xbTb[k * W + l] = xbT(g, k);
+        xbarb[l] = xbar[g];
+      }
+      std::fill(accb.begin(), accb.end(), 0.0);
+      dk.baccum_rows(accb.data(), xbTb.data(), 1, wmatb.data(), m, m, m);
+      dk.bscale_shift(xaTb.data(), accb.data(), m, 1.0, xbarb);
+      for (std::size_t l = 0; l < n_real; ++l) {
+        const std::size_t g = cols[l];
+        if (!einfos[l].converged) {
+          ++loc_failures;
+          keep_forecast(g);
+          continue;
         }
+        for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xaTb[k * W + l];
       }
       if (tm) pt.combine_ms += ph.milliseconds();
     };
 
-    const auto group_pl = [&](std::uint32_t gr) {
-      return plan.col_pl[plan.group_cols[plan.group_off[gr]]];
-    };
-    if (cfg_.lane_batch) {
-      // Pack this chunk's groups into full lane batches of identical local
-      // problem size; each size run's tail and empty selections take the
-      // sequential path. Lane results never depend on what shares a batch,
-      // so any chunking or packing yields identical bits.
-      batch_order.clear();
-      rest.clear();
-      for (std::size_t gr = gr_begin; gr < gr_end; ++gr) {
-        if (group_pl(static_cast<std::uint32_t>(gr)) == 0)
-          rest.push_back(static_cast<std::uint32_t>(gr));
-        else
-          batch_order.push_back(static_cast<std::uint32_t>(gr));
+    // Columns without local observations keep the forecast; the rest are
+    // ordered by local problem size, then index.
+    if (tm) ph.reset();
+    order.clear();
+    for (std::size_t g = c_begin; g < c_end; ++g) {
+      if (plan.col_pl[g] == 0) {
+        keep_forecast(g);
+        ++loc_scalar_cols;
+      } else {
+        order.push_back(static_cast<std::uint32_t>(g));
       }
-      std::sort(batch_order.begin(), batch_order.end(), [&](std::uint32_t a, std::uint32_t b) {
-        const std::uint32_t pa = group_pl(a), pb = group_pl(b);
-        return pa != pb ? pa < pb : a < b;
-      });
-      std::size_t i = 0;
-      while (i < batch_order.size()) {
-        const std::uint32_t pl_run = group_pl(batch_order[i]);
-        std::size_t run_end = i + 1;
-        while (run_end < batch_order.size() && group_pl(batch_order[run_end]) == pl_run)
-          ++run_end;
-        std::size_t b = i;
-        for (; b + W <= run_end; b += W) {
-          solve_batch(&batch_order[b], pl_run);
-          for (std::size_t l = 0; l < W; ++l) {
-            const std::uint32_t gr = batch_order[b + l];
-            loc_batched_cols += plan.group_off[gr + 1] - plan.group_off[gr];
-          }
-        }
-        for (; b < run_end; ++b) rest.push_back(batch_order[b]);
-        i = run_end;
-      }
-      for (const std::uint32_t gr : rest) {
-        loc_scalar_cols += plan.group_off[gr + 1] - plan.group_off[gr];
-        solve_one(gr);
-      }
-    } else {
-      for (std::size_t gr = gr_begin; gr < gr_end; ++gr) {
-        loc_scalar_cols += plan.group_off[gr + 1] - plan.group_off[gr];
-        solve_one(gr);
-      }
+    }
+    if (tm) pt.combine_ms += ph.milliseconds();
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      const std::uint32_t pa = plan.col_pl[a], pb = plan.col_pl[b];
+      return pa != pb ? pa < pb : a < b;
+    });
+    std::uint32_t lanes[W];
+    for (std::size_t i = 0; i < order.size();) {
+      const std::uint32_t pl_run = plan.col_pl[order[i]];
+      std::size_t n_real = 1;
+      while (n_real < W && i + n_real < order.size() && plan.col_pl[order[i + n_real]] == pl_run)
+        ++n_real;
+      for (std::size_t l = 0; l < W; ++l) lanes[l] = order[i + std::min(l, n_real - 1)];
+      solve_batch(lanes, n_real, pl_run);
+      (n_real == W ? loc_batched_cols : loc_scalar_cols) += n_real;
+      loc_solved += n_real;
+      i += n_real;
     }
 
     if (loc_failures != 0) {
       const std::lock_guard<std::mutex> lock(stats_mu);
       solver_failures += loc_failures;
-      fallback_columns += loc_fallback_cols;
     }
     if (tm_cfg) {
       const std::lock_guard<std::mutex> lock(tm_mu);
@@ -815,15 +580,16 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       timings_.eigh_ms += pt.eigh_ms;
       timings_.weights_ms += pt.weights_ms;
       timings_.combine_ms += pt.combine_ms;
+      timings_.groups += loc_solved;
       timings_.batched_columns += loc_batched_cols;
       timings_.scalar_columns += loc_scalar_cols;
     }
     if (tr) {
-      // Per-group-per-phase spans would be far too hot (thousands of groups
-      // x 6 phases per chunk); instead emit one chunk span plus synthetic
-      // children holding the chunk's aggregated per-phase totals, laid out
-      // sequentially from the chunk start (their sum is bounded by the chunk
-      // duration, so the trace viewer nests them inside it).
+      // Per-batch-per-phase spans would be far too hot (thousands of
+      // batches x 6 phases per chunk); instead emit one chunk span plus
+      // synthetic children holding the chunk's aggregated per-phase totals,
+      // laid out sequentially from the chunk start (their sum is bounded by
+      // the chunk duration, so the trace viewer nests them inside it).
       const std::uint64_t chunk_t1 = tc.now_ns();
       tc.complete("letkf.solve_groups", chunk_t0, chunk_t1 - chunk_t0);
       std::uint64_t at = chunk_t0;
@@ -843,15 +609,16 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   };
 
   try {
-    parallel::parallel_for(n_groups, solve_groups, std::max<std::size_t>(1, cfg_.nx / 2),
+    parallel::parallel_for(d, solve_columns, std::max<std::size_t>(1, cfg_.nx / 2),
                            cfg_.n_threads);
   } catch (const Error& e) {
     // eigh_fallback == false: the whole analysis fails, ensemble untouched.
     return Status(StatusCode::kNonConvergent, e.what());
   }
   if (stats != nullptr) {
+    // Every failed solve is one column keeping its forecast.
     stats->solver_failures = solver_failures;
-    stats->fallback_columns = fallback_columns;
+    stats->fallback_columns = solver_failures;
   }
 
   // Write the analysis back member-major.
@@ -883,7 +650,6 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     timings_.total_ms += t_total.milliseconds();
     timings_.analyses += 1;
     timings_.columns += d;
-    timings_.groups += n_groups;
   }
   {
     static telemetry::Histogram& h_letkf =

@@ -17,6 +17,13 @@
 // vertical extents coupled through the Rossby radius of deformation
 // (cross-level obs live at effective distance sqrt(d^2 + (dlev * L_R)^2)),
 // and relaxation-to-prior-spread (RTPS) inflation (Whitaker & Hamill 2012).
+//
+// Execution: a cached per-network plan resolves every column's local
+// observations; each worker sorts its columns by local observation count
+// and solves them simd::kLaneBatch at a time, one column per SIMD lane,
+// through the lane-batched Gram / tensor::jacobi_eigh_batch / weights /
+// combine kernels. Partial batches are padded with copies of their last
+// column. Columns without local observations keep the forecast.
 #pragma once
 
 #include <memory>
@@ -44,40 +51,17 @@ struct LetkfConfig {
   /// independent, so the result is bitwise identical for any value.
   std::size_t n_threads = 0;
 
-  /// Share one eigensolve between grid columns whose local observation set
-  /// and localization weights are identical (computed once per network in
-  /// the cached plan). Grouping never changes the result — equal inputs take
-  /// the identical instruction sequence — so this is a pure optimization
-  /// knob, kept switchable for the bitwise grouped-vs-ungrouped tests.
-  bool group_columns = true;
-
-  /// Budget (MiB) for materializing per-column local observation lists in
-  /// the cached plan. Sparse networks fit and skip the per-cycle
-  /// neighborhood walk entirely; dense networks fall back to walking the
-  /// translation-invariant weight template per group representative.
-  std::size_t plan_budget_mb = 64;
-
   /// Accumulate per-phase wall times into timings() (bench support; off by
   /// default — the clock calls are pure overhead in production runs).
   bool collect_timings = false;
 
-  /// Pack same-shape local problems into SIMD lane batches: each worker
-  /// sorts its chunk's groups by local observation count and advances
-  /// simd::kLaneBatch equal-size problems in lockstep, one per Vec lane,
-  /// through lane-batched Gram/eigensolve/weights/combine kernels. Every
-  /// lane executes the exact IEEE operation sequence of the sequential
-  /// solve, so this is bitwise invisible at every dispatch level — a pure
-  /// optimization knob, kept switchable for the equivalence tests. The
-  /// remainder (partial runs, empty selections) takes the sequential path.
-  bool lane_batch = true;
-
-  /// Sweep budget for the per-group symmetric eigensolves.
+  /// Sweep budget for the per-column symmetric eigensolves.
   int eigh_max_sweeps = 50;
 
   /// When a local eigensolve exhausts its sweep budget: true keeps the
-  /// forecast for that group's columns (counted in AnalysisStats) and the
-  /// analysis continues; false rethrows the solver error on the calling
-  /// thread — the whole analysis fails and the ensemble is left untouched.
+  /// forecast for that column (counted in AnalysisStats) and the analysis
+  /// continues; false rethrows the solver error on the calling thread — the
+  /// whole analysis fails and the ensemble is left untouched.
   bool eigh_fallback = true;
 };
 
@@ -85,7 +69,7 @@ struct LetkfConfig {
 /// LetkfConfig::collect_timings). Milliseconds, summed over calls.
 struct LetkfTimings {
   double plan_ms = 0.0;     ///< local-obs plan (re)builds
-  double select_ms = 0.0;   ///< per-group local obs selection walks
+  double select_ms = 0.0;   ///< per-column local obs selection
   double gather_ms = 0.0;   ///< local Yb / weighted-Yb gathers
   double gram_ms = 0.0;     ///< A = (m-1)I + C Yb builds
   double eigh_ms = 0.0;     ///< symmetric eigensolves
@@ -94,10 +78,10 @@ struct LetkfTimings {
   double total_ms = 0.0;    ///< whole analyze() calls (incl. transposes, RTPS)
   std::size_t analyses = 0;
   std::size_t columns = 0;  ///< column analyses requested
-  std::size_t groups = 0;   ///< unique local problems actually solved
-  /// Lane-occupancy split of the column analyses (see
-  /// LetkfConfig::lane_batch): columns solved through full lane batches vs
-  /// the sequential remainder path (partial runs + empty selections).
+  std::size_t groups = 0;   ///< columns solved through the eigensolve (>= 1 local obs)
+  /// Lane-occupancy split of the column analyses: columns in full lane
+  /// batches vs columns in padded partial batches plus columns without
+  /// local observations (which keep the forecast).
   std::size_t batched_columns = 0;
   std::size_t scalar_columns = 0;
 };
@@ -122,7 +106,7 @@ class LETKF final : public Filter {
   /// is divided by r_scale — so the cached network plan stays valid. A local
   /// eigensolve failure degrades per the eigh_fallback policy; with fallback
   /// disabled the Status is non-ok and the ensemble is untouched (the
-  /// analysis buffer is only written back after every group solved).
+  /// analysis buffer is only written back after every column solved).
   Status try_analyze(Ensemble& ensemble, std::span<const double> y,
                      const ObservationOperator& h, const DiagonalR& r,
                      const AnalysisOptions& opts = {}, AnalysisStats* stats = nullptr) override;

@@ -15,10 +15,8 @@ namespace {
 static_assert(VecScalar::kWidth == kLaneBatch, "lane-batched kernels assume kWidth lanes");
 
 constexpr DenseKernels kScalarDense = {
-    detail::accum_rows_impl<VecScalar, false>,
     detail::rot_rows_impl<VecScalar, false>,
     detail::scale_impl<VecScalar>,
-    detail::scale_shift_impl<VecScalar, false>,
     detail::baccum_rows_impl<VecScalar, false>,
     detail::bscale_impl<VecScalar>,
     detail::bscale_shift_impl<VecScalar, false>,

@@ -1,10 +1,8 @@
 // Runtime-dispatched small-dense kernels for the ensemble-space hot loops.
 //
-// The LETKF analysis and the Jacobi eigensolver reduce to four primitive
-// loops over contiguous rows: a rank-k row accumulation (every Gram build,
-// GEMV and small GEMM in the weight algebra), a Givens rotation of two rows,
-// and two scale/shift forms for the posterior combine. Like the FFT tables,
-// each primitive is written once against the portable simd::Vec API
+// The LETKF analysis, the Jacobi eigensolvers and the EnSF member updates
+// reduce to a few primitive loops over contiguous rows. Like the FFT
+// tables, each primitive is written once against the portable simd::Vec API
 // (dense_kernels_impl.hpp) and instantiated per backend behind a table of
 // function pointers keyed by the process-global simd::SimdLevel.
 //
@@ -14,19 +12,21 @@
 // and results never depend on thread count. The Avx2Fma table contracts
 // multiplies into FMAs (~1 ulp per accumulation step).
 //
-// The lane-batched b* entries flip the vectorization axis: instead of
-// vectorizing one problem's output row, they advance kLaneBatch independent
-// problems in lockstep, one problem per Vec lane, over lane-interleaved
+// The lane-batched b* entries advance kLaneBatch independent problems in
+// lockstep, one problem per Vec lane, over lane-interleaved
 // structure-of-arrays buffers (logical element e of problem l lives at
-// ptr[e * kLaneBatch + l]). Per lane they perform the exact IEEE operation
-// sequence of their sequential counterpart at the same dispatch level —
-// including the fused steps of the Avx2Fma table — so a lane-batched solve
-// is bitwise identical to kLaneBatch sequential solves at EVERY level, and
-// every Vec op is fully occupied regardless of the problem size.
+// ptr[e * kLaneBatch + l]). Each lane runs a fixed IEEE operation sequence
+// that never reads another lane, so a problem's result does not depend on
+// what shares its batch, and every Vec op is fully occupied regardless of
+// the problem size. bjacobi_sweeps reproduces the sequential jacobi_eigh
+// (rot_rows) arithmetic per lane at every level, including the fused steps
+// of the Avx2Fma table.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
+#include <vector>
 
 #include "simd/dispatch.hpp"
 
@@ -35,32 +35,44 @@ namespace turbda::simd {
 /// Problems per lane-batched kernel call (== Vec::kWidth of both backends).
 inline constexpr std::size_t kLaneBatch = 4;
 
+/// Allocator for lane-interleaved SoA buffers: 64-byte alignment keeps every
+/// logical element (kLaneBatch doubles, one Vec) inside one cache line, so
+/// no lane-batched load or store is split across lines whatever the heap
+/// layout happens to be.
+template <class T>
+struct LaneAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  LaneAllocator() = default;
+  template <class U>
+  constexpr LaneAllocator(const LaneAllocator<U>& /*other*/) noexcept {}
+  T* allocate(std::size_t n) { return static_cast<T*>(::operator new(n * sizeof(T), kAlign)); }
+  void deallocate(T* p, std::size_t /*n*/) noexcept { ::operator delete(p, kAlign); }
+  friend bool operator==(const LaneAllocator&, const LaneAllocator&) { return true; }
+};
+
+/// Lane-interleaved SoA buffer (element e of problem l at buf[e * kLaneBatch + l]).
+using LaneBuffer = std::vector<double, LaneAllocator<double>>;
+
 struct DenseKernels {
-  /// acc[j] += sum_i x[i * ldx] * y[i * ldy + j] for j in [0, m): a rank-k
-  /// update of one contiguous accumulator row from k strided coefficients
-  /// and k contiguous rows of y. Sequential over i, vector over j.
-  void (*accum_rows)(double* acc, const double* x, std::size_t ldx, const double* y,
-                     std::size_t ldy, std::size_t k, std::size_t m);
   /// Givens rotation of two contiguous rows:
   /// (p[i], q[i]) <- (c*p[i] - s*q[i], s*p[i] + c*q[i]).
   void (*rot_rows)(double* p, double* q, std::size_t n, double c, double s);
   /// out[i] = alpha * in[i].
   void (*scale)(double* out, const double* in, std::size_t n, double alpha);
-  /// out[i] = shift + alpha * in[i].
-  void (*scale_shift)(double* out, const double* in, std::size_t n, double alpha, double shift);
 
   // ---- Lane-batched entries: kLaneBatch problems, lane-interleaved SoA ----
 
-  /// Lane-batched accum_rows. Same contract per lane, with ldx/ldy/k/m in
-  /// logical elements (byte strides are kLaneBatch times larger): for each
-  /// problem l, acc[j] += sum_i x[i*ldx]*y[i*ldy+j]. One Vec op per logical
-  /// element, fully occupied for any row length m.
+  /// Rank-k row accumulation, per problem l: acc[j] += sum_i x[i*ldx] *
+  /// y[i*ldy+j] for j in [0, m), sequential over i. ldx/ldy/k/m count
+  /// logical elements (byte strides are kLaneBatch times larger). One Vec
+  /// op per logical element, fully occupied for any row length m.
   void (*baccum_rows)(double* acc, const double* x, std::size_t ldx, const double* y,
                       std::size_t ldy, std::size_t k, std::size_t m);
   /// Lane-batched scale with a per-lane factor: out[j] = alpha[lane]*in[j].
   void (*bscale)(double* out, const double* in, std::size_t n, const double* alpha);
-  /// Lane-batched scale_shift with a shared factor and a per-lane shift:
-  /// out[j] = shift[lane] + alpha*in[j].
+  /// Lane-batched scale-and-shift with a shared factor and a per-lane shift:
+  /// out[j] = shift[lane] + alpha*in[j] (fused under Avx2Fma).
   void (*bscale_shift)(double* out, const double* in, std::size_t n, double alpha,
                        const double* shift);
   /// Masked lane-batched cyclic-by-rows Jacobi sweep loop: kLaneBatch

@@ -20,10 +20,8 @@ extern const DenseKernels kAvx2FmaDense;
 static_assert(VecAvx2::kWidth == kLaneBatch, "lane-batched kernels assume kWidth lanes");
 
 const DenseKernels kAvx2Dense = {
-    detail::accum_rows_impl<VecAvx2, false>,
     detail::rot_rows_impl<VecAvx2, false>,
     detail::scale_impl<VecAvx2>,
-    detail::scale_shift_impl<VecAvx2, false>,
     detail::baccum_rows_impl<VecAvx2, false>,
     detail::bscale_impl<VecAvx2>,
     detail::bscale_shift_impl<VecAvx2, false>,
@@ -31,10 +29,8 @@ const DenseKernels kAvx2Dense = {
     detail::axpy_impl<VecAvx2, false>,
     detail::clamped_axpy_impl<VecAvx2>};
 const DenseKernels kAvx2FmaDense = {
-    detail::accum_rows_impl<VecAvx2, true>,
     detail::rot_rows_impl<VecAvx2, true>,
     detail::scale_impl<VecAvx2>,
-    detail::scale_shift_impl<VecAvx2, true>,
     detail::baccum_rows_impl<VecAvx2, true>,
     detail::bscale_impl<VecAvx2>,
     detail::bscale_shift_impl<VecAvx2, true>,

@@ -22,42 +22,6 @@
 namespace turbda::simd::detail {
 
 template <class V, bool kFma>
-void accum_rows_impl(double* acc, const double* x, std::size_t ldx, const double* y,
-                     std::size_t ldy, std::size_t k, std::size_t m) {
-  std::size_t j = 0;
-  for (; j + 2 * V::kWidth <= m; j += 2 * V::kWidth) {
-    V a0 = V::loadu(acc + j);
-    V a1 = V::loadu(acc + j + V::kWidth);
-    const double* yj = y + j;
-    for (std::size_t i = 0; i < k; ++i) {
-      const V xi = V::broadcast(x[i * ldx]);
-      a0 = V::template mul_add<kFma>(xi, V::loadu(yj + i * ldy), a0);
-      a1 = V::template mul_add<kFma>(xi, V::loadu(yj + i * ldy + V::kWidth), a1);
-    }
-    a0.storeu(acc + j);
-    a1.storeu(acc + j + V::kWidth);
-  }
-  for (; j + V::kWidth <= m; j += V::kWidth) {
-    V a = V::loadu(acc + j);
-    const double* yj = y + j;
-    for (std::size_t i = 0; i < k; ++i)
-      a = V::template mul_add<kFma>(V::broadcast(x[i * ldx]), V::loadu(yj + i * ldy), a);
-    a.storeu(acc + j);
-  }
-  for (; j < m; ++j) {
-    double a = acc[j];
-    for (std::size_t i = 0; i < k; ++i) {
-      if constexpr (kFma) {
-        a = std::fma(x[i * ldx], y[i * ldy + j], a);
-      } else {
-        a += x[i * ldx] * y[i * ldy + j];
-      }
-    }
-    acc[j] = a;
-  }
-}
-
-template <class V, bool kFma>
 void rot_rows_impl(double* p, double* q, std::size_t n, double c, double s) {
   const V vc = V::broadcast(c);
   const V vs = V::broadcast(s);
@@ -90,31 +54,16 @@ void scale_impl(double* out, const double* in, std::size_t n, double alpha) {
   for (; i < n; ++i) out[i] = alpha * in[i];
 }
 
-template <class V, bool kFma>
-void scale_shift_impl(double* out, const double* in, std::size_t n, double alpha, double shift) {
-  const V va = V::broadcast(alpha);
-  const V vsh = V::broadcast(shift);
-  std::size_t i = 0;
-  for (; i + V::kWidth <= n; i += V::kWidth)
-    V::template mul_add<kFma>(va, V::loadu(in + i), vsh).storeu(out + i);
-  for (; i < n; ++i) {
-    if constexpr (kFma) {
-      out[i] = std::fma(alpha, in[i], shift);
-    } else {
-      out[i] = shift + alpha * in[i];
-    }
-  }
-}
-
 // ---- Lane-batched kernels ----
 //
 // These flip the vectorization axis: each Vec lane carries one of kWidth
 // independent problems over lane-interleaved SoA buffers (element e of
-// problem l at ptr[e * kWidth + l]). Per lane, each kernel is the exact IEEE
-// operation sequence of its sequential counterpart above at the same kFma
-// mode, so batched == sequential bitwise at every dispatch level. Masks are
-// built from IEEE comparisons and applied with bit-copying blends (select),
-// never arithmetic, so a masked lane's bits are untouched.
+// problem l at ptr[e * kWidth + l]). Per lane, each kernel is a fixed IEEE
+// operation sequence at a given kFma mode that never reads another lane, so
+// Scalar == Avx2 bitwise and a lane's result never depends on its
+// neighbours. Masks are built from IEEE comparisons and applied with
+// bit-copying blends (select), never arithmetic, so a masked lane's bits
+// are untouched.
 
 template <class V, bool kFma>
 void baccum_rows_impl(double* acc, const double* x, std::size_t ldx, const double* y,

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "simd/dense_kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace turbda::tensor {
@@ -39,7 +40,7 @@ void jacobi_eigh(const Tensor& a, Tensor& v, std::vector<double>& w, int max_swe
 /// Reusable scratch for jacobi_eigh_batch (eigenvector rows + sort buffers);
 /// pass the same instance across calls to avoid per-batch allocation.
 struct EighBatchScratch {
-  std::vector<double> vt;
+  simd::LaneBuffer vt;
   std::vector<double> diag;
   std::vector<std::size_t> order;
 };

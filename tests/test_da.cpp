@@ -148,29 +148,56 @@ TEST(Localization, PeriodicDistance) {
 
 // ---------------------------------------------------------------- filters ---
 
-/// Builds a reference Kalman analysis mean from the *sample* covariance so
-/// square-root filters can be verified through independent algebra:
-///   mean_a = xbar + Pb H^T (H Pb H^T + R)^{-1} (y - H xbar),   here H = I.
-std::vector<double> kalman_mean_identity_obs(const Ensemble& ens, std::span<const double> y,
-                                             double r_var) {
+/// Unbiased sample covariance (d x d) of an ensemble.
+tensor::Tensor sample_covariance(const Ensemble& ens) {
   const std::size_t m = ens.size(), d = ens.dim();
   const auto xbar = ens.mean();
   tensor::Tensor xb({m, d});
   for (std::size_t k = 0; k < m; ++k)
     for (std::size_t i = 0; i < d; ++i) xb(k, i) = ens.member(k)[i] - xbar[i];
-  tensor::Tensor pb = tensor::matmul_tn(xb, xb);
-  pb *= 1.0 / static_cast<double>(m - 1);
+  tensor::Tensor c = tensor::matmul_tn(xb, xb);
+  c *= 1.0 / static_cast<double>(m - 1);
+  return c;
+}
+
+struct KalmanPosterior {
+  std::vector<double> mean;
+  tensor::Tensor cov;
+};
+
+/// Builds the reference Kalman analysis from the prior's *sample* covariance
+/// so square-root filters can be verified through independent algebra
+/// (here H = I and R = r_var I):
+///   mean_a = xbar + Pb (Pb + R)^{-1} (y - xbar)
+///   Pa     = Pb - Pb (Pb + R)^{-1} Pb
+KalmanPosterior kalman_posterior_identity_obs(const Ensemble& ens, std::span<const double> y,
+                                              double r_var) {
+  const std::size_t d = ens.dim();
+  const auto xbar = ens.mean();
+  const tensor::Tensor pb = sample_covariance(ens);
   tensor::Tensor s = pb;  // S = Pb + R
   for (std::size_t i = 0; i < d; ++i) s(i, i) += r_var;
   std::vector<double> innov(d);
   for (std::size_t i = 0; i < d; ++i) innov[i] = y[i] - xbar[i];
   const auto z = tensor::spd_solve(s, innov);
-  // mean_a = xbar + Pb z
-  std::vector<double> out(d);
+  // S^{-1} Pb, one column of Pb at a time.
+  tensor::Tensor spb({d, d});
+  std::vector<double> col(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    for (std::size_t i = 0; i < d; ++i) col[i] = pb(i, j);
+    const auto sc = tensor::spd_solve(s, col);
+    for (std::size_t i = 0; i < d; ++i) spb(i, j) = sc[i];
+  }
+  KalmanPosterior out{std::vector<double>(d), tensor::Tensor({d, d})};
   for (std::size_t i = 0; i < d; ++i) {
     double acc = xbar[i];
     for (std::size_t j = 0; j < d; ++j) acc += pb(i, j) * z[j];
-    out[i] = acc;
+    out.mean[i] = acc;
+    for (std::size_t j = 0; j < d; ++j) {
+      double pa = pb(i, j);
+      for (std::size_t k = 0; k < d; ++k) pa -= pb(i, k) * spb(k, j);
+      out.cov(i, j) = pa;
+    }
   }
   return out;
 }
@@ -190,7 +217,7 @@ TEST(Etkf, MatchesKalmanMeanForLinearGaussian) {
   std::vector<double> y(d, 1.5);
   IdentityObs h(d);
   DiagonalR r(d, 1.0);
-  const auto want = kalman_mean_identity_obs(ens, y, 1.0);
+  const auto want = kalman_posterior_identity_obs(ens, y, 1.0).mean;
   ETKF filter(EtkfConfig{});
   filter.analyze(ens, y, h, r);
   const auto got = ens.mean();
@@ -244,6 +271,43 @@ TEST(Letkf, MatchesEtkfWithHugeLocalizationRadius) {
   const auto ma = a.mean();
   const auto mb = b.mean();
   for (std::size_t i = 0; i < d; ++i) EXPECT_NEAR(mb[i], ma[i], 1e-6);
+}
+
+TEST(Letkf, MatchesKalmanPosteriorWithoutLocalization) {
+  // Localization off (cutoff >> domain, no vertical decay), no RTPS, H = I,
+  // R = I: every column's local problem is the global one, so the posterior
+  // ensemble must carry both the Kalman mean and the full Kalman covariance
+  // Pa = Pb - Pb (Pb + R)^{-1} Pb of the prior sample covariance.
+  Rng rng(25);
+  const std::size_t nx = 4, ny = 4, nlev = 2;
+  const std::size_t d = nx * ny * nlev;
+  const std::size_t m = 30;
+  Ensemble ens = make_gaussian_ensemble(m, d, rng);
+  std::vector<double> y(d);
+  Rng yrng(26);
+  yrng.fill_gaussian(y, 0.5, 1.0);
+  IdentityObs h(d, nx, ny, nlev);
+  DiagonalR r(d, 1.0);
+  const KalmanPosterior want = kalman_posterior_identity_obs(ens, y, 1.0);
+
+  LetkfConfig cfg;
+  cfg.nx = nx;
+  cfg.ny = ny;
+  cfg.n_levels = nlev;
+  cfg.domain_m = 1.0;
+  cfg.cutoff_m = 1e9;
+  cfg.rossby_radius_m = 0.0;
+  cfg.rtps = 0.0;
+  LETKF letkf(cfg);
+  letkf.analyze(ens, y, h, r);
+
+  const auto mean = ens.mean();
+  const tensor::Tensor cov = sample_covariance(ens);
+  for (std::size_t i = 0; i < d; ++i) {
+    EXPECT_NEAR(mean[i], want.mean[i], 1e-6) << "mean " << i;
+    for (std::size_t j = 0; j < d; ++j)
+      EXPECT_NEAR(cov(i, j), want.cov(i, j), 1e-6) << "cov(" << i << ", " << j << ")";
+  }
 }
 
 TEST(Letkf, DistantObservationsDoNotUpdate) {
@@ -401,59 +465,6 @@ TEST(Letkf, PlanInvalidatedOnNetworkChange) {
                            m * d * sizeof(double)));
 }
 
-TEST(Letkf, GroupedSolvesMatchUngroupedAcrossThreads) {
-  // With no vertical localization decay (rossby_radius_m = 0), an identity
-  // network, and uniform R, both levels of every grid column resolve to the
-  // same local problem: grouping must halve the eigensolves and change
-  // nothing in the result, at any thread count.
-  Rng rng(15);
-  const std::size_t nx = 10, ny = 10, nlev = 2;
-  const std::size_t d = nx * ny * nlev;
-  const std::size_t m = 10;
-
-  LetkfConfig cfg;
-  cfg.nx = nx;
-  cfg.ny = ny;
-  cfg.n_levels = nlev;
-  cfg.domain_m = 4.0e6;
-  cfg.cutoff_m = 1.5e6;
-  cfg.rossby_radius_m = 0.0;
-  cfg.collect_timings = true;
-
-  IdentityObs h(d, nx, ny, nlev);
-  DiagonalR r(d, 1.0);
-  Ensemble prior = make_gaussian_ensemble(m, d, rng);
-  std::vector<double> y(d);
-  Rng yrng(16);
-  yrng.fill_gaussian(y, 0.0, 1.0);
-
-  Ensemble ref(m, d);
-  ref.data() = prior.data();
-  {
-    cfg.group_columns = false;
-    cfg.n_threads = 1;
-    LETKF letkf(cfg);
-    letkf.analyze(ref, y, h, r);
-    EXPECT_EQ(letkf.timings().groups, letkf.timings().columns);
-  }
-  for (const bool grouped : {false, true}) {
-    for (const std::size_t nt : {std::size_t{1}, std::size_t{3}}) {
-      cfg.group_columns = grouped;
-      cfg.n_threads = nt;
-      LETKF letkf(cfg);
-      Ensemble work(m, d);
-      work.data() = prior.data();
-      letkf.analyze(work, y, h, r);
-      EXPECT_EQ(0, std::memcmp(ref.data().flat().data(), work.data().flat().data(),
-                               m * d * sizeof(double)))
-          << "grouped=" << grouped << " threads=" << nt;
-      if (grouped) {
-        EXPECT_EQ(letkf.timings().groups, letkf.timings().columns / 2);
-      }
-    }
-  }
-}
-
 std::vector<simd::SimdLevel> available_simd_levels() {
   std::vector<simd::SimdLevel> out;
   for (simd::SimdLevel lv :
@@ -462,128 +473,107 @@ std::vector<simd::SimdLevel> available_simd_levels() {
   return out;
 }
 
-TEST(Letkf, LaneBatchedMatchesSequentialBitwiseAcrossLevelsAndThreads) {
-  // A strided sparse network on an odd-size grid: local problem sizes vary
-  // across columns and worker chunks hold group counts that are not lane
-  // multiples, so the batched run exercises full batches, size-run tails,
-  // and the sequential remainder path together. The result must be bitwise
-  // identical to the pure sequential path at every dispatch level and any
-  // thread count.
-  Rng rng(21);
-  const std::size_t nx = 11, ny = 11, nlev = 2;
-  const std::size_t d = nx * ny * nlev;
-  const std::size_t m = 8;
-
+/// A strided sparse network on an odd 11x11x2 grid: local problem sizes vary
+/// across columns, so worker chunks end their size runs in partial lane
+/// batches, padded with copies of their last column. How the columns are
+/// chunked, and so which batches are partial, changes with the thread count.
+struct StridedNetworkCase {
+  static constexpr std::size_t kN = 11, kLev = 2, kDim = kN * kN * kLev, kMembers = 8;
   LetkfConfig cfg;
-  cfg.nx = nx;
-  cfg.ny = ny;
-  cfg.n_levels = nlev;
-  cfg.domain_m = 4.0e6;
-  cfg.cutoff_m = 1.5e6;
-  cfg.collect_timings = true;
+  SubsampleObs h = SubsampleObs::strided_grid(kN, kN, kLev, 3);
+  DiagonalR r{h.obs_dim(), 0.5};
+  Ensemble prior{kMembers, kDim};
+  std::vector<double> y = std::vector<double>(h.obs_dim());
 
-  SubsampleObs h = SubsampleObs::strided_grid(nx, ny, nlev, 3);
-  const std::size_t p = h.obs_dim();
-  DiagonalR r(p, 0.5);
-  Ensemble prior = make_gaussian_ensemble(m, d, rng);
-  std::vector<double> y(p);
-  Rng yrng(22);
-  yrng.fill_gaussian(y, 0.0, 1.0);
+  explicit StridedNetworkCase(std::uint64_t seed) {
+    cfg.nx = kN;
+    cfg.ny = kN;
+    cfg.n_levels = kLev;
+    cfg.domain_m = 4.0e6;
+    cfg.cutoff_m = 1.5e6;
+    Rng rng(seed);
+    prior.data() = make_gaussian_ensemble(kMembers, kDim, rng).data();
+    Rng yrng(seed + 1);
+    yrng.fill_gaussian(y, 0.0, 1.0);
+  }
 
+  [[nodiscard]] bool same_bits(const Ensemble& a, const Ensemble& b) const {
+    return 0 == std::memcmp(a.data().flat().data(), b.data().flat().data(),
+                            kMembers * kDim * sizeof(double));
+  }
+};
+
+TEST(Letkf, PaddedLaneBatchesBitwiseAcrossThreadsAndLevels) {
+  // Full and padded partial batches both run, and the analysis is bitwise
+  // identical at 1, 2 and 3 threads at every dispatch level; Scalar and
+  // AVX2 agree bitwise.
+  StridedNetworkCase c(21);
+  c.cfg.collect_timings = true;
   const simd::SimdLevel orig = simd::active_simd_level();
+  Ensemble scalar_ref(c.kMembers, c.kDim);
   for (const simd::SimdLevel lv : available_simd_levels()) {
     ASSERT_TRUE(simd::force_simd_level(lv));
-    Ensemble ref(m, d);
-    ref.data() = prior.data();
-    {
-      cfg.lane_batch = false;
-      cfg.n_threads = 1;
-      LETKF letkf(cfg);
-      letkf.analyze(ref, y, h, r);
-      EXPECT_EQ(letkf.timings().batched_columns, 0u);
+    Ensemble ref(c.kMembers, c.kDim);
+    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      c.cfg.n_threads = nt;
+      LETKF letkf(c.cfg);
+      Ensemble work(c.kMembers, c.kDim);
+      work.data() = c.prior.data();
+      letkf.analyze(work, c.y, c.h, c.r);
+      // Every column is observed, so every column goes through the
+      // eigensolve and scalar_columns counts only padded-batch columns.
+      const LetkfTimings& t = letkf.timings();
+      EXPECT_EQ(t.groups, t.columns);
+      EXPECT_EQ(t.batched_columns + t.scalar_columns, t.columns);
+      EXPECT_GT(t.batched_columns, 0u) << "threads=" << nt;
+      EXPECT_GT(t.scalar_columns, 0u) << "threads=" << nt;
+      if (nt == 1) ref.data() = work.data();
+      EXPECT_TRUE(c.same_bits(ref, work)) << simd::simd_level_name(lv) << " threads=" << nt;
     }
-    for (const std::size_t nt : {std::size_t{1}, std::size_t{3}}) {
-      cfg.lane_batch = true;
-      cfg.n_threads = nt;
-      LETKF letkf(cfg);
-      Ensemble work(m, d);
-      work.data() = prior.data();
-      letkf.analyze(work, y, h, r);
-      EXPECT_EQ(0, std::memcmp(ref.data().flat().data(), work.data().flat().data(),
-                               m * d * sizeof(double)))
-          << simd::simd_level_name(lv) << " threads=" << nt;
-      // Occupancy accounting: every column is either batched or sequential,
-      // and this network produces work for both paths.
-      EXPECT_EQ(letkf.timings().batched_columns + letkf.timings().scalar_columns,
-                letkf.timings().columns);
-      EXPECT_GT(letkf.timings().batched_columns, 0u);
+    if (lv == simd::SimdLevel::Scalar) scalar_ref.data() = ref.data();
+    if (lv == simd::SimdLevel::Avx2) {
+      EXPECT_TRUE(c.same_bits(scalar_ref, ref)) << "Avx2 vs Scalar";
     }
   }
   simd::force_simd_level(orig);
 }
 
-TEST(Letkf, LaneBatchedFallbackMatchesSequentialUnderSweepStarvation) {
-  // A sweep budget too small for some local problems makes convergence vary
-  // per column, so lane batches mix converged and exhausted lanes. With
-  // fallback enabled both paths must keep the forecast for exactly the same
-  // columns (bitwise) and report identical failure stats; with fallback
-  // disabled both must fail without touching the ensemble.
-  Rng rng(23);
-  const std::size_t nx = 10, ny = 10, nlev = 2;
-  const std::size_t d = nx * ny * nlev;
-  const std::size_t m = 8;
-
-  LetkfConfig cfg;
-  cfg.nx = nx;
-  cfg.ny = ny;
-  cfg.n_levels = nlev;
-  cfg.domain_m = 4.0e6;
-  cfg.cutoff_m = 1.5e6;
-
-  IdentityObs h(d, nx, ny, nlev);
-  DiagonalR r(d, 1.0);
-  Ensemble prior = make_gaussian_ensemble(m, d, rng);
-  std::vector<double> y(d);
-  Rng yrng(24);
-  yrng.fill_gaussian(y, 0.0, 1.0);
-
-  for (const int sweeps : {1, 4}) {
-    cfg.eigh_max_sweeps = sweeps;
-    cfg.eigh_fallback = true;
-    AnalysisStats stats_seq, stats_bat;
-    Ensemble a(m, d), b(m, d);
-    a.data() = prior.data();
-    cfg.lane_batch = false;
-    {
-      LETKF letkf(cfg);
-      ASSERT_TRUE(letkf.try_analyze(a, y, h, r, {}, &stats_seq).ok());
+TEST(Letkf, SweepStarvationFallbackIsThreadInvariant) {
+  // One Jacobi sweep cannot converge these local problems, so full and
+  // padded batches hold exhausted lanes. With fallback on, the same columns
+  // keep their forecast at 1 and 3 threads and the failure stats agree;
+  // with fallback off the analysis fails as a whole, ensemble untouched.
+  StridedNetworkCase c(23);
+  c.cfg.eigh_max_sweeps = 1;
+  c.cfg.eigh_fallback = true;
+  Ensemble ref(c.kMembers, c.kDim);
+  AnalysisStats ref_stats;
+  for (const std::size_t nt : {std::size_t{1}, std::size_t{3}}) {
+    c.cfg.n_threads = nt;
+    LETKF letkf(c.cfg);
+    Ensemble work(c.kMembers, c.kDim);
+    work.data() = c.prior.data();
+    AnalysisStats st;
+    ASSERT_TRUE(letkf.try_analyze(work, c.y, c.h, c.r, {}, &st).ok());
+    EXPECT_GT(st.solver_failures, 0u);
+    if (nt == 1) {
+      ref.data() = work.data();
+      ref_stats = st;
     }
-    b.data() = prior.data();
-    cfg.lane_batch = true;
-    {
-      LETKF letkf(cfg);
-      ASSERT_TRUE(letkf.try_analyze(b, y, h, r, {}, &stats_bat).ok());
-    }
-    EXPECT_EQ(0,
-              std::memcmp(a.data().flat().data(), b.data().flat().data(), m * d * sizeof(double)))
-        << "max_sweeps=" << sweeps;
-    EXPECT_EQ(stats_seq.solver_failures, stats_bat.solver_failures);
-    EXPECT_EQ(stats_seq.fallback_columns, stats_bat.fallback_columns);
-    if (sweeps == 1) EXPECT_GT(stats_bat.solver_failures, 0u);
+    EXPECT_TRUE(c.same_bits(ref, work)) << "threads=" << nt;
+    EXPECT_EQ(st.solver_failures, ref_stats.solver_failures) << "threads=" << nt;
+    EXPECT_EQ(st.fallback_columns, ref_stats.fallback_columns) << "threads=" << nt;
   }
 
-  // Fallback disabled: both paths fail whole-analysis, ensemble untouched.
-  cfg.eigh_max_sweeps = 1;
-  cfg.eigh_fallback = false;
-  for (const bool batched : {false, true}) {
-    cfg.lane_batch = batched;
-    LETKF letkf(cfg);
-    Ensemble w(m, d);
-    w.data() = prior.data();
-    const Status s = letkf.try_analyze(w, y, h, r);
-    EXPECT_FALSE(s.ok()) << "lane_batch=" << batched;
-    EXPECT_EQ(0, std::memcmp(prior.data().flat().data(), w.data().flat().data(),
-                             m * d * sizeof(double)));
+  c.cfg.eigh_fallback = false;
+  for (const std::size_t nt : {std::size_t{1}, std::size_t{3}}) {
+    c.cfg.n_threads = nt;
+    LETKF letkf(c.cfg);
+    Ensemble work(c.kMembers, c.kDim);
+    work.data() = c.prior.data();
+    const Status s = letkf.try_analyze(work, c.y, c.h, c.r);
+    EXPECT_EQ(s.code(), StatusCode::kNonConvergent) << "threads=" << nt;
+    EXPECT_TRUE(c.same_bits(c.prior, work)) << "threads=" << nt;
   }
 }
 

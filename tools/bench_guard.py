@@ -132,7 +132,8 @@ def print_phase_delta_table(pairs, key_fields):
         kcells = " | ".join(str(v) for v in key)
         print(f"| {kcells} | {' | '.join(cells)} | {occ or '-'} |")
     print("\n(lane occupancy = fresh run's share of columns solved in full SIMD "
-          "lane batches; the remainder took the sequential path.)")
+          "lane batches; the remainder ran in padded partial batches or had no "
+          "local observations.)")
 
 
 def print_phase_table(phases):
