@@ -2,13 +2,16 @@
 // and RTPS inflation factor, on a small SQG OSSE. The paper tunes these to
 // 2000 km / 0.3 in an error-free twin experiment.
 //
-// Also measures thread scaling of the per-column local analyses: the LETKF
-// hot path is embarrassingly parallel over grid columns, and the parallel
-// result must stay bitwise identical to the single-threaded one.
+// Also measures thread scaling of the per-column local analyses on two
+// observation networks, the identity network (the m x m column solve) and a
+// strided one (mostly the rank-p column solve): the LETKF hot path is
+// embarrassingly parallel over grid columns, and the parallel result must
+// stay bitwise identical to the single-threaded one on both.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,7 @@ namespace {
 
 /// One thread-scaling measurement, kept for the machine-readable output.
 struct ScaleRow {
+  std::string network;  ///< "identity" or "stride<k>"
   std::size_t n = 0, threads = 0, members = 0;
   double analysis_ms = 0.0;  ///< best-of-reps wall time of one analyze()
   da::LetkfTimings ph;       ///< phase breakdown of the best rep
@@ -33,55 +37,26 @@ struct ScaleRow {
   bool bitwise = false;
 };
 
-/// Times `reps` LETKF analyses of a synthetic ensemble at each thread count
-/// and verifies bitwise agreement with the single-threaded analysis.
-/// Returns false when any thread count produced a bitwise mismatch, so CI
-/// can fail on a determinism regression. Appends one ScaleRow per thread
-/// count to `rows`.
-[[nodiscard]] bool thread_scaling(std::size_t n, std::size_t members, int reps,
-                                  std::vector<ScaleRow>& rows) {
-  reps = std::max(1, reps);
-  da::LetkfConfig lc;
-  lc.nx = n;
-  lc.ny = n;
-  lc.n_levels = 2;
-  lc.domain_m = 20.0e6;
-  lc.cutoff_m = 2.0e6;
-  lc.rtps = 0.3;
-
-  const std::size_t dim = lc.nx * lc.ny * lc.n_levels;
-  std::vector<double> truth(dim), y(dim);
-  rng::Rng rng(42);
-  rng.fill_gaussian(truth, 0.0, 2.0);
-  for (std::size_t i = 0; i < dim; ++i) y[i] = truth[i] + rng.gaussian();
-  da::IdentityObs h(dim, lc.nx, lc.ny, lc.n_levels);
-  da::DiagonalR r(dim, 1.0);
-
-  da::Ensemble prior(members, dim);
-  prior.init_perturbed(truth, 1.5, rng);
-
+/// Times `reps` LETKF analyses of `prior` on one observation network at each
+/// thread count and verifies bitwise agreement with the single-threaded
+/// analysis. Returns false on any mismatch and appends one ScaleRow per
+/// thread count to `rows`.
+[[nodiscard]] bool scale_network(const std::string& network, da::LetkfConfig lc,
+                                 const da::ObservationOperator& h, std::span<const double> y,
+                                 const da::Ensemble& prior, const std::vector<std::size_t>& counts,
+                                 int reps, std::vector<ScaleRow>& rows) {
+  const std::size_t members = prior.size();
+  const std::size_t dim = prior.dim();
+  const da::DiagonalR r(h.obs_dim(), 1.0);
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  // Record only thread counts this machine can actually run: oversubscribed
-  // rows (threads > hardware) measure scheduler noise, not scaling, and have
-  // polluted committed baselines before. They are refused at record time.
-  std::vector<std::size_t> counts, refused;
-  for (const std::size_t c : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    (c <= hw ? counts : refused).push_back(c);
-  }
-  if (hw > 4) counts.push_back(hw);
-  if (!refused.empty()) {
-    std::cout << "\nNote: skipping oversubscribed thread counts (hardware has " << hw
-              << " thread" << (hw == 1 ? "" : "s") << "):";
-    for (const std::size_t c : refused) std::cout << " " << c;
-    std::cout << " — such rows are noise and are not recorded.\n";
-  }
-
-  std::cout << "\nThread scaling (LETKF analyze, " << n << "^2 x 2 grid, " << members
-            << " members, " << hw << " hardware threads, best of " << reps << "):\n";
+  std::cout << "\nThread scaling (LETKF analyze, " << network << " network with " << h.obs_dim()
+            << " obs, " << lc.nx << "^2 x 2 grid, " << members << " members, " << hw
+            << " hardware threads, best of " << reps << "):\n";
   io::Table t({"threads", "time [ms]", "speedup", "bitwise == 1 thread"});
   double t1 = 0.0;
   bool all_same = true;
   da::Ensemble ref(members, dim);
+  const std::size_t first = rows.size();
   for (std::size_t nt : counts) {
     lc.n_threads = nt;
     lc.collect_timings = true;
@@ -114,16 +89,16 @@ struct ScaleRow {
     all_same = all_same && same;
     t.add_row({std::to_string(nt), io::Table::num(best, 2), io::Table::num(t1 / best, 2),
                same ? "yes" : "NO"});
-    rows.push_back({n, nt, members, best, best_ph, plan_ms, same});
+    rows.push_back({network, lc.nx, nt, members, best, best_ph, plan_ms, same});
   }
   t.print();
 
   std::cout << "\nPer-phase breakdown (ms per analysis, summed over workers; plan is a one-time\n"
                "per-network cost, 'other' = wall - phases, only meaningful serially):\n";
   io::Table pt({"threads", "plan", "select", "gather", "gram", "eigh", "weights", "combine",
-                "other", "solved/columns", "full/partial cols"});
-  for (const ScaleRow& r0 : rows) {
-    if (r0.n != n || r0.members != members) continue;
+                "other", "solved/columns", "rank-p cols", "full/partial cols"});
+  for (std::size_t i = first; i < rows.size(); ++i) {
+    const ScaleRow& r0 = rows[i];
     const da::LetkfTimings& ph = r0.ph;
     const double phased = ph.select_ms + ph.gather_ms + ph.gram_ms + ph.eigh_ms + ph.weights_ms +
                           ph.combine_ms;
@@ -133,13 +108,73 @@ struct ScaleRow {
                 io::Table::num(ph.weights_ms, 1), io::Table::num(ph.combine_ms, 1),
                 r0.threads == 1 ? io::Table::num(r0.analysis_ms - phased, 1) : std::string("-"),
                 std::to_string(ph.groups) + "/" + std::to_string(ph.columns),
+                std::to_string(ph.rank_p_columns),
                 std::to_string(ph.batched_columns) + "/" + std::to_string(ph.scalar_columns)});
   }
   pt.print();
-  std::cout << "('solved' counts columns with local observations, all solved through the\n"
-               " eigensolve; 'full/partial cols' is the SIMD lane-occupancy split: columns in\n"
-               " full lane batches vs columns in padded partial batches plus unobserved ones.)\n";
+  std::cout << "('solved' counts columns with local observations, all solved through an\n"
+               " eigensolve; 'rank-p cols' those with fewer local observations than members,\n"
+               " solved through the p x p eigenproblem, the rest through the m x m one;\n"
+               " 'full/partial cols' is the SIMD lane-occupancy split: columns in full lane\n"
+               " batches vs columns in padded partial batches plus unobserved ones.)\n";
   if (!all_same) std::cout << "ERROR: multi-threaded analysis diverged from 1 thread\n";
+  return all_same;
+}
+
+/// Thread scaling of the per-column local analyses on two observation
+/// networks over one synthetic ensemble: the identity network (every grid
+/// point observed; hundreds of local observations per column, the m x m
+/// path) and the strided network at stride max(1, n/16) (the cycle
+/// benchmark's 1/64 network at n = 128; mostly fewer local observations
+/// than members, the rank-p path). Returns false when any thread count
+/// produced a bitwise mismatch on either network, so CI can fail on a
+/// determinism regression.
+[[nodiscard]] bool thread_scaling(std::size_t n, std::size_t members, int reps,
+                                  std::vector<ScaleRow>& rows) {
+  reps = std::max(1, reps);
+  da::LetkfConfig lc;
+  lc.nx = n;
+  lc.ny = n;
+  lc.n_levels = 2;
+  lc.domain_m = 20.0e6;
+  lc.cutoff_m = 2.0e6;
+  lc.rtps = 0.3;
+
+  const std::size_t dim = lc.nx * lc.ny * lc.n_levels;
+  std::vector<double> truth(dim), y(dim);
+  rng::Rng rng(42);
+  rng.fill_gaussian(truth, 0.0, 2.0);
+  for (std::size_t i = 0; i < dim; ++i) y[i] = truth[i] + rng.gaussian();
+  da::Ensemble prior(members, dim);
+  prior.init_perturbed(truth, 1.5, rng);
+
+  const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  // Record only thread counts this machine can actually run: oversubscribed
+  // rows (threads > hardware) measure scheduler noise, not scaling, and have
+  // polluted committed baselines before. They are refused at record time.
+  std::vector<std::size_t> counts, refused;
+  for (const std::size_t c : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    (c <= hw ? counts : refused).push_back(c);
+  }
+  if (hw > 4) counts.push_back(hw);
+  if (!refused.empty()) {
+    std::cout << "\nNote: skipping oversubscribed thread counts (hardware has " << hw
+              << " thread" << (hw == 1 ? "" : "s") << "):";
+    for (const std::size_t c : refused) std::cout << " " << c;
+    std::cout << " — such rows are noise and are not recorded.\n";
+  }
+
+  const da::IdentityObs identity(dim, lc.nx, lc.ny, lc.n_levels);
+  bool all_same = scale_network("identity", lc, identity, y, prior, counts, reps, rows);
+
+  // The strided network observes the same noisy values at its grid points.
+  const std::size_t stride = std::max<std::size_t>(1, n / 16);
+  const da::SubsampleObs strided = da::SubsampleObs::strided_grid(n, n, lc.n_levels, stride);
+  std::vector<double> y_strided(strided.obs_dim());
+  for (std::size_t o = 0; o < y_strided.size(); ++o) y_strided[o] = y[strided.indices()[o]];
+  all_same = scale_network("stride" + std::to_string(stride), lc, strided, y_strided, prior,
+                           counts, reps, rows) &&
+             all_same;
   return all_same;
 }
 
@@ -150,7 +185,8 @@ void write_json(const std::string& path, const std::vector<ScaleRow>& rows, std:
      << ",\n  \"simd_level\": \"" << simd << "\",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ScaleRow& r0 = rows[i];
-    js << "    {\"n\": " << r0.n << ", \"threads\": " << r0.threads << ", \"hw_threads\": " << hw
+    js << "    {\"network\": \"" << r0.network << "\", \"n\": " << r0.n
+       << ", \"threads\": " << r0.threads << ", \"hw_threads\": " << hw
        << ", \"simd\": \"" << simd << "\", \"members\": " << r0.members
        << ", \"analysis_ms\": " << r0.analysis_ms << ", \"plan_ms\": " << r0.plan_ms
        << ", \"select_ms\": " << r0.ph.select_ms << ", \"gather_ms\": " << r0.ph.gather_ms
@@ -159,6 +195,7 @@ void write_json(const std::string& path, const std::vector<ScaleRow>& rows, std:
        << ", \"groups\": " << r0.ph.groups << ", \"columns\": " << r0.ph.columns
        << ", \"batched_columns\": " << r0.ph.batched_columns
        << ", \"scalar_columns\": " << r0.ph.scalar_columns
+       << ", \"rank_p_columns\": " << r0.ph.rank_p_columns
        << ", \"bitwise_vs_t1\": " << (r0.bitwise ? "true" : "false") << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -174,7 +211,9 @@ int main(int argc, char** argv) {
     std::cout << "bench_ablation_letkf: LETKF regularization ablations + thread scaling\n"
                  "  --n=<int>        SQG grid size for the ablations (default 32)\n"
                  "  --cycles=<int>   assimilation cycles per ablation run (default 25)\n"
-                 "  --scale-n=<int>  grid size for the thread-scaling section (default 48)\n"
+                 "  --scale-n=<int>  grid size for the thread-scaling section (default 48);\n"
+                 "                   it measures the identity network and the\n"
+                 "                   stride max(1, n/16) network\n"
                  "  --members=<int>  ensemble size for the thread-scaling section (default 20)\n"
                  "  --reps=<int>     timing repetitions per thread count (default 3)\n"
                  "  --threads=<int>  LETKF worker threads for the ablation runs;\n"

@@ -389,7 +389,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     constexpr std::size_t W = simd::kLaneBatch;
     std::array<std::vector<std::int32_t>, W> sel_idx_b;
     std::array<std::vector<double>, W> sel_w_b;
-    simd::LaneBuffer yTb, yTwb, weffb, wib;
+    simd::LaneBuffer yTb, yTwb, sTb, weffb, wib;
     simd::LaneBuffer amatb(m * m * W), vb(m * m * W), wlb(m * W);
     simd::LaneBuffer cdb(m * W), vtcdb(m * W), wbarb(m * W), wbb(m * W), isqb(m * W),
         accb(m * W), xbTb(m * W), xaTb(m * W);
@@ -397,15 +397,21 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     tensor::EighInfo einfos[W];
     tensor::EighBatchScratch eigh_scratch;
     std::vector<std::uint32_t> order;
-    std::size_t loc_solved = 0, loc_batched_cols = 0, loc_scalar_cols = 0, loc_failures = 0;
+    std::size_t loc_solved = 0, loc_batched_cols = 0, loc_scalar_cols = 0, loc_rank_p_cols = 0,
+                loc_failures = 0;
     LetkfTimings pt;
     WallTimer ph;
     auto& tc = telemetry::TraceCollector::instance();
     const std::uint64_t chunk_t0 = tr ? tc.now_ns() : 0;
 
     // Solves the W columns cols[0..W) with local problem size pl; lanes at
-    // and past n_real are pads repeating cols[n_real - 1].
+    // and past n_real are pads repeating cols[n_real - 1]. A batch with fewer
+    // local observations than members (pl < m) goes through the rank-p
+    // observation-space solve, p x p instead of m x m; both paths end in the
+    // same wmat for the shared combine.
     const auto solve_batch = [&](const std::uint32_t* cols, std::size_t n_real, std::size_t pl) {
+      const bool rank_p = pl < m;
+      const std::size_t n = rank_p ? pl : m;  // eigenproblem size
       // Local observation selection: materialized list or template walk.
       if (tm) ph.reset();
       const std::int32_t* sidx[W];
@@ -428,8 +434,10 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.select_ms += ph.milliseconds();
 
-      // Gather the lanes' local Yb^T rows, the R-localized copies and the
-      // weighted innovations, lane-interleaved.
+      // Gather the lanes' local Yb^T rows, the R-scaled copies and the scaled
+      // innovations, lane-interleaved. The m x m path scales by Rloc^{-1}
+      // (C^T = Rloc^{-1} Yb); the rank-p path by Rloc^{-1/2} (S = Rloc^{-1/2}
+      // Yb and Rloc^{-1/2} d), and also transposes S for its Gram build.
       if (tm) ph.reset();
       yTb.resize(pl * m * W);
       yTwb.resize(pl * m * W);
@@ -447,26 +455,39 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
           // default options w_eff == sw bitwise (inv_r_scale is exactly 1).
           const double w_eff =
               (mask != nullptr && mask[oidx] == 0) ? 0.0 : sw[l][o] * inv_r_scale;
-          weffb[o * W + l] = w_eff;
-          wib[o * W + l] = w_eff * innov[oidx];
+          const double w_row = rank_p ? std::sqrt(w_eff) : w_eff;
+          weffb[o * W + l] = w_row;
+          wib[o * W + l] = w_row * innov[oidx];
         }
         dk.bscale(&yTwb[o * m * W], &yTb[o * m * W], m, &weffb[o * W]);
       }
+      if (rank_p) {
+        sTb.resize(m * pl * W);
+        for (std::size_t o = 0; o < pl; ++o)
+          for (std::size_t k = 0; k < m; ++k)
+            for (std::size_t l = 0; l < W; ++l)
+              sTb[(k * pl + o) * W + l] = yTwb[(o * m + k) * W + l];
+      }
       if (tm) pt.gather_ms += ph.milliseconds();
 
-      // A = (m-1) I + Yb^T Rloc^{-1} Yb, upper triangle row by row — one Vec
-      // op per element keeps all lanes busy even on the short row tails.
+      // m x m: A = (m-1) I + Yb^T Rloc^{-1} Yb, reduced over local obs.
+      // rank-p: S S^T, reduced over members. Upper triangle row by row — one
+      // Vec op per element keeps all lanes busy even on the short row tails.
       if (tm) ph.reset();
-      for (std::size_t a = 0; a < m; ++a) {
-        std::fill_n(&amatb[(a * m + a) * W], (m - a) * W, 0.0);
-        dk.baccum_rows(&amatb[(a * m + a) * W], &yTwb[a * W], m, &yTb[a * W], m, pl, m - a);
+      const double* gx = rank_p ? sTb.data() : yTwb.data();
+      const double* gy = rank_p ? sTb.data() : yTb.data();
+      const std::size_t n_red = rank_p ? m : pl;
+      for (std::size_t a = 0; a < n; ++a) {
+        std::fill_n(&amatb[(a * n + a) * W], (n - a) * W, 0.0);
+        dk.baccum_rows(&amatb[(a * n + a) * W], gx + a * W, n, gy + a * W, n, n_red, n - a);
       }
-      for (std::size_t a = 0; a < m; ++a) {
-        for (std::size_t l = 0; l < W; ++l)
-          amatb[(a * m + a) * W + l] += static_cast<double>(m - 1);
-        for (std::size_t b = a + 1; b < m; ++b)
+      for (std::size_t a = 0; a < n; ++a) {
+        if (!rank_p)
           for (std::size_t l = 0; l < W; ++l)
-            amatb[(b * m + a) * W + l] = amatb[(a * m + b) * W + l];
+            amatb[(a * n + a) * W + l] += static_cast<double>(m - 1);
+        for (std::size_t b = a + 1; b < n; ++b)
+          for (std::size_t l = 0; l < W; ++l)
+            amatb[(b * n + a) * W + l] = amatb[(a * n + b) * W + l];
       }
       if (tm) pt.gram_ms += ph.milliseconds();
 
@@ -475,7 +496,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       // cycling continues; otherwise the throw is marshalled by parallel_for
       // to the calling thread, and xaT is simply discarded.
       if (tm) ph.reset();
-      tensor::jacobi_eigh_batch(amatb.data(), m, W, vb.data(), wlb.data(), cfg_.eigh_max_sweeps,
+      tensor::jacobi_eigh_batch(amatb.data(), n, W, vb.data(), wlb.data(), cfg_.eigh_max_sweeps,
                                 einfos, &eigh_scratch);
       if (tm) pt.eigh_ms += ph.milliseconds();
       for (std::size_t l = 0; l < n_real; ++l)
@@ -485,31 +506,65 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
                              << einfos[l].sweeps << " sweeps (off-diagonal Frobenius "
                              << einfos[l].off_fro << ")");
 
-      // Ensemble-space weights: wbar = V diag(1/l) V^T C innov and
-      // wmat(k, i) = (V wbar)_k + sqrt(m-1) sum_a V(k,a) V(i,a) / sqrt(l_a).
-      // Non-converged lanes hold the benign identity eigensystem; their
-      // results are discarded below.
+      // Ensemble-space weights. Non-converged lanes hold the benign identity
+      // eigensystem; their results are discarded below.
       if (tm) ph.reset();
-      std::fill(cdb.begin(), cdb.end(), 0.0);
-      dk.baccum_rows(cdb.data(), wib.data(), 1, yTb.data(), m, pl, m);
-      std::fill(vtcdb.begin(), vtcdb.end(), 0.0);
-      dk.baccum_rows(vtcdb.data(), cdb.data(), 1, vb.data(), m, m, m);
-      for (std::size_t a = 0; a < m; ++a)
-        for (std::size_t l = 0; l < W; ++l) {
-          wbarb[a * W + l] = vtcdb[a * W + l] / wlb[a * W + l];
-          isqb[a * W + l] = 1.0 / std::sqrt(wlb[a * W + l]);
+      if (rank_p) {
+        // S S^T = U diag(lambda) U^T, G = S^T U (m x p), a = m - 1:
+        //   wbar = G diag(1/(a + lambda)) U^T Rloc^{-1/2} d,
+        //   wmat(k, i) = wbar_k + delta_ki + sum_j G(k,j) gamma_j G(i,j),
+        //   gamma_j = -1 / (sqrt(a + lambda_j) (sqrt(a + lambda_j) + sqrt(a))).
+        // Nothing divides by lambda: a masked observation is a zero row of S,
+        // a lambda = 0 pair with a zero column of G. vTb holds G^T and usTb
+        // the gamma-scaled G^T.
+        for (std::size_t j = 0; j < pl; ++j) {
+          std::fill_n(&vTb[j * m * W], m * W, 0.0);
+          dk.baccum_rows(&vTb[j * m * W], &vb[j * W], pl, yTwb.data(), m, pl, m);
         }
-      for (std::size_t a = 0; a < m; ++a)
-        for (std::size_t i = 0; i < m; ++i)
-          for (std::size_t l = 0; l < W; ++l) vTb[(a * m + i) * W + l] = vb[(i * m + a) * W + l];
-      std::fill(wbb.begin(), wbb.end(), 0.0);
-      dk.baccum_rows(wbb.data(), wbarb.data(), 1, vTb.data(), m, m, m);
-      for (std::size_t a = 0; a < m; ++a)
-        dk.bscale(&usTb[a * m * W], &vTb[a * m * W], m, &isqb[a * W]);
-      for (std::size_t k = 0; k < m; ++k) {
-        std::fill(accb.begin(), accb.end(), 0.0);
-        dk.baccum_rows(accb.data(), &vb[k * m * W], 1, usTb.data(), m, m, m);
-        dk.bscale_shift(&wmatb[k * m * W], accb.data(), m, sqm1, &wbb[k * W]);
+        std::fill(vtcdb.begin(), vtcdb.end(), 0.0);
+        dk.baccum_rows(vtcdb.data(), wib.data(), 1, vb.data(), pl, pl, pl);
+        for (std::size_t j = 0; j < pl; ++j)
+          for (std::size_t l = 0; l < W; ++l) {
+            const double al = static_cast<double>(m - 1) + wlb[j * W + l];
+            const double sal = std::sqrt(al);
+            wbarb[j * W + l] = vtcdb[j * W + l] / al;
+            isqb[j * W + l] = -1.0 / (sal * (sal + sqm1));
+          }
+        std::fill(wbb.begin(), wbb.end(), 0.0);
+        dk.baccum_rows(wbb.data(), wbarb.data(), 1, vTb.data(), m, pl, m);
+        for (std::size_t j = 0; j < pl; ++j)
+          dk.bscale(&usTb[j * m * W], &vTb[j * m * W], m, &isqb[j * W]);
+        for (std::size_t k = 0; k < m; ++k) {
+          std::fill(accb.begin(), accb.end(), 0.0);
+          dk.baccum_rows(accb.data(), &vTb[k * W], m, usTb.data(), m, pl, m);
+          for (std::size_t l = 0; l < W; ++l) accb[k * W + l] += 1.0;
+          dk.bscale_shift(&wmatb[k * m * W], accb.data(), m, 1.0, &wbb[k * W]);
+        }
+      } else {
+        // A = V diag(l) V^T: wbar = V diag(1/l) V^T C innov and
+        // wmat(k, i) = (V wbar)_k + sqrt(m-1) sum_a V(k,a) V(i,a) / sqrt(l_a).
+        std::fill(cdb.begin(), cdb.end(), 0.0);
+        dk.baccum_rows(cdb.data(), wib.data(), 1, yTb.data(), m, pl, m);
+        std::fill(vtcdb.begin(), vtcdb.end(), 0.0);
+        dk.baccum_rows(vtcdb.data(), cdb.data(), 1, vb.data(), m, m, m);
+        for (std::size_t a = 0; a < m; ++a)
+          for (std::size_t l = 0; l < W; ++l) {
+            wbarb[a * W + l] = vtcdb[a * W + l] / wlb[a * W + l];
+            isqb[a * W + l] = 1.0 / std::sqrt(wlb[a * W + l]);
+          }
+        for (std::size_t a = 0; a < m; ++a)
+          for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t l = 0; l < W; ++l)
+              vTb[(a * m + i) * W + l] = vb[(i * m + a) * W + l];
+        std::fill(wbb.begin(), wbb.end(), 0.0);
+        dk.baccum_rows(wbb.data(), wbarb.data(), 1, vTb.data(), m, m, m);
+        for (std::size_t a = 0; a < m; ++a)
+          dk.bscale(&usTb[a * m * W], &vTb[a * m * W], m, &isqb[a * W]);
+        for (std::size_t k = 0; k < m; ++k) {
+          std::fill(accb.begin(), accb.end(), 0.0);
+          dk.baccum_rows(accb.data(), &vb[k * m * W], 1, usTb.data(), m, m, m);
+          dk.bscale_shift(&wmatb[k * m * W], accb.data(), m, sqm1, &wbb[k * W]);
+        }
       }
       if (tm) pt.weights_ms += ph.milliseconds();
 
@@ -564,6 +619,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       for (std::size_t l = 0; l < W; ++l) lanes[l] = order[i + std::min(l, n_real - 1)];
       solve_batch(lanes, n_real, pl_run);
       (n_real == W ? loc_batched_cols : loc_scalar_cols) += n_real;
+      if (pl_run < m) loc_rank_p_cols += n_real;
       loc_solved += n_real;
       i += n_real;
     }
@@ -583,6 +639,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       timings_.groups += loc_solved;
       timings_.batched_columns += loc_batched_cols;
       timings_.scalar_columns += loc_scalar_cols;
+      timings_.rank_p_columns += loc_rank_p_cols;
     }
     if (tr) {
       // Per-batch-per-phase spans would be far too hot (thousands of

@@ -4,13 +4,28 @@
 // Deterministic square-root EnKF whose update is applied independently in
 // local regions around each grid point — the embarrassingly parallel
 // structure that makes it the operational choice (e.g. KENDA). Per grid
-// point, in ensemble space (m = ensemble size):
+// point, in ensemble space (m = ensemble size, p = local observations):
 //
-//   C     = Yb^T Rloc^{-1}                      (m x p_local)
-//   Pa~   = [ (m-1) I + C Yb ]^{-1}             (symmetric eigensolve)
+//   C     = Yb^T Rloc^{-1}                      (m x p)
+//   Pa~   = [ (m-1) I + C Yb ]^{-1}             (m x m symmetric eigensolve)
 //   wbar  = Pa~ C (y - ybar)
 //   W     = [ (m-1) Pa~ ]^{1/2}
 //   xa_i  = xbar + Xb (wbar + W e_i)
+//
+// When p < m, m - p eigenvalues of (m-1) I + C Yb are exactly m - 1, and the
+// same wbar and W follow from the p x p observation-space dual (Hunt,
+// Kostelich & Szunyogh 2007), with a = m - 1:
+//
+//   S     = Rloc^{-1/2} Yb                      (p x m)
+//   S S^T = U diag(lambda) U^T                  (p x p symmetric eigensolve)
+//   G     = S^T U                               (m x p)
+//   wbar  = G diag(1/(a + lambda)) U^T Rloc^{-1/2} (y - ybar)
+//   W     = I + G diag(gamma) G^T,  gamma_j = -1 / (sqrt(a + lambda_j)
+//                                     (sqrt(a + lambda_j) + sqrt(a)))
+//
+// Nothing divides by lambda, so a QC-masked observation (a zero row of S, a
+// lambda = 0 pair) stays finite. Columns with p < m take the rank-p path;
+// columns with p >= m (dense networks) take the m x m one.
 //
 // Regularization follows the paper's SQG setup: Gaspari–Cohn R-localization
 // with a cut-off radius (obs errors inflated by 1/rho), the horizontal and
@@ -22,8 +37,10 @@
 // observations; each worker sorts its columns by local observation count
 // and solves them simd::kLaneBatch at a time, one column per SIMD lane,
 // through the lane-batched Gram / tensor::jacobi_eigh_batch / weights /
-// combine kernels. Partial batches are padded with copies of their last
-// column. Columns without local observations keep the forecast.
+// combine kernels. A batch shares one p, so it takes one path; both paths
+// produce the same weight matrix for the shared combine. Partial batches are
+// padded with copies of their last column. Columns without local
+// observations keep the forecast.
 #pragma once
 
 #include <memory>
@@ -70,9 +87,9 @@ struct LetkfConfig {
 struct LetkfTimings {
   double plan_ms = 0.0;     ///< local-obs plan (re)builds
   double select_ms = 0.0;   ///< per-column local obs selection
-  double gather_ms = 0.0;   ///< local Yb / weighted-Yb gathers
-  double gram_ms = 0.0;     ///< A = (m-1)I + C Yb builds
-  double eigh_ms = 0.0;     ///< symmetric eigensolves
+  double gather_ms = 0.0;   ///< local Yb / scaled-Yb (C^T or S) gathers
+  double gram_ms = 0.0;     ///< A = (m-1)I + C Yb or S S^T builds
+  double eigh_ms = 0.0;     ///< symmetric eigensolves (m x m or p x p)
   double weights_ms = 0.0;  ///< wbar / weight-matrix algebra
   double combine_ms = 0.0;  ///< posterior combine into state columns
   double total_ms = 0.0;    ///< whole analyze() calls (incl. transposes, RTPS)
@@ -84,6 +101,9 @@ struct LetkfTimings {
   /// local observations (which keep the forecast).
   std::size_t batched_columns = 0;
   std::size_t scalar_columns = 0;
+  /// Columns solved through the rank-p (p x p) path: fewer local
+  /// observations than members. The rest of `groups` took the m x m path.
+  std::size_t rank_p_columns = 0;
 };
 
 class LETKF final : public Filter {

@@ -1,8 +1,8 @@
 // Dense linear algebra kernels for small symmetric systems.
 //
-// LETKF's analysis solves an m x m symmetric eigenproblem in ensemble space
-// (m = ensemble size, 20 in the paper), for which cyclic Jacobi is simple,
-// branch-predictable and accurate.
+// LETKF's analysis solves a min(p, m) x min(p, m) symmetric eigenproblem per
+// column (m = ensemble size, 20 in the paper; p = local observations), for
+// which cyclic Jacobi is simple, branch-predictable and accurate.
 #pragma once
 
 #include <functional>

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <numeric>
+#include <span>
+#include <vector>
 
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
@@ -166,40 +170,53 @@ struct KalmanPosterior {
 };
 
 /// Builds the reference Kalman analysis from the prior's *sample* covariance
-/// so square-root filters can be verified through independent algebra
-/// (here H = I and R = r_var I):
-///   mean_a = xbar + Pb (Pb + R)^{-1} (y - xbar)
-///   Pa     = Pb - Pb (Pb + R)^{-1} Pb
-KalmanPosterior kalman_posterior_identity_obs(const Ensemble& ens, std::span<const double> y,
-                                              double r_var) {
+/// so square-root filters can be verified through independent algebra. H
+/// picks the state entries `idx` (y[o] observes x[idx[o]]) and R is diagonal
+/// with variances `r_var`:
+///   mean_a = xbar + Pb H^T (H Pb H^T + R)^{-1} (y - H xbar)
+///   Pa     = Pb - Pb H^T (H Pb H^T + R)^{-1} H Pb
+KalmanPosterior kalman_posterior(const Ensemble& ens, std::span<const double> y,
+                                 std::span<const std::size_t> idx,
+                                 std::span<const double> r_var) {
   const std::size_t d = ens.dim();
+  const std::size_t q = idx.size();
   const auto xbar = ens.mean();
   const tensor::Tensor pb = sample_covariance(ens);
-  tensor::Tensor s = pb;  // S = Pb + R
-  for (std::size_t i = 0; i < d; ++i) s(i, i) += r_var;
-  std::vector<double> innov(d);
-  for (std::size_t i = 0; i < d; ++i) innov[i] = y[i] - xbar[i];
+  tensor::Tensor s({q, q});  // S = H Pb H^T + R
+  for (std::size_t a = 0; a < q; ++a) {
+    for (std::size_t b = 0; b < q; ++b) s(a, b) = pb(idx[a], idx[b]);
+    s(a, a) += r_var[a];
+  }
+  std::vector<double> innov(q);
+  for (std::size_t a = 0; a < q; ++a) innov[a] = y[a] - xbar[idx[a]];
   const auto z = tensor::spd_solve(s, innov);
-  // S^{-1} Pb, one column of Pb at a time.
-  tensor::Tensor spb({d, d});
-  std::vector<double> col(d);
+  // S^{-1} H Pb, one column of H Pb at a time.
+  tensor::Tensor shpb({q, d});
+  std::vector<double> col(q);
   for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t i = 0; i < d; ++i) col[i] = pb(i, j);
+    for (std::size_t a = 0; a < q; ++a) col[a] = pb(idx[a], j);
     const auto sc = tensor::spd_solve(s, col);
-    for (std::size_t i = 0; i < d; ++i) spb(i, j) = sc[i];
+    for (std::size_t a = 0; a < q; ++a) shpb(a, j) = sc[a];
   }
   KalmanPosterior out{std::vector<double>(d), tensor::Tensor({d, d})};
   for (std::size_t i = 0; i < d; ++i) {
     double acc = xbar[i];
-    for (std::size_t j = 0; j < d; ++j) acc += pb(i, j) * z[j];
+    for (std::size_t a = 0; a < q; ++a) acc += pb(i, idx[a]) * z[a];
     out.mean[i] = acc;
     for (std::size_t j = 0; j < d; ++j) {
       double pa = pb(i, j);
-      for (std::size_t k = 0; k < d; ++k) pa -= pb(i, k) * spb(k, j);
+      for (std::size_t a = 0; a < q; ++a) pa -= pb(i, idx[a]) * shpb(a, j);
       out.cov(i, j) = pa;
     }
   }
   return out;
+}
+
+/// Every state index, 0 .. d-1: the indices an IdentityObs observes.
+std::vector<std::size_t> all_indices(std::size_t d) {
+  std::vector<std::size_t> idx(d);
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  return idx;
 }
 
 Ensemble make_gaussian_ensemble(std::size_t m, std::size_t d, Rng& rng, double mean = 0.0,
@@ -217,7 +234,7 @@ TEST(Etkf, MatchesKalmanMeanForLinearGaussian) {
   std::vector<double> y(d, 1.5);
   IdentityObs h(d);
   DiagonalR r(d, 1.0);
-  const auto want = kalman_posterior_identity_obs(ens, y, 1.0).mean;
+  const auto want = kalman_posterior(ens, y, all_indices(d), std::vector<double>(d, 1.0)).mean;
   ETKF filter(EtkfConfig{});
   filter.analyze(ens, y, h, r);
   const auto got = ens.mean();
@@ -274,21 +291,21 @@ TEST(Letkf, MatchesEtkfWithHugeLocalizationRadius) {
 }
 
 TEST(Letkf, MatchesKalmanPosteriorWithoutLocalization) {
-  // Localization off (cutoff >> domain, no vertical decay), no RTPS, H = I,
-  // R = I: every column's local problem is the global one, so the posterior
-  // ensemble must carry both the Kalman mean and the full Kalman covariance
-  // Pa = Pb - Pb (Pb + R)^{-1} Pb of the prior sample covariance.
+  // Localization off (cutoff >> domain, no vertical decay), no RTPS: every
+  // column's local problem is the global one, so the posterior ensemble must
+  // carry both the Kalman mean and the full Kalman covariance
+  // Pa = Pb - Pb H^T (H Pb H^T + R)^{-1} H Pb of the prior sample
+  // covariance. Three inputs, m = 30 members:
+  //  - the identity network with R = I: p = 32 >= m, the m x m path;
+  //  - a stride-2 network with non-uniform R: p = 8 < m, the rank-p path;
+  //  - the same network with two observations QC-masked and r_scale = 1.5,
+  //    which the closed form matches by dropping the masked observations
+  //    and scaling R.
   Rng rng(25);
   const std::size_t nx = 4, ny = 4, nlev = 2;
   const std::size_t d = nx * ny * nlev;
   const std::size_t m = 30;
-  Ensemble ens = make_gaussian_ensemble(m, d, rng);
-  std::vector<double> y(d);
-  Rng yrng(26);
-  yrng.fill_gaussian(y, 0.5, 1.0);
-  IdentityObs h(d, nx, ny, nlev);
-  DiagonalR r(d, 1.0);
-  const KalmanPosterior want = kalman_posterior_identity_obs(ens, y, 1.0);
+  const Ensemble prior = make_gaussian_ensemble(m, d, rng);
 
   LetkfConfig cfg;
   cfg.nx = nx;
@@ -298,21 +315,66 @@ TEST(Letkf, MatchesKalmanPosteriorWithoutLocalization) {
   cfg.cutoff_m = 1e9;
   cfg.rossby_radius_m = 0.0;
   cfg.rtps = 0.0;
-  LETKF letkf(cfg);
-  letkf.analyze(ens, y, h, r);
+  cfg.collect_timings = true;
 
-  const auto mean = ens.mean();
-  const tensor::Tensor cov = sample_covariance(ens);
-  for (std::size_t i = 0; i < d; ++i) {
-    EXPECT_NEAR(mean[i], want.mean[i], 1e-6) << "mean " << i;
-    for (std::size_t j = 0; j < d; ++j)
-      EXPECT_NEAR(cov(i, j), want.cov(i, j), 1e-6) << "cov(" << i << ", " << j << ")";
-  }
+  // Analyzes a copy of the prior and compares it with the closed form over
+  // the unmasked observations, with variances r_scale * r_var.
+  const auto check = [&](const char* name, const ObservationOperator& h,
+                         std::span<const std::size_t> idx, const std::vector<double>& r_var,
+                         const std::vector<std::uint8_t>& mask, double r_scale, bool rank_p) {
+    SCOPED_TRACE(name);
+    const std::size_t p = idx.size();
+    std::vector<double> y(p);
+    Rng yrng(26);
+    yrng.fill_gaussian(y, 0.5, 1.0);
+    std::vector<std::size_t> kept_idx;
+    std::vector<double> kept_y, kept_r;
+    for (std::size_t o = 0; o < p; ++o) {
+      if (!mask.empty() && mask[o] == 0) continue;
+      kept_idx.push_back(idx[o]);
+      kept_y.push_back(y[o]);
+      kept_r.push_back(r_scale * r_var[o]);
+    }
+    Ensemble ens(m, d);
+    ens.data() = prior.data();
+    const KalmanPosterior want = kalman_posterior(ens, kept_y, kept_idx, kept_r);
+
+    LETKF letkf(cfg);
+    AnalysisOptions opts;
+    opts.r_scale = r_scale;
+    opts.obs_mask = mask;
+    ASSERT_TRUE(letkf.try_analyze(ens, y, h, DiagonalR(r_var), opts).ok());
+    EXPECT_EQ(letkf.timings().rank_p_columns, rank_p ? d : 0u);
+
+    const auto mean = ens.mean();
+    const tensor::Tensor cov = sample_covariance(ens);
+    for (std::size_t i = 0; i < d; ++i) {
+      EXPECT_NEAR(mean[i], want.mean[i], 1e-6) << "mean " << i;
+      for (std::size_t j = 0; j < d; ++j)
+        EXPECT_NEAR(cov(i, j), want.cov(i, j), 1e-6) << "cov(" << i << ", " << j << ")";
+    }
+  };
+
+  const IdentityObs identity(d, nx, ny, nlev);
+  check("identity, R = I", identity, all_indices(d), std::vector<double>(d, 1.0), {}, 1.0,
+        false);
+
+  const SubsampleObs strided = SubsampleObs::strided_grid(nx, ny, nlev, 2);
+  const std::size_t p = strided.obs_dim();
+  std::vector<double> r_var(p);
+  for (std::size_t o = 0; o < p; ++o) r_var[o] = 0.5 + 0.25 * static_cast<double>(o);
+  check("stride 2, non-uniform R", strided, strided.indices(), r_var, {}, 1.0, true);
+
+  std::vector<std::uint8_t> mask(p, 1);
+  mask[1] = 0;
+  mask[6] = 0;
+  check("stride 2, QC mask and r_scale", strided, strided.indices(), r_var, mask, 1.5, true);
 }
 
 TEST(Letkf, DistantObservationsDoNotUpdate) {
   // One observation in a corner; analysis beyond the cutoff must equal the
-  // forecast exactly.
+  // forecast exactly. The observed columns have p = 1 < m, so they take the
+  // rank-p path with a 1 x 1 eigensolve.
   Rng rng(7);
   const std::size_t nx = 16, ny = 16;
   const std::size_t d = nx * ny;
@@ -477,6 +539,8 @@ std::vector<simd::SimdLevel> available_simd_levels() {
 /// across columns, so worker chunks end their size runs in partial lane
 /// batches, padded with copies of their last column. How the columns are
 /// chunked, and so which batches are partial, changes with the thread count.
+/// With 8 members the sizes straddle m: columns with 6 or 7 local
+/// observations take the rank-p path, the rest (8 to 11) the m x m path.
 struct StridedNetworkCase {
   static constexpr std::size_t kN = 11, kLev = 2, kDim = kN * kN * kLev, kMembers = 8;
   LetkfConfig cfg;
@@ -504,9 +568,9 @@ struct StridedNetworkCase {
 };
 
 TEST(Letkf, PaddedLaneBatchesBitwiseAcrossThreadsAndLevels) {
-  // Full and padded partial batches both run, and the analysis is bitwise
-  // identical at 1, 2 and 3 threads at every dispatch level; Scalar and
-  // AVX2 agree bitwise.
+  // Full and padded partial batches both run, through both the rank-p and
+  // the m x m paths, and the analysis is bitwise identical at 1, 2 and 3
+  // threads at every dispatch level; Scalar and AVX2 agree bitwise.
   StridedNetworkCase c(21);
   c.cfg.collect_timings = true;
   const simd::SimdLevel orig = simd::active_simd_level();
@@ -522,8 +586,12 @@ TEST(Letkf, PaddedLaneBatchesBitwiseAcrossThreadsAndLevels) {
       letkf.analyze(work, c.y, c.h, c.r);
       // Every column is observed, so every column goes through the
       // eigensolve and scalar_columns counts only padded-batch columns.
+      // Some columns have fewer local observations than members, so both
+      // the rank-p and the m x m paths run.
       const LetkfTimings& t = letkf.timings();
       EXPECT_EQ(t.groups, t.columns);
+      EXPECT_GT(t.rank_p_columns, 0u) << "threads=" << nt;
+      EXPECT_LT(t.rank_p_columns, t.groups) << "threads=" << nt;
       EXPECT_EQ(t.batched_columns + t.scalar_columns, t.columns);
       EXPECT_GT(t.batched_columns, 0u) << "threads=" << nt;
       EXPECT_GT(t.scalar_columns, 0u) << "threads=" << nt;

@@ -11,7 +11,9 @@ not a gate.
 
 Two row formats are understood, detected per file:
   - kernel benches (BENCH_sqg.json, BENCH_letkf.json): a "results" array
-    keyed by (n, threads);
+    keyed by (network, n, threads). bench_ablation_letkf records each row's
+    observation network ("identity" or "stride<k>"); rows without the field
+    (BENCH_sqg.json, older files) count as the identity network;
   - the streaming bench (BENCH_stream.json): a "scenarios" array keyed by
     (name, schedule, n, members) — use `--metric cycle_ms` against it, or
     `--metric ingest_catchup_ms` to track what the deep-overlap rows pay
@@ -54,7 +56,7 @@ def load_results(path):
         rows, key_fields = data.get("scenarios"), ("name", "schedule", "n", "members")
         inherited = ("n", "members")  # resolution context, file-level in older files
     else:
-        rows, key_fields = data.get("results", []), ("n", "threads")
+        rows, key_fields = data.get("results", []), ("network", "n", "threads")
         inherited = ()
     if not isinstance(rows, list):
         raise ValueError(f"{path}: rows are {type(rows).__name__}, expected array")
@@ -67,6 +69,8 @@ def load_results(path):
         for k in inherited:
             if r.get(k) is None:
                 r[k] = data.get(k)
+        if "network" in key_fields and r.get("network") is None:
+            r["network"] = "identity"
         if any(r.get(k) is None for k in key_fields):
             continue  # unkeyable row — nothing to compare it against
         if "hw_threads" not in r and file_hw is not None:
