@@ -1058,6 +1058,6 @@ int main(int argc, char** argv) {
             << ".\nExpected: instant delivery tracks near the obs-error floor; lost and late\n"
                "batches cost accuracy in proportion; the overlapped pipeline pays an extra\n"
                "one-window increment lag in exchange for hiding analysis + delivery latency\n"
-               "behind the next forecast (see bench_stream_realtime for the throughput side).\n";
+               "behind the next forecast. For the throughput side, run python3 benchmark/run.py.\n";
   return tel.finish(0);
 }

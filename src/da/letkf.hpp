@@ -68,7 +68,7 @@ struct LetkfConfig {
   /// independent, so the result is bitwise identical for any value.
   std::size_t n_threads = 0;
 
-  /// Accumulate per-phase wall times into timings() (bench support; off by
+  /// Accumulate per-phase times into timings() (bench support; off by
   /// default — the clock calls are pure overhead in production runs).
   bool collect_timings = false;
 
@@ -82,17 +82,22 @@ struct LetkfConfig {
   bool eigh_fallback = true;
 };
 
-/// Cumulative per-phase wall-clock breakdown of analyze() (see
+/// Cumulative per-phase breakdown of analyze() (see
 /// LetkfConfig::collect_timings). Milliseconds, summed over calls.
+///
+/// Two units: plan_ms and total_ms are wall time on the calling thread. The
+/// column-solve phases (select_ms .. combine_ms) are worker time, summed over
+/// every pool worker that ran a column chunk, so with more than one thread
+/// their sum can exceed total_ms.
 struct LetkfTimings {
-  double plan_ms = 0.0;     ///< local-obs plan (re)builds
-  double select_ms = 0.0;   ///< per-column local obs selection
-  double gather_ms = 0.0;   ///< local Yb / scaled-Yb (C^T or S) gathers
-  double gram_ms = 0.0;     ///< A = (m-1)I + C Yb or S S^T builds
-  double eigh_ms = 0.0;     ///< symmetric eigensolves (m x m or p x p)
-  double weights_ms = 0.0;  ///< wbar / weight-matrix algebra
-  double combine_ms = 0.0;  ///< posterior combine into state columns
-  double total_ms = 0.0;    ///< whole analyze() calls (incl. transposes, RTPS)
+  double plan_ms = 0.0;     ///< local-obs plan (re)builds (wall)
+  double select_ms = 0.0;   ///< per-column local obs selection (worker-summed)
+  double gather_ms = 0.0;   ///< local Yb / scaled-Yb (C^T or S) gathers (worker-summed)
+  double gram_ms = 0.0;     ///< A = (m-1)I + C Yb or S S^T builds (worker-summed)
+  double eigh_ms = 0.0;     ///< symmetric eigensolves, m x m or p x p (worker-summed)
+  double weights_ms = 0.0;  ///< wbar / weight-matrix algebra (worker-summed)
+  double combine_ms = 0.0;  ///< posterior combine into state columns (worker-summed)
+  double total_ms = 0.0;    ///< whole analyze() calls incl. transposes, RTPS (wall)
   std::size_t analyses = 0;
   std::size_t columns = 0;  ///< column analyses requested
   std::size_t groups = 0;   ///< columns solved through the eigensolve (>= 1 local obs)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/math_utils.hpp"
 #include "telemetry/trace.hpp"
@@ -39,27 +38,6 @@ Fft1D::Fft1D(std::size_t n) : n_(n) {
   }
 }
 
-void Fft1D::general_stages(double* d, bool inverse, const FftKernels& kr) const {
-  const auto& stages = inverse ? stage_inv_ : stage_fwd_;
-  int s = 3;
-  // Fused radix-2^2 pairs: one pass performs stages s and s+1 back to back
-  // on each 2^(s+1)-point block, with the exact same per-element arithmetic
-  // (and thus bitwise results) as two separate passes.
-  for (; s + 1 <= log2n_; s += 2) {
-    const std::size_t half = std::size_t{1} << (s - 1);  // half of stage s
-    const double* tw = reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
-    const double* tw1 =
-        reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s) + 1].data());
-    kr.pass_radix4(d, n_, half, tw, tw1);
-  }
-  // Odd stage count: one remaining plain radix-2 pass.
-  if (s <= log2n_) {
-    const std::size_t half = std::size_t{1} << (s - 1);
-    const double* tw = reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
-    kr.pass_radix2(d, n_, half, tw);
-  }
-}
-
 void Fft1D::transform(std::span<Cplx> x, bool inverse) const {
   TURBDA_REQUIRE(x.size() == n_, "FFT input length " << x.size() << " != plan length " << n_);
   if (n_ == 1) return;
@@ -84,83 +62,24 @@ void Fft1D::transform(std::span<Cplx> x, bool inverse) const {
   } else {
     kr.pass_first(d, 2 * n_, inverse ? 1.0 : -1.0);
   }
-  general_stages(d, inverse, kr);
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n_);
-    for (auto& v : x) v *= scale;
+  const auto& stages = inverse ? stage_inv_ : stage_fwd_;
+  int s = 3;
+  // Fused radix-2^2 pairs: one pass performs stages s and s+1 back to back
+  // on each 2^(s+1)-point block, with the exact same per-element arithmetic
+  // (and thus bitwise results) as two separate passes.
+  for (; s + 1 <= log2n_; s += 2) {
+    const std::size_t half = std::size_t{1} << (s - 1);  // half of stage s
+    const double* tw = reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
+    const double* tw1 =
+        reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s) + 1].data());
+    kr.pass_radix4(d, n_, half, tw, tw1);
   }
-}
-
-namespace {
-
-/// Tail of the banded first-pass block butterfly, shared by all zero-pattern
-/// cases: combines the stage-2 results (a0, a1) and (a2, a3) into the block.
-inline void banded_block_combine(double* p, double isign, double a0r, double a0i, double a1r,
-                                 double a1i, double a2r, double a2i, double a3r, double a3i) {
-  const double b3r = -isign * a3i, b3i = isign * a3r;  // (-+i) * a3
-  p[0] = a0r + a2r;
-  p[1] = a0i + a2i;
-  p[4] = a0r - a2r;
-  p[5] = a0i - a2i;
-  p[2] = a1r + b3r;
-  p[3] = a1i + b3i;
-  p[6] = a1r - b3r;
-  p[7] = a1i - b3i;
-}
-
-}  // namespace
-
-void Fft1D::transform_banded(std::span<Cplx> x, bool inverse, std::size_t band) const {
-  // The band only thins the first fused pass; for tiny transforms, a band
-  // that covers every index, or one too narrow for the case split below,
-  // the dense path does the same work on the in-memory zeros.
-  if (n_ < 16 || band >= n_ / 2 || band < n_ / 4) {
-    transform(x, inverse);
-    return;
+  // Odd stage count: one remaining plain radix-2 pass.
+  if (s <= log2n_) {
+    const std::size_t half = std::size_t{1} << (s - 1);
+    const double* tw = reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
+    kr.pass_radix2(d, n_, half, tw);
   }
-  TURBDA_REQUIRE(x.size() == n_, "FFT input length " << x.size() << " != plan length " << n_);
-  double* d = reinterpret_cast<double*>(x.data());
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(x[i], x[j]);
-  }
-  // First fused pass (stages len 2 and 4), input-band-pruned. After the
-  // bit-reversal, the block at positions [4q, 4q+4) holds the original
-  // indices o0, o0 + n/2, o0 + n/4, o0 + 3n/4 with o0 = bitrev[4q] < n/4.
-  // For a wrapped band with n/4 <= band < n/2, o0 and o0 + 3n/4 are always
-  // inside it, while o0 + n/2 is zero iff o0 < n/2 - band and o0 + n/4 is
-  // zero iff o0 > band - n/4 — three contiguous o0 ranges, so iterating o0
-  // ascending (block address 2 * bitrev[o0]; the whole pass is n complex
-  // and L1-resident) turns the case split into three branch-free loops
-  // whose zero-operand stage-2 butterflies collapse to copies/negates.
-  const double isign = inverse ? 1.0 : -1.0;
-  const std::size_t quarter = n_ / 4;
-  const std::size_t z2_from = band - quarter + 1;  // first o0 with z2 == 0
-  const std::size_t z1_until = n_ / 2 - band;      // first o0 with z1 != 0
-  // o0 in [0, min(z2_from, z1_until)): z1 zero, z2 live.
-  for (std::size_t o0 = 0; o0 < std::min(z2_from, z1_until); ++o0) {
-    double* p = d + 2 * bitrev_[o0];
-    banded_block_combine(p, isign, p[0], p[1], p[0], p[1], p[4] + p[6], p[5] + p[7], p[4] - p[6],
-                         p[5] - p[7]);
-  }
-  // o0 in [z2_from, z1_until): z1 and z2 both zero (band < 3n/8).
-  for (std::size_t o0 = z2_from; o0 < z1_until; ++o0) {
-    double* p = d + 2 * bitrev_[o0];
-    banded_block_combine(p, isign, p[0], p[1], p[0], p[1], p[6], p[7], -p[6], -p[7]);
-  }
-  // o0 in [z1_until, z2_from): z1 and z2 both live (band > 3n/8): dense.
-  for (std::size_t o0 = z1_until; o0 < z2_from; ++o0) {
-    double* p = d + 2 * bitrev_[o0];
-    banded_block_combine(p, isign, p[0] + p[2], p[1] + p[3], p[0] - p[2], p[1] - p[3],
-                         p[4] + p[6], p[5] + p[7], p[4] - p[6], p[5] - p[7]);
-  }
-  // o0 in [max(z2_from, z1_until), n/4): z1 live, z2 zero.
-  for (std::size_t o0 = std::max(z2_from, z1_until); o0 < quarter; ++o0) {
-    double* p = d + 2 * bitrev_[o0];
-    banded_block_combine(p, isign, p[0] + p[2], p[1] + p[3], p[0] - p[2], p[1] - p[3], p[6], p[7],
-                         -p[6], -p[7]);
-  }
-  general_stages(d, inverse, active_kernels());
   if (inverse) {
     const double scale = 1.0 / static_cast<double>(n_);
     for (auto& v : x) v *= scale;
@@ -271,20 +190,17 @@ bool all_zero(const Cplx* p, std::size_t n) {
 
 /// Transforms `count` contiguous rows of length `len`, skipping all-zero rows
 /// (a transform of zeros is zeros; the SQG tendency inverts dealiased spectra
-/// whose outer third of rows vanishes identically). When `band` < len/2 the
-/// caller guarantees every row is nonzero only on the wrapped index band
-/// (j <= band or j >= len - band) and the input-pruned banded transform is
-/// used; the default band means dense rows.
+/// whose outer third of rows vanishes identically).
 void batch_transform(Cplx* data, std::size_t count, std::size_t len, const Fft1D& plan,
-                     bool inverse, std::size_t band = std::numeric_limits<std::size_t>::max()) {
+                     bool inverse) {
   for (std::size_t i = 0; i < count; ++i) {
     Cplx* row = data + i * len;
     if (all_zero(row, len)) continue;
     std::span<Cplx> s(row, len);
     if (inverse) {
-      plan.inverse_banded(s, band);
+      plan.inverse(s);
     } else {
-      plan.forward_banded(s, band);
+      plan.forward(s);
     }
   }
 }
@@ -430,11 +346,7 @@ void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> gri
 
   auto& tbuf = tls_buffer(1, cols * n0_);
   transpose_blocked(hspec.data(), nh, tbuf.data(), n0_, cols);
-  // Within each retained column only the 2*kcut+1 low-|my| rows are nonzero
-  // (wrapped band); the banded transform prunes the first butterfly stages
-  // on that band. Degrades to the dense transform when kcut covers n0/2.
-  batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/true,
-                  /*band=*/std::min(kcut, n0_ / 2));
+  batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/true);
 
   auto& hbuf = tls_buffer(0, n0_ * nh);
   if (cols < nh) {  // truncated tail bins are identically zero

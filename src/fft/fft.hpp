@@ -38,26 +38,8 @@ class Fft1D {
   /// In-place inverse DFT with 1/n normalization.
   void inverse(std::span<Cplx> x) const { transform(x, /*inverse=*/true); }
 
-  /// As forward()/inverse(), but the caller guarantees the input is nonzero
-  /// only on the wrapped index band j <= band or j >= n - band (the shape of
-  /// a dealiased |my| <= kcut spectral column). The first fused butterfly
-  /// pass skips the arithmetic the band proves trivial; later stages are
-  /// dense. Results match the dense transform except that skipped
-  /// zero-operand additions may flip the sign of a zero (value-identical,
-  /// 1e-12-test-enforced). band >= n/2 degrades to the dense transform.
-  void forward_banded(std::span<Cplx> x, std::size_t band) const {
-    transform_banded(x, /*inverse=*/false, band);
-  }
-  void inverse_banded(std::span<Cplx> x, std::size_t band) const {
-    transform_banded(x, /*inverse=*/true, band);
-  }
-
  private:
   void transform(std::span<Cplx> x, bool inverse) const;
-  void transform_banded(std::span<Cplx> x, bool inverse, std::size_t band) const;
-  /// The butterfly stages shared by the dense and banded paths: fused
-  /// radix-2² pairs plus the odd remaining radix-2 stage, starting at stage 3.
-  void general_stages(double* d, bool inverse, const FftKernels& kr) const;
 
   std::size_t n_;
   int log2n_;
@@ -152,12 +134,10 @@ class Fft2D {
   void forward_half_pruned(std::span<const double> grid, std::span<Cplx> hspec,
                            std::size_t kcut) const;
 
-  /// As inverse_half, but skips the column transforms for mx > kcut and
-  /// runs the retained columns through the input-band-pruned 1-D transform.
-  /// The caller must guarantee hspec is zero outside the |mx| <= kcut,
+  /// As inverse_half, but skips the column transforms for mx > kcut. The
+  /// caller must guarantee hspec is zero outside the |mx| <= kcut,
   /// |my| <= kcut square (e.g. a spectrum produced by forward_half_pruned,
-  /// scaled pointwise) — the truncated columns are skipped entirely and the
-  /// |my| > kcut rows feed the banded first butterfly pass as proven zeros.
+  /// scaled pointwise) — the truncated columns are skipped entirely.
   void inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
                            std::size_t kcut) const;
 

@@ -13,8 +13,7 @@
 // window): every delivery decision the driver makes compares virtual arrival
 // stamps against virtual deadlines, which keeps degraded-delivery scenarios
 // bitwise reproducible across machines and thread counts. Wall-clock enters
-// only as *measured* latency metrics (and optional delay emulation in the
-// driver), never as an input to control flow.
+// only as *measured* latency metrics, never as an input to control flow.
 #pragma once
 
 #include <cstdint>

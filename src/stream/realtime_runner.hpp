@@ -32,13 +32,12 @@
 // Deadline semantics: the batch observing window k is "on time" if its
 // virtual arrival stamp is <= (k + 1) + deadline_slack_cycles; an on-time
 // batch is assimilated at its own cycle. A late batch falls back to
-// forecast-only for that cycle and, when catch_up is enabled, is assimilated
-// at the first later cycle whose analysis point its arrival precedes —
-// unless it is staler than max_stale_cycles, in which case it is discarded.
-// All of these decisions compare virtual stamps, so degraded-delivery runs
-// are bitwise repeatable across thread counts; wall-clock is only measured
-// (per-cycle latency metrics) or, when wall_ms_per_cycle > 0, used to
-// *emulate* delivery delay by sleeping — which never changes the numbers.
+// forecast-only for that cycle and is assimilated at the first later cycle
+// whose analysis point its arrival precedes — unless it is staler than
+// max_stale_cycles, in which case it is discarded. All of these decisions
+// compare virtual stamps, so degraded-delivery runs are bitwise repeatable
+// across thread counts; wall-clock is only measured (per-cycle latency
+// metrics), never an input to control flow.
 #pragma once
 
 #include <cstdint>
@@ -77,25 +76,17 @@ struct RealtimeConfig {
   Schedule schedule = Schedule::Serial;
   /// Overlapped ring depth K (ignored by Serial): each analysis increment is
   /// applied K cycles after it was staged, stretching straggler admission by
-  /// K-1 cycles (see the schedule notes above).
-  int overlap_depth = 1;
-  /// R-inflation slope for deep-late batches (age beyond max_stale_cycles)
-  /// admitted through the overlap ring: r_scale >= 1 + age * late_r_inflation,
-  /// clamped by qc.max_r_scale. Applied even when QC is off — deep-late
+  /// K-1 cycles (see the schedule notes above). A deep-late batch (age beyond
+  /// max_stale_cycles) admitted through the ring gets r_scale >=
+  /// 1 + 0.5 * age, clamped by qc.max_r_scale, even when QC is off — deep-late
   /// information is never taken at face value.
-  double late_r_inflation = 0.5;
+  int overlap_depth = 1;
   /// Grace period beyond the window end (in window units) before a batch
   /// counts as late. 0 admits exactly the zero-latency batches.
   double deadline_slack_cycles = 0.0;
-  /// Assimilate stragglers that arrive after their deadline at a later cycle.
-  bool catch_up = true;
-  /// Discard batches older than this many cycles at their analysis point.
+  /// Discard batches older than this many cycles at their analysis point;
+  /// younger stragglers are assimilated at a later cycle.
   int max_stale_cycles = 2;
-  /// When > 0, emulate delivery delay in wall-clock: before analyzing, the
-  /// driver sleeps (arrival - valid) * wall_ms_per_cycle milliseconds past
-  /// the forecast, as a real sensor link would impose. Purely a timing
-  /// emulation — results are bitwise identical with it on or off.
-  double wall_ms_per_cycle = 0.0;
 
   // ---- Fault tolerance ----------------------------------------------------
 
@@ -105,11 +96,6 @@ struct RealtimeConfig {
   /// by inflation: every catch-up batch is assimilated with its R scaled by
   /// age, however old.
   da::QcConfig qc;
-
-  /// When an analysis fails recoverably (e.g. non-convergent transform), keep
-  /// the forecast for that cycle and record the degradation instead of
-  /// aborting the run. false restores the old throw-on-failure behavior.
-  bool degrade_on_failure = true;
 
   /// Ensemble-spread watchdog, checked after each cycle's update (0 = off).
   /// Below the floor the perturbations are re-inflated (collapse recovery,
@@ -231,12 +217,14 @@ class RealtimeRunner {
   /// Free-run path: batches are produced but never analyzed — drain them so
   /// the stream's pending queue stays bounded.
   void discard_unconsumed(int cycle);
-  void emulate_delivery_delay(const std::vector<ObsBatch>& batches, int cycle) const;
 
   /// QC + duplicate/truncation guards + try_analyze + degradation + spread
   /// watchdog for one cycle's batches, applied to `target` (the live
   /// ensemble when draining, a ring slot when staging). The one definition
-  /// every ring depth shares, so fault handling cannot drift apart.
+  /// every ring depth shares, so fault handling cannot drift apart. A
+  /// recoverable failure (non-ok try_analyze Status, e.g. a non-convergent
+  /// transform) keeps the forecast for that batch and marks the cycle
+  /// degraded; an exception escaping the filter aborts the run.
   void assimilate_batches(da::Ensemble& target, std::vector<ObsBatch>& batches, int cycle,
                           StreamCycleMetrics& cm);
   void apply_spread_guard(da::Ensemble& target, int cycle, StreamCycleMetrics& cm);

@@ -70,7 +70,10 @@ da::LetkfConfig letkf_grid_config() {
 /// stand-in for "an eigensolve blew up mid-run" in cycling scenarios.
 class FlakyFilter final : public da::Filter {
  public:
-  explicit FlakyFilter(int fail_call) : inner_(da::EtkfConfig{.rtps = 0.4}), fail_call_(fail_call) {}
+  /// Call number `fail_call` of try_analyze fails: with a non-ok Status (a
+  /// recoverable failure), or by throwing when `throws` is set.
+  explicit FlakyFilter(int fail_call, bool throws = false)
+      : inner_(da::EtkfConfig{.rtps = 0.4}), fail_call_(fail_call), throws_(throws) {}
 
   void analyze(da::Ensemble& ens, std::span<const double> y, const da::ObservationOperator& h,
                const da::DiagonalR& r) override {
@@ -80,8 +83,10 @@ class FlakyFilter final : public da::Filter {
   Status try_analyze(da::Ensemble& ens, std::span<const double> y,
                      const da::ObservationOperator& h, const da::DiagonalR& r,
                      const da::AnalysisOptions& opts, da::AnalysisStats* stats) override {
-    if (calls_++ == fail_call_)
+    if (calls_++ == fail_call_) {
+      if (throws_) throw Error("injected analysis exception");
       return Status(StatusCode::kNonConvergent, "injected eigensolve failure");
+    }
     return inner_.try_analyze(ens, y, h, r, opts, stats);
   }
 
@@ -90,6 +95,7 @@ class FlakyFilter final : public da::Filter {
  private:
   da::ETKF inner_;
   int fail_call_;
+  bool throws_;
   int calls_ = 0;
 };
 
@@ -508,12 +514,11 @@ TEST(FaultTolerantCycling, AnalysisFailureDegradesInsteadOfAborting) {
   for (const auto& m : r.metrics) EXPECT_TRUE(std::isfinite(m.rmse_post));
 }
 
-TEST(FaultTolerantCycling, FailFastModeStillAborts) {
+TEST(FaultTolerantCycling, ThrowingAnalysisAborts) {
   stream::SyntheticStreamConfig sc;
   stream::RealtimeConfig rc;
   rc.cycles = 10;
   rc.n_members = 10;
-  rc.degrade_on_failure = false;
 
   Lorenz96Config mc;
   mc.dim = kDim;
@@ -523,7 +528,7 @@ TEST(FaultTolerantCycling, FailFastModeStillAborts) {
   da::DiagonalR r(kDim, 1.0);
   const auto truth0 = spun_up_truth();
   stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-  FlakyFilter filter(3);
+  FlakyFilter filter(3, /*throws=*/true);
   stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
   EXPECT_THROW((void)runner.run(truth0), Error);
 }
@@ -551,7 +556,7 @@ class SlowForecast final : public models::ForecastModel {
   std::atomic<int> in_flight_{0};
 };
 
-TEST(FaultTolerantCycling, FailFastModeAbortsOverlappedAfterForecastJoin) {
+TEST(FaultTolerantCycling, ThrowingAnalysisAbortsOverlappedAfterForecastJoin) {
   for (const int depth : {1, 2}) {
     stream::SyntheticStreamConfig sc;
     stream::RealtimeConfig rc;
@@ -559,7 +564,6 @@ TEST(FaultTolerantCycling, FailFastModeAbortsOverlappedAfterForecastJoin) {
     rc.n_members = 10;
     rc.schedule = stream::Schedule::Overlapped;
     rc.overlap_depth = depth;
-    rc.degrade_on_failure = false;
 
     Lorenz96Config mc;
     mc.dim = kDim;
@@ -570,8 +574,8 @@ TEST(FaultTolerantCycling, FailFastModeAbortsOverlappedAfterForecastJoin) {
     da::DiagonalR r(kDim, 1.0);
     const auto truth0 = spun_up_truth();
     stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-    // The fourth analysis fails inline while the window-4 forecasts run.
-    FlakyFilter filter(3);
+    // The fourth analysis throws inline while the window-4 forecasts run.
+    FlakyFilter filter(3, /*throws=*/true);
     stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
     EXPECT_THROW((void)runner.run(truth0), Error) << "depth " << depth;
     EXPECT_EQ(fcst_model.in_flight(), 0) << "depth " << depth;

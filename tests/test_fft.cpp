@@ -463,45 +463,6 @@ TEST(SimdDispatch, Rfft1dMatchesScalarAcrossLevels) {
   }
 }
 
-// --- input-band-pruned transforms -------------------------------------------
-
-TEST(Fft1d, BandedMatchesDenseOnBandLimitedInput) {
-  // Bands straddling every case split: narrow (< n/4, dense fallback),
-  // the dealias band (~n/3), above 3n/8 (dense-middle blocks), and >= n/2
-  // (full fallback).
-  for (const std::size_t n : {16u, 32u, 64u, 128u, 256u}) {
-    Rng rng(307 + n);
-    for (const std::size_t band :
-         {n / 8, n / 4, n / 3, 3 * n / 8 + 1, n / 2 - 1, n / 2}) {
-      std::vector<Cplx> x(n, Cplx(0.0, 0.0));
-      for (std::size_t j = 0; j < n; ++j)
-        if (j <= band || j + band >= n) x[j] = Cplx(rng.gaussian(), rng.gaussian());
-      Fft1D plan(n);
-      auto fwd_ref = x;
-      plan.forward(fwd_ref);
-      auto fwd = x;
-      plan.forward_banded(fwd, band);
-      auto inv_ref = x;
-      plan.inverse(inv_ref);
-      auto inv = x;
-      plan.inverse_banded(inv, band);
-      double scale = 0.0;
-      for (const auto& v : fwd_ref) scale = std::max(scale, std::abs(v));
-      ASSERT_GT(scale, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_NEAR(fwd[i].real(), fwd_ref[i].real(), 1e-12 * scale)
-            << "n=" << n << " band=" << band << " i=" << i;
-        ASSERT_NEAR(fwd[i].imag(), fwd_ref[i].imag(), 1e-12 * scale)
-            << "n=" << n << " band=" << band << " i=" << i;
-        ASSERT_NEAR(inv[i].real(), inv_ref[i].real(), 1e-12 * scale / static_cast<double>(n))
-            << "n=" << n << " band=" << band << " i=" << i;
-        ASSERT_NEAR(inv[i].imag(), inv_ref[i].imag(), 1e-12 * scale / static_cast<double>(n))
-            << "n=" << n << " band=" << band << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(Fft2d, HalfApiRejectsUnsupportedShapes) {
   // n1 == 1 has no even row length for the r2c stage.
   Fft2D p1(8, 1);

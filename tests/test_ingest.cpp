@@ -617,7 +617,7 @@ TEST(DeepOverlap, AppliesLateBatchesAnEquallyConfiguredK1RunDrops) {
   EXPECT_GT(k2_late, 0);      // K=2 applies them as late increments
   EXPECT_EQ(k2_dropped, 0);
   EXPECT_GT(k2_applied, 0);
-  // Age-dependent R inflation: age 3 with late_r_inflation 0.5 => r_scale 2.5.
+  // Age-dependent R inflation: age 3 at the runner's slope 0.5 => r_scale 2.5.
   EXPECT_GE(k2_max_r, 2.5);
   // The down-weighted late increments may or may not beat a pure forecast
   // (that depends on the window length); what the schedule guarantees is
