@@ -1,6 +1,6 @@
-// LETKF regularization ablations (DESIGN.md §5): cut-off localization radius
-// and RTPS inflation factor, on a small SQG OSSE. The paper tunes these to
-// 2000 km / 0.3 in an error-free twin experiment.
+// LETKF regularization ablations: cut-off localization radius and RTPS
+// inflation factor, on a small SQG OSSE. The paper tunes these to 2000 km /
+// 0.3 in an error-free twin experiment.
 //
 // Also measures thread scaling of the per-column local analyses on two
 // observation networks, the identity network (the m x m column solve) and a
@@ -22,6 +22,7 @@
 #include "io/table.hpp"
 #include "rng/rng.hpp"
 #include "simd/dispatch.hpp"
+#include "thread_counts.hpp"
 
 using namespace turbda;
 
@@ -148,21 +149,8 @@ struct ScaleRow {
   da::Ensemble prior(members, dim);
   prior.init_perturbed(truth, 1.5, rng);
 
-  const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  // Record only thread counts this machine can actually run: oversubscribed
-  // rows (threads > hardware) measure scheduler noise, not scaling, and have
-  // polluted committed baselines before. They are refused at record time.
-  std::vector<std::size_t> counts, refused;
-  for (const std::size_t c : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    (c <= hw ? counts : refused).push_back(c);
-  }
-  if (hw > 4) counts.push_back(hw);
-  if (!refused.empty()) {
-    std::cout << "\nNote: skipping oversubscribed thread counts (hardware has " << hw
-              << " thread" << (hw == 1 ? "" : "s") << "):";
-    for (const std::size_t c : refused) std::cout << " " << c;
-    std::cout << " — such rows are noise and are not recorded.\n";
-  }
+  const std::vector<std::size_t> counts = bench::scaling_thread_counts(
+      std::max<std::size_t>(1, std::thread::hardware_concurrency()));
 
   const da::IdentityObs identity(dim, lc.nx, lc.ny, lc.n_levels);
   bool all_same = scale_network("identity", lc, identity, y, prior, counts, reps, rows);

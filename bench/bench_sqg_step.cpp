@@ -27,6 +27,7 @@
 #include "rng/rng.hpp"
 #include "simd/dispatch.hpp"
 #include "sqg/sqg.hpp"
+#include "thread_counts.hpp"
 
 using namespace turbda;
 using Clock = std::chrono::steady_clock;
@@ -74,26 +75,6 @@ struct Result {
   bool bitwise = true;
 };
 
-/// Thread counts this machine can actually run, always including 1 (the
-/// row that carries the serial kernel timings and the bitwise reference).
-/// Oversubscribed counts (threads > hardware) measure scheduler noise, not
-/// scaling, and have polluted committed baselines before, so they are
-/// refused at record time with a printed note.
-std::vector<std::size_t> runnable_thread_counts(const std::vector<std::size_t>& requested,
-                                                std::size_t hw) {
-  std::vector<std::size_t> counts{1}, refused;
-  for (const std::size_t c : requested) (c <= hw ? counts : refused).push_back(c);
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  if (!refused.empty()) {
-    std::cout << "Note: skipping oversubscribed thread counts (hardware has " << hw << " thread"
-              << (hw == 1 ? "" : "s") << "):";
-    for (const std::size_t c : refused) std::cout << " " << c;
-    std::cout << " — such rows are noise and are not recorded.\n\n";
-  }
-  return counts;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -112,8 +93,8 @@ int main(int argc, char** argv) {
   const bool smoke = args.flag("smoke");
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const auto sizes = parse_list(args.get_str("sizes", smoke ? "32,64" : "64,128,256"));
-  const auto threads =
-      runnable_thread_counts(parse_list(args.get_str("threads", "1," + std::to_string(hw))), hw);
+  const auto threads = bench::runnable_thread_counts(
+      parse_list(args.get_str("threads", "1," + std::to_string(hw))), hw);
   const auto members = static_cast<std::size_t>(args.get_int("members", smoke ? 6 : 20));
   const int reps = static_cast<int>(args.get_int("reps", smoke ? 1 : 3));
   const std::string json_path = args.get_str("json", "BENCH_sqg.json");

@@ -19,6 +19,16 @@ class WallTimer {
 
   [[nodiscard]] double milliseconds() const { return seconds() * 1e3; }
 
+  /// Milliseconds since construction or the last reset()/lap_ms(), and
+  /// restarts the interval from the same clock read: back-to-back phases
+  /// cost one clock read each.
+  double lap_ms() {
+    const Clock::time_point now = Clock::now();
+    const double ms = std::chrono::duration<double, std::milli>(now - start_).count();
+    start_ = now;
+    return ms;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

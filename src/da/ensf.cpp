@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/timer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/dense_kernels.hpp"
 #include "telemetry/trace.hpp"
@@ -54,6 +56,7 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
                           const ObservationOperator& h, const DiagonalR& r,
                           const AnalysisOptions& opts, AnalysisStats* stats) {
   TURBDA_SPAN("ensf.analyze");
+  const WallTimer t_total;
   const std::size_t big_m = ens.size();  // number of analysis samples to draw
   const std::size_t d = ens.dim();
   TURBDA_REQUIRE(h.state_dim() == d, "EnSF: operator/state dim mismatch");
@@ -72,8 +75,8 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
 
   // Counter-based RNG layout: one base stream per assimilation cycle for the
   // shared draws (minibatch shuffles), plus a derived substream per analysis
-  // sample. Samples own their noise, so the member loops below parallelize
-  // with bitwise-reproducible results for any thread count (§III-A3).
+  // sample. Samples own their noise, so the sample blocks below run in
+  // parallel with bitwise-reproducible results for any thread count (§III-A3).
   rng::Rng rng(cfg_.seed, /*stream=*/++cycle_);
   std::vector<rng::Rng> sample_rng;
   sample_rng.reserve(big_m);
@@ -98,139 +101,161 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
     xsq[j] = s;
   }
 
-  // Initial diffused samples: Z ~ N(0, I) at pseudo-time t = 1, each row from
-  // its sample's own substream.
-  Tensor z({big_m, d});
-  parallel::parallel_for(
-      big_m,
-      [&](std::size_t mb, std::size_t me) {
-        for (std::size_t mm = mb; mm < me; ++mm) sample_rng[mm].fill_gaussian(z.row(mm));
-      },
-      1, cfg_.n_threads);
-
-  const std::size_t batch =
-      (cfg_.minibatch > 0) ? std::min<std::size_t>(big_m, static_cast<std::size_t>(cfg_.minibatch))
-                           : big_m;
-  std::vector<std::size_t> batch_idx(big_m);
-  std::iota(batch_idx.begin(), batch_idx.end(), 0);
-
   const int n_steps = cfg_.euler_steps;
   const double dt = 1.0 / n_steps;
   const double eps_a = cfg_.eps_alpha;
+  const std::size_t batch =
+      (cfg_.minibatch > 0) ? std::min<std::size_t>(big_m, static_cast<std::size_t>(cfg_.minibatch))
+                           : big_m;
 
-  // Scratch buffers.
-  Tensor logits({big_m, batch});
-  Tensor xb({batch, d});  // minibatch of forecast members
-  std::vector<double> xbsq(batch);
-  Tensor wx({big_m, d});  // softmax(W) * X_batch
-
-  for (int step = 0; step < n_steps; ++step) {
-    // Pseudo-time runs 1 -> dt; the last update lands the samples at t = 0.
-    // alpha is clamped (alpha(1) = eps_alpha > 0) so b(t) stays bounded.
-    const double t = 1.0 - step * dt;
-    const double alpha = 1.0 - (1.0 - eps_a) * t;
-    // Mixture-component bandwidth: beta^2 from the diffusion plus the kernel
-    // smoothing term (zero by default — then this is exactly Eq. 16).
-    const double beta_sq = t + alpha * alpha * kappa_sq;
-    const double b_t = -(1.0 - eps_a) / alpha;
-    const double sigma_sq = 1.0 - 2.0 * b_t * t;  // d(beta^2)/dt - 2 b beta^2
-    double damping = 1.0 - t;                           // h(t) = T - t with T = 1
-    switch (cfg_.damping) {
-      case LikelihoodDamping::LinearDecay: break;
-      case LikelihoodDamping::Constant: damping = 1.0; break;
-      case LikelihoodDamping::QuadraticDecay: damping *= damping; break;
-    }
-    damping *= cfg_.likelihood_strength;
-
-    // Draw this step's score minibatch (Eq. 15).
-    const Tensor* x_used = &forecast;
-    const std::vector<double>* xsq_used = &xsq;
-    if (batch < big_m) {
+  // Every step's score minibatch (Eq. 15), drawn up front from the shared
+  // stream in step order: successive shuffles of one index list, whose first
+  // `batch` entries pick the step's members. No sample block then waits on
+  // another.
+  std::vector<std::size_t> step_idx;
+  if (batch < big_m) {
+    std::vector<std::size_t> batch_idx(big_m);
+    std::iota(batch_idx.begin(), batch_idx.end(), 0);
+    step_idx.resize(static_cast<std::size_t>(n_steps) * batch);
+    for (int step = 0; step < n_steps; ++step) {
       rng.shuffle(std::span<std::size_t>(batch_idx));
-      for (std::size_t j = 0; j < batch; ++j) {
-        const auto src = forecast.row(batch_idx[j]);
-        std::copy(src.begin(), src.end(), xb.row(j).begin());
-        xbsq[j] = xsq[batch_idx[j]];
+      std::copy_n(batch_idx.begin(), batch, step_idx.begin() + step * batch);
+    }
+  }
+
+  // One fan-out: each chunk integrates its contiguous block of samples
+  // through every Euler step with block-local scratch. gemm_rows fixes every
+  // output element's accumulation order for any row partition and everything
+  // else works row by row, so the analysis is bitwise identical for any block
+  // partition.
+  Tensor z({big_m, d});
+  std::mutex tm_mu;
+  const auto integrate_block = [&](std::size_t mb, std::size_t me) {
+    TURBDA_SPAN("ensf.block");
+    WallTimer ph;
+    EnsfTimings bt;
+    const auto& dk = simd::active_dense_kernels();
+    const std::size_t rows = me - mb;
+    std::vector<double> logits(rows * batch), wx(rows * d);
+    std::vector<double> xb(step_idx.empty() ? 0 : batch * d);  // minibatch of forecast members
+    std::vector<double> hx(h.obs_dim()), resid(h.obs_dim()), rinv_resid(h.obs_dim());
+    std::vector<double> like_grad(d), noise(d);
+
+    // Initial diffused samples: Z ~ N(0, I) at pseudo-time t = 1, each row
+    // from its sample's own substream.
+    for (std::size_t m = mb; m < me; ++m) sample_rng[m].fill_gaussian(z.row(m));
+    double* const zb = z.row(mb).data();
+    bt.noise_ms += ph.lap_ms();
+
+    for (int step = 0; step < n_steps; ++step) {
+      // Pseudo-time runs 1 -> dt; the last update lands the samples at t = 0.
+      // alpha is clamped (alpha(1) = eps_alpha > 0) so b(t) stays bounded.
+      const double t = 1.0 - step * dt;
+      const double alpha = 1.0 - (1.0 - eps_a) * t;
+      // Mixture-component bandwidth: beta^2 from the diffusion plus the
+      // kernel smoothing term (zero by default — then this is exactly Eq. 16).
+      const double beta_sq = t + alpha * alpha * kappa_sq;
+      const double b_t = -(1.0 - eps_a) / alpha;
+      const double sigma_sq = 1.0 - 2.0 * b_t * t;  // d(beta^2)/dt - 2 b beta^2
+      double damping = 1.0 - t;                     // h(t) = T - t with T = 1
+      switch (cfg_.damping) {
+        case LikelihoodDamping::LinearDecay: break;
+        case LikelihoodDamping::Constant: damping = 1.0; break;
+        case LikelihoodDamping::QuadraticDecay: damping *= damping; break;
       }
-      x_used = &xb;
-      xsq_used = &xbsq;
+      damping *= cfg_.likelihood_strength;
+
+      // This step's score targets: the whole forecast, or the minibatch
+      // gathered into block-local rows.
+      const double* x = forecast.data();
+      const std::size_t* idx = nullptr;
+      if (!step_idx.empty()) {
+        idx = step_idx.data() + step * batch;
+        for (std::size_t j = 0; j < batch; ++j) {
+          const auto src = forecast.row(idx[j]);
+          std::copy(src.begin(), src.end(), xb.begin() + j * d);
+        }
+        x = xb.data();
+      }
+
+      // logits_{mj} = -|z_m - alpha x_j|^2 / (2 beta^2); the |z_m|^2 term is
+      // constant per row and drops out of the softmax.
+      tensor::gemm(tensor::Trans::No, tensor::Trans::Yes, rows, batch, d, 1.0, zb, d, x, d, 0.0,
+                   logits.data(), batch, 1);  // z x^T
+      bt.score_ms += ph.lap_ms();
+      for (std::size_t i = 0; i < rows; ++i) {
+        double* row = logits.data() + i * batch;
+        double mx = -1e300;
+        for (std::size_t j = 0; j < batch; ++j) {
+          const double xsq_j = xsq[idx != nullptr ? idx[j] : j];
+          row[j] = (2.0 * alpha * row[j] - alpha * alpha * xsq_j) / (2.0 * beta_sq);
+          mx = std::max(mx, row[j]);
+        }
+        double denom = 0.0;
+        for (std::size_t j = 0; j < batch; ++j) {
+          row[j] = std::exp(row[j] - mx);
+          denom += row[j];
+        }
+        const double inv = 1.0 / denom;
+        for (std::size_t j = 0; j < batch; ++j) row[j] *= inv;
+      }
+      bt.softmax_ms += ph.lap_ms();
+
+      // Weighted member average: wx = W X  (sum_j w_j x_j per sample).
+      tensor::gemm(tensor::Trans::No, tensor::Trans::No, rows, d, batch, 1.0, logits.data(),
+                   batch, x, d, 0.0, wx.data(), d, 1);
+      bt.mean_ms += ph.lap_ms();
+
+      // Euler–Maruyama update of each sample. The per-element update
+      //   z += -(b z - sigma^2 s_prior) dt + clamp(sigma^2 h grad dt) + noise
+      // with the prior score s_prior = -(z - alpha wx)/beta^2 (Eq. 15) is
+      // regrouped by input vector so each pass is one contiguous
+      // runtime-dispatched kernel:
+      //   z = c0 z + c1 wx + clamp(cl grad, +/-max_like_step) + noise_sd xi.
+      const double noise_sd = std::sqrt(std::max(sigma_sq, 0.0) * dt);
+      const double c0 = 1.0 - (b_t + sigma_sq / beta_sq) * dt;
+      const double c1 = sigma_sq * alpha * dt / beta_sq;
+      const double cl = sigma_sq * damping * dt;
+      for (std::size_t m = mb; m < me; ++m) {
+        auto zm = z.row(m);
+
+        // Likelihood score at z_m: J_h^T R^{-1} (y - h(z)). QC-masked
+        // observations get a zero residual (their raw value is never
+        // touched), and r_scale uniformly deflates the R^{-1} weighting.
+        h.apply(zm, hx);
+        for (std::size_t i = 0; i < hx.size(); ++i)
+          resid[i] = (mask != nullptr && mask[i] == 0) ? 0.0 : y[i] - hx[i];
+        r.apply_inverse(resid, rinv_resid);
+        if (opts.r_scale != 1.0)
+          dk.scale(rinv_resid.data(), rinv_resid.data(), rinv_resid.size(), inv_r_scale);
+        h.adjoint(zm, rinv_resid, like_grad);
+        bt.likelihood_ms += ph.lap_ms();
+
+        // The sample's own noise, drawn up front in the same substream order
+        // as a per-element loop would.
+        sample_rng[m].fill_gaussian(noise);
+        bt.noise_ms += ph.lap_ms();
+
+        double* zp = zm.data();
+        dk.scale(zp, zp, d, c0);
+        dk.axpy(zp, wx.data() + (m - mb) * d, d, c1);
+        // Clamp the per-step likelihood displacement: with very small R the
+        // likelihood drift is stiff and explicit Euler would blow up.
+        dk.clamped_axpy(zp, like_grad.data(), d, cl, cfg_.max_like_step);
+        dk.axpy(zp, noise.data(), d, noise_sd);
+        bt.update_ms += ph.lap_ms();
+      }
     }
 
-    // logits_{mj} = -|z_m - alpha x_j|^2 / (2 beta^2); the |z_m|^2 term is
-    // constant per row and drops out of the softmax.
-    logits = tensor::matmul_nt(z, *x_used, cfg_.n_threads);  // z x^T
-    parallel::parallel_for(
-        big_m,
-        [&](std::size_t mb, std::size_t me) {
-          for (std::size_t m = mb; m < me; ++m) {
-            auto row = logits.row(m);
-            double mx = -1e300;
-            for (std::size_t j = 0; j < batch; ++j) {
-              row[j] = (2.0 * alpha * row[j] - alpha * alpha * (*xsq_used)[j]) / (2.0 * beta_sq);
-              mx = std::max(mx, row[j]);
-            }
-            double denom = 0.0;
-            for (std::size_t j = 0; j < batch; ++j) {
-              row[j] = std::exp(row[j] - mx);
-              denom += row[j];
-            }
-            const double inv = 1.0 / denom;
-            for (std::size_t j = 0; j < batch; ++j) row[j] *= inv;
-          }
-        },
-        1, cfg_.n_threads);
-
-    // Weighted member average: wx = W X  (sum_j w_j x_j per sample).
-    wx = tensor::matmul(logits, *x_used, cfg_.n_threads);
-
-    // Euler–Maruyama update of each sample. Samples touch only their own row
-    // of z and draw from their own substream. The per-element update
-    //   z += -(b z - sigma^2 s_prior) dt + clamp(sigma^2 h grad dt) + noise
-    // with the prior score s_prior = -(z - alpha wx)/beta^2 (Eq. 15) is
-    // regrouped by input vector so each pass is one contiguous
-    // runtime-dispatched kernel:
-    //   z = c0 z + c1 wx + clamp(cl grad, +/-max_like_step) + noise_sd xi.
-    const double noise_sd = std::sqrt(std::max(sigma_sq, 0.0) * dt);
-    const double c0 = 1.0 - (b_t + sigma_sq / beta_sq) * dt;
-    const double c1 = sigma_sq * alpha * dt / beta_sq;
-    const double cl = sigma_sq * damping * dt;
-    parallel::parallel_for(
-        big_m,
-        [&](std::size_t mb, std::size_t me) {
-          const auto& dk = simd::active_dense_kernels();
-          // Chunk-local scratch for the likelihood score and the noise draw.
-          std::vector<double> hx(h.obs_dim()), resid(h.obs_dim()), rinv_resid(h.obs_dim());
-          std::vector<double> like_grad(d), noise(d);
-          for (std::size_t m = mb; m < me; ++m) {
-            auto zm = z.row(m);
-            const auto wxm = wx.row(m);
-
-            // Likelihood score at z_m: J_h^T R^{-1} (y - h(z)). QC-masked
-            // observations get a zero residual (their raw value is never
-            // touched), and r_scale uniformly deflates the R^{-1} weighting.
-            h.apply(zm, hx);
-            for (std::size_t i = 0; i < hx.size(); ++i)
-              resid[i] = (mask != nullptr && mask[i] == 0) ? 0.0 : y[i] - hx[i];
-            r.apply_inverse(resid, rinv_resid);
-            if (opts.r_scale != 1.0)
-              dk.scale(rinv_resid.data(), rinv_resid.data(), rinv_resid.size(), inv_r_scale);
-            h.adjoint(zm, rinv_resid, like_grad);
-
-            // The sample's own noise, drawn up front in the same substream
-            // order as a per-element loop would.
-            sample_rng[m].fill_gaussian(noise);
-
-            double* zp = zm.data();
-            dk.scale(zp, zp, d, c0);
-            dk.axpy(zp, wxm.data(), d, c1);
-            // Clamp the per-step likelihood displacement: with very small R
-            // the likelihood drift is stiff and explicit Euler would blow up.
-            dk.clamped_axpy(zp, like_grad.data(), d, cl, cfg_.max_like_step);
-            dk.axpy(zp, noise.data(), d, noise_sd);
-          }
-        },
-        1, cfg_.n_threads);
-  }
+    const std::lock_guard<std::mutex> lock(tm_mu);
+    timings_.score_ms += bt.score_ms;
+    timings_.softmax_ms += bt.softmax_ms;
+    timings_.mean_ms += bt.mean_ms;
+    timings_.likelihood_ms += bt.likelihood_ms;
+    timings_.noise_ms += bt.noise_ms;
+    timings_.update_ms += bt.update_ms;
+  };
+  parallel::parallel_for(big_m, integrate_block, 1, cfg_.n_threads);
 
   ens.data() = std::move(z);
 
@@ -248,6 +273,8 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
     }
   }
+  timings_.total_ms += t_total.milliseconds();
+  timings_.analyses += 1;
   return Status::Ok();
 }
 

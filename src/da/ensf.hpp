@@ -14,9 +14,14 @@
 // Analysis members are produced by integrating the reverse-time SDE (Eq. 7)
 // from z ~ N(0, I) at t = 1 down to t ~= 0 with Euler–Maruyama.
 //
-// The inner products that dominate the cost are evaluated as (M x J) and
-// (M x d) GEMMs, which is also what makes the method embarrassingly parallel
-// over ensemble members on HPC systems (§III-A-3).
+// Samples never interact: the score of sample m reads only its own z_m and
+// the shared forecast, and every sample draws its noise from its own
+// counter-based substream. That is what makes the method embarrassingly
+// parallel over samples (§III-A-3). The analysis is one fan-out over
+// contiguous sample blocks, each integrating its own rows of Z through every
+// Euler step: its rows of the score GEMM z x^T and of the weighted mean W X,
+// the softmax, then each sample's likelihood score, noise and update, in
+// block-local scratch allocated once per analysis.
 #pragma once
 
 #include <cstdint>
@@ -59,16 +64,18 @@ struct EnsfConfig {
                                      ///< EnSF ablation bench)
   std::uint64_t seed = 20240712;
 
-  /// Worker threads for the per-sample score evaluation and Euler–Maruyama
-  /// update (0 = all hardware threads via the process-wide pool, 1 = serial).
-  /// Every sample draws noise from its own counter-based Philox substream, so
-  /// the analysis is bitwise identical for any value.
+  /// Threads for the analysis (0 = all hardware threads via the process-wide
+  /// pool, 1 = serial): the samples split into at most this many contiguous
+  /// blocks, and each block runs the whole reverse-time integration on one
+  /// thread. The block GEMMs keep every output element's accumulation order
+  /// for any row partition and every sample draws noise from its own Philox
+  /// substream, so the analysis is bitwise identical for any value.
   std::size_t n_threads = 0;
 
   /// The configuration used by the paper-reproduction benches: kernel
   /// smoothing + strengthened likelihood keep 20-member ensembles stable at
-  /// the observation-noise floor (EXPERIMENTS.md discusses the deviation
-  /// from the raw Eq. 11-17 parameters).
+  /// the observation-noise floor (README "EnSF analysis" discusses the
+  /// deviation from the raw Eq. 11-17 parameters).
   [[nodiscard]] static EnsfConfig stabilized() {
     EnsfConfig cfg;
     cfg.euler_steps = 100;
@@ -77,6 +84,24 @@ struct EnsfConfig {
     cfg.relax_spread = 0.9;  // full relaxation lets spread grow unboundedly
     return cfg;
   }
+};
+
+/// Cumulative per-phase breakdown of analyze(), always collected.
+/// Milliseconds, summed over calls.
+///
+/// Two units: total_ms is wall time on the calling thread. The phases
+/// (score_ms .. update_ms) are worker time, summed over every pool worker
+/// that integrated a sample block, so with more than one thread their sum
+/// can exceed total_ms.
+struct EnsfTimings {
+  double score_ms = 0.0;       ///< minibatch gather + z x^T score GEMM (worker-summed)
+  double softmax_ms = 0.0;     ///< softmax score weights W (worker-summed)
+  double mean_ms = 0.0;        ///< weighted member mean W X GEMM (worker-summed)
+  double likelihood_ms = 0.0;  ///< likelihood score J_h^T R^{-1} (y - h(z)) (worker-summed)
+  double noise_ms = 0.0;       ///< Gaussian draws, initial Z included (worker-summed)
+  double update_ms = 0.0;      ///< Euler–Maruyama update kernels (worker-summed)
+  double total_ms = 0.0;       ///< whole analyze() calls incl. setup and RTPS (wall)
+  std::size_t analyses = 0;
 };
 
 class EnSF final : public Filter {
@@ -108,6 +133,10 @@ class EnSF final : public Filter {
   /// cycles stay independent yet reproducible).
   [[nodiscard]] std::uint64_t cycles_done() const { return cycle_; }
 
+  /// Cumulative phase timings.
+  [[nodiscard]] const EnsfTimings& timings() const { return timings_; }
+  void reset_timings() { timings_ = EnsfTimings{}; }
+
  private:
   Status analyze_impl(Ensemble& ensemble, std::span<const double> y,
                       const ObservationOperator& h, const DiagonalR& r,
@@ -115,6 +144,7 @@ class EnSF final : public Filter {
 
   EnsfConfig cfg_;
   std::uint64_t cycle_ = 0;
+  EnsfTimings timings_;
 };
 
 }  // namespace turbda::da

@@ -22,6 +22,15 @@ constexpr std::size_t kKc = 128;
 constexpr std::size_t kParFlops = std::size_t{1} << 20;
 constexpr std::size_t kParMinRows = 16;
 
+/// The calling thread's tile-packing scratch, at least `n` doubles. It only
+/// grows, so once a thread has run a product of some shape, gemm calls of
+/// that shape or smaller allocate nothing.
+double* pack_scratch(std::size_t n) {
+  thread_local std::vector<double> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
 /// Packs op(A) tile [i0,i1) x [k0,k1) into row-major contiguous storage.
 void pack_a(Trans ta, const double* a, std::size_t lda, std::size_t i0, std::size_t i1,
             std::size_t k0, std::size_t k1, double* out) {
@@ -73,25 +82,27 @@ void gemm_rows(Trans ta, Trans tb, std::size_t r0, std::size_t r1, std::size_t n
   }
   if (alpha == 0.0 || r0 >= r1 || n == 0 || k == 0) return;
 
-  std::vector<double> pa(kMc * kKc), pb(kKc * kNc);
+  const std::size_t pa_size = std::min(kMc, r1 - r0) * std::min(kKc, k);
+  double* const pa = pack_scratch(pa_size + std::min(kKc, k) * std::min(kNc, n));
+  double* const pb = pa + pa_size;
   for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
     const std::size_t k1 = std::min(k, k0 + kKc);
     for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
       const std::size_t j1 = std::min(n, j0 + kNc);
-      pack_b(tb, b, ldb, k0, k1, j0, j1, pb.data());
+      pack_b(tb, b, ldb, k0, k1, j0, j1, pb);
       const std::size_t jw = j1 - j0;
       for (std::size_t i0 = r0; i0 < r1; i0 += kMc) {
         const std::size_t i1 = std::min(r1, i0 + kMc);
-        pack_a(ta, a, lda, i0, i1, k0, k1, pa.data());
+        pack_a(ta, a, lda, i0, i1, k0, k1, pa);
         const std::size_t kw = k1 - k0;
         // Micro-kernel: rank-kw update of the C tile; innermost loop over j
         // is contiguous in both pb and c so it auto-vectorizes.
         for (std::size_t i = i0; i < i1; ++i) {
-          const double* arow = pa.data() + (i - i0) * kw;
+          const double* arow = pa + (i - i0) * kw;
           double* crow = c + i * ldc + j0;
           for (std::size_t kk = 0; kk < kw; ++kk) {
             const double av = alpha * arow[kk];
-            const double* brow = pb.data() + kk * jw;
+            const double* brow = pb + kk * jw;
             for (std::size_t j = 0; j < jw; ++j) crow[j] += av * brow[j];
           }
         }

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
 #include "da/letkf.hpp"
@@ -15,6 +18,7 @@
 #include "da/osse.hpp"
 #include "models/lorenz96.hpp"
 #include "rng/rng.hpp"
+#include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/linalg.hpp"
@@ -684,7 +688,7 @@ TEST(Ensf, KernelSmoothingImprovesSmallEnsembleContraction) {
   // The raw Eq.-16 score with 20 isolated members in 200 dimensions barely
   // contracts (particle-degeneracy-like pinning); the kernel-smoothed score
   // restores the pull toward observations. This is the key ablation finding
-  // documented in EXPERIMENTS.md.
+  // documented in the README's "EnSF analysis" section.
   Rng rng(20);
   const std::size_t m = 20, d = 200;
   Ensemble raw = make_gaussian_ensemble(m, d, rng, 0.0, 1.0);
@@ -771,6 +775,232 @@ TEST(Ensf, HandlesNonlinearArctanObs) {
   EnSF filter(cfg);
   filter.analyze(ens, y, h, r);
   EXPECT_LT(rmse_vs_truth(ens, truth), rmse0);
+}
+
+/// The EnSF analysis on the plain per-step schedule: each Euler step draws
+/// its minibatch at the top of the step, runs the score GEMM, the softmax and
+/// the weighted mean over all samples at once, then each sample's
+/// likelihood, noise and update through the same dispatched kernels, with
+/// the RTPS pass at the end. `cycle` keys the analysis stream: the filter's
+/// cycle counter after the call (1 for a fresh filter's first analysis).
+void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
+                             const ObservationOperator& h, const DiagonalR& r,
+                             const AnalysisOptions& opts, const EnsfConfig& cfg,
+                             std::uint64_t cycle) {
+  const std::size_t big_m = ens.size(), d = ens.dim(), p = h.obs_dim();
+  Rng rng(cfg.seed, cycle);
+  std::vector<Rng> sample_rng;
+  for (std::size_t j = 0; j < big_m; ++j) sample_rng.push_back(rng.substream(j));
+  const tensor::Tensor forecast = ens.data();
+  const std::vector<double> prior_sd = ens.stddev();
+  double spread_sq = 0.0;
+  for (double v : prior_sd) spread_sq += v * v;
+  spread_sq /= static_cast<double>(d);
+  const double kappa_sq = cfg.kernel_bandwidth * cfg.kernel_bandwidth * spread_sq;
+  std::vector<double> xsq(big_m, 0.0);
+  for (std::size_t j = 0; j < big_m; ++j)
+    for (double v : forecast.row(j)) xsq[j] += v * v;
+
+  tensor::Tensor z({big_m, d});
+  for (std::size_t m = 0; m < big_m; ++m) sample_rng[m].fill_gaussian(z.row(m));
+  const std::size_t batch =
+      cfg.minibatch > 0 ? std::min<std::size_t>(big_m, cfg.minibatch) : big_m;
+  std::vector<std::size_t> batch_idx(big_m);
+  std::iota(batch_idx.begin(), batch_idx.end(), std::size_t{0});
+  tensor::Tensor xb({batch, d});
+  std::vector<double> xbsq(batch);
+  const auto& dk = simd::active_dense_kernels();
+  std::vector<double> hx(p), resid(p), rinv_resid(p), grad(d), noise(d);
+  const double dt = 1.0 / cfg.euler_steps;
+  for (int step = 0; step < cfg.euler_steps; ++step) {
+    const double t = 1.0 - step * dt;
+    const double alpha = 1.0 - (1.0 - cfg.eps_alpha) * t;
+    const double beta_sq = t + alpha * alpha * kappa_sq;
+    const double b_t = -(1.0 - cfg.eps_alpha) / alpha;
+    const double sigma_sq = 1.0 - 2.0 * b_t * t;
+    double damping = 1.0 - t;
+    if (cfg.damping == LikelihoodDamping::Constant) damping = 1.0;
+    if (cfg.damping == LikelihoodDamping::QuadraticDecay) damping *= damping;
+    damping *= cfg.likelihood_strength;
+
+    const tensor::Tensor* x = &forecast;
+    const std::vector<double>* x_sq = &xsq;
+    if (batch < big_m) {
+      rng.shuffle(std::span<std::size_t>(batch_idx));
+      for (std::size_t j = 0; j < batch; ++j) {
+        const auto src = forecast.row(batch_idx[j]);
+        std::copy(src.begin(), src.end(), xb.row(j).begin());
+        xbsq[j] = xsq[batch_idx[j]];
+      }
+      x = &xb;
+      x_sq = &xbsq;
+    }
+    tensor::Tensor w = tensor::matmul_nt(z, *x, 1);
+    for (std::size_t m = 0; m < big_m; ++m) {
+      auto row = w.row(m);
+      double mx = -1e300;
+      for (std::size_t j = 0; j < batch; ++j) {
+        row[j] = (2.0 * alpha * row[j] - alpha * alpha * (*x_sq)[j]) / (2.0 * beta_sq);
+        mx = std::max(mx, row[j]);
+      }
+      double denom = 0.0;
+      for (std::size_t j = 0; j < batch; ++j) {
+        row[j] = std::exp(row[j] - mx);
+        denom += row[j];
+      }
+      const double inv = 1.0 / denom;
+      for (std::size_t j = 0; j < batch; ++j) row[j] *= inv;
+    }
+    const tensor::Tensor wx = tensor::matmul(w, *x, 1);
+
+    const double noise_sd = std::sqrt(std::max(sigma_sq, 0.0) * dt);
+    const double c0 = 1.0 - (b_t + sigma_sq / beta_sq) * dt;
+    const double c1 = sigma_sq * alpha * dt / beta_sq;
+    const double cl = sigma_sq * damping * dt;
+    for (std::size_t m = 0; m < big_m; ++m) {
+      auto zm = z.row(m);
+      h.apply(zm, hx);
+      for (std::size_t i = 0; i < p; ++i)
+        resid[i] = (!opts.obs_mask.empty() && opts.obs_mask[i] == 0) ? 0.0 : y[i] - hx[i];
+      r.apply_inverse(resid, rinv_resid);
+      if (opts.r_scale != 1.0)
+        dk.scale(rinv_resid.data(), rinv_resid.data(), p, 1.0 / opts.r_scale);
+      h.adjoint(zm, rinv_resid, grad);
+      sample_rng[m].fill_gaussian(noise);
+      double* zp = zm.data();
+      dk.scale(zp, zp, d, c0);
+      dk.axpy(zp, wx.row(m).data(), d, c1);
+      dk.clamped_axpy(zp, grad.data(), d, cl, cfg.max_like_step);
+      dk.axpy(zp, noise.data(), d, noise_sd);
+    }
+  }
+  ens.data() = std::move(z);
+
+  if (cfg.relax_spread > 0.0) {
+    const auto post_sd = ens.stddev();
+    const auto mu = ens.mean();
+    for (std::size_t i = 0; i < d; ++i) {
+      if (post_sd[i] <= 1e-12) continue;
+      const double target =
+          (1.0 - cfg.relax_spread) * post_sd[i] + cfg.relax_spread * prior_sd[i];
+      const double scale = target / post_sd[i];
+      for (std::size_t m = 0; m < big_m; ++m) {
+        auto row = ens.member(m);
+        row[i] = mu[i] + (row[i] - mu[i]) * scale;
+      }
+    }
+  }
+}
+
+TEST(Ensf, MatchesPerStepReference) {
+  // The filter integrates each sample block through every Euler step in one
+  // fan-out. It must equal the per-step schedule bit for bit at 1, 2 and 3
+  // threads (M = 17 makes the blocks unequal) on four inputs: the full
+  // batch, a minibatch (the shuffles continue across steps), a QC mask with
+  // r_scale, and two consecutive cycles (the cycle counter keys the stream).
+  Rng rng(31);
+  const std::size_t m = 17, d = 300;
+  std::vector<double> truth(d);
+  rng.fill_gaussian(truth, 0.0, 2.0);
+  Ensemble prior(m, d);
+  prior.init_perturbed(truth, 1.5, rng);
+  std::vector<double> y(d), r_var(d);
+  for (std::size_t i = 0; i < d; ++i) {
+    y[i] = truth[i] + rng.gaussian();
+    r_var[i] = 0.5 + 0.01 * static_cast<double>(i % 50);
+  }
+  const IdentityObs h(d);
+  const DiagonalR r(r_var);
+  // QC input: every 7th observation excised, its raw value non-finite so any
+  // read of it would poison the analysis.
+  std::vector<std::uint8_t> mask(d, 1);
+  std::vector<double> y_qc = y;
+  for (std::size_t i = 0; i < d; i += 7) {
+    mask[i] = 0;
+    y_qc[i] = std::numeric_limits<double>::quiet_NaN();
+  }
+
+  struct Input {
+    const char* name;
+    int minibatch;
+    bool qc;
+    std::uint64_t cycles;
+  };
+  for (const Input& in : {Input{"full batch", 0, false, 1}, Input{"minibatch 6", 6, false, 1},
+                          Input{"QC mask, r_scale 1.5", 0, true, 1},
+                          Input{"two cycles", 0, false, 2}}) {
+    EnsfConfig cfg = EnsfConfig::stabilized();
+    cfg.euler_steps = 50;
+    cfg.minibatch = in.minibatch;
+    AnalysisOptions opts;
+    if (in.qc) {
+      opts.obs_mask = mask;
+      opts.r_scale = 1.5;
+    }
+    const std::span<const double> yv = in.qc ? y_qc : y;
+    Ensemble want(m, d);
+    want.data() = prior.data();
+    for (std::uint64_t c = 1; c <= in.cycles; ++c)
+      ensf_per_step_reference(want, yv, h, r, opts, cfg, c);
+
+    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      cfg.n_threads = nt;
+      EnSF filter(cfg);
+      Ensemble got(m, d);
+      got.data() = prior.data();
+      for (std::uint64_t c = 1; c <= in.cycles; ++c)
+        ASSERT_TRUE(filter.try_analyze(got, yv, h, r, opts).ok()) << in.name;
+#if defined(__FMA__)
+      // An FMA-enabled -march (TURBDA_NATIVE) lets the compiler fuse
+      // multiply-adds differently in this translation unit than in the
+      // library's, so there the schedules agree to a few ulps (~1e-14 here).
+      for (std::size_t i = 0; i < m * d; ++i)
+        ASSERT_NEAR(got.data().data()[i], want.data().data()[i], 1e-12)
+            << in.name << ", threads=" << nt << ", element " << i;
+#else
+      EXPECT_EQ(0, std::memcmp(got.data().data(), want.data().data(), m * d * sizeof(double)))
+          << in.name << ", threads=" << nt;
+#endif
+      const EnsfTimings& tm = filter.timings();
+      EXPECT_EQ(tm.analyses, in.cycles);
+      EXPECT_GT(tm.noise_ms, 0.0);
+      EXPECT_GT(tm.total_ms, 0.0);
+    }
+  }
+}
+
+TEST(Ensf, AnalysisAllocationsDoNotGrowWithEulerSteps) {
+  // Sample blocks allocate their scratch once per analysis and the GEMM
+  // packing scratch is per-thread, so a warmed analysis makes as many heap
+  // allocations at 64 Euler steps as at 8, with and without a minibatch.
+  // One thread only: with more, the chunk-to-worker assignment can grow a
+  // cold worker's GEMM scratch inside the measured call.
+  Rng rng(32);
+  const std::size_t m = 12, d = 512;
+  const Ensemble prior = make_gaussian_ensemble(m, d, rng);
+  const std::vector<double> y(d, 0.5);
+  const IdentityObs h(d);
+  const DiagonalR r(d, 1.0);
+  for (const int minibatch : {0, 5}) {
+    std::uint64_t allocs[2] = {0, 0};
+    const int steps[2] = {8, 64};
+    for (int s = 0; s < 2; ++s) {
+      EnsfConfig cfg = EnsfConfig::stabilized();
+      cfg.euler_steps = steps[s];
+      cfg.minibatch = minibatch;
+      cfg.n_threads = 1;
+      EnSF filter(cfg);
+      Ensemble work(m, d);
+      work.data() = prior.data();
+      filter.analyze(work, y, h, r);  // warm-up: sizes this thread's GEMM scratch
+      work.data() = prior.data();
+      const std::uint64_t before = g_new_calls.load();
+      filter.analyze(work, y, h, r);
+      allocs[s] = g_new_calls.load() - before;
+    }
+    EXPECT_EQ(allocs[0], allocs[1]) << "minibatch " << minibatch << ": " << allocs[0]
+                                    << " allocations at 8 steps, " << allocs[1] << " at 64";
+  }
 }
 
 // ------------------------------------------------------------------ OSSE ---

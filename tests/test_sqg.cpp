@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <vector>
 
 #include "common/math_utils.hpp"
@@ -14,55 +11,7 @@
 #include "rng/rng.hpp"
 #include "sqg/sqg.hpp"
 
-// --- global allocation counter ----------------------------------------------
-// Backs the zero-per-step-allocation test: replacing the (replaceable) global
-// operators is binary-wide, and the test only inspects deltas across a
-// warmed-up step() call, so the rest of the suite is unaffected.
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-}  // namespace
-
-// The replacements route new/delete through malloc/free as a matched set;
-// GCC's -Wmismatched-new-delete cannot see that pairing across the
-// replaceable-operator boundary, so silence it for these definitions only.
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t sz) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t sz) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc{};
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-// Over-aligned overloads count too, so allocations from a future SIMD-aligned
-// buffer type (the ROADMAP's AVX2 step) cannot slip past the test.
-namespace {
-void* counted_aligned_alloc(std::size_t sz, std::align_val_t al) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = std::max(static_cast<std::size_t>(al), sizeof(void*));
-  void* p = nullptr;
-  if (posix_memalign(&p, a, sz ? sz : 1) == 0) return p;
-  throw std::bad_alloc{};
-}
-}  // namespace
-void* operator new(std::size_t sz, std::align_val_t al) { return counted_aligned_alloc(sz, al); }
-void* operator new[](std::size_t sz, std::align_val_t al) { return counted_aligned_alloc(sz, al); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
+#include "alloc_counter.hpp"
 
 namespace turbda::sqg {
 namespace {
