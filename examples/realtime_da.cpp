@@ -7,24 +7,20 @@
 // Fault tolerance: the stream can be wrapped in a deterministic fault
 // injector (NaN/Inf/outlier values, stuck channels, duplicated and truncated
 // batches) with observation QC, graceful degradation and periodic
-// checkpointing on the runner side. `--soak` runs an aggressive end-to-end
-// injection scenario in both schedules, prints the degradation table and
-// exits non-zero if any cycle failed to complete — the CI crash harness.
+// checkpointing on the runner side. `--sqg` swaps in the SQG model and
+// LETKF for a turbulence-scale run whose trace covers every instrumented
+// layer. The fault soaks and the live-ingestion checks are gtests
+// (test_faults, test_checkpoint, test_ingest).
 //
-//   build/examples/realtime_da [--latency=0.3] [--jitter=0.5] [--drop=0.2]
-//   build/examples/realtime_da --nan=0.05 --stuck=0.3 --qc
-//   build/examples/realtime_da --soak
-#include <chrono>
+//   build/realtime_da [--latency=0.3] [--jitter=0.5] [--drop=0.2]
+//   build/realtime_da --nan=0.05 --stuck=0.3 --qc
+//   build/realtime_da --sqg --trace=trace.json
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "da/etkf.hpp"
 #include "da/letkf.hpp"
@@ -34,20 +30,16 @@
 #include "models/scaled_forecast.hpp"
 #include "sqg/sqg.hpp"
 #include "stream/faulty_stream.hpp"
-#include "stream/ingest/ingest_stream.hpp"
-#include "stream/ingest/socket_stream.hpp"
-#include "stream/ingest/tail_stream.hpp"
 #include "stream/realtime_runner.hpp"
 #include "stream/synthetic_stream.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 using namespace turbda;
-namespace ingest = turbda::stream::ingest;
 
 namespace {
 
-/// --trace / --metrics-dump / --metrics-json plumbing, shared by every mode:
+/// --trace / --metrics-dump / --metrics-json plumbing, shared by both modes:
 /// tracing is armed before the first cycle and exported on exit.
 struct TelemetryCli {
   std::string trace_path;
@@ -103,17 +95,14 @@ struct Summary {
   int assimilated = 0;
   int obs_rejected = 0;
   int batches_rejected = 0;
-  int analysis_failures = 0;
-  int spread_recoveries = 0;
   int degraded_cycles = 0;
   std::vector<stream::StreamCycleMetrics> metrics;
   stream::FaultCounters faults;
-  da::Ensemble ens{2, 2};
 };
 
 Summary run_scenario(const stream::SyntheticStreamConfig& sc, const stream::RealtimeConfig& rc,
                      std::span<const double> truth0, const models::Lorenz96Config& mc,
-                     const stream::FaultConfig* fc = nullptr, bool use_filter = true,
+                     const stream::FaultConfig* fc = nullptr,
                      const std::string& resume_from = {}) {
   models::Lorenz96 truth_model(mc), fcst_model(mc);
   da::IdentityObs h(mc.dim);
@@ -127,7 +116,7 @@ Summary run_scenario(const stream::SyntheticStreamConfig& sc, const stream::Real
     faulty.emplace(*fc, inner);
     s = &*faulty;
   }
-  stream::RealtimeRunner runner(rc, *s, fcst_model, use_filter ? &filter : nullptr);
+  stream::RealtimeRunner runner(rc, *s, fcst_model, &filter);
   Summary out;
   if (resume_from.empty()) {
     out.metrics = runner.run(truth0);
@@ -138,658 +127,16 @@ Summary run_scenario(const stream::SyntheticStreamConfig& sc, const stream::Real
       std::exit(1);
     }
   }
-  out.ens = runner.ensemble();
   out.rmse = stream::mean_rmse_post(out.metrics, rc.cycles / 2);
   out.misses = stream::count_deadline_misses(out.metrics);
   for (const auto& m : out.metrics) {
     out.assimilated += m.batches_assimilated;
     out.obs_rejected += m.obs_rejected;
     out.batches_rejected += m.batches_rejected;
-    out.analysis_failures += m.analysis_failures;
-    out.spread_recoveries += m.spread_recoveries;
     out.degraded_cycles += m.degraded ? 1 : 0;
   }
   if (faulty.has_value()) out.faults = faulty->counters();
   return out;
-}
-
-bool bitwise_equal(const da::Ensemble& a, const da::Ensemble& b) {
-  if (a.size() != b.size() || a.dim() != b.dim()) return false;
-  for (std::size_t m = 0; m < a.size(); ++m) {
-    const auto ra = a.member(m);
-    const auto rb = b.member(m);
-    if (std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)) != 0) return false;
-  }
-  return true;
-}
-
-/// Aggressive end-to-end fault soak (the CI harness): every injector active,
-/// QC + degradation + spread watchdog on, both schedules, plus a
-/// checkpoint/resume bitwise round-trip. Returns the process exit code.
-int run_soak(const io::Args& args, const models::Lorenz96Config& mc,
-             std::span<const double> truth0) {
-  stream::RealtimeConfig rc;
-  rc.cycles = static_cast<int>(args.get_int("cycles", 150));
-  rc.n_members = static_cast<std::size_t>(args.get_int("members", 20));
-  rc.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  rc.window_hours = 6.0;
-  rc.deadline_slack_cycles = 0.25;
-  rc.qc.enabled = true;
-  rc.qc.clim_min = -100.0;
-  rc.qc.clim_max = 100.0;
-  rc.qc.bg_sigma = 5.0;
-  rc.qc.stale_r_inflation = 0.5;
-  rc.spread_floor = 1e-3;
-  rc.spread_ceiling = 50.0;
-
-  // Moderately degraded delivery: most batches make their deadline, some
-  // straggle, some drop. The soak stresses *content* corruption — extreme
-  // latency is the plain example's regime.
-  stream::SyntheticStreamConfig sc;
-  sc.seed = rc.seed;
-  sc.latency_cycles = 0.1;
-  sc.jitter_cycles = 0.25;
-  sc.dropout_prob = 0.1;
-
-  stream::FaultConfig fc;
-  fc.nan_prob = 0.05;
-  fc.inf_prob = 0.02;
-  fc.outlier_prob = 0.03;
-  fc.stuck_prob = 0.3;
-  fc.duplicate_prob = 0.3;
-  fc.truncate_prob = 0.15;
-
-  std::cout << "Fault-injection soak: " << rc.cycles << " cycles x " << rc.n_members
-            << " members, NaN=" << fc.nan_prob << " Inf=" << fc.inf_prob
-            << " outlier=" << fc.outlier_prob << " stuck=" << fc.stuck_prob
-            << " dup=" << fc.duplicate_prob << " trunc=" << fc.truncate_prob
-            << ", QC + degradation + spread watchdog on\n\n";
-
-  const auto free_run = run_scenario(sc, rc, truth0, mc, nullptr, /*use_filter=*/false);
-
-  int failures = 0;
-  io::Table t({"schedule", "cycles", "late-half RMSE", "obs rejected", "batches refused",
-               "analysis failures", "spread recoveries", "degraded cycles"});
-  for (const auto schedule : {stream::Schedule::Serial, stream::Schedule::Overlapped}) {
-    auto rcs = rc;
-    rcs.schedule = schedule;
-    const auto r = run_scenario(sc, rcs, truth0, mc, &fc);
-    const char* name = schedule == stream::Schedule::Serial ? "serial" : "overlapped";
-    t.add_row({name, std::to_string(r.metrics.size()), io::Table::num(r.rmse, 3),
-               std::to_string(r.obs_rejected), std::to_string(r.batches_rejected),
-               std::to_string(r.analysis_failures), std::to_string(r.spread_recoveries),
-               std::to_string(r.degraded_cycles)});
-    if (r.metrics.size() != static_cast<std::size_t>(rcs.cycles)) {
-      std::cerr << "SOAK FAIL: " << name << " completed " << r.metrics.size() << " of "
-                << rcs.cycles << " cycles\n";
-      ++failures;
-    }
-    for (const auto& m : r.metrics)
-      if (!std::isfinite(m.rmse_post) || !std::isfinite(m.spread_post)) {
-        std::cerr << "SOAK FAIL: " << name << " cycle " << m.cycle << " went non-finite\n";
-        ++failures;
-        break;
-      }
-    if (!(r.rmse < free_run.rmse)) {
-      std::cerr << "SOAK FAIL: " << name << " late-half RMSE " << r.rmse
-                << " does not beat the free run (" << free_run.rmse << ")\n";
-      ++failures;
-    }
-  }
-  t.print();
-
-  // Checkpoint mid-run, resume in a fresh stack, demand a bitwise-identical
-  // final ensemble.
-  const std::string ckpt = args.get_str("ckpt", "soak_ckpt.bin");
-  auto rck = rc;
-  rck.checkpoint_path = ckpt;
-  rck.checkpoint_every = std::max(rc.cycles / 3, 1);
-  const auto baseline = run_scenario(sc, rc, truth0, mc, &fc);
-  const auto writer = run_scenario(sc, rck, truth0, mc, &fc);
-  const auto resumed = run_scenario(sc, rck, truth0, mc, &fc, true, ckpt);
-  if (!bitwise_equal(baseline.ens, writer.ens) || !bitwise_equal(baseline.ens, resumed.ens)) {
-    std::cerr << "SOAK FAIL: checkpoint/resume is not bitwise identical\n";
-    ++failures;
-  }
-  std::remove(ckpt.c_str());
-
-  std::cout << "\nInjected faults (serial pass): NaN=" << baseline.faults.nan_values
-            << " Inf=" << baseline.faults.inf_values
-            << " outliers=" << baseline.faults.outlier_values
-            << " stuck=" << baseline.faults.stuck_values
-            << " duplicated=" << baseline.faults.batches_duplicated
-            << " truncated=" << baseline.faults.batches_truncated << "\n";
-  if (failures == 0) {
-    std::cout << "\nSOAK PASS: every cycle completed, all analyses finite, RMSE below the "
-                 "free run, checkpoint/resume bitwise identical.\n";
-    return 0;
-  }
-  std::cerr << "\nSOAK: " << failures << " check(s) failed\n";
-  return 1;
-}
-
-// ------------------------------------------------------- live ingestion ---
-
-/// Encodes window `w`'s wire traffic: every batch the stream released, truth
-/// retransmits for the last three windows, and the heartbeat that publishes
-/// the window. With `corrupt_frac > 0` a deterministic coin prefixes frames
-/// with a damaged copy (and the occasional run of garbage bytes); the clean
-/// frame follows immediately, so corruption exercises the decoder's CRC and
-/// resynchronization without starving the consumer of data.
-void encode_window_frames(stream::SyntheticStream& s, int w, double corrupt_frac,
-                          rng::Rng& wire_rng, std::uint64_t& seq,
-                          std::vector<std::uint8_t>& out) {
-  std::vector<stream::ObsBatch> got;
-  s.collect(std::numeric_limits<double>::infinity(), got);
-  std::vector<std::vector<std::uint8_t>> frames;
-  for (const auto& b : got) {
-    frames.emplace_back();
-    ingest::encode_obs_frame(b, frames.back());
-  }
-  for (int t = std::max(0, w - 2); t <= w; ++t) {
-    const auto tr = s.truth(t);
-    if (!tr.empty()) {
-      frames.emplace_back();
-      ingest::encode_truth_frame(t, tr, frames.back());
-    }
-  }
-  frames.emplace_back();
-  ingest::encode_heartbeat_frame(w, seq++, frames.back());
-
-  for (const auto& f : frames) {
-    if (corrupt_frac > 0.0 && wire_rng.bernoulli(corrupt_frac)) {
-      std::vector<std::uint8_t> bad = f;
-      bad[ingest::kWireHeaderBytes + 1] ^= 0x5A;  // payload damage: CRC must catch it
-      out.insert(out.end(), bad.begin(), bad.end());
-      if (wire_rng.bernoulli(0.5))  // plus line noise the decoder has to hunt through
-        for (std::size_t i = 0; i < 24; ++i)
-          out.push_back(static_cast<std::uint8_t>((i * 7 + 1) % 251));
-    }
-    out.insert(out.end(), f.begin(), f.end());
-  }
-}
-
-/// Feeder process: generates the deterministic OSSE windows and streams them
-/// framed over TCP (`--feed=host:port`) or appends them to a file
-/// (`--feed-file=path`, the drop-and-tail topology). `--kill-after=N` makes
-/// it die mid-frame after N windows (exit 3) — the CI crash loop restarts it
-/// and `--progress` tells the restart where to resume (minus a replay tail,
-/// which the consumer's duplicate ledger absorbs).
-int run_feeder(const io::Args& args, const models::Lorenz96Config& mc,
-               std::span<const double> truth0) {
-  const std::string target = args.get_str("feed", "");
-  const std::string file = args.get_str("feed-file", "");
-  const int cycles = static_cast<int>(args.get_int("cycles", 40));
-  const int pace_ms = static_cast<int>(args.get_int("pace-ms", 0));
-  const double corrupt = args.get_double("wire-corrupt", 0.0);
-  const int kill_after = static_cast<int>(args.get_int("kill-after", 0));
-  const std::string progress = args.get_str("progress", "");
-
-  stream::SyntheticStreamConfig sc;
-  sc.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  sc.latency_cycles = args.get_double("latency", 0.1);
-  sc.jitter_cycles = args.get_double("jitter", 0.25);
-  sc.dropout_prob = args.get_double("drop", 0.0);
-
-  int start = 0;
-  if (!progress.empty()) {
-    std::ifstream pf(progress);
-    int done = 0;
-    // Replay the last windows before the crash: the feeder cannot know what
-    // survived, the consumer's ledger drops what did.
-    if (pf >> done) start = std::max(0, done - 2);
-  }
-
-  models::Lorenz96 truth_model(mc);
-  da::IdentityObs h(mc.dim);
-  da::DiagonalR r(mc.dim, 1.0);
-  stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-  // The stream is a pure function of its seed: regenerate (and discard) the
-  // windows a previous incarnation already delivered.
-  std::vector<stream::ObsBatch> sink;
-  for (int w = 0; w < start; ++w) s.produce(w);
-  s.collect(std::numeric_limits<double>::infinity(), sink);
-  sink.clear();
-
-  ingest::SocketWriter writer;
-  std::ofstream out_file;
-  std::string host;
-  std::uint16_t port = 0;
-  if (!target.empty()) {
-    const auto colon = target.rfind(':');
-    if (colon == std::string::npos) {
-      std::cerr << "--feed expects host:port\n";
-      return 2;
-    }
-    host = target.substr(0, colon);
-    port = static_cast<std::uint16_t>(std::stoi(target.substr(colon + 1)));
-    const auto t0 = std::chrono::steady_clock::now();
-    while (!writer.connect(host, port, 250).ok()) {
-      if (std::chrono::steady_clock::now() - t0 > std::chrono::seconds(60)) {
-        std::cerr << "feeder: no consumer at " << target << " after 60 s\n";
-        return 2;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  } else {
-    out_file.open(file, std::ios::binary | std::ios::app);
-    if (!out_file) {
-      std::cerr << "feeder: cannot open " << file << "\n";
-      return 2;
-    }
-  }
-
-  std::cout << "feeder: windows " << start << ".." << cycles - 1 << " -> "
-            << (target.empty() ? file : target) << " (corrupt=" << corrupt
-            << (kill_after > 0 ? ", crashing after " + std::to_string(kill_after) + " windows" : "")
-            << ")\n";
-
-  rng::Rng wire_rng = rng::Rng(sc.seed).substream(13);
-  std::uint64_t seq = static_cast<std::uint64_t>(start);
-  int sent = 0;
-  const auto ship = [&](std::span<const std::uint8_t> bytes) {
-    if (target.empty()) {
-      out_file.write(reinterpret_cast<const char*>(bytes.data()),
-                     static_cast<std::streamsize>(bytes.size()));
-      out_file.flush();
-      return;
-    }
-    while (!writer.send_all(bytes).ok()) {  // consumer restarted: redial, resend
-      writer.close();
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      (void)writer.connect(host, port, 250);
-    }
-  };
-  for (int w = start; w < cycles; ++w) {
-    s.produce(w);
-    std::vector<std::uint8_t> bytes;
-    encode_window_frames(s, w, corrupt, wire_rng, seq, bytes);
-    ship(bytes);
-    if (!progress.empty()) {
-      std::ofstream pf(progress, std::ios::trunc);
-      pf << (w + 1) << "\n";
-    }
-    ++sent;
-    if (kill_after > 0 && sent >= kill_after && w + 1 < cycles) {
-      // Die the ugly way: half a frame on the wire, no goodbye. The consumer
-      // has to flush the torn frame as corrupt and re-accept the restart.
-      std::vector<std::uint8_t> torn;
-      ingest::encode_heartbeat_frame(w, seq++, torn);
-      torn.resize(torn.size() / 2);
-      ship(torn);
-      std::cerr << "feeder: simulated crash after " << sent << " window(s), progress at "
-                << (w + 1) << "\n";
-      std::_Exit(3);
-    }
-    if (pace_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
-  }
-  std::cout << "feeder: done (" << sent << " window(s) this incarnation)\n";
-  return 0;
-}
-
-struct IngestSummary {
-  std::vector<stream::StreamCycleMetrics> metrics;
-  da::Ensemble ens{2, 2};
-  ingest::IngestStats stats;
-};
-
-/// One consumer run (or resume) over an IngestSource transport.
-IngestSummary run_ingest(std::unique_ptr<ingest::IngestSource> src,
-                         const ingest::IngestStreamConfig& ic, const stream::RealtimeConfig& rc,
-                         const models::Lorenz96Config& mc, std::span<const double> truth0,
-                         const std::string& resume_from = {}) {
-  models::Lorenz96 fcst_model(mc);
-  da::IdentityObs h(mc.dim);
-  da::DiagonalR r(mc.dim, 1.0);
-  da::ETKF filter(da::EtkfConfig{.rtps = 0.4});
-  ingest::IngestStream s(ic, std::move(src), h, r);
-  stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
-  IngestSummary out;
-  if (resume_from.empty()) {
-    out.metrics = runner.run(truth0);
-  } else {
-    const Status st = runner.resume(resume_from, out.metrics);
-    if (!st.ok()) {
-      std::cerr << "resume failed: " << st.to_string() << "\n";
-      std::exit(1);
-    }
-  }
-  out.ens = runner.ensemble();
-  out.stats = s.stats();
-  return out;
-}
-
-void print_ingest_stats(const ingest::IngestStats& st) {
-  std::cout << "\nIngest: " << st.wire.frames_decoded << " frames decoded ("
-            << st.wire.heartbeats << " heartbeats), " << st.wire.frames_corrupt << " corrupt, "
-            << st.wire.frames_resynced << " resyncs over " << st.wire.bytes_discarded
-            << " discarded bytes; " << st.reconnects << " reconnect(s), "
-            << st.heartbeat_timeouts << " staleness teardown(s), " << st.duplicates_dropped
-            << " duplicate batch(es) dropped, " << st.queue_drops
-            << " queue eviction(s); feeder high water: window " << st.high_water_cycle << "\n";
-}
-
-/// Consumer process: assimilates a live feed — `--listen=port` accepts a TCP
-/// feeder, `--tail=path` follows a feeder-appended file (`--replay` for a
-/// finalized recording). `--check` adds the OSSE pass/fail verdict: every
-/// cycle completed, analyses finite, RMSE below the locally reproduced free
-/// run (valid because feeder and consumer share the scenario seed).
-int run_live_consumer(const io::Args& args, const models::Lorenz96Config& mc,
-                      std::span<const double> truth0) {
-  const int port = static_cast<int>(args.get_int("listen", 0));
-  const std::string tail = args.get_str("tail", "");
-  std::unique_ptr<ingest::IngestSource> src;
-  if (port > 0) {
-    ingest::SocketStreamConfig scfg;
-    scfg.port = static_cast<std::uint16_t>(port);
-    scfg.listen = true;
-    src = std::make_unique<ingest::SocketStream>(scfg);
-  } else {
-    ingest::TailStreamConfig tc;
-    tc.path = tail;
-    tc.stop_at_eof = args.flag("replay");
-    src = std::make_unique<ingest::TailStream>(tc);
-  }
-
-  ingest::IngestStreamConfig ic;
-  ic.read_timeout_ms = 20;
-  ic.stale_after_ms = static_cast<int>(args.get_int("stale-ms", 2000));
-  ic.produce_timeout_ms = static_cast<int>(args.get_int("produce-timeout-ms", 60000));
-
-  stream::RealtimeConfig rc;
-  rc.cycles = static_cast<int>(args.get_int("cycles", 40));
-  rc.n_members = static_cast<std::size_t>(args.get_int("members", 20));
-  rc.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  rc.n_forecast_threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  rc.window_hours = 6.0;
-  rc.deadline_slack_cycles = args.get_double("slack", 0.25);
-  rc.max_stale_cycles = static_cast<int>(args.get_int("stale", 2));
-  const int depth = static_cast<int>(args.get_int("depth", 1));
-  rc.overlap_depth = std::max(1, depth);
-  rc.schedule = (depth > 1 || args.get_str("schedule", "serial") == "overlapped")
-                    ? stream::Schedule::Overlapped
-                    : stream::Schedule::Serial;
-  if (args.flag("qc")) {
-    rc.qc.enabled = true;
-    rc.qc.clim_min = -100.0;
-    rc.qc.clim_max = 100.0;
-    rc.qc.bg_sigma = args.get_double("bg-sigma", 5.0);
-    rc.qc.stale_r_inflation = args.get_double("stale-inflation", 0.5);
-  }
-  rc.checkpoint_path = args.get_str("ckpt", "");
-  rc.checkpoint_every = static_cast<int>(args.get_int("ckpt-every", 10));
-  const std::string resume_from = args.flag("resume") ? rc.checkpoint_path : "";
-
-  std::cout << "Live ingestion ("
-            << (port > 0 ? "listening on 127.0.0.1:" + std::to_string(port) : "tailing " + tail)
-            << "): " << rc.cycles << " cycles, " << rc.n_members
-            << " members, overlap depth " << rc.overlap_depth << "\n\n";
-
-  const auto r = run_ingest(std::move(src), ic, rc, mc, truth0, resume_from);
-
-  io::Table c({"cycle", "prior RMSE", "post RMSE", "batches", "age", "late", "miss"});
-  for (const auto& m : r.metrics) {
-    if (m.cycle % 5 != 0 && m.cycle != rc.cycles - 1) continue;
-    c.add_row({std::to_string(m.cycle), io::Table::num(m.rmse_prior, 3),
-               io::Table::num(m.rmse_post, 3), std::to_string(m.batches_assimilated),
-               std::to_string(m.max_batch_age), std::to_string(m.late_applied),
-               m.deadline_miss ? "yes" : ""});
-  }
-  c.print();
-  print_ingest_stats(r.stats);
-
-  const std::string csv = args.get_str("csv", "");
-  if (!csv.empty()) {
-    stream::write_stream_metrics_csv(csv, r.metrics);
-    std::cout << "Per-cycle metrics written to " << csv << ".\n";
-  }
-
-  int code = 0;
-  if (args.flag("check")) {
-    const double rmse = stream::mean_rmse_post(r.metrics, rc.cycles / 2);
-    stream::SyntheticStreamConfig instant;
-    instant.seed = rc.seed;
-    auto rc_free = rc;
-    rc_free.checkpoint_path.clear();
-    const auto free_run = run_scenario(instant, rc_free, truth0, mc, nullptr, /*use_filter=*/false);
-    if (r.metrics.size() != static_cast<std::size_t>(rc.cycles)) {
-      std::cerr << "CHECK FAIL: completed " << r.metrics.size() << " of " << rc.cycles
-                << " cycles\n";
-      code = 1;
-    }
-    for (const auto& m : r.metrics)
-      if (!std::isfinite(m.rmse_post)) {
-        std::cerr << "CHECK FAIL: cycle " << m.cycle << " went non-finite\n";
-        code = 1;
-        break;
-      }
-    if (!(rmse < free_run.rmse)) {
-      std::cerr << "CHECK FAIL: late-half RMSE " << rmse << " does not beat the free run ("
-                << free_run.rmse << ")\n";
-      code = 1;
-    }
-    if (code == 0)
-      std::cout << "\nCHECK PASS: " << rc.cycles << " cycles, late-half RMSE " << rmse
-                << " < free run " << free_run.rmse << "\n";
-  }
-  return code;
-}
-
-/// Single-process deterministic ingestion soak (the CI harness for the wire
-/// path): records a deliberately damaged capture of a very-late feed, then
-/// proves (1) the decoder survives corruption and K=2 deep overlap applies
-/// the age-3 stragglers an identical K=1 run must drop, (2) checkpoint/
-/// resume over the live-ingested state is bitwise across thread counts, and
-/// (3) a TCP loopback consumer survives repeated mid-frame feeder crashes
-/// with RMSE still beating the free run.
-int run_soak_ingest(const io::Args& args, const models::Lorenz96Config& mc,
-                    std::span<const double> truth0) {
-  int failures = 0;
-  const int cycles = static_cast<int>(args.get_int("cycles", 16));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  const std::string capture = args.get_str("capture", "soak_ingest_capture.bin");
-
-  {  // Phase 1: record the damaged capture (age-3 deliveries, 25% corrupt frames).
-    stream::SyntheticStreamConfig sc;
-    sc.seed = seed;
-    sc.latency_cycles = 2.6;
-    sc.jitter_cycles = 0.3;
-    models::Lorenz96 truth_model(mc);
-    da::IdentityObs h(mc.dim);
-    da::DiagonalR r(mc.dim, 1.0);
-    stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-    rng::Rng wire_rng = rng::Rng(seed).substream(13);
-    std::uint64_t seq = 0;
-    std::vector<std::uint8_t> bytes;
-    for (int w = 0; w < cycles; ++w) {
-      s.produce(w);
-      encode_window_frames(s, w, 0.25, wire_rng, seq, bytes);
-    }
-    std::ofstream f(capture, std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-    if (!f.good()) {
-      std::cerr << "cannot write " << capture << "\n";
-      return 1;
-    }
-  }
-
-  ingest::IngestStreamConfig ic;
-  ic.read_timeout_ms = 5;
-  ic.stale_after_ms = 1000;
-  ic.produce_timeout_ms = 10000;
-  const auto make_replay = [&] {
-    ingest::TailStreamConfig tc;
-    tc.path = capture;
-    tc.stop_at_eof = true;
-    return std::make_unique<ingest::TailStream>(tc);
-  };
-
-  stream::RealtimeConfig rc;
-  rc.cycles = cycles;
-  rc.n_members = 10;
-  rc.seed = seed;
-  rc.schedule = stream::Schedule::Overlapped;
-  rc.max_stale_cycles = 2;
-
-  // Phase 2: replay the capture at K=1 and K=2.
-  auto rc1 = rc;
-  rc1.overlap_depth = 1;
-  auto rc2 = rc;
-  rc2.overlap_depth = 2;
-  const auto k1 = run_ingest(make_replay(), ic, rc1, mc, truth0);
-  const auto k2 = run_ingest(make_replay(), ic, rc2, mc, truth0);
-
-  int k1_late = 0, k1_disc = 0, k2_late = 0, k2_disc = 0;
-  for (const auto& m : k1.metrics) {
-    k1_late += m.late_applied;
-    k1_disc += m.batches_discarded;
-  }
-  for (const auto& m : k2.metrics) {
-    k2_late += m.late_applied;
-    k2_disc += m.batches_discarded;
-  }
-  io::Table t({"depth", "cycles", "late applied", "discarded", "corrupt frames", "resyncs",
-               "late-half RMSE"});
-  t.add_row({"K=1", std::to_string(k1.metrics.size()), std::to_string(k1_late),
-             std::to_string(k1_disc), std::to_string(k1.stats.wire.frames_corrupt),
-             std::to_string(k1.stats.wire.frames_resynced),
-             io::Table::num(stream::mean_rmse_post(k1.metrics, cycles / 2), 3)});
-  t.add_row({"K=2", std::to_string(k2.metrics.size()), std::to_string(k2_late),
-             std::to_string(k2_disc), std::to_string(k2.stats.wire.frames_corrupt),
-             std::to_string(k2.stats.wire.frames_resynced),
-             io::Table::num(stream::mean_rmse_post(k2.metrics, cycles / 2), 3)});
-  t.print();
-
-  const auto check = [&failures](bool ok, const char* what) {
-    if (!ok) {
-      std::cerr << "SOAK-INGEST FAIL: " << what << "\n";
-      ++failures;
-    }
-  };
-  check(k1.metrics.size() == static_cast<std::size_t>(cycles), "K=1 did not complete");
-  check(k2.metrics.size() == static_cast<std::size_t>(cycles), "K=2 did not complete");
-  check(k1_late == 0 && k1_disc > 0, "K=1 should drop the age-3 stragglers");
-  check(k2_late > 0 && k2_disc == 0, "K=2 should apply the age-3 stragglers late");
-  check(k2.stats.wire.frames_corrupt > 0 && k2.stats.wire.frames_resynced > 0,
-        "the capture's corruption never reached the decoder");
-  bool finite = true;
-  for (const auto& m : k2.metrics) finite = finite && std::isfinite(m.rmse_post);
-  check(finite, "K=2 went non-finite under late increments");
-
-  // Phase 3: checkpoint/resume over live-ingested state, bitwise across threads.
-  const std::string ckpt = args.get_str("ckpt", "soak_ingest_ckpt.bin");
-  auto rck = rc2;
-  rck.checkpoint_path = ckpt;
-  rck.checkpoint_every = 7;
-  const auto writer = run_ingest(make_replay(), ic, rck, mc, truth0);
-  check(bitwise_equal(k2.ens, writer.ens), "checkpointing perturbed the replay");
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    auto rres = rck;
-    rres.n_forecast_threads = threads;
-    const auto resumed = run_ingest(make_replay(), ic, rres, mc, truth0, ckpt);
-    check(bitwise_equal(k2.ens, resumed.ens), "resume is not bitwise (ensemble)");
-    bool metrics_ok = resumed.metrics.size() == k2.metrics.size();
-    for (std::size_t i = 0; metrics_ok && i < k2.metrics.size(); ++i)
-      metrics_ok = resumed.metrics[i].rmse_post == k2.metrics[i].rmse_post;
-    check(metrics_ok, "resume is not bitwise (metrics)");
-  }
-  std::remove(ckpt.c_str());
-
-  // Phase 4: TCP loopback, three mid-frame feeder crashes, corrupt frames.
-  {
-    ingest::SocketStreamConfig scfg;
-    scfg.port = 0;
-    scfg.listen = true;
-    scfg.connect_timeout_ms = 50;
-    auto sock = std::make_unique<ingest::SocketStream>(scfg);
-    (void)sock->connect();  // binds; resolves the kernel-assigned port
-    const std::uint16_t port = sock->bound_port();
-
-    std::thread feeder([port, cycles, seed, &mc, &truth0] {
-      stream::SyntheticStreamConfig sc;
-      sc.seed = seed;
-      sc.latency_cycles = 0.1;
-      sc.jitter_cycles = 0.25;
-      models::Lorenz96 truth_model(mc);
-      da::IdentityObs h(mc.dim);
-      da::DiagonalR r(mc.dim, 1.0);
-      stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-      rng::Rng wire_rng = rng::Rng(seed).substream(13);
-      ingest::SocketWriter w;
-      const auto dial = [&] {
-        while (!w.connect("127.0.0.1", port, 50).ok())
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      };
-      dial();
-      std::uint64_t seq = 0;
-      int kills = 0;
-      std::deque<std::pair<int, std::vector<std::uint8_t>>> recent;
-      for (int win = 0; win < cycles; ++win) {
-        s.produce(win);
-        std::vector<std::uint8_t> bytes;
-        encode_window_frames(s, win, 0.10, wire_rng, seq, bytes);
-        recent.emplace_back(win, bytes);
-        while (recent.size() > 3) recent.pop_front();
-        if (!w.send_all(bytes).ok()) {
-          w.close();
-          dial();
-          (void)w.send_all(bytes);
-        }
-        if (kills < 3 && win > 0 && win % 4 == 0 && win + 1 < cycles) {
-          // Crash mid-frame, come back, replay the tail like a real
-          // restarted feeder (the consumer's ledger drops the duplicates).
-          std::vector<std::uint8_t> torn;
-          ingest::encode_heartbeat_frame(win, seq++, torn);
-          torn.resize(torn.size() / 2);
-          (void)w.send_all(torn);
-          w.close();
-          ++kills;
-          std::this_thread::sleep_for(std::chrono::milliseconds(30));
-          dial();
-          for (const auto& [rw, rb] : recent)
-            if (!w.send_all(rb).ok()) break;
-        }
-      }
-      w.close();
-    });
-
-    ingest::IngestStreamConfig ic2;
-    ic2.read_timeout_ms = 10;
-    ic2.stale_after_ms = 500;
-    ic2.produce_timeout_ms = 20000;
-    ic2.backoff.base_ms = 5.0;
-    ic2.backoff.cap_ms = 50.0;
-    auto rc_live = rc;
-    rc_live.schedule = stream::Schedule::Serial;
-    rc_live.overlap_depth = 1;
-    const auto live = run_ingest(std::move(sock), ic2, rc_live, mc, truth0);
-    feeder.join();
-
-    print_ingest_stats(live.stats);
-    check(live.metrics.size() == static_cast<std::size_t>(cycles),
-          "loopback consumer did not complete");
-    check(live.stats.reconnects >= 3, "expected >= 3 reconnects after feeder crashes");
-    check(live.stats.wire.frames_corrupt >= 1, "expected corrupt frames on the loopback");
-    check(live.stats.duplicates_dropped >= 1, "expected replayed duplicates to be dropped");
-    bool live_finite = true;
-    for (const auto& m : live.metrics) live_finite = live_finite && std::isfinite(m.rmse_post);
-    check(live_finite, "loopback run went non-finite");
-    const auto free_run = run_scenario(stream::SyntheticStreamConfig{.seed = seed}, rc_live,
-                                       truth0, mc, nullptr, /*use_filter=*/false);
-    check(stream::mean_rmse_post(live.metrics, cycles / 2) < free_run.rmse,
-          "loopback RMSE does not beat the free run");
-  }
-  if (!args.flag("keep")) std::remove(capture.c_str());
-
-  if (failures == 0) {
-    std::cout << "\nSOAK-INGEST PASS: decoder survived corruption, K=2 applied what K=1 "
-                 "dropped, checkpoint/resume bitwise across thread counts, loopback survived "
-                 "3 feeder crashes.\n";
-    return 0;
-  }
-  std::cerr << "\nSOAK-INGEST: " << failures << " check(s) failed\n";
-  return 1;
 }
 
 /// Turbulence-scale mode: the SQG model observed through a sparse strided
@@ -911,27 +258,7 @@ int main(int argc, char** argv) {
            "checkpointing:\n"
            "  --ckpt=<path>     snapshot file (with --ckpt-every=<n> cycles)\n"
            "  --resume          continue from --ckpt instead of starting fresh\n"
-           "soak:\n"
-           "  --soak            aggressive end-to-end fault soak in both schedules;\n"
-           "                    exits non-zero if any cycle fails to complete\n"
-           "live ingestion (CRC-framed wire protocol; see src/stream/ingest/):\n"
-           "  --listen=<port>   consumer: accept a TCP feeder on 127.0.0.1:<port>\n"
-           "  --tail=<path>     consumer: follow a feeder-appended file\n"
-           "                    (--replay treats it as a finalized recording)\n"
-           "  --depth=<K>       consumer: deep-overlap depth (K>1 admits stragglers up to\n"
-           "                    stale+K-1 cycles old as down-weighted late increments)\n"
-           "  --stale-ms=<int> --produce-timeout-ms=<int>  link-death / produce bounds\n"
-           "  --check           consumer: exit non-zero unless every cycle completed,\n"
-           "                    analyses stayed finite and RMSE beats the local free run\n"
-           "  --feed=<host:port>  feeder: dial a consumer and stream the OSSE windows\n"
-           "  --feed-file=<path>  feeder: append the framed windows to a file\n"
-           "  --pace-ms=<int>     feeder: delay between windows\n"
-           "  --wire-corrupt=<f>  feeder: corrupt-copy fraction (clean retransmit follows)\n"
-           "  --kill-after=<n>    feeder: crash mid-frame after n windows (exit 3)\n"
-           "  --progress=<path>   feeder: window high-water file; restarts resume from\n"
-           "                      it minus a replay tail (consumer dedups)\n"
-           "  --soak-ingest     deterministic wire/deep-overlap/crash soak (CI harness)\n"
-           "telemetry (any mode):\n"
+           "telemetry (either mode):\n"
            "  --trace=<path>    record tracing spans, export Chrome trace-event JSON\n"
            "  --metrics-dump    print the metrics registry (Prometheus text) on exit\n"
            "  --metrics-json=<path>  write the metrics snapshot as JSON\n"
@@ -953,13 +280,6 @@ int main(int argc, char** argv) {
   truth0[0] += 0.01;
   models::Lorenz96 spin(mc);
   for (int i = 0; i < 500; ++i) spin.step(truth0);
-
-  if (args.flag("soak")) return tel.finish(run_soak(args, mc, truth0));
-  if (args.flag("soak-ingest")) return tel.finish(run_soak_ingest(args, mc, truth0));
-  if (!args.get_str("feed", "").empty() || !args.get_str("feed-file", "").empty())
-    return tel.finish(run_feeder(args, mc, truth0));
-  if (args.get_int("listen", 0) > 0 || !args.get_str("tail", "").empty())
-    return tel.finish(run_live_consumer(args, mc, truth0));
 
   stream::RealtimeConfig rc;
   rc.cycles = static_cast<int>(args.get_int("cycles", 40));
@@ -1014,7 +334,7 @@ int main(int argc, char** argv) {
   stream::RealtimeConfig ic = rc;
   ic.checkpoint_path.clear();
   const auto ideal = run_scenario(instant, ic, truth0, mc);
-  auto serial = run_scenario(degraded, rc, truth0, mc, fcp, true, resume_from);
+  const auto serial = run_scenario(degraded, rc, truth0, mc, fcp, resume_from);
   stream::RealtimeConfig oc = ic;
   oc.schedule = stream::Schedule::Overlapped;
   const auto overlapped = run_scenario(degraded, oc, truth0, mc, fcp);

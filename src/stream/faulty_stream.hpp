@@ -49,7 +49,8 @@ struct FaultConfig {
   double truncate_prob = 0.0;          ///< batch arrives with half its values
 };
 
-/// Cumulative injection counters (what the soak harness reports).
+/// Cumulative injection counters: how many values and batches each injector
+/// actually broke, so a run can report its fault load next to what QC caught.
 struct FaultCounters {
   std::uint64_t nan_values = 0;
   std::uint64_t inf_values = 0;

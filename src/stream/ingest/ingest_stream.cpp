@@ -43,8 +43,13 @@ bool IngestStream::window_complete(int cycle) const {
   return false;
 }
 
-void IngestStream::drain_decoder() {
+void IngestStream::drain_decoder(int cycle) {
   const std::uint64_t corrupt_before = decoder_.stats().frames_corrupt;
+  // Truth is kept relative to the consumer, not by count: one read can
+  // decode more than truth_buffer windows ahead of `cycle`, and a count
+  // bound would evict the truths the consumer has not reached yet.
+  const int oldest_kept = cycle - cfg_.truth_buffer + 1;
+  std::erase_if(ring_, [oldest_kept](const auto& e) { return e.first < oldest_kept; });
   DecodedFrame f;
   while (decoder_.next(f)) {
     switch (f.kind) {
@@ -54,16 +59,13 @@ void IngestStream::drain_decoder() {
         break;
       case FrameKind::kTruth: {
         high_water_ = std::max(high_water_, f.cycle);
-        bool present = false;
+        bool keep = f.cycle >= oldest_kept;
         for (const auto& [c, v] : ring_)
           if (c == f.cycle) {
-            present = true;
+            keep = false;
             break;
           }
-        if (!present) {
-          ring_.emplace_back(f.cycle, std::move(f.state));
-          while (ring_.size() > static_cast<std::size_t>(cfg_.truth_buffer)) ring_.pop_front();
-        }
+        if (keep) ring_.emplace_back(f.cycle, std::move(f.state));
         break;
       }
       case FrameKind::kHeartbeat:
@@ -120,7 +122,7 @@ void IngestStream::produce(int cycle) {
       quiet_ms = 0.0;
       std::lock_guard<std::mutex> lk(mu_);
       decoder_.feed(std::span<const std::uint8_t>(rbuf.data(), got));
-      drain_decoder();
+      drain_decoder(cycle);
     } else if (s.code() == StatusCode::kTimeout) {
       quiet_ms += static_cast<double>(cfg_.read_timeout_ms);
       if (quiet_ms >= static_cast<double>(cfg_.stale_after_ms) && !source_->exhausted()) {

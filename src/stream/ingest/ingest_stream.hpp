@@ -45,7 +45,10 @@ struct IngestStreamConfig {
   /// window-k truth so verification metrics stay available. Operational
   /// feeds set false and truth() returns an empty span.
   bool expect_truth = true;
-  int truth_buffer = 16;  ///< truth ring depth (cycles)
+  /// Truth ring depth (cycles), counted back from the window being
+  /// produced. Truths decoded ahead of it are kept too, so one read never
+  /// evicts a truth the consumer has not reached.
+  int truth_buffer = 16;
   BackoffConfig backoff;
 };
 
@@ -87,7 +90,9 @@ class IngestStream final : public ObservationStream {
   /// True once window `cycle` is fully published on our side of the wire.
   [[nodiscard]] bool window_complete(int cycle) const;
   /// Decode everything buffered, routing frames to queue/ring/high-water.
-  void drain_decoder();
+  /// `cycle` is the window produce() waits on: truths for cycles at or
+  /// below `cycle - truth_buffer` are evicted and not re-admitted.
+  void drain_decoder(int cycle);
   /// Reestablish the transport with capped exponential backoff; gives up
   /// (throwing) only when the produce timeout budget runs out.
   void reconnect(double budget_ms);

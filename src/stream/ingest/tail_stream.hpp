@@ -9,9 +9,10 @@
 //     caller's backoff), picking up where the byte offset left off.
 //   - replay mode (stop_at_eof = true): the file is complete before the run
 //     starts; EOF flips exhausted() and the consumer drains out. Replay is
-//     fully deterministic — it is how the soak harness turns one recorded
-//     (and deliberately corrupted) wire capture into bitwise-reproducible
-//     K=1 vs K=2 and checkpoint/resume comparisons.
+//     fully deterministic, so one recorded (even deliberately corrupted)
+//     wire capture reruns bitwise identically: the cycle benchmark replays
+//     its captures this way, and test_ingest checks a replay against the
+//     stream it was recorded from.
 #pragma once
 
 #include <cstdio>

@@ -52,8 +52,9 @@ struct DecodedFrame {
   std::uint64_t seq = 0;      ///< kHeartbeat: feeder send sequence number
 };
 
-/// Cumulative decoder health counters (the soak harness reports these and
-/// the runner mirrors them into StreamCycleMetrics / the metrics registry).
+/// Cumulative decoder health counters: IngestStream::stats() reports them,
+/// and the runner mirrors them into StreamCycleMetrics and the metrics
+/// registry, so a damaged feed shows up as counts instead of bad data.
 struct WireStats {
   std::uint64_t frames_decoded = 0;   ///< CRC-verified frames handed out
   std::uint64_t frames_corrupt = 0;   ///< header/CRC/payload check failures

@@ -211,18 +211,18 @@ TEST(Checkpoint, EnsfFilterStateSurvivesResume) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, OverlappedFaultyResumeAcrossThreadCounts) {
-  // The hard case: overlapped pipeline mid-flight (staged analysis buffers
-  // live), delivery jitter, fault injection and QC all active — and the
-  // resuming process uses a different forecast thread count than the
-  // process that wrote the snapshot.
+/// The hard case: delivery jitter, every value and batch injector and QC
+/// all active (overlapped: the pipeline mid-flight, staged increments live),
+/// and the resuming process uses a different forecast thread count than the
+/// process that wrote the snapshot.
+void expect_faulty_resume_bitwise(stream::Schedule schedule) {
   stream::SyntheticStreamConfig sc;
   sc.latency_cycles = 0.4;
   sc.jitter_cycles = 0.5;
   stream::RealtimeConfig rc;
   rc.cycles = 16;
   rc.n_members = 12;
-  rc.schedule = stream::Schedule::Overlapped;
+  rc.schedule = schedule;
   rc.qc.enabled = true;
   rc.qc.bg_sigma = 5.0;
   rc.qc.stale_r_inflation = 0.5;
@@ -230,16 +230,18 @@ TEST(Checkpoint, OverlappedFaultyResumeAcrossThreadCounts) {
 
   stream::FaultConfig fc;
   fc.nan_prob = 0.05;
+  fc.inf_prob = 0.02;
+  fc.outlier_prob = 0.03;
   fc.stuck_prob = 0.3;
   fc.duplicate_prob = 0.3;
   fc.truncate_prob = 0.15;
 
   const auto uninterrupted = run_stack(sc, rc, &fc, FilterKind::Etkf);
 
-  const std::string path = temp_path("ckpt_overlap.bin");
+  const std::string path = temp_path("ckpt_faulty.bin");
   auto rc_ck = rc;
   rc_ck.checkpoint_path = path;
-  rc_ck.checkpoint_every = 5;  // last snapshot at cycle 15 (mid-pipeline)
+  rc_ck.checkpoint_every = 5;  // last snapshot at cycle 15 (mid-pipeline when overlapped)
   const auto with_ckpt = run_stack(sc, rc_ck, &fc, FilterKind::Etkf);
   ASSERT_TRUE(with_ckpt.ckpt_status.ok()) << with_ckpt.ckpt_status.to_string();
   expect_bitwise_equal(uninterrupted.ens, with_ckpt.ens);
@@ -251,6 +253,14 @@ TEST(Checkpoint, OverlappedFaultyResumeAcrossThreadCounts) {
   expect_bitwise_equal(uninterrupted.ens, resumed.ens);
   expect_deterministic_metrics_equal(uninterrupted.metrics, resumed.metrics);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, SerialFaultyResumeAcrossThreadCounts) {
+  expect_faulty_resume_bitwise(stream::Schedule::Serial);
+}
+
+TEST(Checkpoint, OverlappedFaultyResumeAcrossThreadCounts) {
+  expect_faulty_resume_bitwise(stream::Schedule::Overlapped);
 }
 
 // ------------------------------------------------------ refusal paths ------

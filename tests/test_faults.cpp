@@ -1,9 +1,10 @@
 // Fault-tolerance tests: deterministic fault injection (FaultyStream),
 // observation QC gates, graceful degradation of the cycling driver (failed
-// analyses keep the forecast, LETKF eigensolve fallback, spread watchdog)
-// and the headline acceptance scenario — a cycling run with 5% NaN-poisoned
+// analyses keep the forecast, LETKF eigensolve fallback, spread watchdog),
+// the headline acceptance scenario — a cycling run with 5% NaN-poisoned
 // observations plus a forced analysis failure completes every cycle with
-// analysis RMSE below the free run.
+// analysis RMSE below the free run — and a 150-cycle soak with all six
+// injectors active at once, in both schedules.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -372,37 +373,89 @@ TEST(QualityControl, FullyMaskedAnalysisKeepsPrior) {
 
 // ------------------------------------------------- degraded cycling runs ---
 
-void expect_nan_burst_survival(stream::Schedule schedule) {
+/// One degraded-delivery scenario: what the stream delivers, what the
+/// injector breaks and how the runner cycles.
+struct FaultScenario {
   stream::SyntheticStreamConfig sc;
-  stream::RealtimeConfig rc;
-  rc.cycles = 40;
-  rc.n_members = 16;
-  rc.schedule = schedule;
-  rc.qc.enabled = true;  // finite gate is on by default
-
   stream::FaultConfig fc;
-  fc.nan_prob = 0.05;
+  stream::RealtimeConfig rc;
+};
 
-  const auto da_run = run_faulty(sc, rc, &fc, make_etkf());
-  const auto free_run = run_faulty(sc, rc, nullptr, nullptr);
+/// Every cycle completes, QC excises the poisoned values, the analysis stays
+/// finite and its late-half RMSE beats the free run's.
+void expect_nan_burst_survival(const FaultScenario& s) {
+  const auto da_run = run_faulty(s.sc, s.rc, &s.fc, make_etkf());
+  const auto free_run = run_faulty(s.sc, s.rc, nullptr, nullptr);
 
-  ASSERT_EQ(da_run.metrics.size(), static_cast<std::size_t>(rc.cycles));
+  ASSERT_EQ(da_run.metrics.size(), static_cast<std::size_t>(s.rc.cycles));
   EXPECT_GT(da_run.faults.nan_values, 0u);
   EXPECT_GT(sum_metric(da_run.metrics, &stream::StreamCycleMetrics::obs_rejected), 0);
   for (const auto& m : da_run.metrics) {
     EXPECT_TRUE(std::isfinite(m.rmse_post)) << "cycle " << m.cycle;
     EXPECT_TRUE(std::isfinite(m.spread_post)) << "cycle " << m.cycle;
   }
-  EXPECT_LT(stream::mean_rmse_post(da_run.metrics, 20),
-            stream::mean_rmse_post(free_run.metrics, 20));
+  EXPECT_LT(stream::mean_rmse_post(da_run.metrics, s.rc.cycles / 2),
+            stream::mean_rmse_post(free_run.metrics, s.rc.cycles / 2));
+}
+
+/// 5% NaN-poisoned values on prompt delivery, QC on its defaults.
+FaultScenario nan_burst(stream::Schedule schedule) {
+  FaultScenario s;
+  s.rc.cycles = 40;
+  s.rc.n_members = 16;
+  s.rc.schedule = schedule;
+  s.rc.qc.enabled = true;  // finite gate is on by default
+  s.fc.nan_prob = 0.05;
+  return s;
+}
+
+/// Every injector at once on moderately degraded delivery (most batches on
+/// time, some straggling, some lost), with QC, the staleness R inflation and
+/// the spread watchdog all on.
+FaultScenario every_injector(stream::Schedule schedule) {
+  FaultScenario s;
+  s.sc.seed = 7;
+  s.sc.latency_cycles = 0.1;
+  s.sc.jitter_cycles = 0.25;
+  s.sc.dropout_prob = 0.1;
+
+  s.fc.nan_prob = 0.05;
+  s.fc.inf_prob = 0.02;
+  s.fc.outlier_prob = 0.03;
+  s.fc.stuck_prob = 0.3;
+  s.fc.duplicate_prob = 0.3;
+  s.fc.truncate_prob = 0.15;
+
+  s.rc.cycles = 150;
+  s.rc.n_members = 20;
+  s.rc.seed = 7;
+  s.rc.schedule = schedule;
+  s.rc.window_hours = 6.0;
+  s.rc.deadline_slack_cycles = 0.25;
+  s.rc.qc.enabled = true;
+  s.rc.qc.clim_min = -100.0;
+  s.rc.qc.clim_max = 100.0;
+  s.rc.qc.bg_sigma = 5.0;
+  s.rc.qc.stale_r_inflation = 0.5;
+  s.rc.spread_floor = 1e-3;
+  s.rc.spread_ceiling = 50.0;
+  return s;
 }
 
 TEST(FaultTolerantCycling, SurvivesNanBurstSerial) {
-  expect_nan_burst_survival(stream::Schedule::Serial);
+  expect_nan_burst_survival(nan_burst(stream::Schedule::Serial));
 }
 
 TEST(FaultTolerantCycling, SurvivesNanBurstOverlapped) {
-  expect_nan_burst_survival(stream::Schedule::Overlapped);
+  expect_nan_burst_survival(nan_burst(stream::Schedule::Overlapped));
+}
+
+TEST(FaultTolerantCycling, SurvivesEveryInjectorSerial) {
+  expect_nan_burst_survival(every_injector(stream::Schedule::Serial));
+}
+
+TEST(FaultTolerantCycling, SurvivesEveryInjectorOverlapped) {
+  expect_nan_burst_survival(every_injector(stream::Schedule::Overlapped));
 }
 
 TEST(FaultTolerantCycling, QcDecisionsAreThreadCountInvariant) {

@@ -4,7 +4,9 @@
 // transports feeding IngestStream (dedup ledger, reconnects, save/restore),
 // and the deep-overlap (K > 1) RealtimeRunner schedule — late batches a K=1
 // run drops are applied with age-dependent R inflation, bitwise reproducibly
-// across thread counts and through a v3 checkpoint/resume.
+// across thread counts and through a v4 checkpoint/resume, and a damaged wire
+// capture replayed through IngestStream cycles bitwise like the
+// SyntheticStream it was recorded from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +15,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "common/bytes.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
+#include "rng/rng.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/ingest/backoff.hpp"
 #include "stream/ingest/ingest_queue.hpp"
@@ -30,6 +35,7 @@
 #include "stream/ingest/wire.hpp"
 #include "stream/realtime_runner.hpp"
 #include "stream/synthetic_stream.hpp"
+#include "telemetry/trace.hpp"
 
 namespace turbda {
 namespace {
@@ -345,6 +351,32 @@ TEST(IngestStream, TailReplayDeliversEveryWindowWithTruth) {
   std::remove(path.c_str());
 }
 
+TEST(IngestStream, ReplayLongerThanTruthBufferPublishesEveryWindow) {
+  // Small windows: the first read decodes the whole file, more windows than
+  // the truth buffer holds. None of them may be evicted before the
+  // consumer reaches it.
+  const std::string path = temp_path("ingest_replay_long.bin");
+  const ingest::IngestStreamConfig ic = replay_config();
+  const int windows = ic.truth_buffer + 8;
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t seq = 0;
+  for (int w = 0; w < windows; ++w) append_window(w, bytes, seq);
+  write_file(path, bytes);
+
+  da::IdentityObs h(kObsDim);
+  da::DiagonalR r(kObsDim, 1.0);
+  ingest::IngestStream s(ic, make_tail(path), h, r);
+  for (int k = 0; k < windows; ++k) {
+    s.produce(k);
+    const auto t = s.truth(k);
+    ASSERT_EQ(t.size(), kObsDim) << "cycle " << k;
+    const auto want = make_truth(k, kObsDim);
+    EXPECT_EQ(0, std::memcmp(t.data(), want.data(), want.size() * sizeof(double)))
+        << "cycle " << k;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(IngestStream, ReplaySurvivesCorruptionAndDropsDuplicates) {
   const std::string path = temp_path("ingest_replay_corrupt.bin");
   std::vector<std::uint8_t> bytes;
@@ -452,6 +484,9 @@ TEST(SocketIngest, LoopbackSurvivesFeederKillAndCorruptFrames) {
   const std::uint16_t port = raw->bound_port();
   ASSERT_NE(port, 0);
 
+  auto& tracer = telemetry::TraceCollector::instance();
+  tracer.enable();
+  constexpr int kKills = 3;
   std::thread feeder([port] {
     ingest::SocketWriter w;
     const auto dial = [&] {
@@ -469,15 +504,22 @@ TEST(SocketIngest, LoopbackSurvivesFeederKillAndCorruptFrames) {
       buf.insert(buf.end(), bad.begin(), bad.end());
     }
     append_window(0, buf, seq);
-    append_window(1, buf, seq);
-    (void)w.send_all(buf);
-    w.close();  // the kill: feeder dies after window 1
-    dial();
-    buf.clear();
-    // A restarted feeder cannot know what survived: replay then continue.
-    append_window(0, buf, seq);
-    append_window(1, buf, seq);
-    append_window(2, buf, seq);
+    for (int kill = 1; kill <= kKills; ++kill) {
+      append_window(kill, buf, seq);
+      // The kill: the feeder dies mid-frame. Half a heartbeat is on the wire
+      // and the socket closes, as the kernel closes a dead process's socket.
+      std::vector<std::uint8_t> torn;
+      ingest::encode_heartbeat_frame(kill, seq++, torn);
+      buf.insert(buf.end(), torn.begin(), torn.begin() + static_cast<long>(torn.size() / 2));
+      (void)w.send_all(buf);
+      w.close();
+      dial();
+      // A restarted feeder cannot know what survived: replay, then continue.
+      buf.clear();
+      append_window(kill - 1, buf, seq);
+      append_window(kill, buf, seq);
+    }
+    append_window(kKills + 1, buf, seq);
     (void)w.send_all(buf);
     w.close();
   });
@@ -492,18 +534,27 @@ TEST(SocketIngest, LoopbackSurvivesFeederKillAndCorruptFrames) {
   da::DiagonalR r(kObsDim, 1.0);
   ingest::IngestStream s(ic, std::move(src), h, r);
   std::vector<stream::ObsBatch> got;
-  for (int k = 0; k <= 2; ++k) {
+  for (int k = 0; k <= kKills + 1; ++k) {
     s.produce(k);
     s.collect(static_cast<double>(k) + 1.0, got);
   }
   feeder.join();
-  ASSERT_EQ(got.size(), 3u);
-  for (int w = 0; w <= 2; ++w)
+  tracer.disable();
+  std::vector<std::string> traced;
+  for (const auto& thread : tracer.snapshot())
+    for (const auto& span : thread.spans) traced.emplace_back(span.name);
+  tracer.clear();
+  for (const char* name :
+       {"ingest.produce", "ingest.collect", "ingest.frame_corrupt", "ingest.reconnect"})
+    EXPECT_NE(std::find(traced.begin(), traced.end(), name), traced.end()) << name;
+
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kKills + 2));
+  for (int w = 0; w <= kKills + 1; ++w)
     expect_batches_equal(make_batch(w, kObsDim), got[static_cast<std::size_t>(w)]);
   const auto st = s.stats();
-  EXPECT_GE(st.reconnects, 1u);
+  EXPECT_GE(st.reconnects, static_cast<std::uint64_t>(kKills));
   EXPECT_GE(st.wire.frames_corrupt, 1u);
-  EXPECT_GE(st.duplicates_dropped, 1u);  // the replayed windows 0/1
+  EXPECT_GE(st.duplicates_dropped, 1u);  // the replayed windows
 }
 
 // ------------------------------------------------- deep-overlap scheduling ---
@@ -520,12 +571,57 @@ std::vector<double> spun_up_truth() {
   return truth0;
 }
 
+/// Encodes window `w`'s wire traffic: every batch the stream released, truth
+/// retransmits for the last three windows, and the heartbeat that publishes
+/// the window. A deterministic coin prefixes a quarter of the frames with a
+/// damaged copy (and sometimes a run of garbage bytes); the clean frame
+/// follows at once, so the decoder's CRC check and resynchronization run
+/// without starving the consumer of data.
+void encode_window_frames(stream::SyntheticStream& s, int w, rng::Rng& wire_rng,
+                          std::uint64_t& seq, std::vector<std::uint8_t>& out) {
+  std::vector<stream::ObsBatch> got;
+  s.collect(std::numeric_limits<double>::infinity(), got);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const auto& b : got) {
+    frames.emplace_back();
+    ingest::encode_obs_frame(b, frames.back());
+  }
+  for (int t = std::max(0, w - 2); t <= w; ++t) {
+    frames.emplace_back();
+    ingest::encode_truth_frame(t, s.truth(t), frames.back());
+  }
+  frames.emplace_back();
+  ingest::encode_heartbeat_frame(w, seq++, frames.back());
+
+  for (const auto& f : frames) {
+    if (wire_rng.bernoulli(0.25)) {
+      std::vector<std::uint8_t> bad = f;
+      bad[ingest::kWireHeaderBytes + 1] ^= 0x5A;  // payload damage: the CRC must catch it
+      out.insert(out.end(), bad.begin(), bad.end());
+      if (wire_rng.bernoulli(0.5))  // plus line noise the decoder has to hunt through
+        for (std::size_t i = 0; i < 24; ++i)
+          out.push_back(static_cast<std::uint8_t>((i * 7 + 1) % 251));
+    }
+    out.insert(out.end(), f.begin(), f.end());
+  }
+}
+
+/// Which stream feeds the runner: the SyntheticStream itself, or an
+/// IngestStream replaying a damaged wire capture recorded from it.
+enum class Feed { kSynthetic, kWireReplay };
+
 struct RunResult {
   std::vector<stream::StreamCycleMetrics> metrics;
   da::Ensemble ens{2, kDim};
+  ingest::IngestStats ingest_stats;  ///< kWireReplay only
+  Status resume_status = Status::Ok();
 };
 
+/// Cycles the deep-overlap Lorenz-96 stack from scratch, or from the
+/// snapshot at `resume` when it is non-empty. `use_filter = false` gives the
+/// free run.
 RunResult run_deep(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
+                   Feed feed = Feed::kSynthetic, const std::string& resume = {},
                    bool use_filter = true) {
   Lorenz96Config mc;
   mc.dim = kDim;
@@ -538,11 +634,33 @@ RunResult run_deep(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
   da::DiagonalR r(mc.dim, 1.0);
   da::ETKF filter(da::EtkfConfig{.rtps = 0.4});
   const auto truth0 = spun_up_truth();
-  stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-  stream::RealtimeRunner runner(rc, s, fcst_model, use_filter ? &filter : nullptr);
+  stream::SyntheticStream synthetic(sc, truth_model, h, r, truth0);
+  std::optional<ingest::IngestStream> wire;
+  stream::ObservationStream* s = &synthetic;
+  const std::string capture = temp_path("deep_capture.bin");
+  if (feed == Feed::kWireReplay) {
+    rng::Rng wire_rng = rng::Rng(sc.seed).substream(13);
+    std::uint64_t seq = 0;
+    std::vector<std::uint8_t> bytes;
+    for (int w = 0; w < rc.cycles; ++w) {
+      synthetic.produce(w);
+      encode_window_frames(synthetic, w, wire_rng, seq, bytes);
+    }
+    write_file(capture, bytes);
+    wire.emplace(replay_config(), make_tail(capture), h, r);
+    s = &*wire;
+  }
+  stream::RealtimeRunner runner(rc, *s, fcst_model, use_filter ? &filter : nullptr);
   RunResult out;
-  out.metrics = runner.run(truth0);
-  out.ens = runner.ensemble();
+  if (resume.empty())
+    out.metrics = runner.run(truth0);
+  else
+    out.resume_status = runner.resume(resume, out.metrics);
+  if (out.resume_status.ok()) out.ens = runner.ensemble();
+  if (wire.has_value()) {
+    out.ingest_stats = wire->stats();
+    std::remove(capture.c_str());
+  }
   return out;
 }
 
@@ -565,6 +683,7 @@ void expect_accuracy_metrics_bitwise_equal(const std::vector<stream::StreamCycle
     EXPECT_EQ(a[k].rmse_post, b[k].rmse_post) << "cycle " << k;
     EXPECT_EQ(a[k].spread_post, b[k].spread_post) << "cycle " << k;
     EXPECT_EQ(a[k].batches_assimilated, b[k].batches_assimilated) << "cycle " << k;
+    EXPECT_EQ(a[k].batches_discarded, b[k].batches_discarded) << "cycle " << k;
     EXPECT_EQ(a[k].late_applied, b[k].late_applied) << "cycle " << k;
     EXPECT_EQ(a[k].max_r_scale, b[k].max_r_scale) << "cycle " << k;
   }
@@ -586,12 +705,13 @@ stream::SyntheticStreamConfig very_late_scenario() {
   return sc;
 }
 
+/// Ring depth `depth` (0 = the Serial schedule).
 stream::RealtimeConfig deep_config(int depth) {
   stream::RealtimeConfig rc;
   rc.cycles = 20;
   rc.n_members = 10;
-  rc.schedule = stream::Schedule::Overlapped;
-  rc.overlap_depth = depth;
+  rc.schedule = depth == 0 ? stream::Schedule::Serial : stream::Schedule::Overlapped;
+  rc.overlap_depth = std::max(depth, 1);
   rc.max_stale_cycles = 2;
   return rc;
 }
@@ -625,10 +745,27 @@ TEST(DeepOverlap, AppliesLateBatchesAnEquallyConfiguredK1RunDrops) {
   for (const auto& m : k2.metrics) ASSERT_TRUE(std::isfinite(m.rmse_post)) << m.cycle;
 }
 
+TEST(DeepOverlap, WireReplayIsBitwiseTheSyntheticStream) {
+  // The capture carries every delivery with its virtual arrival stamp, so
+  // replaying it through the decoder, the ledger and the queue must cycle
+  // exactly like the stream it was recorded from — at every ring depth,
+  // through a quarter of damaged frames. The K=1/K=2 straggler assertions
+  // above therefore hold over the wire too.
+  for (const int depth : {0, 1, 2, 3}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    const auto synthetic = run_deep(very_late_scenario(), deep_config(depth));
+    const auto replay = run_deep(very_late_scenario(), deep_config(depth), Feed::kWireReplay);
+    expect_bitwise_equal(synthetic.ens, replay.ens);
+    expect_accuracy_metrics_bitwise_equal(synthetic.metrics, replay.metrics);
+    EXPECT_GT(replay.ingest_stats.wire.frames_corrupt, 0u);
+    EXPECT_GT(replay.ingest_stats.wire.frames_resynced, 0u);
+  }
+}
+
 TEST(DeepOverlap, PromptDeliveryStillBeatsFreeRun) {
   stream::SyntheticStreamConfig sc;  // instant delivery
-  const auto assimilated = run_deep(sc, deep_config(2), true);
-  const auto free_run = run_deep(sc, deep_config(2), false);
+  const auto assimilated = run_deep(sc, deep_config(2));
+  const auto free_run = run_deep(sc, deep_config(2), Feed::kSynthetic, {}, false);
   int late = 0, dropped = 0;
   for (const auto& m : assimilated.metrics) {
     late += m.late_applied;
@@ -650,46 +787,50 @@ TEST(DeepOverlap, BitwiseInvariantToThreadCount) {
   expect_accuracy_metrics_bitwise_equal(a.metrics, b.metrics);
 }
 
-TEST(DeepOverlap, CheckpointResumeIsBitwiseAcrossThreadCounts) {
+/// A mid-run snapshot of a K = `depth` run, resumed at 1 and 4 threads, lands
+/// bitwise on the uninterrupted run. Every batch is three windows late, so at
+/// the snapshot (cycle 7) the increments staged at cycles 7 - depth .. 6 are
+/// still pending. Returns the snapshot for format checks.
+stream::CheckpointData expect_deep_resume_bitwise(int depth, Feed feed) {
   const auto sc = very_late_scenario();
-  auto rc = deep_config(2);
+  auto rc = deep_config(depth);
   rc.cycles = 12;
-  const auto uninterrupted = run_deep(sc, rc);
+  const auto uninterrupted = run_deep(sc, rc, feed);
 
   const std::string path = temp_path("ckpt_deep.bin");
   auto rc_ck = rc;
   rc_ck.checkpoint_path = path;
   rc_ck.checkpoint_every = 7;  // one snapshot, mid-run, with analyses in flight
-  const auto with_ckpt = run_deep(sc, rc_ck);
+  const auto with_ckpt = run_deep(sc, rc_ck, feed);
   expect_bitwise_equal(uninterrupted.ens, with_ckpt.ens);
 
-  // The snapshot must carry the staged-analysis ring (v3 format) — cycles 5
-  // and 6 had analyses staged but not yet applied when it was written.
   stream::CheckpointData data;
-  ASSERT_TRUE(stream::load_checkpoint(path, data).ok());
-  EXPECT_EQ(data.overlap_depth, 2);
-  EXPECT_EQ(data.next_cycle, 7);
-  EXPECT_GE(data.ring.size(), 1u);
-
+  EXPECT_TRUE(stream::load_checkpoint(path, data).ok());
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    Lorenz96Config mc;
-    mc.dim = kDim;
-    mc.steps_per_window = 5;  // must match run_deep's model exactly
-    Lorenz96 truth_model(mc), fcst_model(mc);
-    da::IdentityObs h(mc.dim);
-    da::DiagonalR r(mc.dim, 1.0);
-    da::ETKF filter(da::EtkfConfig{.rtps = 0.4});
-    const auto truth0 = spun_up_truth();
-    stream::SyntheticStream s(sc, truth_model, h, r, truth0);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
     auto rc_res = rc_ck;
     rc_res.n_forecast_threads = threads;
-    stream::RealtimeRunner runner(rc_res, s, fcst_model, &filter);
-    std::vector<stream::StreamCycleMetrics> resumed;
-    ASSERT_TRUE(runner.resume(path, resumed).ok()) << threads << " threads";
-    expect_bitwise_equal(uninterrupted.ens, runner.ensemble());
-    expect_accuracy_metrics_bitwise_equal(uninterrupted.metrics, resumed);
+    const auto resumed = run_deep(sc, rc_res, feed, path);
+    EXPECT_TRUE(resumed.resume_status.ok()) << resumed.resume_status.to_string();
+    expect_bitwise_equal(uninterrupted.ens, resumed.ens);
+    expect_accuracy_metrics_bitwise_equal(uninterrupted.metrics, resumed.metrics);
   }
   std::remove(path.c_str());
+  return data;
+}
+
+TEST(DeepOverlap, CheckpointResumeIsBitwiseAcrossThreadCounts) {
+  // Over the synthetic stream and over the wire replay, whose restored
+  // stream re-reads the capture from the top and relies on its ledger.
+  for (const Feed feed : {Feed::kSynthetic, Feed::kWireReplay}) {
+    SCOPED_TRACE(feed == Feed::kSynthetic ? "synthetic" : "wire replay");
+    // The snapshot carries the staged-analysis ring (v4 format) — cycles 5
+    // and 6 had analyses staged but not yet applied when it was written.
+    const auto data = expect_deep_resume_bitwise(2, feed);
+    EXPECT_EQ(data.overlap_depth, 2);
+    EXPECT_EQ(data.next_cycle, 7);
+    EXPECT_GE(data.ring.size(), 1u);
+  }
 }
 
 TEST(DeepOverlap, ResumeRefusesOverlapDepthMismatch) {
@@ -701,73 +842,20 @@ TEST(DeepOverlap, ResumeRefusesOverlapDepthMismatch) {
   rc.checkpoint_every = 7;
   (void)run_deep(sc, rc);
 
-  Lorenz96Config mc;
-  mc.dim = kDim;
-  mc.steps_per_window = 5;
-  Lorenz96 truth_model(mc), fcst_model(mc);
-  da::IdentityObs h(mc.dim);
-  da::DiagonalR r(mc.dim, 1.0);
-  da::ETKF filter(da::EtkfConfig{.rtps = 0.4});
-  const auto truth0 = spun_up_truth();
-  stream::SyntheticStream s(sc, truth_model, h, r, truth0);
   auto rc_bad = rc;
   rc_bad.overlap_depth = 3;
-  stream::RealtimeRunner runner(rc_bad, s, fcst_model, &filter);
-  std::vector<stream::StreamCycleMetrics> resumed;
-  EXPECT_FALSE(runner.resume(path, resumed).ok());
+  EXPECT_FALSE(run_deep(sc, rc_bad, Feed::kSynthetic, path).resume_status.ok());
   std::remove(path.c_str());
 }
 
-/// run_deep's stack resumed from `path` instead of run from scratch.
-RunResult resume_deep(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
-                      const std::string& path) {
-  Lorenz96Config mc;
-  mc.dim = kDim;
-  mc.steps_per_window = 5;  // must match run_deep's model exactly
-  Lorenz96 truth_model(mc), fcst_model(mc);
-  da::IdentityObs h(mc.dim);
-  da::DiagonalR r(mc.dim, 1.0);
-  da::ETKF filter(da::EtkfConfig{.rtps = 0.4});
-  const auto truth0 = spun_up_truth();
-  stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-  stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
-  RunResult out;
-  const Status st = runner.resume(path, out.metrics);
-  EXPECT_TRUE(st.ok()) << st.to_string();
-  if (st.ok()) out.ens = runner.ensemble();
-  return out;
-}
-
 TEST(DeepOverlap, K3CheckpointResumeIsBitwiseAcrossThreadCounts) {
-  const auto sc = very_late_scenario();
-  auto rc = deep_config(3);
-  rc.cycles = 12;
-  const auto uninterrupted = run_deep(sc, rc);
-
-  const std::string path = temp_path("ckpt_deep_k3.bin");
-  auto rc_ck = rc;
-  rc_ck.checkpoint_path = path;
-  rc_ck.checkpoint_every = 7;  // one snapshot, mid-run, with the ring full
-  const auto with_ckpt = run_deep(sc, rc_ck);
-  expect_bitwise_equal(uninterrupted.ens, with_ckpt.ens);
-
-  // Every batch is three windows late, so cycles 4, 5 and 6 each staged an
-  // increment that lands at 7, 8 and 9 — three pending slots in the file.
-  stream::CheckpointData data;
-  ASSERT_TRUE(stream::load_checkpoint(path, data).ok());
+  // Cycles 4, 5 and 6 each staged an increment that lands at 7, 8 and 9 —
+  // three pending slots in the file.
+  const auto data = expect_deep_resume_bitwise(3, Feed::kSynthetic);
   EXPECT_EQ(data.overlap_depth, 3);
   EXPECT_EQ(data.next_cycle, 7);
   ASSERT_EQ(data.ring.size(), 3u);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(data.ring[static_cast<std::size_t>(i)].cycle, 4 + i);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    auto rc_res = rc_ck;
-    rc_res.n_forecast_threads = threads;
-    const auto resumed = resume_deep(sc, rc_res, path);
-    expect_bitwise_equal(uninterrupted.ens, resumed.ens);
-    expect_accuracy_metrics_bitwise_equal(uninterrupted.metrics, resumed.metrics);
-  }
-  std::remove(path.c_str());
 }
 
 // -------------------------------------------------------- metrics schema ---
