@@ -86,6 +86,35 @@ void Fft1D::transform(std::span<Cplx> x, bool inverse) const {
   }
 }
 
+void Fft1D::inverse_lanes(double* d, std::size_t stride, std::size_t m) const {
+  if (n_ == 1) return;
+  constexpr std::size_t kElem = 2 * simd::kLaneBatch;  // doubles per lane element
+  const std::size_t es = kElem * stride;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t j = bitrev_[i];
+    if (i < j) std::swap_ranges(d + i * es, d + i * es + kElem * m, d + j * es);
+  }
+  const FftKernels& kr = active_kernels();
+  if (n_ == 2) {
+    for (std::size_t c = 0; c < kElem * m; ++c) {
+      const double u = d[c], t = d[es + c];
+      d[c] = u + t;
+      d[es + c] = u - t;
+    }
+  } else {
+    kr.lane_pass_first(d, n_, stride, m);
+  }
+  // The stage sequence of transform(): fused radix-2^2 pairs, then the odd
+  // stage.
+  const auto tw = [this](int s) {
+    return reinterpret_cast<const double*>(stage_inv_[static_cast<std::size_t>(s)].data());
+  };
+  int s = 3;
+  for (; s + 1 <= log2n_; s += 2)
+    kr.lane_pass_radix4(d, n_, stride, m, std::size_t{1} << (s - 1), tw(s), tw(s + 1));
+  if (s <= log2n_) kr.lane_pass_radix2(d, n_, stride, m, std::size_t{1} << (s - 1), tw(s));
+}
+
 // ---------------------------------------------------------------------------
 // Rfft1D — r2c/c2r via one half-length complex FFT plus Hermitian packing.
 //
@@ -151,6 +180,13 @@ void Rfft1D::inverse(std::span<const Cplx> spec, std::span<double> x) const {
   if (scratch.size() < spec_size()) scratch.resize(spec_size());
   std::copy(spec.begin(), spec.begin() + static_cast<long>(spec_size()), scratch.begin());
   inverse_inplace(std::span<Cplx>(scratch.data(), spec_size()), x);
+}
+
+void Rfft1D::inverse_lanes(double* spec, double pre_scale, double* const* x) const {
+  const FftKernels& kr = active_kernels();
+  kr.lane_rfft_unpack(spec, reinterpret_cast<const double*>(w_.data()), h_, pre_scale);
+  half_.inverse_lanes(spec, 1, 1);
+  kr.lane_rows_out(spec, h_, h_ > 1 ? 1.0 / static_cast<double>(h_) : 1.0, x);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +393,98 @@ void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> gri
 
   for (std::size_t i = 0; i < n0_; ++i)
     rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh), grid.subspan(i * n1_, n1_));
+}
+
+// ---------------------------------------------------------------------------
+// Lane-batched pruned inverse: four half spectra in one lane-interleaved
+// buffer. The column pass runs in place down the strided columns (no
+// transposes), kLaneColumns adjacent columns per kernel call; the row pass
+// runs each contiguous row through the lane Rfft1D split, the half-length
+// transform and the de-interleaving store. The column transform's 1/n0
+// factor is applied by the row split as it loads each element.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kLaneElem = 2 * simd::kLaneBatch;  // doubles per lane-batched bin
+constexpr unsigned kAllLanes = (1u << simd::kLaneBatch) - 1;
+constexpr std::size_t kLaneColumns = 4;
+
+/// Bit l set when lane l of the column (n elements, `es` doubles apart)
+/// holds an entry other than ±0.
+unsigned live_lanes(const double* col, std::size_t n, std::size_t es) {
+  unsigned live = 0;
+  for (std::size_t i = 0; i < n && live != kAllLanes; ++i) {
+    const double* e = col + i * es;
+    for (std::size_t l = 0; l < simd::kLaneBatch; ++l)
+      if (e[l] != 0.0 || e[simd::kLaneBatch + l] != 0.0) live |= 1u << l;
+  }
+  return live;
+}
+
+}  // namespace
+
+void Fft2D::inverse_half_pruned_lanes(std::span<double> lanes,
+                                      const std::array<std::span<double>, simd::kLaneBatch>& grids,
+                                      std::size_t kcut) const {
+  TURBDA_SPAN("fft.half_inverse_lanes");
+  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
+  TURBDA_REQUIRE(lanes.size() == kLaneElem * half_size(),
+                 "inverse_half_pruned_lanes: lane buffer holds " << lanes.size()
+                                                                 << " doubles, expected "
+                                                                 << kLaneElem * half_size());
+  for (const auto& g : grids)
+    TURBDA_REQUIRE(g.size() == n0_ * n1_,
+                   "inverse_half_pruned_lanes: wrong grid size " << g.size());
+  const std::size_t nh = half_cols();
+  const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
+  const std::size_t rs = kLaneElem * nh;  // doubles per spectrum row
+  double* d = lanes.data();
+
+  // batch_transform leaves an all-±0 column's bits untouched. A column block
+  // with no live lane is skipped; lanes transformed alongside live ones are
+  // restored from a copy afterwards (e.g. column mx = 0 of the two
+  // i kx-derivatives).
+  if (n0_ > 1) {
+    const std::size_t block = kLaneElem * kLaneColumns;  // doubles per block row
+    double* saved = reinterpret_cast<double*>(tls_buffer(1, n0_ * block / 2).data());
+    for (std::size_t j0 = 0; j0 < cols; j0 += kLaneColumns) {
+      const std::size_t m = std::min(kLaneColumns, cols - j0);
+      double* blk = d + j0 * kLaneElem;
+      unsigned live[kLaneColumns] = {};
+      bool any = false, all = true;
+      for (std::size_t c = 0; c < m; ++c) {
+        live[c] = live_lanes(blk + c * kLaneElem, n0_, rs);
+        any = any || live[c] != 0;
+        all = all && live[c] == kAllLanes;
+      }
+      if (!any) continue;
+      if (!all)
+        for (std::size_t i = 0; i < n0_; ++i)
+          std::copy(blk + i * rs, blk + i * rs + m * kLaneElem, saved + i * block);
+      col_.inverse_lanes(blk, nh, m);
+      if (!all)
+        for (std::size_t i = 0; i < n0_; ++i)
+          for (std::size_t c = 0; c < m; ++c)
+            for (std::size_t l = 0; l < simd::kLaneBatch; ++l)
+              if (!(live[c] & (1u << l))) {
+                const std::size_t at = c * kLaneElem + l;
+                blk[i * rs + at] = saved[i * block + at];
+                blk[i * rs + at + simd::kLaneBatch] = saved[i * block + at + simd::kLaneBatch];
+              }
+    }
+  }
+
+  const double col_scale = (n0_ > 1) ? 1.0 / static_cast<double>(n0_) : 1.0;
+  double* out[simd::kLaneBatch];
+  for (std::size_t i = 0; i < n0_; ++i) {
+    double* row = d + i * rs;
+    // Truncated bins enter the rows as +0, as inverse_half_pruned's zero
+    // fill leaves them (the caller's buffer may hold -0 there).
+    std::fill(row + cols * kLaneElem, row + rs, 0.0);
+    for (std::size_t l = 0; l < simd::kLaneBatch; ++l) out[l] = grids[l].data() + i * n1_;
+    rrow_->inverse_lanes(row, col_scale, out);
+  }
 }
 
 void Fft2D::forward_half(std::span<const double> grid, std::span<Cplx> hspec) const {

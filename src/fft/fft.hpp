@@ -5,14 +5,19 @@
 // 64, 128, 256). Real grids go through a half-spectrum real transform
 // (Rfft1D): an n-point r2c/c2r costs one n/2-point complex FFT plus an O(n)
 // Hermitian (un)packing pass — half the flops and memory traffic of the
-// complex round trip. 2-D transforms run rows, a cache-blocked transpose,
-// batched contiguous "column" transforms, and a transpose back, all on the
-// calling thread (callers parallelize across independent fields, e.g.
-// ensemble members, never inside one transform). Convention matches numpy:
-// forward unnormalized, inverse carries the 1/N factor — so does the sqgturb
-// reference implementation the paper follows.
+// complex round trip. The per-field 2-D transforms run rows, a cache-blocked
+// transpose, batched contiguous "column" transforms, and a transpose back.
+// The lane-batched pruned inverse (Fft2D::inverse_half_pruned_lanes) runs
+// four fields in lockstep, one per SIMD lane, over a lane-interleaved half
+// spectrum: columns in place down their stride, then contiguous rows, with
+// no transposes; each field's grid is bitwise its per-field inverse. All
+// transforms run on the calling thread (callers parallelize across
+// independent fields, e.g. ensemble members, never inside one transform).
+// Convention matches numpy: forward unnormalized, inverse carries the 1/N
+// factor — so does the sqgturb reference implementation the paper follows.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <optional>
 #include <span>
@@ -20,6 +25,7 @@
 
 #include "common/check.hpp"
 #include "fft/simd_kernels.hpp"
+#include "simd/dense_kernels.hpp"
 
 namespace turbda::fft {
 
@@ -39,7 +45,13 @@ class Fft1D {
   void inverse(std::span<Cplx> x) const { transform(x, /*inverse=*/true); }
 
  private:
+  friend class Rfft1D;
+  friend class Fft2D;
+
   void transform(std::span<Cplx> x, bool inverse) const;
+  /// Unnormalized inverse of m adjacent lane-batched transforms (layout in
+  /// simd_kernels.hpp); the caller applies the 1/n factor.
+  void inverse_lanes(double* d, std::size_t stride, std::size_t m) const;
 
   std::size_t n_;
   int log2n_;
@@ -73,6 +85,12 @@ class Rfft1D {
   void inverse_inplace(std::span<Cplx> spec, std::span<double> x) const;
 
  private:
+  friend class Fft2D;
+
+  /// inverse_inplace on one contiguous lane-batched row of h + 1 elements,
+  /// each first scaled by pre_scale; lane l's samples go to x[l][0..n).
+  void inverse_lanes(double* spec, double pre_scale, double* const* x) const;
+
   std::size_t n_, h_;  // h_ = n/2
   Fft1D half_;
   std::vector<Cplx> w_;  // exp(-2πi k / n), k <= n/4
@@ -140,6 +158,18 @@ class Fft2D {
   /// scaled pointwise) — the truncated columns are skipped entirely.
   void inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
                            std::size_t kcut) const;
+
+  /// Four inverse_half_pruned transforms in lockstep, one per SIMD lane.
+  /// `lanes` holds the four half spectra lane-interleaved: bin (i, j) is the
+  /// 8 doubles at lanes[8 (i half_cols() + j)], the real parts of spectra
+  /// 0..3, then their imaginary parts (simd::LaneBuffer keeps each bin in
+  /// one cache line). Grid l receives exactly the bits
+  /// inverse_half_pruned(spectrum l, grid l, kcut) produces at the same SIMD
+  /// level; bins with mx > kcut are never read. `lanes` is consumed as
+  /// scratch.
+  void inverse_half_pruned_lanes(std::span<double> lanes,
+                                 const std::array<std::span<double>, simd::kLaneBatch>& grids,
+                                 std::size_t kcut) const;
 
  private:
   void transform2d(std::span<Cplx> x, bool inverse) const;

@@ -3,10 +3,12 @@
 // The radix-2² fused butterfly passes, the final odd radix-2 pass, the fused
 // length-2/4 first stage and the Rfft1D Hermitian pack/unpack sweeps all run
 // on raw interleaved (re, im) doubles — exactly the loop shape an AVX2 lane
-// pair wants. Each loop is written once against the portable simd::Vec API
-// (simd_kernels_impl.hpp) and instantiated per backend behind one table of
-// function pointers, keyed by the process-global simd::SimdLevel (see
-// simd/dispatch.hpp for level semantics, TURBDA_SIMD and force_simd_level).
+// pair wants — and, for the lane-batched inverse, on four transforms at
+// once, one per lane. Each loop is written once against the portable
+// simd::Vec API (simd_kernels_impl.hpp) and instantiated per backend behind
+// one table of function pointers, keyed by the process-global
+// simd::SimdLevel (see simd/dispatch.hpp for level semantics, TURBDA_SIMD and
+// force_simd_level).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +35,28 @@ struct FftKernels {
   void (*rfft_pack)(double* spec, const double* w, std::size_t h);
   /// Rfft1D inverse Hermitian split for the same bin range.
   void (*rfft_unpack)(double* spec, const double* w, std::size_t h);
+
+  // ---- Lane-batched entries (Fft2D::inverse_half_pruned_lanes) ----
+  // Four transforms per call, one per Vec lane: element k of transform c is
+  // the 8 doubles at d + (k * stride + c) * 8 (four real parts, then four
+  // imaginary parts); m transforms sit side by side. Each lane repeats the
+  // per-field entry's IEEE operations above, so it is bitwise that result.
+
+  /// Inverse pass_first over n >= 4 points of m adjacent transforms.
+  void (*lane_pass_first)(double* d, std::size_t n, std::size_t stride, std::size_t m);
+  /// pass_radix4 (any half >= 1).
+  void (*lane_pass_radix4)(double* d, std::size_t n, std::size_t stride, std::size_t m,
+                           std::size_t half, const double* tw, const double* tw1);
+  /// pass_radix2 (any half >= 1).
+  void (*lane_pass_radix2)(double* d, std::size_t n, std::size_t stride, std::size_t m,
+                           std::size_t half, const double* tw);
+  /// Rfft1D inverse split of one contiguous row of h + 1 elements (bin-0
+  /// fold, rfft_unpack's bins, conj of bin h/2), every element first scaled
+  /// by pre_scale.
+  void (*lane_rfft_unpack)(double* spec, const double* w, std::size_t h, double pre_scale);
+  /// Scales h row elements by `scale` and writes lane l's (re, im) pairs to
+  /// the 2h real samples out[l][0..2h).
+  void (*lane_rows_out)(const double* spec, std::size_t h, double scale, double* const* out);
 };
 
 /// Kernel table for the given level; level must be available.

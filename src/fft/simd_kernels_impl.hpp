@@ -23,6 +23,7 @@ namespace turbda::fft::detail {
 
 using simd::cmul;
 using simd::cmul_conj;
+using simd::transpose4;
 
 /// Stages of butterfly length 2 and 4 fused (exact ±1/±i twiddles). Per
 /// 4-complex block: A = [z0+z1 | z0-z1], D = [z2+z3 | -+i (z2-z3)],
@@ -178,6 +179,205 @@ void rfft_unpack_impl(double* s, const double* w, std::size_t h) {
     s[2 * k + 1] = ei + or_;
     s[2 * kc] = er + oi;
     s[2 * kc + 1] = or_ - ei;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lane-batched kernels: V::kWidth independent transforms advance in
+// lockstep, one per lane. Element k of transform c is the 2 * kWidth doubles
+// at d + (k * stride + c) * 2 * kWidth: the kWidth real parts, then the
+// kWidth imaginary parts. `stride` is the element distance between successive
+// points of one transform (n/2 + 1 for an in-place column of a half
+// spectrum, 1 for a row), and the m transforms of one call sit side by side
+// (adjacent columns). Every lane performs the IEEE operations of the
+// per-field kernels above on its own values in the same order — fused where
+// their vector bodies fuse under kFma, unfused where their scalar remainders
+// run — so each lane is bitwise the per-field result at every level.
+// ---------------------------------------------------------------------------
+
+/// w * b per lane with the operation order of cmul's fmaddsub.
+template <bool kFma, class V>
+inline void lane_cmul(V wr, V wi, V br, V bi, V& re, V& im) {
+  re = V::template mul_sub<kFma>(wr, br, wi * bi);
+  im = V::template mul_add<kFma>(wr, bi, wi * br);
+}
+
+/// Lane pass_first_impl at isign = +1 (inverse): stages of length 2 and 4
+/// fused over n >= 4 points. The +i rotation multiplies by -1 and +1, as
+/// cs * rot does.
+template <class V>
+void lane_pass_first_impl(double* d, std::size_t n, std::size_t stride, std::size_t m) {
+  constexpr std::size_t W = V::kWidth;
+  const std::size_t es = 2 * W * stride;
+  const V mrot = V::broadcast(-1.0), prot = V::broadcast(1.0);
+  for (std::size_t base = 0; base < n; base += 4) {
+    for (std::size_t c = 0; c < m; ++c) {
+      double* p0 = d + base * es + 2 * W * c;
+      double* p1 = p0 + es;
+      double* p2 = p1 + es;
+      double* p3 = p2 + es;
+      const V r0 = V::loadu(p0), i0 = V::loadu(p0 + W);
+      const V r1 = V::loadu(p1), i1 = V::loadu(p1 + W);
+      const V r2 = V::loadu(p2), i2 = V::loadu(p2 + W);
+      const V r3 = V::loadu(p3), i3 = V::loadu(p3 + W);
+      const V a0r = r0 + r1, a0i = i0 + i1;
+      const V a1r = r0 - r1, a1i = i0 - i1;
+      const V a2r = r2 + r3, a2i = i2 + i3;
+      const V a3r = r2 - r3, a3i = i2 - i3;
+      const V b3r = a3i * mrot, b3i = a3r * prot;
+      (a0r + a2r).storeu(p0);
+      (a0i + a2i).storeu(p0 + W);
+      (a1r + b3r).storeu(p1);
+      (a1i + b3i).storeu(p1 + W);
+      (a0r - a2r).storeu(p2);
+      (a0i - a2i).storeu(p2 + W);
+      (a1r - b3r).storeu(p3);
+      (a1i - b3i).storeu(p3 + W);
+    }
+  }
+}
+
+/// Lane pass_radix4_impl: stages s and s+1 fused, any half >= 1.
+template <class V, bool kFma>
+void lane_pass_radix4_impl(double* d, std::size_t n, std::size_t stride, std::size_t m,
+                           std::size_t half, const double* tw, const double* tw1) {
+  constexpr std::size_t W = V::kWidth;
+  const std::size_t es = 2 * W * stride;
+  const std::size_t qs = half * es;
+  for (std::size_t base = 0; base < n; base += 4 * half) {
+    for (std::size_t k = 0; k < half; ++k) {
+      const V wr = V::broadcast(tw[2 * k]), wi = V::broadcast(tw[2 * k + 1]);
+      const V v0r = V::broadcast(tw1[2 * k]), v0i = V::broadcast(tw1[2 * k + 1]);
+      const V v1r = V::broadcast(tw1[2 * (k + half)]);
+      const V v1i = V::broadcast(tw1[2 * (k + half) + 1]);
+      for (std::size_t c = 0; c < m; ++c) {
+        double* p0 = d + (base + k) * es + 2 * W * c;
+        double* p1 = p0 + qs;
+        double* p2 = p1 + qs;
+        double* p3 = p2 + qs;
+        V tbr, tbi, tdr, tdi;
+        lane_cmul<kFma>(wr, wi, V::loadu(p1), V::loadu(p1 + W), tbr, tbi);
+        lane_cmul<kFma>(wr, wi, V::loadu(p3), V::loadu(p3 + W), tdr, tdi);
+        const V ar = V::loadu(p0), ai = V::loadu(p0 + W);
+        const V cr = V::loadu(p2), ci = V::loadu(p2 + W);
+        const V uar = ar + tbr, uai = ai + tbi;
+        const V ubr = ar - tbr, ubi = ai - tbi;
+        const V ucr = cr + tdr, uci = ci + tdi;
+        const V udr = cr - tdr, udi = ci - tdi;
+        V tcr, tci, ter, tei;
+        lane_cmul<kFma>(v0r, v0i, ucr, uci, tcr, tci);
+        lane_cmul<kFma>(v1r, v1i, udr, udi, ter, tei);
+        (uar + tcr).storeu(p0);
+        (uai + tci).storeu(p0 + W);
+        (uar - tcr).storeu(p2);
+        (uai - tci).storeu(p2 + W);
+        (ubr + ter).storeu(p1);
+        (ubi + tei).storeu(p1 + W);
+        (ubr - ter).storeu(p3);
+        (ubi - tei).storeu(p3 + W);
+      }
+    }
+  }
+}
+
+/// Lane pass_radix2_impl: the odd remaining stage, any half >= 1.
+template <class V, bool kFma>
+void lane_pass_radix2_impl(double* d, std::size_t n, std::size_t stride, std::size_t m,
+                           std::size_t half, const double* tw) {
+  constexpr std::size_t W = V::kWidth;
+  const std::size_t es = 2 * W * stride;
+  for (std::size_t base = 0; base < n; base += 2 * half) {
+    for (std::size_t k = 0; k < half; ++k) {
+      const V wr = V::broadcast(tw[2 * k]), wi = V::broadcast(tw[2 * k + 1]);
+      for (std::size_t c = 0; c < m; ++c) {
+        double* lo = d + (base + k) * es + 2 * W * c;
+        double* hi = lo + half * es;
+        V tr, ti;
+        lane_cmul<kFma>(wr, wi, V::loadu(hi), V::loadu(hi + W), tr, ti);
+        const V ur = V::loadu(lo), ui = V::loadu(lo + W);
+        (ur + tr).storeu(lo);
+        (ui + ti).storeu(lo + W);
+        (ur - tr).storeu(hi);
+        (ui - ti).storeu(hi + W);
+      }
+    }
+  }
+}
+
+/// Lane Rfft1D inverse split over one contiguous row of h + 1 elements: the
+/// bin-0 fold, rfft_unpack_impl's bins, and the conj of bin h/2. Every
+/// element is first multiplied by pre_scale (the column transform's 1/n0,
+/// deferred to here: x * s0 is the same IEEE operation either way). Bins
+/// that rfft_unpack_impl's vector body covers fuse under kFma; the ones it
+/// hands to its scalar remainder stay unfused.
+template <class V, bool kFma>
+void lane_rfft_unpack_impl(double* s, const double* w, std::size_t h, double pre_scale) {
+  constexpr std::size_t W = V::kWidth;
+  constexpr std::size_t es = 2 * W;
+  const V half_v = V::broadcast(0.5);
+  const V sc = V::broadcast(pre_scale);
+  {
+    const V e0 = V::loadu(s) * sc;
+    const V eh = V::loadu(s + h * es) * sc;
+    (half_v * (e0 + eh)).storeu(s);
+    (half_v * (e0 - eh)).storeu(s + W);
+  }
+  std::size_t kv = 1;  // first bin of rfft_unpack_impl's scalar remainder
+  while (2 * kv + 2 < h) kv += 2;
+  for (std::size_t k = 1; k < h - k; ++k) {
+    double* pk = s + k * es;
+    double* pc = s + (h - k) * es;
+    const V ar = V::loadu(pk) * sc, ai = V::loadu(pk + W) * sc;
+    const V br = V::loadu(pc) * sc, bi = V::loadu(pc + W) * sc;
+    const V er = half_v * (ar + br), ei = half_v * (ai - bi);
+    const V otr = half_v * (ar - br), oti = half_v * (ai + bi);
+    const V wr = V::broadcast(w[2 * k]), wi = V::broadcast(w[2 * k + 1]);
+    V or_, oi;
+    if (k < kv) {
+      or_ = V::template mul_add<kFma>(wr, otr, wi * oti);
+      oi = V::template mul_sub<kFma>(wr, oti, wi * otr);
+    } else {
+      or_ = wr * otr + wi * oti;
+      oi = wr * oti - wi * otr;
+    }
+    (er - oi).storeu(pk);
+    (ei + or_).storeu(pk + W);
+    (er + oi).storeu(pc);
+    (or_ - ei).storeu(pc + W);
+  }
+  if (h >= 2) {  // w^(h/2) = -i exactly: conj
+    double* p = s + (h / 2) * es;
+    (V::loadu(p) * sc).storeu(p);
+    (V::loadu(p + W) * sc).neg().storeu(p + W);
+  }
+}
+
+/// Scales the h elements of a transformed row by `scale` and de-interleaves
+/// them into kWidth real output rows: out[l][2j] = re_l(j) * scale,
+/// out[l][2j + 1] = im_l(j) * scale (the Rfft1D real-sample unpacking).
+template <class V>
+void lane_rows_out_impl(const double* s, std::size_t h, double scale, double* const* out) {
+  constexpr std::size_t W = V::kWidth;
+  constexpr std::size_t es = 2 * W;
+  const V sc = V::broadcast(scale);
+  std::size_t j = 0;
+  for (; j + 2 <= h; j += 2) {
+    const double* p = s + j * es;
+    V r0 = V::loadu(p) * sc;
+    V r1 = V::loadu(p + W) * sc;
+    V r2 = V::loadu(p + es) * sc;
+    V r3 = V::loadu(p + es + W) * sc;
+    transpose4(r0, r1, r2, r3);
+    r0.storeu(out[0] + 2 * j);
+    r1.storeu(out[1] + 2 * j);
+    r2.storeu(out[2] + 2 * j);
+    r3.storeu(out[3] + 2 * j);
+  }
+  for (; j < h; ++j) {  // h == 1
+    for (std::size_t l = 0; l < W; ++l) {
+      out[l][2 * j] = s[j * es + l] * scale;
+      out[l][2 * j + 1] = s[j * es + W + l] * scale;
+    }
   }
 }
 

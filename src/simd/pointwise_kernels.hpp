@@ -35,17 +35,20 @@ namespace turbda::simd {
 
 struct PointwiseKernels {
   /// Fused SQG boundary inversion + derivative pass over one level's half
-  /// spectrum. Per complex bin p (all arrays interleaved, coefficients
+  /// spectrum. Per complex bin p (inputs interleaved, coefficients
   /// pair-duplicated):
   ///   ps  = ik * (t1 * ca - t0 * cb)        (streamfunction at this level)
   ///   duh = -i ky ps,  dvh = +i kx ps       (u = -psi_y, v = psi_x)
   ///   dtx = +i kx th,  dty = +i ky th       (theta gradients)
   /// An i*k multiply is a pair swap plus sign flips — exact bit operations,
   /// so the pass matches the scalar complex spelling bitwise (unfused).
-  void (*sqg_pass1)(double* ps, double* duh, double* dvh, double* dtx, double* dty,
-                    const double* t0, const double* t1, const double* th, const double* ik2,
-                    const double* ca2, const double* cb2, const double* kx2, const double* ky2,
-                    std::size_t nd);
+  /// The four derivative spectra are stored lane-interleaved for
+  /// Fft2D::inverse_half_pruned_lanes: bin p is the 8 doubles at
+  /// lanes[8p..8p+7], the real parts of duh, dvh, dtx, dty, then their
+  /// imaginary parts (nd doubles of ps, 4 nd doubles of lanes).
+  void (*sqg_pass1)(double* ps, double* lanes, const double* t0, const double* t1,
+                    const double* th, const double* ik2, const double* ca2, const double* cb2,
+                    const double* kx2, const double* ky2, std::size_t nd);
   /// Grid-space advection product: gj[i] = gu[i]*gtx[i] + gv[i]*gty[i].
   void (*sqg_jacobian)(double* gj, const double* gu, const double* gtx, const double* gv,
                        const double* gty, std::size_t nd);

@@ -25,10 +25,9 @@ template <bool kFma>
 }
 
 template <class V, bool kFma>
-void sqg_pass1_impl(double* ps, double* duh, double* dvh, double* dtx, double* dty,
-                    const double* t0, const double* t1, const double* th, const double* ik2,
-                    const double* ca2, const double* cb2, const double* kx2, const double* ky2,
-                    std::size_t nd) {
+void sqg_pass1_impl(double* ps, double* lanes, const double* t0, const double* t1,
+                    const double* th, const double* ik2, const double* ca2, const double* cb2,
+                    const double* kx2, const double* ky2, std::size_t nd) {
   constexpr std::size_t W = V::kWidth;
   std::size_t i = 0;
   for (; i + W <= nd; i += W) {
@@ -41,27 +40,36 @@ void sqg_pass1_impl(double* ps, double* duh, double* dvh, double* dtx, double* d
     // i*z on an interleaved pair is swap + negate-even; -i*z is swap +
     // negate-odd (conj of the product). Sign flips are exact bit operations.
     const V sps = psv.swap_pairs();
-    (kyv * sps).conj().storeu(duh + i);      // -i ky psi
-    (kxv * sps).neg_even().storeu(dvh + i);  // +i kx psi
     const V sth = V::loadu(th + i).swap_pairs();
-    (kxv * sth).neg_even().storeu(dtx + i);  // +i kx theta
-    (kyv * sth).neg_even().storeu(dty + i);  // +i ky theta
+    V du = (kyv * sps).conj();      // -i ky psi
+    V dv = (kxv * sps).neg_even();  // +i kx psi
+    V dx = (kxv * sth).neg_even();  // +i kx theta
+    V dy = (kyv * sth).neg_even();  // +i ky theta
+    // Rows [re p, im p, re p+1, im p+1] of the four fields become the lane
+    // elements of bins p and p+1: 16 contiguous doubles at lanes + 4 i.
+    transpose4(du, dv, dx, dy);
+    du.storeu(lanes + 4 * i);
+    dv.storeu(lanes + 4 * i + 4);
+    dx.storeu(lanes + 4 * i + 8);
+    dy.storeu(lanes + 4 * i + 12);
   }
   for (; i + 1 < nd; i += 2) {
     const double pr = ik2[i] * fmadd1<kFma>(t1[i], ca2[i], -(t0[i] * cb2[i]));
     const double pi = ik2[i + 1] * fmadd1<kFma>(t1[i + 1], ca2[i + 1], -(t0[i + 1] * cb2[i + 1]));
     ps[i] = pr;
     ps[i + 1] = pi;
-    duh[i] = ky2[i] * pi;
-    duh[i + 1] = -(ky2[i + 1] * pr);
-    dvh[i] = -(kx2[i] * pi);
-    dvh[i + 1] = kx2[i + 1] * pr;
     const double tr = th[i];
     const double ti = th[i + 1];
-    dtx[i] = -(kx2[i] * ti);
-    dtx[i + 1] = kx2[i + 1] * tr;
-    dty[i] = -(ky2[i] * ti);
-    dty[i + 1] = ky2[i + 1] * tr;
+    double* re = lanes + 4 * i;  // bin i/2: four real parts, then four imaginary
+    double* im = re + 4;
+    re[0] = ky2[i] * pi;
+    im[0] = -(ky2[i + 1] * pr);
+    re[1] = -(kx2[i] * pi);
+    im[1] = kx2[i + 1] * pr;
+    re[2] = -(kx2[i] * ti);
+    im[2] = kx2[i + 1] * tr;
+    re[3] = -(ky2[i] * ti);
+    im[3] = ky2[i + 1] * tr;
   }
 }
 

@@ -4,7 +4,8 @@
 // lane operations the FFT butterflies and the LETKF dense kernels need:
 // load/store, broadcast, +/-/*, fused and unfused multiply-add, the
 // addsub/fmaddsub family for interleaved complex pairs, in-register shuffles
-// (pair swap, even/odd duplicate, 128-bit half swap, blend), and — for the
+// (pair swap, even/odd duplicate, 128-bit half swap and concat, unpack,
+// blend, and the 4x4 transpose built from them), and — for the
 // lane-batched solvers — correctly-rounded / and sqrt (IEEE-exact in both
 // backends, so lane arithmetic matches the scalar spelling bitwise),
 // min/max, ordered compares producing all-ones lane masks, sign-bit select
@@ -183,6 +184,18 @@ struct VecScalar {
   [[nodiscard]] static VecScalar concat_lo(VecScalar a, VecScalar b) {
     return VecScalar{{a.v[0], a.v[1], b.v[0], b.v[1]}};
   }
+  /// [a2, a3, b2, b3] — high 128-bit halves of a and b.
+  [[nodiscard]] static VecScalar concat_hi(VecScalar a, VecScalar b) {
+    return VecScalar{{a.v[2], a.v[3], b.v[2], b.v[3]}};
+  }
+  /// [a0, b0, a2, b2] — even lanes of a and b interleaved (vunpcklpd).
+  [[nodiscard]] static VecScalar unpack_lo(VecScalar a, VecScalar b) {
+    return VecScalar{{a.v[0], b.v[0], a.v[2], b.v[2]}};
+  }
+  /// [a1, b1, a3, b3] — odd lanes of a and b interleaved (vunpckhpd).
+  [[nodiscard]] static VecScalar unpack_hi(VecScalar a, VecScalar b) {
+    return VecScalar{{a.v[1], b.v[1], a.v[3], b.v[3]}};
+  }
   /// Per-lane select: bit i of kMask set -> lane i from b, else from a.
   template <int kMask>
   [[nodiscard]] static VecScalar blend(VecScalar a, VecScalar b) {
@@ -281,6 +294,15 @@ struct VecAvx2 {
   [[nodiscard]] static VecAvx2 concat_lo(VecAvx2 a, VecAvx2 b) {
     return VecAvx2{_mm256_permute2f128_pd(a.v, b.v, 0x20)};
   }
+  [[nodiscard]] static VecAvx2 concat_hi(VecAvx2 a, VecAvx2 b) {
+    return VecAvx2{_mm256_permute2f128_pd(a.v, b.v, 0x31)};
+  }
+  [[nodiscard]] static VecAvx2 unpack_lo(VecAvx2 a, VecAvx2 b) {
+    return VecAvx2{_mm256_unpacklo_pd(a.v, b.v)};
+  }
+  [[nodiscard]] static VecAvx2 unpack_hi(VecAvx2 a, VecAvx2 b) {
+    return VecAvx2{_mm256_unpackhi_pd(a.v, b.v)};
+  }
   template <int kMask>
   [[nodiscard]] static VecAvx2 blend(VecAvx2 a, VecAvx2 b) {
     return VecAvx2{_mm256_blend_pd(a.v, b.v, kMask)};
@@ -308,6 +330,18 @@ template <bool kFma, class V>
 template <bool kFma, class V>
 [[nodiscard]] inline V cmul_conj(V w, V b) {
   return V::template fmsubadd<kFma>(w.dup_even(), b, w.dup_odd() * b.swap_pairs());
+}
+
+/// In-register 4x4 transpose: on return r_i holds lane i of the inputs,
+/// [r0_i, r1_i, r2_i, r3_i]. Pure lane moves, no arithmetic.
+template <class V>
+inline void transpose4(V& r0, V& r1, V& r2, V& r3) {
+  const V lo01 = V::unpack_lo(r0, r1), hi01 = V::unpack_hi(r0, r1);
+  const V lo23 = V::unpack_lo(r2, r3), hi23 = V::unpack_hi(r2, r3);
+  r0 = V::concat_lo(lo01, lo23);
+  r1 = V::concat_lo(hi01, hi23);
+  r2 = V::concat_hi(lo01, lo23);
+  r3 = V::concat_hi(hi01, hi23);
 }
 
 }  // namespace turbda::simd

@@ -25,10 +25,7 @@ void SqgWorkspace::resize(std::size_t grid_n) {
   const std::size_t nn = grid_n * grid_n;
   const std::size_t ns = grid_n * (grid_n / 2 + 1);
   psi.resize(2 * ns);
-  duh.resize(ns);
-  dvh.resize(ns);
-  dtx.resize(ns);
-  dty.resize(ns);
+  lanes.resize(2 * simd::kLaneBatch * ns);
   jac.resize(ns);
   gu.resize(nn);
   gv.resize(nn);
@@ -212,19 +209,17 @@ void SqgModel::tendency(std::span<const Cplx> theta_spec, std::span<Cplx> out,
 
     // Pass 1 (fused, branch-free): boundary inversion plus the four
     // derivative half-spectra in a single traversal (u = -psi_y, v = psi_x),
-    // as one runtime-dispatched Vec sweep over the interleaved pairs.
+    // as one runtime-dispatched Vec sweep over the interleaved pairs that
+    // stores the derivatives lane-interleaved.
     const double* cA2 = (l == 0) ? inv_sinh2_.data() : inv_tanh2_.data();
     const double* cB2 = (l == 0) ? inv_tanh2_.data() : inv_sinh2_.data();
-    pk.sqg_pass1(dview(ps), dview(ws.duh.data()), dview(ws.dvh.data()), dview(ws.dtx.data()),
-                 dview(ws.dty.data()), dview(t0), dview(t1), dview(th), inv_kappa2_.data(), cA2,
-                 cB2, kx2_.data(), ky2_.data(), 2 * ns_);
+    pk.sqg_pass1(dview(ps), ws.lanes.data(), dview(t0), dview(t1), dview(th),
+                 inv_kappa2_.data(), cA2, cB2, kx2_.data(), ky2_.data(), 2 * ns_);
 
-    // Pruned c2r transforms to grid space (the state is dealiased, so the
-    // truncated columns are zero and their transforms are skipped).
-    fft_.inverse_half_pruned(ws.duh, ws.gu, kcut_);
-    fft_.inverse_half_pruned(ws.dvh, ws.gv, kcut_);
-    fft_.inverse_half_pruned(ws.dtx, ws.gtx, kcut_);
-    fft_.inverse_half_pruned(ws.dty, ws.gty, kcut_);
+    // The four pruned c2r transforms to grid space in lockstep, one per Vec
+    // lane (the state is dealiased, so the truncated columns are zero and
+    // their transforms are skipped).
+    fft_.inverse_half_pruned_lanes(ws.lanes, {ws.gu, ws.gv, ws.gtx, ws.gty}, kcut_);
 
     // Nonlinear advection J(psi, theta) = u theta_x + v theta_y; the pruned
     // r2c both transforms and 2/3-truncates it in one go.

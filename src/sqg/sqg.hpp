@@ -50,6 +50,7 @@
 #include "fft/fft.hpp"
 #include "models/forecast_model.hpp"
 #include "rng/rng.hpp"
+#include "simd/dense_kernels.hpp"
 
 namespace turbda::sqg {
 
@@ -87,7 +88,10 @@ struct SqgWorkspace {
 
   std::size_t n = 0;                         ///< grid points per side
   std::vector<Cplx> psi;                     // streamfunction, both levels
-  std::vector<Cplx> duh, dvh, dtx, dty;      // derivative half-spectra
+  // The four derivative half-spectra of one level (-psi_y, psi_x, theta_x,
+  // theta_y), lane-interleaved for Fft2D::inverse_half_pruned_lanes:
+  // 8 doubles per bin.
+  simd::LaneBuffer lanes;
   std::vector<Cplx> jac;                     // Jacobian half-spectrum
   std::vector<double> gu, gv, gtx, gty, gj;  // grid-space Jacobian fields
   std::vector<Cplx> k1, k2, k3, k4, stage, spec;  // RK4 stages (2 n(n/2+1) each)

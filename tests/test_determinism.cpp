@@ -2,7 +2,8 @@
 // SQG ensemble forecast loop must be bitwise identical for 1, 2 and
 // hardware_concurrency() worker threads, and the row-parallel blocked GEMM
 // must match a serial reference bitwise. This is the contract that makes the
-// parallel hot path safe to enable by default.
+// parallel hot path safe to enable by default. The LETKF analysis and the
+// SQG forecast are also bitwise identical under the Scalar and Avx2 levels.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -111,6 +112,30 @@ TEST(Determinism, LetkfIndependentOfSimdLevel) {
   }
   simd::force_simd_level(before);
   expect_bitwise_equal(scalar_case.ens, avx2_case.ens, 1);
+}
+
+TEST(Determinism, SqgStepIndependentOfSimdLevel) {
+  // The whole forecast: pass 1's lane-interleaved store, the lane-batched
+  // inverse transforms, the per-field forwards and the pointwise kernels all
+  // repeat the scalar IEEE operation order on the Avx2 level.
+  if (!simd::simd_level_available(simd::SimdLevel::Avx2)) GTEST_SKIP() << "no AVX2";
+  const simd::SimdLevel before = simd::active_simd_level();
+  for (const std::size_t n : {32u, 128u}) {
+    sqg::SqgConfig mc;
+    mc.n = n;
+    const sqg::SqgModel model(mc);
+    std::vector<double> theta0(model.dim());
+    rng::Rng rng(4242 + n);
+    model.random_init(theta0, rng, 1.0, 4);
+    std::vector<double> scalar = theta0, avx2 = theta0;
+    simd::force_simd_level(simd::SimdLevel::Scalar);
+    model.step(scalar, 3);
+    simd::force_simd_level(simd::SimdLevel::Avx2);
+    model.step(avx2, 3);
+    simd::force_simd_level(before);
+    EXPECT_EQ(0, std::memcmp(scalar.data(), avx2.data(), scalar.size() * sizeof(double)))
+        << "n=" << n;
+  }
 }
 
 TEST(Determinism, EnsfIndependentOfThreadCount) {

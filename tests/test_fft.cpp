@@ -10,6 +10,7 @@
 #include "common/math_utils.hpp"
 #include "fft/fft.hpp"
 #include "rng/rng.hpp"
+#include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
 
 namespace turbda::fft {
@@ -463,6 +464,136 @@ TEST(SimdDispatch, Rfft1dMatchesScalarAcrossLevels) {
   }
 }
 
+// --- lane-batched pruned inverse --------------------------------------------
+
+constexpr std::size_t kLanes = simd::kLaneBatch;
+using Spectra = std::vector<std::vector<Cplx>>;
+using Grids = std::vector<std::vector<double>>;
+
+/// Runs inverse_half_pruned_lanes on four half spectra, interleaved into the
+/// lane layout (bin p: the four real parts, then the four imaginary parts).
+Grids lane_inverse(const Fft2D& plan, const Spectra& spec, std::size_t kcut) {
+  simd::LaneBuffer lanes(2 * kLanes * plan.half_size());
+  for (std::size_t l = 0; l < kLanes; ++l)
+    for (std::size_t p = 0; p < plan.half_size(); ++p) {
+      lanes[2 * kLanes * p + l] = spec[l][p].real();
+      lanes[2 * kLanes * p + kLanes + l] = spec[l][p].imag();
+    }
+  Grids grids(kLanes, std::vector<double>(plan.rows() * plan.cols()));
+  plan.inverse_half_pruned_lanes(lanes, {grids[0], grids[1], grids[2], grids[3]}, kcut);
+  return grids;
+}
+
+/// Four dealiased half spectra carrying the zeros the SQG tendency feeds the
+/// lane transform: lane 1's column 0 is all ±0 (i kx psi at kx = 0), every
+/// bin above kcut is -0.0, one retained column is ±0 in every lane, and for
+/// n1 >= 32 so is a whole block of columns 4..7. Lane 3 is ±0 everywhere (a
+/// zero field), so its grid shows every sign a skipped or transformed zero
+/// takes.
+Spectra lane_test_spectra(std::size_t n0, std::size_t n1, std::size_t kcut, Rng& rng) {
+  const std::size_t nh = n1 / 2 + 1;
+  const std::size_t last = std::min(kcut, n1 / 2);
+  Spectra spec(kLanes, std::vector<Cplx>(n0 * nh));
+  for (std::size_t l = 0; l < kLanes; ++l)
+    for (std::size_t i = 0; i < n0; ++i) {
+      const long my =
+          (i <= n0 / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n0);
+      for (std::size_t j = 0; j < nh; ++j) {
+        const double sz = ((i + j + l) % 3 == 0) ? -0.0 : 0.0;  // a signed zero
+        Cplx v(rng.gaussian(), rng.gaussian());
+        if (j > kcut)
+          v = Cplx(-0.0, -0.0);
+        else if (std::labs(my) > static_cast<long>(kcut))
+          v = Cplx(0.0, 0.0);
+        else if ((l == 1 && j == 0) || l == 3 || (n1 >= 8 && j == last) ||
+                 (n1 >= 32 && j >= 4 && j < 8))
+          v = Cplx(sz, -sz);
+        spec[l][i * nh + j] = v;
+      }
+    }
+  return spec;
+}
+
+// The lane transform against four per-field calls at the same dispatch
+// level, bit for bit, on every grid the SQG model accepts up to 256 and on
+// a few non-square plans.
+TEST(Fft2dLanes, MatchesPerFieldBitwiseAtEveryLevel) {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = {{16, 8}, {4, 16}, {8, 2}, {1, 8}};
+  for (std::size_t n = 2; n <= 256; n *= 2) shapes.emplace_back(n, n);
+  SimdLevelGuard guard;
+  for (const simd::SimdLevel level :
+       {simd::SimdLevel::Scalar, simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
+    if (!simd::force_simd_level(level)) continue;
+    for (const auto& [n0, n1] : shapes) {
+      const Fft2D plan(n0, n1);
+      for (const std::size_t kcut : {std::max(n0, n1) / 3, std::max(n0, n1) / 2}) {
+        Rng rng(401 + n0 + n1 + kcut);
+        const Spectra spec = lane_test_spectra(n0, n1, kcut, rng);
+        const Grids got = lane_inverse(plan, spec, kcut);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          std::vector<double> want(n0 * n1);
+          plan.inverse_half_pruned(spec[l], want, kcut);
+          EXPECT_EQ(0, std::memcmp(got[l].data(), want.data(), n0 * n1 * sizeof(double)))
+              << simd::simd_level_name(level) << " " << n0 << "x" << n1 << " kcut=" << kcut
+              << " lane " << l;
+        }
+      }
+    }
+  }
+}
+
+// The lane transform against a naive inverse 2-D DFT of the same truncated
+// spectra (each the naive forward DFT of a random real field).
+TEST(Fft2dLanes, MatchesNaiveInverseDft) {
+  for (const std::size_t n : {8u, 16u}) {
+    const std::size_t nh = n / 2 + 1;
+    std::vector<Cplx> w(n);  // exp(-2πi k / n)
+    for (std::size_t k = 0; k < n; ++k) {
+      const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+      w[k] = Cplx(std::cos(ang), std::sin(ang));
+    }
+    const auto wavenumber = [n](std::size_t i) {
+      return (i <= n / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n);
+    };
+    const Fft2D plan(n, n);
+    for (const std::size_t kcut : {n / 3, n / 2}) {
+      Rng rng(503 + n + kcut);
+      Spectra spec(kLanes, std::vector<Cplx>(n * nh));
+      Grids want(kLanes, std::vector<double>(n * n));
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        std::vector<double> g(n * n);
+        rng.fill_gaussian(g);
+        std::vector<Cplx> full(n * n);
+        for (std::size_t ky = 0; ky < n; ++ky)
+          for (std::size_t kx = 0; kx < n; ++kx) {
+            if (std::labs(wavenumber(ky)) > static_cast<long>(kcut) ||
+                std::labs(wavenumber(kx)) > static_cast<long>(kcut))
+              continue;
+            Cplx f(0.0, 0.0);
+            for (std::size_t y = 0; y < n; ++y)
+              for (std::size_t x = 0; x < n; ++x) f += g[y * n + x] * w[(ky * y + kx * x) % n];
+            full[ky * n + kx] = f;
+          }
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < nh; ++j) spec[l][i * nh + j] = full[i * n + j];
+        for (std::size_t y = 0; y < n; ++y)
+          for (std::size_t x = 0; x < n; ++x) {
+            Cplx s(0.0, 0.0);
+            for (std::size_t ky = 0; ky < n; ++ky)
+              for (std::size_t kx = 0; kx < n; ++kx)
+                s += full[ky * n + kx] * std::conj(w[(ky * y + kx * x) % n]);
+            want[l][y * n + x] = s.real() / static_cast<double>(n * n);
+          }
+      }
+      const Grids got = lane_inverse(plan, spec, kcut);
+      for (std::size_t l = 0; l < kLanes; ++l)
+        for (std::size_t i = 0; i < n * n; ++i)
+          ASSERT_NEAR(got[l][i], want[l][i], 1e-12)
+              << "n=" << n << " kcut=" << kcut << " lane " << l;
+    }
+  }
+}
+
 TEST(Fft2d, HalfApiRejectsUnsupportedShapes) {
   // n1 == 1 has no even row length for the r2c stage.
   Fft2D p1(8, 1);
@@ -470,6 +601,8 @@ TEST(Fft2d, HalfApiRejectsUnsupportedShapes) {
   std::vector<Cplx> h1(p1.half_size());
   EXPECT_THROW(p1.forward_half(g1, h1), Error);
   EXPECT_THROW(p1.inverse_half(h1, g1), Error);
+  simd::LaneBuffer l1(2 * kLanes * p1.half_size());
+  EXPECT_THROW(p1.inverse_half_pruned_lanes(l1, {g1, g1, g1, g1}, 2), Error);
   // Odd / non-power-of-two extents are rejected at plan construction.
   EXPECT_THROW(Fft2D(8, 7), Error);
   EXPECT_THROW(Fft2D(6, 8), Error);
@@ -481,6 +614,10 @@ TEST(Fft2d, HalfApiRejectsUnsupportedShapes) {
   EXPECT_THROW(q.inverse_half(bad, g2), Error);
   EXPECT_THROW(q.forward_half_pruned(g2, bad, 2), Error);
   EXPECT_THROW(q.inverse_half_pruned(bad, g2, 2), Error);
+  simd::LaneBuffer lanes(2 * kLanes * q.half_size()), short_lanes(lanes.size() - 1);
+  std::vector<double> small(63);
+  EXPECT_THROW(q.inverse_half_pruned_lanes(short_lanes, {g2, g2, g2, g2}, 2), Error);
+  EXPECT_THROW(q.inverse_half_pruned_lanes(lanes, {g2, g2, small, g2}, 2), Error);
 }
 
 }  // namespace
