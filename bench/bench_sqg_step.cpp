@@ -63,8 +63,7 @@ double best_ms(int reps, int iters, F&& fn) {
 
 /// Single-thread kernel timings at one grid size.
 struct Kernels {
-  double fft_pair_ms = 0.0;    // full Hermitian-redundant layout (legacy)
-  double fft_half_ms = 0.0;    // packed half-spectrum layout
+  double fft_half_ms = 0.0;    // forward_half + inverse_half
   double inv4_field_ms = 0.0;  // four inverse_half_pruned calls
   double inv4_lanes_ms = 0.0;  // one inverse_half_pruned_lanes call, input restore included
   bool inv4_bitwise = true;    // lane grids == per-field grids
@@ -128,16 +127,11 @@ int main(int argc, char** argv) {
     std::vector<std::vector<double>> ref_members(members, theta);
     for (auto& m : ref_members) model.step(m, 1, ws);
 
-    // Real-FFT pair on one level: legacy full Hermitian-redundant layout vs
-    // the packed half-spectrum pipeline the solver runs on.
+    // Real-FFT pair on one level, in the packed half-spectrum layout the
+    // solver runs on.
     Kernels k;
     const fft::Fft2D fft(n, n);
     std::vector<double> grid(theta.begin(), theta.begin() + static_cast<long>(nn));
-    std::vector<fft::Cplx> spec(nn);
-    k.fft_pair_ms = best_ms(reps, fft_iters, [&] {
-      fft.forward_real(grid, spec);
-      fft.inverse_real(spec, grid);
-    });
     std::vector<fft::Cplx> hspec(fft.half_size());
     k.fft_half_ms = best_ms(reps, fft_iters, [&] {
       fft.forward_half(grid, hspec);
@@ -222,15 +216,14 @@ int main(int argc, char** argv) {
   const auto kernel_cell = [](const Result& r, double v) {
     return r.threads == 1 ? io::Table::num(v, 3) : std::string("-");
   };
-  io::Table t({"n", "threads", "fft pair [ms]", "half pair [ms]", "4 inv field [ms]",
-               "4 inv lanes [ms]", "tendency [ms]", "RK4 step [ms]", "ens fcst [ms]",
-               "bitwise == t1"});
+  io::Table t({"n", "threads", "half pair [ms]", "4 inv field [ms]", "4 inv lanes [ms]",
+               "tendency [ms]", "RK4 step [ms]", "ens fcst [ms]", "bitwise == t1"});
   for (const auto& r : results) {
     t.add_row({std::to_string(r.n), std::to_string(r.threads),
-               kernel_cell(r, r.kernels.fft_pair_ms), kernel_cell(r, r.kernels.fft_half_ms),
-               kernel_cell(r, r.kernels.inv4_field_ms), kernel_cell(r, r.kernels.inv4_lanes_ms),
-               kernel_cell(r, r.kernels.tendency_ms), kernel_cell(r, r.kernels.step_ms),
-               io::Table::num(r.ens_ms, 3), r.bitwise ? "yes" : "NO"});
+               kernel_cell(r, r.kernels.fft_half_ms), kernel_cell(r, r.kernels.inv4_field_ms),
+               kernel_cell(r, r.kernels.inv4_lanes_ms), kernel_cell(r, r.kernels.tendency_ms),
+               kernel_cell(r, r.kernels.step_ms), io::Table::num(r.ens_ms, 3),
+               r.bitwise ? "yes" : "NO"});
   }
   t.print();
 
@@ -256,8 +249,7 @@ int main(int argc, char** argv) {
     js << "    {\"n\": " << r.n << ", \"threads\": " << r.threads << ", \"hw_threads\": " << hw
        << ", \"simd\": \"" << simd << "\"";
     if (r.threads == 1) {
-      js << ", \"fft_pair_ms\": " << r.kernels.fft_pair_ms
-         << ", \"fft_half_pair_ms\": " << r.kernels.fft_half_ms
+      js << ", \"fft_half_pair_ms\": " << r.kernels.fft_half_ms
          << ", \"inverse4_field_ms\": " << r.kernels.inv4_field_ms
          << ", \"inverse4_lanes_ms\": " << r.kernels.inv4_lanes_ms
          << ", \"inverse4_bitwise\": " << (r.kernels.inv4_bitwise ? "true" : "false")

@@ -175,13 +175,6 @@ void Rfft1D::inverse_inplace(std::span<Cplx> spec, std::span<double> x) const {
   }
 }
 
-void Rfft1D::inverse(std::span<const Cplx> spec, std::span<double> x) const {
-  thread_local std::vector<Cplx> scratch;
-  if (scratch.size() < spec_size()) scratch.resize(spec_size());
-  std::copy(spec.begin(), spec.begin() + static_cast<long>(spec_size()), scratch.begin());
-  inverse_inplace(std::span<Cplx>(scratch.data(), spec_size()), x);
-}
-
 void Rfft1D::inverse_lanes(double* spec, double pre_scale, double* const* x) const {
   const FftKernels& kr = active_kernels();
   kr.lane_rfft_unpack(spec, reinterpret_cast<const double*>(w_.data()), h_, pre_scale);
@@ -253,81 +246,7 @@ std::vector<Cplx>& tls_buffer(int slot, std::size_t n) {
 
 }  // namespace
 
-Fft2D::Fft2D(std::size_t n0, std::size_t n1) : n0_(n0), n1_(n1), row_(n1), col_(n0) {
-  if (n1_ >= 2) rrow_.emplace(n1_);
-}
-
-void Fft2D::transform2d(std::span<Cplx> x, bool inverse) const {
-  batch_transform(x.data(), n0_, n1_, row_, inverse);
-  auto& t = tls_buffer(0, n0_ * n1_);
-  transpose_blocked(x.data(), n1_, t.data(), n0_, n1_);
-  batch_transform(t.data(), n1_, n0_, col_, inverse);
-  transpose_blocked(t.data(), n0_, x.data(), n1_, n0_);
-}
-
-void Fft2D::forward(std::span<Cplx> x) const {
-  TURBDA_REQUIRE(x.size() == n0_ * n1_, "Fft2D::forward: wrong buffer size");
-  transform2d(x, /*inverse=*/false);
-}
-
-void Fft2D::inverse(std::span<Cplx> x) const {
-  TURBDA_REQUIRE(x.size() == n0_ * n1_, "Fft2D::inverse: wrong buffer size");
-  transform2d(x, /*inverse=*/true);
-}
-
-void Fft2D::forward_real(std::span<const double> grid, std::span<Cplx> spec) const {
-  TURBDA_SPAN("fft.forward_real");
-  TURBDA_REQUIRE(grid.size() == n0_ * n1_ && spec.size() == n0_ * n1_,
-                 "forward_real: wrong buffer sizes");
-  if (!rrow_) {  // n1 == 1: nothing to halve along rows
-    for (std::size_t i = 0; i < grid.size(); ++i) spec[i] = Cplx(grid[i], 0.0);
-    transform2d(spec, /*inverse=*/false);
-    return;
-  }
-  const std::size_t nh = n1_ / 2 + 1;
-  auto& hbuf = tls_buffer(0, n0_ * nh);  // half-spectrum rows, n0 x nh
-  auto& tbuf = tls_buffer(1, nh * n0_);  // transposed, nh x n0
-
-  for (std::size_t i = 0; i < n0_; ++i)
-    rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
-
-  transpose_blocked(hbuf.data(), nh, tbuf.data(), n0_, nh);
-  batch_transform(tbuf.data(), nh, n0_, col_, /*inverse=*/false);
-  transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, n0_);
-
-  // Expand the half spectrum to the full Hermitian-redundant layout:
-  // spec[i][j] = conj(spec[(n0-i) mod n0][n1-j]) for the mirrored columns.
-  for (std::size_t i = 0; i < n0_; ++i) {
-    const Cplx* hrow = hbuf.data() + i * nh;
-    Cplx* srow = spec.data() + i * n1_;
-    std::copy(hrow, hrow + nh, srow);
-    const Cplx* mrow = hbuf.data() + ((n0_ - i) % n0_) * nh;
-    for (std::size_t j = nh; j < n1_; ++j) srow[j] = std::conj(mrow[n1_ - j]);
-  }
-}
-
-void Fft2D::inverse_real(std::span<const Cplx> spec, std::span<double> grid) const {
-  TURBDA_SPAN("fft.inverse_real");
-  TURBDA_REQUIRE(grid.size() == n0_ * n1_ && spec.size() == n0_ * n1_,
-                 "inverse_real: wrong buffer sizes");
-  if (!rrow_) {
-    auto& tmp = tls_buffer(1, n0_ * n1_);
-    std::copy(spec.begin(), spec.end(), tmp.begin());
-    transform2d(std::span<Cplx>(tmp.data(), n0_ * n1_), /*inverse=*/true);
-    for (std::size_t i = 0; i < grid.size(); ++i) grid[i] = tmp[i].real();
-    return;
-  }
-  const std::size_t nh = n1_ / 2 + 1;
-  auto& tbuf = tls_buffer(1, nh * n0_);
-  // Gather the non-redundant columns 0..n1/2 directly into transposed layout.
-  transpose_blocked(spec.data(), n1_, tbuf.data(), n0_, nh);
-  batch_transform(tbuf.data(), nh, n0_, col_, /*inverse=*/true);
-  auto& hbuf = tls_buffer(0, n0_ * nh);
-  transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, n0_);
-
-  for (std::size_t i = 0; i < n0_; ++i)
-    rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh), grid.subspan(i * n1_, n1_));
-}
+Fft2D::Fft2D(std::size_t n0, std::size_t n1) : n0_(n0), n1_(n1), col_(n0), rrow_(n1) {}
 
 // ---------------------------------------------------------------------------
 // Packed half-spectrum transforms: rows r2c -> transpose -> column FFTs over
@@ -336,10 +255,9 @@ void Fft2D::inverse_real(std::span<const Cplx> spec, std::span<double> grid) con
 // the pruned inverse never touches the column transforms of truncated bins.
 // ---------------------------------------------------------------------------
 
-void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspec,
-                              std::size_t kcut) const {
+void Fft2D::forward_half_pruned(std::span<const double> grid, std::span<Cplx> hspec,
+                                std::size_t kcut) const {
   TURBDA_SPAN("fft.half_forward");
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
   TURBDA_REQUIRE(grid.size() == n0_ * n1_ && hspec.size() == half_size(),
                  "forward_half: wrong buffer sizes (" << grid.size() << ", " << hspec.size()
                                                       << ")");
@@ -349,7 +267,7 @@ void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspe
 
   auto& hbuf = tls_buffer(0, n0_ * nh);
   for (std::size_t i = 0; i < n0_; ++i)
-    rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
+    rrow_.forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
 
   auto& tbuf = tls_buffer(1, cols * n0_);
   transpose_blocked(hbuf.data(), nh, tbuf.data(), n0_, cols);
@@ -370,10 +288,9 @@ void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspe
   }
 }
 
-void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> grid,
-                              std::size_t kcut) const {
+void Fft2D::inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
+                                std::size_t kcut) const {
   TURBDA_SPAN("fft.half_inverse");
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
   TURBDA_REQUIRE(grid.size() == n0_ * n1_ && hspec.size() == half_size(),
                  "inverse_half: wrong buffer sizes (" << grid.size() << ", " << hspec.size()
                                                       << ")");
@@ -392,7 +309,7 @@ void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> gri
   transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, cols, n0_);
 
   for (std::size_t i = 0; i < n0_; ++i)
-    rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh), grid.subspan(i * n1_, n1_));
+    rrow_.inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh), grid.subspan(i * n1_, n1_));
 }
 
 // ---------------------------------------------------------------------------
@@ -428,7 +345,6 @@ void Fft2D::inverse_half_pruned_lanes(std::span<double> lanes,
                                       const std::array<std::span<double>, simd::kLaneBatch>& grids,
                                       std::size_t kcut) const {
   TURBDA_SPAN("fft.half_inverse_lanes");
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
   TURBDA_REQUIRE(lanes.size() == kLaneElem * half_size(),
                  "inverse_half_pruned_lanes: lane buffer holds " << lanes.size()
                                                                  << " doubles, expected "
@@ -483,26 +399,16 @@ void Fft2D::inverse_half_pruned_lanes(std::span<double> lanes,
     // fill leaves them (the caller's buffer may hold -0 there).
     std::fill(row + cols * kLaneElem, row + rs, 0.0);
     for (std::size_t l = 0; l < simd::kLaneBatch; ++l) out[l] = grids[l].data() + i * n1_;
-    rrow_->inverse_lanes(row, col_scale, out);
+    rrow_.inverse_lanes(row, col_scale, out);
   }
 }
 
 void Fft2D::forward_half(std::span<const double> grid, std::span<Cplx> hspec) const {
-  half_forward_impl(grid, hspec, std::max(n0_, n1_));
+  forward_half_pruned(grid, hspec, std::max(n0_, n1_));
 }
 
 void Fft2D::inverse_half(std::span<const Cplx> hspec, std::span<double> grid) const {
-  half_inverse_impl(hspec, grid, std::max(n0_, n1_));
-}
-
-void Fft2D::forward_half_pruned(std::span<const double> grid, std::span<Cplx> hspec,
-                                std::size_t kcut) const {
-  half_forward_impl(grid, hspec, kcut);
-}
-
-void Fft2D::inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
-                                std::size_t kcut) const {
-  half_inverse_impl(hspec, grid, kcut);
+  inverse_half_pruned(hspec, grid, std::max(n0_, n1_));
 }
 
 }  // namespace turbda::fft

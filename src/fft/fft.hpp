@@ -5,21 +5,22 @@
 // 64, 128, 256). Real grids go through a half-spectrum real transform
 // (Rfft1D): an n-point r2c/c2r costs one n/2-point complex FFT plus an O(n)
 // Hermitian (un)packing pass — half the flops and memory traffic of the
-// complex round trip. The per-field 2-D transforms run rows, a cache-blocked
-// transpose, batched contiguous "column" transforms, and a transpose back.
-// The lane-batched pruned inverse (Fft2D::inverse_half_pruned_lanes) runs
-// four fields in lockstep, one per SIMD lane, over a lane-interleaved half
-// spectrum: columns in place down their stride, then contiguous rows, with
-// no transposes; each field's grid is bitwise its per-field inverse. All
-// transforms run on the calling thread (callers parallelize across
-// independent fields, e.g. ensemble members, never inside one transform).
-// Convention matches numpy: forward unnormalized, inverse carries the 1/N
-// factor — so does the sqgturb reference implementation the paper follows.
+// complex round trip. A real 2-D field has one spectral layout, the packed
+// half spectrum (Fft2D). Its per-field transforms run the rows, a
+// cache-blocked transpose, batched contiguous "column" transforms, and a
+// transpose back. The lane-batched pruned inverse
+// (Fft2D::inverse_half_pruned_lanes) runs four fields in lockstep, one per
+// SIMD lane, over a lane-interleaved half spectrum: columns in place down
+// their stride, then contiguous rows, with no transposes; each field's grid
+// is bitwise its per-field inverse. All transforms run on the calling thread
+// (callers parallelize across independent fields, e.g. ensemble members,
+// never inside one transform). Convention matches numpy: forward
+// unnormalized, inverse carries the 1/N factor — so does the sqgturb
+// reference implementation the paper follows.
 #pragma once
 
 #include <array>
 #include <complex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -78,10 +79,8 @@ class Rfft1D {
   void forward(std::span<const double> x, std::span<Cplx> spec) const;
 
   /// Inverse c2r with the 1/n factor. `spec` must be the half spectrum of a
-  /// real signal (imaginary parts of bins 0 and n/2 are ignored round-off).
-  void inverse(std::span<const Cplx> spec, std::span<double> x) const;
-
-  /// As inverse(), but reuses `spec` as scratch (contents are destroyed).
+  /// real signal (imaginary parts of bins 0 and n/2 are ignored round-off);
+  /// it is reused as scratch (contents are destroyed).
   void inverse_inplace(std::span<Cplx> spec, std::span<double> x) const;
 
  private:
@@ -96,17 +95,12 @@ class Rfft1D {
   std::vector<Cplx> w_;  // exp(-2πi k / n), k <= n/4
 };
 
-/// 2-D FFT plan over row-major (n0 x n1) arrays. Real grids have two spectrum
-/// layouts at the API:
-///
-///  - forward_real/inverse_real keep the full Hermitian-redundant (n0 x n1)
-///    complex layout (legacy; half of it is derivable from the other half);
-///  - forward_half/inverse_half use the packed non-redundant half spectrum:
-///    row-major n0 x (n1/2 + 1), where bin (i, j) holds wavenumber
-///    (my, mx) with my = i for i <= n0/2 else i - n0, and mx = j >= 0. The
-///    mirrored bins follow from X(-my, -mx) = conj(X(my, mx)). This is the
-///    layout the SQG solver stores its state in: half the memory and half
-///    the pointwise work of the full layout.
+/// 2-D real FFT plan over row-major (n0 x n1) grids, n0 a power of two and
+/// n1 an even power of two (>= 2). The spectrum is the packed non-redundant
+/// half spectrum: row-major n0 x (n1/2 + 1), where bin (i, j) holds
+/// wavenumber (my, mx) with my = i for i <= n0/2 else i - n0, and mx = j >= 0.
+/// The mirrored bins follow from X(-my, -mx) = conj(X(my, mx)). The SQG
+/// solver stores its state in this layout.
 ///
 /// The *_pruned variants additionally exploit a square spectral truncation
 /// |mx| <= kcut, |my| <= kcut (the SQG 2/3 dealias rule): the forward computes
@@ -125,25 +119,12 @@ class Fft2D {
   [[nodiscard]] std::size_t half_cols() const { return n1_ / 2 + 1; }
   [[nodiscard]] std::size_t half_size() const { return n0_ * half_cols(); }
 
-  void forward(std::span<Cplx> x) const;
-  void inverse(std::span<Cplx> x) const;
-
-  /// Real grid -> full complex spectrum (Hermitian-redundant layout).
-  void forward_real(std::span<const double> grid, std::span<Cplx> spec) const;
-
-  /// Complex spectrum -> real grid. `spec` must be (numerically) Hermitian —
-  /// i.e. the transform of a real field, possibly scaled by real or
-  /// conjugate-symmetric spectral factors; only the non-redundant half is
-  /// read.
-  void inverse_real(std::span<const Cplx> spec, std::span<double> grid) const;
-
   /// Real grid -> packed half spectrum (n0 x (n1/2+1), layout above).
-  /// Requires n1 >= 2 (rows go through the r2c transform).
   void forward_half(std::span<const double> grid, std::span<Cplx> hspec) const;
 
-  /// Packed half spectrum -> real grid. Like inverse_real, `hspec` must be
-  /// the (possibly conjugate-symmetrically scaled) half spectrum of a real
-  /// field; `hspec` is not modified.
+  /// Packed half spectrum -> real grid. `hspec` must be the half spectrum of
+  /// a real field, possibly scaled by real or conjugate-symmetric spectral
+  /// factors; `hspec` is not modified.
   void inverse_half(std::span<const Cplx> hspec, std::span<double> grid) const;
 
   /// As forward_half, but computes only the bins with |mx| <= kcut and
@@ -172,15 +153,9 @@ class Fft2D {
                                  std::size_t kcut) const;
 
  private:
-  void transform2d(std::span<Cplx> x, bool inverse) const;
-  void half_forward_impl(std::span<const double> grid, std::span<Cplx> hspec,
-                         std::size_t kcut) const;
-  void half_inverse_impl(std::span<const Cplx> hspec, std::span<double> grid,
-                         std::size_t kcut) const;
-
   std::size_t n0_, n1_;
-  Fft1D row_, col_;
-  std::optional<Rfft1D> rrow_;  // present when n1 >= 2
+  Fft1D col_;
+  Rfft1D rrow_;
 };
 
 }  // namespace turbda::fft

@@ -1,6 +1,5 @@
 // Tiny command-line parsing for bench/example binaries:
-// --flag, --key=value. Unknown arguments are ignored (so google-benchmark
-// flags pass through untouched).
+// --flag, --key=value. Unknown arguments are ignored.
 #pragma once
 
 #include <cstdlib>

@@ -82,7 +82,6 @@ class IngestQueue {
     std::lock_guard<std::mutex> lk(mu_);
     drops_ = d;
   }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   const std::size_t capacity_;

@@ -41,9 +41,6 @@ class IngestSource {
   /// True once the source can never yield more bytes (e.g. a finalized
   /// replay file fully consumed). Live transports stay false forever.
   [[nodiscard]] virtual bool exhausted() const { return false; }
-
-  /// Short transport label for logs/telemetry ("socket", "tail").
-  [[nodiscard]] virtual const char* kind() const = 0;
 };
 
 }  // namespace turbda::stream::ingest

@@ -37,7 +37,6 @@ IngestStream::IngestStream(IngestStreamConfig cfg, std::unique_ptr<IngestSource>
 bool IngestStream::window_complete(int cycle) const {
   std::lock_guard<std::mutex> lk(mu_);
   if (high_water_ < cycle) return false;
-  if (!cfg_.expect_truth) return true;
   for (const auto& [c, v] : ring_)
     if (c == cycle) return true;
   return false;

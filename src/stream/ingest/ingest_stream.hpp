@@ -41,10 +41,6 @@ struct IngestStreamConfig {
   /// No bytes (data or heartbeat) for this long while waiting => the link is
   /// presumed dead and torn down for a backoff reconnect.
   int stale_after_ms = 2000;
-  /// OSSE feeds interleave truth frames; produce(k) then also waits for the
-  /// window-k truth so verification metrics stay available. Operational
-  /// feeds set false and truth() returns an empty span.
-  bool expect_truth = true;
   /// Truth ring depth (cycles), counted back from the window being
   /// produced. Truths decoded ahead of it are kept too, so one read never
   /// evicts a truth the consumer has not reached.
@@ -87,7 +83,9 @@ class IngestStream final : public ObservationStream {
   [[nodiscard]] IngestStats stats() const;
 
  private:
-  /// True once window `cycle` is fully published on our side of the wire.
+  /// True once window `cycle` is fully published on our side of the wire:
+  /// the feed (an OSSE capture) interleaves truth frames, and the window-k
+  /// truth must be in so verification metrics stay available.
   [[nodiscard]] bool window_complete(int cycle) const;
   /// Decode everything buffered, routing frames to queue/ring/high-water.
   /// `cycle` is the window produce() waits on: truths for cycles at or

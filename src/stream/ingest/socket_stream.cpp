@@ -65,42 +65,13 @@ Status SocketStream::ensure_listener() {
 
 Status SocketStream::connect() {
   if (conn_fd_ >= 0) return Status::Ok();
-  if (cfg_.listen) {
-    const Status s = ensure_listener();
-    if (!s.ok()) return s;
-    const int r = poll_fd(listen_fd_, POLLIN, cfg_.connect_timeout_ms);
-    if (r < 0) return errno_status(StatusCode::kFailed, "poll(listen)");
-    if (r == 0) return Status(StatusCode::kUnavailable, "no feeder connection pending");
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return errno_status(StatusCode::kUnavailable, "accept()");
-    conn_fd_ = fd;
-    return Status::Ok();
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return errno_status(StatusCode::kFailed, "socket()");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg_.port);
-  if (::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status(StatusCode::kInvalidArgument, "bad host address: " + cfg_.host);
-  }
-  // Non-blocking dial bounded by poll: a dead listener must cost one
-  // timeout slice, not a kernel-default multi-second connect stall.
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 &&
-      errno != EINPROGRESS) {
-    ::close(fd);
-    return Status(StatusCode::kUnavailable, "listener not reachable");
-  }
-  const int r = poll_fd(fd, POLLOUT, cfg_.connect_timeout_ms);
-  int soerr = 0;
-  socklen_t slen = sizeof soerr;
-  if (r <= 0 || ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &slen) != 0 || soerr != 0) {
-    ::close(fd);
-    return Status(StatusCode::kUnavailable, "connect() did not complete");
-  }
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
+  const Status s = ensure_listener();
+  if (!s.ok()) return s;
+  const int r = poll_fd(listen_fd_, POLLIN, cfg_.connect_timeout_ms);
+  if (r < 0) return errno_status(StatusCode::kFailed, "poll(listen)");
+  if (r == 0) return Status(StatusCode::kUnavailable, "no feeder connection pending");
+  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  if (fd < 0) return errno_status(StatusCode::kUnavailable, "accept()");
   conn_fd_ = fd;
   return Status::Ok();
 }
@@ -152,6 +123,8 @@ Status SocketWriter::connect(const std::string& host, std::uint16_t port, int ti
     ::close(fd);
     return Status(StatusCode::kInvalidArgument, "bad host address: " + host);
   }
+  // Non-blocking dial bounded by poll: a dead listener must cost one
+  // timeout slice, not a kernel-default multi-second connect stall.
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 &&
       errno != EINPROGRESS) {

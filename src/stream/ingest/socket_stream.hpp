@@ -1,12 +1,10 @@
 // Localhost TCP transport for live observation ingestion.
 //
-// SocketStream is the consumer side and comes in two modes:
-//   - listen: bind/listen on 127.0.0.1:port and treat each accepted feeder
-//     connection as the link; when the feeder dies, re-accepting the next
-//     connection IS the reconnect (the consumer owns the well-known port, so
-//     a restarted feeder finds it again — the usual operational topology);
-//   - connect: dial a remote listener (useful when the feeder is the
-//     long-lived side).
+// SocketStream is the consumer side: it binds and listens on 127.0.0.1:port
+// and treats each accepted feeder connection as the link. When the feeder
+// dies, re-accepting the next connection IS the reconnect: the consumer owns
+// the well-known port, so a restarted feeder finds it again (the usual
+// operational topology).
 //
 // SocketWriter is the feeder side: a dialing client with send_all(). Both
 // ends are plain blocking POSIX sockets driven through poll() timeouts so
@@ -22,10 +20,8 @@
 namespace turbda::stream::ingest {
 
 struct SocketStreamConfig {
-  std::uint16_t port = 0;
-  bool listen = true;                ///< listen-and-accept vs dial-out
-  std::string host = "127.0.0.1";    ///< dial target (connect mode)
-  int connect_timeout_ms = 250;      ///< one accept/dial wait slice
+  std::uint16_t port = 0;        ///< 0: the kernel picks one (bound_port())
+  int connect_timeout_ms = 250;  ///< one accept wait slice
 };
 
 class SocketStream final : public IngestSource {
@@ -39,9 +35,9 @@ class SocketStream final : public IngestSource {
   Status connect() override;
   Status read_some(std::span<std::uint8_t> buf, int timeout_ms, std::size_t& got) override;
   void close() override;
-  [[nodiscard]] const char* kind() const override { return "socket"; }
 
-  /// Bound port (listen mode; resolves port 0 to the kernel's pick).
+  /// Bound port once connect() has run (resolves port 0 to the kernel's
+  /// pick).
   [[nodiscard]] std::uint16_t bound_port() const { return bound_port_; }
 
  private:
@@ -68,7 +64,6 @@ class SocketWriter {
   /// Writes the whole span; kUnavailable when the peer went away mid-send.
   Status send_all(std::span<const std::uint8_t> data);
   void close();
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
  private:
   int fd_ = -1;

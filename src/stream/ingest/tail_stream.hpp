@@ -41,7 +41,6 @@ class TailStream final : public IngestSource {
   Status read_some(std::span<std::uint8_t> buf, int timeout_ms, std::size_t& got) override;
   void close() override;
   [[nodiscard]] bool exhausted() const override { return exhausted_; }
-  [[nodiscard]] const char* kind() const override { return "tail"; }
 
  private:
   TailStreamConfig cfg_;

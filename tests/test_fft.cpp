@@ -32,6 +32,39 @@ std::vector<Cplx> naive_dft(const std::vector<Cplx>& x) {
   return out;
 }
 
+/// exp(-2πi k / n), k < n.
+std::vector<Cplx> roots(std::size_t n) {
+  std::vector<Cplx> w(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+    w[k] = Cplx(std::cos(ang), std::sin(ang));
+  }
+  return w;
+}
+
+/// Full n0 x n1 forward DFT of a real row-major grid, straight from the
+/// definition: X(ky, kx) = sum_{y,x} g(y, x) exp(-2πi (ky y / n0 + kx x / n1)).
+std::vector<Cplx> naive_dft2(const std::vector<double>& g, std::size_t n0, std::size_t n1) {
+  const std::vector<Cplx> w0 = roots(n0), w1 = roots(n1);
+  std::vector<Cplx> out(n0 * n1);
+  for (std::size_t ky = 0; ky < n0; ++ky)
+    for (std::size_t kx = 0; kx < n1; ++kx) {
+      Cplx s(0.0, 0.0);
+      for (std::size_t y = 0; y < n0; ++y)
+        for (std::size_t x = 0; x < n1; ++x)
+          s += g[y * n1 + x] * w0[(ky * y) % n0] * w1[(kx * x) % n1];
+      out[ky * n1 + kx] = s;
+    }
+  return out;
+}
+
+/// Rfft1D inverse of a copy of `spec` (inverse_inplace consumes its input).
+std::vector<double> rfft_inverse(const Rfft1D& plan, std::vector<Cplx> spec) {
+  std::vector<double> x(plan.size());
+  plan.inverse_inplace(spec, x);
+  return x;
+}
+
 class Fft1dP : public ::testing::TestWithParam<int> {};
 
 TEST_P(Fft1dP, MatchesNaiveDft) {
@@ -139,7 +172,7 @@ TEST_P(Rfft1dP, RoundTripToMachinePrecision) {
   Rfft1D plan(n);
   std::vector<Cplx> spec(plan.spec_size());
   plan.forward(x, spec);
-  plan.inverse(spec, x);
+  x = rfft_inverse(plan, spec);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], orig[i], 1e-12);
 }
 
@@ -183,75 +216,23 @@ TEST(Rfft1d, SingleModeLandsInRightBin) {
   }
 }
 
-TEST(Fft2d, RoundTripComplex) {
-  const std::size_t n0 = 16, n1 = 8;
-  Rng rng(31);
-  std::vector<Cplx> x(n0 * n1);
-  for (auto& v : x) v = Cplx(rng.gaussian(), rng.gaussian());
-  const auto orig = x;
-  Fft2D plan(n0, n1);
-  plan.forward(x);
-  plan.inverse(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(x[i].real(), orig[i].real(), 1e-10);
-    EXPECT_NEAR(x[i].imag(), orig[i].imag(), 1e-10);
-  }
-}
-
-TEST(Fft2d, RealRoundTrip) {
-  const std::size_t n = 32;
-  Rng rng(37);
-  std::vector<double> g(n * n);
-  rng.fill_gaussian(g);
-  std::vector<Cplx> spec(n * n);
-  Fft2D plan(n, n);
-  plan.forward_real(g, spec);
-  std::vector<double> back(n * n);
-  plan.inverse_real(spec, back);
-  for (std::size_t i = 0; i < g.size(); ++i) EXPECT_NEAR(back[i], g[i], 1e-10);
-}
-
-TEST(Fft2d, RealSpectrumIsHermitian) {
-  const std::size_t n = 16;
-  Rng rng(41);
-  std::vector<double> g(n * n);
-  rng.fill_gaussian(g);
-  std::vector<Cplx> spec(n * n);
-  Fft2D plan(n, n);
-  plan.forward_real(g, spec);
-  // spec(-ky, -kx) == conj(spec(ky, kx))
-  for (std::size_t jy = 0; jy < n; ++jy) {
-    for (std::size_t jx = 0; jx < n; ++jx) {
-      const std::size_t cy = (n - jy) % n;
-      const std::size_t cx = (n - jx) % n;
-      const Cplx a = spec[jy * n + jx];
-      const Cplx b = std::conj(spec[cy * n + cx]);
-      EXPECT_NEAR(a.real(), b.real(), 1e-9);
-      EXPECT_NEAR(a.imag(), b.imag(), 1e-9);
-    }
-  }
-}
-
 TEST(Fft2d, PlaneWaveSpectralDerivativeIsExact) {
   // d/dx of cos(2π m x / L) via spectral i*kx multiply, on the unit square.
-  const std::size_t n = 64;
+  const std::size_t n = 64, nh = n / 2 + 1;
   Fft2D plan(n, n);
   const int m = 3;
   std::vector<double> g(n * n);
   for (std::size_t jy = 0; jy < n; ++jy)
     for (std::size_t jx = 0; jx < n; ++jx)
       g[jy * n + jx] = std::cos(kTwoPi * m * static_cast<double>(jx) / static_cast<double>(n));
-  std::vector<Cplx> spec(n * n);
-  plan.forward_real(g, spec);
-  // multiply by i*k (domain length 1 => k = 2π m').
-  for (std::size_t jy = 0; jy < n; ++jy) {
-    for (std::size_t jx = 0; jx < n; ++jx) {
-      const long mx = (jx <= n / 2) ? static_cast<long>(jx) : static_cast<long>(jx) - static_cast<long>(n);
-      spec[jy * n + jx] *= Cplx(0.0, kTwoPi * static_cast<double>(mx));
-    }
-  }
+  std::vector<Cplx> spec(plan.half_size());
+  plan.forward_half(g, spec);
+  // multiply by i*k (domain length 1 => k = 2π mx; mx = j in the half layout).
+  for (std::size_t jy = 0; jy < n; ++jy)
+    for (std::size_t mx = 0; mx < nh; ++mx)
+      spec[jy * nh + mx] *= Cplx(0.0, kTwoPi * static_cast<double>(mx));
   std::vector<double> deriv(n * n);
-  plan.inverse_real(spec, deriv);
+  plan.inverse_half(spec, deriv);
   for (std::size_t jy = 0; jy < n; ++jy)
     for (std::size_t jx = 0; jx < n; ++jx) {
       const double x = static_cast<double>(jx) / static_cast<double>(n);
@@ -260,53 +241,30 @@ TEST(Fft2d, PlaneWaveSpectralDerivativeIsExact) {
     }
 }
 
-TEST(Fft2d, ForwardRealMatchesComplexTransform) {
-  // The half-spectrum pipeline must agree with the dense complex transform
-  // of the real-embedded grid, including on non-square shapes.
-  const std::size_t n0 = 16, n1 = 8;
-  Rng rng(53);
-  std::vector<double> g(n0 * n1);
-  rng.fill_gaussian(g);
-  Fft2D plan(n0, n1);
-  std::vector<Cplx> spec(n0 * n1);
-  plan.forward_real(g, spec);
-  std::vector<Cplx> ref(n0 * n1);
-  for (std::size_t i = 0; i < g.size(); ++i) ref[i] = Cplx(g[i], 0.0);
-  plan.forward(ref);
-  for (std::size_t i = 0; i < spec.size(); ++i) {
-    EXPECT_NEAR(spec[i].real(), ref[i].real(), 1e-10);
-    EXPECT_NEAR(spec[i].imag(), ref[i].imag(), 1e-10);
-  }
-}
-
-TEST(Fft2d, WrongSizeThrows) {
-  Fft2D plan(8, 8);
-  std::vector<Cplx> bad(63);
-  EXPECT_THROW(plan.forward(bad), Error);
-}
-
 // --- packed half-spectrum 2-D API -------------------------------------------
 
-TEST(Fft2d, HalfSpectrumMatchesFullLayout) {
+TEST(Fft2d, HalfSpectrumMatchesNaiveDft) {
   // The packed n0 x (n1/2+1) spectrum must hold exactly the non-redundant
-  // columns of the full Hermitian-redundant layout, including on non-square
-  // shapes.
-  const std::size_t n0 = 16, n1 = 8, nh = n1 / 2 + 1;
-  Rng rng(61);
-  std::vector<double> g(n0 * n1);
-  rng.fill_gaussian(g);
-  Fft2D plan(n0, n1);
-  ASSERT_EQ(plan.half_size(), n0 * nh);
-  std::vector<Cplx> full(n0 * n1), half(plan.half_size());
-  plan.forward_real(g, full);
-  plan.forward_half(g, half);
-  for (std::size_t i = 0; i < n0; ++i)
-    for (std::size_t j = 0; j < nh; ++j) {
-      const Cplx want = full[i * n1 + j];
-      const Cplx got = half[i * nh + j];
-      EXPECT_NEAR(got.real(), want.real(), 1e-12 * static_cast<double>(n0 * n1));
-      EXPECT_NEAR(got.imag(), want.imag(), 1e-12 * static_cast<double>(n0 * n1));
-    }
+  // columns mx = 0..n1/2 of the full 2-D DFT, including on non-square shapes.
+  for (auto [n0, n1] : {std::pair<std::size_t, std::size_t>{16, 8}, {4, 16}, {8, 8}}) {
+    const std::size_t nh = n1 / 2 + 1;
+    Rng rng(61 + n0 + n1);
+    std::vector<double> g(n0 * n1);
+    rng.fill_gaussian(g);
+    Fft2D plan(n0, n1);
+    ASSERT_EQ(plan.half_size(), n0 * nh);
+    std::vector<Cplx> half(plan.half_size());
+    plan.forward_half(g, half);
+    const std::vector<Cplx> full = naive_dft2(g, n0, n1);
+    const double tol = 1e-12 * static_cast<double>(n0 * n1);
+    for (std::size_t i = 0; i < n0; ++i)
+      for (std::size_t j = 0; j < nh; ++j) {
+        const Cplx want = full[i * n1 + j];
+        const Cplx got = half[i * nh + j];
+        EXPECT_NEAR(got.real(), want.real(), tol) << n0 << "x" << n1 << " bin " << i << "," << j;
+        EXPECT_NEAR(got.imag(), want.imag(), tol) << n0 << "x" << n1 << " bin " << i << "," << j;
+      }
+  }
 }
 
 TEST(Fft2d, HalfRoundTripToMachinePrecision) {
@@ -433,10 +391,9 @@ TEST(SimdDispatch, Rfft1dMatchesScalarAcrossLevels) {
     for (const auto& x : inputs) {
       Rfft1D plan(n);
       std::vector<Cplx> spec_ref(plan.spec_size());
-      std::vector<double> back_ref(n);
       ASSERT_TRUE(simd::force_simd_level(simd::SimdLevel::Scalar));
       plan.forward(x, spec_ref);
-      plan.inverse(spec_ref, back_ref);
+      const std::vector<double> back_ref = rfft_inverse(plan, spec_ref);
       double scale = 0.0;
       for (const auto& v : spec_ref) scale = std::max(scale, std::abs(v));
 
@@ -444,9 +401,8 @@ TEST(SimdDispatch, Rfft1dMatchesScalarAcrossLevels) {
         if (!simd::simd_level_available(level)) continue;
         ASSERT_TRUE(simd::force_simd_level(level));
         std::vector<Cplx> spec(plan.spec_size());
-        std::vector<double> back(n);
         plan.forward(x, spec);
-        plan.inverse(spec, back);
+        const std::vector<double> back = rfft_inverse(plan, spec);
         if (level == simd::SimdLevel::Avx2) {
           EXPECT_EQ(0, std::memcmp(spec.data(), spec_ref.data(), spec.size() * sizeof(Cplx)))
               << "n=" << n;
@@ -547,11 +503,7 @@ TEST(Fft2dLanes, MatchesPerFieldBitwiseAtEveryLevel) {
 TEST(Fft2dLanes, MatchesNaiveInverseDft) {
   for (const std::size_t n : {8u, 16u}) {
     const std::size_t nh = n / 2 + 1;
-    std::vector<Cplx> w(n);  // exp(-2πi k / n)
-    for (std::size_t k = 0; k < n; ++k) {
-      const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-      w[k] = Cplx(std::cos(ang), std::sin(ang));
-    }
+    const std::vector<Cplx> w = roots(n);
     const auto wavenumber = [n](std::size_t i) {
       return (i <= n / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n);
     };
@@ -563,17 +515,12 @@ TEST(Fft2dLanes, MatchesNaiveInverseDft) {
       for (std::size_t l = 0; l < kLanes; ++l) {
         std::vector<double> g(n * n);
         rng.fill_gaussian(g);
-        std::vector<Cplx> full(n * n);
+        std::vector<Cplx> full = naive_dft2(g, n, n);
         for (std::size_t ky = 0; ky < n; ++ky)
-          for (std::size_t kx = 0; kx < n; ++kx) {
+          for (std::size_t kx = 0; kx < n; ++kx)
             if (std::labs(wavenumber(ky)) > static_cast<long>(kcut) ||
                 std::labs(wavenumber(kx)) > static_cast<long>(kcut))
-              continue;
-            Cplx f(0.0, 0.0);
-            for (std::size_t y = 0; y < n; ++y)
-              for (std::size_t x = 0; x < n; ++x) f += g[y * n + x] * w[(ky * y + kx * x) % n];
-            full[ky * n + kx] = f;
-          }
+              full[ky * n + kx] = Cplx(0.0, 0.0);
         for (std::size_t i = 0; i < n; ++i)
           for (std::size_t j = 0; j < nh; ++j) spec[l][i * nh + j] = full[i * n + j];
         for (std::size_t y = 0; y < n; ++y)
@@ -595,15 +542,9 @@ TEST(Fft2dLanes, MatchesNaiveInverseDft) {
 }
 
 TEST(Fft2d, HalfApiRejectsUnsupportedShapes) {
-  // n1 == 1 has no even row length for the r2c stage.
-  Fft2D p1(8, 1);
-  std::vector<double> g1(8);
-  std::vector<Cplx> h1(p1.half_size());
-  EXPECT_THROW(p1.forward_half(g1, h1), Error);
-  EXPECT_THROW(p1.inverse_half(h1, g1), Error);
-  simd::LaneBuffer l1(2 * kLanes * p1.half_size());
-  EXPECT_THROW(p1.inverse_half_pruned_lanes(l1, {g1, g1, g1, g1}, 2), Error);
-  // Odd / non-power-of-two extents are rejected at plan construction.
+  // Plan construction rejects n1 == 1 (no even row length for the r2c
+  // stage) and odd / non-power-of-two extents.
+  EXPECT_THROW(Fft2D(8, 1), Error);
   EXPECT_THROW(Fft2D(8, 7), Error);
   EXPECT_THROW(Fft2D(6, 8), Error);
   // Wrong buffer sizes.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/math_utils.hpp"
@@ -269,6 +270,49 @@ TEST(Sqg, ExplicitWorkspaceMatchesPerThreadDefault) {
 }
 
 // --- half-spectrum vs full-spectrum path equivalence -------------------------
+
+/// Dense complex n x n 2-D FFT over the 1-D plan: every row, then every
+/// column through a gathered copy. It shares no code with Fft2D's
+/// half-spectrum pipeline.
+struct DenseFft2D {
+  explicit DenseFft2D(std::size_t n) : n(n), plan(n), line(n), buf(n * n) {}
+
+  void transform(std::span<Cplx> x, bool inverse) {
+    const auto run = [&](std::span<Cplx> v) {
+      if (inverse) {
+        plan.inverse(v);
+      } else {
+        plan.forward(v);
+      }
+    };
+    for (std::size_t i = 0; i < n; ++i) run(x.subspan(i * n, n));
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < n; ++i) line[i] = x[i * n + j];
+      run(line);
+      for (std::size_t i = 0; i < n; ++i) x[i * n + j] = line[i];
+    }
+  }
+
+  void inverse(std::span<Cplx> x) { transform(x, /*inverse=*/true); }
+
+  /// Real grid -> full n x n spectrum of x + 0i.
+  void grid_to_spec(std::span<const double> grid, std::span<Cplx> spec) {
+    for (std::size_t p = 0; p < n * n; ++p) spec[p] = Cplx(grid[p], 0.0);
+    transform(spec, /*inverse=*/false);
+  }
+
+  /// Full spectrum -> real part of its complex inverse.
+  void spec_to_grid(std::span<const Cplx> spec, std::span<double> grid) {
+    std::copy(spec.begin(), spec.end(), buf.begin());
+    inverse(buf);
+    for (std::size_t p = 0; p < n * n; ++p) grid[p] = buf[p].real();
+  }
+
+  std::size_t n;
+  fft::Fft1D plan;
+  std::vector<Cplx> line, buf;
+};
+
 // Reference implementation on the full Hermitian-redundant n x n spectrum,
 // replicating the pre-half-spectrum solver path: dense complex transforms,
 // five separate per-point passes and explicit dealias/Ekman branches. The
@@ -276,7 +320,7 @@ TEST(Sqg, ExplicitWorkspaceMatchesPerThreadDefault) {
 // arithmetic and must agree to ~machine precision.
 struct FullSpectrumReference {
   explicit FullSpectrumReference(const SqgConfig& c)
-      : cfg(c), n(c.n), nn(n * n), fft(n, n), kx(nn), ky(nn), ksq(nn), inv_kappa(nn),
+      : cfg(c), n(c.n), nn(n * n), fft(n), kx(nn), ky(nn), ksq(nn), inv_kappa(nn),
         inv_sinh(nn), inv_tanh(nn), hyperdiff(nn), dealias(nn), psi(2 * nn), work(nn), jac(nn),
         gu(nn), gv(nn), gtx(nn), gty(nn), gj(nn), k1(2 * nn), k2(2 * nn), k3(2 * nn), k4(2 * nn),
         stage(2 * nn), spec(2 * nn) {
@@ -316,7 +360,7 @@ struct FullSpectrumReference {
 
   void to_spectral(std::span<const double> grid, std::span<Cplx> out) {
     for (int l = 0; l < 2; ++l)
-      fft.forward_real(grid.subspan(static_cast<std::size_t>(l) * nn, nn),
+      fft.grid_to_spec(grid.subspan(static_cast<std::size_t>(l) * nn, nn),
                        out.subspan(static_cast<std::size_t>(l) * nn, nn));
     for (std::size_t i = 0; i < 2 * nn; ++i)
       if (!dealias[i % nn]) out[i] = Cplx(0.0, 0.0);
@@ -348,7 +392,7 @@ struct FullSpectrumReference {
         gty[p] = work[p].imag();
       }
       for (std::size_t p = 0; p < nn; ++p) gj[p] = gu[p] * gtx[p] + gv[p] * gty[p];
-      fft.forward_real(gj, jac);
+      fft.grid_to_spec(gj, jac);
       const double ub = ubar[l];
       for (std::size_t p = 0; p < nn; ++p) {
         Cplx t = dealias[p] ? -jac[p] : Cplx(0.0, 0.0);
@@ -377,13 +421,13 @@ struct FullSpectrumReference {
       for (std::size_t i = 0; i < 2 * nn; ++i) spec[i] *= hyperdiff[i % nn];
     }
     for (int l = 0; l < 2; ++l)
-      fft.inverse_real(std::span<const Cplx>(spec).subspan(static_cast<std::size_t>(l) * nn, nn),
+      fft.spec_to_grid(std::span<const Cplx>(spec).subspan(static_cast<std::size_t>(l) * nn, nn),
                        grid.subspan(static_cast<std::size_t>(l) * nn, nn));
   }
 
   SqgConfig cfg;
   std::size_t n, nn;
-  fft::Fft2D fft;
+  DenseFft2D fft;
   std::vector<double> kx, ky, ksq, inv_kappa, inv_sinh, inv_tanh, hyperdiff;
   std::vector<std::uint8_t> dealias;
   std::vector<Cplx> psi, work, jac;
