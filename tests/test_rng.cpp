@@ -8,6 +8,24 @@
 namespace turbda::rng {
 namespace {
 
+TEST(Philox, MatchesRandom123KnownAnswers) {
+  // The three Philox4x32-10 known-answer vectors shipped with Random123
+  // (Salmon et al., SC'11): counter, key, expected output block.
+  struct Kat {
+    Philox4x32::Counter ctr;
+    Philox4x32::Key key;
+    Philox4x32::Counter want;
+  };
+  for (const Kat& k : {Kat{{0, 0, 0, 0}, {0, 0}, {0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}},
+                       Kat{{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+                           {0xffffffff, 0xffffffff},
+                           {0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}},
+                       Kat{{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+                           {0xa4093822, 0x299f31d0},
+                           {0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}}})
+    EXPECT_EQ(Philox4x32::apply(k.ctr, k.key), k.want);
+}
+
 TEST(Rng, ReproducibleAcrossInstances) {
   Rng a(1234), b(1234);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
