@@ -143,7 +143,7 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
 
     // Initial diffused samples: Z ~ N(0, I) at pseudo-time t = 1, each row
     // from its sample's own substream.
-    for (std::size_t m = mb; m < me; ++m) sample_rng[m].fill_gaussian(z.row(m));
+    for (std::size_t m = mb; m < me; ++m) sample_rng[m].fill_gaussian_lanes(z.row(m));
     double* const zb = z.row(mb).data();
     bt.noise_ms += ph.lap_ms();
 
@@ -233,7 +233,7 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
 
         // The sample's own noise, drawn up front in the same substream order
         // as a per-element loop would.
-        sample_rng[m].fill_gaussian(noise);
+        sample_rng[m].fill_gaussian_lanes(noise);
         bt.noise_ms += ph.lap_ms();
 
         double* zp = zm.data();

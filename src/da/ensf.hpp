@@ -17,7 +17,10 @@
 // Samples never interact: the score of sample m reads only its own z_m and
 // the shared forecast, and every sample draws its noise from its own
 // counter-based substream. That is what makes the method embarrassingly
-// parallel over samples (§III-A-3). The analysis is one fan-out over
+// parallel over samples (§III-A-3). The noise comes from
+// rng::Rng::fill_gaussian_lanes: four Philox blocks and a polynomial
+// Box–Muller per Vec step, within ~3e-15 of rng::Rng::gaussian and the same
+// bits at every SIMD level. The analysis is one fan-out over
 // contiguous sample blocks, each integrating its own rows of Z through every
 // Euler step: its rows of the score GEMM z x^T and of the weighted mean W X,
 // the softmax, then each sample's likelihood score, noise and update, in

@@ -1,5 +1,12 @@
 // User-facing RNG built on Philox4x32-10: uniform, Gaussian, integer and
 // Bernoulli draws plus derived independent sub-streams.
+//
+// gaussian() and fill_gaussian() are the scalar reference: Box–Muller with
+// libm log/sin/cos, one Philox block per pair. They seed every benchmark
+// input, so their bits never change. fill_gaussian_lanes() reads the same
+// blocks through a dispatched lane kernel with polynomial log/sincos: each
+// value is within a few ulp of the reference, and its bits are the same at
+// every SIMD level.
 #pragma once
 
 #include <cmath>
@@ -10,6 +17,7 @@
 
 #include "common/math_utils.hpp"
 #include "rng/philox.hpp"
+#include "simd/dense_kernels.hpp"
 
 namespace turbda::rng {
 
@@ -75,6 +83,37 @@ class Rng {
   /// Fill a span with iid standard normals.
   void fill_gaussian(std::span<double> out, double mean = 0.0, double stddev = 1.0) {
     for (double& x : out) x = gaussian(mean, stddev);
+  }
+
+  /// Fill a span with iid standard normals through the lane kernel
+  /// (simd::DenseKernels::gaussian_pairs). A cached half goes to out[0];
+  /// whole pairs then come from the kernel, one Philox block each, and an
+  /// odd last value from gaussian(), which caches its sin half. A stream left
+  /// partway through a block by uniform() or next_u32() falls back to
+  /// fill_gaussian(). Either way each value matches fill_gaussian()'s to a
+  /// few ulp (~3e-15), and the stream ends where fill_gaussian() leaves it.
+  void fill_gaussian_lanes(std::span<double> out) {
+    std::size_t i = 0;
+    if (have_cached_ && !out.empty()) out[i++] = gaussian();
+    if (buf_pos_ != 4) {
+      fill_gaussian(out.subspan(i));
+      return;
+    }
+    const std::size_t pairs = (out.size() - i) / 2;
+    if (pairs > 0) {
+      const auto word_pair = [](std::uint32_t lo, std::uint32_t hi) {
+        return static_cast<std::uint64_t>(hi) << 32 | lo;
+      };
+      const std::uint64_t block = word_pair(ctr_[0], ctr_[1]);
+      simd::active_dense_kernels().gaussian_pairs(out.data() + i, pairs, block,
+                                                  word_pair(ctr_[2], ctr_[3]),
+                                                  word_pair(key_[0], key_[1]));
+      const std::uint64_t next = block + pairs;  // the carry refill() applies
+      ctr_[0] = static_cast<std::uint32_t>(next);
+      ctr_[1] = static_cast<std::uint32_t>(next >> 32);
+      i += 2 * pairs;
+    }
+    if (i < out.size()) out[i] = gaussian();
   }
 
   void fill_uniform(std::span<double> out, double lo = 0.0, double hi = 1.0) {

@@ -22,7 +22,8 @@ constexpr DenseKernels kScalarDense = {
     detail::bscale_shift_impl<VecScalar, false>,
     detail::bjacobi_sweeps_impl<VecScalar, false>,
     detail::axpy_impl<VecScalar, false>,
-    detail::clamped_axpy_impl<VecScalar>};
+    detail::clamped_axpy_impl<VecScalar>,
+    detail::gaussian_pairs_impl<VecScalar>};
 
 }  // namespace
 

@@ -10,7 +10,9 @@
 // lanes and accumulates sequentially over the reduction index — no lane
 // reduction trees — so the Scalar and Avx2 tables are bitwise identical,
 // and results never depend on thread count. The Avx2Fma table contracts
-// multiplies into FMAs (~1 ulp per accumulation step).
+// multiplies into FMAs (~1 ulp per accumulation step), except in
+// gaussian_pairs: it has no FMA variant, so all three tables give it the
+// same bits.
 //
 // The lane-batched b* entries advance kLaneBatch independent problems in
 // lockstep, one problem per Vec lane, over lane-interleaved
@@ -97,6 +99,17 @@ struct DenseKernels {
   /// out[i] += clamp(alpha * in[i], -lim, +lim), with vmaxpd/vminpd tie
   /// semantics in the clamp.
   void (*clamped_axpy)(double* out, const double* in, std::size_t n, double alpha, double lim);
+
+  // ---- Gaussian noise (EnSF) ----
+
+  /// 2 * pairs standard normals, one Box–Muller pair per Philox4x32-10
+  /// block: block j has 64-bit counter block + j in words 0-1 and `stream`
+  /// in words 2-3 under `key`, and gives (r cos, r sin) at out[2j],
+  /// out[2j + 1]. These are the blocks and uniforms rng::Rng::gaussian
+  /// reads; log and sincos are in-tree polynomials, so each value differs
+  /// from it by a few ulp. rng::Rng::fill_gaussian_lanes is the caller.
+  void (*gaussian_pairs)(double* out, std::size_t pairs, std::uint64_t block,
+                         std::uint64_t stream, std::uint64_t key);
 };
 
 /// Kernel table for the given level; level must be available.

@@ -2,7 +2,8 @@
 // dense_kernels_impl.hpp instantiated with the VecAvx2 backend. Compiled
 // with -mavx2 -mfma -ffp-contract=off (see CMakeLists.txt); used only after
 // runtime CPUID confirms support. The Avx2 table is bitwise identical to the
-// scalar table; Avx2Fma contracts multiplies into FMAs.
+// scalar table; Avx2Fma contracts multiplies into FMAs everywhere except
+// gaussian_pairs, which has no FMA variant.
 #include "simd/dense_kernels.hpp"
 
 #if defined(TURBDA_HAVE_AVX2) && defined(__x86_64__) && defined(__AVX2__)
@@ -27,7 +28,8 @@ const DenseKernels kAvx2Dense = {
     detail::bscale_shift_impl<VecAvx2, false>,
     detail::bjacobi_sweeps_impl<VecAvx2, false>,
     detail::axpy_impl<VecAvx2, false>,
-    detail::clamped_axpy_impl<VecAvx2>};
+    detail::clamped_axpy_impl<VecAvx2>,
+    detail::gaussian_pairs_impl<VecAvx2>};
 const DenseKernels kAvx2FmaDense = {
     detail::rot_rows_impl<VecAvx2, true>,
     detail::scale_impl<VecAvx2>,
@@ -36,7 +38,8 @@ const DenseKernels kAvx2FmaDense = {
     detail::bscale_shift_impl<VecAvx2, true>,
     detail::bjacobi_sweeps_impl<VecAvx2, true>,
     detail::axpy_impl<VecAvx2, true>,
-    detail::clamped_axpy_impl<VecAvx2>};
+    detail::clamped_axpy_impl<VecAvx2>,
+    detail::gaussian_pairs_impl<VecAvx2>};
 
 }  // namespace turbda::simd
 

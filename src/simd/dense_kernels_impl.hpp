@@ -16,7 +16,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
+#include "rng/philox.hpp"
 #include "simd/vec.hpp"
 
 namespace turbda::simd::detail {
@@ -240,6 +242,156 @@ void clamped_axpy_impl(double* out, const double* in, std::size_t n, double alph
     t = t > -lim ? t : -lim;  // vmaxpd semantics
     t = t < lim ? t : lim;    // vminpd semantics
     out[i] = out[i] + t;
+  }
+}
+
+// ---- Gaussian noise: Philox4x32-10 blocks and Box–Muller on Vec lanes ----
+//
+// Only unfused + - * / and sqrt (all correctly rounded), exact integer ops
+// and bit copies, so there is no kFma variant and every level gives the
+// same bits. The helpers are static: with vague linkage the linker keeps one
+// TU's copy for the whole program, and a copy from a TU built without the
+// kernel flags (a test under -march=native) would put FMAs into the kernel.
+
+/// ln(x) per lane for positive normal x: the fdlibm/musl log. x = 2^k (1 + f)
+/// with 1 + f in [sqrt(2)/2, sqrt(2)), s = f / (2 + f), and
+/// log(1 + f) = f - hfsq + s (hfsq + R(s^2)), R the Lg1-Lg7 minimax
+/// polynomial. Error below 1 ulp.
+template <class V>
+[[nodiscard]] static V lane_log(V x) {
+  using U = typename V::Bits;
+  // Biasing the high word by 0x3ff00000 - 0x3fe6a09e moves the exponent
+  // step from 1 to sqrt(2)/2; the mantissa is then re-based on sqrt(2)/2.
+  const U ix = x.bits() + U::broadcast(std::uint64_t{0x3ff00000 - 0x3fe6a09e} << 32);
+  // k = exponent - 1023, exact through the 2^52 exponent trick.
+  const V k = V::from_bits((ix >> 52) | U::broadcast(0x4330000000000000)) -
+              V::broadcast(0x1p52 + 1023.0);
+  const V m = V::from_bits((ix & U::broadcast(0x000fffffffffffff)) +
+                           U::broadcast(std::uint64_t{0x3fe6a09e} << 32));
+  constexpr double kLg1 = 6.666666666666735130e-01, kLg2 = 3.999999999940941908e-01,
+                   kLg3 = 2.857142874366239149e-01, kLg4 = 2.222219843214978396e-01,
+                   kLg5 = 1.818357216161805012e-01, kLg6 = 1.531383769920937332e-01,
+                   kLg7 = 1.479819860511658591e-01;
+  constexpr double kLn2Hi = 6.93147180369123816490e-01, kLn2Lo = 1.90821492927058770002e-10;
+  const auto c = [](double v) { return V::broadcast(v); };
+  const V f = m - c(1.0);
+  const V hfsq = c(0.5) * f * f;
+  const V s = f / (c(2.0) + f);
+  const V z = s * s;
+  const V w = z * z;
+  const V t1 = w * (c(kLg2) + w * (c(kLg4) + w * c(kLg6)));
+  const V t2 = z * (c(kLg1) + w * (c(kLg3) + w * (c(kLg5) + w * c(kLg7))));
+  const V r = t2 + t1;
+  return s * (hfsq + r) + k * c(kLn2Lo) - hfsq + f + k * c(kLn2Hi);
+}
+
+/// sin(2 pi u) and cos(2 pi u) per lane for u in [0, 1). The argument is
+/// reduced exactly in quarter turns: y = 4u, q = nearest integer to y,
+/// r = y - q in [-1/2, 1/2]; fdlibm's __kernel_sin / __kernel_cos evaluate
+/// theta = r pi/2 on [-pi/4, pi/4], and q mod 4 swaps and negates them by
+/// bit copies.
+template <class V>
+static void lane_sincos_2pi(V u, V& sin_out, V& cos_out) {
+  constexpr double kS1 = -1.66666666666666324348e-01, kS2 = 8.33333333332248946124e-03,
+                   kS3 = -1.98412698298579493134e-04, kS4 = 2.75573137070700676789e-06,
+                   kS5 = -2.50507602534068634195e-08, kS6 = 1.58969099521155010221e-10;
+  constexpr double kC1 = 4.16666666666666019037e-02, kC2 = -1.38888888888741095749e-03,
+                   kC3 = 2.48015872894767294178e-05, kC4 = -2.75573143513906633035e-07,
+                   kC5 = 2.08757232129817482790e-09, kC6 = -1.13596475577881948265e-11;
+  const auto c = [](double v) { return V::broadcast(v); };
+  const V magic = c(0x1.8p52);  // y + magic rounds y to an integer
+  const V y = c(4.0) * u;
+  const V qm = y + magic;  // q sits in the low mantissa bits
+  const V x = (y - (qm - magic)) * c(1.57079632679489661923);
+  const V z = x * x;
+  const V w = z * z;
+  // __kernel_sin(x, 0)
+  const V sr = c(kS2) + z * (c(kS3) + z * c(kS4)) + z * w * (c(kS5) + z * c(kS6));
+  const V sn = x + z * x * (c(kS1) + z * sr);
+  // __kernel_cos(x, 0)
+  const V cr =
+      z * (c(kC1) + z * (c(kC2) + z * c(kC3))) + w * w * (c(kC4) + z * (c(kC5) + z * c(kC6)));
+  const V hz = c(0.5) * z;
+  const V cw = c(1.0) - hz;
+  const V cs = cw + (((c(1.0) - cw) - hz) + z * cr);
+  // Quadrant q mod 4: odd q swaps sin and cos; sin is negated for q = 2, 3
+  // and cos for q = 1, 2.
+  const typename V::Bits q = qm.bits();
+  const V odd = V::from_bits(q << 63);
+  sin_out = V::from_bits(V::select(odd, cs, sn).bits() ^ ((q >> 1) << 63));
+  cos_out = V::from_bits(V::select(odd, sn, cs).bits() ^ ((q ^ (q >> 1)) << 63));
+}
+
+/// The exact double of a lane integer below 2^53 (AVX2 has no int64 ->
+/// double conversion): its high 21 and low 32 bits become exact doubles by
+/// the 2^84 / 2^52 exponent trick, and their sum is exact.
+template <class V>
+[[nodiscard]] static V u53_to_double(typename V::Bits x) {
+  using U = typename V::Bits;
+  const V hi = V::from_bits((x >> 32) | U::broadcast(0x4530000000000000)) -
+               V::broadcast(0x1p84 + 0x1p52);
+  const V lo = V::from_bits((x & U::broadcast(0xffffffff)) | U::broadcast(0x4330000000000000));
+  return hi + lo;
+}
+
+/// Box–Muller pairs from consecutive Philox4x32-10 blocks, four blocks per
+/// step, one per lane. Block j has counter words 0-1 = block + j (64-bit,
+/// the carry rng::Rng applies), words 2-3 = stream, and the 64-bit key; its
+/// words w0..w3 give u1 = 1 - ((w1:w0) >> 11) 2^-53 and
+/// u2 = ((w3:w2) >> 11) 2^-53, exactly as rng::Rng::uniform, and the pair
+/// (r cos 2 pi u2, r sin 2 pi u2), r = sqrt(-2 ln u1), lands at out[2j],
+/// out[2j + 1]. A last partial step runs the same lanes and stores only the
+/// live ones.
+template <class V>
+void gaussian_pairs_impl(double* out, std::size_t pairs, std::uint64_t block,
+                         std::uint64_t stream, std::uint64_t key) {
+  using U = typename V::Bits;
+  using rng::Philox4x32;
+  constexpr std::size_t W = V::kWidth;
+  const U mul0 = U::broadcast(Philox4x32::kMul0);
+  const U mul1 = U::broadcast(Philox4x32::kMul1);
+  const U weyl0 = U::broadcast(Philox4x32::kWeyl0);
+  const U weyl1 = U::broadcast(Philox4x32::kWeyl1);
+  const U lo32 = U::broadcast(0xffffffff);
+  const U lane = U::lanes(0, 1, 2, 3);
+  const V scale = V::broadcast(0x1.0p-53);
+  for (std::size_t p = 0; p < pairs; p += W) {
+    // Words live in the low halves of 64-bit lanes. The high halves collect
+    // junk (c1 = p1, not lo(p1); the keys grow past 32 bits), but no junk
+    // bit ever moves into a low half: xor and + carry nothing down,
+    // vpmuludq reads only low halves, and >> 32 applies only to the clean
+    // 64-bit products. The output words are trimmed once at the end.
+    const U ctr = U::broadcast(block + p) + lane;
+    U c0 = ctr, c1 = ctr >> 32;
+    U c2 = U::broadcast(stream), c3 = U::broadcast(stream >> 32);
+    U k0 = U::broadcast(key), k1 = U::broadcast(key >> 32);
+    for (int r = 0; r < 10; ++r) {
+      const U p0 = U::mul_u32(mul0, c0);
+      const U p1 = U::mul_u32(mul1, c2);
+      c0 = (p1 >> 32) ^ c1 ^ k0;
+      c1 = p1;
+      c2 = (p0 >> 32) ^ c3 ^ k1;
+      c3 = p0;
+      k0 = k0 + weyl0;
+      k1 = k1 + weyl1;
+    }
+    const V u1 = V::broadcast(1.0) - u53_to_double<V>(((c1 << 32) | (c0 & lo32)) >> 11) * scale;
+    const V u2 = u53_to_double<V>(((c3 << 32) | (c2 & lo32)) >> 11) * scale;
+    const V rad = V::sqrt(V::broadcast(-2.0) * lane_log(u1));
+    V sn, cs;
+    lane_sincos_2pi(u2, sn, cs);
+    const V g_cos = rad * cs, g_sin = rad * sn;
+    // Interleave to (cos, sin) pairs in lane order.
+    const V p02 = V::unpack_lo(g_cos, g_sin), p13 = V::unpack_hi(g_cos, g_sin);
+    if (p + W <= pairs) {
+      V::concat_lo(p02, p13).storeu(out + 2 * p);
+      V::concat_hi(p02, p13).storeu(out + 2 * p + W);
+    } else {
+      double tail[2 * W];
+      V::concat_lo(p02, p13).storeu(tail);
+      V::concat_hi(p02, p13).storeu(tail + W);
+      std::memcpy(out + 2 * p, tail, 2 * (pairs - p) * sizeof(double));
+    }
   }
 }
 

@@ -11,6 +11,12 @@
 // min/max, ordered compares producing all-ones lane masks, sign-bit select
 // and movemask.
 //
+// Each backend also has a small integer companion, `V::Bits`: four uint64
+// lanes with broadcast, +, ^, &, |, shifts, the low-32 x low-32 -> 64
+// multiply (vpmuludq) and bitcasts to and from V. It carries the bit-level
+// work of lane kernels — counter-based RNG rounds and exponent-field tricks
+// — whose every operation is exact, so it is identical in both backends.
+//
 // Two interchangeable backends implement that interface:
 //
 //  - VecScalar: portable C++ emulation, four doubles in an array. One IEEE
@@ -40,9 +46,46 @@
 
 namespace turbda::simd {
 
+/// Four uint64 lanes emulated in scalar code: VecScalar's integer companion.
+struct VecU64Scalar {
+  std::uint64_t v[4];
+
+  [[nodiscard]] static VecU64Scalar broadcast(std::uint64_t x) { return {{x, x, x, x}}; }
+  [[nodiscard]] static VecU64Scalar lanes(std::uint64_t l0, std::uint64_t l1, std::uint64_t l2,
+                                          std::uint64_t l3) {
+    return {{l0, l1, l2, l3}};
+  }
+  friend VecU64Scalar operator+(VecU64Scalar a, VecU64Scalar b) {
+    return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2], a.v[3] + b.v[3]}};
+  }
+  friend VecU64Scalar operator^(VecU64Scalar a, VecU64Scalar b) {
+    return {{a.v[0] ^ b.v[0], a.v[1] ^ b.v[1], a.v[2] ^ b.v[2], a.v[3] ^ b.v[3]}};
+  }
+  friend VecU64Scalar operator&(VecU64Scalar a, VecU64Scalar b) {
+    return {{a.v[0] & b.v[0], a.v[1] & b.v[1], a.v[2] & b.v[2], a.v[3] & b.v[3]}};
+  }
+  friend VecU64Scalar operator|(VecU64Scalar a, VecU64Scalar b) {
+    return {{a.v[0] | b.v[0], a.v[1] | b.v[1], a.v[2] | b.v[2], a.v[3] | b.v[3]}};
+  }
+  /// Logical shifts; n in [0, 63] (callers pass constants).
+  friend VecU64Scalar operator<<(VecU64Scalar a, int n) {
+    return {{a.v[0] << n, a.v[1] << n, a.v[2] << n, a.v[3] << n}};
+  }
+  friend VecU64Scalar operator>>(VecU64Scalar a, int n) {
+    return {{a.v[0] >> n, a.v[1] >> n, a.v[2] >> n, a.v[3] >> n}};
+  }
+  /// Low 32 bits of a times low 32 bits of b, full 64-bit product (vpmuludq).
+  [[nodiscard]] static VecU64Scalar mul_u32(VecU64Scalar a, VecU64Scalar b) {
+    constexpr std::uint64_t kLo = 0xffffffffu;
+    return {{(a.v[0] & kLo) * (b.v[0] & kLo), (a.v[1] & kLo) * (b.v[1] & kLo),
+             (a.v[2] & kLo) * (b.v[2] & kLo), (a.v[3] & kLo) * (b.v[3] & kLo)}};
+  }
+};
+
 /// Four-double vector emulated in scalar code. Bitwise reference backend.
 struct VecScalar {
   static constexpr std::size_t kWidth = 4;
+  using Bits = VecU64Scalar;
   double v[kWidth];
 
   [[nodiscard]] static VecScalar loadu(const double* p) {
@@ -126,6 +169,15 @@ struct VecScalar {
     for (std::size_t i = 0; i < kWidth; ++i)
       r |= static_cast<int>(std::bit_cast<std::uint64_t>(v[i]) >> 63) << i;
     return r;
+  }
+  /// The lanes' bit patterns as integers, and back (no conversion).
+  [[nodiscard]] Bits bits() const {
+    return {{std::bit_cast<std::uint64_t>(v[0]), std::bit_cast<std::uint64_t>(v[1]),
+             std::bit_cast<std::uint64_t>(v[2]), std::bit_cast<std::uint64_t>(v[3])}};
+  }
+  [[nodiscard]] static VecScalar from_bits(Bits b) {
+    return VecScalar{{std::bit_cast<double>(b.v[0]), std::bit_cast<double>(b.v[1]),
+                      std::bit_cast<double>(b.v[2]), std::bit_cast<double>(b.v[3])}};
   }
 
   /// a * b + c; fused to one rounding when kFma (std::fma is correctly
@@ -212,10 +264,34 @@ struct VecScalar {
 
 #if defined(__AVX2__)
 
+/// Four uint64 lanes on an AVX2 register: VecAvx2's integer companion.
+struct VecU64Avx2 {
+  __m256i v;
+
+  [[nodiscard]] static VecU64Avx2 broadcast(std::uint64_t x) {
+    return {_mm256_set1_epi64x(static_cast<long long>(x))};
+  }
+  [[nodiscard]] static VecU64Avx2 lanes(std::uint64_t l0, std::uint64_t l1, std::uint64_t l2,
+                                        std::uint64_t l3) {
+    return {_mm256_setr_epi64x(static_cast<long long>(l0), static_cast<long long>(l1),
+                               static_cast<long long>(l2), static_cast<long long>(l3))};
+  }
+  friend VecU64Avx2 operator+(VecU64Avx2 a, VecU64Avx2 b) { return {_mm256_add_epi64(a.v, b.v)}; }
+  friend VecU64Avx2 operator^(VecU64Avx2 a, VecU64Avx2 b) { return {_mm256_xor_si256(a.v, b.v)}; }
+  friend VecU64Avx2 operator&(VecU64Avx2 a, VecU64Avx2 b) { return {_mm256_and_si256(a.v, b.v)}; }
+  friend VecU64Avx2 operator|(VecU64Avx2 a, VecU64Avx2 b) { return {_mm256_or_si256(a.v, b.v)}; }
+  friend VecU64Avx2 operator<<(VecU64Avx2 a, int n) { return {_mm256_slli_epi64(a.v, n)}; }
+  friend VecU64Avx2 operator>>(VecU64Avx2 a, int n) { return {_mm256_srli_epi64(a.v, n)}; }
+  [[nodiscard]] static VecU64Avx2 mul_u32(VecU64Avx2 a, VecU64Avx2 b) {
+    return {_mm256_mul_epu32(a.v, b.v)};
+  }
+};
+
 /// Four-double vector on AVX2 registers. Same interface as VecScalar; only
 /// available in translation units compiled with -mavx2.
 struct VecAvx2 {
   static constexpr std::size_t kWidth = 4;
+  using Bits = VecU64Avx2;
   __m256d v;
 
   [[nodiscard]] static VecAvx2 loadu(const double* p) { return VecAvx2{_mm256_loadu_pd(p)}; }
@@ -249,6 +325,8 @@ struct VecAvx2 {
     return VecAvx2{_mm256_blendv_pd(b.v, a.v, mask.v)};
   }
   [[nodiscard]] int movemask() const { return _mm256_movemask_pd(v); }
+  [[nodiscard]] Bits bits() const { return {_mm256_castpd_si256(v)}; }
+  [[nodiscard]] static VecAvx2 from_bits(Bits b) { return VecAvx2{_mm256_castsi256_pd(b.v)}; }
 
   template <bool kFma>
   [[nodiscard]] static VecAvx2 mul_add(VecAvx2 a, VecAvx2 b, VecAvx2 c) {

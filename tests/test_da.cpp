@@ -875,7 +875,7 @@ void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
     for (double v : forecast.row(j)) xsq[j] += v * v;
 
   tensor::Tensor z({big_m, d});
-  for (std::size_t m = 0; m < big_m; ++m) sample_rng[m].fill_gaussian(z.row(m));
+  for (std::size_t m = 0; m < big_m; ++m) sample_rng[m].fill_gaussian_lanes(z.row(m));
   const std::size_t batch =
       cfg.minibatch > 0 ? std::min<std::size_t>(big_m, cfg.minibatch) : big_m;
   std::vector<std::size_t> batch_idx(big_m);
@@ -939,7 +939,7 @@ void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
       if (opts.r_scale != 1.0)
         dk.scale(rinv_resid.data(), rinv_resid.data(), p, 1.0 / opts.r_scale);
       h.adjoint(zm, rinv_resid, grad);
-      sample_rng[m].fill_gaussian(noise);
+      sample_rng[m].fill_gaussian_lanes(noise);
       double* zp = zm.data();
       dk.scale(zp, zp, d, c0);
       dk.axpy(zp, wx.row(m).data(), d, c1);
