@@ -17,12 +17,13 @@
 
 #include "common/timer.hpp"
 #include "da/ensf.hpp"
-#include "da/osse.hpp"
 #include "io/args.hpp"
 #include "io/table.hpp"
 #include "models/lorenz96.hpp"
 #include "rng/rng.hpp"
 #include "simd/dispatch.hpp"
+#include "stream/realtime_runner.hpp"
+#include "stream/synthetic_stream.hpp"
 #include "thread_counts.hpp"
 
 using namespace turbda;
@@ -41,12 +42,13 @@ double cycling_rmse(const da::EnsfConfig& fcfg, int cycles = 30) {
 
   da::IdentityObs h(mc.dim);
   da::DiagonalR r(mc.dim, 1.0);
-  da::OsseConfig oc;
-  oc.cycles = cycles;
-  oc.n_members = 20;
-  oc.seed = 99;
+  stream::RealtimeConfig rc;
+  rc.cycles = cycles;
+  rc.n_members = 20;
+  rc.seed = 99;
   da::EnSF filter(fcfg);
-  da::OsseRunner runner(oc, truth_model, fcst, h, r, &filter);
+  stream::SyntheticStream obs({.seed = rc.seed}, truth_model, h, r, truth0);
+  stream::RealtimeRunner runner(rc, obs, fcst, &filter);
   const auto m = runner.run(truth0);
   double late = 0.0;
   const int k0 = (2 * cycles) / 3;

@@ -1,24 +1,16 @@
 // Fig. 10 reproduction: weak scaling of EnSF on Frontier up to 1024 GPUs for
-// state dimensions 1e6 / 1e7 / 1e8. The large-scale lines come from the
-// calibrated model (anchored to the paper's 0.4 s and 28 s per-step
-// measurements); the measured section runs the real EnSF over thread-backed
-// ensemble-parallel ranks at CPU-sized dimensions and demonstrates the flat
-// weak-scaling property on real code paths.
+// state dimensions 1e6 / 1e7 / 1e8, from the calibrated hpc::EnsfScalingModel
+// (anchored to the paper's 0.4 s and 28 s per-step measurements). The real
+// EnSF analysis's thread scaling on this host is measured by
+// bench_ablation_ensf and recorded in BENCH_ensf.json.
 #include <iostream>
 
-#include "common/timer.hpp"
-#include "da/ensf.hpp"
 #include "hpc/scaling_sim.hpp"
-#include "io/args.hpp"
 #include "io/table.hpp"
-#include "parallel/sim_comm.hpp"
-#include "rng/rng.hpp"
 
 using namespace turbda;
 
-int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-
+int main() {
   std::cout << "=== Fig. 10: EnSF weak scaling on Frontier (model) ===\n";
   std::cout << "Time per filter step [s]; ensemble members are rank-parallel, so lines are "
                "flat:\n";
@@ -31,46 +23,5 @@ int main(int argc, char** argv) {
   }
   t.print();
   std::cout << "Paper anchors: ~0.4 s/step at 1M dimensions, ~28 s at 100M.\n";
-
-  if (!args.flag("no-measure")) {
-    const auto dim = static_cast<std::size_t>(args.get_int("dim", 50000));
-    const int members_per_rank = static_cast<int>(args.get_int("members-per-rank", 4));
-    std::cout << "\nMeasured: real EnSF analysis over ensemble-parallel SimComm ranks\n"
-              << "(dim " << dim << ", " << members_per_rank
-              << " members/rank; weak scaling over ranks):\n";
-    io::Table m({"ranks", "members", "step [s]", "vs 1 rank"});
-    double t1 = 0.0;
-    for (int ranks : {1, 2, 4}) {
-      double step_time = 0.0;
-      parallel::run_world(ranks, [&](parallel::SimComm& c) {
-        // Each rank runs its own member block through the filter; the final
-        // mean is MPI-reduced, exactly the paper's layout (§III-A3).
-        da::Ensemble ens(static_cast<std::size_t>(members_per_rank) + 1, dim);
-        rng::Rng rng(123 + static_cast<std::uint64_t>(c.rank()));
-        for (std::size_t k = 0; k < ens.size(); ++k)
-          for (std::size_t i = 0; i < dim; ++i) ens.member(k)[i] = rng.gaussian();
-        std::vector<double> y(dim, 0.5);
-        da::IdentityObs h(dim);
-        da::DiagonalR r(dim, 1.0);
-        da::EnsfConfig cfg = da::EnsfConfig::stabilized();
-        cfg.euler_steps = 20;  // CPU-budget setting; cost is linear in steps
-        da::EnSF filter(cfg);
-        c.barrier();
-        WallTimer timer;
-        filter.analyze(ens, y, h, r);
-        auto mean = ens.mean();
-        c.allreduce_sum(mean);  // global analysis mean
-        c.barrier();
-        if (c.rank() == 0) step_time = timer.seconds();
-      });
-      if (ranks == 1) t1 = step_time;
-      m.add_row({std::to_string(ranks),
-                 std::to_string(ranks * (members_per_rank + 1)),
-                 io::Table::num(step_time, 3), io::Table::num(step_time / t1, 2) + "x"});
-    }
-    m.print();
-    std::cout << "(Flat-ish line = weak scaling; on this single-core host the thread ranks\n"
-               " time-share the CPU, so the per-rank times include that serialization.)\n";
-  }
   return 0;
 }

@@ -42,6 +42,12 @@ double measured_layer_gflops(const nn::VitConfig& cfg, std::size_t shrink) {
 
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
+  if (args.flag("help")) {
+    std::cout << "bench_fig6_kernel_heatmap: Fig. 6 ViT architecture TFLOPS heatmap (MI250X\n"
+                 "model), then a measured sweep of this host's GEMM on shrunk shapes\n"
+                 "  --no-measure     print only the model heatmap\n";
+    return 0;
+  }
   std::cout << "=== Fig. 6: TFLOPS heatmap for the ViT surrogate architecture (256^2 input, "
                "single GCD, MI250X model) ===\n";
   hpc::GemmModel model;

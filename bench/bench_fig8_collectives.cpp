@@ -1,21 +1,16 @@
 // Fig. 8 reproduction: RCCL collective bus bandwidth on Frontier
 // (AllReduce / AllGather / ReduceScatter) vs GPU count, for 64 MB and 1 GB
 // messages, plus the AllReduce message-size curve showing the ~256 MB
-// protocol dip — from the calibrated model. A measured section runs the same
-// ring collectives for real over thread-backed SimComm ranks.
+// protocol dip — all from the calibrated hpc::CollectiveModel.
 #include <iostream>
 
-#include "common/timer.hpp"
 #include "hpc/collective_model.hpp"
-#include "io/args.hpp"
 #include "io/table.hpp"
-#include "parallel/sim_comm.hpp"
 
 using namespace turbda;
 using hpc::Collective;
 
-int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
+int main() {
   hpc::CollectiveModel cm;
 
   std::cout << "=== Fig. 8: RCCL collectives bus bandwidth on Frontier (model) ===\n";
@@ -39,36 +34,5 @@ int main(int argc, char** argv) {
                io::Table::num(cm.bus_bandwidth(Collective::AllReduce, mb * 1048576.0, 512), 1)});
   }
   d.print();
-
-  if (!args.flag("no-measure")) {
-    std::cout << "\nMeasured: the library's own ring collectives over thread-backed ranks\n"
-                 "(same algorithms RCCL uses for large messages; absolute numbers are\n"
-                 "shared-memory, shapes are what matters):\n";
-    io::Table m({"ranks", "buffer [MB]", "allreduce busbw [GB/s]", "allgather busbw [GB/s]"});
-    for (int n : {2, 4, 8}) {
-      const std::size_t elems = 1 << 20;  // 8 MB
-      double t_ar = 0.0, t_ag = 0.0;
-      parallel::run_world(n, [&](parallel::SimComm& c) {
-        std::vector<double> buf(elems, 1.0);
-        std::vector<double> gathered(elems * static_cast<std::size_t>(n));
-        c.barrier();
-        WallTimer t;
-        c.allreduce_sum(buf);
-        c.barrier();
-        if (c.rank() == 0) t_ar = t.seconds();
-        c.barrier();
-        WallTimer t2;
-        c.allgather(std::span<const double>(buf.data(), elems), gathered);
-        c.barrier();
-        if (c.rank() == 0) t_ag = t2.seconds();
-      });
-      const double bytes = static_cast<double>(elems) * sizeof(double);
-      const double ring = static_cast<double>(n - 1) / n;
-      m.add_row({std::to_string(n), "8",
-                 io::Table::num(2.0 * ring * bytes / t_ar / 1e9, 2),
-                 io::Table::num(ring * bytes * n / t_ag / 1e9, 2)});
-    }
-    m.print();
-  }
   return 0;
 }

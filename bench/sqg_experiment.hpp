@@ -14,11 +14,12 @@
 
 #include "da/ensf.hpp"
 #include "da/letkf.hpp"
-#include "da/osse.hpp"
 #include "models/model_error.hpp"
 #include "models/scaled_forecast.hpp"
 #include "nn/surrogate.hpp"
 #include "sqg/sqg.hpp"
+#include "stream/realtime_runner.hpp"
+#include "stream/synthetic_stream.hpp"
 
 namespace turbda::bench {
 
@@ -121,9 +122,12 @@ struct SqgExperiment {
   /// Runs one of the four configurations and returns per-cycle metrics.
   /// `surrogate == nullptr` -> physics (SQG) forecasts with the imperfect-
   /// model error process; otherwise the ViT surrogate forecasts (no injected
-  /// error — its imperfection is intrinsic).
-  std::vector<da::CycleMetrics> run(da::Filter* filter, nn::SurrogateForecast* surrogate,
-                                    da::OsseRunner** runner_out = nullptr) {
+  /// error — its imperfection is intrinsic). The OSSE is a zero-latency
+  /// synthetic stream cycled by the serial real-time runner.
+  std::vector<stream::StreamCycleMetrics> run(da::Filter* filter,
+                                              nn::SurrogateForecast* surrogate) {
+    runner_.reset();  // both refer to the models rebuilt below
+    stream_.reset();
     truth_scaled_ = std::make_unique<models::ScaledForecast>(*sqg_raw(), kelvin);
     physics_scaled_ = std::make_unique<models::ScaledForecast>(*sqg_raw2(), kelvin);
     models::ScaledForecast& truth_model = *truth_scaled_;
@@ -138,22 +142,23 @@ struct SqgExperiment {
         models::ModelErrorConfig{.reference_scale = clim_rms});
     models::ModelErrorProcess& me = *merr_;
 
-    da::OsseConfig oc;
-    oc.n_members = cfg.members;
-    oc.cycles = cfg.cycles;
-    oc.window_hours = cfg.window_hours;
-    oc.seed = cfg.seed + 99;
-    oc.inject_model_error = (surrogate == nullptr);
-    oc.init_spread = cfg.init_spread_k;
-    oc.n_forecast_threads = cfg.forecast_threads;
-
-    models::ForecastModel& fcst =
-        surrogate ? static_cast<models::ForecastModel&>(*surrogate) : physics;
-    runner_ = std::make_unique<da::OsseRunner>(oc, truth_model, fcst, h, r, filter, &me);
-    if (runner_out) *runner_out = runner_.get();
+    stream::RealtimeConfig rc;
+    rc.n_members = cfg.members;
+    rc.cycles = cfg.cycles;
+    rc.window_hours = cfg.window_hours;
+    rc.seed = cfg.seed + 99;
+    rc.inject_model_error = (surrogate == nullptr);
+    rc.init_spread = cfg.init_spread_k;
+    rc.n_forecast_threads = cfg.forecast_threads;
 
     std::vector<double> truth0_k(model->dim());
     for (std::size_t i = 0; i < model->dim(); ++i) truth0_k[i] = truth0_raw[i] * kelvin;
+
+    models::ForecastModel& fcst =
+        surrogate ? static_cast<models::ForecastModel&>(*surrogate) : physics;
+    stream_ = std::make_unique<stream::SyntheticStream>(
+        stream::SyntheticStreamConfig{.seed = rc.seed}, truth_model, h, r, truth0_k);
+    runner_ = std::make_unique<stream::RealtimeRunner>(rc, *stream_, fcst, filter, &me);
 
     if (cfg.clim_init) {
       // Initial ensemble from the climatological pool (paper: "random
@@ -168,6 +173,10 @@ struct SqgExperiment {
     }
     return runner_->run(truth0_k);
   }
+
+  /// Final truth and analysis ensemble of the last run() (Fig. 5).
+  [[nodiscard]] const std::vector<double>& final_truth() const { return stream_->latest_truth(); }
+  [[nodiscard]] const da::Ensemble& ensemble() const { return runner_->ensemble(); }
 
   /// Paper-tuned LETKF for this grid: RTPS 0.3, 2000 km cutoff.
   [[nodiscard]] da::LetkfConfig letkf_config() const {
@@ -204,7 +213,8 @@ struct SqgExperiment {
   std::unique_ptr<da::IdentityObs> obs_;
   std::unique_ptr<da::DiagonalR> rmat_;
   std::unique_ptr<models::ModelErrorProcess> merr_;
-  std::unique_ptr<da::OsseRunner> runner_;
+  std::unique_ptr<stream::SyntheticStream> stream_;
+  std::unique_ptr<stream::RealtimeRunner> runner_;
 };
 
 }  // namespace turbda::bench

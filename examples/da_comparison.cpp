@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
             << " cycles, identity obs, R = I, 20 members, imperfect physics model)\n\n";
   bench::SqgExperiment exp(cfg);
 
-  auto late = [&](const std::vector<da::CycleMetrics>& m) {
+  auto late = [&](const std::vector<stream::StreamCycleMetrics>& m) {
     double s = 0.0;
     const int k0 = (2 * cfg.cycles) / 3;
     for (int k = k0; k < cfg.cycles; ++k) s += m[static_cast<std::size_t>(k)].rmse_post;

@@ -5,9 +5,10 @@
 #include <iostream>
 
 #include "da/ensf.hpp"
-#include "da/osse.hpp"
 #include "io/args.hpp"
 #include "models/lorenz96.hpp"
+#include "stream/realtime_runner.hpp"
+#include "stream/synthetic_stream.hpp"
 
 using namespace turbda;
 
@@ -41,24 +42,27 @@ int main(int argc, char** argv) {
   da::EnSF filter(fc);
 
   // 4. An OSSE: truth run + synthetic obs + 20-member ensemble cycling.
-  da::OsseConfig oc;
-  oc.cycles = static_cast<int>(args.get_int("cycles", 30));
-  oc.n_members = static_cast<std::size_t>(args.get_int("members", 20));
-  oc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  oc.n_forecast_threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  da::OsseRunner osse(oc, truth_model, forecast_model, h, r, &filter);
+  stream::RealtimeConfig rc;
+  rc.cycles = static_cast<int>(args.get_int("cycles", 30));
+  rc.n_members = static_cast<std::size_t>(args.get_int("members", 20));
+  rc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  rc.n_forecast_threads = static_cast<std::size_t>(args.get_int("threads", 0));
 
-  // Spin the truth onto the attractor and run.
+  // Spin the truth onto the attractor.
   std::vector<double> truth0(mc.dim, mc.forcing);
   truth0[0] += 0.01;
   models::Lorenz96 spin(mc);
   for (int i = 0; i < 500; ++i) spin.step(truth0);
 
-  const auto metrics = osse.run(truth0);
+  // 5. Cycle: a zero-latency synthetic stream (sharing the run's seed) feeds
+  //    the serial real-time runner.
+  stream::SyntheticStream obs({.seed = rc.seed}, truth_model, h, r, truth0);
+  stream::RealtimeRunner runner(rc, obs, forecast_model, &filter);
+  const auto metrics = runner.run(truth0);
 
   std::cout << "cycle  prior RMSE  analysis RMSE  spread\n";
   for (const auto& m : metrics) {
-    if (m.cycle % 5 == 0 || m.cycle == oc.cycles - 1)
+    if (m.cycle % 5 == 0 || m.cycle == rc.cycles - 1)
       std::cout << m.cycle << "\t" << m.rmse_prior << "\t" << m.rmse_post << "\t"
                 << m.spread_post << "\n";
   }

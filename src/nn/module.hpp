@@ -1,7 +1,7 @@
 // Module base for the from-scratch neural-network stack behind the ViT
 // surrogate (paper §III-B). Modules cache forward activations and implement
 // hand-derived backward passes; parameters are exposed through a flat list
-// so optimizers and distributed-sharding logic never inspect module types.
+// so optimizers never inspect module types.
 #pragma once
 
 #include <string>

@@ -118,7 +118,7 @@ class ViT final : public Module {
 
   [[nodiscard]] std::size_t num_params();
 
-  /// Flat (de)serialization for checkpoints and parameter broadcast.
+  /// Flat (de)serialization for checkpoints.
   [[nodiscard]] std::vector<double> state_vector();
   void load_state_vector(std::span<const double> state);
 

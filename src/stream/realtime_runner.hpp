@@ -7,9 +7,9 @@
 // Overlapped):
 //
 //  - Serial (D = 0): forecast -> (wait for obs) -> analyze in place, one
-//    cycle at a time. With a zero-latency in-order stream this reproduces
-//    the offline OSSE loop bitwise (OsseRunner is exactly this
-//    configuration).
+//    cycle at a time. With a zero-latency in-order SyntheticStream sharing
+//    the runner's seed this is the offline OSSE, and it reproduces the
+//    historical in-line OSSE loop bitwise (test_stream's StreamOsse tests).
 //
 //  - Overlapped (D = K >= 1): after the member forecasts for cycle k land,
 //    the ensemble is copied into ring slot k % D and the analysis for cycle

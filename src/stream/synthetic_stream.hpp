@@ -58,7 +58,7 @@ class SyntheticStream final : public ObservationStream {
   void collect(double now_cycles, std::vector<ObsBatch>& out) override;
   [[nodiscard]] std::span<const double> truth(int cycle) const override;
 
-  /// Truth state after the most recent produce() (the OSSE's final_truth).
+  /// Truth state after the most recent produce(): an OSSE's final truth.
   [[nodiscard]] const std::vector<double>& latest_truth() const { return truth_; }
 
   [[nodiscard]] int batches_produced() const { return produced_; }

@@ -15,11 +15,12 @@
 #include "da/etkf.hpp"
 #include "da/letkf.hpp"
 #include "da/localization.hpp"
-#include "da/osse.hpp"
 #include "models/lorenz96.hpp"
 #include "rng/rng.hpp"
 #include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
+#include "stream/realtime_runner.hpp"
+#include "stream/synthetic_stream.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/linalg.hpp"
 
@@ -1084,12 +1085,13 @@ TEST(Osse, FreeRunHasEqualPriorAndPost) {
   Lorenz96 truth_model(mc), fcst_model(mc);
   IdentityObs h(mc.dim);
   DiagonalR r(mc.dim, 1.0);
-  OsseConfig cfg;
+  stream::RealtimeConfig cfg;
   cfg.cycles = 5;
   cfg.n_members = 5;
-  OsseRunner runner(cfg, truth_model, fcst_model, h, r, /*filter=*/nullptr);
   std::vector<double> truth0(mc.dim, 8.0);
   truth0[0] += 0.1;
+  stream::SyntheticStream obs({.seed = cfg.seed}, truth_model, h, r, truth0);
+  stream::RealtimeRunner runner(cfg, obs, fcst_model, /*filter=*/nullptr);
   const auto metrics = runner.run(truth0);
   ASSERT_EQ(metrics.size(), 5u);
   for (const auto& m : metrics) {
@@ -1109,7 +1111,7 @@ TEST(Osse, FreeRunIsPureEnsembleForecast) {
   IdentityObs h(mc.dim);
   DiagonalR r(mc.dim, 1.0);
 
-  OsseConfig cfg;
+  stream::RealtimeConfig cfg;
   cfg.cycles = 4;
   cfg.n_members = 4;
   cfg.seed = 17;
@@ -1123,7 +1125,8 @@ TEST(Osse, FreeRunIsPureEnsembleForecast) {
     for (std::size_t i = 0; i < row.size(); ++i) row[i] = truth0[i] + rng.gaussian(0.0, 0.5);
   }
 
-  OsseRunner runner(cfg, truth_model, fcst_model, h, r, /*filter=*/nullptr);
+  stream::SyntheticStream obs({.seed = cfg.seed}, truth_model, h, r, truth0);
+  stream::RealtimeRunner runner(cfg, obs, fcst_model, /*filter=*/nullptr);
   int hook_calls = 0;
   runner.set_post_analysis_hook([&](int cycle, std::span<const double> mean) {
     EXPECT_EQ(cycle, hook_calls);
@@ -1148,8 +1151,8 @@ TEST(Osse, FreeRunIsPureEnsembleForecast) {
   // And the retained truth is the direct truth integration, bitwise.
   std::vector<double> truth = truth0;
   for (int k = 0; k < cfg.cycles; ++k) direct.forecast(truth);
-  ASSERT_EQ(runner.final_truth().size(), truth.size());
-  EXPECT_EQ(0, std::memcmp(runner.final_truth().data(), truth.data(),
+  ASSERT_EQ(obs.latest_truth().size(), truth.size());
+  EXPECT_EQ(0, std::memcmp(obs.latest_truth().data(), truth.data(),
                            truth.size() * sizeof(double)));
 }
 
@@ -1167,17 +1170,19 @@ TEST(Osse, EnsfBeatsFreeRunOnLorenz96) {
   Lorenz96 spin(mc);
   for (int i = 0; i < 500; ++i) spin.step(truth0);
 
-  OsseConfig cfg;
+  stream::RealtimeConfig cfg;
   cfg.cycles = 30;
   cfg.n_members = 20;
   cfg.init_spread = 1.0;
   cfg.seed = 99;
 
   EnSF filter(EnsfConfig::stabilized());
-  OsseRunner da_run(cfg, truth_model, fcst_a, h, r, &filter);
+  stream::SyntheticStream da_obs({.seed = cfg.seed}, truth_model, h, r, truth0);
+  stream::RealtimeRunner da_run(cfg, da_obs, fcst_a, &filter);
   const auto da_metrics = da_run.run(truth0);
 
-  OsseRunner free_run(cfg, truth_model, fcst_b, h, r, nullptr);
+  stream::SyntheticStream free_obs({.seed = cfg.seed}, truth_model, h, r, truth0);
+  stream::RealtimeRunner free_run(cfg, free_obs, fcst_b, nullptr);
   const auto free_metrics = free_run.run(truth0);
 
   // Average analysis RMSE over the last 10 cycles.
@@ -1206,16 +1211,18 @@ TEST(Osse, ModelErrorInjectionDegradesForecasts) {
   mec.reference_scale = 3.0;
   models::ModelErrorProcess me(mec);
 
-  OsseConfig cfg;
+  stream::RealtimeConfig cfg;
   cfg.cycles = 10;
   cfg.n_members = 10;
   cfg.seed = 5;
 
-  OsseRunner clean(cfg, truth_model, fcst_a, h, r, nullptr);
+  stream::SyntheticStream clean_obs({.seed = cfg.seed}, truth_model, h, r, truth0);
+  stream::RealtimeRunner clean(cfg, clean_obs, fcst_a, nullptr);
   const auto m_clean = clean.run(truth0);
 
   cfg.inject_model_error = true;
-  OsseRunner noisy(cfg, truth_model, fcst_b, h, r, nullptr, &me);
+  stream::SyntheticStream noisy_obs({.seed = cfg.seed}, truth_model, h, r, truth0);
+  stream::RealtimeRunner noisy(cfg, noisy_obs, fcst_b, nullptr, &me);
   const auto m_noisy = noisy.run(truth0);
 
   double e_clean = 0.0, e_noisy = 0.0;

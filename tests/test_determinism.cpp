@@ -15,11 +15,12 @@
 #include "da/ensf.hpp"
 #include "da/letkf.hpp"
 #include "da/observation.hpp"
-#include "da/osse.hpp"
 #include "models/model_error.hpp"
 #include "rng/rng.hpp"
 #include "simd/dispatch.hpp"
 #include "sqg/sqg.hpp"
+#include "stream/realtime_runner.hpp"
+#include "stream/synthetic_stream.hpp"
 #include "tensor/gemm.hpp"
 
 namespace turbda {
@@ -189,18 +190,19 @@ TEST(Determinism, EnsembleForecastIndependentOfThreadCount) {
     da::DiagonalR r(model->dim(), 1.0);
     models::ModelErrorProcess me(models::ModelErrorConfig{.reference_scale = 0.5});
 
-    da::OsseConfig oc;
-    oc.n_members = 6;
-    oc.cycles = 2;
-    oc.seed = 99;
-    oc.inject_model_error = true;
-    oc.model_error_shared = false;  // per-member substreams on the hot loop
-    oc.n_forecast_threads = n_forecast_threads;
+    stream::RealtimeConfig rc;
+    rc.n_members = 6;
+    rc.cycles = 2;
+    rc.seed = 99;
+    rc.inject_model_error = true;
+    rc.model_error_shared = false;  // per-member substreams on the hot loop
+    rc.n_forecast_threads = n_forecast_threads;
 
     rng::Rng rng(31337);
     std::vector<double> truth0(model->dim());
     model->random_init(truth0, rng, 1.0, 3);
-    da::OsseRunner runner(oc, truth, fcst, h, r, /*filter=*/nullptr, &me);
+    stream::SyntheticStream obs({.seed = rc.seed}, truth, h, r, truth0);
+    stream::RealtimeRunner runner(rc, obs, fcst, /*filter=*/nullptr, &me);
     runner.run(truth0);
     da::Ensemble out = runner.ensemble();
     return out;

@@ -2,11 +2,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <thread>
 #include <vector>
 
-#include "parallel/sim_comm.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace turbda::parallel {
@@ -64,144 +62,6 @@ TEST(ThreadPool, StatsAccumulateBusyTimeAndTaskCount) {
   EXPECT_EQ(after.tasks_executed - before.tasks_executed, 8u);
   // 8 x 2ms of sleeping must register as busy time (allow scheduler slack).
   EXPECT_GE(after.busy_ns - before.busy_ns, 8'000'000u);
-}
-
-TEST(SimComm, PointToPoint) {
-  run_world(2, [](SimComm& c) {
-    std::vector<double> buf{0.0, 0.0, 0.0};
-    if (c.rank() == 0) {
-      const std::vector<double> msg{1.0, 2.0, 3.0};
-      c.send(msg, 1, 7);
-    } else {
-      c.recv(buf, 0, 7);
-      EXPECT_EQ(buf, (std::vector<double>{1.0, 2.0, 3.0}));
-    }
-  });
-}
-
-TEST(SimComm, TagMatchingOutOfOrder) {
-  run_world(2, [](SimComm& c) {
-    if (c.rank() == 0) {
-      const std::vector<double> a{1.0}, b{2.0};
-      c.send(a, 1, /*tag=*/1);
-      c.send(b, 1, /*tag=*/2);
-    } else {
-      std::vector<double> buf(1);
-      c.recv(buf, 0, /*tag=*/2);  // request the second message first
-      EXPECT_EQ(buf[0], 2.0);
-      c.recv(buf, 0, /*tag=*/1);
-      EXPECT_EQ(buf[0], 1.0);
-    }
-  });
-}
-
-class CollectivesP : public ::testing::TestWithParam<int> {};
-
-TEST_P(CollectivesP, AllreduceSumMatchesSerial) {
-  const int n = GetParam();
-  const std::size_t len = 37;  // deliberately not divisible by world size
-  run_world(n, [&](SimComm& c) {
-    std::vector<double> v(len);
-    for (std::size_t i = 0; i < len; ++i) v[i] = static_cast<double>(c.rank() + 1) * (i + 1);
-    c.allreduce_sum(v);
-    const double ranksum = n * (n + 1) / 2.0;
-    for (std::size_t i = 0; i < len; ++i) EXPECT_DOUBLE_EQ(v[i], ranksum * (i + 1));
-  });
-}
-
-TEST_P(CollectivesP, BroadcastFromEveryRoot) {
-  const int n = GetParam();
-  for (int root = 0; root < n; ++root) {
-    run_world(n, [&](SimComm& c) {
-      std::vector<double> v(5, c.rank() == root ? 3.14 : 0.0);
-      c.broadcast(v, root);
-      for (double x : v) EXPECT_DOUBLE_EQ(x, 3.14);
-    });
-  }
-}
-
-TEST_P(CollectivesP, ReduceSumToRoot) {
-  const int n = GetParam();
-  run_world(n, [&](SimComm& c) {
-    std::vector<double> v(4, 1.0);
-    c.reduce_sum(v, 0);
-    if (c.rank() == 0) {
-      for (double x : v) EXPECT_DOUBLE_EQ(x, static_cast<double>(n));
-    }
-  });
-}
-
-TEST_P(CollectivesP, AllgatherOrdersBlocksByRank) {
-  const int n = GetParam();
-  run_world(n, [&](SimComm& c) {
-    const std::vector<double> mine{static_cast<double>(c.rank()), static_cast<double>(c.rank()) + 0.5};
-    std::vector<double> all(2 * static_cast<std::size_t>(n));
-    c.allgather(mine, all);
-    for (int r = 0; r < n; ++r) {
-      EXPECT_DOUBLE_EQ(all[2 * static_cast<std::size_t>(r)], r);
-      EXPECT_DOUBLE_EQ(all[2 * static_cast<std::size_t>(r) + 1], r + 0.5);
-    }
-  });
-}
-
-TEST_P(CollectivesP, ReduceScatterSumsMyBlock) {
-  const int n = GetParam();
-  const std::size_t blk = 3;
-  run_world(n, [&](SimComm& c) {
-    std::vector<double> full(blk * static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < full.size(); ++i)
-      full[i] = static_cast<double>(i) + 100.0 * c.rank();
-    std::vector<double> mine(blk);
-    c.reduce_scatter_sum(full, mine);
-    const double rankoffsets = 100.0 * (n * (n - 1) / 2.0);
-    for (std::size_t i = 0; i < blk; ++i) {
-      const std::size_t gi = blk * static_cast<std::size_t>(c.rank()) + i;
-      EXPECT_DOUBLE_EQ(mine[i], static_cast<double>(n) * gi + rankoffsets);
-    }
-  });
-}
-
-TEST_P(CollectivesP, BarrierSynchronizes) {
-  const int n = GetParam();
-  std::atomic<int> before{0};
-  run_world(n, [&](SimComm& c) {
-    before.fetch_add(1);
-    c.barrier();
-    EXPECT_EQ(before.load(), n);  // nobody passes until everyone arrived
-    c.barrier();
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectivesP, ::testing::Values(1, 2, 3, 4, 5, 8));
-
-TEST(SimComm, StatsCountTraffic) {
-  auto stats = run_world(2, [](SimComm& c) {
-    std::vector<double> v(16, 1.0);
-    c.allreduce_sum(v);
-  });
-  EXPECT_GT(stats.bytes_sent, 0u);
-  EXPECT_GT(stats.messages_sent, 0u);
-}
-
-TEST(SimComm, RingAllreduceVolumeMatchesTheory) {
-  // Ring all-reduce moves 2*(n-1)/n of the buffer per rank.
-  const int n = 4;
-  const std::size_t len = 1024;
-  auto stats = run_world(n, [&](SimComm& c) {
-    std::vector<double> v(len, 1.0);
-    c.allreduce_sum(v);
-  });
-  const double expected = 2.0 * (n - 1) * static_cast<double>(len) * sizeof(double);
-  EXPECT_NEAR(static_cast<double>(stats.bytes_sent), expected, expected * 0.05);
-}
-
-TEST(SimComm, ExceptionInRankPropagates) {
-  EXPECT_THROW(run_world(2,
-                         [](SimComm& c) {
-                           if (c.rank() == 1) throw Error("rank failure");
-                           // rank 0 exits normally
-                         }),
-               Error);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Real-time streaming subsystem tests:
-//  - the hard invariant that the refactored OsseRunner (and, transitively,
-//    the serial RealtimeRunner on a zero-latency stream) reproduces the
-//    historical in-line OSSE loop bitwise;
+//  - the hard invariant that the serial RealtimeRunner on a zero-latency
+//    SyntheticStream (the offline OSSE) reproduces the historical in-line
+//    OSSE loop bitwise;
+//  - the post-analysis hook contract, checked on every run: one call per
+//    cycle, in order, with the mean that rmse_post scores;
 //  - deterministic degraded-delivery scenarios (latency, jitter, dropout,
 //    catch-up, staleness) with bitwise repeatability across thread counts
-//    and schedules;
+//    and ring depths;
 //  - the sparse strided-grid observation network.
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,7 +24,6 @@
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
 #include "da/letkf.hpp"
-#include "da/osse.hpp"
 #include "models/lorenz96.hpp"
 #include "models/model_error.hpp"
 #include "rng/rng.hpp"
@@ -51,10 +53,15 @@ std::vector<double> spun_up_truth(std::uint64_t bump = 0) {
 struct RunResult {
   std::vector<stream::StreamCycleMetrics> metrics;
   da::Ensemble ens{2, kDim};
+  std::vector<double> truth;  ///< the stream's final truth
 };
 
 /// Runs RealtimeRunner on a Lorenz-96 truth with the given delivery and
-/// schedule knobs. `use_filter == false` gives the free run.
+/// schedule knobs. `use_filter == false` gives the free run. Every run also
+/// checks the post-analysis hook contract the cycle benchmark's
+/// analysis_rmse_K rests on: the hook fires once per cycle, in cycle order,
+/// and the RMSE of each hooked mean against that cycle's truth is the
+/// cycle's rmse_post, bit for bit.
 RunResult run_realtime(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
                        bool use_filter = true, bool model_error = false) {
   Lorenz96Config mc;
@@ -71,9 +78,22 @@ RunResult run_realtime(stream::SyntheticStreamConfig sc, stream::RealtimeConfig 
   rc.inject_model_error = model_error;
   stream::RealtimeRunner runner(rc, s, fcst_model, use_filter ? &filter : nullptr,
                                 model_error ? &me : nullptr);
+  std::vector<int> hooked_cycles;
+  std::vector<double> hooked_rmse;
+  runner.set_post_analysis_hook([&](int k, std::span<const double> mean) {
+    hooked_cycles.push_back(k);
+    hooked_rmse.push_back(da::rmse(mean, s.truth(k)));  // rmse_vs_truth's sum
+  });
   RunResult out;
   out.metrics = runner.run(truth0);
   out.ens = runner.ensemble();
+  out.truth = s.latest_truth();
+
+  std::vector<int> every_cycle(static_cast<std::size_t>(rc.cycles));
+  std::iota(every_cycle.begin(), every_cycle.end(), 0);
+  EXPECT_EQ(hooked_cycles, every_cycle);
+  for (std::size_t k = 0; k < hooked_rmse.size() && k < out.metrics.size(); ++k)
+    EXPECT_EQ(hooked_rmse[k], out.metrics[k].rmse_post) << "cycle " << k;
   return out;
 }
 
@@ -103,19 +123,15 @@ void expect_accuracy_metrics_bitwise_equal(const std::vector<stream::StreamCycle
 
 // ------------------------------------- OSSE bitwise-reproduction invariant ---
 
-/// Verbatim replica of the historical in-line OsseRunner::run loop (the
-/// pre-streaming implementation). The refactored OsseRunner must reproduce
-/// it bitwise forever; a drift here means the "one cycling code path"
-/// refactor changed the paper's offline numbers.
-std::vector<da::CycleMetrics> legacy_osse_run(const da::OsseConfig& cfg,
-                                              models::ForecastModel& truth_model,
-                                              models::ForecastModel& forecast_model,
-                                              const da::ObservationOperator& h,
-                                              const da::DiagonalR& r, da::Filter* filter,
-                                              const models::ModelErrorProcess* model_error,
-                                              std::span<const double> truth0,
-                                              da::Ensemble* final_ens,
-                                              std::vector<double>* final_truth) {
+/// Verbatim replica of the historical in-line OSSE loop (the pre-streaming
+/// implementation). The serial RealtimeRunner on a zero-latency stream must
+/// reproduce it bitwise forever; a drift here means the one cycling code
+/// path changed the paper's offline numbers.
+std::vector<stream::StreamCycleMetrics> legacy_osse_run(
+    const stream::RealtimeConfig& cfg, models::ForecastModel& truth_model,
+    models::ForecastModel& forecast_model, const da::ObservationOperator& h,
+    const da::DiagonalR& r, da::Filter* filter, const models::ModelErrorProcess* model_error,
+    std::span<const double> truth0, da::Ensemble* final_ens, std::vector<double>* final_truth) {
   const std::size_t d = truth_model.dim();
   rng::Rng root(cfg.seed);
   rng::Rng rng_init = root.substream(0);
@@ -127,7 +143,7 @@ std::vector<da::CycleMetrics> legacy_osse_run(const da::OsseConfig& cfg,
   ens.init_perturbed(truth0, cfg.init_spread, rng_init);
 
   std::vector<double> y(h.obs_dim());
-  std::vector<da::CycleMetrics> metrics;
+  std::vector<stream::StreamCycleMetrics> metrics;
   for (int k = 0; k < cfg.cycles; ++k) {
     truth_model.forecast(truth);
     std::vector<double> shared_err;
@@ -148,7 +164,7 @@ std::vector<da::CycleMetrics> legacy_osse_run(const da::OsseConfig& cfg,
         }
       }
     }
-    da::CycleMetrics cm;
+    stream::StreamCycleMetrics cm;
     cm.cycle = k;
     cm.time_hours = (k + 1) * cfg.window_hours;
     cm.rmse_prior = da::rmse_vs_truth(ens, truth);
@@ -176,7 +192,7 @@ void expect_osse_matches_legacy(bool use_filter, bool model_error, bool shared) 
   da::DiagonalR r(mc.dim, 1.0);
   models::ModelErrorProcess me(models::ModelErrorConfig{.reference_scale = 1.0});
 
-  da::OsseConfig cfg;
+  stream::RealtimeConfig cfg;  // Serial schedule
   cfg.cycles = 8;
   cfg.n_members = 8;
   cfg.seed = 4242;
@@ -194,11 +210,9 @@ void expect_osse_matches_legacy(bool use_filter, bool model_error, bool shared) 
       legacy_osse_run(cfg, truth_a, fcst_a, h, r, use_filter ? &filter_a : nullptr,
                       model_error ? &me : nullptr, truth0, &legacy_ens, &legacy_truth);
 
-  Lorenz96 truth_b(mc), fcst_b(mc);
-  da::ETKF filter_b(da::EtkfConfig{.rtps = 0.4});
-  da::OsseRunner runner(cfg, truth_b, fcst_b, h, r, use_filter ? &filter_b : nullptr,
-                        model_error ? &me : nullptr);
-  const auto got = runner.run(truth0);
+  // run_realtime builds the same models, filter and model error.
+  const auto run = run_realtime({.seed = cfg.seed}, cfg, use_filter, model_error);
+  const auto& got = run.metrics;
 
   ASSERT_EQ(got.size(), legacy.size());
   for (std::size_t k = 0; k < got.size(); ++k) {
@@ -208,9 +222,9 @@ void expect_osse_matches_legacy(bool use_filter, bool model_error, bool shared) 
     EXPECT_EQ(got[k].spread_post, legacy[k].spread_post) << "cycle " << k;
     EXPECT_EQ(got[k].time_hours, legacy[k].time_hours) << "cycle " << k;
   }
-  expect_bitwise_equal(runner.ensemble(), legacy_ens);
-  ASSERT_EQ(runner.final_truth().size(), legacy_truth.size());
-  EXPECT_EQ(0, std::memcmp(runner.final_truth().data(), legacy_truth.data(),
+  expect_bitwise_equal(run.ens, legacy_ens);
+  ASSERT_EQ(run.truth.size(), legacy_truth.size());
+  EXPECT_EQ(0, std::memcmp(run.truth.data(), legacy_truth.data(),
                            legacy_truth.size() * sizeof(double)));
 }
 
@@ -401,9 +415,12 @@ TEST(Stream, DegradedDeliveryIsBitwiseRepeatableAcrossThreadCountsAndRuns) {
   sc.jitter_cycles = 1.0;
   sc.dropout_prob = 0.25;
 
-  for (auto schedule : {stream::Schedule::Serial, stream::Schedule::Overlapped}) {
+  for (int depth : {0, 1, 2}) {  // Serial, then the ring at K = 1 and 2
     stream::RealtimeConfig rc = base_config();
-    rc.schedule = schedule;
+    if (depth > 0) {
+      rc.schedule = stream::Schedule::Overlapped;
+      rc.overlap_depth = depth;
+    }
     rc.deadline_slack_cycles = 0.25;
     rc.n_forecast_threads = 1;
     auto ref = run_realtime(sc, rc, /*use_filter=*/true, /*model_error=*/true);
