@@ -17,7 +17,6 @@
 //   build/realtime_da --sqg --trace=trace.json
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -32,30 +31,24 @@
 #include "stream/faulty_stream.hpp"
 #include "stream/realtime_runner.hpp"
 #include "stream/synthetic_stream.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 using namespace turbda;
 
 namespace {
 
-/// --trace / --metrics-dump / --metrics-json plumbing, shared by both modes:
-/// tracing is armed before the first cycle and exported on exit.
+/// --trace plumbing, shared by both modes: tracing is armed before the first
+/// cycle and exported on exit.
 struct TelemetryCli {
   std::string trace_path;
-  bool metrics_dump = false;
-  std::string metrics_json;
 
-  explicit TelemetryCli(const io::Args& args)
-      : trace_path(args.get_str("trace", "")),
-        metrics_dump(args.flag("metrics-dump")),
-        metrics_json(args.get_str("metrics-json", "")) {
+  explicit TelemetryCli(const io::Args& args) : trace_path(args.get_str("trace", "")) {
     telemetry::set_thread_label("main");
     if (!trace_path.empty()) telemetry::TraceCollector::instance().enable();
   }
 
   /// Export whatever was recorded and pass the mode's exit code through
-  /// (telemetry export failures only fail an otherwise-clean run).
+  /// (a trace export failure only fails an otherwise-clean run).
   int finish(int code) const {
     if (!trace_path.empty()) {
       auto& tc = telemetry::TraceCollector::instance();
@@ -67,22 +60,6 @@ struct TelemetryCli {
       } else {
         std::cerr << "trace export failed: " << st.to_string() << "\n";
         if (code == 0) code = 1;
-      }
-    }
-    if (metrics_dump || !metrics_json.empty()) {
-      const auto snap = telemetry::MetricsRegistry::global().snapshot();
-      if (metrics_dump)
-        std::cout << "\n--- metrics (Prometheus text exposition) ---\n"
-                  << telemetry::to_prometheus(snap);
-      if (!metrics_json.empty()) {
-        std::ofstream f(metrics_json);
-        f << telemetry::to_json(snap);
-        if (!f.good()) {
-          std::cerr << "metrics JSON export to " << metrics_json << " failed\n";
-          if (code == 0) code = 1;
-        } else {
-          std::cout << "Metrics JSON written to " << metrics_json << ".\n";
-        }
       }
     }
     return code;
@@ -260,8 +237,6 @@ int main(int argc, char** argv) {
            "  --resume          continue from --ckpt instead of starting fresh\n"
            "telemetry (either mode):\n"
            "  --trace=<path>    record tracing spans, export Chrome trace-event JSON\n"
-           "  --metrics-dump    print the metrics registry (Prometheus text) on exit\n"
-           "  --metrics-json=<path>  write the metrics snapshot as JSON\n"
            "SQG mode (--sqg): turbulence-scale demo, SQG + LETKF, overlapped schedule\n"
            "  --sqg [--n=32] [--members=8] [--cycles=6] [--stride=4]\n"
            "        [--schedule=overlapped|serial] [--csv=<path>]\n";

@@ -13,7 +13,6 @@ using tensor::Tensor;
 
 ETKF::ETKF(EtkfConfig cfg) : cfg_(cfg) {
   TURBDA_REQUIRE(cfg_.rtps >= 0.0 && cfg_.rtps < 1.0, "RTPS factor must be in [0,1)");
-  TURBDA_REQUIRE(cfg_.mult_inflation >= 1.0, "multiplicative inflation must be >= 1");
 }
 
 void ETKF::analyze(Ensemble& ens, std::span<const double> y, const ObservationOperator& h,
@@ -54,7 +53,7 @@ Status ETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   Tensor xb({m, d});
   for (std::size_t k = 0; k < m; ++k) {
     const auto row = ens.member(k);
-    for (std::size_t i = 0; i < d; ++i) xb(k, i) = (row[i] - xbar[i]) * cfg_.mult_inflation;
+    for (std::size_t i = 0; i < d; ++i) xb(k, i) = row[i] - xbar[i];
   }
 
   // Obs-space perturbations Yb (m x p) and innovation.
@@ -71,7 +70,7 @@ Status ETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     for (std::size_t o = 0; o < p; ++o) ybar[o] += yb(k, o);
   for (double& v : ybar) v /= static_cast<double>(m);
   for (std::size_t k = 0; k < m; ++k)
-    for (std::size_t o = 0; o < p; ++o) yb(k, o) = (yb(k, o) - ybar[o]) * cfg_.mult_inflation;
+    for (std::size_t o = 0; o < p; ++o) yb(k, o) -= ybar[o];
 
   // Innovation with masked entries pinned to zero: a QC-excised observation
   // must contribute nothing even when its raw value is non-finite.

@@ -10,7 +10,6 @@ namespace turbda::da {
 
 struct EtkfConfig {
   double rtps = 0.0;            ///< relaxation-to-prior-spread factor
-  double mult_inflation = 1.0;  ///< multiplicative prior inflation
 };
 
 class ETKF final : public Filter {

@@ -12,7 +12,6 @@
 #include "da/localization.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/dense_kernels.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tensor/linalg.hpp"
 
@@ -24,7 +23,6 @@ LETKF::LETKF(LetkfConfig cfg) : cfg_(cfg) {
   TURBDA_REQUIRE(cfg_.nx >= 2 && cfg_.ny >= 2 && cfg_.n_levels >= 1, "bad LETKF grid");
   TURBDA_REQUIRE(cfg_.cutoff_m > 0.0 && cfg_.domain_m > 0.0, "bad LETKF scales");
   TURBDA_REQUIRE(cfg_.rtps >= 0.0 && cfg_.rtps < 1.0, "RTPS factor must be in [0,1)");
-  TURBDA_REQUIRE(cfg_.mult_inflation >= 1.0, "multiplicative inflation must be >= 1");
   TURBDA_REQUIRE(cfg_.eigh_max_sweeps >= 1, "eigh_max_sweeps must be >= 1");
 }
 
@@ -310,7 +308,6 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   const bool tm = tm_cfg || tr;
   WallTimer t_total;
   const Plan& plan = plan_for(h, r);
-  const double infl = cfg_.mult_inflation;
 
   // Prior statistics.
   const auto xbar = ens.mean();
@@ -325,7 +322,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       [&](std::size_t b, std::size_t e) {
         for (std::size_t k = 0; k < m; ++k) {
           const auto row = ens.member(k);
-          for (std::size_t g = b; g < e; ++g) xbT(g, k) = (row[g] - xbar[g]) * infl;
+          for (std::size_t g = b; g < e; ++g) xbT(g, k) = row[g] - xbar[g];
         }
       },
       4096, cfg_.n_threads);
@@ -355,7 +352,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
         [&](std::size_t b, std::size_t e) {
           for (std::size_t o = b; o < e; ++o) {
             double* dst = &yensT(o, 0);
-            for (std::size_t k = 0; k < m; ++k) dst[k] = (yens(k, o) - ybar[o]) * infl;
+            for (std::size_t k = 0; k < m; ++k) dst[k] = yens(k, o) - ybar[o];
           }
         },
         4096, cfg_.n_threads);
@@ -707,11 +704,6 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     timings_.total_ms += t_total.milliseconds();
     timings_.analyses += 1;
     timings_.columns += d;
-  }
-  {
-    static telemetry::Histogram& h_letkf =
-        telemetry::MetricsRegistry::global().histogram("turbda_letkf_analyze_ms");
-    h_letkf.observe(t_total.milliseconds());
   }
   return Status::Ok();
 }

@@ -59,7 +59,6 @@ struct LetkfConfig {
 
   double cutoff_m = 2.0e6;        ///< GC zero crossing (paper: 2000 km)
   double rtps = 0.3;              ///< RTPS factor (paper: 0.3)
-  double mult_inflation = 1.0;    ///< optional prior multiplicative inflation
   double rossby_radius_m = 1.0e6; ///< N H / f; couples the two levels
   double min_weight = 1e-3;       ///< drop obs with localization below this
 

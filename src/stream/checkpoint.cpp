@@ -2,6 +2,7 @@
 
 #include <array>
 #include <fstream>
+#include <type_traits>
 
 #include "common/bytes.hpp"
 
@@ -21,68 +22,33 @@ constexpr std::array<std::uint32_t, 256> make_crc_table() {
 
 constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
+// The v4 encoding of one row: each for_each_metric field in order, int as
+// i32, double as f64, bool as one byte.
 void put_metrics(std::vector<std::uint8_t>& out, const StreamCycleMetrics& m) {
-  bytes::put_i32(out, m.cycle);
-  bytes::put_f64(out, m.time_hours);
-  bytes::put_f64(out, m.rmse_prior);
-  bytes::put_f64(out, m.rmse_post);
-  bytes::put_f64(out, m.spread_prior);
-  bytes::put_f64(out, m.spread_post);
-  bytes::put_i32(out, m.batches_assimilated);
-  bytes::put_i32(out, m.batches_discarded);
-  bytes::put_i32(out, m.max_batch_age);
-  out.push_back(m.deadline_miss ? 1 : 0);
-  bytes::put_f64(out, m.obs_arrival_cycles);
-  bytes::put_i32(out, m.obs_rejected);
-  bytes::put_i32(out, m.batches_rejected);
-  bytes::put_f64(out, m.max_r_scale);
-  bytes::put_i32(out, m.analysis_failures);
-  bytes::put_i32(out, m.solver_fallbacks);
-  bytes::put_i32(out, m.spread_recoveries);
-  out.push_back(m.degraded ? 1 : 0);
-  bytes::put_f64(out, m.forecast_ms);
-  bytes::put_f64(out, m.analysis_ms);
-  bytes::put_f64(out, m.qc_ms);
-  bytes::put_f64(out, m.checkpoint_ms);
-  bytes::put_f64(out, m.cycle_ms);
-  bytes::put_f64(out, m.pool_idle_frac);
-  bytes::put_i32(out, m.late_applied);
-  bytes::put_i32(out, m.ingest_reconnects);
-  bytes::put_i32(out, m.ingest_frames_corrupt);
-  bytes::put_i32(out, m.ingest_frames_resynced);
-  bytes::put_i32(out, m.ingest_queue_drops);
+  for_each_metric(m, [&](const char*, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      out.push_back(v ? 1 : 0);
+    } else if constexpr (std::is_same_v<T, int>) {
+      bytes::put_i32(out, v);
+    } else {
+      static_assert(std::is_same_v<T, double>, "metric fields are int, double or bool");
+      bytes::put_f64(out, v);
+    }
+  });
 }
 
 void read_metrics(bytes::Reader& rd, StreamCycleMetrics& m) {
-  m.cycle = rd.i32();
-  m.time_hours = rd.f64();
-  m.rmse_prior = rd.f64();
-  m.rmse_post = rd.f64();
-  m.spread_prior = rd.f64();
-  m.spread_post = rd.f64();
-  m.batches_assimilated = rd.i32();
-  m.batches_discarded = rd.i32();
-  m.max_batch_age = rd.i32();
-  m.deadline_miss = rd.u8() != 0;
-  m.obs_arrival_cycles = rd.f64();
-  m.obs_rejected = rd.i32();
-  m.batches_rejected = rd.i32();
-  m.max_r_scale = rd.f64();
-  m.analysis_failures = rd.i32();
-  m.solver_fallbacks = rd.i32();
-  m.spread_recoveries = rd.i32();
-  m.degraded = rd.u8() != 0;
-  m.forecast_ms = rd.f64();
-  m.analysis_ms = rd.f64();
-  m.qc_ms = rd.f64();
-  m.checkpoint_ms = rd.f64();
-  m.cycle_ms = rd.f64();
-  m.pool_idle_frac = rd.f64();
-  m.late_applied = rd.i32();
-  m.ingest_reconnects = rd.i32();
-  m.ingest_frames_corrupt = rd.i32();
-  m.ingest_frames_resynced = rd.i32();
-  m.ingest_queue_drops = rd.i32();
+  for_each_metric(m, [&](const char*, auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = rd.u8() != 0;
+    } else if constexpr (std::is_same_v<T, int>) {
+      v = rd.i32();
+    } else {
+      v = rd.f64();
+    }
+  });
 }
 
 }  // namespace

@@ -53,8 +53,8 @@ struct DecodedFrame {
 };
 
 /// Cumulative decoder health counters: IngestStream::stats() reports them,
-/// and the runner mirrors them into StreamCycleMetrics and the metrics
-/// registry, so a damaged feed shows up as counts instead of bad data.
+/// and the runner mirrors them into StreamCycleMetrics, so a damaged feed
+/// shows up as counts instead of bad data.
 struct WireStats {
   std::uint64_t frames_decoded = 0;   ///< CRC-verified frames handed out
   std::uint64_t frames_corrupt = 0;   ///< header/CRC/payload check failures

@@ -102,7 +102,7 @@ class ObservationStream {
 
   /// Live-transport health counters, all zero for in-process streams.
   /// Decorators forward; the cycling driver diffs successive snapshots into
-  /// per-cycle metrics and the `turbda_ingest_*` registry counters.
+  /// the per-cycle `ingest_*` columns of StreamCycleMetrics.
   struct IngestCounters {
     std::uint64_t reconnects = 0;       ///< transport re-establishments after a drop
     std::uint64_t frames_corrupt = 0;   ///< wire frames refused (CRC/header damage)

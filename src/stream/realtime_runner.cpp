@@ -9,7 +9,6 @@
 #include "io/csv.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stream/checkpoint.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace turbda::stream {
@@ -44,58 +43,6 @@ struct PoolIdleProbe {
     return std::clamp(frac, 0.0, 1.0);
   }
 };
-
-/// Folds one finished cycle's record into the global metrics registry.
-/// Instrument refs are resolved once (stable for the registry's lifetime);
-/// updates are lock-free relaxed atomics.
-void record_cycle_telemetry(const StreamCycleMetrics& cm) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  static telemetry::Counter& c_cycles = reg.counter("turbda_cycles_total");
-  static telemetry::Counter& c_misses = reg.counter("turbda_deadline_miss_total");
-  static telemetry::Counter& c_qc_rej = reg.counter("turbda_qc_rejected_total");
-  static telemetry::Counter& c_assim = reg.counter("turbda_batches_assimilated_total");
-  static telemetry::Counter& c_disc = reg.counter("turbda_batches_discarded_total");
-  static telemetry::Counter& c_fail = reg.counter("turbda_analysis_failures_total");
-  static telemetry::Counter& c_spread = reg.counter("turbda_spread_recoveries_total");
-  static telemetry::Counter& c_degraded = reg.counter("turbda_degraded_cycles_total");
-  static telemetry::Counter& c_late = reg.counter("turbda_ingest_late_applied_total");
-  static telemetry::Counter& c_reconn = reg.counter("turbda_ingest_reconnects_total");
-  static telemetry::Counter& c_corrupt = reg.counter("turbda_ingest_frames_corrupt_total");
-  static telemetry::Counter& c_resync = reg.counter("turbda_ingest_frames_resynced_total");
-  static telemetry::Counter& c_qdrops = reg.counter("turbda_ingest_queue_drops_total");
-  static telemetry::Histogram& h_cycle = reg.histogram("turbda_cycle_ms");
-  static telemetry::Histogram& h_fcst = reg.histogram("turbda_forecast_ms");
-  static telemetry::Histogram& h_an = reg.histogram("turbda_analysis_ms");
-  static telemetry::Histogram& h_qc = reg.histogram("turbda_qc_ms");
-  static telemetry::Histogram& h_ckpt = reg.histogram("turbda_checkpoint_ms");
-  static telemetry::Gauge& g_idle = reg.gauge("turbda_pool_idle_frac");
-  static telemetry::Gauge& g_slack = reg.gauge("turbda_deadline_slack_cycles");
-
-  c_cycles.inc();
-  if (cm.deadline_miss) c_misses.inc();
-  c_qc_rej.inc(static_cast<std::uint64_t>(cm.obs_rejected));
-  c_assim.inc(static_cast<std::uint64_t>(cm.batches_assimilated));
-  c_disc.inc(static_cast<std::uint64_t>(cm.batches_discarded));
-  c_fail.inc(static_cast<std::uint64_t>(cm.analysis_failures));
-  c_spread.inc(static_cast<std::uint64_t>(cm.spread_recoveries));
-  if (cm.degraded) c_degraded.inc();
-  c_late.inc(static_cast<std::uint64_t>(cm.late_applied));
-  c_reconn.inc(static_cast<std::uint64_t>(cm.ingest_reconnects));
-  c_corrupt.inc(static_cast<std::uint64_t>(cm.ingest_frames_corrupt));
-  c_resync.inc(static_cast<std::uint64_t>(cm.ingest_frames_resynced));
-  c_qdrops.inc(static_cast<std::uint64_t>(cm.ingest_queue_drops));
-  h_cycle.observe(cm.cycle_ms);
-  h_fcst.observe(cm.forecast_ms);
-  if (cm.batches_assimilated > 0 || cm.analysis_failures > 0) h_an.observe(cm.analysis_ms);
-  if (cm.qc_ms > 0.0) h_qc.observe(cm.qc_ms);
-  if (cm.checkpoint_ms > 0.0) h_ckpt.observe(cm.checkpoint_ms);
-  if (cm.pool_idle_frac >= 0.0) g_idle.set(cm.pool_idle_frac);
-  // Slack of this window's own batch vs. its analysis point (negative =
-  // late); only meaningful when the batch arrived at all.
-  if (cm.obs_arrival_cycles >= 0.0)
-    g_slack.set(static_cast<double>(cm.cycle + 1) - cm.obs_arrival_cycles);
-  if (cm.degraded) TURBDA_TRACE_INSTANT("status.degraded_cycle");
-}
 
 /// Per-cycle delta of the stream's cumulative transport counters (all zero
 /// for in-process streams).
@@ -424,6 +371,12 @@ Status RealtimeRunner::resume(const std::string& path,
     return Status(StatusCode::kCorruptData, "checkpoint cycle index out of range");
   if (data.applied.size() != static_cast<std::size_t>(cfg_.cycles))
     return Status(StatusCode::kCorruptData, "checkpoint duplicate-guard size mismatch");
+  // Row k of the restored record must be cycle k, one row per completed cycle.
+  if (data.metrics.size() != static_cast<std::size_t>(data.next_cycle))
+    return Status(StatusCode::kCorruptData, "checkpoint metrics row count mismatch");
+  for (std::size_t k = 0; k < data.metrics.size(); ++k)
+    if (data.metrics[k].cycle != static_cast<int>(k))
+      return Status(StatusCode::kCorruptData, "checkpoint metrics row out of sequence");
   // Each staged cycle must still be pending (applied at cycle + D >=
   // next_cycle) and map to its own slot; a Serial run (D = 0) stages none.
   int last_staged = -1;
@@ -613,36 +566,21 @@ void RealtimeRunner::run_cycles(int start_cycle, std::vector<StreamCycleMetrics>
     fill_ingest_delta(cm, ing0, stream_.ingest_counters());
     metrics.push_back(cm);
     maybe_checkpoint(k, metrics);
-    record_cycle_telemetry(metrics.back());
+    if (cm.degraded) TURBDA_TRACE_INSTANT("status.degraded_cycle");
   }
 }
 
 std::vector<std::string> stream_metrics_columns() {
-  return {"cycle", "time_hours", "rmse_prior", "rmse_post", "spread_prior",
-          "spread_post", "batches_assimilated", "batches_discarded",
-          "max_batch_age", "deadline_miss", "obs_arrival_cycles",
-          "obs_rejected", "batches_rejected", "max_r_scale",
-          "analysis_failures", "solver_fallbacks", "spread_recoveries",
-          "degraded", "forecast_ms", "analysis_ms", "qc_ms", "checkpoint_ms",
-          "cycle_ms", "pool_idle_frac", "late_applied", "ingest_reconnects",
-          "ingest_frames_corrupt", "ingest_frames_resynced",
-          "ingest_queue_drops"};
+  const StreamCycleMetrics m;
+  std::vector<std::string> cols;
+  for_each_metric(m, [&](const char* name, const auto&) { cols.emplace_back(name); });
+  return cols;
 }
 
 std::vector<double> stream_metrics_row(const StreamCycleMetrics& m) {
-  return {static_cast<double>(m.cycle), m.time_hours, m.rmse_prior, m.rmse_post,
-          m.spread_prior, m.spread_post, static_cast<double>(m.batches_assimilated),
-          static_cast<double>(m.batches_discarded), static_cast<double>(m.max_batch_age),
-          m.deadline_miss ? 1.0 : 0.0, m.obs_arrival_cycles,
-          static_cast<double>(m.obs_rejected), static_cast<double>(m.batches_rejected),
-          m.max_r_scale, static_cast<double>(m.analysis_failures),
-          static_cast<double>(m.solver_fallbacks), static_cast<double>(m.spread_recoveries),
-          m.degraded ? 1.0 : 0.0, m.forecast_ms, m.analysis_ms, m.qc_ms, m.checkpoint_ms,
-          m.cycle_ms, m.pool_idle_frac, static_cast<double>(m.late_applied),
-          static_cast<double>(m.ingest_reconnects),
-          static_cast<double>(m.ingest_frames_corrupt),
-          static_cast<double>(m.ingest_frames_resynced),
-          static_cast<double>(m.ingest_queue_drops)};
+  std::vector<double> row;
+  for_each_metric(m, [&](const char*, const auto& v) { row.push_back(static_cast<double>(v)); });
+  return row;
 }
 
 void write_stream_metrics_csv(const std::string& path,

@@ -112,7 +112,8 @@ struct RealtimeConfig {
 };
 
 /// Per-cycle record: the OSSE accuracy metrics plus delivery/deadline and
-/// wall-clock pipeline telemetry.
+/// wall-clock pipeline telemetry. Every field is listed once more, in
+/// for_each_metric below, which the CSV and the checkpoint codec iterate.
 struct StreamCycleMetrics {
   int cycle = 0;
   double time_hours = 0.0;
@@ -154,16 +155,52 @@ struct StreamCycleMetrics {
   double pool_idle_frac = -1.0;
 };
 
+/// Calls f(name, m.field) for every StreamCycleMetrics field (int, double or
+/// bool), in CSV column order, which is also the checkpoint's field order —
+/// the single list of fields. Adding, removing or reordering a line changes
+/// both formats: bump kStreamMetricsSchemaVersion and kCheckpointVersion.
+template <class M, class F>
+void for_each_metric(M& m, F&& f) {
+  f("cycle", m.cycle);
+  f("time_hours", m.time_hours);
+  f("rmse_prior", m.rmse_prior);
+  f("rmse_post", m.rmse_post);
+  f("spread_prior", m.spread_prior);
+  f("spread_post", m.spread_post);
+  f("batches_assimilated", m.batches_assimilated);
+  f("batches_discarded", m.batches_discarded);
+  f("max_batch_age", m.max_batch_age);
+  f("deadline_miss", m.deadline_miss);
+  f("obs_arrival_cycles", m.obs_arrival_cycles);
+  f("obs_rejected", m.obs_rejected);
+  f("batches_rejected", m.batches_rejected);
+  f("max_r_scale", m.max_r_scale);
+  f("analysis_failures", m.analysis_failures);
+  f("solver_fallbacks", m.solver_fallbacks);
+  f("spread_recoveries", m.spread_recoveries);
+  f("degraded", m.degraded);
+  f("forecast_ms", m.forecast_ms);
+  f("analysis_ms", m.analysis_ms);
+  f("qc_ms", m.qc_ms);
+  f("checkpoint_ms", m.checkpoint_ms);
+  f("cycle_ms", m.cycle_ms);
+  f("pool_idle_frac", m.pool_idle_frac);
+  f("late_applied", m.late_applied);
+  f("ingest_reconnects", m.ingest_reconnects);
+  f("ingest_frames_corrupt", m.ingest_frames_corrupt);
+  f("ingest_frames_resynced", m.ingest_frames_resynced);
+  f("ingest_queue_drops", m.ingest_queue_drops);
+}
+
 /// Version of the StreamCycleMetrics CSV schema; bumped whenever columns are
 /// added, removed or reordered. Written as a `# stream_metrics_schema=N`
 /// comment line ahead of the CSV header.
 // v3: live-ingestion columns (late_applied, ingest_*).
 inline constexpr int kStreamMetricsSchemaVersion = 3;
 
-/// Column names for write_stream_metrics_csv, in the exact emitted order —
-/// the single source of truth the writer and the round-trip tests share.
+/// Column names for write_stream_metrics_csv, in the exact emitted order.
 [[nodiscard]] std::vector<std::string> stream_metrics_columns();
-/// One CSV row (same order as stream_metrics_columns()).
+/// One CSV row (same order as stream_metrics_columns()); bools are 0 or 1.
 [[nodiscard]] std::vector<double> stream_metrics_row(const StreamCycleMetrics& m);
 
 /// Hook invoked after each cycle's update with (cycle, posterior mean).

@@ -1,5 +1,5 @@
-// Thread-local tracing spans — the "where does cycle time go" half of the
-// telemetry subsystem (metrics.hpp is the "how much / how often" half).
+// Thread-local tracing spans — where cycle time goes. How much and how often
+// live in the per-cycle record, stream::StreamCycleMetrics.
 //
 // Design constraints, in priority order:
 //

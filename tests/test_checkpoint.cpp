@@ -5,14 +5,17 @@
 // with QC active.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "bitwise_equal.hpp"
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
@@ -90,41 +93,6 @@ CkptRun run_stack(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
   return out;
 }
 
-void expect_bitwise_equal(const da::Ensemble& a, const da::Ensemble& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.dim(), b.dim());
-  for (std::size_t m = 0; m < a.size(); ++m) {
-    const auto ra = a.member(m);
-    const auto rb = b.member(m);
-    EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)))
-        << "member " << m << " differs";
-  }
-}
-
-/// Every deterministic (non-wall-clock) field must match bitwise.
-void expect_deterministic_metrics_equal(const std::vector<stream::StreamCycleMetrics>& a,
-                                        const std::vector<stream::StreamCycleMetrics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].cycle, b[k].cycle);
-    EXPECT_EQ(a[k].rmse_prior, b[k].rmse_prior) << "cycle " << k;
-    EXPECT_EQ(a[k].rmse_post, b[k].rmse_post) << "cycle " << k;
-    EXPECT_EQ(a[k].spread_prior, b[k].spread_prior) << "cycle " << k;
-    EXPECT_EQ(a[k].spread_post, b[k].spread_post) << "cycle " << k;
-    EXPECT_EQ(a[k].batches_assimilated, b[k].batches_assimilated) << "cycle " << k;
-    EXPECT_EQ(a[k].batches_discarded, b[k].batches_discarded) << "cycle " << k;
-    EXPECT_EQ(a[k].max_batch_age, b[k].max_batch_age) << "cycle " << k;
-    EXPECT_EQ(a[k].deadline_miss, b[k].deadline_miss) << "cycle " << k;
-    EXPECT_EQ(a[k].obs_rejected, b[k].obs_rejected) << "cycle " << k;
-    EXPECT_EQ(a[k].batches_rejected, b[k].batches_rejected) << "cycle " << k;
-    EXPECT_EQ(a[k].max_r_scale, b[k].max_r_scale) << "cycle " << k;
-    EXPECT_EQ(a[k].analysis_failures, b[k].analysis_failures) << "cycle " << k;
-    EXPECT_EQ(a[k].solver_fallbacks, b[k].solver_fallbacks) << "cycle " << k;
-    EXPECT_EQ(a[k].spread_recoveries, b[k].spread_recoveries) << "cycle " << k;
-    EXPECT_EQ(a[k].degraded, b[k].degraded) << "cycle " << k;
-  }
-}
-
 std::string temp_path(const std::string& name) { return testing::TempDir() + name; }
 
 // ----------------------------------------------------------- primitives ----
@@ -157,6 +125,66 @@ TEST(Checkpoint, RngStateRoundTripsMidSequence) {
   EXPECT_FALSE(c.load_state(junk));
 }
 
+/// A record with a distinct value in every field, set by name; the bools
+/// flip between rows.
+stream::StreamCycleMetrics distinct_row(int r) {
+  const double b = 100.0 * r;
+  const int i = 100 * r;
+  return {.cycle = r, .time_hours = b + 1.5, .rmse_prior = b + 2.25, .rmse_post = b + 3.125,
+          .spread_prior = b + 4.0625, .spread_post = b + 5.03125, .batches_assimilated = i + 6,
+          .batches_discarded = i + 7, .max_batch_age = i + 8, .deadline_miss = r == 0,
+          .obs_arrival_cycles = b + 9.5, .obs_rejected = i + 10, .batches_rejected = i + 11,
+          .max_r_scale = b + 12.5, .analysis_failures = i + 13, .solver_fallbacks = i + 14,
+          .spread_recoveries = i + 15, .degraded = r != 0, .late_applied = i + 16,
+          .ingest_reconnects = i + 17, .ingest_frames_corrupt = i + 18,
+          .ingest_frames_resynced = i + 19, .ingest_queue_drops = i + 20,
+          .forecast_ms = b + 21.5, .analysis_ms = b + 22.5, .qc_ms = b + 23.5,
+          .checkpoint_ms = b + 24.5, .cycle_ms = b + 25.5, .pool_idle_frac = 0.25 + 0.5 * r};
+}
+
+TEST(Checkpoint, FormatV4BytesArePinnedAndEveryMetricRoundTrips) {
+  stream::CheckpointData d;
+  d.seed = 0x0123456789abcdefULL;
+  d.n_members = 2;
+  d.dim = 3;
+  d.cycles = 4;
+  d.overlap_depth = 1;
+  d.next_cycle = 2;
+  d.rng_modelerr = {1, 2, 3, 4, 5};
+  d.ensemble = {0.5, -1.25, 2.0, 3.5, -4.75, 6.0};
+  d.ring.push_back({1, {0.125, 0.25, 0.375, 0.5, 0.625, 0.75}});
+  d.applied = {1, 1, 0, 0};
+  d.stream_state = {9, 8, 7};
+  d.filter_state = {6, 5};
+  d.metrics = {distinct_row(0), distinct_row(1)};
+
+  const std::string path = temp_path("ckpt_format.bin");
+  ASSERT_TRUE(stream::save_checkpoint(path, d).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                       std::istreambuf_iterator<char>());
+  // The bytes format v4 has always written for this snapshot: a change to
+  // the row layout must come with a kCheckpointVersion bump and a new pin.
+  // The CRC skips the 4-byte trailer, because a CRC-32 taken over data
+  // followed by that data's own CRC-32 is the same whatever the data.
+  ASSERT_EQ(file.size(), 558u);
+  EXPECT_EQ(stream::crc32(std::span(file).first(file.size() - 4)), 0x9efa670au);
+
+  stream::CheckpointData back;
+  ASSERT_TRUE(stream::load_checkpoint(path, back).ok());
+  ASSERT_EQ(back.metrics.size(), d.metrics.size());
+  for (std::size_t k = 0; k < d.metrics.size(); ++k) {
+    // Every field, the wall-clock ones included, as its CSV cell's bits.
+    const auto want = stream::stream_metrics_row(d.metrics[k]);
+    const auto got = stream::stream_metrics_row(back.metrics[k]);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+          << "row " << k << " column " << i;
+  }
+  std::remove(path.c_str());
+}
+
 // -------------------------------------------------------- bitwise resume ---
 
 TEST(Checkpoint, SerialResumeIsBitwiseIdentical) {
@@ -176,14 +204,14 @@ TEST(Checkpoint, SerialResumeIsBitwiseIdentical) {
   // Checkpointing itself must not perturb the run.
   ASSERT_TRUE(with_ckpt.ckpt_status.ok()) << with_ckpt.ckpt_status.to_string();
   expect_bitwise_equal(uninterrupted.ens, with_ckpt.ens);
-  expect_deterministic_metrics_equal(uninterrupted.metrics, with_ckpt.metrics);
+  expect_metrics_bitwise_equal(uninterrupted.metrics, with_ckpt.metrics);
 
   // A fresh stack resumed from the last snapshot (cycle 14) must land on the
   // identical final state and reconstruct the full metrics history.
   const auto resumed = run_stack(sc, rc_ck, nullptr, FilterKind::Etkf, true, path);
   ASSERT_TRUE(resumed.resume_status.ok()) << resumed.resume_status.to_string();
   expect_bitwise_equal(uninterrupted.ens, resumed.ens);
-  expect_deterministic_metrics_equal(uninterrupted.metrics, resumed.metrics);
+  expect_metrics_bitwise_equal(uninterrupted.metrics, resumed.metrics);
   std::remove(path.c_str());
 }
 
@@ -207,7 +235,7 @@ TEST(Checkpoint, EnsfFilterStateSurvivesResume) {
   const auto resumed = run_stack(sc, rc_ck, nullptr, FilterKind::Ensf, false, path);
   ASSERT_TRUE(resumed.resume_status.ok()) << resumed.resume_status.to_string();
   expect_bitwise_equal(uninterrupted.ens, resumed.ens);
-  expect_deterministic_metrics_equal(uninterrupted.metrics, resumed.metrics);
+  expect_metrics_bitwise_equal(uninterrupted.metrics, resumed.metrics);
   std::remove(path.c_str());
 }
 
@@ -251,7 +279,7 @@ void expect_faulty_resume_bitwise(stream::Schedule schedule) {
   const auto resumed = run_stack(sc, rc_resume, &fc, FilterKind::Etkf, false, path);
   ASSERT_TRUE(resumed.resume_status.ok()) << resumed.resume_status.to_string();
   expect_bitwise_equal(uninterrupted.ens, resumed.ens);
-  expect_deterministic_metrics_equal(uninterrupted.metrics, resumed.metrics);
+  expect_metrics_bitwise_equal(uninterrupted.metrics, resumed.metrics);
   std::remove(path.c_str());
 }
 
@@ -349,6 +377,31 @@ TEST(Checkpoint, MismatchedConfigurationIsRefusedOnResume) {
   rc.seed = 777;  // different seed than the snapshot's config echo
   const auto r = run_stack(sc, rc, nullptr, FilterKind::Etkf, false, path);
   EXPECT_EQ(r.resume_status.code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, MetricsRowsOutOfStepWithTheCycleIndexAreRefused) {
+  // CRC-valid snapshots (load, edit, re-save) whose record is not one row
+  // per completed cycle in order: resuming them would leave row k != cycle k.
+  const std::string path = temp_path("ckpt_rows.bin");
+  (void)make_snapshot(path);  // next_cycle 5, rows for cycles 0..4
+  stream::CheckpointData good;
+  ASSERT_TRUE(stream::load_checkpoint(path, good).ok());
+  ASSERT_EQ(good.metrics.size(), 5u);
+
+  auto dropped = good;
+  dropped.metrics.erase(dropped.metrics.begin() + 2);
+  auto renumbered = good;
+  renumbered.metrics[3].cycle = 4;
+  stream::SyntheticStreamConfig sc;
+  stream::RealtimeConfig rc;
+  rc.cycles = 10;
+  rc.n_members = 8;
+  for (const auto* bad : {&dropped, &renumbered}) {
+    ASSERT_TRUE(stream::save_checkpoint(path, *bad).ok());
+    const auto r = run_stack(sc, rc, nullptr, FilterKind::Etkf, false, path);
+    EXPECT_EQ(r.resume_status.code(), StatusCode::kCorruptData) << r.resume_status.to_string();
+  }
   std::remove(path.c_str());
 }
 

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bitwise_equal.hpp"
 #include "common/check.hpp"
 #include "da/etkf.hpp"
 #include "da/letkf.hpp"
@@ -132,34 +133,6 @@ FaultRun run_faulty(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
   return out;
 }
 
-void expect_bitwise_equal(const da::Ensemble& a, const da::Ensemble& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.dim(), b.dim());
-  for (std::size_t m = 0; m < a.size(); ++m) {
-    const auto ra = a.member(m);
-    const auto rb = b.member(m);
-    EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)))
-        << "member " << m << " differs";
-  }
-}
-
-void expect_fault_metrics_bitwise_equal(const std::vector<stream::StreamCycleMetrics>& a,
-                                        const std::vector<stream::StreamCycleMetrics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].rmse_post, b[k].rmse_post) << "cycle " << k;
-    EXPECT_EQ(a[k].spread_post, b[k].spread_post) << "cycle " << k;
-    EXPECT_EQ(a[k].batches_assimilated, b[k].batches_assimilated) << "cycle " << k;
-    EXPECT_EQ(a[k].obs_rejected, b[k].obs_rejected) << "cycle " << k;
-    EXPECT_EQ(a[k].batches_rejected, b[k].batches_rejected) << "cycle " << k;
-    EXPECT_EQ(a[k].max_r_scale, b[k].max_r_scale) << "cycle " << k;
-    EXPECT_EQ(a[k].analysis_failures, b[k].analysis_failures) << "cycle " << k;
-    EXPECT_EQ(a[k].solver_fallbacks, b[k].solver_fallbacks) << "cycle " << k;
-    EXPECT_EQ(a[k].spread_recoveries, b[k].spread_recoveries) << "cycle " << k;
-    EXPECT_EQ(a[k].degraded, b[k].degraded) << "cycle " << k;
-  }
-}
-
 int sum_metric(const std::vector<stream::StreamCycleMetrics>& ms,
                int stream::StreamCycleMetrics::* field) {
   int s = 0;
@@ -183,7 +156,7 @@ TEST(FaultyStream, DisabledInjectionIsBitwisePassthrough) {
   const auto wrapped = run_faulty(sc, rc, &fc, make_etkf());
 
   expect_bitwise_equal(plain.ens, wrapped.ens);
-  expect_fault_metrics_bitwise_equal(plain.metrics, wrapped.metrics);
+  expect_metrics_bitwise_equal(plain.metrics, wrapped.metrics);
   EXPECT_EQ(wrapped.faults.nan_values, 0u);
   EXPECT_EQ(wrapped.faults.batches_duplicated, 0u);
 }
@@ -483,7 +456,7 @@ TEST(FaultTolerantCycling, QcDecisionsAreThreadCountInvariant) {
   const auto pool_threads = run_faulty(sc, rc, &fc, make_etkf());
 
   expect_bitwise_equal(serial_threads.ens, pool_threads.ens);
-  expect_fault_metrics_bitwise_equal(serial_threads.metrics, pool_threads.metrics);
+  expect_metrics_bitwise_equal(serial_threads.metrics, pool_threads.metrics);
 }
 
 TEST(FaultTolerantCycling, StuckSensorIsRejectedByDepartureGate) {

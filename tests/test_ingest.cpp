@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "bitwise_equal.hpp"
 #include "common/bytes.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
@@ -664,31 +665,6 @@ RunResult run_deep(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
   return out;
 }
 
-void expect_bitwise_equal(const da::Ensemble& a, const da::Ensemble& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.dim(), b.dim());
-  for (std::size_t m = 0; m < a.size(); ++m) {
-    const auto ra = a.member(m);
-    const auto rb = b.member(m);
-    EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)))
-        << "member " << m << " differs";
-  }
-}
-
-void expect_accuracy_metrics_bitwise_equal(const std::vector<stream::StreamCycleMetrics>& a,
-                                           const std::vector<stream::StreamCycleMetrics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].rmse_prior, b[k].rmse_prior) << "cycle " << k;
-    EXPECT_EQ(a[k].rmse_post, b[k].rmse_post) << "cycle " << k;
-    EXPECT_EQ(a[k].spread_post, b[k].spread_post) << "cycle " << k;
-    EXPECT_EQ(a[k].batches_assimilated, b[k].batches_assimilated) << "cycle " << k;
-    EXPECT_EQ(a[k].batches_discarded, b[k].batches_discarded) << "cycle " << k;
-    EXPECT_EQ(a[k].late_applied, b[k].late_applied) << "cycle " << k;
-    EXPECT_EQ(a[k].max_r_scale, b[k].max_r_scale) << "cycle " << k;
-  }
-}
-
 double mean_tail_rmse(const std::vector<stream::StreamCycleMetrics>& m, std::size_t tail = 10) {
   double sum = 0.0;
   const std::size_t n = std::min(tail, m.size());
@@ -756,7 +732,9 @@ TEST(DeepOverlap, WireReplayIsBitwiseTheSyntheticStream) {
     const auto synthetic = run_deep(very_late_scenario(), deep_config(depth));
     const auto replay = run_deep(very_late_scenario(), deep_config(depth), Feed::kWireReplay);
     expect_bitwise_equal(synthetic.ens, replay.ens);
-    expect_accuracy_metrics_bitwise_equal(synthetic.metrics, replay.metrics);
+    // The replay decodes damaged frames by design, so only its ingest_*
+    // transport counters may differ from the synthetic run.
+    expect_metrics_bitwise_equal(synthetic.metrics, replay.metrics, "ingest_");
     EXPECT_GT(replay.ingest_stats.wire.frames_corrupt, 0u);
     EXPECT_GT(replay.ingest_stats.wire.frames_resynced, 0u);
   }
@@ -784,7 +762,7 @@ TEST(DeepOverlap, BitwiseInvariantToThreadCount) {
   const auto a = run_deep(very_late_scenario(), rc1);
   const auto b = run_deep(very_late_scenario(), rc4);
   expect_bitwise_equal(a.ens, b.ens);
-  expect_accuracy_metrics_bitwise_equal(a.metrics, b.metrics);
+  expect_metrics_bitwise_equal(a.metrics, b.metrics);
 }
 
 /// A mid-run snapshot of a K = `depth` run, resumed at 1 and 4 threads, lands
@@ -813,7 +791,7 @@ stream::CheckpointData expect_deep_resume_bitwise(int depth, Feed feed) {
     const auto resumed = run_deep(sc, rc_res, feed, path);
     EXPECT_TRUE(resumed.resume_status.ok()) << resumed.resume_status.to_string();
     expect_bitwise_equal(uninterrupted.ens, resumed.ens);
-    expect_accuracy_metrics_bitwise_equal(uninterrupted.metrics, resumed.metrics);
+    expect_metrics_bitwise_equal(uninterrupted.metrics, resumed.metrics);
   }
   std::remove(path.c_str());
   return data;

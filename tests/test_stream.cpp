@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "bitwise_equal.hpp"
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
 #include "da/letkf.hpp"
@@ -95,30 +96,6 @@ RunResult run_realtime(stream::SyntheticStreamConfig sc, stream::RealtimeConfig 
   for (std::size_t k = 0; k < hooked_rmse.size() && k < out.metrics.size(); ++k)
     EXPECT_EQ(hooked_rmse[k], out.metrics[k].rmse_post) << "cycle " << k;
   return out;
-}
-
-void expect_bitwise_equal(const da::Ensemble& a, const da::Ensemble& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.dim(), b.dim());
-  for (std::size_t m = 0; m < a.size(); ++m) {
-    const auto ra = a.member(m);
-    const auto rb = b.member(m);
-    EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)))
-        << "member " << m << " differs";
-  }
-}
-
-void expect_accuracy_metrics_bitwise_equal(const std::vector<stream::StreamCycleMetrics>& a,
-                                           const std::vector<stream::StreamCycleMetrics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].rmse_prior, b[k].rmse_prior) << "cycle " << k;
-    EXPECT_EQ(a[k].rmse_post, b[k].rmse_post) << "cycle " << k;
-    EXPECT_EQ(a[k].spread_prior, b[k].spread_prior) << "cycle " << k;
-    EXPECT_EQ(a[k].spread_post, b[k].spread_post) << "cycle " << k;
-    EXPECT_EQ(a[k].batches_assimilated, b[k].batches_assimilated) << "cycle " << k;
-    EXPECT_EQ(a[k].deadline_miss, b[k].deadline_miss) << "cycle " << k;
-  }
 }
 
 // ------------------------------------- OSSE bitwise-reproduction invariant ---
@@ -429,7 +406,7 @@ TEST(Stream, DegradedDeliveryIsBitwiseRepeatableAcrossThreadCountsAndRuns) {
          {std::size_t{2}, std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
       rc.n_forecast_threads = nt;
       auto got = run_realtime(sc, rc, true, true);
-      expect_accuracy_metrics_bitwise_equal(ref.metrics, got.metrics);
+      expect_metrics_bitwise_equal(ref.metrics, got.metrics);
       expect_bitwise_equal(ref.ens, got.ens);
     }
   }
@@ -445,7 +422,7 @@ TEST(Stream, OverlappedFreeRunMatchesSerialBitwise) {
   auto overlapped = run_realtime(sc, rc, false, true);
   // Without a filter there is no lagged increment: the pipelined schedule
   // must produce the identical trajectory.
-  expect_accuracy_metrics_bitwise_equal(serial.metrics, overlapped.metrics);
+  expect_metrics_bitwise_equal(serial.metrics, overlapped.metrics);
   expect_bitwise_equal(serial.ens, overlapped.ens);
 }
 
@@ -594,18 +571,21 @@ TEST(Stream, MetricsCsvSchemaAndValuesRoundTrip) {
   ASSERT_TRUE(in.good());
   std::string line;
 
-  // Line 1: schema-version comment, so downstream parsers can dispatch.
+  // Line 1 (the schema-version comment downstream parsers dispatch on) and
+  // line 2 (the header) are pinned as literals, so a column change cannot
+  // slip through without a deliberate schema bump.
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "# stream_metrics_schema=3");
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line,
-            "# stream_metrics_schema=" + std::to_string(stream::kStreamMetricsSchemaVersion));
-
-  // Line 2: header must match the declared column order exactly.
+            "cycle,time_hours,rmse_prior,rmse_post,spread_prior,spread_post,"
+            "batches_assimilated,batches_discarded,max_batch_age,deadline_miss,"
+            "obs_arrival_cycles,obs_rejected,batches_rejected,max_r_scale,analysis_failures,"
+            "solver_fallbacks,spread_recoveries,degraded,forecast_ms,analysis_ms,qc_ms,"
+            "checkpoint_ms,cycle_ms,pool_idle_frac,late_applied,ingest_reconnects,"
+            "ingest_frames_corrupt,ingest_frames_resynced,ingest_queue_drops");
   const auto columns = stream::stream_metrics_columns();
-  ASSERT_TRUE(std::getline(in, line));
-  const auto header = split_csv_line(line);
-  ASSERT_EQ(header.size(), columns.size());
-  for (std::size_t i = 0; i < columns.size(); ++i)
-    EXPECT_EQ(header[i], columns[i]) << "column " << i;
+  EXPECT_EQ(split_csv_line(line), columns);
 
   // Data rows: one per cycle, every cell reparsing to the source value.
   std::size_t n_rows = 0;

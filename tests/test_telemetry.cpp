@@ -1,17 +1,15 @@
 // Telemetry subsystem tests: tracing spans (nesting, thread attribution,
-// ring overflow, Chrome export), the metrics registry (counters, gauges,
-// histograms, exposition formats), and the two hard product invariants —
+// ring overflow, Chrome export), and the two hard product invariants —
 // instrumentation must not change numerical results bitwise, and a disabled
 // span must cost a negligible fraction of a cycle.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/check.hpp"
+#include "bitwise_equal.hpp"
 #include "common/timer.hpp"
 #include "da/ensemble.hpp"
 #include "da/etkf.hpp"
@@ -21,7 +19,6 @@
 #include "rng/rng.hpp"
 #include "stream/realtime_runner.hpp"
 #include "stream/synthetic_stream.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace turbda {
@@ -181,169 +178,7 @@ TEST(Trace, ChromeJsonCarriesEventsAndThreadMetadata) {
   EXPECT_NE(j.find("\"s\":\"t\""), std::string::npos);
 }
 
-// ---------------------------------------------------------- metrics layer ---
-
-TEST(Metrics, CounterAndGaugeBasics) {
-  telemetry::Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-
-  telemetry::Gauge g;
-  g.set(2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  g.set(-1.0);
-  EXPECT_DOUBLE_EQ(g.value(), -1.0);
-}
-
-TEST(Metrics, HistogramBucketEdgesAreInclusiveUpperBounds) {
-  const double bounds[] = {1.0, 2.0};
-  telemetry::Histogram h(bounds);
-  h.observe(0.5);  // bucket 0
-  h.observe(1.0);  // bucket 0 (le semantics: edge belongs to its bucket)
-  h.observe(1.5);  // bucket 1
-  h.observe(2.0);  // bucket 1
-  h.observe(3.0);  // +Inf bucket
-  const auto counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 2u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 8.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-  for (const auto n : h.bucket_counts()) EXPECT_EQ(n, 0u);
-}
-
-TEST(Metrics, HistogramRejectsUnsortedBounds) {
-  const double bad[] = {2.0, 1.0};
-  EXPECT_THROW(telemetry::Histogram h(bad), Error);
-}
-
-TEST(Metrics, RegistryReturnsStableRefsAndFirstBoundsWin) {
-  telemetry::MetricsRegistry reg;
-  auto& c1 = reg.counter("hits");
-  auto& c2 = reg.counter("hits");
-  EXPECT_EQ(&c1, &c2);
-  c1.inc(3);
-  EXPECT_EQ(c2.value(), 3u);
-
-  const double bounds[] = {1.0, 2.0};
-  auto& h1 = reg.histogram("lat", bounds);
-  const double other[] = {99.0};
-  auto& h2 = reg.histogram("lat", other);  // later bounds ignored
-  EXPECT_EQ(&h1, &h2);
-  ASSERT_EQ(h2.bounds().size(), 2u);
-  EXPECT_DOUBLE_EQ(h2.bounds()[0], 1.0);
-
-  // Empty bounds fall back to the default latency buckets.
-  auto& hd = reg.histogram("lat_default");
-  EXPECT_EQ(hd.bounds().size(), telemetry::default_ms_buckets().size());
-}
-
-TEST(Metrics, SnapshotIsSortedByName) {
-  telemetry::MetricsRegistry reg;
-  reg.counter("zeta").inc();
-  reg.counter("alpha").inc(2);
-  reg.gauge("mid").set(1.0);
-  reg.histogram("hist_b").observe(1.0);
-  reg.histogram("hist_a").observe(2.0);
-
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].name, "alpha");
-  EXPECT_EQ(snap.counters[0].value, 2u);
-  EXPECT_EQ(snap.counters[1].name, "zeta");
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].name, "mid");
-  ASSERT_EQ(snap.histograms.size(), 2u);
-  EXPECT_EQ(snap.histograms[0].name, "hist_a");
-  EXPECT_EQ(snap.histograms[1].name, "hist_b");
-
-  reg.reset();
-  const auto zeroed = reg.snapshot();
-  EXPECT_EQ(zeroed.counters[0].value, 0u);
-  EXPECT_EQ(zeroed.histograms[0].count, 0u);
-}
-
-TEST(Metrics, PrometheusExpositionIsCumulativeAndSanitized) {
-  telemetry::MetricsRegistry reg;
-  reg.counter("bad.name-1").inc(7);
-  reg.gauge("g").set(0.5);
-  const double bounds[] = {1.0, 2.0};
-  auto& h = reg.histogram("lat_ms", bounds);
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(9.0);
-
-  const std::string text = telemetry::to_prometheus(reg.snapshot());
-  // Invalid characters are replaced, not emitted.
-  EXPECT_NE(text.find("bad_name_1 7"), std::string::npos);
-  EXPECT_EQ(text.find("bad.name-1"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE bad_name_1 counter"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE g gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE lat_ms histogram"), std::string::npos);
-  // Buckets are cumulative: 1, 2, 3 — and +Inf equals _count.
-  EXPECT_NE(text.find("lat_ms_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("lat_ms_bucket{le=\"2\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("lat_ms_bucket{le=\"+Inf\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("lat_ms_count 3"), std::string::npos);
-  EXPECT_NE(text.find("lat_ms_sum 11"), std::string::npos);
-}
-
-TEST(Metrics, JsonExpositionHoldsAllThreeKinds) {
-  telemetry::MetricsRegistry reg;
-  reg.counter("c").inc(4);
-  reg.gauge("g").set(1.25);
-  const double bounds[] = {10.0};
-  reg.histogram("h", bounds).observe(3.0);
-
-  const std::string j = telemetry::to_json(reg.snapshot());
-  EXPECT_NE(j.find("\"counters\""), std::string::npos);
-  EXPECT_NE(j.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(j.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(j.find("\"c\": 4"), std::string::npos);
-  EXPECT_NE(j.find("\"g\": 1.25"), std::string::npos);
-  EXPECT_NE(j.find("\"bounds\""), std::string::npos);
-  EXPECT_NE(j.find("\"counts\""), std::string::npos);
-}
-
-TEST(Metrics, ConcurrentUpdatesLoseNothing) {
-  telemetry::MetricsRegistry reg;
-  auto& c = reg.counter("n");
-  auto& h = reg.histogram("v");
-  constexpr int kThreads = 4, kIters = 20000;
-  std::vector<std::thread> ts;
-  for (int t = 0; t < kThreads; ++t)
-    ts.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        c.inc();
-        h.observe(1.0);
-      }
-    });
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_DOUBLE_EQ(h.sum(), static_cast<double>(kThreads) * kIters);
-}
-
 // ------------------------------------------- numerics must not move at all ---
-
-void expect_bitwise_equal(const da::Ensemble& a, const da::Ensemble& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.dim(), b.dim());
-  for (std::size_t m = 0; m < a.size(); ++m) {
-    const auto ra = a.member(m);
-    const auto rb = b.member(m);
-    EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)))
-        << "member " << m << " differs";
-  }
-}
 
 /// One localized LETKF analysis on a sparse strided network — the filter
 /// whose hot path carries the densest instrumentation (phase clocks + chunk
