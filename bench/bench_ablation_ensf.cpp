@@ -136,8 +136,8 @@ struct ScaleRow {
                 r0.threads == 1 ? io::Table::num(r0.analysis_ms - phased, 1) : std::string("-")});
   }
   pt.print();
-  std::cout << "(score = minibatch gather + z x^T GEMM, mean = W X GEMM, noise includes the\n"
-               " initial Z draw.)\n";
+  std::cout << "(score = minibatch gather + z x^T product, mean = W X product, both on the\n"
+               " matmul_rows kernel; noise includes the initial Z draw.)\n";
   if (!all_same) std::cout << "ERROR: multi-threaded analysis diverged from 1 thread\n";
   return all_same;
 }

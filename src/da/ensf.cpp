@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -11,7 +12,6 @@
 #include "parallel/thread_pool.hpp"
 #include "simd/dense_kernels.hpp"
 #include "telemetry/trace.hpp"
-#include "tensor/gemm.hpp"
 
 namespace turbda::da {
 
@@ -66,6 +66,13 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
   TURBDA_REQUIRE(opts.obs_mask.empty() || opts.obs_mask.size() == h.obs_dim(),
                  "EnSF: obs_mask size mismatch");
   const std::uint8_t* mask = opts.obs_mask.empty() ? nullptr : opts.obs_mask.data();
+  // A non-finite residual would reach the likelihood clamp as a silent
+  // +/-max_like_step pull every Euler step, so refuse the batch before any
+  // state (ensemble, cycle counter) changes. A masked value is never read.
+  for (std::size_t o = 0; o < y.size(); ++o)
+    if ((mask == nullptr || mask[o] != 0) && !std::isfinite(y[o]))
+      return Status(StatusCode::kInvalidArgument,
+                    "EnSF: unmasked observation " + std::to_string(o) + " is not finite");
   const double inv_r_scale = 1.0 / opts.r_scale;
   if (stats != nullptr) {
     *stats = AnalysisStats{.obs_total = h.obs_dim()};
@@ -82,9 +89,9 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
   sample_rng.reserve(big_m);
   for (std::size_t j = 0; j < big_m; ++j) sample_rng.push_back(rng.substream(j));
 
-  // Forecast ensemble X (the score's target sample) — copied so the analysis
-  // can overwrite `ens` in place.
-  const Tensor forecast = ens.data();
+  // Forecast ensemble X (the score's target sample). The samples live in `z`
+  // and replace `ens` only after the fan-out, so X is read in place.
+  const Tensor& forecast = ens.data();
   const std::vector<double> prior_sd = ens.stddev();
   // Scalar prior spread for the (optional) kernel-smoothed score bandwidth.
   double spread_sq = 0.0;
@@ -100,6 +107,11 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
     for (double v : row) s += v * v;
     xsq[j] = s;
   }
+  // X^T (d x M), the score kernel's operand: row k holds every member's
+  // component k.
+  std::vector<double> xt(d * big_m);
+  for (std::size_t k = 0; k < d; ++k)
+    for (std::size_t j = 0; j < big_m; ++j) xt[k * big_m + j] = forecast.data()[j * d + k];
 
   const int n_steps = cfg_.euler_steps;
   const double dt = 1.0 / n_steps;
@@ -124,10 +136,9 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
   }
 
   // One fan-out: each chunk integrates its contiguous block of samples
-  // through every Euler step with block-local scratch. gemm_rows fixes every
-  // output element's accumulation order for any row partition and everything
-  // else works row by row, so the analysis is bitwise identical for any block
-  // partition.
+  // through every Euler step with block-local scratch. Every step works row
+  // by row, and each score-product element is a sequential sum over its own
+  // row, so the analysis is bitwise identical for any block partition.
   Tensor z({big_m, d});
   std::mutex tm_mu;
   const auto integrate_block = [&](std::size_t mb, std::size_t me) {
@@ -137,7 +148,8 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
     const auto& dk = simd::active_dense_kernels();
     const std::size_t rows = me - mb;
     std::vector<double> logits(rows * batch), wx(rows * d);
-    std::vector<double> xb(step_idx.empty() ? 0 : batch * d);  // minibatch of forecast members
+    // The minibatch of forecast members, as rows and transposed.
+    std::vector<double> xb(step_idx.empty() ? 0 : batch * d), xbt(xb.size());
     std::vector<double> hx(h.obs_dim()), resid(h.obs_dim()), rinv_resid(h.obs_dim());
     std::vector<double> like_grad(d), noise(d);
 
@@ -166,8 +178,9 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
       damping *= cfg_.likelihood_strength;
 
       // This step's score targets: the whole forecast, or the minibatch
-      // gathered into block-local rows.
+      // gathered into block-local rows and their transpose.
       const double* x = forecast.data();
+      const double* xtb = xt.data();
       const std::size_t* idx = nullptr;
       if (!step_idx.empty()) {
         idx = step_idx.data() + step * batch;
@@ -175,13 +188,15 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
           const auto src = forecast.row(idx[j]);
           std::copy(src.begin(), src.end(), xb.begin() + j * d);
         }
+        for (std::size_t k = 0; k < d; ++k)
+          for (std::size_t j = 0; j < batch; ++j) xbt[k * batch + j] = xt[k * big_m + idx[j]];
         x = xb.data();
+        xtb = xbt.data();
       }
 
       // logits_{mj} = -|z_m - alpha x_j|^2 / (2 beta^2); the |z_m|^2 term is
       // constant per row and drops out of the softmax.
-      tensor::gemm(tensor::Trans::No, tensor::Trans::Yes, rows, batch, d, 1.0, zb, d, x, d, 0.0,
-                   logits.data(), batch, 1);  // z x^T
+      dk.matmul_rows(logits.data(), zb, d, rows, xtb, d, batch);  // z x^T
       bt.score_ms += ph.lap_ms();
       for (std::size_t i = 0; i < rows; ++i) {
         double* row = logits.data() + i * batch;
@@ -202,8 +217,7 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
       bt.softmax_ms += ph.lap_ms();
 
       // Weighted member average: wx = W X  (sum_j w_j x_j per sample).
-      tensor::gemm(tensor::Trans::No, tensor::Trans::No, rows, d, batch, 1.0, logits.data(),
-                   batch, x, d, 0.0, wx.data(), d, 1);
+      dk.matmul_rows(wx.data(), logits.data(), batch, rows, x, batch, d);
       bt.mean_ms += ph.lap_ms();
 
       // Euler–Maruyama update of each sample. The per-element update

@@ -22,9 +22,11 @@
 // Box–Muller per Vec step, within ~3e-15 of rng::Rng::gaussian and the same
 // bits at every SIMD level. The analysis is one fan-out over
 // contiguous sample blocks, each integrating its own rows of Z through every
-// Euler step: its rows of the score GEMM z x^T and of the weighted mean W X,
-// the softmax, then each sample's likelihood score, noise and update, in
-// block-local scratch allocated once per analysis.
+// Euler step: its rows of the score logits z X^T (against X^T, transposed
+// once per analysis) and of the weighted mean W X on the dispatched
+// simd::DenseKernels::matmul_rows kernel, the softmax, then each sample's
+// likelihood score, noise and update, in block-local scratch allocated once
+// per analysis.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +72,8 @@ struct EnsfConfig {
   /// Threads for the analysis (0 = all hardware threads via the process-wide
   /// pool, 1 = serial): the samples split into at most this many contiguous
   /// blocks, and each block runs the whole reverse-time integration on one
-  /// thread. The block GEMMs keep every output element's accumulation order
-  /// for any row partition and every sample draws noise from its own Philox
+  /// thread. Each score-product element is a sequential sum over its own
+  /// sample's row and every sample draws noise from its own Philox
   /// substream, so the analysis is bitwise identical for any value.
   std::size_t n_threads = 0;
 
@@ -97,9 +99,9 @@ struct EnsfConfig {
 /// that integrated a sample block, so with more than one thread their sum
 /// can exceed total_ms.
 struct EnsfTimings {
-  double score_ms = 0.0;       ///< minibatch gather + z x^T score GEMM (worker-summed)
+  double score_ms = 0.0;       ///< minibatch gather + z X^T score logits (worker-summed)
   double softmax_ms = 0.0;     ///< softmax score weights W (worker-summed)
-  double mean_ms = 0.0;        ///< weighted member mean W X GEMM (worker-summed)
+  double mean_ms = 0.0;        ///< weighted member mean W X (worker-summed)
   double likelihood_ms = 0.0;  ///< likelihood score J_h^T R^{-1} (y - h(z)) (worker-summed)
   double noise_ms = 0.0;       ///< Gaussian draws, initial Z included (worker-summed)
   double update_ms = 0.0;      ///< Euler–Maruyama update kernels (worker-summed)

@@ -23,6 +23,7 @@ constexpr DenseKernels kScalarDense = {
     detail::bjacobi_sweeps_impl<VecScalar, false>,
     detail::axpy_impl<VecScalar, false>,
     detail::clamped_axpy_impl<VecScalar>,
+    detail::matmul_rows_impl<VecScalar>,
     detail::gaussian_pairs_impl<VecScalar>};
 
 }  // namespace

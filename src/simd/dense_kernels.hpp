@@ -1,18 +1,18 @@
 // Runtime-dispatched small-dense kernels for the ensemble-space hot loops.
 //
-// The LETKF analysis, the Jacobi eigensolvers and the EnSF member updates
-// reduce to a few primitive loops over contiguous rows. Like the FFT
-// tables, each primitive is written once against the portable simd::Vec API
-// (dense_kernels_impl.hpp) and instantiated per backend behind a table of
-// function pointers keyed by the process-global simd::SimdLevel.
+// The LETKF analysis, the Jacobi eigensolvers and the EnSF score products
+// and member updates reduce to a few primitive loops over contiguous rows.
+// Like the FFT tables, each primitive is written once against the portable
+// simd::Vec API (dense_kernels_impl.hpp) and instantiated per backend behind
+// a table of function pointers keyed by the process-global simd::SimdLevel.
 //
 // Determinism contract: every kernel vectorizes over independent output
 // lanes and accumulates sequentially over the reduction index — no lane
 // reduction trees — so the Scalar and Avx2 tables are bitwise identical,
 // and results never depend on thread count. The Avx2Fma table contracts
 // multiplies into FMAs (~1 ulp per accumulation step), except in
-// gaussian_pairs: it has no FMA variant, so all three tables give it the
-// same bits.
+// matmul_rows and gaussian_pairs: they have no FMA variant, so all three
+// tables give them the same bits.
 //
 // The lane-batched b* entries advance kLaneBatch independent problems in
 // lockstep, one problem per Vec lane, over lane-interleaved
@@ -99,6 +99,16 @@ struct DenseKernels {
   /// out[i] += clamp(alpha * in[i], -lim, +lim), with vmaxpd/vminpd tie
   /// semantics in the clamp.
   void (*clamped_axpy)(double* out, const double* in, std::size_t n, double alpha, double lim);
+
+  // ---- Row-major product (EnSF score logits and weighted means) ----
+
+  /// out = A B for `rows` rows of A (row stride lda) and a k x n B:
+  /// out[i*n + c] = sum_p a[i*lda + p] * b[p*n + c]. Each element starts at
+  /// +0.0 and adds the unfused products in ascending p, the sum tensor::gemm
+  /// forms with alpha 1 and beta 0; there is no FMA variant, so all three
+  /// tables give the same bits.
+  void (*matmul_rows)(double* out, const double* a, std::size_t lda, std::size_t rows,
+                      const double* b, std::size_t k, std::size_t n);
 
   // ---- Gaussian noise (EnSF) ----
 

@@ -3,7 +3,7 @@
 // with -mavx2 -mfma -ffp-contract=off (see CMakeLists.txt); used only after
 // runtime CPUID confirms support. The Avx2 table is bitwise identical to the
 // scalar table; Avx2Fma contracts multiplies into FMAs everywhere except
-// gaussian_pairs, which has no FMA variant.
+// matmul_rows and gaussian_pairs, which have no FMA variant.
 #include "simd/dense_kernels.hpp"
 
 #if defined(TURBDA_HAVE_AVX2) && defined(__x86_64__) && defined(__AVX2__)
@@ -29,6 +29,7 @@ const DenseKernels kAvx2Dense = {
     detail::bjacobi_sweeps_impl<VecAvx2, false>,
     detail::axpy_impl<VecAvx2, false>,
     detail::clamped_axpy_impl<VecAvx2>,
+    detail::matmul_rows_impl<VecAvx2>,
     detail::gaussian_pairs_impl<VecAvx2>};
 const DenseKernels kAvx2FmaDense = {
     detail::rot_rows_impl<VecAvx2, true>,
@@ -39,6 +40,7 @@ const DenseKernels kAvx2FmaDense = {
     detail::bjacobi_sweeps_impl<VecAvx2, true>,
     detail::axpy_impl<VecAvx2, true>,
     detail::clamped_axpy_impl<VecAvx2>,
+    detail::matmul_rows_impl<VecAvx2>,
     detail::gaussian_pairs_impl<VecAvx2>};
 
 }  // namespace turbda::simd

@@ -13,6 +13,7 @@
 // auto-vectorization off (see CMakeLists.txt).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -242,6 +243,75 @@ void clamped_axpy_impl(double* out, const double* in, std::size_t n, double alph
     t = t > -lim ? t : -lim;  // vmaxpd semantics
     t = t < lim ? t : lim;    // vminpd semantics
     out[i] = out[i] + t;
+  }
+}
+
+// ---- Row-major products: EnSF's score logits and weighted means ----
+//
+// Each output element starts at +0.0 and adds the unfused products in
+// ascending reduction index: the sum tensor::gemm forms for alpha 1 and
+// beta 0. There is no kFma variant, so every level gives the same bits, and
+// an element's value does not depend on which tile computed it. A register
+// tile of up to kProductRows rows by kProductVecs vectors keeps its
+// accumulators in registers for the whole reduction, and each load of B
+// serves every row of the tile, so B is read once per row group. The tile
+// helpers are static for the reason given at gaussian_pairs below.
+
+// Ten accumulators: 5 x 2 measured fastest for both EnSF products, at a
+// 4-thread block's 5 rows and at the whole 20-member ensemble (README,
+// "Score products on Vec kernels").
+inline constexpr std::size_t kProductRows = 5;
+inline constexpr std::size_t kProductVecs = 2;
+
+/// out[r*n + v*W + l] = sum_p a[r*lda + p] * b[p*n + v*W + l] for r < R, v < NV.
+template <class V, std::size_t R, std::size_t NV>
+static void product_tile(double* out, const double* a, std::size_t lda, const double* b,
+                         std::size_t k, std::size_t n) {
+  constexpr std::size_t W = V::kWidth;
+  V acc[R][NV];
+  for (auto& row : acc)
+    for (V& v : row) v = V::broadcast(0.0);
+  for (std::size_t p = 0; p < k; ++p) {
+    V bv[NV];
+    for (std::size_t v = 0; v < NV; ++v) bv[v] = V::loadu(b + p * n + v * W);
+    for (std::size_t r = 0; r < R; ++r) {
+      const V s = V::broadcast(a[r * lda + p]);
+      for (std::size_t v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + s * bv[v];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t v = 0; v < NV; ++v) acc[r][v].storeu(out + r * n + v * W);
+}
+
+/// product_tile shrunk to rows x vecs (1 <= rows <= R, 1 <= vecs <= NV).
+template <class V, std::size_t R, std::size_t NV>
+static void product_tile_upto(std::size_t rows, std::size_t vecs, double* out, const double* a,
+                              std::size_t lda, const double* b, std::size_t k, std::size_t n) {
+  if constexpr (R > 1)
+    if (rows < R) return product_tile_upto<V, R - 1, NV>(rows, vecs, out, a, lda, b, k, n);
+  if constexpr (NV > 1)
+    if (vecs < NV) return product_tile_upto<V, R, NV - 1>(rows, vecs, out, a, lda, b, k, n);
+  product_tile<V, R, NV>(out, a, lda, b, k, n);
+}
+
+template <class V>
+void matmul_rows_impl(double* out, const double* a, std::size_t lda, std::size_t rows,
+                      const double* b, std::size_t k, std::size_t n) {
+  constexpr std::size_t W = V::kWidth;
+  const std::size_t vecs = n / W;
+  for (std::size_t i = 0; i < rows; i += kProductRows) {
+    const std::size_t live = std::min(kProductRows, rows - i);
+    const double* ai = a + i * lda;
+    double* oi = out + i * n;
+    for (std::size_t v = 0; v < vecs; v += kProductVecs)
+      product_tile_upto<V, kProductRows, kProductVecs>(live, std::min(kProductVecs, vecs - v),
+                                                       oi + v * W, ai, lda, b + v * W, k, n);
+    for (std::size_t r = 0; r < live; ++r)
+      for (std::size_t c = vecs * W; c < n; ++c) {
+        double s = 0.0;
+        for (std::size_t p = 0; p < k; ++p) s = s + ai[r * lda + p] * b[p * n + c];
+        oi[r * n + c] = s;
+      }
   }
 }
 

@@ -8,6 +8,8 @@
 #include <memory>
 #include <numeric>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -972,6 +974,9 @@ TEST(Ensf, MatchesPerStepReference) {
   // threads (M = 17 makes the blocks unequal) on four inputs: the full
   // batch, a minibatch (the shuffles continue across steps), a QC mask with
   // r_scale, and two consecutive cycles (the cycle counter keys the stream).
+  // It does so at every SIMD level: the reference forms its score products
+  // with tensor::matmul_nt and tensor::matmul, whose unfused sums the
+  // filter's kernel must reproduce even where the update kernels fuse.
   Rng rng(31);
   const std::size_t m = 17, d = 300;
   std::vector<double> truth(d);
@@ -1000,80 +1005,135 @@ TEST(Ensf, MatchesPerStepReference) {
     bool qc;
     std::uint64_t cycles;
   };
-  for (const Input& in : {Input{"full batch", 0, false, 1}, Input{"minibatch 6", 6, false, 1},
-                          Input{"QC mask, r_scale 1.5", 0, true, 1},
-                          Input{"two cycles", 0, false, 2}}) {
-    EnsfConfig cfg = EnsfConfig::stabilized();
-    cfg.euler_steps = 50;
-    cfg.minibatch = in.minibatch;
-    AnalysisOptions opts;
-    if (in.qc) {
-      opts.obs_mask = mask;
-      opts.r_scale = 1.5;
-    }
-    const std::span<const double> yv = in.qc ? y_qc : y;
-    Ensemble want(m, d);
-    want.data() = prior.data();
-    for (std::uint64_t c = 1; c <= in.cycles; ++c)
-      ensf_per_step_reference(want, yv, h, r, opts, cfg, c);
-
-    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-      cfg.n_threads = nt;
-      EnSF filter(cfg);
-      Ensemble got(m, d);
-      got.data() = prior.data();
+  const simd::SimdLevel orig = simd::active_simd_level();
+  for (const simd::SimdLevel lv : available_simd_levels()) {
+    ASSERT_TRUE(simd::force_simd_level(lv));
+    const char* level = simd::simd_level_name(lv);
+    for (const Input& in : {Input{"full batch", 0, false, 1}, Input{"minibatch 6", 6, false, 1},
+                            Input{"QC mask, r_scale 1.5", 0, true, 1},
+                            Input{"two cycles", 0, false, 2}}) {
+      EnsfConfig cfg = EnsfConfig::stabilized();
+      cfg.euler_steps = 50;
+      cfg.minibatch = in.minibatch;
+      AnalysisOptions opts;
+      if (in.qc) {
+        opts.obs_mask = mask;
+        opts.r_scale = 1.5;
+      }
+      const std::span<const double> yv = in.qc ? y_qc : y;
+      Ensemble want(m, d);
+      want.data() = prior.data();
       for (std::uint64_t c = 1; c <= in.cycles; ++c)
-        ASSERT_TRUE(filter.try_analyze(got, yv, h, r, opts).ok()) << in.name;
+        ensf_per_step_reference(want, yv, h, r, opts, cfg, c);
+
+      for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+        cfg.n_threads = nt;
+        EnSF filter(cfg);
+        Ensemble got(m, d);
+        got.data() = prior.data();
+        for (std::uint64_t c = 1; c <= in.cycles; ++c)
+          ASSERT_TRUE(filter.try_analyze(got, yv, h, r, opts).ok()) << level << ", " << in.name;
 #if defined(__FMA__)
-      // An FMA-enabled -march (TURBDA_NATIVE) lets the compiler fuse
-      // multiply-adds differently in this translation unit than in the
-      // library's, so there the schedules agree to a few ulps (~1e-14 here).
-      for (std::size_t i = 0; i < m * d; ++i)
-        ASSERT_NEAR(got.data().data()[i], want.data().data()[i], 1e-12)
-            << in.name << ", threads=" << nt << ", element " << i;
+        // An FMA-enabled -march (TURBDA_NATIVE) lets the compiler fuse
+        // multiply-adds differently in this translation unit than in the
+        // library's, so there the schedules agree to a few ulps (~1e-14 here).
+        for (std::size_t i = 0; i < m * d; ++i)
+          ASSERT_NEAR(got.data().data()[i], want.data().data()[i], 1e-12)
+              << level << ", " << in.name << ", threads=" << nt << ", element " << i;
 #else
-      EXPECT_EQ(0, std::memcmp(got.data().data(), want.data().data(), m * d * sizeof(double)))
-          << in.name << ", threads=" << nt;
+        EXPECT_EQ(0, std::memcmp(got.data().data(), want.data().data(), m * d * sizeof(double)))
+            << level << ", " << in.name << ", threads=" << nt;
 #endif
-      const EnsfTimings& tm = filter.timings();
-      EXPECT_EQ(tm.analyses, in.cycles);
-      EXPECT_GT(tm.noise_ms, 0.0);
-      EXPECT_GT(tm.total_ms, 0.0);
+        const EnsfTimings& tm = filter.timings();
+        EXPECT_EQ(tm.analyses, in.cycles);
+        EXPECT_GT(tm.noise_ms, 0.0);
+        EXPECT_GT(tm.total_ms, 0.0);
+      }
     }
   }
+  simd::force_simd_level(orig);
 }
 
 TEST(Ensf, AnalysisAllocationsDoNotGrowWithEulerSteps) {
-  // Sample blocks allocate their scratch once per analysis and the GEMM
-  // packing scratch is per-thread, so a warmed analysis makes as many heap
-  // allocations at 64 Euler steps as at 8, with and without a minibatch.
-  // One thread only: with more, the chunk-to-worker assignment can grow a
-  // cold worker's GEMM scratch inside the measured call.
+  // Sample blocks allocate their scratch once per analysis and nothing per
+  // Euler step, so a warmed analysis makes as many heap allocations at 64
+  // Euler steps as at 8, with and without a minibatch, serial and on three
+  // threads (three sample blocks, two of them queued on the pool). The
+  // pool's task deque allocates a node once every 32 submissions whatever
+  // the analysis does, so each count is the smaller of two consecutive
+  // calls: four submissions cross at most one node boundary.
   Rng rng(32);
   const std::size_t m = 12, d = 512;
   const Ensemble prior = make_gaussian_ensemble(m, d, rng);
   const std::vector<double> y(d, 0.5);
   const IdentityObs h(d);
   const DiagonalR r(d, 1.0);
-  for (const int minibatch : {0, 5}) {
-    std::uint64_t allocs[2] = {0, 0};
-    const int steps[2] = {8, 64};
-    for (int s = 0; s < 2; ++s) {
-      EnsfConfig cfg = EnsfConfig::stabilized();
-      cfg.euler_steps = steps[s];
-      cfg.minibatch = minibatch;
-      cfg.n_threads = 1;
-      EnSF filter(cfg);
-      Ensemble work(m, d);
-      work.data() = prior.data();
-      filter.analyze(work, y, h, r);  // warm-up: sizes this thread's GEMM scratch
-      work.data() = prior.data();
-      const std::uint64_t before = g_new_calls.load();
-      filter.analyze(work, y, h, r);
-      allocs[s] = g_new_calls.load() - before;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}})
+    for (const int minibatch : {0, 5}) {
+      std::uint64_t allocs[2] = {0, 0};
+      const int steps[2] = {8, 64};
+      for (int s = 0; s < 2; ++s) {
+        EnsfConfig cfg = EnsfConfig::stabilized();
+        cfg.euler_steps = steps[s];
+        cfg.minibatch = minibatch;
+        cfg.n_threads = threads;
+        EnSF filter(cfg);
+        Ensemble work(m, d);
+        work.data() = prior.data();
+        filter.analyze(work, y, h, r);  // warm-up: first-use setup (SIMD dispatch, the pool)
+        allocs[s] = UINT64_MAX;
+        for (int call = 0; call < 2; ++call) {
+          work.data() = prior.data();
+          const std::uint64_t before = g_new_calls.load();
+          filter.analyze(work, y, h, r);
+          allocs[s] = std::min(allocs[s], g_new_calls.load() - before);
+        }
+      }
+      EXPECT_EQ(allocs[0], allocs[1]) << threads << " threads, minibatch " << minibatch << ": "
+                                      << allocs[0] << " allocations at 8 steps, " << allocs[1]
+                                      << " at 64";
     }
-    EXPECT_EQ(allocs[0], allocs[1]) << "minibatch " << minibatch << ": " << allocs[0]
-                                    << " allocations at 8 steps, " << allocs[1] << " at 64";
+}
+
+TEST(Ensf, RefusesUnmaskedNonFiniteObservations) {
+  // An unmasked NaN or +inf observation makes the residual non-finite, and
+  // the likelihood clamp would turn it into a silent +/-max_like_step pull
+  // every Euler step. The analysis refuses it, naming the first such index,
+  // and leaves the ensemble and the cycle counter untouched, so the runner
+  // keeps the forecast. Masked, the same values are never read.
+  Rng rng(33);
+  const std::size_t m = 10, d = 50;
+  const Ensemble prior = make_gaussian_ensemble(m, d, rng);
+  std::vector<double> y(d);
+  rng.fill_gaussian(y, 0.0, 1.0);
+  y[7] = std::numeric_limits<double>::quiet_NaN();
+  y[8] = std::numeric_limits<double>::infinity();
+  const IdentityObs h(d);
+  const DiagonalR r(d, 1.0);
+  std::vector<std::uint8_t> without_7(d, 1), without_7_8(d, 1);
+  without_7[7] = 0;
+  without_7_8[7] = without_7_8[8] = 0;
+  AnalysisOptions mask_7, mask_both;
+  mask_7.obs_mask = without_7;
+  mask_both.obs_mask = without_7_8;
+  for (const EnsfConfig& cfg : {EnsfConfig{}, EnsfConfig::stabilized()}) {
+    EnSF filter(cfg);
+    Ensemble work(m, d);
+    work.data() = prior.data();
+    for (const auto& [opts, index] :
+         {std::pair{AnalysisOptions{}, "observation 7 "}, std::pair{mask_7, "observation 8 "}}) {
+      const Status s = filter.try_analyze(work, y, h, r, opts);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.to_string();
+      EXPECT_NE(s.message().find(index), std::string::npos) << s.to_string();
+      EXPECT_EQ(0, std::memcmp(work.data().data(), prior.data().data(), m * d * sizeof(double)));
+      EXPECT_EQ(filter.cycles_done(), 0u);
+    }
+    EXPECT_THROW(filter.analyze(work, y, h, r), Error);
+    EXPECT_EQ(filter.cycles_done(), 0u);
+
+    ASSERT_TRUE(filter.try_analyze(work, y, h, r, mask_both).ok());
+    EXPECT_EQ(filter.cycles_done(), 1u);
+    for (const double v : work.data().flat()) ASSERT_TRUE(std::isfinite(v));
   }
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "rng/rng.hpp"
+#include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/linalg.hpp"
@@ -63,6 +67,19 @@ TEST(Tensor, ReshapePreservesData) {
 TEST(Tensor, ShapeMismatchThrows) {
   Tensor a({2, 2}), b({2, 3});
   EXPECT_THROW(a += b, Error);
+}
+
+using simd::SimdLevel;
+
+std::vector<SimdLevel> available_levels() {
+  std::vector<SimdLevel> out;
+  for (SimdLevel lv : {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx2Fma})
+    if (simd::simd_level_available(lv)) out.push_back(lv);
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 // --- GEMM against a naive reference over shape and transpose sweeps --------
@@ -145,6 +162,108 @@ TEST(Gemm, MatvecMatchesMatmul) {
     for (std::size_t j = 0; j < 7; ++j) s += a(i, j) * x(j);
     EXPECT_NEAR(y(i), s, 1e-10);
   }
+}
+
+// --- The dense-kernel row product against gemm at every dispatch level -----
+
+// gemm's value for one element, as the kernel must reproduce it: NaN where
+// gemm gives NaN, otherwise the same bits. An FMA-enabled -march
+// (TURBDA_NATIVE) lets gemm.cpp contract its multiply-adds while the kernel
+// never does, so there finite values agree to rounding only.
+::testing::AssertionResult matches_gemm(double got, double want) {
+  if (std::isnan(want) || std::isnan(got)) {
+    if (std::isnan(want) && std::isnan(got)) return ::testing::AssertionSuccess();
+  } else {
+#if defined(__FMA__)
+    if (std::isinf(want) ? got == want : std::abs(got - want) <= 1e-12)
+      return ::testing::AssertionSuccess();
+#else
+    if (same_bits(got, want)) return ::testing::AssertionSuccess();
+#endif
+  }
+  return ::testing::AssertionFailure() << got << " vs gemm " << want;
+}
+
+// EnSF's two uses of matmul_rows at every level, each against the gemm call
+// it replaced (alpha 1, beta 0, one thread): the score logits z X^T, with z
+// rows at stride ldz and B = X^T, and the weighted mean W X.
+void expect_ensf_products_match_gemm(const std::vector<double>& z, std::size_t ldz,
+                                     const std::vector<double>& x, const std::vector<double>& w,
+                                     std::size_t rows, std::size_t batch, std::size_t d) {
+  std::vector<double> xt(d * batch);
+  for (std::size_t j = 0; j < batch; ++j)
+    for (std::size_t k = 0; k < d; ++k) xt[k * batch + j] = x[j * d + k];
+  std::vector<double> want_s(rows * batch), want_m(rows * d);
+  gemm(Trans::No, Trans::Yes, rows, batch, d, 1.0, z.data(), ldz, x.data(), d, 0.0,
+       want_s.data(), batch, 1);
+  gemm(Trans::No, Trans::No, rows, d, batch, 1.0, w.data(), batch, x.data(), d, 0.0,
+       want_m.data(), d, 1);
+  for (SimdLevel lv : available_levels()) {
+    const simd::DenseKernels& dk = simd::dense_kernels_for(lv);
+    std::vector<double> got_s(rows * batch, -1.0), got_m(rows * d, -1.0);
+    dk.matmul_rows(got_s.data(), z.data(), ldz, rows, xt.data(), d, batch);
+    dk.matmul_rows(got_m.data(), w.data(), batch, rows, x.data(), batch, d);
+    for (std::size_t e = 0; e < got_s.size(); ++e)
+      ASSERT_TRUE(matches_gemm(got_s[e], want_s[e]))
+          << simd::simd_level_name(lv) << " z X^T rows=" << rows << " batch=" << batch
+          << " d=" << d << " element " << e;
+    for (std::size_t e = 0; e < got_m.size(); ++e)
+      ASSERT_TRUE(matches_gemm(got_m[e], want_m[e]))
+          << simd::simd_level_name(lv) << " W X rows=" << rows << " batch=" << batch
+          << " d=" << d << " element " << e;
+  }
+}
+
+TEST(MatmulRows, MatchesGemmOnEveryTailAtEveryLevel) {
+  // Row counts cover every partial row group and two full ones; batch and d
+  // cover partial vector tiles, lone vectors and scalar columns in both uses.
+  for (std::size_t rows : {1, 2, 3, 5, 7, 11})
+    for (std::size_t batch : {1, 3, 4, 5, 16, 17, 20})
+      for (std::size_t d : {1, 3, 15, 16, 17, 300}) {
+        Rng rng(7000 + rows * 10000 + batch * 100 + d);
+        const std::size_t ldz = d + 3;
+        std::vector<double> z(rows * ldz), x(batch * d), w(rows * batch);
+        rng.fill_gaussian(z);
+        rng.fill_gaussian(x);
+        rng.fill_gaussian(w);
+        expect_ensf_products_match_gemm(z, ldz, x, w, rows, batch, d);
+      }
+}
+
+TEST(MatmulRows, NonFiniteAndNegativeZeroInputsMatchGemm) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t rows : {3, 7})
+    for (std::size_t batch : {5, 20})
+      for (std::size_t d : {17, 300}) {
+        Rng rng(8000 + rows * 1000 + batch * 10 + d);
+        std::vector<double> z(rows * d), x(batch * d), w(rows * batch);
+        rng.fill_gaussian(z);
+        rng.fill_gaussian(w);
+        for (double& v : x) v = 0.5 + std::abs(rng.gaussian());
+        // NaN and +-inf reach some elements of both products.
+        z[(rows - 1) * d + d / 2] = nan;
+        x[(batch - 1) * d + 1] = inf;
+        w[1] = -inf;
+        expect_ensf_products_match_gemm(z, d, x, w, rows, batch, d);
+
+        // A row of -0.0 against positive values sums to +0.0 in both, since
+        // each sum starts at +0.0.
+        std::fill_n(z.begin(), d, -0.0);
+        std::fill_n(w.begin(), batch, -0.0);
+        x[(batch - 1) * d + 1] = 1.0;
+        expect_ensf_products_match_gemm(z, d, x, w, rows, batch, d);
+        std::vector<double> xt(d * batch), out(std::max(batch, d));
+        for (std::size_t j = 0; j < batch; ++j)
+          for (std::size_t k = 0; k < d; ++k) xt[k * batch + j] = x[j * d + k];
+        for (SimdLevel lv : available_levels()) {
+          const simd::DenseKernels& dk = simd::dense_kernels_for(lv);
+          dk.matmul_rows(out.data(), z.data(), d, 1, xt.data(), d, batch);
+          for (std::size_t j = 0; j < batch; ++j) EXPECT_TRUE(same_bits(out[j], 0.0));
+          dk.matmul_rows(out.data(), w.data(), batch, 1, x.data(), batch, d);
+          for (std::size_t k = 0; k < d; ++k) EXPECT_TRUE(same_bits(out[k], 0.0));
+        }
+      }
 }
 
 // --- Symmetric eigensolver ---------------------------------------------------
@@ -263,19 +382,6 @@ TEST(Eigh, ThrowsOnInsufficientSweepsAndFillsInfo) {
 }
 
 // --- Lane-batched symmetric eigensolver --------------------------------------
-
-using simd::SimdLevel;
-
-std::vector<SimdLevel> available_levels() {
-  std::vector<SimdLevel> out;
-  for (SimdLevel lv : {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx2Fma})
-    if (simd::simd_level_available(lv)) out.push_back(lv);
-  return out;
-}
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
 
 Tensor random_symmetric(std::size_t n, Rng& rng) {
   Tensor a({n, n});
