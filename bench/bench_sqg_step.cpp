@@ -1,12 +1,14 @@
-// SQG forecast hot-path bench: times the real-FFT pair, the tendency's four
-// pruned inverse transforms (per-field and lane-batched), the spectral
-// tendency, and the full RK4 step at n = 64/128/256 on one thread, plus the
-// member-parallel ensemble forecast (the paper's throughput axis) across
-// thread counts. Reports the active FFT SIMD dispatch level (scalar / avx2 /
-// avx2fma) and per-row hardware context, emits a machine-readable
+// SQG forecast hot-path bench: times the real-FFT pair, the tendency's
+// Jacobian spectrum (per-field: four pruned inverses, the grid product and
+// a pruned forward; fused: one Fft2D::product_half_pruned_lanes call), the
+// spectral tendency, and the full RK4 step at n = 64/128/256 on one thread,
+// plus the member-parallel ensemble forecast (the paper's throughput axis)
+// across thread counts. Reports the active FFT SIMD dispatch level (scalar /
+// avx2 / avx2fma) and per-row hardware context, emits a machine-readable
 // BENCH_sqg.json so later PRs can track the perf trajectory, and verifies
-// that the lane-batched inverse is bitwise the per-field one and that every
-// multi-threaded ensemble forecast is bitwise identical to the serial one.
+// that the fused Jacobian spectrum is bitwise the per-field one and that
+// every multi-threaded ensemble forecast is bitwise identical to the serial
+// one.
 //
 //   build/bench_sqg_step [--sizes=64,128,256] [--threads=1,<hw>]
 //                        [--members=20] [--reps=3] [--json=BENCH_sqg.json]
@@ -28,6 +30,7 @@
 #include "rng/rng.hpp"
 #include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/pointwise_kernels.hpp"
 #include "sqg/sqg.hpp"
 #include "thread_counts.hpp"
 
@@ -63,10 +66,10 @@ double best_ms(int reps, int iters, F&& fn) {
 
 /// Single-thread kernel timings at one grid size.
 struct Kernels {
-  double fft_half_ms = 0.0;    // forward_half + inverse_half
-  double inv4_field_ms = 0.0;  // four inverse_half_pruned calls
-  double inv4_lanes_ms = 0.0;  // one inverse_half_pruned_lanes call, input restore included
-  bool inv4_bitwise = true;    // lane grids == per-field grids
+  double fft_half_ms = 0.0;   // forward_half + inverse_half
+  double jac_field_ms = 0.0;  // four inverse_half_pruned, sqg_jacobian, forward_half_pruned
+  double jac_fused_ms = 0.0;  // one product_half_pruned_lanes call, input restore included
+  bool jac_bitwise = true;    // fused spectrum == per-field spectrum
   double tendency_ms = 0.0;
   double step_ms = 0.0;
 };
@@ -138,14 +141,16 @@ int main(int argc, char** argv) {
       fft.inverse_half(hspec, grid);
     });
 
-    // The tendency's four pruned inverses (one level): four dealiased half
-    // spectra, per-field vs lane-batched. The lane call consumes its input,
-    // so its timing includes restoring the lane buffer from a copy.
+    // The tendency's Jacobian spectrum (one level) from four dealiased half
+    // spectra, per-field vs fused. The fused call consumes its input, so its
+    // timing includes restoring the lane buffer from a copy.
     const std::size_t kc = model.kcut();
+    const auto jacobian = simd::active_pointwise_kernels().sqg_jacobian;
     std::vector<std::vector<fft::Cplx>> spec4(simd::kLaneBatch,
                                               std::vector<fft::Cplx>(fft.half_size()));
     std::vector<std::vector<double>> field4(simd::kLaneBatch, std::vector<double>(nn));
-    std::vector<std::vector<double>> lane4(simd::kLaneBatch, std::vector<double>(nn));
+    std::vector<double> gj(nn);
+    std::vector<fft::Cplx> jac_field(fft.half_size()), jac_fused(fft.half_size());
     simd::LaneBuffer lanes0(2 * simd::kLaneBatch * fft.half_size()), lanes(lanes0.size());
     for (std::size_t l = 0; l < simd::kLaneBatch; ++l) {
       const std::size_t at = (l % 2) * nn;
@@ -159,17 +164,19 @@ int main(int argc, char** argv) {
         lanes0[2 * simd::kLaneBatch * p + simd::kLaneBatch + l] = spec4[l][p].imag();
       }
     }
-    k.inv4_field_ms = best_ms(reps, fft_iters, [&] {
+    k.jac_field_ms = best_ms(reps, fft_iters, [&] {
       for (std::size_t l = 0; l < simd::kLaneBatch; ++l)
         fft.inverse_half_pruned(spec4[l], field4[l], kc);
+      jacobian(gj.data(), field4[0].data(), field4[1].data(), field4[2].data(), field4[3].data(),
+               nn);
+      fft.forward_half_pruned(gj, jac_field, kc);
     });
-    k.inv4_lanes_ms = best_ms(reps, fft_iters, [&] {
+    k.jac_fused_ms = best_ms(reps, fft_iters, [&] {
       std::copy(lanes0.begin(), lanes0.end(), lanes.begin());
-      fft.inverse_half_pruned_lanes(lanes, {lane4[0], lane4[1], lane4[2], lane4[3]}, kc);
+      fft.product_half_pruned_lanes(lanes, jacobian, jac_fused, kc);
     });
-    for (std::size_t l = 0; l < simd::kLaneBatch; ++l)
-      k.inv4_bitwise = k.inv4_bitwise && std::memcmp(field4[l].data(), lane4[l].data(),
-                                                     nn * sizeof(double)) == 0;
+    k.jac_bitwise = std::memcmp(jac_field.data(), jac_fused.data(),
+                                jac_field.size() * sizeof(fft::Cplx)) == 0;
 
     // Spectral tendency (the RK4 inner kernel).
     std::vector<fft::Cplx> tspec(model.spec_dim()), tout(model.spec_dim());
@@ -216,24 +223,25 @@ int main(int argc, char** argv) {
   const auto kernel_cell = [](const Result& r, double v) {
     return r.threads == 1 ? io::Table::num(v, 3) : std::string("-");
   };
-  io::Table t({"n", "threads", "half pair [ms]", "4 inv field [ms]", "4 inv lanes [ms]",
-               "tendency [ms]", "RK4 step [ms]", "ens fcst [ms]", "bitwise == t1"});
+  io::Table t({"n", "threads", "half pair [ms]", "Jacobian spectrum per-field [ms]",
+               "fused [ms]", "tendency [ms]", "RK4 step [ms]", "ens fcst [ms]",
+               "bitwise == t1"});
   for (const auto& r : results) {
     t.add_row({std::to_string(r.n), std::to_string(r.threads),
-               kernel_cell(r, r.kernels.fft_half_ms), kernel_cell(r, r.kernels.inv4_field_ms),
-               kernel_cell(r, r.kernels.inv4_lanes_ms), kernel_cell(r, r.kernels.tendency_ms),
+               kernel_cell(r, r.kernels.fft_half_ms), kernel_cell(r, r.kernels.jac_field_ms),
+               kernel_cell(r, r.kernels.jac_fused_ms), kernel_cell(r, r.kernels.tendency_ms),
                kernel_cell(r, r.kernels.step_ms), io::Table::num(r.ens_ms, 3),
                r.bitwise ? "yes" : "NO"});
   }
   t.print();
 
-  bool all_bitwise = true, lanes_bitwise = true;
+  bool all_bitwise = true, fused_bitwise = true;
   for (const auto& r : results) {
     all_bitwise = all_bitwise && r.bitwise;
-    lanes_bitwise = lanes_bitwise && r.kernels.inv4_bitwise;
+    fused_bitwise = fused_bitwise && r.kernels.jac_bitwise;
   }
-  std::cout << "\nLane-batched inverses bitwise identical to per-field: "
-            << (lanes_bitwise ? "yes" : "NO") << "\n";
+  std::cout << "\nFused Jacobian spectra bitwise identical to per-field: "
+            << (fused_bitwise ? "yes" : "NO") << "\n";
   std::cout << "Multi-threaded ensemble forecasts bitwise identical to 1 thread: "
             << (all_bitwise ? "yes" : "NO") << "\n";
 
@@ -250,9 +258,9 @@ int main(int argc, char** argv) {
        << ", \"simd\": \"" << simd << "\"";
     if (r.threads == 1) {
       js << ", \"fft_half_pair_ms\": " << r.kernels.fft_half_ms
-         << ", \"inverse4_field_ms\": " << r.kernels.inv4_field_ms
-         << ", \"inverse4_lanes_ms\": " << r.kernels.inv4_lanes_ms
-         << ", \"inverse4_bitwise\": " << (r.kernels.inv4_bitwise ? "true" : "false")
+         << ", \"jacobian_field_ms\": " << r.kernels.jac_field_ms
+         << ", \"jacobian_fused_ms\": " << r.kernels.jac_fused_ms
+         << ", \"jacobian_bitwise\": " << (r.kernels.jac_bitwise ? "true" : "false")
          << ", \"tendency_ms\": " << r.kernels.tendency_ms
          << ", \"rk4_step_ms\": " << r.kernels.step_ms;
     }
@@ -262,5 +270,5 @@ int main(int argc, char** argv) {
   }
   js << "  ]\n}\n";
   std::cout << "Machine-readable timings written to " << json_path << ".\n";
-  return all_bitwise && lanes_bitwise ? 0 : 1;
+  return all_bitwise && fused_bitwise ? 0 : 1;
 }

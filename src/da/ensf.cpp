@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -68,11 +67,8 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
   const std::uint8_t* mask = opts.obs_mask.empty() ? nullptr : opts.obs_mask.data();
   // A non-finite residual would reach the likelihood clamp as a silent
   // +/-max_like_step pull every Euler step, so refuse the batch before any
-  // state (ensemble, cycle counter) changes. A masked value is never read.
-  for (std::size_t o = 0; o < y.size(); ++o)
-    if ((mask == nullptr || mask[o] != 0) && !std::isfinite(y[o]))
-      return Status(StatusCode::kInvalidArgument,
-                    "EnSF: unmasked observation " + std::to_string(o) + " is not finite");
+  // state (ensemble, cycle counter) changes.
+  if (Status s = check_observations_finite("EnSF", y, opts); !s.ok()) return s;
   const double inv_r_scale = 1.0 / opts.r_scale;
   if (stats != nullptr) {
     *stats = AnalysisStats{.obs_total = h.obs_dim()};

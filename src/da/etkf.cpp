@@ -42,6 +42,7 @@ Status ETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   TURBDA_REQUIRE(opts.obs_mask.empty() || opts.obs_mask.size() == p,
                  "ETKF: obs_mask size mismatch");
   const std::uint8_t* mask = opts.obs_mask.empty() ? nullptr : opts.obs_mask.data();
+  if (Status s = check_observations_finite("ETKF", y, opts); !s.ok()) return s;
   if (stats != nullptr) {
     *stats = AnalysisStats{.obs_total = p};
     if (mask != nullptr)

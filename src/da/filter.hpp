@@ -1,6 +1,7 @@
 // Common analysis-step interface implemented by EnSF, LETKF and ETKF.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -25,11 +26,27 @@ struct AnalysisOptions {
   /// Per-observation accept mask (1 = assimilate, 0 = excised by QC). Empty
   /// means "use every observation". A masked observation contributes nothing
   /// to the analysis — exactly equivalent to removing its row, implemented
-  /// as a zero weight in R^{-1} so cached network plans stay valid. Callers
-  /// must have replaced masked *values* with something finite (QC rewrites
-  /// them to the background) so no NaN/Inf can leak through arithmetic.
+  /// as a zero weight in R^{-1} so cached network plans stay valid. A masked
+  /// value is never read, so it may be NaN or ±inf; an unmasked one may not
+  /// (check_observations_finite).
   std::span<const std::uint8_t> obs_mask;
 };
+
+/// Refuses an unmasked non-finite observation before a filter touches any
+/// state: kInvalidArgument naming the first index o whose value is NaN or
+/// ±inf and that opts.obs_mask does not excise, else ok. Such a value would
+/// reach the analysis arithmetic and leave NaN in the ensemble, so refusing
+/// it lets the runner keep the forecast instead. A masked value is never
+/// read. `filter` prefixes the message.
+[[nodiscard]] inline Status check_observations_finite(const char* filter,
+                                                      std::span<const double> y,
+                                                      const AnalysisOptions& opts) {
+  for (std::size_t o = 0; o < y.size(); ++o)
+    if ((opts.obs_mask.empty() || opts.obs_mask[o] != 0) && !std::isfinite(y[o]))
+      return Status(StatusCode::kInvalidArgument, std::string(filter) + ": unmasked observation " +
+                                                      std::to_string(o) + " is not finite");
+  return Status::Ok();
+}
 
 /// What actually happened inside one analysis call — the counters the
 /// degradation policy and the metrics CSV report.

@@ -292,6 +292,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   TURBDA_REQUIRE(opts.obs_mask.empty() || opts.obs_mask.size() == p,
                  "LETKF: obs_mask size mismatch");
   const std::uint8_t* mask = opts.obs_mask.empty() ? nullptr : opts.obs_mask.data();
+  if (Status s = check_observations_finite("LETKF", y, opts); !s.ok()) return s;
   const double inv_r_scale = 1.0 / opts.r_scale;
   if (stats != nullptr) {
     *stats = AnalysisStats{.obs_total = p};

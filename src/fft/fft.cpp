@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/math_utils.hpp"
+#include "simd/dense_kernels.hpp"
 #include "telemetry/trace.hpp"
 
 namespace turbda::fft {
@@ -236,7 +237,9 @@ void batch_transform(Cplx* data, std::size_t count, std::size_t len, const Fft1D
 
 /// Two per-thread scratch arenas (a 2-D transform needs at most two live
 /// buffers). References stay valid across nested use because the slots are
-/// distinct vectors.
+/// distinct vectors. Slot 0 holds the row spectra, slot 1 the transposed
+/// columns (or, in the fused product transform, first the column pass's
+/// lane copy and then the grid rows).
 std::vector<Cplx>& tls_buffer(int slot, std::size_t n) {
   thread_local std::vector<Cplx> bufs[2];
   auto& b = bufs[slot];
@@ -262,17 +265,21 @@ void Fft2D::forward_half_pruned(std::span<const double> grid, std::span<Cplx> hs
                  "forward_half: wrong buffer sizes (" << grid.size() << ", " << hspec.size()
                                                       << ")");
   const std::size_t nh = half_cols();
-  const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
-  const long rowcut = static_cast<long>(std::min(kcut, n0_ / 2));
-
   auto& hbuf = tls_buffer(0, n0_ * nh);
   for (std::size_t i = 0; i < n0_; ++i)
     rrow_.forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
+  forward_columns(hbuf.data(), hspec, kcut);
+}
+
+void Fft2D::forward_columns(Cplx* rows, std::span<Cplx> hspec, std::size_t kcut) const {
+  const std::size_t nh = half_cols();
+  const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
+  const long rowcut = static_cast<long>(std::min(kcut, n0_ / 2));
 
   auto& tbuf = tls_buffer(1, cols * n0_);
-  transpose_blocked(hbuf.data(), nh, tbuf.data(), n0_, cols);
+  transpose_blocked(rows, nh, tbuf.data(), n0_, cols);
   batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/false);
-  transpose_blocked(tbuf.data(), n0_, hbuf.data(), cols, n0_);  // hbuf: dense n0 x cols
+  transpose_blocked(tbuf.data(), n0_, rows, cols, n0_);  // rows: dense n0 x cols
 
   for (std::size_t i = 0; i < n0_; ++i) {
     Cplx* out = hspec.data() + i * nh;
@@ -282,7 +289,7 @@ void Fft2D::forward_half_pruned(std::span<const double> grid, std::span<Cplx> hs
       std::fill(out, out + nh, Cplx(0.0, 0.0));
       continue;
     }
-    const Cplx* src = hbuf.data() + i * cols;
+    const Cplx* src = rows + i * cols;
     std::copy(src, src + cols, out);
     std::fill(out + cols, out + nh, Cplx(0.0, 0.0));
   }
@@ -313,12 +320,14 @@ void Fft2D::inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> g
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched pruned inverse: four half spectra in one lane-interleaved
-// buffer. The column pass runs in place down the strided columns (no
-// transposes), kLaneColumns adjacent columns per kernel call; the row pass
-// runs each contiguous row through the lane Rfft1D split, the half-length
-// transform and the de-interleaving store. The column transform's 1/n0
-// factor is applied by the row split as it loads each element.
+// Fused product transform: four half spectra in one lane-interleaved buffer.
+// The column pass runs in place down the strided columns (no transposes),
+// kLaneColumns adjacent columns per kernel call. Each row then goes through
+// the lane Rfft1D split, the half-length transform and the de-interleaving
+// store into four grid rows, the caller's product of those rows, and the
+// product row's r2c; the forward's columns finish the spectrum. The column
+// transform's 1/n0 factor is applied by the row split as it loads each
+// element.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -341,17 +350,13 @@ unsigned live_lanes(const double* col, std::size_t n, std::size_t es) {
 
 }  // namespace
 
-void Fft2D::inverse_half_pruned_lanes(std::span<double> lanes,
-                                      const std::array<std::span<double>, simd::kLaneBatch>& grids,
-                                      std::size_t kcut) const {
-  TURBDA_SPAN("fft.half_inverse_lanes");
-  TURBDA_REQUIRE(lanes.size() == kLaneElem * half_size(),
-                 "inverse_half_pruned_lanes: lane buffer holds " << lanes.size()
-                                                                 << " doubles, expected "
-                                                                 << kLaneElem * half_size());
-  for (const auto& g : grids)
-    TURBDA_REQUIRE(g.size() == n0_ * n1_,
-                   "inverse_half_pruned_lanes: wrong grid size " << g.size());
+void Fft2D::product_half_pruned_lanes(std::span<double> lanes, RowProduct row_product,
+                                      std::span<Cplx> hspec, std::size_t kcut) const {
+  TURBDA_SPAN("fft.half_product_lanes");
+  TURBDA_REQUIRE(lanes.size() == kLaneElem * half_size() && hspec.size() == half_size(),
+                 "product_half_pruned_lanes: wrong buffer sizes ("
+                     << lanes.size() << ", " << hspec.size() << "), expected ("
+                     << kLaneElem * half_size() << ", " << half_size() << ")");
   const std::size_t nh = half_cols();
   const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
   const std::size_t rs = kLaneElem * nh;  // doubles per spectrum row
@@ -391,16 +396,26 @@ void Fft2D::inverse_half_pruned_lanes(std::span<double> lanes,
     }
   }
 
+  // The four grid rows and their product (5 n1 doubles) live in slot 1,
+  // which the column pass is done with and forward_columns reclaims.
+  auto& hbuf = tls_buffer(0, n0_ * nh);
+  double* grid_rows =
+      reinterpret_cast<double*>(tls_buffer(1, (simd::kLaneBatch + 1) * n1_ / 2).data());
+  double* const out[simd::kLaneBatch] = {grid_rows, grid_rows + n1_, grid_rows + 2 * n1_,
+                                         grid_rows + 3 * n1_};
+  double* const product = grid_rows + simd::kLaneBatch * n1_;
   const double col_scale = (n0_ > 1) ? 1.0 / static_cast<double>(n0_) : 1.0;
-  double* out[simd::kLaneBatch];
   for (std::size_t i = 0; i < n0_; ++i) {
     double* row = d + i * rs;
     // Truncated bins enter the rows as +0, as inverse_half_pruned's zero
-    // fill leaves them (the caller's buffer may hold -0 there).
+    // fill leaves them (the caller's buffer may hold anything there).
     std::fill(row + cols * kLaneElem, row + rs, 0.0);
-    for (std::size_t l = 0; l < simd::kLaneBatch; ++l) out[l] = grids[l].data() + i * n1_;
     rrow_.inverse_lanes(row, col_scale, out);
+    row_product(product, out[0], out[1], out[2], out[3], n1_);
+    rrow_.forward(std::span<const double>(product, n1_),
+                  std::span<Cplx>(hbuf.data() + i * nh, nh));
   }
+  forward_columns(hbuf.data(), hspec, kcut);
 }
 
 void Fft2D::forward_half(std::span<const double> grid, std::span<Cplx> hspec) const {

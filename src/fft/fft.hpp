@@ -8,25 +8,26 @@
 // complex round trip. A real 2-D field has one spectral layout, the packed
 // half spectrum (Fft2D). Its per-field transforms run the rows, a
 // cache-blocked transpose, batched contiguous "column" transforms, and a
-// transpose back. The lane-batched pruned inverse
-// (Fft2D::inverse_half_pruned_lanes) runs four fields in lockstep, one per
-// SIMD lane, over a lane-interleaved half spectrum: columns in place down
-// their stride, then contiguous rows, with no transposes; each field's grid
-// is bitwise its per-field inverse. All transforms run on the calling thread
-// (callers parallelize across independent fields, e.g. ensemble members,
-// never inside one transform). Convention matches numpy: forward
-// unnormalized, inverse carries the 1/N factor — so does the sqgturb
+// transpose back. The fused product transform
+// (Fft2D::product_half_pruned_lanes) takes four fields' half spectra
+// lane-interleaved, one per SIMD lane, inverts their columns in place down
+// their stride, and then finishes one grid row at a time: the four rows'
+// c2r, a caller-supplied pointwise product of them, and that product's r2c
+// into the forward transform's row buffer, whose columns run as in the
+// per-field forward. No grid is ever stored, and the result is bitwise the
+// per-field inverses, product and forward. All transforms run on the
+// calling thread (callers parallelize across independent fields, e.g.
+// ensemble members, never inside one transform). Convention matches numpy:
+// forward unnormalized, inverse carries the 1/N factor — so does the sqgturb
 // reference implementation the paper follows.
 #pragma once
 
-#include <array>
 #include <complex>
 #include <span>
 #include <vector>
 
 #include "common/check.hpp"
 #include "fft/simd_kernels.hpp"
-#include "simd/dense_kernels.hpp"
 
 namespace turbda::fft {
 
@@ -140,19 +141,32 @@ class Fft2D {
   void inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
                            std::size_t kcut) const;
 
-  /// Four inverse_half_pruned transforms in lockstep, one per SIMD lane.
-  /// `lanes` holds the four half spectra lane-interleaved: bin (i, j) is the
-  /// 8 doubles at lanes[8 (i half_cols() + j)], the real parts of spectra
-  /// 0..3, then their imaginary parts (simd::LaneBuffer keeps each bin in
-  /// one cache line). Grid l receives exactly the bits
-  /// inverse_half_pruned(spectrum l, grid l, kcut) produces at the same SIMD
-  /// level; bins with mx > kcut are never read. `lanes` is consumed as
-  /// scratch.
-  void inverse_half_pruned_lanes(std::span<double> lanes,
-                                 const std::array<std::span<double>, simd::kLaneBatch>& grids,
-                                 std::size_t kcut) const;
+  /// Pointwise product of four grid rows in lane order:
+  /// out[x] = f(r0[x], r1[x], r2[x], r3[x]) for x < n.
+  using RowProduct = void (*)(double* out, const double* r0, const double* r1, const double* r2,
+                              const double* r3, std::size_t n);
+
+  /// forward_half_pruned(P, hspec, kcut) of the grid P = row_product(g0, g1,
+  /// g2, g3), where g_l = inverse_half_pruned(spectrum l, kcut), without
+  /// storing any grid. `lanes` holds the four half spectra lane-interleaved:
+  /// bin (i, j) is the 8 doubles at lanes[8 (i half_cols() + j)], the real
+  /// parts of spectra 0..3, then their imaginary parts (simd::LaneBuffer
+  /// keeps each bin in one cache line). The four column inverses run in
+  /// lockstep, one per SIMD lane; then each grid row is inverted, multiplied
+  /// and forward-transformed on its own. Every row passes the same kernels
+  /// in the same order as the per-field calls, so for an elementwise
+  /// row_product `hspec` receives exactly their bits at the same SIMD level.
+  /// Bins with mx > kcut are never read; `lanes` is consumed as scratch.
+  void product_half_pruned_lanes(std::span<double> lanes, RowProduct row_product,
+                                 std::span<Cplx> hspec, std::size_t kcut) const;
 
  private:
+  /// The forward's column part: `rows` holds the n0 row r2c spectra
+  /// (n0 x half_cols()); transposes the retained columns, transforms them,
+  /// and writes hspec (retained bins, exact zeros elsewhere). `rows` is
+  /// consumed as scratch.
+  void forward_columns(Cplx* rows, std::span<Cplx> hspec, std::size_t kcut) const;
+
   std::size_t n0_, n1_;
   Fft1D col_;
   Rfft1D rrow_;

@@ -3,10 +3,10 @@
 // The radix-2² fused butterfly passes, the final odd radix-2 pass, the fused
 // length-2/4 first stage and the Rfft1D Hermitian pack/unpack sweeps all run
 // on raw interleaved (re, im) doubles — exactly the loop shape an AVX2 lane
-// pair wants — and, for the lane-batched inverse, on four transforms at
-// once, one per lane. Each loop is written once against the portable
-// simd::Vec API (simd_kernels_impl.hpp) and instantiated per backend behind
-// one table of function pointers, keyed by the process-global
+// pair wants — and, for the fused product transform's inverse half, on four
+// transforms at once, one per lane. Each loop is written once against the
+// portable simd::Vec API (simd_kernels_impl.hpp) and instantiated per backend
+// behind one table of function pointers, keyed by the process-global
 // simd::SimdLevel (see simd/dispatch.hpp for level semantics, TURBDA_SIMD and
 // force_simd_level).
 #pragma once
@@ -36,7 +36,7 @@ struct FftKernels {
   /// Rfft1D inverse Hermitian split for the same bin range.
   void (*rfft_unpack)(double* spec, const double* w, std::size_t h);
 
-  // ---- Lane-batched entries (Fft2D::inverse_half_pruned_lanes) ----
+  // ---- Lane-batched entries (Fft2D::product_half_pruned_lanes) ----
   // Four transforms per call, one per Vec lane: element k of transform c is
   // the 8 doubles at d + (k * stride + c) * 8 (four real parts, then four
   // imaginary parts); m transforms sit side by side. Each lane repeats the

@@ -37,7 +37,15 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lk(mu_);
     TURBDA_REQUIRE(!stop_, "submit on stopped pool");
-    queue_.push_back(std::move(pt));
+    if (queued_ == ring_.size()) {  // full: double, oldest task first
+      std::vector<std::packaged_task<void()>> grown(std::max<std::size_t>(16, 2 * ring_.size()));
+      for (std::size_t i = 0; i < queued_; ++i)
+        grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+      ring_ = std::move(grown);
+      head_ = 0;
+    }
+    ring_[(head_ + queued_) % ring_.size()] = std::move(pt);
+    ++queued_;
   }
   cv_.notify_one();
   return fut;
@@ -92,10 +100,11 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     std::packaged_task<void()> task;
     {
       std::unique_lock lk(mu_);
-      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      cv_.wait(lk, [this] { return stop_ || queued_ != 0; });
+      if (stop_ && queued_ == 0) return;
+      task = std::move(ring_[head_]);
+      head_ = (head_ + 1) % ring_.size();
+      --queued_;
     }
     const auto t0 = std::chrono::steady_clock::now();
     {

@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -67,7 +66,11 @@ class ThreadPool {
   void worker_loop(std::size_t worker_index);
 
   std::vector<std::thread> workers_;
-  std::deque<std::packaged_task<void()>> queue_;
+  // Pending tasks in a grow-only ring: the i-th oldest is
+  // ring_[(head_ + i) % ring_.size()], i < queued_. Its capacity survives
+  // draining, so a warmed pool allocates no queue storage.
+  std::vector<std::packaged_task<void()>> ring_;
+  std::size_t head_ = 0, queued_ = 0;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

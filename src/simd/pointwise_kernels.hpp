@@ -2,7 +2,7 @@
 //
 // The SQG tendency spends its non-FFT time in four branch-free elementwise
 // sweeps over packed half spectra (interleaved re/im doubles) and grid
-// fields: the fused inversion + derivative pass, the grid-space Jacobian
+// rows: the fused inversion + derivative pass, the grid-space Jacobian
 // product, the linear-physics combine, and the RK4 stage/update combines
 // (plus the integrating-factor hyperdiffusion multiply). Like the FFT and
 // dense-kernel tables, each primitive is written once against the portable
@@ -13,7 +13,10 @@
 // Layout conventions:
 //  - Spectral buffers are std::complex<double> arrays viewed as interleaved
 //    (re, im) doubles; all lengths `nd` below are in DOUBLES (2x the bin
-//    count). One Vec covers two complex bins.
+//    count). One Vec covers two complex bins. The SQG model sweeps one row
+//    segment of the dealiased square per call (an even nd that need not
+//    fill whole Vecs); the pair tails repeat the vector body's IEEE
+//    operations, so a bin's result does not depend on where a call starts.
 //  - Real per-bin coefficient tables (wavenumbers, inversion coefficients,
 //    hyperdiffusion decay) are pre-duplicated per complex pair by the caller
 //    (table2[2p] == table2[2p+1]), so every kernel is a straight-line
@@ -43,14 +46,16 @@ struct PointwiseKernels {
   /// An i*k multiply is a pair swap plus sign flips — exact bit operations,
   /// so the pass matches the scalar complex spelling bitwise (unfused).
   /// The four derivative spectra are stored lane-interleaved for
-  /// Fft2D::inverse_half_pruned_lanes: bin p is the 8 doubles at
+  /// Fft2D::product_half_pruned_lanes: bin p is the 8 doubles at
   /// lanes[8p..8p+7], the real parts of duh, dvh, dtx, dty, then their
   /// imaginary parts (nd doubles of ps, 4 nd doubles of lanes).
   void (*sqg_pass1)(double* ps, double* lanes, const double* t0, const double* t1,
                     const double* th, const double* ik2, const double* ca2, const double* cb2,
                     const double* kx2, const double* ky2, std::size_t nd);
   /// Grid-space advection product: gj[i] = gu[i]*gtx[i] + gv[i]*gty[i].
-  void (*sqg_jacobian)(double* gj, const double* gu, const double* gtx, const double* gv,
+  /// The inputs come in pass 1's lane order (u, v, theta_x, theta_y), so
+  /// the entry is an Fft2D::RowProduct; nd counts grid points.
+  void (*sqg_jacobian)(double* gj, const double* gu, const double* gv, const double* gtx,
                        const double* gty, std::size_t nd);
   /// Linear-physics combine, complex per bin (operator tables interleaved):
   /// dth = op_t * th + op_p * ps - jc.

@@ -74,7 +74,7 @@ void sqg_pass1_impl(double* ps, double* lanes, const double* t0, const double* t
 }
 
 template <class V, bool kFma>
-void sqg_jacobian_impl(double* gj, const double* gu, const double* gtx, const double* gv,
+void sqg_jacobian_impl(double* gj, const double* gu, const double* gv, const double* gtx,
                        const double* gty, std::size_t nd) {
   constexpr std::size_t W = V::kWidth;
   std::size_t i = 0;

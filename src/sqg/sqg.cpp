@@ -22,16 +22,10 @@ inline const double* dview(const Cplx* p) { return reinterpret_cast<const double
 
 void SqgWorkspace::resize(std::size_t grid_n) {
   n = grid_n;
-  const std::size_t nn = grid_n * grid_n;
   const std::size_t ns = grid_n * (grid_n / 2 + 1);
   psi.resize(2 * ns);
   lanes.resize(2 * simd::kLaneBatch * ns);
   jac.resize(ns);
-  gu.resize(nn);
-  gv.resize(nn);
-  gtx.resize(nn);
-  gty.resize(nn);
-  gj.resize(nn);
   k1.resize(2 * ns);
   k2.resize(2 * ns);
   k3.resize(2 * ns);
@@ -128,13 +122,11 @@ SqgModel::SqgModel(SqgConfig cfg)
       // Fused combine tables: every linear term of the tendency (mean-flow
       // advection, meridional basic-state gradient, thermal relaxation,
       // Ekman pumping) collapses into one complex coefficient per bin and
-      // level, with the dealias mask folded in — the combine loop carries
-      // no branches.
-      const double mask = retained ? 1.0 : 0.0;
+      // level — the combine loop carries no branches.
       for (int l = 0; l < 2; ++l) {
-        op_theta_[l][p] = mask * Cplx(-inv_tdiab, -kx_[p] * ubar_[l]);
+        op_theta_[l][p] = Cplx(-inv_tdiab, -kx_[p] * ubar_[l]);
         const double ekman = (l == 0) ? cfg_.r_ekman * ksq_[p] : 0.0;
-        op_psi_[l][p] = mask * Cplx(ekman, lambda_ * kx_[p]);
+        op_psi_[l][p] = Cplx(ekman, lambda_ * kx_[p]);
       }
     }
   }
@@ -194,49 +186,71 @@ void SqgModel::invert(std::span<const Cplx> theta_spec, std::span<Cplx> psi_spec
   }
 }
 
+template <class F>
+void SqgModel::for_each_square_row(F&& f) const {
+  const std::size_t nd = 2 * (kcut_ + 1);
+  for (std::size_t i = 0; i <= kcut_; ++i) f(2 * i * nh_, nd);
+  for (std::size_t i = cfg_.n - kcut_; i < cfg_.n; ++i) f(2 * i * nh_, nd);
+}
+
 void SqgModel::tendency(std::span<const Cplx> theta_spec, std::span<Cplx> out,
                         SqgWorkspace& ws) const {
   TURBDA_REQUIRE(theta_spec.size() == spec_dim() && out.size() == spec_dim(),
                  "tendency: wrong buffer sizes");
   if (ws.n != cfg_.n) ws.resize(cfg_.n);
+  square_tendency(dview(theta_spec.data()), dview(out.data()), ws);
+  // step() never reads the bins outside the square; this entry zeroes them.
+  for (std::size_t l = 0; l < 2; ++l)
+    for (std::size_t i = 0; i < cfg_.n; ++i) {
+      Cplx* row = out.data() + l * ns_ + i * nh_;
+      const bool retained = i <= kcut_ || i >= cfg_.n - kcut_;
+      std::fill(row + (retained ? kcut_ + 1 : 0), row + nh_, Cplx(0.0, 0.0));
+    }
+}
+
+void SqgModel::square_tendency(const double* theta, double* out, SqgWorkspace& ws) const {
   const auto& pk = simd::active_pointwise_kernels();
-  const Cplx* t0 = theta_spec.data();
-  const Cplx* t1 = theta_spec.data() + ns_;
+  const std::size_t lvl = 2 * ns_;  // doubles per level
+  const double* t0 = theta;
+  const double* t1 = theta + lvl;
+  double* lanes = ws.lanes.data();
+  const double* jc = dview(ws.jac.data());
 
   for (std::size_t l = 0; l < 2; ++l) {
-    const Cplx* th = theta_spec.data() + l * ns_;
-    Cplx* ps = ws.psi.data() + l * ns_;
+    const double* th = theta + l * lvl;
+    double* ps = dview(ws.psi.data()) + l * lvl;
+    double* dth = out + l * lvl;
 
     // Pass 1 (fused, branch-free): boundary inversion plus the four
     // derivative half-spectra in a single traversal (u = -psi_y, v = psi_x),
-    // as one runtime-dispatched Vec sweep over the interleaved pairs that
-    // stores the derivatives lane-interleaved.
+    // as one runtime-dispatched Vec sweep per retained row that stores the
+    // derivatives lane-interleaved. The column transforms also read the
+    // truncated rows of the retained columns, which get +0.
     const double* cA2 = (l == 0) ? inv_sinh2_.data() : inv_tanh2_.data();
     const double* cB2 = (l == 0) ? inv_tanh2_.data() : inv_sinh2_.data();
-    pk.sqg_pass1(dview(ps), ws.lanes.data(), dview(t0), dview(t1), dview(th),
-                 inv_kappa2_.data(), cA2, cB2, kx2_.data(), ky2_.data(), 2 * ns_);
+    for_each_square_row([&](std::size_t off, std::size_t nd) {
+      pk.sqg_pass1(ps + off, lanes + 4 * off, t0 + off, t1 + off, th + off,
+                   inv_kappa2_.data() + off, cA2 + off, cB2 + off, kx2_.data() + off,
+                   ky2_.data() + off, nd);
+    });
+    for (std::size_t i = kcut_ + 1; i < cfg_.n - kcut_; ++i)
+      std::fill_n(lanes + 2 * simd::kLaneBatch * i * nh_, 2 * simd::kLaneBatch * (kcut_ + 1),
+                  0.0);
 
-    // The four pruned c2r transforms to grid space in lockstep, one per Vec
-    // lane (the state is dealiased, so the truncated columns are zero and
-    // their transforms are skipped).
-    fft_.inverse_half_pruned_lanes(ws.lanes, {ws.gu, ws.gv, ws.gtx, ws.gty}, kcut_);
-
-    // Nonlinear advection J(psi, theta) = u theta_x + v theta_y; the pruned
-    // r2c both transforms and 2/3-truncates it in one go.
-    pk.sqg_jacobian(ws.gj.data(), ws.gu.data(), ws.gtx.data(), ws.gv.data(), ws.gty.data(), nn_);
-    fft_.forward_half_pruned(ws.gj, ws.jac, kcut_);
+    // Nonlinear advection J(psi, theta) = u theta_x + v theta_y: the four
+    // pruned c2r transforms run in lockstep, one per Vec lane, and each grid
+    // row's product goes straight into the pruned r2c, which both transforms
+    // and 2/3-truncates it.
+    fft_.product_half_pruned_lanes(ws.lanes, pk.sqg_jacobian, ws.jac, kcut_);
 
     // Pass 2 (fused, branch-free combine): all linear physics lives in the
-    // precomputed per-level tables; the Jacobian arrives already dealiased.
-    pk.sqg_combine(dview(out.data() + l * ns_), dview(th), dview(ps), dview(ws.jac.data()),
-                   dview(op_theta_[l].data()), dview(op_psi_[l].data()), 2 * ns_);
+    // precomputed per-level tables.
+    const double* opt = dview(op_theta_[l].data());
+    const double* opp = dview(op_psi_[l].data());
+    for_each_square_row([&](std::size_t off, std::size_t nd) {
+      pk.sqg_combine(dth + off, th + off, ps + off, jc + off, opt + off, opp + off, nd);
+    });
   }
-}
-
-void SqgModel::apply_hyperdiffusion(std::span<Cplx> theta_spec) const {
-  const auto& pk = simd::active_pointwise_kernels();
-  for (std::size_t l = 0; l < 2; ++l)
-    pk.mul_inplace(dview(theta_spec.data() + l * ns_), hyperdiff2_.data(), 2 * ns_);
 }
 
 void SqgModel::step(std::span<double> theta_grid, int nsteps, SqgWorkspace& ws) const {
@@ -245,20 +259,39 @@ void SqgModel::step(std::span<double> theta_grid, int nsteps, SqgWorkspace& ws) 
   to_spectral(theta_grid, ws.spec);
   const auto& pk = simd::active_pointwise_kernels();
   const double dt = cfg_.dt;
-  const std::size_t nd = 2 * (2 * ns_);  // doubles in one spectral state
+  const std::size_t lvl = 2 * ns_;  // doubles per level
   double* spec = dview(ws.spec.data());
   double* stage = dview(ws.stage.data());
+  double* k1 = dview(ws.k1.data());
+  double* k2 = dview(ws.k2.data());
+  double* k3 = dview(ws.k3.data());
+  double* k4 = dview(ws.k4.data());
+  // The sweeps run on the square of both levels: f(at, off, nd) with `at`
+  // the row's offset in the two-level state and `off` in its level. Bins
+  // outside the square stay +0 in `spec` (to_spectral wrote them) and are
+  // never read in the other buffers.
+  const auto on_square = [&](auto&& f) {
+    for (std::size_t l = 0; l < 2 * lvl; l += lvl)
+      for_each_square_row([&](std::size_t off, std::size_t nd) { f(l + off, off, nd); });
+  };
+  const auto stage_from = [&](const double* k, double alpha) {
+    on_square([&](std::size_t at, std::size_t, std::size_t nd) {
+      pk.add_scaled(stage + at, spec + at, k + at, nd, alpha);
+    });
+  };
   for (int s = 0; s < nsteps; ++s) {
-    tendency(ws.spec, ws.k1, ws);
-    pk.add_scaled(stage, spec, dview(ws.k1.data()), nd, 0.5 * dt);
-    tendency(ws.stage, ws.k2, ws);
-    pk.add_scaled(stage, spec, dview(ws.k2.data()), nd, 0.5 * dt);
-    tendency(ws.stage, ws.k3, ws);
-    pk.add_scaled(stage, spec, dview(ws.k3.data()), nd, dt);
-    tendency(ws.stage, ws.k4, ws);
-    pk.rk4_update(spec, dview(ws.k1.data()), dview(ws.k2.data()), dview(ws.k3.data()),
-                  dview(ws.k4.data()), nd, dt / 6.0);
-    apply_hyperdiffusion(ws.spec);
+    square_tendency(spec, k1, ws);
+    stage_from(k1, 0.5 * dt);
+    square_tendency(stage, k2, ws);
+    stage_from(k2, 0.5 * dt);
+    square_tendency(stage, k3, ws);
+    stage_from(k3, dt);
+    square_tendency(stage, k4, ws);
+    // RK4 update, then the implicit hyperdiffusion, row by row.
+    on_square([&](std::size_t at, std::size_t off, std::size_t nd) {
+      pk.rk4_update(spec + at, k1 + at, k2 + at, k3 + at, k4 + at, nd, dt / 6.0);
+      pk.mul_inplace(spec + at, hyperdiff2_.data() + off, nd);
+    });
   }
   to_grid(ws.spec, theta_grid);
 }

@@ -24,13 +24,18 @@
 // Spectral layout: the state between FFT calls is the packed non-redundant
 // half spectrum of each real boundary field — n x (n/2 + 1) bins per level
 // (Fft2D::forward_half layout), mirroring the remaining bins through
-// X(-my, -mx) = conj(X(my, mx)). Every operator table, RK4 stage buffer and
-// pointwise pass runs over that half set (half the memory and memory traffic
-// of the Hermitian-redundant full spectrum), transforms are pruned to the
-// 2/3-dealiased wavenumber square, and the tendency does exactly two
-// branch-free spectral passes per level: one fused inversion + derivative
-// pass and one combine pass whose dealias mask and Ekman/relaxation terms
-// are folded into precomputed per-level operator tables.
+// X(-my, -mx) = conj(X(my, mx)). Operator tables and RK4 stage buffers are
+// laid out over that half set (half the memory of the Hermitian-redundant
+// full spectrum), but every pointwise pass runs only over the 2/3-dealiased
+// wavenumber square inside it (|my| <= kcut, mx <= kcut: 2 kcut + 1 row
+// segments of kcut + 1 bins per level, 44% of the half set at n = 128), and
+// transforms are pruned to that square. The tendency does two branch-free
+// spectral passes per level around one fused transform: a fused inversion +
+// derivative pass; Fft2D::product_half_pruned_lanes, which takes the four
+// derivative spectra to grid space one row at a time, forms the Jacobian
+// on that row and feeds it straight into the forward transform's row r2c,
+// so no grid field is ever stored; and one combine pass whose Ekman and
+// relaxation terms are folded into precomputed per-level operator tables.
 //
 // Concurrency: SqgModel is immutable after construction (an FFT plan plus
 // wavenumber/hyperdiffusion tables) and every transform runs serially on the
@@ -72,10 +77,13 @@ struct SqgConfig {
 };
 
 /// All mutable scratch one in-flight SQG integration needs: half-spectrum
-/// stage buffers for RK4 plus grid-space fields for the Jacobian. Allocate
-/// once per worker (or let the model borrow a per-thread one) and reuse —
-/// stepping performs no heap allocation. Spectral buffers hold n*(n/2+1)
-/// bins per level (the packed half spectrum), grid buffers n^2 points.
+/// stage buffers for RK4 plus the tendency's derivative and Jacobian
+/// spectra. Allocate once per worker (or let the model borrow a per-thread
+/// one) and reuse — stepping performs no heap allocation. Spectral buffers
+/// hold n*(n/2+1) bins per level (the packed half spectrum). step() reads no
+/// bin it did not write during the same call (its sweeps stay on the
+/// dealiased square), so whatever a buffer held before is harmless. About
+/// 2.5 MB at n = 128.
 struct SqgWorkspace {
   SqgWorkspace() = default;
   explicit SqgWorkspace(std::size_t n) { resize(n); }
@@ -89,11 +97,10 @@ struct SqgWorkspace {
   std::size_t n = 0;                         ///< grid points per side
   std::vector<Cplx> psi;                     // streamfunction, both levels
   // The four derivative half-spectra of one level (-psi_y, psi_x, theta_x,
-  // theta_y), lane-interleaved for Fft2D::inverse_half_pruned_lanes:
+  // theta_y), lane-interleaved for Fft2D::product_half_pruned_lanes:
   // 8 doubles per bin.
   simd::LaneBuffer lanes;
   std::vector<Cplx> jac;                     // Jacobian half-spectrum
-  std::vector<double> gu, gv, gtx, gty, gj;  // grid-space Jacobian fields
   std::vector<Cplx> k1, k2, k3, k4, stage, spec;  // RK4 stages (2 n(n/2+1) each)
   std::vector<Cplx> spec2, psi2, wutil;      // diagnostics (ke/cfl/init)
   std::vector<double> gutil;
@@ -169,9 +176,8 @@ class SqgModel {
 
   /// Boundary tendency d(theta)/dt in half-spectral space (public for the
   /// step benches and tests; `out` must not alias `theta_spec`; both are
-  /// spec_dim() long). `theta_spec` must live on the dealiased set, as
-  /// produced by to_spectral — the output always does (the mask is baked
-  /// into the combine tables).
+  /// spec_dim() long). Only the dealiased square of `theta_spec` is read;
+  /// `out` is the tendency there and +0 at every other bin.
   void tendency(std::span<const Cplx> theta_spec, std::span<Cplx> out, SqgWorkspace& ws) const;
 
   // --- spectral-space accessors used by tests -------------------------------
@@ -183,7 +189,15 @@ class SqgModel {
   void invert(std::span<const Cplx> theta_spec, std::span<Cplx> psi_spec) const;
 
  private:
-  void apply_hyperdiffusion(std::span<Cplx> theta_spec) const;
+  /// tendency() on the dealiased square only: `out` (interleaved doubles,
+  /// like `theta`) is written there and nowhere else. `ws` must be sized.
+  void square_tendency(const double* theta, double* out, SqgWorkspace& ws) const;
+  /// Calls f(off, nd) once per retained row of one level's half spectrum
+  /// (|my| <= kcut): `off` is the row's first double in the interleaved
+  /// (re, im) view and nd = 2 (kcut + 1) the doubles of its bins
+  /// mx = 0..kcut.
+  template <class F>
+  void for_each_square_row(F&& f) const;
 
   SqgConfig cfg_;
   std::size_t nn_;               // n*n (one level, grid size)
@@ -200,7 +214,7 @@ class SqgModel {
   // tables above, matching the interleaved re/im layout the runtime-
   // dispatched pointwise kernels sweep over (simd/pointwise_kernels.hpp).
   std::vector<double> kx2_, ky2_, inv_kappa2_, inv_sinh2_, inv_tanh2_, hyperdiff2_;
-  // Fused per-level combine tables (dealias mask folded in):
+  // Fused per-level combine tables (read on the dealiased square only):
   // d(theta_l)/dt = op_theta_[l]*theta_l + op_psi_[l]*psi_l - J_l.
   std::vector<Cplx> op_theta_[2];            // -i kx Ubar_l - 1/t_diab
   std::vector<Cplx> op_psi_[2];              // i lambda kx (+ r K^2 at l=0)

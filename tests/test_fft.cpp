@@ -4,6 +4,7 @@
 #include <complex>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -12,11 +13,15 @@
 #include "rng/rng.hpp"
 #include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/pointwise_kernels.hpp"
+
+#include "simd_level_guard.hpp"
 
 namespace turbda::fft {
 namespace {
 
 using turbda::rng::Rng;
+using turbda::test::SimdLevelGuard;
 
 std::vector<Cplx> naive_dft(const std::vector<Cplx>& x) {
   const std::size_t n = x.size();
@@ -314,16 +319,6 @@ TEST(Fft2d, PrunedHalfMatchesMaskedUnpruned) {
 
 // --- SIMD dispatch equivalence ----------------------------------------------
 
-/// Restores the entry dispatch level even when an assertion fails mid-test.
-class SimdLevelGuard {
- public:
-  SimdLevelGuard() : saved_(simd::active_simd_level()) {}
-  ~SimdLevelGuard() { simd::force_simd_level(saved_); }
-
- private:
-  simd::SimdLevel saved_;
-};
-
 TEST(SimdDispatch, ScalarLevelIsAlwaysAvailable) {
   SimdLevelGuard guard;
   EXPECT_TRUE(simd::simd_level_available(simd::SimdLevel::Scalar));
@@ -420,33 +415,34 @@ TEST(SimdDispatch, Rfft1dMatchesScalarAcrossLevels) {
   }
 }
 
-// --- lane-batched pruned inverse --------------------------------------------
+// --- fused product transform ------------------------------------------------
 
 constexpr std::size_t kLanes = simd::kLaneBatch;
 using Spectra = std::vector<std::vector<Cplx>>;
 using Grids = std::vector<std::vector<double>>;
 
-/// Runs inverse_half_pruned_lanes on four half spectra, interleaved into the
-/// lane layout (bin p: the four real parts, then the four imaginary parts).
-Grids lane_inverse(const Fft2D& plan, const Spectra& spec, std::size_t kcut) {
+/// Runs product_half_pruned_lanes on four half spectra, interleaved into the
+/// lane layout (bin p: the four real parts, then the four imaginary parts),
+/// with the active level's SQG Jacobian as the row product.
+std::vector<Cplx> fused_product(const Fft2D& plan, const Spectra& spec, std::size_t kcut) {
   simd::LaneBuffer lanes(2 * kLanes * plan.half_size());
   for (std::size_t l = 0; l < kLanes; ++l)
     for (std::size_t p = 0; p < plan.half_size(); ++p) {
       lanes[2 * kLanes * p + l] = spec[l][p].real();
       lanes[2 * kLanes * p + kLanes + l] = spec[l][p].imag();
     }
-  Grids grids(kLanes, std::vector<double>(plan.rows() * plan.cols()));
-  plan.inverse_half_pruned_lanes(lanes, {grids[0], grids[1], grids[2], grids[3]}, kcut);
-  return grids;
+  std::vector<Cplx> out(plan.half_size());
+  plan.product_half_pruned_lanes(lanes, simd::active_pointwise_kernels().sqg_jacobian, out, kcut);
+  return out;
 }
 
 /// Four dealiased half spectra carrying the zeros the SQG tendency feeds the
-/// lane transform: lane 1's column 0 is all ±0 (i kx psi at kx = 0), every
-/// bin above kcut is -0.0, one retained column is ±0 in every lane, and for
-/// n1 >= 32 so is a whole block of columns 4..7. Lane 3 is ±0 everywhere (a
-/// zero field), so its grid shows every sign a skipped or transformed zero
-/// takes.
-Spectra lane_test_spectra(std::size_t n0, std::size_t n1, std::size_t kcut, Rng& rng) {
+/// fused transform: lane 1's column 0 is all ±0 (i kx psi at kx = 0), one
+/// retained column is ±0 in every lane, and for n1 >= 32 so is a whole
+/// block of columns 4..7. Lane 3 is ±0 everywhere (a zero field). Every bin
+/// above kcut holds `above`: -0.0, or NaN, since no transform may read it.
+Spectra lane_test_spectra(std::size_t n0, std::size_t n1, std::size_t kcut, double above,
+                          Rng& rng) {
   const std::size_t nh = n1 / 2 + 1;
   const std::size_t last = std::min(kcut, n1 / 2);
   Spectra spec(kLanes, std::vector<Cplx>(n0 * nh));
@@ -458,7 +454,7 @@ Spectra lane_test_spectra(std::size_t n0, std::size_t n1, std::size_t kcut, Rng&
         const double sz = ((i + j + l) % 3 == 0) ? -0.0 : 0.0;  // a signed zero
         Cplx v(rng.gaussian(), rng.gaussian());
         if (j > kcut)
-          v = Cplx(-0.0, -0.0);
+          v = Cplx(above, above);
         else if (std::labs(my) > static_cast<long>(kcut))
           v = Cplx(0.0, 0.0);
         else if ((l == 1 && j == 0) || l == 3 || (n1 >= 8 && j == last) ||
@@ -470,9 +466,10 @@ Spectra lane_test_spectra(std::size_t n0, std::size_t n1, std::size_t kcut, Rng&
   return spec;
 }
 
-// The lane transform against four per-field calls at the same dispatch
-// level, bit for bit, on every grid the SQG model accepts up to 256 and on
-// a few non-square plans.
+// The fused transform against its three-call definition at the same
+// dispatch level, bit for bit: four inverse_half_pruned grids, the same
+// sqg_jacobian entry over the whole grid, then forward_half_pruned. Every
+// grid the SQG model accepts up to 256 and a few non-square plans.
 TEST(Fft2dLanes, MatchesPerFieldBitwiseAtEveryLevel) {
   std::vector<std::pair<std::size_t, std::size_t>> shapes = {{16, 8}, {4, 16}, {8, 2}, {1, 8}};
   for (std::size_t n = 2; n <= 256; n *= 2) shapes.emplace_back(n, n);
@@ -480,26 +477,33 @@ TEST(Fft2dLanes, MatchesPerFieldBitwiseAtEveryLevel) {
   for (const simd::SimdLevel level :
        {simd::SimdLevel::Scalar, simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
     if (!simd::force_simd_level(level)) continue;
+    const auto jacobian = simd::pointwise_kernels_for(level).sqg_jacobian;
     for (const auto& [n0, n1] : shapes) {
       const Fft2D plan(n0, n1);
-      for (const std::size_t kcut : {std::max(n0, n1) / 3, std::max(n0, n1) / 2}) {
-        Rng rng(401 + n0 + n1 + kcut);
-        const Spectra spec = lane_test_spectra(n0, n1, kcut, rng);
-        const Grids got = lane_inverse(plan, spec, kcut);
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          std::vector<double> want(n0 * n1);
-          plan.inverse_half_pruned(spec[l], want, kcut);
-          EXPECT_EQ(0, std::memcmp(got[l].data(), want.data(), n0 * n1 * sizeof(double)))
+      for (const std::size_t kcut : {std::max(n0, n1) / 3, std::max(n0, n1) / 2})
+        for (const double above : {-0.0, std::numeric_limits<double>::quiet_NaN()}) {
+          Rng rng(401 + n0 + n1 + kcut);
+          const Spectra spec = lane_test_spectra(n0, n1, kcut, above, rng);
+          const std::vector<Cplx> got = fused_product(plan, spec, kcut);
+          Grids g(kLanes, std::vector<double>(n0 * n1));
+          for (std::size_t l = 0; l < kLanes; ++l) plan.inverse_half_pruned(spec[l], g[l], kcut);
+          std::vector<double> product(n0 * n1);
+          jacobian(product.data(), g[0].data(), g[1].data(), g[2].data(), g[3].data(), n0 * n1);
+          std::vector<Cplx> want(plan.half_size());
+          plan.forward_half_pruned(product, want, kcut);
+          EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(Cplx)))
               << simd::simd_level_name(level) << " " << n0 << "x" << n1 << " kcut=" << kcut
-              << " lane " << l;
+              << " above kcut " << above;
         }
-      }
     }
   }
 }
 
-// The lane transform against a naive inverse 2-D DFT of the same truncated
-// spectra (each the naive forward DFT of a random real field).
+// The fused transform against a naive-DFT oracle of the same product: four
+// truncated spectra (each the naive forward DFT of a random real field),
+// their grids by the naive inverse 2-D DFT, the Jacobian u theta_x +
+// v theta_y formed pointwise, and its naive forward DFT truncated to the
+// square. Spectra are compared after dividing by n^2 (the grid-mean scale).
 TEST(Fft2dLanes, MatchesNaiveInverseDft) {
   for (const std::size_t n : {8u, 16u}) {
     const std::size_t nh = n / 2 + 1;
@@ -509,18 +513,20 @@ TEST(Fft2dLanes, MatchesNaiveInverseDft) {
     };
     const Fft2D plan(n, n);
     for (const std::size_t kcut : {n / 3, n / 2}) {
+      const auto outside = [&](std::size_t ky, std::size_t kx) {
+        return std::labs(wavenumber(ky)) > static_cast<long>(kcut) ||
+               std::labs(wavenumber(kx)) > static_cast<long>(kcut);
+      };
       Rng rng(503 + n + kcut);
       Spectra spec(kLanes, std::vector<Cplx>(n * nh));
-      Grids want(kLanes, std::vector<double>(n * n));
+      Grids grid(kLanes, std::vector<double>(n * n));
       for (std::size_t l = 0; l < kLanes; ++l) {
         std::vector<double> g(n * n);
         rng.fill_gaussian(g);
         std::vector<Cplx> full = naive_dft2(g, n, n);
         for (std::size_t ky = 0; ky < n; ++ky)
           for (std::size_t kx = 0; kx < n; ++kx)
-            if (std::labs(wavenumber(ky)) > static_cast<long>(kcut) ||
-                std::labs(wavenumber(kx)) > static_cast<long>(kcut))
-              full[ky * n + kx] = Cplx(0.0, 0.0);
+            if (outside(ky, kx)) full[ky * n + kx] = Cplx(0.0, 0.0);
         for (std::size_t i = 0; i < n; ++i)
           for (std::size_t j = 0; j < nh; ++j) spec[l][i * nh + j] = full[i * n + j];
         for (std::size_t y = 0; y < n; ++y)
@@ -529,14 +535,23 @@ TEST(Fft2dLanes, MatchesNaiveInverseDft) {
             for (std::size_t ky = 0; ky < n; ++ky)
               for (std::size_t kx = 0; kx < n; ++kx)
                 s += full[ky * n + kx] * std::conj(w[(ky * y + kx * x) % n]);
-            want[l][y * n + x] = s.real() / static_cast<double>(n * n);
+            grid[l][y * n + x] = s.real() / static_cast<double>(n * n);
           }
       }
-      const Grids got = lane_inverse(plan, spec, kcut);
-      for (std::size_t l = 0; l < kLanes; ++l)
-        for (std::size_t i = 0; i < n * n; ++i)
-          ASSERT_NEAR(got[l][i], want[l][i], 1e-12)
-              << "n=" << n << " kcut=" << kcut << " lane " << l;
+      std::vector<double> product(n * n);
+      for (std::size_t i = 0; i < n * n; ++i)
+        product[i] = grid[0][i] * grid[2][i] + grid[1][i] * grid[3][i];
+      const std::vector<Cplx> product_dft = naive_dft2(product, n, n);
+      const std::vector<Cplx> got = fused_product(plan, spec, kcut);
+      const double scale = 1.0 / static_cast<double>(n * n);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < nh; ++j) {
+          const Cplx want = outside(i, j) ? Cplx(0.0, 0.0) : product_dft[i * n + j];
+          ASSERT_NEAR(got[i * nh + j].real() * scale, want.real() * scale, 1e-12)
+              << "n=" << n << " kcut=" << kcut << " bin " << i << "," << j;
+          ASSERT_NEAR(got[i * nh + j].imag() * scale, want.imag() * scale, 1e-12)
+              << "n=" << n << " kcut=" << kcut << " bin " << i << "," << j;
+        }
     }
   }
 }
@@ -556,9 +571,10 @@ TEST(Fft2d, HalfApiRejectsUnsupportedShapes) {
   EXPECT_THROW(q.forward_half_pruned(g2, bad, 2), Error);
   EXPECT_THROW(q.inverse_half_pruned(bad, g2, 2), Error);
   simd::LaneBuffer lanes(2 * kLanes * q.half_size()), short_lanes(lanes.size() - 1);
-  std::vector<double> small(63);
-  EXPECT_THROW(q.inverse_half_pruned_lanes(short_lanes, {g2, g2, g2, g2}, 2), Error);
-  EXPECT_THROW(q.inverse_half_pruned_lanes(lanes, {g2, g2, small, g2}, 2), Error);
+  std::vector<Cplx> hspec(q.half_size());
+  const auto jacobian = simd::active_pointwise_kernels().sqg_jacobian;
+  EXPECT_THROW(q.product_half_pruned_lanes(short_lanes, jacobian, hspec, 2), Error);
+  EXPECT_THROW(q.product_half_pruned_lanes(lanes, jacobian, bad, 2), Error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -10,14 +11,17 @@
 #include "fft/fft.hpp"
 #include "models/scaled_forecast.hpp"
 #include "rng/rng.hpp"
+#include "simd/dispatch.hpp"
 #include "sqg/sqg.hpp"
 
 #include "alloc_counter.hpp"
+#include "simd_level_guard.hpp"
 
 namespace turbda::sqg {
 namespace {
 
 using turbda::rng::Rng;
+using turbda::test::SimdLevelGuard;
 
 SqgConfig inviscid_config(std::size_t n = 64) {
   SqgConfig cfg;
@@ -488,6 +492,85 @@ TEST(Sqg, HalfSpectrumStepMatchesFullSpectrumReference) {
   for (double v : b) scale = std::max(scale, std::abs(v));
   ASSERT_GT(scale, 0.0);
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], b[i], 1e-12 * scale) << i;
+}
+
+// --- the dealiased square ----------------------------------------------------
+
+constexpr simd::SimdLevel kLevels[] = {simd::SimdLevel::Scalar, simd::SimdLevel::Avx2,
+                                       simd::SimdLevel::Avx2Fma};
+
+TEST(Sqg, TendencyWritesPositiveZeroOutsideTheSquareAtEveryLevel) {
+  SqgConfig cfg;
+  cfg.n = 32;
+  SqgModel model(cfg);
+  Rng rng(93);
+  std::vector<double> theta(model.dim());
+  model.random_init(theta, rng, 1.0, 8);
+  std::vector<Cplx> spec(model.spec_dim());
+  model.to_spectral(theta, spec);
+  const std::size_t n = cfg.n, nh = n / 2 + 1, ns = n * nh;
+  const auto kcut = static_cast<long>(model.kcut());
+  SimdLevelGuard guard;
+  for (const simd::SimdLevel level : kLevels) {
+    if (!simd::force_simd_level(level)) continue;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<Cplx> out(model.spec_dim(), Cplx(nan, nan));
+    SqgWorkspace ws(n);
+    model.tendency(spec, out, ws);
+    std::size_t live = 0;
+    for (std::size_t l = 0; l < 2; ++l)
+      for (std::size_t i = 0; i < n; ++i) {
+        const long my =
+            (i <= n / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n);
+        for (std::size_t j = 0; j < nh; ++j) {
+          const Cplx v = out[l * ns + i * nh + j];
+          if (std::labs(my) <= kcut && static_cast<long>(j) <= kcut) {
+            ASSERT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()));
+            live += v != Cplx(0.0, 0.0);
+            continue;
+          }
+          ASSERT_TRUE(v.real() == 0.0 && !std::signbit(v.real()) && v.imag() == 0.0 &&
+                      !std::signbit(v.imag()))
+              << simd::simd_level_name(level) << " level " << l << " bin " << i << "," << j
+              << " = " << v;
+        }
+      }
+    EXPECT_GT(live, 0u) << simd::simd_level_name(level);
+  }
+}
+
+TEST(Sqg, StepNeverReadsStaleWorkspaceBinsAtEveryLevel) {
+  // step() writes and reads only the dealiased square of its scratch
+  // spectra. A workspace whose every buffer holds NaN must therefore give
+  // the same bytes as a fresh one: any sweep that read a bin nothing wrote
+  // during the call would carry a NaN into the state.
+  SimdLevelGuard guard;
+  for (const std::size_t n : {std::size_t{32}, std::size_t{64}}) {
+    SqgConfig cfg;
+    cfg.n = n;
+    cfg.r_ekman = 10.0;
+    SqgModel model(cfg);
+    Rng rng(94 + n);
+    std::vector<double> theta(model.dim());
+    model.random_init(theta, rng, 1.0, 8);
+    for (const simd::SimdLevel level : kLevels) {
+      if (!simd::force_simd_level(level)) continue;
+      SqgWorkspace fresh(n), stale(n);
+      stale.resize_diagnostics(n);
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      for (auto* v : {&stale.psi, &stale.jac, &stale.k1, &stale.k2, &stale.k3, &stale.k4,
+                      &stale.stage, &stale.spec, &stale.spec2, &stale.psi2, &stale.wutil})
+        std::fill(v->begin(), v->end(), Cplx(nan, nan));
+      std::fill(stale.lanes.begin(), stale.lanes.end(), nan);
+      std::fill(stale.gutil.begin(), stale.gutil.end(), nan);
+      std::vector<double> a = theta, b = theta;
+      model.step(a, 3, fresh);
+      model.step(b, 3, stale);
+      for (const double v : b) ASSERT_TRUE(std::isfinite(v)) << simd::simd_level_name(level);
+      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
+          << simd::simd_level_name(level) << " n=" << n;
+    }
+  }
 }
 
 TEST(Sqg, StepPerformsNoPerStepHeapAllocations) {
