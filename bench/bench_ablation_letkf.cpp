@@ -2,11 +2,13 @@
 // inflation factor, on a small SQG OSSE. The paper tunes these to 2000 km /
 // 0.3 in an error-free twin experiment.
 //
-// Also measures thread scaling of the per-column local analyses on two
-// observation networks, the identity network (the m x m column solve) and a
-// strided one (mostly the rank-p column solve): the LETKF hot path is
-// embarrassingly parallel over grid columns, and the parallel result must
-// stay bitwise identical to the single-threaded one on both.
+// Also measures thread scaling of the local analyses on two observation
+// networks, the identity network (the m x m solve) and a strided one (mostly
+// the rank-p solve): the LETKF hot path is embarrassingly parallel over grid
+// columns, and the parallel result must stay bitwise identical to the
+// single-threaded one on both. Each table names the coarse-grid stride the
+// cutoff gives the grid (letkf_coarse_stride) and counts the solved columns,
+// its nodes.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -31,7 +33,7 @@ namespace {
 /// One thread-scaling measurement, kept for the machine-readable output.
 struct ScaleRow {
   std::string network;  ///< "identity" or "stride<k>"
-  std::size_t n = 0, threads = 0, members = 0;
+  std::size_t n = 0, stride = 1, threads = 0, members = 0;
   double analysis_ms = 0.0;  ///< best-of-reps wall time of one analyze()
   da::LetkfTimings ph;       ///< phase breakdown of the best rep
   double plan_ms = 0.0;      ///< one-time local-obs plan build (prepare())
@@ -50,9 +52,10 @@ struct ScaleRow {
   const std::size_t dim = prior.dim();
   const da::DiagonalR r(h.obs_dim(), 1.0);
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t stride = da::letkf_coarse_stride(lc);
   std::cout << "\nThread scaling (LETKF analyze, " << network << " network with " << h.obs_dim()
-            << " obs, " << lc.nx << "^2 x 2 grid, " << members << " members, " << hw
-            << " hardware threads, best of " << reps << "):\n";
+            << " obs, " << lc.nx << "^2 x 2 grid, coarse stride " << stride << ", " << members
+            << " members, " << hw << " hardware threads, best of " << reps << "):\n";
   io::Table t({"threads", "time [ms]", "speedup", "bitwise == 1 thread"});
   double t1 = 0.0;
   bool all_same = true;
@@ -90,14 +93,14 @@ struct ScaleRow {
     all_same = all_same && same;
     t.add_row({std::to_string(nt), io::Table::num(best, 2), io::Table::num(t1 / best, 2),
                same ? "yes" : "NO"});
-    rows.push_back({network, lc.nx, nt, members, best, best_ph, plan_ms, same});
+    rows.push_back({network, lc.nx, stride, nt, members, best, best_ph, plan_ms, same});
   }
   t.print();
 
   std::cout << "\nPer-phase breakdown (ms per analysis, summed over workers; plan is a one-time\n"
                "per-network cost, 'other' = wall - phases, only meaningful serially):\n";
   io::Table pt({"threads", "plan", "select", "gather", "gram", "eigh", "weights", "combine",
-                "other", "solved/columns", "rank-p cols", "full/partial cols"});
+                "other", "stride", "solved/columns", "rank-p cols", "full/partial cols"});
   for (std::size_t i = first; i < rows.size(); ++i) {
     const ScaleRow& r0 = rows[i];
     const da::LetkfTimings& ph = r0.ph;
@@ -108,22 +111,25 @@ struct ScaleRow {
                 io::Table::num(ph.gram_ms, 1), io::Table::num(ph.eigh_ms, 1),
                 io::Table::num(ph.weights_ms, 1), io::Table::num(ph.combine_ms, 1),
                 r0.threads == 1 ? io::Table::num(r0.analysis_ms - phased, 1) : std::string("-"),
+                std::to_string(r0.stride),
                 std::to_string(ph.groups) + "/" + std::to_string(ph.columns),
                 std::to_string(ph.rank_p_columns),
                 std::to_string(ph.batched_columns) + "/" + std::to_string(ph.scalar_columns)});
   }
   pt.print();
-  std::cout << "('solved' counts columns with local observations, all solved through an\n"
-               " eigensolve; 'rank-p cols' those with fewer local observations than members,\n"
-               " solved through the p x p eigenproblem, the rest through the m x m one;\n"
-               " 'full/partial cols' is the SIMD lane-occupancy split: columns in full lane\n"
-               " batches vs columns in padded partial batches plus unobserved ones.)\n";
+  std::cout << "('solved' counts the coarse-grid nodes with local observations, every\n"
+               " observed column at stride 1, each solved through an eigensolve; the other\n"
+               " columns blend their neighbouring nodes' weights, and 'combine' includes that\n"
+               " blend. 'rank-p cols' counts the solved nodes with fewer local observations\n"
+               " than members, solved through the p x p eigenproblem, the rest through the\n"
+               " m x m one; 'full/partial cols' is the SIMD lane-occupancy split of the\n"
+               " nodes: full lane batches vs padded partial batches plus unobserved nodes.)\n";
   if (!all_same) std::cout << "ERROR: multi-threaded analysis diverged from 1 thread\n";
   return all_same;
 }
 
-/// Thread scaling of the per-column local analyses on two observation
-/// networks over one synthetic ensemble: the identity network (every grid
+/// Thread scaling of the local analyses on two observation networks over
+/// one synthetic ensemble: the identity network (every grid
 /// point observed; hundreds of local observations per column, the m x m
 /// path) and the strided network at stride max(1, n/16) (the cycle
 /// benchmark's 1/64 network at n = 128; mostly fewer local observations
@@ -180,7 +186,8 @@ void write_json(const std::string& path, const std::vector<ScaleRow>& rows, std:
        << ", \"select_ms\": " << r0.ph.select_ms << ", \"gather_ms\": " << r0.ph.gather_ms
        << ", \"gram_ms\": " << r0.ph.gram_ms << ", \"eigh_ms\": " << r0.ph.eigh_ms
        << ", \"weights_ms\": " << r0.ph.weights_ms << ", \"combine_ms\": " << r0.ph.combine_ms
-       << ", \"groups\": " << r0.ph.groups << ", \"columns\": " << r0.ph.columns
+       << ", \"stride\": " << r0.stride << ", \"solved_columns\": " << r0.ph.groups
+       << ", \"columns\": " << r0.ph.columns
        << ", \"batched_columns\": " << r0.ph.batched_columns
        << ", \"scalar_columns\": " << r0.ph.scalar_columns
        << ", \"rank_p_columns\": " << r0.ph.rank_p_columns

@@ -61,11 +61,48 @@ Neighborhood build_neighborhood(const LetkfConfig& cfg) {
   return nb;
 }
 
+/// A solve chunk's scratch: the lane-interleaved pipeline buffers (element e
+/// of lane l at buf[e * kLaneBatch + l]), the node order, the two-row window
+/// of node weights with its per-node failure flags, and the blend buffers
+/// (the x-blends of both rows, then the y-blend). Per thread and kept across
+/// analyses, like the FFT scratch, so a warmed analysis allocates nothing per
+/// chunk: allocating it per chunk call placed small blocks above the
+/// analysis buffers in the calling thread's heap, which then could not shrink,
+/// and raised the cycle benchmark's peak RSS by ~3 MB.
+struct ChunkScratch {
+  std::array<std::vector<std::int32_t>, simd::kLaneBatch> sel_idx_b;
+  std::array<std::vector<double>, simd::kLaneBatch> sel_w_b;
+  simd::LaneBuffer yTb, yTwb, sTb, weffb, wib;
+  simd::LaneBuffer amatb, vb, vTb, usTb, wmatb;  // m x m per lane
+  simd::LaneBuffer wlb, cdb, vtcdb, wbarb, wbb, isqb, accb, xbTb, xaTb;  // m per lane
+  tensor::EighBatchScratch eigh;
+  std::vector<std::uint32_t> order;
+  std::array<simd::LaneBuffer, 2> win;
+  std::array<std::vector<std::uint8_t>, 2> failed;
+  simd::LaneBuffer bx, by;
+};
+
+ChunkScratch& chunk_scratch() {
+  thread_local ChunkScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
-/// Budget for materializing the per-column (obs, weight) lists of a plan.
-/// The benchmark's sparse networks fit; the dense identity network at
-/// n = 128 does not and walks the weight template per column instead.
+std::size_t letkf_coarse_stride(const LetkfConfig& cfg) {
+  const double spacing = std::max(cfg.domain_m / static_cast<double>(cfg.nx),
+                                  cfg.domain_m / static_cast<double>(cfg.ny));
+  for (std::size_t s = std::min(cfg.nx, cfg.ny); s > 1; --s)
+    if (cfg.nx % s == 0 && cfg.ny % s == 0 &&
+        static_cast<double>(s) * spacing <= cfg.cutoff_m / 6.0)
+      return s;
+  return 1;
+}
+
+/// Budget for materializing the per-node (obs, weight) lists of a plan.
+/// The benchmark's sparse networks fit (~1 MiB), and so do the identity
+/// network's at n = 128 (8192 nodes x 678 entries, 63.6 MiB); larger dense
+/// networks walk the weight template per node instead.
 constexpr std::uint64_t kPlanBudgetBytes = std::uint64_t{64} << 20;
 
 /// Cached local-observation plan for one observation network on one grid.
@@ -76,9 +113,10 @@ constexpr std::uint64_t kPlanBudgetBytes = std::uint64_t{64} << 20;
 /// per (analysis level, cell offset, obs level) — all hypot/GC evaluations
 /// happen once per network, not once per column per cycle — and every
 /// column's local observation count is recorded for the lane-batch
-/// scheduler. When the resolved per-column (obs, w) lists fit
-/// kPlanBudgetBytes they are materialized outright, removing even the
-/// template walk from the analysis hot path.
+/// scheduler and the between-node fill. When the resolved (obs, w) lists of
+/// the coarse-grid nodes, the only columns solved, fit kPlanBudgetBytes they
+/// are materialized outright, removing even the template walk from the
+/// analysis hot path.
 struct LETKF::Plan {
   /// One non-negligible template entry: cell offset (di, dj), observation
   /// level (as a flat cell-index base), localization weight.
@@ -89,6 +127,8 @@ struct LETKF::Plan {
   };
 
   std::size_t nx = 0, ny = 0, nlev = 0;
+  /// Coarse grid: stride, nodes per node row (x) and node rows per level (y).
+  std::size_t stride = 1, nodes_x = 0, nodes_y = 0;
 
   // Network signature for invalidation.
   std::vector<ObsLocation> locs;
@@ -99,15 +139,29 @@ struct LETKF::Plan {
   std::vector<std::int32_t> cell_obs;         ///< cell -> obs index, -1 unobserved
   std::vector<double> inv_rvar;               ///< 1 / R diagonal
 
-  // Materialized per-column selections (sel_* stay empty otherwise).
+  // Materialized per-node selections (sel_* stay empty otherwise).
   bool materialized = false;
-  std::vector<std::uint64_t> col_off;  ///< d + 1 prefix offsets
+  std::vector<std::uint64_t> node_off;  ///< nodes + 1 prefix offsets
   std::vector<std::int32_t> sel_idx;
   std::vector<double> sel_w;
 
   /// Per-column local observation count: lets the lane-batch scheduler
-  /// bucket columns by problem shape without walking the template.
+  /// bucket nodes by problem shape without walking the template, and tells
+  /// the fill which columns keep the forecast.
   std::vector<std::uint32_t> col_pl;
+
+  /// Column index of node q = (lev * nodes_y + J) * nodes_x + I.
+  [[nodiscard]] std::size_t node_column(std::size_t q) const {
+    const std::size_t per_level = nodes_x * nodes_y;
+    const std::size_t rem = q % per_level;
+    return ((q / per_level) * ny + rem / nodes_x * stride) * nx + rem % nodes_x * stride;
+  }
+  /// Node index of node column g.
+  [[nodiscard]] std::size_t node_of(std::size_t g) const {
+    const std::size_t area = nx * ny;
+    const std::size_t rem = g % area;
+    return ((g / area) * nodes_y + rem / nx / stride) * nodes_x + rem % nx / stride;
+  }
 
   /// Visits this column's local observations in the fixed deterministic
   /// order (neighborhood entry outer, obs level inner): f(obs_index,
@@ -154,6 +208,9 @@ std::unique_ptr<LETKF::Plan> LETKF::Plan::build(const LetkfConfig& cfg,
   pl.nx = cfg.nx;
   pl.ny = cfg.ny;
   pl.nlev = cfg.n_levels;
+  pl.stride = letkf_coarse_stride(cfg);
+  pl.nodes_x = cfg.nx / pl.stride;
+  pl.nodes_y = cfg.ny / pl.stride;
   pl.locs = std::move(locs_in);
   pl.rvar = std::move(rvar_in);
   const std::size_t area = cfg.nx * cfg.ny;
@@ -221,28 +278,30 @@ std::unique_ptr<LETKF::Plan> LETKF::Plan::build(const LetkfConfig& cfg,
       },
       cfg.nx, cfg.n_threads);
 
-  // Materialize every column's (obs, weight) list when the lists fit the
-  // budget; otherwise analyses walk the template per column.
-  pl.col_off.assign(d + 1, 0);
-  for (std::size_t g = 0; g < d; ++g) pl.col_off[g + 1] = pl.col_off[g] + pl.col_pl[g];
-  const std::uint64_t total = pl.col_off[d];
+  // Materialize every node's (obs, weight) list when the lists fit the
+  // budget; otherwise analyses walk the template per node.
+  const std::size_t nodes = cfg.n_levels * pl.nodes_x * pl.nodes_y;
+  pl.node_off.assign(nodes + 1, 0);
+  for (std::size_t q = 0; q < nodes; ++q)
+    pl.node_off[q + 1] = pl.node_off[q] + pl.col_pl[pl.node_column(q)];
+  const std::uint64_t total = pl.node_off[nodes];
   if (total * (sizeof(std::int32_t) + sizeof(double)) <= kPlanBudgetBytes) {
     pl.materialized = true;
     pl.sel_idx.resize(total);
     pl.sel_w.resize(total);
     parallel::parallel_for(
-        d,
+        nodes,
         [&](std::size_t b, std::size_t e) {
-          for (std::size_t g = b; g < e; ++g) {
-            std::uint64_t at = pl.col_off[g];
-            pl.for_each(g, [&](std::int32_t o, double wv) {
+          for (std::size_t q = b; q < e; ++q) {
+            std::uint64_t at = pl.node_off[q];
+            pl.for_each(pl.node_column(q), [&](std::int32_t o, double wv) {
               pl.sel_idx[at] = o;
               pl.sel_w[at] = wv;
               ++at;
             });
           }
         },
-        cfg.nx, cfg.n_threads);
+        pl.nodes_x, cfg.n_threads);
   }
   return plan;
 }
@@ -310,20 +369,36 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   WallTimer t_total;
   const Plan& plan = plan_for(h, r);
 
-  // Prior statistics.
-  const auto xbar = ens.mean();
-  const std::vector<double> prior_sd = ens.stddev();
-
-  // Column-major (d x m) prior perturbations: every per-column kernel below
-  // then reads/writes contiguous m-vectors. Transposes are elementwise, so
-  // they are bitwise independent of the chunking.
+  // Prior mean, column-major (d x m) perturbations and, for RTPS, prior
+  // spread: every per-column kernel below then reads/writes contiguous
+  // m-vectors. Each column's sums run in member order with the operations
+  // of Ensemble::mean() and stddev(), so the values are theirs bit for bit
+  // and independent of the chunking.
+  const bool rtps = cfg_.rtps > 0.0;
+  const double inv_m = 1.0 / static_cast<double>(m);
+  const double inv_m1 = 1.0 / static_cast<double>(m - 1);
+  std::vector<double> xbar(d, 0.0), prior_sd(rtps ? d : 0);
   Tensor xbT({d, m});
   parallel::parallel_for(
       d,
       [&](std::size_t b, std::size_t e) {
         for (std::size_t k = 0; k < m; ++k) {
           const auto row = ens.member(k);
+          for (std::size_t g = b; g < e; ++g) xbar[g] += row[g];
+        }
+        for (std::size_t g = b; g < e; ++g) xbar[g] *= inv_m;
+        for (std::size_t k = 0; k < m; ++k) {
+          const auto row = ens.member(k);
           for (std::size_t g = b; g < e; ++g) xbT(g, k) = row[g] - xbar[g];
+        }
+        if (!rtps) return;
+        for (std::size_t g = b; g < e; ++g) {
+          double v = 0.0;
+          for (std::size_t k = 0; k < m; ++k) {
+            const double dv = xbT(g, k);
+            v += dv * dv;
+          }
+          prior_sd[g] = std::sqrt(v * inv_m1);
         }
       },
       4096, cfg_.n_threads);
@@ -367,47 +442,98 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   };
   std::mutex tm_mu;
   std::mutex stats_mu;
-  std::size_t solver_failures = 0;
+  std::size_t solver_failures = 0, fallback_columns = 0;
 
-  // One chunk = one worker's contiguous range of columns, with chunk-local
-  // scratch. The chunk sorts its observed columns by local observation
-  // count and cuts every equal-size run into batches of kLaneBatch columns
-  // that advance in lockstep, one per SIMD lane, through the lane-batched
+  // Coarse grid: stride s, ni nodes per node row, nj node rows per level.
+  // Between two node rows, the window holds each row's node weight matrices
+  // (m x m, wbar folded in) lane-interleaved in nbk blocks of W nodes plus
+  // one wrap block: lane l of block b holds node (b + l * nbk) mod ni, so
+  // block b + 1 holds, lane for lane, the right-hand neighbours of block b,
+  // the last node's being node 0.
+  constexpr std::size_t W = simd::kLaneBatch;
+  const std::size_t s = plan.stride, ni = plan.nodes_x, nj = plan.nodes_y;
+  const bool coarse = s > 1;
+  const std::size_t nbk = (ni + W - 1) / W;
+  const std::size_t mm = m * m;
+  const std::size_t blk = mm * W;  // doubles per window block
+
+  // One chunk = one worker's contiguous range of coarse-row intervals, with
+  // its thread's ChunkScratch. Interval (lev, J) covers the fine rows J s ..
+  // J s + s - 1 of level lev, between node rows J and J + 1 (mod nj). The
+  // chunk solves the node row below its first interval (and below the first
+  // interval of every later level), then per interval the node row above,
+  // and fills the interval's between-node columns from the two rows. Only
+  // the node rows of its own intervals write the analysis and count; the
+  // row above its last interval (and a level's wrap row) is solved again,
+  // with the same bits, by the chunk that owns it.
+  //
+  // A node-row solve sorts its observed nodes by local observation count and
+  // cuts every equal-size run into batches of kLaneBatch nodes that advance in
+  // lockstep, one per SIMD lane, through the lane-batched
   // gather/Gram/eigensolve/weights/combine below. A run's last, partial
-  // batch is padded by repeating its last column: every lane then holds a
+  // batch is padded by repeating its last node: every lane then holds a
   // well-posed problem, the pad copies converge in the same sweeps as that
-  // column so jacobi_eigh_batch runs at full width without extra work, and
+  // node so jacobi_eigh_batch runs at full width without extra work, and
   // only real lanes are written back or counted. A lane's arithmetic never
-  // depends on what shares its batch and columns touch disjoint xaT rows,
-  // so the result is bitwise identical for any thread count — and so for
-  // any chunking, packing and padding.
-  const auto solve_columns = [&](std::size_t c_begin, std::size_t c_end) {
+  // depends on what shares its batch, a column's blend reads only its
+  // stencil nodes' weights, and columns touch disjoint xaT rows, so the
+  // result is bitwise identical for any thread count — and so for any
+  // chunking, packing and padding.
+  const auto solve_intervals = [&](std::size_t t_begin, std::size_t t_end) {
     const auto& dk = simd::active_dense_kernels();
-    // Lane-interleaved SoA scratch: element e of lane l at buf[e * W + l].
-    constexpr std::size_t W = simd::kLaneBatch;
-    std::array<std::vector<std::int32_t>, W> sel_idx_b;
-    std::array<std::vector<double>, W> sel_w_b;
-    simd::LaneBuffer yTb, yTwb, sTb, weffb, wib;
-    simd::LaneBuffer amatb(m * m * W), vb(m * m * W), wlb(m * W);
-    simd::LaneBuffer cdb(m * W), vtcdb(m * W), wbarb(m * W), wbb(m * W), isqb(m * W),
-        accb(m * W), xbTb(m * W), xaTb(m * W);
-    simd::LaneBuffer vTb(m * m * W), usTb(m * m * W), wmatb(m * m * W);
+    auto& [sel_idx_b, sel_w_b, yTb, yTwb, sTb, weffb, wib, amatb, vb, vTb, usTb, wmatb, wlb, cdb,
+           vtcdb, wbarb, wbb, isqb, accb, xbTb, xaTb, eigh_scratch, order, win, failed, bx, by] =
+        chunk_scratch();
+    for (simd::LaneBuffer* b : {&amatb, &vb, &vTb, &usTb, &wmatb}) b->resize(mm * W);
+    for (simd::LaneBuffer* b : {&wlb, &cdb, &vtcdb, &wbarb, &wbb, &isqb, &accb, &xbTb, &xaTb})
+      b->resize(m * W);
+    if (coarse) {
+      for (std::size_t w = 0; w < 2; ++w) {
+        win[w].resize((nbk + 1) * blk);
+        failed[w].resize(ni);
+      }
+      bx.resize(2 * blk);
+      by.resize(blk);
+    }
     tensor::EighInfo einfos[W];
-    tensor::EighBatchScratch eigh_scratch;
-    std::vector<std::uint32_t> order;
     std::size_t loc_solved = 0, loc_batched_cols = 0, loc_scalar_cols = 0, loc_rank_p_cols = 0,
-                loc_failures = 0;
+                loc_failures = 0, loc_fallback = 0;
     LetkfTimings pt;
     WallTimer ph;
     auto& tc = telemetry::TraceCollector::instance();
     const std::uint64_t chunk_t0 = tr ? tc.now_ns() : 0;
 
-    // Solves the W columns cols[0..W) with local problem size pl; lanes at
+    // Posterior combine, one column per lane, into xaTb:
+    // xa(:, g) = xbar[g] + wm^T Xb(:, g), wm lane-interleaved m x m.
+    const auto combine = [&](const std::uint32_t* cols, const double* wm) {
+      double xbarb[W];
+      for (std::size_t l = 0; l < W; ++l) {
+        const std::size_t g = cols[l];
+        for (std::size_t k = 0; k < m; ++k) xbTb[k * W + l] = xbT(g, k);
+        xbarb[l] = xbar[g];
+      }
+      std::fill(accb.begin(), accb.end(), 0.0);
+      dk.baccum_rows(accb.data(), xbTb.data(), 1, wm, m, m, m);
+      dk.bscale_shift(xaTb.data(), accb.data(), m, 1.0, xbarb);
+    };
+    const auto write_lane = [&](std::size_t g, std::size_t l) {
+      for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xaTb[k * W + l];
+    };
+    // Node `node`'s own slot in window row w: lane node / nbk of block
+    // node mod nbk.
+    const auto slot = [&](std::size_t w, std::size_t node) {
+      return &win[w][node % nbk * blk + node / nbk];
+    };
+
+    // Solves the W nodes cols[0..W) with local problem size pl; lanes at
     // and past n_real are pads repeating cols[n_real - 1]. A batch with fewer
     // local observations than members (pl < m) goes through the rank-p
     // observation-space solve, p x p instead of m x m; both paths end in the
-    // same wmat for the shared combine.
-    const auto solve_batch = [&](const std::uint32_t* cols, std::size_t n_real, std::size_t pl) {
+    // same wmat for the shared combine. An owned batch writes its nodes'
+    // analysis; on the coarse grid every batch parks its weights in window
+    // row `w`.
+    const auto solve_batch = [&](const std::uint32_t* cols, std::size_t n_real, std::size_t pl,
+                                 std::size_t w, bool owned) {
       const bool rank_p = pl < m;
       const std::size_t n = rank_p ? pl : m;  // eigenproblem size
       // Local observation selection: materialized list or template walk.
@@ -417,8 +543,9 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       for (std::size_t l = 0; l < W; ++l) {
         const std::uint32_t g = cols[l];
         if (plan.materialized) {
-          sidx[l] = plan.sel_idx.data() + plan.col_off[g];
-          sw[l] = plan.sel_w.data() + plan.col_off[g];
+          const std::uint64_t off = plan.node_off[plan.node_of(g)];
+          sidx[l] = plan.sel_idx.data() + off;
+          sw[l] = plan.sel_w.data() + off;
         } else {
           sel_idx_b[l].clear();
           sel_w_b[l].clear();
@@ -566,65 +693,176 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.weights_ms += ph.milliseconds();
 
-      // Posterior combine, one column per lane:
-      // xa(:, g) = xbar[g] + wmat^T Xb(:, g). Non-converged real lanes keep
-      // the forecast; pad lanes are never written back.
+      // Owned nodes: posterior combine. Non-converged real lanes keep the
+      // forecast; pad lanes are never written back. Coarse grid: each real
+      // lane's weights go to its node's window slot.
       if (tm) ph.reset();
-      double xbarb[W];
-      for (std::size_t l = 0; l < W; ++l) {
-        const std::size_t g = cols[l];
-        for (std::size_t k = 0; k < m; ++k) xbTb[k * W + l] = xbT(g, k);
-        xbarb[l] = xbar[g];
-      }
-      std::fill(accb.begin(), accb.end(), 0.0);
-      dk.baccum_rows(accb.data(), xbTb.data(), 1, wmatb.data(), m, m, m);
-      dk.bscale_shift(xaTb.data(), accb.data(), m, 1.0, xbarb);
-      for (std::size_t l = 0; l < n_real; ++l) {
-        const std::size_t g = cols[l];
-        if (!einfos[l].converged) {
-          ++loc_failures;
-          keep_forecast(g);
-          continue;
+      if (owned) {
+        combine(cols, wmatb.data());
+        for (std::size_t l = 0; l < n_real; ++l) {
+          const std::size_t g = cols[l];
+          if (!einfos[l].converged) {
+            ++loc_failures;
+            keep_forecast(g);
+            continue;
+          }
+          write_lane(g, l);
         }
-        for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xaTb[k * W + l];
+      }
+      if (coarse)
+        for (std::size_t l = 0; l < n_real; ++l) {
+          const std::size_t node = cols[l] % cfg_.nx / s;
+          failed[w][node] = einfos[l].converged ? 0 : 1;
+          double* dst = slot(w, node);
+          for (std::size_t e = 0; e < mm; ++e) dst[e * W] = wmatb[e * W + l];
+        }
+      if (tm) pt.combine_ms += ph.milliseconds();
+    };
+
+    // Solves the node rows [r_begin, r_end), row r = lev * nj + J. Nodes
+    // without local observations keep the forecast and give the identity
+    // transform; the rest are ordered by local problem size, then index, so
+    // equal sizes share lane batches across the rows. Coarse grid: one row
+    // at a time, whose weights land in window row w, and the wrap block and
+    // pad lanes are filled from their nodes' slots.
+    const auto solve_rows = [&](std::size_t r_begin, std::size_t r_end, std::size_t w,
+                                bool owned) {
+      if (tm) ph.reset();
+      order.clear();
+      for (std::size_t row = r_begin; row < r_end; ++row)
+        for (std::size_t node = 0; node < ni; ++node) {
+          const std::size_t g = (row / nj * cfg_.ny + row % nj * s) * cfg_.nx + node * s;
+          if (plan.col_pl[g] != 0) {
+            order.push_back(static_cast<std::uint32_t>(g));
+            continue;
+          }
+          if (owned) {
+            keep_forecast(g);
+            ++loc_scalar_cols;
+          }
+          if (coarse) {
+            failed[w][node] = 0;
+            double* dst = slot(w, node);
+            for (std::size_t e = 0; e < mm; ++e) dst[e * W] = (e % (m + 1) == 0) ? 1.0 : 0.0;
+          }
+        }
+      if (tm) pt.combine_ms += ph.milliseconds();
+      std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+        const std::uint32_t pa = plan.col_pl[a], pb = plan.col_pl[b];
+        return pa != pb ? pa < pb : a < b;
+      });
+      std::uint32_t lanes[W];
+      for (std::size_t i = 0; i < order.size();) {
+        const std::uint32_t pl_run = plan.col_pl[order[i]];
+        std::size_t n_real = 1;
+        while (n_real < W && i + n_real < order.size() &&
+               plan.col_pl[order[i + n_real]] == pl_run)
+          ++n_real;
+        for (std::size_t l = 0; l < W; ++l) lanes[l] = order[i + std::min(l, n_real - 1)];
+        solve_batch(lanes, n_real, pl_run, w, owned);
+        if (owned) {
+          (n_real == W ? loc_batched_cols : loc_scalar_cols) += n_real;
+          if (pl_run < m) loc_rank_p_cols += n_real;
+          loc_solved += n_real;
+        }
+        i += n_real;
+      }
+      if (!coarse) return;
+      if (tm) ph.reset();
+      for (std::size_t b = 0; b <= nbk; ++b)
+        for (std::size_t l = 0; l < W; ++l) {
+          const std::size_t v = b + l * nbk;
+          if (b < nbk && v < ni) continue;  // the node's own slot
+          const double* src = slot(w, v % ni);
+          double* dst = &win[w][b * blk + l];
+          for (std::size_t e = 0; e < mm; ++e) dst[e * W] = src[e * W];
+        }
+      if (tm) pt.combine_ms += ph.milliseconds();
+    };
+
+    // out = (1 - f) a + f b over one window block, f shared by the lanes.
+    const auto blend = [&](double* out, const double* a, const double* b, double f) {
+      double ca[W], cb[W];
+      std::fill_n(ca, W, 1.0 - f);
+      std::fill_n(cb, W, f);
+      dk.bscale(out, a, mm, ca);
+      dk.baccum_rows(out, cb, 0, b, mm, 1, mm);
+    };
+
+    // Fills the between-node columns of interval (lev, J) from window rows
+    // lo (node row J) and hi (node row J + 1): column (J s + ry, I s + rx)
+    // blends nodes I and I + 1 (mod ni) along x with fx = rx / s, then the
+    // two rows along y with fy = ry / s, and combines, one column per lane.
+    // A column without local observations keeps the forecast, and so does
+    // one whose blend would read a failed node's weights.
+    const auto fill_interval = [&](std::size_t lev, std::size_t J, std::size_t lo,
+                                   std::size_t hi) {
+      if (tm) ph.reset();
+      const double inv_s = 1.0 / static_cast<double>(s);
+      std::uint32_t cols[W];
+      for (std::size_t b = 0; b < nbk; ++b) {
+        for (std::size_t rx = 0; rx < s; ++rx) {
+          const double* wx_lo = &win[lo][b * blk];
+          const double* wx_hi = &win[hi][b * blk];
+          if (rx > 0) {
+            const double fx = static_cast<double>(rx) * inv_s;
+            blend(bx.data(), wx_lo, wx_lo + blk, fx);
+            blend(bx.data() + blk, wx_hi, wx_hi + blk, fx);
+            wx_lo = bx.data();
+            wx_hi = bx.data() + blk;
+          }
+          for (std::size_t ry = 0; ry < s; ++ry) {
+            if (rx == 0 && ry == 0) continue;  // the nodes: solve_rows wrote them
+            const std::size_t row = (lev * cfg_.ny + J * s + ry) * cfg_.nx + rx;
+            unsigned todo = 0;
+            for (std::size_t l = 0; l < W; ++l) {
+              const std::size_t node = b + l * nbk;
+              cols[l] = static_cast<std::uint32_t>(row + (node < ni ? node : b) * s);
+              if (node >= ni) continue;  // pad lane
+              const std::size_t g = cols[l];
+              const std::size_t next = (node + 1) % ni;
+              const bool stencil_failed =
+                  failed[lo][node] != 0 || (rx > 0 && failed[lo][next] != 0) ||
+                  (ry > 0 && (failed[hi][node] != 0 || (rx > 0 && failed[hi][next] != 0)));
+              if (plan.col_pl[g] == 0 || stencil_failed) {
+                keep_forecast(g);
+                if (plan.col_pl[g] != 0) ++loc_fallback;
+                continue;
+              }
+              todo |= 1u << l;
+            }
+            if (todo == 0) continue;
+            const double* wm = wx_lo;
+            if (ry > 0) {
+              blend(by.data(), wx_lo, wx_hi, static_cast<double>(ry) * inv_s);
+              wm = by.data();
+            }
+            combine(cols, wm);
+            for (std::size_t l = 0; l < W; ++l)
+              if (todo & (1u << l)) write_lane(cols[l], l);
+          }
+        }
       }
       if (tm) pt.combine_ms += ph.milliseconds();
     };
 
-    // Columns without local observations keep the forecast; the rest are
-    // ordered by local problem size, then index.
-    if (tm) ph.reset();
-    order.clear();
-    for (std::size_t g = c_begin; g < c_end; ++g) {
-      if (plan.col_pl[g] == 0) {
-        keep_forecast(g);
-        ++loc_scalar_cols;
-      } else {
-        order.push_back(static_cast<std::uint32_t>(g));
-      }
-    }
-    if (tm) pt.combine_ms += ph.milliseconds();
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      const std::uint32_t pa = plan.col_pl[a], pb = plan.col_pl[b];
-      return pa != pb ? pa < pb : a < b;
-    });
-    std::uint32_t lanes[W];
-    for (std::size_t i = 0; i < order.size();) {
-      const std::uint32_t pl_run = plan.col_pl[order[i]];
-      std::size_t n_real = 1;
-      while (n_real < W && i + n_real < order.size() && plan.col_pl[order[i + n_real]] == pl_run)
-        ++n_real;
-      for (std::size_t l = 0; l < W; ++l) lanes[l] = order[i + std::min(l, n_real - 1)];
-      solve_batch(lanes, n_real, pl_run);
-      (n_real == W ? loc_batched_cols : loc_scalar_cols) += n_real;
-      if (pl_run < m) loc_rank_p_cols += n_real;
-      loc_solved += n_real;
-      i += n_real;
+    // Stride 1: every column is a node, and the chunk's rows are solved as
+    // one set. Coarse grid: the two-row window slides over the intervals.
+    if (!coarse) solve_rows(t_begin, t_end, 0, true);
+    std::size_t lo = 0;
+    for (std::size_t t = t_begin; coarse && t < t_end; ++t) {
+      const std::size_t lev = t / nj, J = t % nj;
+      if (t == t_begin || J == 0) solve_rows(t, t + 1, lo, true);
+      const std::size_t up = lev * nj + (J + 1) % nj;
+      solve_rows(up, up + 1, 1 - lo, J + 1 < nj && t + 1 < t_end);
+      fill_interval(lev, J, lo, 1 - lo);
+      lo = 1 - lo;
     }
 
-    if (loc_failures != 0) {
+    if (loc_failures != 0 || loc_fallback != 0) {
       const std::lock_guard<std::mutex> lock(stats_mu);
       solver_failures += loc_failures;
+      fallback_columns += loc_failures + loc_fallback;
     }
     if (tm_cfg) {
       const std::lock_guard<std::mutex> lock(tm_mu);
@@ -664,42 +902,44 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   };
 
   try {
-    parallel::parallel_for(d, solve_columns, std::max<std::size_t>(1, cfg_.nx / 2),
-                           cfg_.n_threads);
+    parallel::parallel_for(cfg_.n_levels * nj, solve_intervals, 1, cfg_.n_threads);
   } catch (const Error& e) {
     // eigh_fallback == false: the whole analysis fails, ensemble untouched.
     return Status(StatusCode::kNonConvergent, e.what());
   }
   if (stats != nullptr) {
-    // Every failed solve is one column keeping its forecast.
     stats->solver_failures = solver_failures;
-    stats->fallback_columns = solver_failures;
+    stats->fallback_columns = fallback_columns;
   }
 
-  // Write the analysis back member-major.
+  // Write the analysis back member-major. RTPS first relaxes each column's
+  // analysis spread toward its prior spread; its posterior mean and spread
+  // are summed in member order with the operations of Ensemble::mean() and
+  // stddev(), so every value is the whole-ensemble formula's bit for bit.
   parallel::parallel_for(
       d,
       [&](std::size_t b, std::size_t e) {
+        for (std::size_t g = b; rtps && g < e; ++g) {
+          double* xa = &xaT(g, 0);
+          double mu = 0.0;
+          for (std::size_t k = 0; k < m; ++k) mu += xa[k];
+          mu *= inv_m;
+          double v = 0.0;
+          for (std::size_t k = 0; k < m; ++k) {
+            const double dv = xa[k] - mu;
+            v += dv * dv;
+          }
+          const double post_sd = std::sqrt(v * inv_m1);
+          if (post_sd <= 1e-12) continue;
+          const double scale = 1.0 + cfg_.rtps * (prior_sd[g] - post_sd) / post_sd;
+          for (std::size_t k = 0; k < m; ++k) xa[k] = mu + (xa[k] - mu) * scale;
+        }
         for (std::size_t k = 0; k < m; ++k) {
           auto row = ens.member(k);
           for (std::size_t g = b; g < e; ++g) row[g] = xaT(g, k);
         }
       },
       4096, cfg_.n_threads);
-
-  // RTPS inflation: relax analysis spread toward the prior spread.
-  if (cfg_.rtps > 0.0) {
-    const auto post_sd = ens.stddev();
-    const auto mu = ens.mean();
-    for (std::size_t i = 0; i < d; ++i) {
-      if (post_sd[i] <= 1e-12) continue;
-      const double scale = 1.0 + cfg_.rtps * (prior_sd[i] - post_sd[i]) / post_sd[i];
-      for (std::size_t k = 0; k < m; ++k) {
-        auto row = ens.member(k);
-        row[i] = mu[i] + (row[i] - mu[i]) * scale;
-      }
-    }
-  }
 
   if (tm_cfg) {
     timings_.total_ms += t_total.milliseconds();

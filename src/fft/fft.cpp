@@ -365,7 +365,10 @@ void Fft2D::product_half_pruned_lanes(std::span<double> lanes, RowProduct row_pr
   // batch_transform leaves an all-±0 column's bits untouched. A column block
   // with no live lane is skipped; lanes transformed alongside live ones are
   // restored from a copy afterwards (e.g. column mx = 0 of the two
-  // i kx-derivatives).
+  // i kx-derivatives). The 8 x 2 plan at kcut 4 needs the restore: with
+  // theta_x and theta_y all ±0, the product's zero signs come from the dead
+  // lanes, and without it they differ from the per-field transforms' at
+  // every dispatch level (Fft2dLanes.MatchesPerFieldBitwiseAtEveryLevel).
   if (n0_ > 1) {
     const std::size_t block = kLaneElem * kLaneColumns;  // doubles per block row
     double* saved = reinterpret_cast<double*>(tls_buffer(1, n0_ * block / 2).data());

@@ -356,7 +356,9 @@ TEST(Letkf, MatchesKalmanPosteriorWithoutLocalization) {
   // column's local problem is the global one, so the posterior ensemble must
   // carry both the Kalman mean and the full Kalman covariance
   // Pa = Pb - Pb H^T (H Pb H^T + R)^{-1} H Pb of the prior sample
-  // covariance. Three inputs, m = 30 members:
+  // covariance. The cutoff gives the coarse grid stride 4, one node per
+  // level, and every other column blends copies of the same weights, which
+  // returns them up to rounding. Three inputs, m = 30 members:
   //  - the identity network with R = I: p = 32 >= m, the m x m path;
   //  - a stride-2 network with non-uniform R: p = 8 < m, the rank-p path;
   //  - the same network with two observations QC-masked and r_scale = 1.5,
@@ -405,7 +407,11 @@ TEST(Letkf, MatchesKalmanPosteriorWithoutLocalization) {
     opts.r_scale = r_scale;
     opts.obs_mask = mask;
     ASSERT_TRUE(letkf.try_analyze(ens, y, h, DiagonalR(r_var), opts).ok());
-    EXPECT_EQ(letkf.timings().rank_p_columns, rank_p ? d : 0u);
+    // The counters count solved columns, the coarse-grid nodes.
+    const std::size_t s = letkf_coarse_stride(cfg);
+    const std::size_t nodes = nlev * (nx / s) * (ny / s);
+    EXPECT_EQ(letkf.timings().groups, nodes);
+    EXPECT_EQ(letkf.timings().rank_p_columns, rank_p ? nodes : 0u);
 
     const auto mean = ens.mean();
     const tensor::Tensor cov = sample_covariance(ens);
@@ -701,6 +707,337 @@ TEST(Letkf, SweepStarvationFallbackIsThreadInvariant) {
     Ensemble work(c.kMembers, c.kDim);
     work.data() = c.prior.data();
     const Status s = letkf.try_analyze(work, c.y, c.h, c.r);
+    EXPECT_EQ(s.code(), StatusCode::kNonConvergent) << "threads=" << nt;
+    EXPECT_TRUE(c.same_bits(c.prior, work)) << "threads=" << nt;
+  }
+}
+
+/// A 42x42x2 grid (dx = 1) whose 12-cell cutoff gives the coarse stride 2:
+/// 21 nodes per node row and 21 node rows per level, so the last interval of
+/// every row and column blends node 20 with node 0, node rows end in partial
+/// lane batches, and at 3 threads chunk edges fall inside a level. The
+/// network observes every third point of the band x < 12 on both levels,
+/// with non-uniform R: columns near the band's edges have fewer local
+/// observations than members (the rank-p path), those inside it more (the
+/// m x m path), and columns far enough from it none, so some nodes give the
+/// identity transform. One more observation at (26, 21) on level 0 is the
+/// only one some nodes see (a 1 x 1 solve, converged after any sweep budget).
+struct CoarseGridCase {
+  static constexpr std::size_t kN = 42, kLev = 2, kDim = kN * kN * kLev, kMembers = 10;
+  static constexpr std::size_t kStride = 2, kNodes = kN / kStride;
+  LetkfConfig cfg;
+  std::vector<ObsLocation> locs;
+  std::vector<std::size_t> idx;
+  std::vector<double> r_var;
+  Ensemble prior{kMembers, kDim};
+  std::vector<double> y;
+
+  explicit CoarseGridCase(std::uint64_t seed) {
+    cfg.nx = kN;
+    cfg.ny = kN;
+    cfg.n_levels = kLev;
+    cfg.domain_m = static_cast<double>(kN);
+    cfg.cutoff_m = 12.0;
+    cfg.rossby_radius_m = 3.0;
+    cfg.rtps = 0.0;
+    for (std::size_t l = 0; l < kLev; ++l)
+      for (std::size_t j = 0; j < kN; j += 3)
+        for (std::size_t i = 0; i < 12; i += 3) {
+          locs.push_back({static_cast<int>(i), static_cast<int>(j), static_cast<int>(l)});
+          idx.push_back((l * kN + j) * kN + i);
+          r_var.push_back(0.5 + 0.01 * static_cast<double>(r_var.size()));
+        }
+    locs.push_back({26, 21, 0});
+    idx.push_back(21 * kN + 26);
+    r_var.push_back(0.4);
+    Rng rng(seed);
+    prior.data() = make_gaussian_ensemble(kMembers, kDim, rng).data();
+    y.resize(idx.size());
+    Rng yrng(seed + 1);
+    yrng.fill_gaussian(y, 0.0, 1.0);
+  }
+
+  [[nodiscard]] SubsampleObs h() const { return SubsampleObs(kDim, idx, locs); }
+  [[nodiscard]] DiagonalR r() const { return DiagonalR(r_var); }
+
+  /// Localization weight of observation o at column g, as the plan keeps it
+  /// (0 below min_weight): Gaspari–Cohn over the periodic distance, the
+  /// level offset entering as dlev * rossby_radius_m.
+  [[nodiscard]] double rho(std::size_t g, std::size_t o) const {
+    const std::size_t lev = g / (kN * kN), j = g / kN % kN, i = g % kN;
+    const double dx = periodic_distance(static_cast<double>(i), locs[o].ix, cfg.domain_m);
+    const double dy = periodic_distance(static_cast<double>(j), locs[o].iy, cfg.domain_m);
+    const double dlev = static_cast<double>(locs[o].level) - static_cast<double>(lev);
+    const double dist = std::hypot(std::hypot(dx, dy), dlev * cfg.rossby_radius_m);
+    const double w = gaspari_cohn(dist, 0.5 * cfg.cutoff_m);
+    return w < cfg.min_weight ? 0.0 : w;
+  }
+  [[nodiscard]] bool observed(std::size_t g) const {
+    for (std::size_t o = 0; o < idx.size(); ++o)
+      if (rho(g, o) > 0.0) return true;
+    return false;
+  }
+
+  /// Closed-form mean weights of column g's local analysis:
+  /// wbar = (a I + Yb^T Rloc^-1 Yb)^-1 Yb^T Rloc^-1 d, a = m - 1,
+  /// Rloc = R / rho; 0 without local observations.
+  [[nodiscard]] std::vector<double> wbar(std::size_t g) const {
+    const std::size_t m = kMembers;
+    tensor::Tensor a({m, m});
+    std::vector<double> rhs(m, 0.0), yb(m);
+    for (std::size_t k = 0; k < m; ++k) a(k, k) = static_cast<double>(m - 1);
+    for (std::size_t o = 0; o < idx.size(); ++o) {
+      const double w = rho(g, o) / r_var[o];
+      if (w == 0.0) continue;
+      double ybar = 0.0;
+      for (std::size_t k = 0; k < m; ++k) ybar += prior.member(k)[idx[o]];
+      ybar /= static_cast<double>(m);
+      for (std::size_t k = 0; k < m; ++k) yb[k] = prior.member(k)[idx[o]] - ybar;
+      for (std::size_t k = 0; k < m; ++k) {
+        rhs[k] += w * yb[k] * (y[o] - ybar);
+        for (std::size_t q = 0; q < m; ++q) a(k, q) += w * yb[k] * yb[q];
+      }
+    }
+    return tensor::spd_solve(a, rhs);
+  }
+
+  /// Bilinear stencil of column g: (node column, weight) for every node
+  /// whose weight is not zero, periodic in x and y.
+  [[nodiscard]] std::vector<std::pair<std::size_t, double>> stencil(std::size_t g) const {
+    const std::size_t lev = g / (kN * kN), j = g / kN % kN, i = g % kN;
+    const std::size_t i0 = i / kStride, j0 = j / kStride;
+    const double fx = static_cast<double>(i % kStride) / kStride;
+    const double fy = static_cast<double>(j % kStride) / kStride;
+    std::vector<std::pair<std::size_t, double>> out;
+    for (const auto& [ni, wx] : {std::pair{i0, 1.0 - fx}, std::pair{(i0 + 1) % kNodes, fx}})
+      for (const auto& [nj, wy] : {std::pair{j0, 1.0 - fy}, std::pair{(j0 + 1) % kNodes, fy}})
+        if (wx * wy != 0.0)
+          out.emplace_back((lev * kN + nj * kStride) * kN + ni * kStride, wx * wy);
+    return out;
+  }
+
+  /// The bits a column keeps when it keeps the forecast:
+  /// xbar + (x_k - xbar), with xbar = prior.mean() (member order).
+  [[nodiscard]] bool kept_forecast(const Ensemble& post, std::size_t g,
+                                   const std::vector<double>& xbar) const {
+    for (std::size_t k = 0; k < kMembers; ++k) {
+      const double want = xbar[g] + (prior.member(k)[g] - xbar[g]);
+      if (std::memcmp(&want, &post.member(k)[g], sizeof(double)) != 0) return false;
+    }
+    return true;
+  }
+
+  [[nodiscard]] static bool same_bits(const Ensemble& a, const Ensemble& b) {
+    return 0 == std::memcmp(a.data().flat().data(), b.data().flat().data(),
+                            kMembers * kDim * sizeof(double));
+  }
+};
+
+TEST(Letkf, CoarseGridNodesAndBlendMatchClosedForm) {
+  // RTPS off, so the analysis mean is xbar + Xb wbar at every column: the
+  // closed-form wbar at a node, and the bilinear blend of its stencil
+  // nodes' closed-form wbar between nodes (every W has W 1 = 1, so the
+  // blended perturbation weights leave the mean alone). Columns without
+  // local observations keep the forecast.
+  CoarseGridCase c(31);
+  ASSERT_EQ(letkf_coarse_stride(c.cfg), CoarseGridCase::kStride);
+  c.cfg.collect_timings = true;
+  LETKF letkf(c.cfg);
+  Ensemble post(c.kMembers, c.kDim);
+  post.data() = c.prior.data();
+  letkf.analyze(post, c.y, c.h(), c.r());
+  const LetkfTimings& t = letkf.timings();
+  EXPECT_GT(t.rank_p_columns, 0u);
+  EXPECT_LT(t.rank_p_columns, t.groups);
+  EXPECT_LT(t.groups, c.kLev * c.kNodes * c.kNodes);  // some nodes see no observation
+
+  const std::vector<double> xbar = c.prior.mean();
+  const std::vector<double> mean = post.mean();
+  std::vector<std::vector<double>> node_wbar(c.kDim);
+  std::size_t nodes = 0, between = 0, unobserved = 0, identity_in_blend = 0;
+  for (std::size_t g = 0; g < c.kDim; ++g) {
+    const auto st = c.stencil(g);
+    const bool node = st.size() == 1;
+    if (!c.observed(g)) {
+      EXPECT_NEAR(mean[g], xbar[g], 1e-12) << "column " << g;
+      ++unobserved;
+      continue;
+    }
+    std::vector<double> w(c.kMembers, 0.0);
+    for (const auto& [q, wq] : st) {
+      if (node_wbar[q].empty()) node_wbar[q] = c.wbar(q);
+      if (!c.observed(q)) ++identity_in_blend;
+      for (std::size_t k = 0; k < c.kMembers; ++k) w[k] += wq * node_wbar[q][k];
+    }
+    double want = xbar[g];
+    for (std::size_t k = 0; k < c.kMembers; ++k)
+      want += (c.prior.member(k)[g] - xbar[g]) * w[k];
+    EXPECT_NEAR(mean[g], want, 1e-10) << (node ? "node " : "column ") << g;
+    ++(node ? nodes : between);
+  }
+  EXPECT_GT(nodes, 0u);
+  EXPECT_GT(between, 0u);
+  EXPECT_GT(unobserved, 0u);
+  EXPECT_GT(identity_in_blend, 0u);
+}
+
+TEST(Letkf, CoarseGridBitwiseAcrossThreadsAndLevels) {
+  // 21 nodes per row: padded partial batches, the wrap block, and at 3
+  // threads chunk edges inside a level (whose node rows both chunks solve).
+  // With RTPS on, the analysis and the node counters are identical at 1, 2
+  // and 3 threads at every dispatch level, and Scalar and AVX2 agree.
+  CoarseGridCase c(37);
+  c.cfg.rtps = 0.3;
+  c.cfg.collect_timings = true;
+  const SubsampleObs h = c.h();
+  const DiagonalR r = c.r();
+  const simd::SimdLevel orig = simd::active_simd_level();
+  Ensemble scalar_ref(c.kMembers, c.kDim);
+  for (const simd::SimdLevel lv : available_simd_levels()) {
+    ASSERT_TRUE(simd::force_simd_level(lv));
+    Ensemble ref(c.kMembers, c.kDim);
+    LetkfTimings ref_t;
+    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      c.cfg.n_threads = nt;
+      LETKF letkf(c.cfg);
+      Ensemble work(c.kMembers, c.kDim);
+      work.data() = c.prior.data();
+      letkf.analyze(work, c.y, h, r);
+      const LetkfTimings& t = letkf.timings();
+      EXPECT_EQ(t.columns, c.kDim);
+      EXPECT_EQ(t.batched_columns + t.scalar_columns, c.kLev * c.kNodes * c.kNodes);
+      EXPECT_GT(t.batched_columns, 0u);
+      EXPECT_GT(t.scalar_columns, 0u);
+      if (nt == 1) {
+        ref.data() = work.data();
+        ref_t = t;
+      }
+      EXPECT_TRUE(c.same_bits(ref, work)) << simd::simd_level_name(lv) << " threads=" << nt;
+      EXPECT_EQ(t.groups, ref_t.groups) << "threads=" << nt;
+      EXPECT_EQ(t.batched_columns, ref_t.batched_columns) << "threads=" << nt;
+      EXPECT_EQ(t.rank_p_columns, ref_t.rank_p_columns) << "threads=" << nt;
+    }
+    if (lv == simd::SimdLevel::Scalar) scalar_ref.data() = ref.data();
+    if (lv == simd::SimdLevel::Avx2) {
+      EXPECT_TRUE(c.same_bits(scalar_ref, ref)) << "Avx2 vs Scalar";
+    }
+  }
+  simd::force_simd_level(orig);
+}
+
+TEST(Letkf, CoarseGridUnobservedColumnsKeepForecast) {
+  // One observation at (0, 0) of a 32x32 grid with a 12-cell cutoff
+  // (stride 2): a column without local observations keeps the forecast bit
+  // for bit even when a node of its stencil is observed.
+  Rng rng(41);
+  const std::size_t n = 32, d = n * n, m = 12;
+  Ensemble ens = make_gaussian_ensemble(m, d, rng);
+  const Ensemble prior = ens;
+  const SubsampleObs h(d, {0}, {{0, 0, 0}});
+  const DiagonalR r(1, 1.0);
+  const std::vector<double> y{3.0};
+  LetkfConfig cfg;
+  cfg.nx = n;
+  cfg.ny = n;
+  cfg.n_levels = 1;
+  cfg.domain_m = static_cast<double>(n);
+  cfg.cutoff_m = 12.0;
+  cfg.rtps = 0.0;
+  ASSERT_EQ(letkf_coarse_stride(cfg), 2u);
+  LETKF letkf(cfg);
+  letkf.analyze(ens, y, h, r);
+
+  const auto observed = [&](std::size_t g) {
+    const double dx = periodic_distance(static_cast<double>(g % n), 0.0, cfg.domain_m);
+    const double dy = periodic_distance(static_cast<double>(g / n), 0.0, cfg.domain_m);
+    return gaspari_cohn(std::hypot(dx, dy), 0.5 * cfg.cutoff_m) >= cfg.min_weight;
+  };
+  // Whether a node of column g's stencil (nonzero bilinear weight) is
+  // observed.
+  const auto stencil_observed = [&](std::size_t g) {
+    const std::size_t i = g % n, j = g / n;
+    for (const std::size_t ni : {i / 2 * 2, (i / 2 * 2 + (i % 2) * 2) % n})
+      for (const std::size_t nj : {j / 2 * 2, (j / 2 * 2 + (j % 2) * 2) % n})
+        if (observed(nj * n + ni)) return true;
+    return false;
+  };
+  const std::vector<double> xbar = prior.mean();
+  std::size_t kept = 0, kept_next_to_observed_node = 0;
+  for (std::size_t g = 0; g < d; ++g) {
+    if (observed(g)) continue;
+    for (std::size_t k = 0; k < m; ++k) {
+      const double want = xbar[g] + (prior.member(k)[g] - xbar[g]);
+      ASSERT_EQ(0, std::memcmp(&want, &ens.member(k)[g], sizeof(double))) << "column " << g;
+    }
+    ++kept;
+    if (stencil_observed(g)) ++kept_next_to_observed_node;
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(kept_next_to_observed_node, 0u);
+  EXPECT_GT(ens.mean()[0], prior.mean()[0]);  // the observed cell moved toward y = 3
+}
+
+TEST(Letkf, CoarseGridFallbackIsThreadInvariant) {
+  // One Jacobi sweep leaves the larger local problems unconverged. With
+  // fallback on, a failed node and every observed column whose blend would
+  // read it keep the forecast, the rest are analyzed, and the bits and the
+  // stats are the same at 1, 2 and 3 threads; solver_failures counts the
+  // failed nodes and fallback_columns every observed column that kept the
+  // forecast. With fallback off the analysis fails as a whole, ensemble
+  // untouched.
+  CoarseGridCase c(43);
+  c.cfg.eigh_max_sweeps = 1;
+  const SubsampleObs h = c.h();
+  const DiagonalR r = c.r();
+  Ensemble ref(c.kMembers, c.kDim);
+  AnalysisStats ref_stats;
+  for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    c.cfg.n_threads = nt;
+    LETKF letkf(c.cfg);
+    Ensemble work(c.kMembers, c.kDim);
+    work.data() = c.prior.data();
+    AnalysisStats st;
+    ASSERT_TRUE(letkf.try_analyze(work, c.y, h, r, {}, &st).ok());
+    if (nt == 1) {
+      ref.data() = work.data();
+      ref_stats = st;
+    }
+    EXPECT_TRUE(c.same_bits(ref, work)) << "threads=" << nt;
+    EXPECT_EQ(st.solver_failures, ref_stats.solver_failures) << "threads=" << nt;
+    EXPECT_EQ(st.fallback_columns, ref_stats.fallback_columns) << "threads=" << nt;
+  }
+
+  const std::vector<double> xbar = c.prior.mean();
+  std::vector<std::uint8_t> failed_node(c.kDim, 0);
+  std::size_t failed_nodes = 0;
+  for (std::size_t g = 0; g < c.kDim; ++g)
+    if (c.stencil(g).size() == 1 && c.observed(g) && c.kept_forecast(ref, g, xbar)) {
+      failed_node[g] = 1;
+      ++failed_nodes;
+    }
+  std::size_t kept = 0, analyzed = 0, kept_between = 0;
+  for (std::size_t g = 0; g < c.kDim; ++g) {
+    if (!c.observed(g)) continue;
+    bool touches_failed = false;
+    for (const auto& [q, wq] : c.stencil(g)) touches_failed = touches_failed || failed_node[q];
+    const bool keeps = c.kept_forecast(ref, g, xbar);
+    EXPECT_EQ(keeps, touches_failed) << "column " << g;
+    ++(keeps ? kept : analyzed);
+    if (keeps && c.stencil(g).size() > 1) ++kept_between;
+  }
+  EXPECT_GT(failed_nodes, 0u);
+  EXPECT_GT(kept_between, 0u);
+  EXPECT_GT(analyzed, 0u);
+  EXPECT_EQ(ref_stats.solver_failures, failed_nodes);
+  EXPECT_EQ(ref_stats.fallback_columns, kept);
+
+  c.cfg.eigh_fallback = false;
+  for (const std::size_t nt : {std::size_t{1}, std::size_t{3}}) {
+    c.cfg.n_threads = nt;
+    LETKF letkf(c.cfg);
+    Ensemble work(c.kMembers, c.kDim);
+    work.data() = c.prior.data();
+    const Status s = letkf.try_analyze(work, c.y, h, r);
     EXPECT_EQ(s.code(), StatusCode::kNonConvergent) << "threads=" << nt;
     EXPECT_TRUE(c.same_bits(c.prior, work)) << "threads=" << nt;
   }

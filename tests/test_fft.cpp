@@ -441,8 +441,11 @@ std::vector<Cplx> fused_product(const Fft2D& plan, const Spectra& spec, std::siz
 /// retained column is ±0 in every lane, and for n1 >= 32 so is a whole
 /// block of columns 4..7. Lane 3 is ±0 everywhere (a zero field). Every bin
 /// above kcut holds `above`: -0.0, or NaN, since no transform may read it.
+/// With `dead_theta`, lanes 2 and 3 (theta_x, theta_y) are ±0 in every
+/// retained bin, so the product u theta_x + v theta_y is all ±0 and its
+/// signs depend only on the zero signs those dead lanes carry.
 Spectra lane_test_spectra(std::size_t n0, std::size_t n1, std::size_t kcut, double above,
-                          Rng& rng) {
+                          bool dead_theta, Rng& rng) {
   const std::size_t nh = n1 / 2 + 1;
   const std::size_t last = std::min(kcut, n1 / 2);
   Spectra spec(kLanes, std::vector<Cplx>(n0 * nh));
@@ -457,8 +460,8 @@ Spectra lane_test_spectra(std::size_t n0, std::size_t n1, std::size_t kcut, doub
           v = Cplx(above, above);
         else if (std::labs(my) > static_cast<long>(kcut))
           v = Cplx(0.0, 0.0);
-        else if ((l == 1 && j == 0) || l == 3 || (n1 >= 8 && j == last) ||
-                 (n1 >= 32 && j >= 4 && j < 8))
+        else if ((l == 1 && j == 0) || l == 3 || (dead_theta && l == 2) ||
+                 (n1 >= 8 && j == last) || (n1 >= 32 && j >= 4 && j < 8))
           v = Cplx(sz, -sz);
         spec[l][i * nh + j] = v;
       }
@@ -469,7 +472,9 @@ Spectra lane_test_spectra(std::size_t n0, std::size_t n1, std::size_t kcut, doub
 // The fused transform against its three-call definition at the same
 // dispatch level, bit for bit: four inverse_half_pruned grids, the same
 // sqg_jacobian entry over the whole grid, then forward_half_pruned. Every
-// grid the SQG model accepts up to 256 and a few non-square plans.
+// grid the SQG model accepts up to 256 and a few non-square plans. The
+// dead-theta inputs are the ones whose product bits depend on the fused
+// transform restoring the dead lanes of partly live column blocks.
 TEST(Fft2dLanes, MatchesPerFieldBitwiseAtEveryLevel) {
   std::vector<std::pair<std::size_t, std::size_t>> shapes = {{16, 8}, {4, 16}, {8, 2}, {1, 8}};
   for (std::size_t n = 2; n <= 256; n *= 2) shapes.emplace_back(n, n);
@@ -481,20 +486,21 @@ TEST(Fft2dLanes, MatchesPerFieldBitwiseAtEveryLevel) {
     for (const auto& [n0, n1] : shapes) {
       const Fft2D plan(n0, n1);
       for (const std::size_t kcut : {std::max(n0, n1) / 3, std::max(n0, n1) / 2})
-        for (const double above : {-0.0, std::numeric_limits<double>::quiet_NaN()}) {
-          Rng rng(401 + n0 + n1 + kcut);
-          const Spectra spec = lane_test_spectra(n0, n1, kcut, above, rng);
-          const std::vector<Cplx> got = fused_product(plan, spec, kcut);
-          Grids g(kLanes, std::vector<double>(n0 * n1));
-          for (std::size_t l = 0; l < kLanes; ++l) plan.inverse_half_pruned(spec[l], g[l], kcut);
-          std::vector<double> product(n0 * n1);
-          jacobian(product.data(), g[0].data(), g[1].data(), g[2].data(), g[3].data(), n0 * n1);
-          std::vector<Cplx> want(plan.half_size());
-          plan.forward_half_pruned(product, want, kcut);
-          EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(Cplx)))
-              << simd::simd_level_name(level) << " " << n0 << "x" << n1 << " kcut=" << kcut
-              << " above kcut " << above;
-        }
+        for (const double above : {-0.0, std::numeric_limits<double>::quiet_NaN()})
+          for (const bool dead_theta : {false, true}) {
+            Rng rng(401 + n0 + n1 + kcut);
+            const Spectra spec = lane_test_spectra(n0, n1, kcut, above, dead_theta, rng);
+            const std::vector<Cplx> got = fused_product(plan, spec, kcut);
+            Grids g(kLanes, std::vector<double>(n0 * n1));
+            for (std::size_t l = 0; l < kLanes; ++l) plan.inverse_half_pruned(spec[l], g[l], kcut);
+            std::vector<double> product(n0 * n1);
+            jacobian(product.data(), g[0].data(), g[1].data(), g[2].data(), g[3].data(), n0 * n1);
+            std::vector<Cplx> want(plan.half_size());
+            plan.forward_half_pruned(product, want, kcut);
+            EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(Cplx)))
+                << simd::simd_level_name(level) << " " << n0 << "x" << n1 << " kcut=" << kcut
+                << " above kcut " << above << (dead_theta ? " dead theta" : "");
+          }
     }
   }
 }
