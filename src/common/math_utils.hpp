@@ -30,11 +30,6 @@ template <typename T>
   return l;
 }
 
-/// Ceiling division for non-negative integers.
-[[nodiscard]] constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
-  return (a + b - 1) / b;
-}
-
 /// Euclidean 2-norm of a span.
 [[nodiscard]] inline double norm2(std::span<const double> v) {
   double s = 0.0;
@@ -46,20 +41,6 @@ template <typename T>
 [[nodiscard]] inline double rms(std::span<const double> v) {
   TURBDA_REQUIRE(!v.empty(), "rms of empty span");
   return norm2(v) / std::sqrt(static_cast<double>(v.size()));
-}
-
-/// Dot product.
-[[nodiscard]] inline double dot(std::span<const double> a, std::span<const double> b) {
-  TURBDA_REQUIRE(a.size() == b.size(), "dot: size mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-/// y += alpha * x
-inline void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  TURBDA_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 }  // namespace turbda

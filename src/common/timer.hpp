@@ -34,29 +34,4 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Accumulates time across multiple start/stop intervals (e.g. per-phase
-/// profiling of an assimilation cycle).
-class AccumTimer {
- public:
-  /// Begins an interval. Calling start() while already running is a no-op:
-  /// the open interval keeps accumulating from its original start point
-  /// rather than being silently re-zeroed (which would under-count).
-  void start() {
-    if (running_) return;
-    t_.reset();
-    running_ = true;
-  }
-  void stop() {
-    if (running_) total_ += t_.seconds();
-    running_ = false;
-  }
-  [[nodiscard]] double seconds() const { return total_; }
-  void reset() { total_ = 0.0; running_ = false; }
-
- private:
-  WallTimer t_;
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
 }  // namespace turbda

@@ -42,7 +42,7 @@ QcReport apply_quality_control(const QcConfig& cfg, std::span<double> y,
 
   for (std::size_t o = 0; o < p; ++o) {
     bool reject = false;
-    if (cfg.finite_check && !std::isfinite(y[o])) {
+    if (!std::isfinite(y[o])) {
       ++rep.rejected_nonfinite;
       reject = true;
     } else if (y[o] < cfg.clim_min || y[o] > cfg.clim_max) {

@@ -29,10 +29,9 @@
 namespace turbda::da {
 
 struct QcConfig {
+  /// Off passes every value. On, non-finite values (NaN/Inf) are always
+  /// rejected, then the gates below apply.
   bool enabled = false;
-
-  /// Reject non-finite values (NaN/Inf). Always sensible; on only when QC is.
-  bool finite_check = true;
 
   /// Climatological range gate: values outside [clim_min, clim_max] are
   /// rejected. Defaults pass everything finite.

@@ -45,7 +45,7 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
       const double* kp = k_.data() + s * t_ * c_ + hd * dh_;
       double* ap = attn_.data() + (s * h_ + hd) * t_ * t_;
       // scores = scale * Q K^T  (T x T)
-      gemm(Trans::No, Trans::Yes, t_, t_, dh_, scale_, qp, c_, kp, c_, 0.0, ap, t_);
+      gemm(Trans::No, Trans::Yes, t_, t_, dh_, scale_, qp, c_, kp, c_, ap, t_);
       // row-wise softmax
       for (std::size_t i = 0; i < t_; ++i) {
         double* row = ap + i * t_;
@@ -78,7 +78,7 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
       const double* vp = v_.data() + s * t_ * c_ + hd * dh_;
       double* op = concat_.data() + s * t_ * c_ + hd * dh_;
       // out = A V  (T x dh), written into the head's column block.
-      gemm(Trans::No, Trans::No, t_, dh_, t_, 1.0, ap, t_, vp, c_, 0.0, op, c_);
+      gemm(Trans::No, Trans::No, t_, dh_, t_, 1.0, ap, t_, vp, c_, op, c_);
     }
   }
 
@@ -98,7 +98,7 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
       const double* vp = v_.data() + s * t_ * c_ + hd * dh_;
       const double* dop = d_concat.data() + s * t_ * c_ + hd * dh_;
       double* dap = da_used.data() + (s * h_ + hd) * t_ * t_;
-      gemm(Trans::No, Trans::Yes, t_, t_, dh_, 1.0, dop, c_, vp, c_, 0.0, dap, t_);
+      gemm(Trans::No, Trans::Yes, t_, t_, dh_, 1.0, dop, c_, vp, c_, dap, t_);
     }
   }
   const Tensor da_all = attn_drop_.backward(da_used);
@@ -119,7 +119,7 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
       double* dvp = dv.data() + s * t_ * c_ + hd * dh_;
 
       // dV = A_used^T dO.
-      gemm(Trans::Yes, Trans::No, t_, dh_, t_, 1.0, aup, t_, dop, c_, 0.0, dvp, c_);
+      gemm(Trans::Yes, Trans::No, t_, dh_, t_, 1.0, aup, t_, dop, c_, dvp, c_);
 
       // Softmax backward per row: dS_ij = A_ij (dA_ij - sum_j dA_ij A_ij).
       for (std::size_t i = 0; i < t_; ++i) {
@@ -132,8 +132,8 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
       }
 
       // dQ = scale * dS K; dK = scale * dS^T Q.
-      gemm(Trans::No, Trans::No, t_, dh_, t_, scale_, ds.data(), t_, kp, c_, 0.0, dqp, c_);
-      gemm(Trans::Yes, Trans::No, t_, dh_, t_, scale_, ds.data(), t_, qp, c_, 0.0, dkp, c_);
+      gemm(Trans::No, Trans::No, t_, dh_, t_, scale_, ds.data(), t_, kp, c_, dqp, c_);
+      gemm(Trans::Yes, Trans::No, t_, dh_, t_, scale_, ds.data(), t_, qp, c_, dkp, c_);
     }
   }
 

@@ -1,7 +1,8 @@
 // Runtime-dispatched small-dense kernels for the ensemble-space hot loops.
 //
-// The LETKF analysis, the Jacobi eigensolvers and the EnSF score products
-// and member updates reduce to a few primitive loops over contiguous rows.
+// The LETKF analysis, the Jacobi eigensolvers, every matrix product
+// (tensor::gemm and the EnSF score products) and the EnSF member updates
+// reduce to a few primitive loops over contiguous rows.
 // Like the FFT tables, each primitive is written once against the portable
 // simd::Vec API (dense_kernels_impl.hpp) and instantiated per backend behind
 // a table of function pointers keyed by the process-global simd::SimdLevel.
@@ -100,13 +101,12 @@ struct DenseKernels {
   /// semantics in the clamp.
   void (*clamped_axpy)(double* out, const double* in, std::size_t n, double alpha, double lim);
 
-  // ---- Row-major product (EnSF score logits and weighted means) ----
+  // ---- Row-major product (tensor::gemm, EnSF score logits and means) ----
 
   /// out = A B for `rows` rows of A (row stride lda) and a k x n B:
   /// out[i*n + c] = sum_p a[i*lda + p] * b[p*n + c]. Each element starts at
-  /// +0.0 and adds the unfused products in ascending p, the sum tensor::gemm
-  /// forms with alpha 1 and beta 0; there is no FMA variant, so all three
-  /// tables give the same bits.
+  /// +0.0 and adds the unfused products in ascending p; there is no FMA
+  /// variant, so all three tables give the same bits.
   void (*matmul_rows)(double* out, const double* a, std::size_t lda, std::size_t rows,
                       const double* b, std::size_t k, std::size_t n);
 

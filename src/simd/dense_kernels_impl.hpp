@@ -246,16 +246,16 @@ void clamped_axpy_impl(double* out, const double* in, std::size_t n, double alph
   }
 }
 
-// ---- Row-major products: EnSF's score logits and weighted means ----
+// ---- Row-major products: tensor::gemm and EnSF's score products ----
 //
 // Each output element starts at +0.0 and adds the unfused products in
-// ascending reduction index: the sum tensor::gemm forms for alpha 1 and
-// beta 0. There is no kFma variant, so every level gives the same bits, and
-// an element's value does not depend on which tile computed it. A register
-// tile of up to kProductRows rows by kProductVecs vectors keeps its
-// accumulators in registers for the whole reduction, and each load of B
-// serves every row of the tile, so B is read once per row group. The tile
-// helpers are static for the reason given at gaussian_pairs below.
+// ascending reduction index. There is no kFma variant, so every level gives
+// the same bits, and an element's value does not depend on which tile
+// computed it. A register tile of up to kProductRows rows by kProductVecs
+// vectors keeps its accumulators in registers for the whole reduction, and
+// each load of B serves every row of the tile, so B is read once per row
+// group. The tile helpers are static for the reason given at gaussian_pairs
+// below.
 
 // Ten accumulators: 5 x 2 measured fastest for both EnSF products, at a
 // 4-thread block's 5 rows and at the whole 20-member ensemble (README,

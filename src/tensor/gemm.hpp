@@ -1,9 +1,10 @@
-// Blocked general matrix multiply (double precision).
+// General matrix multiply (double precision), a front end to the one
+// dispatched product kernel, simd::DenseKernels::matmul_rows.
 //
 // The ViT surrogate's cost is GEMM-dominated ("making matrix-matrix
 // multiplication (GEMM) the most computationally intensive operation",
-// paper §III-B-a), so this kernel carries both training and the measured
-// half of the Fig. 6 kernel-sizing study.
+// paper §III-B-a), so this carries both training and the measured half of
+// the Fig. 6 kernel-sizing study; ETKF's products run here too.
 #pragma once
 
 #include <cstddef>
@@ -14,23 +15,18 @@ namespace turbda::tensor {
 
 enum class Trans { No, Yes };
 
-/// C = alpha * op(A) * op(B) + beta * C, row-major.
+/// C = alpha * op(A) * op(B), row-major.
 /// op(A) is M x K, op(B) is K x N, C is M x N.
 /// lda/ldb/ldc are the leading (row) strides of the *stored* matrices.
-/// Large products split output rows across the process-wide thread pool with
-/// a bitwise partition-invariant accumulation order; `max_threads` caps the
-/// workers (0 = all, 1 = serial).
+/// Each element starts at +0.0 and adds (alpha * a) * b in ascending k,
+/// unfused, so every SIMD level gives the same bits; alpha = 0 is not a
+/// special case (a NaN or inf in A or B still reaches C). Large products
+/// split output rows across the process-wide thread pool, which leaves each
+/// element's sum unchanged; `max_threads` caps the workers (0 = all,
+/// 1 = serial).
 void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, double alpha,
-          const double* a, std::size_t lda, const double* b, std::size_t ldb, double beta,
-          double* c, std::size_t ldc, std::size_t max_threads = 0);
-
-/// y = alpha * op(A) * x + beta * y, row-major; op(A) is M x K. A dedicated
-/// dot-product kernel — n = 1 products skip the GEMM tile packing entirely
-/// (gemm() routes them here too) while keeping the same per-element
-/// accumulation order, so results are bitwise identical to the blocked path
-/// and independent of the thread count.
-void gemv(Trans ta, std::size_t m, std::size_t k, double alpha, const double* a, std::size_t lda,
-          const double* x, double beta, double* y, std::size_t max_threads = 0);
+          const double* a, std::size_t lda, const double* b, std::size_t ldb, double* c,
+          std::size_t ldc, std::size_t max_threads = 0);
 
 /// C = A * B for rank-2 tensors (convenience wrapper).
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b, std::size_t max_threads = 0);
@@ -40,8 +36,5 @@ void gemv(Trans ta, std::size_t m, std::size_t k, double alpha, const double* a,
 
 /// C = A * B^T.
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b, std::size_t max_threads = 0);
-
-/// y = A * x (rank-2 times rank-1).
-[[nodiscard]] Tensor matvec(const Tensor& a, const Tensor& x);
 
 }  // namespace turbda::tensor

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <vector>
 
 #include "common/check.hpp"
 #include "simd/dense_kernels.hpp"
-#include "tensor/gemm.hpp"
 
 namespace turbda::tensor {
 
@@ -221,24 +219,6 @@ std::vector<double> spd_solve(const Tensor& a, std::span<const double> b) {
     x[ii] = s / l(ii, ii);
   }
   return x;
-}
-
-Tensor sym_func(const Tensor& a, const std::function<double(double)>& f) {
-  Tensor v;
-  std::vector<double> w;
-  jacobi_eigh(a, v, w);
-  const std::size_t n = a.extent(0);
-  // B = V f(D) V^T
-  Tensor vf({n, n});
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) vf(i, j) = v(i, j) * f(w[j]);
-  return matmul_nt(vf, v);
-}
-
-double fro_norm(const Tensor& a) {
-  double s = 0.0;
-  for (double x : a.flat()) s += x * x;
-  return std::sqrt(s);
 }
 
 }  // namespace turbda::tensor

@@ -5,7 +5,6 @@
 // which cyclic Jacobi is simple, branch-predictable and accurate.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -68,11 +67,5 @@ void jacobi_eigh_batch(double* a_lanes, std::size_t n, std::size_t nb, double* v
 
 /// Solves A x = b with A symmetric positive definite via Cholesky.
 [[nodiscard]] std::vector<double> spd_solve(const Tensor& a, std::span<const double> b);
-
-/// Symmetric matrix function: f applied to eigenvalues, B = V f(diag) V^T.
-[[nodiscard]] Tensor sym_func(const Tensor& a, const std::function<double(double)>& f);
-
-/// Frobenius norm of a tensor.
-[[nodiscard]] double fro_norm(const Tensor& a);
 
 }  // namespace turbda::tensor

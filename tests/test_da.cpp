@@ -1365,9 +1365,11 @@ TEST(Ensf, MatchesPerStepReference) {
   // threads (M = 17 makes the blocks unequal) on four inputs: the full
   // batch, a minibatch (the shuffles continue across steps), a QC mask with
   // r_scale, and two consecutive cycles (the cycle counter keys the stream).
-  // It does so at every SIMD level: the reference forms its score products
-  // with tensor::matmul_nt and tensor::matmul, whose unfused sums the
-  // filter's kernel must reproduce even where the update kernels fuse.
+  // It does so at every SIMD level, including avx2fma, where the update
+  // kernels fuse. The reference forms its score products with
+  // tensor::matmul_nt and tensor::matmul, which run on the same matmul_rows
+  // kernel as the filter, so this test checks the schedule; MatmulRows.* in
+  // test_tensor check the kernel against a naive sum.
   Rng rng(31);
   const std::size_t m = 17, d = 300;
   std::vector<double> truth(d);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "nn/attention.hpp"
@@ -9,6 +10,7 @@
 #include "nn/surrogate.hpp"
 #include "nn/vit.hpp"
 #include "rng/rng.hpp"
+#include "simd/dispatch.hpp"
 
 namespace turbda::nn {
 namespace {
@@ -362,6 +364,58 @@ TEST(ViT, DeterministicGivenSeed) {
   const auto sb = b.state_vector();
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) EXPECT_DOUBLE_EQ(sa[i], sb[i]);
+}
+
+TEST(ViT, SameBitsAtEverySimdLevel) {
+  // nn's products run on the dispatched matmul_rows kernel, which has no FMA
+  // variant, so one forward, backward and AdamW step on fixed inputs must
+  // give the same output and parameter bits at every SIMD level. The shapes
+  // put the MLP products above gemm's row-partition threshold.
+  VitConfig cfg;
+  cfg.image = 32;
+  cfg.patch = 4;
+  cfg.embed_dim = 32;
+  cfg.heads = 4;
+  cfg.depth = 2;
+  cfg.dropout = 0.1;
+  cfg.droppath = 0.1;
+  cfg.attn_dropout = 0.1;
+  cfg.seed = 31;
+  Rng rng(32);
+  const Tensor x = random_tensor({4, cfg.state_dim()}, rng);
+  const Tensor target = random_tensor({4, cfg.state_dim()}, rng);
+  const auto step = [&] {
+    ViT vit(cfg);
+    Rng hr(33);
+    for (Param* p : vit.parameters())
+      if (p->name == "head.weight") init_trunc_normal(p->value, 0.1, hr);
+    AdamW opt(vit.parameters(), AdamWConfig{.lr = 1e-2, .weight_decay = 0.05});
+    opt.zero_grad();
+    const Tensor y = vit.forward(x);
+    Tensor grad;
+    mse_loss(y, target, grad);
+    vit.backward(grad);
+    opt.step();
+    std::vector<double> bits(y.flat().begin(), y.flat().end());
+    const std::vector<double> params = vit.state_vector();
+    bits.insert(bits.end(), params.begin(), params.end());
+    return bits;
+  };
+  const simd::SimdLevel orig = simd::active_simd_level();
+  std::vector<double> ref;
+  for (simd::SimdLevel lv :
+       {simd::SimdLevel::Scalar, simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
+    if (!simd::force_simd_level(lv)) continue;
+    const std::vector<double> got = step();
+    if (ref.empty()) {
+      ref = got;
+      continue;
+    }
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), ref.data(), got.size() * sizeof(double)))
+        << simd::simd_level_name(lv) << " differs from scalar";
+  }
+  simd::force_simd_level(orig);
 }
 
 TEST(AdamW, MinimizesQuadratic) {

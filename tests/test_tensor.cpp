@@ -84,93 +84,28 @@ bool same_bits(double a, double b) {
 
 // --- GEMM against a naive reference over shape and transpose sweeps --------
 
-void naive_gemm(Trans ta, Trans tb, const Tensor& a, const Tensor& b, Tensor& c) {
-  const std::size_t m = c.extent(0), n = c.extent(1);
-  const std::size_t k = (ta == Trans::No) ? a.extent(1) : a.extent(0);
+// The sum every product must give: each element starts at +0.0 and adds
+// (alpha * op(A)(i, p)) * op(B)(p, j) in ascending p.
+void naive_gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, double alpha,
+                const double* a, std::size_t lda, const double* b, std::size_t ldb, double* c,
+                std::size_t ldc) {
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < n; ++j) {
       double s = 0.0;
       for (std::size_t p = 0; p < k; ++p) {
-        const double av = (ta == Trans::No) ? a(i, p) : a(p, i);
-        const double bv = (tb == Trans::No) ? b(p, j) : b(j, p);
-        s += av * bv;
+        const double av = alpha * ((ta == Trans::No) ? a[i * lda + p] : a[p * lda + i]);
+        s += av * ((tb == Trans::No) ? b[p * ldb + j] : b[j * ldb + p]);
       }
-      c(i, j) = s;
+      c[i * ldc + j] = s;
     }
 }
 
-using GemmShape = std::tuple<int, int, int>;
-
-class GemmP : public ::testing::TestWithParam<GemmShape> {};
-
-TEST_P(GemmP, MatchesNaiveAllTransposeVariants) {
-  const auto [mi, ni, ki] = GetParam();
-  const auto m = static_cast<std::size_t>(mi), n = static_cast<std::size_t>(ni),
-             k = static_cast<std::size_t>(ki);
-  Rng rng(42 + static_cast<std::uint64_t>(mi * 1000 + ni * 10 + ki));
-
-  {
-    Tensor a = random_tensor({m, k}, rng), b = random_tensor({k, n}, rng);
-    Tensor want({m, n});
-    naive_gemm(Trans::No, Trans::No, a, b, want);
-    const Tensor got = matmul(a, b);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_NEAR(got.flat()[i], want.flat()[i], 1e-10);
-  }
-  {
-    Tensor a = random_tensor({k, m}, rng), b = random_tensor({k, n}, rng);
-    Tensor want({m, n});
-    naive_gemm(Trans::Yes, Trans::No, a, b, want);
-    const Tensor got = matmul_tn(a, b);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_NEAR(got.flat()[i], want.flat()[i], 1e-10);
-  }
-  {
-    Tensor a = random_tensor({m, k}, rng), b = random_tensor({n, k}, rng);
-    Tensor want({m, n});
-    naive_gemm(Trans::No, Trans::Yes, a, b, want);
-    const Tensor got = matmul_nt(a, b);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_NEAR(got.flat()[i], want.flat()[i], 1e-10);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, GemmP,
-                         ::testing::Values(GemmShape{1, 1, 1}, GemmShape{3, 5, 7},
-                                           GemmShape{16, 16, 16}, GemmShape{33, 65, 129},
-                                           GemmShape{128, 64, 200}, GemmShape{70, 257, 31}));
-
-TEST(Gemm, AlphaBetaSemantics) {
-  Rng rng(1);
-  Tensor a = random_tensor({4, 4}, rng), b = random_tensor({4, 4}, rng);
-  Tensor c = Tensor::full({4, 4}, 2.0);
-  Tensor ab({4, 4});
-  naive_gemm(Trans::No, Trans::No, a, b, ab);
-  gemm(Trans::No, Trans::Yes == Trans::Yes ? Trans::No : Trans::No, 4, 4, 4, 0.5, a.data(), 4,
-       b.data(), 4, 3.0, c.data(), 4);
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = 0; j < 4; ++j) EXPECT_NEAR(c(i, j), 0.5 * ab(i, j) + 6.0, 1e-10);
-}
-
-TEST(Gemm, MatvecMatchesMatmul) {
-  Rng rng(2);
-  Tensor a = random_tensor({5, 7}, rng);
-  Tensor x = random_tensor({7}, rng);
-  const Tensor y = matvec(a, x);
-  for (std::size_t i = 0; i < 5; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < 7; ++j) s += a(i, j) * x(j);
-    EXPECT_NEAR(y(i), s, 1e-10);
-  }
-}
-
-// --- The dense-kernel row product against gemm at every dispatch level -----
-
-// gemm's value for one element, as the kernel must reproduce it: NaN where
-// gemm gives NaN, otherwise the same bits. An FMA-enabled -march
-// (TURBDA_NATIVE) lets gemm.cpp contract its multiply-adds while the kernel
-// never does, so there finite values agree to rounding only.
-::testing::AssertionResult matches_gemm(double got, double want) {
+// The naive value for one element, as a product must reproduce it: NaN
+// where the reference gives NaN, otherwise the same bits. An FMA-enabled
+// -march (TURBDA_NATIVE) lets this file contract the reference's
+// multiply-adds while the kernel never does, so there finite values agree
+// to rounding only.
+::testing::AssertionResult matches_naive(double got, double want) {
   if (std::isnan(want) || std::isnan(got)) {
     if (std::isnan(want) && std::isnan(got)) return ::testing::AssertionSuccess();
   } else {
@@ -181,40 +116,108 @@ TEST(Gemm, MatvecMatchesMatmul) {
     if (same_bits(got, want)) return ::testing::AssertionSuccess();
 #endif
   }
-  return ::testing::AssertionFailure() << got << " vs gemm " << want;
+  return ::testing::AssertionFailure() << got << " vs naive " << want;
 }
 
-// EnSF's two uses of matmul_rows at every level, each against the gemm call
-// it replaced (alpha 1, beta 0, one thread): the score logits z X^T, with z
-// rows at stride ldz and B = X^T, and the weighted mean W X.
-void expect_ensf_products_match_gemm(const std::vector<double>& z, std::size_t ldz,
-                                     const std::vector<double>& x, const std::vector<double>& w,
-                                     std::size_t rows, std::size_t batch, std::size_t d) {
+using GemmShape = std::tuple<int, int, int>;
+
+class GemmP : public ::testing::TestWithParam<GemmShape> {};
+
+TEST_P(GemmP, MatchesNaiveAllTransposeVariants) {
+  // Every transpose pair, alpha 1 and not, tight and padded strides, at one
+  // thread and on the pool, at every SIMD level. Padding of A and B holds
+  // NaN, so a read of it shows in the result; padding of C must be kept.
+  const auto [mi, ni, ki] = GetParam();
+  const auto m = static_cast<std::size_t>(mi), n = static_cast<std::size_t>(ni),
+             k = static_cast<std::size_t>(ki);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double keep = -777.0;
+  Rng rng(42 + static_cast<std::uint64_t>(mi * 1000 + ni * 10 + ki));
+  const SimdLevel orig = simd::active_simd_level();
+  for (Trans ta : {Trans::No, Trans::Yes})
+    for (Trans tb : {Trans::No, Trans::Yes})
+      for (double alpha : {1.0, -0.75})
+        for (std::size_t pad : {0, 3}) {
+          const std::size_t a_rows = (ta == Trans::No) ? m : k, a_cols = (ta == Trans::No) ? k : m;
+          const std::size_t b_rows = (tb == Trans::No) ? k : n, b_cols = (tb == Trans::No) ? n : k;
+          const std::size_t lda = a_cols + pad, ldb = b_cols + pad, ldc = n + pad;
+          std::vector<double> a(a_rows * lda, nan), b(b_rows * ldb, nan);
+          for (std::size_t r = 0; r < a_rows; ++r) rng.fill_gaussian({a.data() + r * lda, a_cols});
+          for (std::size_t r = 0; r < b_rows; ++r) rng.fill_gaussian({b.data() + r * ldb, b_cols});
+          std::vector<double> want(m * ldc);
+          naive_gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, want.data(), ldc);
+          for (SimdLevel lv : available_levels()) {
+            ASSERT_TRUE(simd::force_simd_level(lv));
+            for (std::size_t threads : {1, 0}) {
+              std::vector<double> c(m * ldc, keep);
+              gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, c.data(), ldc, threads);
+              for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t j = 0; j < ldc; ++j) {
+                  const double got = c[i * ldc + j];
+                  ASSERT_TRUE(j < n ? matches_naive(got, want[i * ldc + j]) : got == keep)
+                      << simd::simd_level_name(lv) << " ta=" << (ta == Trans::Yes)
+                      << " tb=" << (tb == Trans::Yes) << " alpha=" << alpha << " pad=" << pad
+                      << " threads=" << threads << " element (" << i << ", " << j << ")";
+                }
+            }
+          }
+        }
+  simd::force_simd_level(orig);
+}
+
+// {128, 64, 200}, {70, 257, 31} and {150, 1, 4000} are above the
+// row-partition threshold; n = 1 is a matrix-vector product.
+INSTANTIATE_TEST_SUITE_P(Shapes, GemmP,
+                         ::testing::Values(GemmShape{1, 1, 1}, GemmShape{3, 5, 7},
+                                           GemmShape{5, 1, 7}, GemmShape{16, 16, 16},
+                                           GemmShape{33, 65, 129}, GemmShape{128, 64, 200},
+                                           GemmShape{70, 257, 31}, GemmShape{150, 1, 4000}));
+
+TEST(Gemm, AlphaSemantics) {
+  // C = alpha * A B, whatever C held before. Halving is exact, so the
+  // result is bitwise half of A B.
+  Rng rng(1);
+  Tensor a = random_tensor({4, 4}, rng), b = random_tensor({4, 4}, rng);
+  Tensor c = Tensor::full({4, 4}, 2.0);
+  const Tensor ab = matmul(a, b);
+  gemm(Trans::No, Trans::No, 4, 4, 4, 0.5, a.data(), 4, b.data(), 4, c.data(), 4);
+  for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t j = 0; j < 4; ++j) EXPECT_TRUE(same_bits(c(i, j), 0.5 * ab(i, j)));
+}
+
+// --- The dense-kernel row product against the naive sum at every level -----
+
+// EnSF's two uses of matmul_rows at every level, each against naive_gemm
+// with alpha 1: the score logits z X^T, with z rows at stride ldz and
+// B = X^T, and the weighted mean W X.
+void expect_ensf_products_match_naive(const std::vector<double>& z, std::size_t ldz,
+                                      const std::vector<double>& x, const std::vector<double>& w,
+                                      std::size_t rows, std::size_t batch, std::size_t d) {
   std::vector<double> xt(d * batch);
   for (std::size_t j = 0; j < batch; ++j)
     for (std::size_t k = 0; k < d; ++k) xt[k * batch + j] = x[j * d + k];
   std::vector<double> want_s(rows * batch), want_m(rows * d);
-  gemm(Trans::No, Trans::Yes, rows, batch, d, 1.0, z.data(), ldz, x.data(), d, 0.0,
-       want_s.data(), batch, 1);
-  gemm(Trans::No, Trans::No, rows, d, batch, 1.0, w.data(), batch, x.data(), d, 0.0,
-       want_m.data(), d, 1);
+  naive_gemm(Trans::No, Trans::Yes, rows, batch, d, 1.0, z.data(), ldz, x.data(), d,
+             want_s.data(), batch);
+  naive_gemm(Trans::No, Trans::No, rows, d, batch, 1.0, w.data(), batch, x.data(), d,
+             want_m.data(), d);
   for (SimdLevel lv : available_levels()) {
     const simd::DenseKernels& dk = simd::dense_kernels_for(lv);
     std::vector<double> got_s(rows * batch, -1.0), got_m(rows * d, -1.0);
     dk.matmul_rows(got_s.data(), z.data(), ldz, rows, xt.data(), d, batch);
     dk.matmul_rows(got_m.data(), w.data(), batch, rows, x.data(), batch, d);
     for (std::size_t e = 0; e < got_s.size(); ++e)
-      ASSERT_TRUE(matches_gemm(got_s[e], want_s[e]))
+      ASSERT_TRUE(matches_naive(got_s[e], want_s[e]))
           << simd::simd_level_name(lv) << " z X^T rows=" << rows << " batch=" << batch
           << " d=" << d << " element " << e;
     for (std::size_t e = 0; e < got_m.size(); ++e)
-      ASSERT_TRUE(matches_gemm(got_m[e], want_m[e]))
+      ASSERT_TRUE(matches_naive(got_m[e], want_m[e]))
           << simd::simd_level_name(lv) << " W X rows=" << rows << " batch=" << batch
           << " d=" << d << " element " << e;
   }
 }
 
-TEST(MatmulRows, MatchesGemmOnEveryTailAtEveryLevel) {
+TEST(MatmulRows, MatchesNaiveOnEveryTailAtEveryLevel) {
   // Row counts cover every partial row group and two full ones; batch and d
   // cover partial vector tiles, lone vectors and scalar columns in both uses.
   for (std::size_t rows : {1, 2, 3, 5, 7, 11})
@@ -226,11 +229,11 @@ TEST(MatmulRows, MatchesGemmOnEveryTailAtEveryLevel) {
         rng.fill_gaussian(z);
         rng.fill_gaussian(x);
         rng.fill_gaussian(w);
-        expect_ensf_products_match_gemm(z, ldz, x, w, rows, batch, d);
+        expect_ensf_products_match_naive(z, ldz, x, w, rows, batch, d);
       }
 }
 
-TEST(MatmulRows, NonFiniteAndNegativeZeroInputsMatchGemm) {
+TEST(MatmulRows, NonFiniteAndNegativeZeroInputsMatchNaive) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (std::size_t rows : {3, 7})
@@ -245,14 +248,14 @@ TEST(MatmulRows, NonFiniteAndNegativeZeroInputsMatchGemm) {
         z[(rows - 1) * d + d / 2] = nan;
         x[(batch - 1) * d + 1] = inf;
         w[1] = -inf;
-        expect_ensf_products_match_gemm(z, d, x, w, rows, batch, d);
+        expect_ensf_products_match_naive(z, d, x, w, rows, batch, d);
 
         // A row of -0.0 against positive values sums to +0.0 in both, since
         // each sum starts at +0.0.
         std::fill_n(z.begin(), d, -0.0);
         std::fill_n(w.begin(), batch, -0.0);
         x[(batch - 1) * d + 1] = 1.0;
-        expect_ensf_products_match_gemm(z, d, x, w, rows, batch, d);
+        expect_ensf_products_match_naive(z, d, x, w, rows, batch, d);
         std::vector<double> xt(d * batch), out(std::max(batch, d));
         for (std::size_t j = 0; j < batch; ++j)
           for (std::size_t k = 0; k < d; ++k) xt[k * batch + j] = x[j * d + k];
@@ -349,7 +352,9 @@ TEST(Eigh, NearDegenerateSpectrumConvergesWithReport) {
   jacobi_eigh(a, v, w, 50, &info);
   EXPECT_TRUE(info.converged);
   EXPECT_GT(info.sweeps, 0);
-  EXPECT_LE(info.off_fro, 1e-14 * fro_norm(a));
+  double fro_sq = 0.0;
+  for (double x : a.flat()) fro_sq += x * x;
+  EXPECT_LE(info.off_fro, 1e-14 * std::sqrt(fro_sq));
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(w[i], diag[i], 1e-9);
 
   // Residual check: A v_j = w_j v_j even inside the degenerate clusters.
@@ -543,24 +548,6 @@ TEST(Cholesky, RejectsIndefinite) {
   a(0, 0) = 1.0;
   a(1, 1) = -1.0;
   EXPECT_THROW(cholesky(a), Error);
-}
-
-TEST(SymFunc, MatrixSquareRoot) {
-  Rng rng(8);
-  const std::size_t n = 6;
-  Tensor b = random_tensor({n, n}, rng);
-  Tensor a = matmul_nt(b, b);
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += 1.0;
-  const Tensor s = sym_func(a, [](double x) { return std::sqrt(x); });
-  const Tensor ss = matmul(s, s);
-  for (std::size_t i = 0; i < n * n; ++i) EXPECT_NEAR(ss.flat()[i], a.flat()[i], 1e-8);
-}
-
-TEST(FroNorm, KnownValue) {
-  Tensor a({2, 2});
-  a(0, 0) = 3.0;
-  a(1, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(fro_norm(a), 5.0);
 }
 
 }  // namespace
