@@ -6,20 +6,25 @@
 // (Rfft1D): an n-point r2c/c2r costs one n/2-point complex FFT plus an O(n)
 // Hermitian (un)packing pass — half the flops and memory traffic of the
 // complex round trip. A real 2-D field has one spectral layout, the packed
-// half spectrum (Fft2D). Its per-field transforms run the rows, a
-// cache-blocked transpose, batched contiguous "column" transforms, and a
-// transpose back. The fused product transform
-// (Fft2D::product_half_pruned_lanes) takes four fields' half spectra
-// lane-interleaved, one per SIMD lane, inverts their columns in place down
-// their stride, and then finishes one grid row at a time: the four rows'
-// c2r, a caller-supplied pointwise product of them, and that product's r2c
-// into the forward transform's row buffer, whose columns run as in the
-// per-field forward. No grid is ever stored, and the result is bitwise the
-// per-field inverses, product and forward. All transforms run on the
-// calling thread (callers parallelize across independent fields, e.g.
-// ensemble members, never inside one transform). Convention matches numpy:
-// forward unnormalized, inverse carries the 1/N factor — so does the sqgturb
-// reference implementation the paper follows.
+// half spectrum (Fft2D). Fft2D's forward runs on SIMD lanes: the rows go
+// through the r2c four at a time, one row per lane, each sample stored
+// straight into its bit-reversed slot; one 4x4 transpose per column block
+// moves the retained columns into a compact buffer, four columns per lane
+// batch, where they transform in place; one de-interleaving store writes
+// the spectrum. The per-field inverse runs the rows, a cache-blocked
+// transpose, batched contiguous column transforms and a transpose back. The
+// fused product transform (Fft2D::product_half_pruned_lanes) takes four
+// fields' half spectra lane-interleaved, one per SIMD lane, inverts their
+// columns in place down their stride, and then finishes four grid rows at a
+// time: each row's c2r, a caller-supplied pointwise product of the four
+// fields, and the product rows' lane forward. No grid is ever stored. Every
+// lane repeats the IEEE operations of the 1-D transforms (Rfft1D::forward
+// per row, Fft1D::forward per retained column), so the 2-D results are
+// bitwise those per-row and per-column sequences at every dispatch level.
+// All transforms run on the calling thread (callers parallelize across
+// independent fields, e.g. ensemble members, never inside one transform).
+// Convention matches numpy: forward unnormalized, inverse carries the 1/N
+// factor — so does the sqgturb reference implementation the paper follows.
 #pragma once
 
 #include <complex>
@@ -51,9 +56,14 @@ class Fft1D {
   friend class Fft2D;
 
   void transform(std::span<Cplx> x, bool inverse) const;
-  /// Unnormalized inverse of m adjacent lane-batched transforms (layout in
-  /// simd_kernels.hpp); the caller applies the 1/n factor.
-  void inverse_lanes(double* d, std::size_t stride, std::size_t m) const;
+  /// Unnormalized transforms of m adjacent lane-batched transforms (layout
+  /// in simd_kernels.hpp) whose points sit in natural order: the
+  /// bit-reversal swaps, then stages_lanes. The inverse's caller applies
+  /// the 1/n factor.
+  void transform_lanes(double* d, std::size_t stride, std::size_t m, bool inverse) const;
+  /// The butterfly stages of transform() alone, on lane-batched points
+  /// already in bit-reversed order.
+  void stages_lanes(double* d, std::size_t stride, std::size_t m, bool inverse) const;
 
   std::size_t n_;
   int log2n_;
@@ -87,9 +97,15 @@ class Rfft1D {
  private:
   friend class Fft2D;
 
+  /// forward on four rows at once, one per lane: x[l] holds n samples, and
+  /// `spec` receives the h + 1 bins as one contiguous lane-batched row.
+  void forward_lanes(const double* const* x, double* spec) const;
   /// inverse_inplace on one contiguous lane-batched row of h + 1 elements,
-  /// each first scaled by pre_scale; lane l's samples go to x[l][0..n).
-  void inverse_lanes(double* spec, double pre_scale, double* const* x) const;
+  /// each first scaled by pre_scale; `spec` is only read, `work` (h
+  /// elements) holds the half-length transform, and lane l's samples go to
+  /// x[l][0..n).
+  void inverse_lanes(const double* spec, double pre_scale, double* work,
+                     double* const* x) const;
 
   std::size_t n_, h_;  // h_ = n/2
   Fft1D half_;
@@ -152,20 +168,29 @@ class Fft2D {
   /// bin (i, j) is the 8 doubles at lanes[8 (i half_cols() + j)], the real
   /// parts of spectra 0..3, then their imaginary parts (simd::LaneBuffer
   /// keeps each bin in one cache line). The four column inverses run in
-  /// lockstep, one per SIMD lane; then each grid row is inverted, multiplied
-  /// and forward-transformed on its own. Every row passes the same kernels
-  /// in the same order as the per-field calls, so for an elementwise
-  /// row_product `hspec` receives exactly their bits at the same SIMD level.
-  /// Bins with mx > kcut are never read; `lanes` is consumed as scratch.
+  /// lockstep, one per SIMD lane; then each grid row is inverted and
+  /// multiplied, and every four product rows enter the forward's lane r2c.
+  /// Every row passes the same kernels in the same order as the per-field
+  /// calls, so for an elementwise row_product `hspec` receives exactly their
+  /// bits at the same SIMD level. Bins with mx > kcut are never read;
+  /// `lanes` is consumed as scratch.
   void product_half_pruned_lanes(std::span<double> lanes, RowProduct row_product,
                                  std::span<Cplx> hspec, std::size_t kcut) const;
 
  private:
-  /// The forward's column part: `rows` holds the n0 row r2c spectra
-  /// (n0 x half_cols()); transposes the retained columns, transforms them,
-  /// and writes hspec (retained bins, exact zeros elsewhere). `rows` is
-  /// consumed as scratch.
-  void forward_columns(Cplx* rows, std::span<Cplx> hspec, std::size_t kcut) const;
+  /// The one forward: rows(i0, nrows, x) points x[0..nrows) at grid rows
+  /// i0.. (nrows = 4, fewer only when n0 < 4); they go through the lane r2c
+  /// four at a time, their retained columns into the compact column buffer,
+  /// and after the column pass hspec receives the retained bins and exact
+  /// +0 everywhere else.
+  template <class Rows>
+  void forward_lanes(Rows&& rows, std::span<Cplx> hspec, std::size_t kcut) const;
+
+  /// Transforms `count` lane-batched columns of n0 points (stride `stride`
+  /// elements, side by side at d) in place, four per kernel call. A lane
+  /// whose column is all ±0 keeps its bits, as a column the 1-D transforms
+  /// skip.
+  void column_lanes(double* d, std::size_t stride, std::size_t count, bool inverse) const;
 
   std::size_t n0_, n1_;
   Fft1D col_;

@@ -15,13 +15,20 @@ namespace {
 
 using simd::VecScalar;
 
-constexpr FftKernels kScalarKernels = {
-    detail::pass_first_impl<VecScalar>,           detail::pass_radix4_impl<VecScalar, false>,
-    detail::pass_radix2_impl<VecScalar, false>,   detail::rfft_pack_impl<VecScalar, false>,
-    detail::rfft_unpack_impl<VecScalar, false>,   detail::lane_pass_first_impl<VecScalar>,
-    detail::lane_pass_radix4_impl<VecScalar, false>,
-    detail::lane_pass_radix2_impl<VecScalar, false>,
-    detail::lane_rfft_unpack_impl<VecScalar, false>, detail::lane_rows_out_impl<VecScalar>};
+constexpr FftKernels kScalarKernels = {detail::pass_first_impl<VecScalar>,
+                                       detail::pass_radix4_impl<VecScalar, false>,
+                                       detail::pass_radix2_impl<VecScalar, false>,
+                                       detail::rfft_pack_impl<VecScalar, false>,
+                                       detail::rfft_unpack_impl<VecScalar, false>,
+                                       detail::lane_pass_first_impl<VecScalar>,
+                                       detail::lane_pass_radix4_impl<VecScalar, false>,
+                                       detail::lane_pass_radix2_impl<VecScalar, false>,
+                                       detail::lane_rows_in_impl<VecScalar>,
+                                       detail::lane_rfft_pack_impl<VecScalar, false>,
+                                       detail::lane_cols_in_impl<VecScalar>,
+                                       detail::lane_cols_out_impl<VecScalar>,
+                                       detail::lane_rfft_unpack_impl<VecScalar, false>,
+                                       detail::lane_rows_out_impl<VecScalar>};
 
 }  // namespace
 

@@ -25,18 +25,34 @@ using simd::VecAvx2;
 extern const FftKernels kAvx2Kernels;
 extern const FftKernels kAvx2FmaKernels;
 
-const FftKernels kAvx2Kernels = {
-    detail::pass_first_impl<VecAvx2>,           detail::pass_radix4_impl<VecAvx2, false>,
-    detail::pass_radix2_impl<VecAvx2, false>,   detail::rfft_pack_impl<VecAvx2, false>,
-    detail::rfft_unpack_impl<VecAvx2, false>,   detail::lane_pass_first_impl<VecAvx2>,
-    detail::lane_pass_radix4_impl<VecAvx2, false>, detail::lane_pass_radix2_impl<VecAvx2, false>,
-    detail::lane_rfft_unpack_impl<VecAvx2, false>, detail::lane_rows_out_impl<VecAvx2>};
-const FftKernels kAvx2FmaKernels = {
-    detail::pass_first_impl<VecAvx2>,          detail::pass_radix4_impl<VecAvx2, true>,
-    detail::pass_radix2_impl<VecAvx2, true>,   detail::rfft_pack_impl<VecAvx2, true>,
-    detail::rfft_unpack_impl<VecAvx2, true>,   detail::lane_pass_first_impl<VecAvx2>,
-    detail::lane_pass_radix4_impl<VecAvx2, true>, detail::lane_pass_radix2_impl<VecAvx2, true>,
-    detail::lane_rfft_unpack_impl<VecAvx2, true>, detail::lane_rows_out_impl<VecAvx2>};
+const FftKernels kAvx2Kernels = {detail::pass_first_impl<VecAvx2>,
+                                 detail::pass_radix4_impl<VecAvx2, false>,
+                                 detail::pass_radix2_impl<VecAvx2, false>,
+                                 detail::rfft_pack_impl<VecAvx2, false>,
+                                 detail::rfft_unpack_impl<VecAvx2, false>,
+                                 detail::lane_pass_first_impl<VecAvx2>,
+                                 detail::lane_pass_radix4_impl<VecAvx2, false>,
+                                 detail::lane_pass_radix2_impl<VecAvx2, false>,
+                                 detail::lane_rows_in_impl<VecAvx2>,
+                                 detail::lane_rfft_pack_impl<VecAvx2, false>,
+                                 detail::lane_cols_in_impl<VecAvx2>,
+                                 detail::lane_cols_out_impl<VecAvx2>,
+                                 detail::lane_rfft_unpack_impl<VecAvx2, false>,
+                                 detail::lane_rows_out_impl<VecAvx2>};
+const FftKernels kAvx2FmaKernels = {detail::pass_first_impl<VecAvx2>,
+                                    detail::pass_radix4_impl<VecAvx2, true>,
+                                    detail::pass_radix2_impl<VecAvx2, true>,
+                                    detail::rfft_pack_impl<VecAvx2, true>,
+                                    detail::rfft_unpack_impl<VecAvx2, true>,
+                                    detail::lane_pass_first_impl<VecAvx2>,
+                                    detail::lane_pass_radix4_impl<VecAvx2, true>,
+                                    detail::lane_pass_radix2_impl<VecAvx2, true>,
+                                    detail::lane_rows_in_impl<VecAvx2>,
+                                    detail::lane_rfft_pack_impl<VecAvx2, true>,
+                                    detail::lane_cols_in_impl<VecAvx2>,
+                                    detail::lane_cols_out_impl<VecAvx2>,
+                                    detail::lane_rfft_unpack_impl<VecAvx2, true>,
+                                    detail::lane_rows_out_impl<VecAvx2>};
 
 }  // namespace turbda::fft
 

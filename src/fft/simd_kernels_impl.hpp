@@ -186,10 +186,11 @@ void rfft_unpack_impl(double* s, const double* w, std::size_t h) {
 // Lane-batched kernels: V::kWidth independent transforms advance in
 // lockstep, one per lane. Element k of transform c is the 2 * kWidth doubles
 // at d + (k * stride + c) * 2 * kWidth: the kWidth real parts, then the
-// kWidth imaginary parts. `stride` is the element distance between successive
-// points of one transform (n/2 + 1 for an in-place column of a half
-// spectrum, 1 for a row), and the m transforms of one call sit side by side
-// (adjacent columns). Every lane performs the IEEE operations of the
+// kWidth imaginary parts. `stride` is the element distance between
+// successive points of one transform (n/2 + 1 for an in-place column of a
+// half spectrum, the block count for the forward's compact column buffer, 1
+// for a row), and the m transforms of one call sit side by side (adjacent
+// columns or column blocks). Every lane performs the IEEE operations of the
 // per-field kernels above on its own values in the same order — fused where
 // their vector bodies fuse under kFma, unfused where their scalar remainders
 // run — so each lane is bitwise the per-field result at every level.
@@ -202,14 +203,14 @@ inline void lane_cmul(V wr, V wi, V br, V bi, V& re, V& im) {
   im = V::template mul_add<kFma>(wr, bi, wi * br);
 }
 
-/// Lane pass_first_impl at isign = +1 (inverse): stages of length 2 and 4
-/// fused over n >= 4 points. The +i rotation multiplies by -1 and +1, as
-/// cs * rot does.
+/// Lane pass_first_impl: stages of length 2 and 4 fused over n >= 4 points.
+/// The -+i rotation multiplies by -isign and isign, as cs * rot does.
 template <class V>
-void lane_pass_first_impl(double* d, std::size_t n, std::size_t stride, std::size_t m) {
+void lane_pass_first_impl(double* d, std::size_t n, std::size_t stride, std::size_t m,
+                          double isign) {
   constexpr std::size_t W = V::kWidth;
   const std::size_t es = 2 * W * stride;
-  const V mrot = V::broadcast(-1.0), prot = V::broadcast(1.0);
+  const V mrot = V::broadcast(-isign), prot = V::broadcast(isign);
   for (std::size_t base = 0; base < n; base += 4) {
     for (std::size_t c = 0; c < m; ++c) {
       double* p0 = d + base * es + 2 * W * c;
@@ -304,14 +305,109 @@ void lane_pass_radix2_impl(double* d, std::size_t n, std::size_t stride, std::si
   }
 }
 
-/// Lane Rfft1D inverse split over one contiguous row of h + 1 elements: the
-/// bin-0 fold, rfft_unpack_impl's bins, and the conj of bin h/2. Every
-/// element is first multiplied by pre_scale (the column transform's 1/n0,
-/// deferred to here: x * s0 is the same IEEE operation either way). Bins
-/// that rfft_unpack_impl's vector body covers fuse under kFma; the ones it
-/// hands to its scalar remainder stay unfused.
+/// First bin of rfft_pack_impl's / rfft_unpack_impl's scalar remainder:
+/// bins k < kv go through their vector bodies (two per iteration).
+inline std::size_t rfft_vector_end(std::size_t h) {
+  std::size_t kv = 1;
+  while (2 * kv + 2 < h) kv += 2;
+  return kv;
+}
+
+/// Four real rows into one lane row in bit-reversed order: lane l of
+/// element j is the pair (x[l][2j], x[l][2j + 1]) Rfft1D::forward packs as
+/// z[j], stored at element bitrev[j]. One 4x4 transpose per two elements.
+template <class V>
+void lane_rows_in_impl(const double* const* x, std::size_t h, const std::size_t* bitrev,
+                       double* s) {
+  constexpr std::size_t W = V::kWidth;
+  constexpr std::size_t es = 2 * W;
+  std::size_t j = 0;
+  for (; j + 2 <= h; j += 2) {
+    V r0 = V::loadu(x[0] + 2 * j);
+    V r1 = V::loadu(x[1] + 2 * j);
+    V r2 = V::loadu(x[2] + 2 * j);
+    V r3 = V::loadu(x[3] + 2 * j);
+    transpose4(r0, r1, r2, r3);  // re(j), im(j), re(j + 1), im(j + 1)
+    double* p = s + bitrev[j] * es;
+    double* q = s + bitrev[j + 1] * es;
+    r0.storeu(p);
+    r1.storeu(p + W);
+    r2.storeu(q);
+    r3.storeu(q + W);
+  }
+  for (; j < h; ++j) {  // h == 1
+    double* p = s + bitrev[j] * es;
+    for (std::size_t l = 0; l < W; ++l) {
+      p[l] = x[l][2 * j];
+      p[W + l] = x[l][2 * j + 1];
+    }
+  }
+}
+
+/// Lane Rfft1D forward combine over one contiguous row of h + 1 elements,
+/// after the half-length transform: bin 0 becomes (re + im, +0) and bin h
+/// (re - im, +0) of the old bin 0, as Rfft1D::forward computes them; then
+/// rfft_pack_impl's bins and the conj of bin h/2. Bins its vector body
+/// covers take that body's operations (fused under kFma, its conj and
+/// negations as the same sign flips); the ones it hands to its scalar
+/// remainder take the remainder's unfused ones.
 template <class V, bool kFma>
-void lane_rfft_unpack_impl(double* s, const double* w, std::size_t h, double pre_scale) {
+void lane_rfft_pack_impl(double* s, const double* w, std::size_t h) {
+  constexpr std::size_t W = V::kWidth;
+  constexpr std::size_t es = 2 * W;
+  const V half_v = V::broadcast(0.5);
+  const V zero = V::broadcast(0.0);
+  {
+    const V z0r = V::loadu(s), z0i = V::loadu(s + W);
+    (z0r + z0i).storeu(s);
+    zero.storeu(s + W);
+    (z0r - z0i).storeu(s + h * es);
+    zero.storeu(s + h * es + W);
+  }
+  const std::size_t kv = rfft_vector_end(h);
+  for (std::size_t k = 1; k < h - k; ++k) {
+    double* pk = s + k * es;
+    double* pc = s + (h - k) * es;
+    const V zkr = V::loadu(pk), zki = V::loadu(pk + W);
+    const V zcr = V::loadu(pc), zci = V::loadu(pc + W);
+    const V wr = V::broadcast(w[2 * k]), wi = V::broadcast(w[2 * k + 1]);
+    const V er = half_v * (zkr + zcr);
+    V ei, tr, ti, mi;
+    if (k < kv) {
+      ei = half_v * (zki + zci.neg());
+      const V or_ = half_v * (zci - zki.neg());
+      const V oi = half_v * (zcr + zkr.neg());
+      lane_cmul<kFma>(wr, wi, or_, oi, tr, ti);
+      mi = ti + ei.neg();
+    } else {
+      ei = half_v * (zki - zci);
+      const V or_ = half_v * (zki + zci);
+      const V oi = half_v * (zcr - zkr);
+      tr = wr * or_ - wi * oi;
+      ti = wr * oi + wi * or_;
+      mi = ti - ei;
+    }
+    (er + tr).storeu(pk);
+    (ei + ti).storeu(pk + W);
+    (er - tr).storeu(pc);
+    mi.storeu(pc + W);
+  }
+  if (h >= 2) {  // w^(h/2) = -i exactly: conj
+    double* p = s + (h / 2) * es + W;
+    V::loadu(p).neg().storeu(p);
+  }
+}
+
+/// Lane Rfft1D inverse split over one contiguous row of h + 1 elements: the
+/// bin-0 fold, rfft_unpack_impl's bins, and the conj of bin h/2, each result
+/// element k stored at element bitrev[k] of out. Every element is first
+/// multiplied by pre_scale (the column transform's 1/n0, deferred to here:
+/// x * s0 is the same IEEE operation either way). Bins that
+/// rfft_unpack_impl's vector body covers fuse under kFma; the ones it hands
+/// to its scalar remainder stay unfused.
+template <class V, bool kFma>
+void lane_rfft_unpack_impl(const double* s, const double* w, std::size_t h, double pre_scale,
+                           const std::size_t* bitrev, double* out) {
   constexpr std::size_t W = V::kWidth;
   constexpr std::size_t es = 2 * W;
   const V half_v = V::broadcast(0.5);
@@ -319,14 +415,13 @@ void lane_rfft_unpack_impl(double* s, const double* w, std::size_t h, double pre
   {
     const V e0 = V::loadu(s) * sc;
     const V eh = V::loadu(s + h * es) * sc;
-    (half_v * (e0 + eh)).storeu(s);
-    (half_v * (e0 - eh)).storeu(s + W);
+    (half_v * (e0 + eh)).storeu(out);  // bitrev[0] == 0
+    (half_v * (e0 - eh)).storeu(out + W);
   }
-  std::size_t kv = 1;  // first bin of rfft_unpack_impl's scalar remainder
-  while (2 * kv + 2 < h) kv += 2;
+  const std::size_t kv = rfft_vector_end(h);
   for (std::size_t k = 1; k < h - k; ++k) {
-    double* pk = s + k * es;
-    double* pc = s + (h - k) * es;
+    const double* pk = s + k * es;
+    const double* pc = s + (h - k) * es;
     const V ar = V::loadu(pk) * sc, ai = V::loadu(pk + W) * sc;
     const V br = V::loadu(pc) * sc, bi = V::loadu(pc + W) * sc;
     const V er = half_v * (ar + br), ei = half_v * (ai - bi);
@@ -340,15 +435,61 @@ void lane_rfft_unpack_impl(double* s, const double* w, std::size_t h, double pre
       or_ = wr * otr + wi * oti;
       oi = wr * oti - wi * otr;
     }
-    (er - oi).storeu(pk);
-    (ei + or_).storeu(pk + W);
-    (er + oi).storeu(pc);
-    (or_ - ei).storeu(pc + W);
+    double* qk = out + bitrev[k] * es;
+    double* qc = out + bitrev[h - k] * es;
+    (er - oi).storeu(qk);
+    (ei + or_).storeu(qk + W);
+    (er + oi).storeu(qc);
+    (or_ - ei).storeu(qc + W);
   }
   if (h >= 2) {  // w^(h/2) = -i exactly: conj
-    double* p = s + (h / 2) * es;
-    (V::loadu(p) * sc).storeu(p);
-    (V::loadu(p + W) * sc).neg().storeu(p + W);
+    const double* p = s + (h / 2) * es;
+    double* q = out + bitrev[h / 2] * es;
+    (V::loadu(p) * sc).storeu(q);
+    (V::loadu(p + W) * sc).neg().storeu(q + W);
+  }
+}
+
+/// One four-row batch's lane row spectrum (lane r = grid row r) into nb
+/// column blocks (lane c = spectral column 4b + c): per block, one 4x4
+/// transpose of the real parts and one of the imaginary parts. Rows
+/// r < nrows are stored, row r at out + r * nb * 2 * kWidth.
+template <class V>
+void lane_cols_in_impl(const double* s, std::size_t nb, std::size_t nrows, double* out) {
+  constexpr std::size_t W = V::kWidth;
+  constexpr std::size_t es = 2 * W;
+  const std::size_t rs = nb * es;
+  for (std::size_t b = 0; b < nb; ++b) {
+    const double* p = s + W * b * es;
+    V re[W] = {V::loadu(p), V::loadu(p + es), V::loadu(p + 2 * es), V::loadu(p + 3 * es)};
+    V im[W] = {V::loadu(p + W), V::loadu(p + es + W), V::loadu(p + 2 * es + W),
+               V::loadu(p + 3 * es + W)};
+    transpose4(re[0], re[1], re[2], re[3]);
+    transpose4(im[0], im[1], im[2], im[3]);
+    for (std::size_t r = 0; r < nrows; ++r) {
+      re[r].storeu(out + r * rs + b * es);
+      im[r].storeu(out + r * rs + b * es + W);
+    }
+  }
+}
+
+/// De-interleaves one column-buffer row (lane c of block b = column 4b + c)
+/// into `cols` interleaved (re, im) bins: out[2j] = re(j), out[2j + 1] =
+/// im(j).
+template <class V>
+void lane_cols_out_impl(const double* row, std::size_t cols, double* out) {
+  constexpr std::size_t W = V::kWidth;
+  constexpr std::size_t es = 2 * W;
+  std::size_t b = 0;
+  for (; W * (b + 1) <= cols; ++b) {
+    const V re = V::loadu(row + b * es), im = V::loadu(row + b * es + W);
+    const V lo = V::unpack_lo(re, im), hi = V::unpack_hi(re, im);
+    V::concat_lo(lo, hi).storeu(out + b * es);
+    V::concat_hi(lo, hi).storeu(out + b * es + W);
+  }
+  for (std::size_t j = W * b; j < cols; ++j) {
+    out[2 * j] = row[b * es + (j - W * b)];
+    out[2 * j + 1] = row[b * es + W + (j - W * b)];
   }
 }
 

@@ -38,7 +38,6 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
   attn_.reset({b * h_, t_, t_});
   concat_.reset({b * t_, c_});
 
-  std::vector<double> srow(t_);
   for (std::size_t s = 0; s < b; ++s) {
     for (std::size_t hd = 0; hd < h_; ++hd) {
       const double* qp = q_.data() + s * t_ * c_ + hd * dh_;

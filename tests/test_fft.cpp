@@ -317,6 +317,110 @@ TEST(Fft2d, PrunedHalfMatchesMaskedUnpruned) {
   }
 }
 
+/// forward_half_pruned by its definition, from the public 1-D plans alone:
+/// Rfft1D::forward on every row, then Fft1D::forward on each retained column
+/// (mx <= min(kcut, n1/2)) unless it is all ±0, which keeps its bits; the
+/// retained bins of rows with |my| <= kcut are copied and every other bin
+/// is +0.
+std::vector<Cplx> row_column_forward(const std::vector<double>& g, std::size_t n0,
+                                     std::size_t n1, std::size_t kcut) {
+  const std::size_t nh = n1 / 2 + 1;
+  const std::size_t cols = std::min(kcut, n1 / 2) + 1;
+  const long rowcut = static_cast<long>(std::min(kcut, n0 / 2));
+  const Rfft1D row_plan(n1);
+  const Fft1D col_plan(n0);
+  std::vector<Cplx> rows(n0 * nh);
+  for (std::size_t i = 0; i < n0; ++i)
+    row_plan.forward(std::span<const double>(g.data() + i * n1, n1),
+                     std::span<Cplx>(rows.data() + i * nh, nh));
+  std::vector<Cplx> out(n0 * nh, Cplx(0.0, 0.0));
+  std::vector<Cplx> col(n0);
+  for (std::size_t j = 0; j < cols; ++j) {
+    bool zero = true;
+    for (std::size_t i = 0; i < n0; ++i) {
+      col[i] = rows[i * nh + j];
+      zero = zero && col[i].real() == 0.0 && col[i].imag() == 0.0;
+    }
+    if (!zero) col_plan.forward(col);
+    for (std::size_t i = 0; i < n0; ++i) {
+      const long my =
+          (i <= n0 / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n0);
+      if (std::labs(my) <= rowcut) out[i * nh + j] = col[i];
+    }
+  }
+  return out;
+}
+
+/// Bitwise equality of two spectra except that any NaN matches any NaN.
+/// The sign and payload of a NaN computed from two NaN operands follow the
+/// operand order, which the compiler may commute in an add or multiply, so
+/// only where NaNs sit is reproducible.
+bool same_bits_but_nan_payloads(const std::vector<Cplx>& a, const std::vector<Cplx>& b) {
+  const auto* x = reinterpret_cast<const double*>(a.data());
+  const auto* y = reinterpret_cast<const double*>(b.data());
+  for (std::size_t i = 0; i < 2 * a.size(); ++i)
+    if (std::memcmp(x + i, y + i, sizeof(double)) != 0 && !(std::isnan(x[i]) && std::isnan(y[i])))
+      return false;
+  return a.size() == b.size();
+}
+
+// Fft2D's forward runs on lanes (four rows per r2c batch, the retained
+// columns four per lane batch); no per-field 2-D forward remains, so its
+// bits are pinned against the row-column definition above, at every
+// dispatch level. Shapes include partial row batches (n0 < 4) and h = 1
+// rows (n1 = 2). Inputs: random; a constant field, whose columns but mx = 0
+// are all ±0, so the column blocks mix live and dead lanes; a grid of
+// mixed-sign zeros, all of whose columns are dead; and random values with
+// NaN and ±inf entries, where every finite and infinite value and every
+// NaN position must match (NaN payloads may not).
+TEST(Fft2d, ForwardMatchesRowColumnReferenceBitwiseAtEveryLevel) {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = {{16, 8}, {4, 16}, {8, 2}, {1, 8}};
+  for (std::size_t n = 2; n <= 256; n *= 2) shapes.emplace_back(n, n);
+  const double inf = std::numeric_limits<double>::infinity();
+  SimdLevelGuard guard;
+  for (const simd::SimdLevel level :
+       {simd::SimdLevel::Scalar, simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
+    if (!simd::force_simd_level(level)) continue;
+    for (const auto& [n0, n1] : shapes) {
+      const std::size_t nn = n0 * n1;
+      Rng rng(601 + nn);
+      struct Input {
+        const char* name;
+        bool finite;
+        std::vector<double> g;
+      };
+      std::vector<Input> inputs = {{"random", true, std::vector<double>(nn)},
+                                   {"constant", true, std::vector<double>(nn, 0.75)},
+                                   {"signed zeros", true, std::vector<double>(nn, 0.0)},
+                                   {"non-finite", false, std::vector<double>(nn)}};
+      rng.fill_gaussian(inputs[0].g);
+      for (std::size_t p = 0; p < nn; p += 3) inputs[2].g[p] = -0.0;
+      std::vector<double>& bad = inputs[3].g;
+      rng.fill_gaussian(bad);
+      bad[nn / 2] = std::numeric_limits<double>::quiet_NaN();
+      bad[nn - 1] = inf;
+      bad[nn / 3] = -inf;
+      const Fft2D plan(n0, n1);
+      const std::size_t n = std::max(n0, n1);
+      for (const Input& in : inputs)
+        for (const std::size_t kcut : {n / 3, n / 2, n}) {
+          const std::vector<Cplx> want = row_column_forward(in.g, n0, n1, kcut);
+          std::vector<Cplx> got(plan.half_size());
+          if (kcut == n)
+            plan.forward_half(in.g, got);
+          else
+            plan.forward_half_pruned(in.g, got, kcut);
+          const bool same =
+              in.finite
+                  ? std::memcmp(got.data(), want.data(), want.size() * sizeof(Cplx)) == 0
+                  : same_bits_but_nan_payloads(got, want);
+          EXPECT_TRUE(same) << simd::simd_level_name(level) << " " << n0 << "x" << n1
+                            << " kcut=" << kcut << " " << in.name;
+        }
+    }
+  }
+}
+
 // --- SIMD dispatch equivalence ----------------------------------------------
 
 TEST(SimdDispatch, ScalarLevelIsAlwaysAvailable) {
