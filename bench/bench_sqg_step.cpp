@@ -28,9 +28,8 @@
 #include "io/table.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
-#include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/pointwise_kernels.hpp"
+#include "simd/kernels.hpp"
 #include "sqg/sqg.hpp"
 #include "thread_counts.hpp"
 
@@ -145,7 +144,7 @@ int main(int argc, char** argv) {
     // spectra, per-field vs fused. The fused call consumes its input, so its
     // timing includes restoring the lane buffer from a copy.
     const std::size_t kc = model.kcut();
-    const auto jacobian = simd::active_pointwise_kernels().sqg_jacobian;
+    const auto jacobian = simd::active_kernels().sqg_jacobian;
     std::vector<std::vector<fft::Cplx>> spec4(simd::kLaneBatch,
                                               std::vector<fft::Cplx>(fft.half_size()));
     std::vector<std::vector<double>> field4(simd::kLaneBatch, std::vector<double>(nn));

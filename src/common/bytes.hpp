@@ -1,7 +1,6 @@
 // Little-endian byte (de)serialization for checkpoint blobs.
 //
-// Every checkpointable component (Rng aside, which predates this helper and
-// carries its own fixed-size codec) appends itself to a byte vector through
+// Every checkpointable component appends itself to a byte vector through
 // these writers and parses itself back through Reader. Explicit per-byte
 // shifts make the encoding identical on any host, and Reader is fail-soft:
 // past-the-end reads latch a failure flag and return zeros instead of

@@ -9,7 +9,7 @@
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "parallel/thread_pool.hpp"
-#include "simd/dense_kernels.hpp"
+#include "simd/kernels.hpp"
 #include "telemetry/trace.hpp"
 
 namespace turbda::da {
@@ -18,7 +18,6 @@ using tensor::Tensor;
 
 EnSF::EnSF(EnsfConfig cfg) : cfg_(cfg) {
   TURBDA_REQUIRE(cfg_.euler_steps >= 2, "EnSF needs at least 2 Euler steps");
-  TURBDA_REQUIRE(cfg_.eps_alpha > 0.0 && cfg_.eps_alpha < 0.5, "eps_alpha must be in (0, 0.5)");
   TURBDA_REQUIRE(cfg_.relax_spread >= 0.0 && cfg_.relax_spread <= 1.0,
                  "relax_spread must be in [0,1]");
 }
@@ -141,7 +140,7 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
     TURBDA_SPAN("ensf.block");
     WallTimer ph;
     EnsfTimings bt;
-    const auto& dk = simd::active_dense_kernels();
+    const auto& dk = simd::active_kernels();
     const std::size_t rows = me - mb;
     std::vector<double> logits(rows * batch), wx(rows * d);
     // The minibatch of forecast members, as rows and transposed.

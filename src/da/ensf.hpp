@@ -24,7 +24,7 @@
 // contiguous sample blocks, each integrating its own rows of Z through every
 // Euler step: its rows of the score logits z X^T (against X^T, transposed
 // once per analysis) and of the weighted mean W X on the dispatched
-// simd::DenseKernels::matmul_rows kernel, the softmax, then each sample's
+// simd::Kernels::matmul_rows kernel, the softmax, then each sample's
 // likelihood score, noise and update, in block-local scratch allocated once
 // per analysis.
 #pragma once
@@ -44,9 +44,9 @@ enum class LikelihoodDamping { LinearDecay, Constant, QuadraticDecay };
 
 struct EnsfConfig {
   int euler_steps = 60;       ///< reverse-SDE discretization steps
-  double eps_alpha = 0.05;    ///< clamp alpha(t) = 1 - (1-eps_alpha) t so the
-                              ///< drift b(t) = -(1-eps)/alpha stays bounded
-                              ///< at the Gaussian end (t = 1)
+  /// Clamp alpha(t) = 1 - (1-eps_alpha) t so the drift b(t) = -(1-eps)/alpha
+  /// stays bounded at the Gaussian end (t = 1).
+  static constexpr double eps_alpha = 0.05;
   int minibatch = 0;          ///< score minibatch J (Eq. 15); 0 = full ensemble
   double relax_spread = 1.0;  ///< RTPS-style relaxation of analysis spread to
                               ///< the prior spread (paper: "the variance of
@@ -56,9 +56,9 @@ struct EnsfConfig {
   double likelihood_strength = 1.0;  ///< multiplier on the likelihood score;
                                      ///< >1 sharpens the pull toward obs when
                                      ///< R is only moderately informative
-  double max_like_step = 10.0;       ///< per-component clamp on the likelihood
-                                     ///< contribution of one Euler step
-                                     ///< (stabilizes tiny-R configurations)
+  /// Per-component clamp on the likelihood contribution of one Euler step
+  /// (stabilizes tiny-R configurations).
+  static constexpr double max_like_step = 10.0;
   double kernel_bandwidth = 0.0;     ///< kernel smoothing of the Monte-Carlo
                                      ///< score: component bandwidth becomes
                                      ///< beta^2 + (kappa * alpha * spread)^2.

@@ -11,7 +11,7 @@
 #include "common/timer.hpp"
 #include "da/localization.hpp"
 #include "parallel/thread_pool.hpp"
-#include "simd/dense_kernels.hpp"
+#include "simd/kernels.hpp"
 #include "telemetry/trace.hpp"
 #include "tensor/linalg.hpp"
 
@@ -480,7 +480,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   // result is bitwise identical for any thread count — and so for any
   // chunking, packing and padding.
   const auto solve_intervals = [&](std::size_t t_begin, std::size_t t_end) {
-    const auto& dk = simd::active_dense_kernels();
+    const auto& dk = simd::active_kernels();
     auto& [sel_idx_b, sel_w_b, yTb, yTwb, sTb, weffb, wib, amatb, vb, vTb, usTb, wmatb, wlb, cdb,
            vtcdb, wbarb, wbb, isqb, accb, xbTb, xaTb, eigh_scratch, order, win, failed, bx, by] =
         chunk_scratch();

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/math_utils.hpp"
-#include "simd/dense_kernels.hpp"
+#include "simd/kernels.hpp"
 #include "telemetry/trace.hpp"
 
 namespace turbda::fft {
@@ -50,14 +50,14 @@ void Fft1D::transform(std::span<Cplx> x, bool inverse) const {
   if (n_ == 1) return;
   // The butterflies run on the raw (re, im) doubles — std::complex guarantees
   // array-compatible layout — through the runtime-dispatched SIMD kernels
-  // (scalar / AVX2 / AVX2+FMA; see simd_kernels.hpp).
+  // (scalar / AVX2 / AVX2+FMA; see simd/kernels.hpp).
   double* d = reinterpret_cast<double*>(x.data());
   // Bit-reversal permutation.
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(x[i], x[j]);
   }
-  const FftKernels& kr = active_kernels();
+  const simd::Kernels& kr = simd::active_kernels();
   // Stages len = 2 and 4 fused: twiddles are exactly 1 and -i (forward) /
   // +i (inverse), so the 4-point butterfly carries no multiplies at all.
   if (n_ == 2) {
@@ -105,7 +105,7 @@ void Fft1D::transform_lanes(double* d, std::size_t stride, std::size_t m, bool i
 void Fft1D::stages_lanes(double* d, std::size_t stride, std::size_t m, bool inverse) const {
   if (n_ == 1) return;
   const std::size_t es = kLaneElem * stride;
-  const FftKernels& kr = active_kernels();
+  const simd::Kernels& kr = simd::active_kernels();
   if (n_ == 2) {
     for (std::size_t c = 0; c < kLaneElem * m; ++c) {
       const double u = d[c], t = d[es + c];
@@ -164,8 +164,8 @@ void Rfft1D::forward(std::span<const double> x, std::span<Cplx> spec) const {
   const Cplx z0 = spec[0];
   spec[0] = Cplx(z0.real() + z0.imag(), 0.0);
   const Cplx dc_mirror(z0.real() - z0.imag(), 0.0);
-  active_kernels().rfft_pack(reinterpret_cast<double*>(spec.data()),
-                             reinterpret_cast<const double*>(w_.data()), h);
+  simd::active_kernels().rfft_pack(reinterpret_cast<double*>(spec.data()),
+                                   reinterpret_cast<const double*>(w_.data()), h);
   if (h >= 2) spec[h / 2] = std::conj(spec[h / 2]);  // w^(h/2) = -i, exactly
   spec[h] = dc_mirror;
 }
@@ -177,8 +177,8 @@ void Rfft1D::inverse_inplace(std::span<Cplx> spec, std::span<double> x) const {
   const double e0 = spec[0].real();
   const double eh = spec[h].real();
   spec[0] = Cplx(0.5 * (e0 + eh), 0.5 * (e0 - eh));
-  active_kernels().rfft_unpack(reinterpret_cast<double*>(spec.data()),
-                               reinterpret_cast<const double*>(w_.data()), h);
+  simd::active_kernels().rfft_unpack(reinterpret_cast<double*>(spec.data()),
+                                     reinterpret_cast<const double*>(w_.data()), h);
   if (h >= 2) spec[h / 2] = std::conj(spec[h / 2]);
   half_.inverse(spec.first(h));
   for (std::size_t j = 0; j < h; ++j) {
@@ -188,7 +188,7 @@ void Rfft1D::inverse_inplace(std::span<Cplx> spec, std::span<double> x) const {
 }
 
 void Rfft1D::forward_lanes(const double* const* x, double* spec) const {
-  const FftKernels& kr = active_kernels();
+  const simd::Kernels& kr = simd::active_kernels();
   kr.lane_rows_in(x, h_, half_.bitrev_.data(), spec);
   half_.stages_lanes(spec, 1, 1, /*inverse=*/false);
   kr.lane_rfft_pack(spec, reinterpret_cast<const double*>(w_.data()), h_);
@@ -196,7 +196,7 @@ void Rfft1D::forward_lanes(const double* const* x, double* spec) const {
 
 void Rfft1D::inverse_lanes(const double* spec, double pre_scale, double* work,
                            double* const* x) const {
-  const FftKernels& kr = active_kernels();
+  const simd::Kernels& kr = simd::active_kernels();
   kr.lane_rfft_unpack(spec, reinterpret_cast<const double*>(w_.data()), h_, pre_scale,
                       half_.bitrev_.data(), work);
   half_.stages_lanes(work, 1, 1, /*inverse=*/true);
@@ -348,7 +348,7 @@ void Fft2D::column_lanes(double* d, std::size_t stride, std::size_t count, bool 
 
 template <class Rows>
 void Fft2D::forward_lanes(Rows&& rows, std::span<Cplx> hspec, std::size_t kcut) const {
-  const FftKernels& kr = active_kernels();
+  const simd::Kernels& kr = simd::active_kernels();
   const std::size_t nh = half_cols();
   const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
   const std::size_t nb = (cols + simd::kLaneBatch - 1) / simd::kLaneBatch;  // column blocks

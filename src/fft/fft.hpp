@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "fft/simd_kernels.hpp"
+#include "simd/kernels.hpp"
 
 namespace turbda::fft {
 
@@ -57,7 +57,7 @@ class Fft1D {
 
   void transform(std::span<Cplx> x, bool inverse) const;
   /// Unnormalized transforms of m adjacent lane-batched transforms (layout
-  /// in simd_kernels.hpp) whose points sit in natural order: the
+  /// in simd/kernels.hpp) whose points sit in natural order: the
   /// bit-reversal swaps, then stages_lanes. The inverse's caller applies
   /// the 1/n factor.
   void transform_lanes(double* d, std::size_t stride, std::size_t m, bool inverse) const;

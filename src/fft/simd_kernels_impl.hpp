@@ -1,6 +1,7 @@
 // Generic FFT micro-kernels over the portable simd::Vec API — one kernel
-// text instantiated per backend (VecScalar in simd_kernels.cpp, VecAvx2 in
-// simd_kernels_avx2.cpp) and per multiply-add mode (kFma).
+// text instantiated per backend (VecScalar in simd/kernels.cpp, VecAvx2 in
+// simd/kernels_avx2.cpp, both through simd/kernel_table.hpp) and per
+// multiply-add mode (kFma).
 //
 // The lane choreography is identical for every instantiation: four doubles
 // per vector, complex numbers as interleaved (re, im) pairs, two complex

@@ -11,13 +11,13 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/math_utils.hpp"
 #include "rng/philox.hpp"
-#include "simd/dense_kernels.hpp"
+#include "simd/kernels.hpp"
 
 namespace turbda::rng {
 
@@ -86,7 +86,7 @@ class Rng {
   }
 
   /// Fill a span with iid standard normals through the lane kernel
-  /// (simd::DenseKernels::gaussian_pairs). A cached half goes to out[0];
+  /// (simd::Kernels::gaussian_pairs). A cached half goes to out[0];
   /// whole pairs then come from the kernel, one Philox block each, and an
   /// odd last value from gaussian(), which caches its sin half. A stream left
   /// partway through a block by uniform() or next_u32() falls back to
@@ -105,9 +105,9 @@ class Rng {
         return static_cast<std::uint64_t>(hi) << 32 | lo;
       };
       const std::uint64_t block = word_pair(ctr_[0], ctr_[1]);
-      simd::active_dense_kernels().gaussian_pairs(out.data() + i, pairs, block,
-                                                  word_pair(ctr_[2], ctr_[3]),
-                                                  word_pair(key_[0], key_[1]));
+      simd::active_kernels().gaussian_pairs(out.data() + i, pairs, block,
+                                            word_pair(ctr_[2], ctr_[3]),
+                                            word_pair(key_[0], key_[1]));
       const std::uint64_t next = block + pairs;  // the carry refill() applies
       ctr_[0] = static_cast<std::uint32_t>(next);
       ctr_[1] = static_cast<std::uint32_t>(next >> 32);
@@ -155,17 +155,11 @@ class Rng {
   /// cached Gaussian) to `out`; restoring it with load_state() continues the
   /// stream bitwise from this exact point.
   void save_state(std::vector<std::uint8_t>& out) const {
-    const auto put_u32 = [&](std::uint32_t v) {
-      for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    for (std::uint32_t v : key_) put_u32(v);
-    for (std::uint32_t v : ctr_) put_u32(v);
-    for (std::uint32_t v : buf_) put_u32(v);
-    put_u32(static_cast<std::uint32_t>(buf_pos_));
-    std::uint64_t bits;
-    std::memcpy(&bits, &cached_, sizeof(bits));
-    put_u32(static_cast<std::uint32_t>(bits));
-    put_u32(static_cast<std::uint32_t>(bits >> 32));
+    for (std::uint32_t v : key_) bytes::put_u32(out, v);
+    for (std::uint32_t v : ctr_) bytes::put_u32(out, v);
+    for (std::uint32_t v : buf_) bytes::put_u32(out, v);
+    bytes::put_i32(out, buf_pos_);
+    bytes::put_f64(out, cached_);
     out.push_back(have_cached_ ? 1 : 0);
   }
 
@@ -174,27 +168,20 @@ class Rng {
   /// decoded buffer position is out of range.
   bool load_state(std::span<const std::uint8_t> in) {
     if (in.size() != kStateBytes) return false;
-    std::size_t at = 0;
-    const auto get_u32 = [&] {
-      std::uint32_t v = 0;
-      for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[at++]) << (8 * i);
-      return v;
-    };
+    bytes::Reader r(in);
     Philox4x32::Key key;
     Philox4x32::Counter ctr, buf;
-    for (auto& v : key) v = get_u32();
-    for (auto& v : ctr) v = get_u32();
-    for (auto& v : buf) v = get_u32();
-    const auto pos = static_cast<std::int32_t>(get_u32());
+    for (auto& v : key) v = r.u32();
+    for (auto& v : ctr) v = r.u32();
+    for (auto& v : buf) v = r.u32();
+    const std::int32_t pos = r.i32();
     if (pos < 0 || pos > 4) return false;
-    std::uint64_t bits = get_u32();
-    bits |= static_cast<std::uint64_t>(get_u32()) << 32;
     key_ = key;
     ctr_ = ctr;
     buf_ = buf;
     buf_pos_ = pos;
-    std::memcpy(&cached_, &bits, sizeof(cached_));
-    have_cached_ = in[at] != 0;
+    cached_ = r.f64();
+    have_cached_ = r.u8() != 0;
     return true;
   }
 

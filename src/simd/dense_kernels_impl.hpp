@@ -1,6 +1,7 @@
 // Generic small-dense kernels over the portable simd::Vec API — one kernel
-// text instantiated per backend (VecScalar in dense_kernels.cpp, VecAvx2 in
-// dense_kernels_avx2.cpp) and per multiply-add mode (kFma).
+// text instantiated per backend (VecScalar in kernels.cpp, VecAvx2 in
+// kernels_avx2.cpp, both through kernel_table.hpp) and per multiply-add mode
+// (kFma).
 //
 // Each kernel vectorizes over independent output lanes and keeps any
 // reduction sequential over the i index, so with kFma == false every

@@ -31,7 +31,7 @@ SimdLevel parse_level_env(SimdLevel fallback) {
   if (env == nullptr || *env == '\0') return fallback;
   if (std::strcmp(env, "scalar") == 0) return SimdLevel::Scalar;
   if (std::strcmp(env, "avx2") == 0) return SimdLevel::Avx2;
-  if (std::strcmp(env, "avx2fma") == 0 || std::strcmp(env, "fma") == 0) return SimdLevel::Avx2Fma;
+  if (std::strcmp(env, "avx2fma") == 0) return SimdLevel::Avx2Fma;
   return fallback;  // unrecognized values keep the detected level
 }
 

@@ -1,15 +1,16 @@
 // Process-global runtime SIMD dispatch level.
 //
-// Kernel families (FFT butterflies in src/fft, LETKF dense kernels in
-// src/simd/dense_kernels) each expose a table of function pointers per level;
-// this header owns the level itself. The active level is chosen once at
-// startup from CPUID — the portable build benefits on AVX2 hardware without
-// TURBDA_NATIVE — can be forced down with the TURBDA_SIMD environment
-// variable (scalar | avx2 | avx2fma), and can be overridden programmatically
-// for tests. Dispatch is process-global, so all thread-count bitwise
-// invariance guarantees are unaffected by it.
+// Every vectorized kernel (the FFT butterflies, the small-dense kernels and
+// the SQG pointwise kernels) sits in one table of function pointers per
+// level, simd::Kernels (simd/kernels.hpp); this header owns the level
+// itself. The active level is chosen once at startup from CPUID — the
+// portable build benefits on AVX2 hardware without TURBDA_NATIVE — can be
+// forced down with the TURBDA_SIMD environment variable (scalar | avx2 |
+// avx2fma), and can be overridden programmatically for tests. Dispatch is
+// process-global, so all thread-count bitwise invariance guarantees are
+// unaffected by it.
 //
-// Level semantics, shared by every kernel family:
+// Level semantics, shared by every kernel:
 //  - Scalar:  portable C++, always available, compiled with -ffp-contract=off
 //             so it stays bitwise reproducible even under -march=native.
 //  - Avx2:    AVX2 intrinsics, one mul/add per IEEE operation in the same

@@ -1,6 +1,6 @@
-// Generic SQG pointwise kernels against the simd::Vec API. Included only by
-// the per-backend translation units (pointwise_kernels.cpp compiled
-// portably, pointwise_kernels_avx2.cpp compiled with -mavx2 -mfma); both are
+// Generic SQG pointwise kernels against the simd::Vec API. Included only
+// through kernel_table.hpp by the per-backend translation units (kernels.cpp
+// compiled portably, kernels_avx2.cpp compiled with -mavx2 -mfma); both are
 // built with -ffp-contract=off and auto-vectorization disabled so the only
 // FMA contractions are the explicit kFma instantiations.
 //

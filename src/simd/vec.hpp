@@ -26,8 +26,9 @@
 //    -ffp-contract=off and auto-vectorization disabled (see CMakeLists.txt)
 //    so the emulation never silently grows FMA contractions.
 //  - VecAvx2: AVX2 intrinsics, only defined when the TU is compiled with
-//    -mavx2 (each backend lives in its own TU; runtime CPUID dispatch in
-//    simd/dispatch.cpp picks the table, never inline ISA checks).
+//    -mavx2 (each backend's kernel table lives in its own TU, kernels.cpp or
+//    kernels_avx2.cpp; simd::kernels_for picks the table at the level
+//    simd/dispatch.cpp detects, never inline ISA checks).
 //
 // The `kFma` template flag on the multiply-add entry points selects between
 // fused (one rounding, AVX2+FMA or std::fma) and unfused (mul then add, the

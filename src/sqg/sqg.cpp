@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/math_utils.hpp"
-#include "simd/pointwise_kernels.hpp"
+#include "simd/kernels.hpp"
 #include "telemetry/trace.hpp"
 
 namespace turbda::sqg {
@@ -76,13 +76,8 @@ SqgModel::SqgModel(SqgConfig cfg)
   hyperdiff_.resize(ns_);
 
   lambda_ = cfg_.U / cfg_.H;
-  if (cfg_.symmetric_shear) {
-    ubar_[0] = -0.5 * cfg_.U;
-    ubar_[1] = +0.5 * cfg_.U;
-  } else {
-    ubar_[0] = 0.0;
-    ubar_[1] = cfg_.U;
-  }
+  ubar_[0] = -0.5 * cfg_.U;  // symmetric shear
+  ubar_[1] = +0.5 * cfg_.U;
   op_theta_[0].resize(ns_);
   op_theta_[1].resize(ns_);
   op_psi_[0].resize(ns_);
@@ -209,7 +204,7 @@ void SqgModel::tendency(std::span<const Cplx> theta_spec, std::span<Cplx> out,
 }
 
 void SqgModel::square_tendency(const double* theta, double* out, SqgWorkspace& ws) const {
-  const auto& pk = simd::active_pointwise_kernels();
+  const auto& pk = simd::active_kernels();
   const std::size_t lvl = 2 * ns_;  // doubles per level
   const double* t0 = theta;
   const double* t1 = theta + lvl;
@@ -257,7 +252,7 @@ void SqgModel::step(std::span<double> theta_grid, int nsteps, SqgWorkspace& ws) 
   TURBDA_SPAN("sqg.step");
   if (ws.n != cfg_.n) ws.resize(cfg_.n);
   to_spectral(theta_grid, ws.spec);
-  const auto& pk = simd::active_pointwise_kernels();
+  const auto& pk = simd::active_kernels();
   const double dt = cfg_.dt;
   const std::size_t lvl = 2 * ns_;  // doubles per level
   double* spec = dview(ws.spec.data());

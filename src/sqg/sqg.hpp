@@ -55,7 +55,7 @@
 #include "fft/fft.hpp"
 #include "models/forecast_model.hpp"
 #include "rng/rng.hpp"
-#include "simd/dense_kernels.hpp"
+#include "simd/kernels.hpp"
 
 namespace turbda::sqg {
 
@@ -68,7 +68,7 @@ struct SqgConfig {
   double f = 1.0e-4;             ///< Coriolis parameter [1/s]
   double nsq = 1.0e-4;           ///< buoyancy frequency squared [1/s^2]
   double U = 30.0;               ///< velocity difference across the layer [m/s]
-  bool symmetric_shear = true;   ///< Ubar = -U/2 / +U/2 instead of 0 / U
+  static constexpr bool symmetric_shear = true;  ///< Ubar = -U/2 / +U/2, not 0 / U
   double r_ekman = 0.0;          ///< Ekman pumping coefficient [m/s], z=0 only
   double t_diab = 10.0 * 86400;  ///< thermal relaxation timescale [s]
   int diff_order = 8;            ///< hyperdiffusion order (del^8)
@@ -212,7 +212,7 @@ class SqgModel {
   std::vector<double> hyperdiff_;            // exp(-dt * rate(K)) per point
   // Pair-duplicated (table2[2p] == table2[2p+1]) copies of the real per-bin
   // tables above, matching the interleaved re/im layout the runtime-
-  // dispatched pointwise kernels sweep over (simd/pointwise_kernels.hpp).
+  // dispatched pointwise kernels sweep over (simd/kernels.hpp).
   std::vector<double> kx2_, ky2_, inv_kappa2_, inv_sinh2_, inv_tanh2_, hyperdiff2_;
   // Fused per-level combine tables (read on the dealiased square only):
   // d(theta_l)/dt = op_theta_[l]*theta_l + op_psi_[l]*psi_l - J_l.

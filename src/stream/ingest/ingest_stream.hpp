@@ -35,7 +35,7 @@
 namespace turbda::stream::ingest {
 
 struct IngestStreamConfig {
-  std::size_t queue_capacity = 256;
+  static constexpr std::size_t queue_capacity = 256;
   int read_timeout_ms = 20;        ///< one transport poll slice
   int produce_timeout_ms = 30000;  ///< bound on produce()'s wait for a window
   /// No bytes (data or heartbeat) for this long while waiting => the link is

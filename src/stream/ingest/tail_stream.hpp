@@ -26,7 +26,7 @@ struct TailStreamConfig {
   std::string path;
   bool stop_at_eof = false;
   /// Follow mode: one EOF-wait slice (bounded sleep before re-checking).
-  int poll_interval_ms = 10;
+  static constexpr int poll_interval_ms = 10;
 };
 
 class TailStream final : public IngestSource {

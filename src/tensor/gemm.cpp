@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "parallel/thread_pool.hpp"
-#include "simd/dense_kernels.hpp"
+#include "simd/kernels.hpp"
 
 namespace turbda::tensor {
 
@@ -30,7 +30,7 @@ void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, doubl
           const double* a, std::size_t lda, const double* b, std::size_t ldb, double* c,
           std::size_t ldc, std::size_t max_threads) {
   if (m == 0 || n == 0) return;
-  const simd::DenseKernels& dk = simd::active_dense_kernels();
+  const simd::Kernels& dk = simd::active_kernels();
 
   // The kernel reads B as a contiguous k x n block: pack op(B) into one,
   // once per call, unless it is one already. Workers share it read-only.

@@ -1,5 +1,5 @@
 // General matrix multiply (double precision), a front end to the one
-// dispatched product kernel, simd::DenseKernels::matmul_rows.
+// dispatched product kernel, simd::Kernels::matmul_rows.
 //
 // The ViT surrogate's cost is GEMM-dominated ("making matrix-matrix
 // multiplication (GEMM) the most computationally intensive operation",

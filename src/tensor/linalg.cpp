@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "simd/dense_kernels.hpp"
+#include "simd/kernels.hpp"
 
 namespace turbda::tensor {
 
@@ -34,7 +34,7 @@ void jacobi_eigh(const Tensor& a, Tensor& v, std::vector<double>& w, int max_swe
   // kernels; the extraction below transposes back to the column convention.
   Tensor vt({n, n});
   for (std::size_t i = 0; i < n; ++i) vt(i, i) = 1.0;
-  const auto& dk = simd::active_dense_kernels();
+  const auto& dk = simd::active_kernels();
 
   // Relative convergence: off-diagonal Frobenius norm below 1e-14 of the
   // matrix norm. The per-rotation skip threshold is sized so that a sweep
@@ -119,7 +119,7 @@ void jacobi_eigh_batch(double* a_lanes, std::size_t n, std::size_t nb, double* v
                        EighBatchScratch* scratch) {
   constexpr std::size_t W = simd::kLaneBatch;
   TURBDA_REQUIRE(nb >= 1 && nb <= W, "jacobi_eigh_batch: lane count " << nb << " out of range");
-  const auto& dk = simd::active_dense_kernels();
+  const auto& dk = simd::active_kernels();
 
   // Unused lanes: finite content plus an infinite tolerance makes them
   // converge at the entry check, so the sweep kernel never rotates them.

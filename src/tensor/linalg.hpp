@@ -8,7 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "simd/dense_kernels.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace turbda::tensor {
@@ -27,7 +27,7 @@ struct EighInfo {
 /// times the matrix Frobenius norm; throws turbda::Error if that does not
 /// happen within max_sweeps (fill `info` first, so callers that pass it can
 /// inspect the residual). Rotations run through the runtime-dispatched
-/// simd::DenseKernels row kernels, whose Scalar and Avx2 tables are bitwise
+/// simd::Kernels row kernels, whose Scalar and Avx2 tables are bitwise
 /// identical.
 void jacobi_eigh(const Tensor& a, Tensor& v, std::vector<double>& w, int max_sweeps = 50,
                  EighInfo* info = nullptr);

@@ -19,8 +19,8 @@
 #include "da/localization.hpp"
 #include "models/lorenz96.hpp"
 #include "rng/rng.hpp"
-#include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/kernels.hpp"
 #include "stream/realtime_runner.hpp"
 #include "stream/synthetic_stream.hpp"
 #include "tensor/gemm.hpp"
@@ -1276,7 +1276,7 @@ void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
   std::iota(batch_idx.begin(), batch_idx.end(), std::size_t{0});
   tensor::Tensor xb({batch, d});
   std::vector<double> xbsq(batch);
-  const auto& dk = simd::active_dense_kernels();
+  const auto& dk = simd::active_kernels();
   std::vector<double> hx(p), resid(p), rinv_resid(p), grad(d), noise(d);
   const double dt = 1.0 / cfg.euler_steps;
   for (int step = 0; step < cfg.euler_steps; ++step) {

@@ -87,7 +87,7 @@ TEST(Determinism, LetkfIndependentOfThreadCount) {
 }
 
 TEST(Determinism, LetkfIndependentOfSimdLevel) {
-  // The dense-kernel Scalar table emulates 4-lane vectors with identical IEEE
+  // The Scalar kernel table emulates 4-lane vectors with identical IEEE
   // operation order to the Avx2 table, so the whole analysis must be bitwise
   // reproducible across those dispatch levels (FMA legitimately differs).
   if (!simd::simd_level_available(simd::SimdLevel::Avx2)) GTEST_SKIP() << "no AVX2";

@@ -11,9 +11,8 @@
 #include "common/math_utils.hpp"
 #include "fft/fft.hpp"
 #include "rng/rng.hpp"
-#include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/pointwise_kernels.hpp"
+#include "simd/kernels.hpp"
 
 #include "simd_level_guard.hpp"
 
@@ -536,7 +535,7 @@ std::vector<Cplx> fused_product(const Fft2D& plan, const Spectra& spec, std::siz
       lanes[2 * kLanes * p + kLanes + l] = spec[l][p].imag();
     }
   std::vector<Cplx> out(plan.half_size());
-  plan.product_half_pruned_lanes(lanes, simd::active_pointwise_kernels().sqg_jacobian, out, kcut);
+  plan.product_half_pruned_lanes(lanes, simd::active_kernels().sqg_jacobian, out, kcut);
   return out;
 }
 
@@ -586,7 +585,7 @@ TEST(Fft2dLanes, MatchesPerFieldBitwiseAtEveryLevel) {
   for (const simd::SimdLevel level :
        {simd::SimdLevel::Scalar, simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
     if (!simd::force_simd_level(level)) continue;
-    const auto jacobian = simd::pointwise_kernels_for(level).sqg_jacobian;
+    const auto jacobian = simd::kernels_for(level).sqg_jacobian;
     for (const auto& [n0, n1] : shapes) {
       const Fft2D plan(n0, n1);
       for (const std::size_t kcut : {std::max(n0, n1) / 3, std::max(n0, n1) / 2})
@@ -682,7 +681,7 @@ TEST(Fft2d, HalfApiRejectsUnsupportedShapes) {
   EXPECT_THROW(q.inverse_half_pruned(bad, g2, 2), Error);
   simd::LaneBuffer lanes(2 * kLanes * q.half_size()), short_lanes(lanes.size() - 1);
   std::vector<Cplx> hspec(q.half_size());
-  const auto jacobian = simd::active_pointwise_kernels().sqg_jacobian;
+  const auto jacobian = simd::active_kernels().sqg_jacobian;
   EXPECT_THROW(q.product_half_pruned_lanes(short_lanes, jacobian, hspec, 2), Error);
   EXPECT_THROW(q.product_half_pruned_lanes(lanes, jacobian, bad, 2), Error);
 }

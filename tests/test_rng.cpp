@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "rng/rng.hpp"
-#include "simd/dense_kernels.hpp"
 #include "simd/dense_kernels_impl.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/kernels.hpp"
 #include "simd/vec.hpp"
 
 namespace turbda::rng {
@@ -210,7 +210,7 @@ TEST(RngLanes, MidBlockStreamFallsBackBitwise) {
 TEST(RngLanes, KernelIsBitwiseAtEveryLevel) {
   // Full four-pair steps, a partial last step, and blocks that cross the
   // 32-bit counter carry: identical bytes from every available table.
-  const auto& scalar = simd::dense_kernels_for(simd::SimdLevel::Scalar);
+  const auto& scalar = simd::kernels_for(simd::SimdLevel::Scalar);
   for (const std::size_t pairs : {std::size_t{1}, std::size_t{3}, std::size_t{4099}}) {
     const std::uint64_t block = 0xfffffffeull, stream = 0x0123456789abcdefull,
                         key = 0xfedcba9876543210ull;
@@ -220,7 +220,7 @@ TEST(RngLanes, KernelIsBitwiseAtEveryLevel) {
     for (const auto level : {simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
       if (!simd::simd_level_available(level)) continue;
       std::vector<double> got(2 * pairs + 1, -7.0);
-      simd::dense_kernels_for(level).gaussian_pairs(got.data(), pairs, block, stream, key);
+      simd::kernels_for(level).gaussian_pairs(got.data(), pairs, block, stream, key);
       EXPECT_EQ(0, std::memcmp(want.data(), got.data(), got.size() * sizeof(double)))
           << simd::simd_level_name(level) << ", pairs " << pairs;
     }

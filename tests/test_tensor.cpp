@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "rng/rng.hpp"
-#include "simd/dense_kernels.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/tensor.hpp"
@@ -202,7 +202,7 @@ void expect_ensf_products_match_naive(const std::vector<double>& z, std::size_t 
   naive_gemm(Trans::No, Trans::No, rows, d, batch, 1.0, w.data(), batch, x.data(), d,
              want_m.data(), d);
   for (SimdLevel lv : available_levels()) {
-    const simd::DenseKernels& dk = simd::dense_kernels_for(lv);
+    const simd::Kernels& dk = simd::kernels_for(lv);
     std::vector<double> got_s(rows * batch, -1.0), got_m(rows * d, -1.0);
     dk.matmul_rows(got_s.data(), z.data(), ldz, rows, xt.data(), d, batch);
     dk.matmul_rows(got_m.data(), w.data(), batch, rows, x.data(), batch, d);
@@ -260,7 +260,7 @@ TEST(MatmulRows, NonFiniteAndNegativeZeroInputsMatchNaive) {
         for (std::size_t j = 0; j < batch; ++j)
           for (std::size_t k = 0; k < d; ++k) xt[k * batch + j] = x[j * d + k];
         for (SimdLevel lv : available_levels()) {
-          const simd::DenseKernels& dk = simd::dense_kernels_for(lv);
+          const simd::Kernels& dk = simd::kernels_for(lv);
           dk.matmul_rows(out.data(), z.data(), d, 1, xt.data(), d, batch);
           for (std::size_t j = 0; j < batch; ++j) EXPECT_TRUE(same_bits(out[j], 0.0));
           dk.matmul_rows(out.data(), w.data(), batch, 1, x.data(), batch, d);
