@@ -1,7 +1,6 @@
-// EnSF design-choice ablations on the Lorenz-96 cycling testbed: damping
-// h(t), likelihood strength, kernel bandwidth, Euler steps, score minibatch J,
-// and spread relaxation. The README's "EnSF analysis" section records the
-// findings.
+// EnSF design-choice ablations on the Lorenz-96 cycling testbed: likelihood
+// strength, kernel bandwidth, Euler steps, score minibatch J and spread
+// relaxation. The README's "EnSF analysis" section records the findings.
 //
 // Also measures thread scaling of the analysis on the n^2 x 2 identity
 // network with EnsfConfig::stabilized(): the analysis is one fan-out over
@@ -193,18 +192,6 @@ int main(int argc, char** argv) {
   da::EnsfConfig base = da::EnsfConfig::stabilized();
   base.n_threads = static_cast<std::size_t>(args.get_int("threads", 0));
 
-  {
-    std::cout << "\nDamping h(t) (paper uses T - t and notes alternatives):\n";
-    io::Table t({"damping", "RMSE"});
-    for (auto [d, name] : {std::pair{da::LikelihoodDamping::LinearDecay, "h(t) = 1 - t"},
-                           std::pair{da::LikelihoodDamping::QuadraticDecay, "h(t) = (1-t)^2"},
-                           std::pair{da::LikelihoodDamping::Constant, "h(t) = 1"}}) {
-      da::EnsfConfig c = base;
-      c.damping = d;
-      t.add_row({name, io::Table::num(cycling_rmse(c, cycles), 3)});
-    }
-    t.print();
-  }
   {
     std::cout << "\nLikelihood strength (raw Eq. 11 = 1):\n";
     io::Table t({"strength", "RMSE"});

@@ -1,15 +1,17 @@
-// Fig. 6 reproduction: compute-performance heatmap of the ViT surrogate
-// architecture sweep (embedding dim x heads x MLP ratio) on a single
-// Frontier GCD — from the calibrated MI250X GEMM model — plus a measured
-// sweep of this host's CPU GEMM on the same (scaled) shapes.
+// Fig. 6 on this host. The paper sweeps the ViT surrogate's architecture
+// (embedding dim x heads x MLP ratio) on one Frontier MI250X GCD and reports
+// 20-52 TFLOPS. This bench times the same kind of sweep on this CPU's GEMM
+// (tensor::gemm, all threads): the six forward GEMMs of one ViT block at a
+// 64^2 input, patch 4, MLP ratio 4 and batch 1, for embed {128, 256} x heads
+// {4, 16}, in GFLOPS.
 #include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "common/timer.hpp"
-#include "hpc/gemm_model.hpp"
-#include "hpc/vit_arch.hpp"
 #include "io/args.hpp"
 #include "io/table.hpp"
+#include "nn/vit.hpp"
 #include "tensor/gemm.hpp"
 
 using namespace turbda;
@@ -18,21 +20,40 @@ namespace {
 
 constexpr int kTimedCalls = 5;
 
-/// Measured GFLOPS of this host's GEMM for one ViT layer's shapes,
-/// scaled down by `shrink` to stay CPU-friendly: per shape, one untimed
+/// One (m x k) * (k x n) GEMM, run `count` times per block.
+struct GemmShape {
+  std::size_t m, n, k;
+  double count;
+};
+
+/// The forward GEMMs of one ViT block at batch 1.
+std::vector<GemmShape> vit_block_gemms(const nn::VitConfig& cfg) {
+  const std::size_t t = cfg.tokens();
+  const std::size_t e = cfg.embed_dim;
+  const std::size_t dh = e / cfg.heads;
+  const std::size_t hidden = cfg.mlp_hidden();
+  const double heads = static_cast<double>(cfg.heads);
+  return {
+      {t, 3 * e, e, 1.0},   // fused QKV projection
+      {t, t, dh, heads},    // attention scores Q K^T, per head
+      {t, dh, t, heads},    // context A V, per head
+      {t, e, e, 1.0},       // output projection
+      {t, hidden, e, 1.0},  // MLP up
+      {t, e, hidden, 1.0},  // MLP down
+  };
+}
+
+/// GFLOPS of this host's GEMM over one ViT block: per shape, one untimed
 /// warm-up call, then the best of kTimedCalls timed calls.
-double measured_layer_gflops(const nn::VitConfig& cfg, std::size_t shrink) {
+double measured_block_gflops(const nn::VitConfig& cfg) {
   double flops = 0.0, secs = 0.0;
-  for (const auto& g : hpc::GemmModel::vit_block_gemms(cfg, 1)) {
-    const std::size_t m = std::max<std::size_t>(8, g.m / shrink);
-    const std::size_t n = std::max<std::size_t>(8, g.n / shrink);
-    const std::size_t k = std::max<std::size_t>(8, g.k / shrink);
-    tensor::Tensor a({m, k}), b({k, n}), c({m, n});
+  for (const GemmShape& g : vit_block_gemms(cfg)) {
+    tensor::Tensor a({g.m, g.k}), b({g.k, g.n}), c({g.m, g.n});
     a.fill(1.0);
     b.fill(0.5);
     const auto call = [&] {
-      tensor::gemm(tensor::Trans::No, tensor::Trans::No, m, n, k, 1.0, a.data(), k, b.data(), n,
-                   c.data(), n);
+      tensor::gemm(tensor::Trans::No, tensor::Trans::No, g.m, g.n, g.k, 1.0, a.data(), g.k,
+                   b.data(), g.n, c.data(), g.n);
     };
     call();
     double best = 1e300;
@@ -42,8 +63,8 @@ double measured_layer_gflops(const nn::VitConfig& cfg, std::size_t shrink) {
       best = std::min(best, t.seconds());
     }
     secs += g.count * best;
-    flops += g.count * 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-             static_cast<double>(k);
+    flops += g.count * 2.0 * static_cast<double>(g.m) * static_cast<double>(g.n) *
+             static_cast<double>(g.k);
   }
   return flops / secs / 1e9;
 }
@@ -53,54 +74,28 @@ double measured_layer_gflops(const nn::VitConfig& cfg, std::size_t shrink) {
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   if (args.flag("help")) {
-    std::cout << "bench_fig6_kernel_heatmap: Fig. 6 ViT architecture TFLOPS heatmap (MI250X\n"
-                 "model), then a measured sweep of this host's GEMM on shrunk shapes\n"
-                 "(per shape: one warm-up call, then the best of "
-              << kTimedCalls << " timed calls)\n"
-                 "  --no-measure     print only the model heatmap\n";
+    std::cout << "bench_fig6_kernel_heatmap: Fig. 6's ViT block GEMMs timed on this host's CPU\n"
+                 "(64^2 input, patch 4, MLP ratio 4, batch 1; embed {128, 256} x heads {4, 16};\n"
+                 "per shape one warm-up call, then the best of "
+              << kTimedCalls << " timed calls). Takes no flags.\n";
     return 0;
   }
-  std::cout << "=== Fig. 6: TFLOPS heatmap for the ViT surrogate architecture (256^2 input, "
-               "single GCD, MI250X model) ===\n";
-  hpc::GemmModel model;
-  nn::VitConfig base = hpc::table2_architectures()[2];
-
-  io::Table t({"embed dim", "heads", "mlp=2", "mlp=4", "mlp=8"});
-  for (std::size_t e : {1024u, 2048u}) {
-    for (std::size_t h : {8u, 16u, 32u}) {
-      std::vector<std::string> row{std::to_string(e), std::to_string(h)};
-      for (double r : {2.0, 4.0, 8.0}) {
-        nn::VitConfig v = base;
-        v.embed_dim = e;
-        v.heads = h;
-        v.mlp_ratio = r;
-        row.push_back(io::Table::num(model.vit_training_tflops(v, 8), 1));
-      }
-      t.add_row(row);
+  std::cout << "=== Fig. 6 on this host: GFLOPS of one ViT block's forward GEMMs (tensor::gemm;\n"
+               "64^2 input, patch 4, batch 1; per shape one warm-up call, then the best of "
+            << kTimedCalls << " timed calls) ===\n";
+  io::Table t({"embed dim", "heads", "mlp ratio", "GFLOPS"});
+  for (std::size_t e : {128u, 256u}) {
+    for (std::size_t h : {4u, 16u}) {
+      nn::VitConfig v;
+      v.image = 64;
+      v.patch = 4;
+      v.embed_dim = e;
+      v.heads = h;
+      v.mlp_ratio = 4.0;
+      t.add_row({std::to_string(e), std::to_string(h), "4",
+                 io::Table::num(measured_block_gflops(v), 2)});
     }
   }
   t.print();
-  std::cout << "Paper shape checks: best cell at embed 2048 / few heads / heavy MLP;\n"
-               "performance decreases with head count and increases with MLP weight;\n"
-               "sweep spans roughly the observed 20-52 TFLOPS band.\n";
-
-  if (!args.flag("no-measure")) {
-    std::cout << "\nMeasured on this host (CPU GEMM, shapes shrunk 8x; per shape one warm-up "
-                 "call, then the best of "
-              << kTimedCalls << " timed calls):\n";
-    io::Table m({"embed dim", "heads", "mlp ratio", "GFLOPS"});
-    for (std::size_t e : {128u, 256u}) {
-      for (std::size_t h : {4u, 16u}) {
-        nn::VitConfig v = base;
-        v.image = 64;
-        v.embed_dim = e;
-        v.heads = h;
-        v.mlp_ratio = 4.0;
-        m.add_row({std::to_string(e), std::to_string(h), "4",
-                   io::Table::num(measured_layer_gflops(v, 1), 2)});
-      }
-    }
-    m.print();
-  }
   return 0;
 }

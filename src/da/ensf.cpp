@@ -164,13 +164,8 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
       const double beta_sq = t + alpha * alpha * kappa_sq;
       const double b_t = -(1.0 - eps_a) / alpha;
       const double sigma_sq = 1.0 - 2.0 * b_t * t;  // d(beta^2)/dt - 2 b beta^2
-      double damping = 1.0 - t;                     // h(t) = T - t with T = 1
-      switch (cfg_.damping) {
-        case LikelihoodDamping::LinearDecay: break;
-        case LikelihoodDamping::Constant: damping = 1.0; break;
-        case LikelihoodDamping::QuadraticDecay: damping *= damping; break;
-      }
-      damping *= cfg_.likelihood_strength;
+      // Likelihood damping h(t) = T - t with T = 1, times the strength.
+      const double damping = (1.0 - t) * cfg_.likelihood_strength;
 
       // This step's score targets: the whole forecast, or the minibatch
       // gathered into block-local rows and their transpose.

@@ -36,12 +36,6 @@
 
 namespace turbda::da {
 
-/// Damping h(t) applied to the likelihood score (Eq. 11). The paper uses
-/// LinearDecay (h(t) = T - t) and notes "other options are also possible and
-/// will be explored in future work" — Constant and QuadraticDecay are the
-/// obvious alternatives and are exercised in the ablation bench.
-enum class LikelihoodDamping { LinearDecay, Constant, QuadraticDecay };
-
 struct EnsfConfig {
   int euler_steps = 60;       ///< reverse-SDE discretization steps
   /// Clamp alpha(t) = 1 - (1-eps_alpha) t so the drift b(t) = -(1-eps)/alpha
@@ -52,7 +46,6 @@ struct EnsfConfig {
                               ///< the prior spread (paper: "the variance of
                               ///< the analysis ensemble is simply relaxed to
                               ///< the prior values"); 0 disables
-  LikelihoodDamping damping = LikelihoodDamping::LinearDecay;
   double likelihood_strength = 1.0;  ///< multiplier on the likelihood score;
                                      ///< >1 sharpens the pull toward obs when
                                      ///< R is only moderately informative

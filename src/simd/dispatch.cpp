@@ -3,6 +3,7 @@
 #include "simd/dispatch.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -32,7 +33,11 @@ SimdLevel parse_level_env(SimdLevel fallback) {
   if (std::strcmp(env, "scalar") == 0) return SimdLevel::Scalar;
   if (std::strcmp(env, "avx2") == 0) return SimdLevel::Avx2;
   if (std::strcmp(env, "avx2fma") == 0) return SimdLevel::Avx2Fma;
-  return fallback;  // unrecognized values keep the detected level
+  // A typo must not quietly run the detected level: a per-level test loop
+  // would then test the default level and pass. This runs before main (see
+  // kStartupLevel), so there is no output to flush and _Exit is enough.
+  std::fprintf(stderr, "TURBDA_SIMD=%s is not a SIMD level: use scalar, avx2 or avx2fma\n", env);
+  std::_Exit(2);
 }
 
 SimdLevel detect_level() {
@@ -47,6 +52,11 @@ std::atomic<SimdLevel>& level_slot() {
   static std::atomic<SimdLevel> level{detect_level()};
   return level;
 }
+
+// Read TURBDA_SIMD while the program starts, so an unknown value stops every
+// program that links the kernels before any kernel runs, including one that
+// only looks tables up by level.
+[[maybe_unused]] const SimdLevel kStartupLevel = level_slot().load(std::memory_order_relaxed);
 
 }  // namespace
 

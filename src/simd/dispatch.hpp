@@ -6,9 +6,12 @@
 // itself. The active level is chosen once at startup from CPUID — the
 // portable build benefits on AVX2 hardware without TURBDA_NATIVE — can be
 // forced down with the TURBDA_SIMD environment variable (scalar | avx2 |
-// avx2fma), and can be overridden programmatically for tests. Dispatch is
-// process-global, so all thread-count bitwise invariance guarantees are
-// unaffected by it.
+// avx2fma), and can be overridden programmatically for tests. An unset or
+// empty TURBDA_SIMD keeps the detected level, and so does a known level that
+// the build or the CPU cannot run. Any other value prints the accepted names
+// to stderr and exits with status 2 at startup, before any kernel runs.
+// Dispatch is process-global, so all thread-count bitwise invariance
+// guarantees are unaffected by it.
 //
 // Level semantics, shared by every kernel:
 //  - Scalar:  portable C++, always available, compiled with -ffp-contract=off
@@ -24,7 +27,7 @@ namespace turbda::simd {
 
 enum class SimdLevel : int { Scalar = 0, Avx2 = 1, Avx2Fma = 2 };
 
-/// The active level (detection + TURBDA_SIMD applied on first use).
+/// The active level (detection + TURBDA_SIMD, applied once at startup).
 [[nodiscard]] SimdLevel active_simd_level();
 
 [[nodiscard]] const char* simd_level_name(SimdLevel level);

@@ -3,8 +3,8 @@
 //
 // The ViT surrogate's cost is GEMM-dominated ("making matrix-matrix
 // multiplication (GEMM) the most computationally intensive operation",
-// paper §III-B-a), so this carries both training and the measured half of
-// the Fig. 6 kernel-sizing study; ETKF's products run here too.
+// paper §III-B-a), so this carries both training and the Fig. 6 GEMM sweep
+// (bench_fig6_kernel_heatmap); ETKF's products run here too.
 #pragma once
 
 #include <cstddef>
