@@ -163,21 +163,20 @@ void write_json(const std::string& path, const std::vector<ScaleRow>& rows, std:
 
 }  // namespace
 
+constexpr char kUsage[] =
+    "bench_ablation_ensf: EnSF design-choice ablations on Lorenz-96 + thread scaling\n"
+    "  --cycles=<int>   assimilation cycles per ablation run (default 30)\n"
+    "  --threads=<int>  EnSF worker threads for the ablation runs;\n"
+    "                   0 = all hardware threads (default 0)\n"
+    "  --scale-n=<int>  grid size for the thread-scaling section (default 64);\n"
+    "                   it measures the n^2 x 2 identity network\n"
+    "  --members=<int>  ensemble size for the thread-scaling section (default 20)\n"
+    "  --reps=<int>     timing repetitions per thread count (default 3)\n"
+    "  --json=<path>    machine-readable output (default BENCH_ensf.json)\n"
+    "  --no-ablations   run only the thread-scaling section\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "bench_ablation_ensf: EnSF design-choice ablations on Lorenz-96 + thread scaling\n"
-                 "  --cycles=<int>   assimilation cycles per ablation run (default 30)\n"
-                 "  --threads=<int>  EnSF worker threads for the ablation runs;\n"
-                 "                   0 = all hardware threads (default 0)\n"
-                 "  --scale-n=<int>  grid size for the thread-scaling section (default 64);\n"
-                 "                   it measures the n^2 x 2 identity network\n"
-                 "  --members=<int>  ensemble size for the thread-scaling section (default 20)\n"
-                 "  --reps=<int>     timing repetitions per thread count (default 3)\n"
-                 "  --json=<path>    machine-readable output (default BENCH_ensf.json)\n"
-                 "  --no-ablations   run only the thread-scaling section\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
   std::vector<ScaleRow> rows;
   const bool deterministic = thread_scaling(static_cast<std::size_t>(args.get_int("scale-n", 64)),
                                             static_cast<std::size_t>(args.get_int("members", 20)),

@@ -200,23 +200,22 @@ void write_json(const std::string& path, const std::vector<ScaleRow>& rows, std:
 
 }  // namespace
 
+constexpr char kUsage[] =
+    "bench_ablation_letkf: LETKF regularization ablations + thread scaling\n"
+    "  --n=<int>        SQG grid size for the ablations (default 32)\n"
+    "  --cycles=<int>   assimilation cycles per ablation run (default 25)\n"
+    "  --scale-n=<int>  grid size for the thread-scaling section (default 48);\n"
+    "                   it measures the identity network and the\n"
+    "                   stride max(1, n/16) network\n"
+    "  --members=<int>  ensemble size for the thread-scaling section (default 20)\n"
+    "  --reps=<int>     timing repetitions per thread count (default 3)\n"
+    "  --threads=<int>  LETKF worker threads for the ablation runs;\n"
+    "                   0 = all hardware threads (default 0)\n"
+    "  --json=<path>    machine-readable output (default BENCH_letkf.json)\n"
+    "  --no-ablations   run only the thread-scaling section\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "bench_ablation_letkf: LETKF regularization ablations + thread scaling\n"
-                 "  --n=<int>        SQG grid size for the ablations (default 32)\n"
-                 "  --cycles=<int>   assimilation cycles per ablation run (default 25)\n"
-                 "  --scale-n=<int>  grid size for the thread-scaling section (default 48);\n"
-                 "                   it measures the identity network and the\n"
-                 "                   stride max(1, n/16) network\n"
-                 "  --members=<int>  ensemble size for the thread-scaling section (default 20)\n"
-                 "  --reps=<int>     timing repetitions per thread count (default 3)\n"
-                 "  --threads=<int>  LETKF worker threads for the ablation runs;\n"
-                 "                   0 = all hardware threads (default 0)\n"
-                 "  --json=<path>    machine-readable output (default BENCH_letkf.json)\n"
-                 "  --no-ablations   run only the thread-scaling section\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
   bench::SqgExperimentConfig cfg;
   cfg.n = static_cast<std::size_t>(args.get_int("n", 32));
   cfg.cycles = static_cast<int>(args.get_int("cycles", 25));

@@ -15,20 +15,19 @@
 
 using namespace turbda;
 
+constexpr char kUsage[] =
+    "bench_fig4_rmse_four_methods: Fig. 4 RMSE of SQG only / ViT only / SQG+LETKF /\n"
+    "ViT+EnSF on the SQG OSSE; writes fig4_rmse.csv in the cwd\n"
+    "  --full           the paper's setting: 64^2 grid, 300 cycles\n"
+    "  --n=<int>        SQG grid size (default 32; overrides --full)\n"
+    "  --cycles=<int>   assimilation cycles (default 40; overrides --full)\n"
+    "  --clim-init      draw the initial members from the climatology\n"
+    "                   (default: truth + 1.5 K perturbations)\n"
+    "  --forecast-threads=<int>  member-parallel SQG forecasts\n"
+    "                   (0 = all, 1 = serial; bitwise identical)\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "bench_fig4_rmse_four_methods: Fig. 4 RMSE of SQG only / ViT only / SQG+LETKF /\n"
-                 "ViT+EnSF on the SQG OSSE; writes fig4_rmse.csv in the cwd\n"
-                 "  --full           the paper's setting: 64^2 grid, 300 cycles\n"
-                 "  --n=<int>        SQG grid size (default 32; overrides --full)\n"
-                 "  --cycles=<int>   assimilation cycles (default 40; overrides --full)\n"
-                 "  --clim-init      draw the initial members from the climatology\n"
-                 "                   (default: truth + 1.5 K perturbations)\n"
-                 "  --forecast-threads=<int>  member-parallel SQG forecasts\n"
-                 "                   (0 = all, 1 = serial; bitwise identical)\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
   bench::SqgExperimentConfig cfg;
   if (args.flag("full")) {
     cfg.n = 64;

@@ -11,19 +11,18 @@
 
 using namespace turbda;
 
+constexpr char kUsage[] =
+    "bench_fig5_final_snapshots: Fig. 5 final-time analysis means and errors of\n"
+    "the four configurations; writes nine fig5_*.npy files in the cwd\n"
+    "  --n=<int>        SQG grid size (default 32)\n"
+    "  --cycles=<int>   assimilation cycles (default 30)\n"
+    "  --full           the paper's setting: 64^2 grid, 300 cycles\n"
+    "                   (overrides --n and --cycles)\n"
+    "  --forecast-threads=<int>  member-parallel SQG forecasts\n"
+    "                   (0 = all, 1 = serial; bitwise identical)\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "bench_fig5_final_snapshots: Fig. 5 final-time analysis means and errors of\n"
-                 "the four configurations; writes nine fig5_*.npy files in the cwd\n"
-                 "  --n=<int>        SQG grid size (default 32)\n"
-                 "  --cycles=<int>   assimilation cycles (default 30)\n"
-                 "  --full           the paper's setting: 64^2 grid, 300 cycles\n"
-                 "                   (overrides --n and --cycles)\n"
-                 "  --forecast-threads=<int>  member-parallel SQG forecasts\n"
-                 "                   (0 = all, 1 = serial; bitwise identical)\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
   bench::SqgExperimentConfig cfg;
   cfg.cycles = static_cast<int>(args.get_int("cycles", 30));
   cfg.n = static_cast<std::size_t>(args.get_int("n", 32));

@@ -6,6 +6,7 @@
 // {4, 16}, in GFLOPS.
 #include <algorithm>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -72,14 +73,12 @@ double measured_block_gflops(const nn::VitConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "bench_fig6_kernel_heatmap: Fig. 6's ViT block GEMMs timed on this host's CPU\n"
-                 "(64^2 input, patch 4, MLP ratio 4, batch 1; embed {128, 256} x heads {4, 16};\n"
-                 "per shape one warm-up call, then the best of "
-              << kTimedCalls << " timed calls). Takes no flags.\n";
-    return 0;
-  }
+  const std::string usage =
+      "bench_fig6_kernel_heatmap: Fig. 6's ViT block GEMMs timed on this host's CPU\n"
+      "(64^2 input, patch 4, MLP ratio 4, batch 1; embed {128, 256} x heads {4, 16};\n"
+      "per shape one warm-up call, then the best of " +
+      std::to_string(kTimedCalls) + " timed calls). Takes no flags.\n";
+  const io::Args args(argc, argv, usage);
   std::cout << "=== Fig. 6 on this host: GFLOPS of one ViT block's forward GEMMs (tensor::gemm;\n"
                "64^2 input, patch 4, batch 1; per shape one warm-up call, then the best of "
             << kTimedCalls << " timed calls) ===\n";

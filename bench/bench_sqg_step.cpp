@@ -83,19 +83,18 @@ struct Result {
 
 }  // namespace
 
+constexpr char kUsage[] =
+    "bench_sqg_step: SQG spectral-core timings (FFT / tendency / RK4 / ensemble)\n"
+    "  --sizes=<csv>    grid sizes (default 64,128,256)\n"
+    "  --threads=<csv>  thread counts for the ensemble forecast (default 1,<hw>;\n"
+    "                   counts above the hardware threads are refused)\n"
+    "  --members=<int>  ensemble size for the forecast timing (default 20)\n"
+    "  --reps=<int>     best-of repetitions (default 3)\n"
+    "  --json=<path>    machine-readable output (default BENCH_sqg.json)\n"
+    "  --smoke          small fast configuration for CI\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "bench_sqg_step: SQG spectral-core timings (FFT / tendency / RK4 / ensemble)\n"
-                 "  --sizes=<csv>    grid sizes (default 64,128,256)\n"
-                 "  --threads=<csv>  thread counts for the ensemble forecast (default 1,<hw>;\n"
-                 "                   counts above the hardware threads are refused)\n"
-                 "  --members=<int>  ensemble size for the forecast timing (default 20)\n"
-                 "  --reps=<int>     best-of repetitions (default 3)\n"
-                 "  --json=<path>    machine-readable output (default BENCH_sqg.json)\n"
-                 "  --smoke          small fast configuration for CI\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
   const bool smoke = args.flag("smoke");
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const auto sizes = parse_list(args.get_str("sizes", smoke ? "32,64" : "64,128,256"));

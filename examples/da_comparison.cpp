@@ -11,20 +11,19 @@
 
 using namespace turbda;
 
+constexpr char kUsage[] =
+    "da_comparison: EnSF vs LETKF vs global ETKF vs free run on the SQG OSSE\n"
+    "  --n=<int>        SQG grid size (default 32)\n"
+    "  --cycles=<int>   assimilation cycles (default 20)\n"
+    "  --threads=<int>  analysis worker threads for EnSF/LETKF;\n"
+    "                   0 = all hardware threads (default 0),\n"
+    "                   results are bitwise identical for any value\n"
+    "  --forecast-threads=<int>  member-parallel SQG forecasts\n"
+    "                   (0 = all, 1 = serial; bitwise identical)\n"
+    "  --seed=<int>     experiment seed (default 2024)\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "da_comparison: EnSF vs LETKF vs global ETKF vs free run on the SQG OSSE\n"
-                 "  --n=<int>        SQG grid size (default 32)\n"
-                 "  --cycles=<int>   assimilation cycles (default 20)\n"
-                 "  --threads=<int>  analysis worker threads for EnSF/LETKF;\n"
-                 "                   0 = all hardware threads (default 0),\n"
-                 "                   results are bitwise identical for any value\n"
-                 "  --forecast-threads=<int>  member-parallel SQG forecasts\n"
-                 "                   (0 = all, 1 = serial; bitwise identical)\n"
-                 "  --seed=<int>     experiment seed (default 2024)\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
   bench::SqgExperimentConfig cfg;
   cfg.n = static_cast<std::size_t>(args.get_int("n", 32));
   cfg.cycles = static_cast<int>(args.get_int("cycles", 20));

@@ -12,18 +12,17 @@
 
 using namespace turbda;
 
+constexpr char kUsage[] =
+    "quickstart: EnSF assimilation of a 40-variable Lorenz-96 OSSE\n"
+    "  --cycles=<int>   assimilation cycles (default 30)\n"
+    "  --members=<int>  ensemble size (default 20)\n"
+    "  --seed=<int>     experiment seed (default 42)\n"
+    "  --threads=<int>  analysis + member-forecast worker threads\n"
+    "                   (0 = all hardware threads, 1 = serial;\n"
+    "                   results are bitwise identical for any value)\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "quickstart: EnSF assimilation of a 40-variable Lorenz-96 OSSE\n"
-                 "  --cycles=<int>   assimilation cycles (default 30)\n"
-                 "  --members=<int>  ensemble size (default 20)\n"
-                 "  --seed=<int>     experiment seed (default 42)\n"
-                 "  --threads=<int>  analysis + member-forecast worker threads\n"
-                 "                   (0 = all hardware threads, 1 = serial;\n"
-                 "                   results are bitwise identical for any value)\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
 
   // 1. A forecast model: 40-variable Lorenz-96, observed every 0.1 time units.
   models::Lorenz96Config mc;

@@ -206,42 +206,40 @@ int run_sqg(const io::Args& args) {
 
 }  // namespace
 
+constexpr char kUsage[] =
+    "realtime_da: streaming DA under degraded observation delivery (Lorenz-96 + ETKF)\n"
+    "  --cycles=<int>    assimilation windows (default 40)\n"
+    "  --members=<int>   ensemble size (default 20)\n"
+    "  --seed=<int>      experiment seed (default 7)\n"
+    "  --threads=<int>   member-forecast worker threads (0 = all, 1 = serial;\n"
+    "                    bitwise identical for any value)\n"
+    "  --latency=<f>     mean delivery latency in window units (default 0.3)\n"
+    "  --jitter=<f>      uniform extra delay in [0, jitter) windows (default 0.5)\n"
+    "  --drop=<f>        probability a window's batch is lost (default 0.2)\n"
+    "  --slack=<f>       deadline grace beyond the window end (default 0.25)\n"
+    "  --stale=<int>     max straggler age in cycles before discard (default 2)\n"
+    "  --csv=<path>      per-cycle metrics of the degraded run (default realtime_da.csv)\n"
+    "fault injection (0 disables; any > 0 wraps the stream in FaultyStream):\n"
+    "  --nan=<f> --inf=<f> --outlier=<f>   per-value corruption probabilities\n"
+    "  --stuck=<f>       per-batch probability a channel freezes for 3 windows\n"
+    "  --dup=<f>         per-batch duplicate-transmission probability\n"
+    "  --trunc=<f>       per-batch truncation probability\n"
+    "quality control / degradation:\n"
+    "  --qc              enable observation QC (finite + range + departure gates)\n"
+    "  --bg-sigma=<f>    background-departure gate width (default 5)\n"
+    "  --stale-inflation=<f>  age-dependent R inflation per cycle of staleness\n"
+    "                    (> 0 replaces the staleness discard; default 0.5 with --qc)\n"
+    "checkpointing:\n"
+    "  --ckpt=<path>     snapshot file (with --ckpt-every=<n> cycles)\n"
+    "  --resume          continue from --ckpt instead of starting fresh\n"
+    "telemetry (either mode):\n"
+    "  --trace=<path>    record tracing spans, export Chrome trace-event JSON\n"
+    "SQG mode (--sqg): turbulence-scale demo, SQG + LETKF, overlapped schedule\n"
+    "  --sqg [--n=32] [--members=8] [--cycles=6] [--stride=4]\n"
+    "        [--schedule=overlapped|serial] [--csv=<path>]\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout
-        << "realtime_da: streaming DA under degraded observation delivery (Lorenz-96 + ETKF)\n"
-           "  --cycles=<int>    assimilation windows (default 40)\n"
-           "  --members=<int>   ensemble size (default 20)\n"
-           "  --seed=<int>      experiment seed (default 7)\n"
-           "  --threads=<int>   member-forecast worker threads (0 = all, 1 = serial;\n"
-           "                    bitwise identical for any value)\n"
-           "  --latency=<f>     mean delivery latency in window units (default 0.3)\n"
-           "  --jitter=<f>      uniform extra delay in [0, jitter) windows (default 0.5)\n"
-           "  --drop=<f>        probability a window's batch is lost (default 0.2)\n"
-           "  --slack=<f>       deadline grace beyond the window end (default 0.25)\n"
-           "  --stale=<int>     max straggler age in cycles before discard (default 2)\n"
-           "  --csv=<path>      per-cycle metrics of the degraded run (default realtime_da.csv)\n"
-           "fault injection (0 disables; any > 0 wraps the stream in FaultyStream):\n"
-           "  --nan=<f> --inf=<f> --outlier=<f>   per-value corruption probabilities\n"
-           "  --stuck=<f>       per-batch probability a channel freezes for 3 windows\n"
-           "  --dup=<f>         per-batch duplicate-transmission probability\n"
-           "  --trunc=<f>       per-batch truncation probability\n"
-           "quality control / degradation:\n"
-           "  --qc              enable observation QC (finite + range + departure gates)\n"
-           "  --bg-sigma=<f>    background-departure gate width (default 5)\n"
-           "  --stale-inflation=<f>  age-dependent R inflation per cycle of staleness\n"
-           "                    (> 0 replaces the staleness discard; default 0.5 with --qc)\n"
-           "checkpointing:\n"
-           "  --ckpt=<path>     snapshot file (with --ckpt-every=<n> cycles)\n"
-           "  --resume          continue from --ckpt instead of starting fresh\n"
-           "telemetry (either mode):\n"
-           "  --trace=<path>    record tracing spans, export Chrome trace-event JSON\n"
-           "SQG mode (--sqg): turbulence-scale demo, SQG + LETKF, overlapped schedule\n"
-           "  --sqg [--n=32] [--members=8] [--cycles=6] [--stride=4]\n"
-           "        [--schedule=overlapped|serial] [--csv=<path>]\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
 
   const TelemetryCli tel(args);
   if (args.flag("sqg")) return tel.finish(run_sqg(args));

@@ -17,15 +17,14 @@
 
 using namespace turbda;
 
+constexpr char kUsage[] =
+    "sqg_turbulence: spin up the two-surface SQG model and check spectra\n"
+    "  --n=<int>            grid size (default 64)\n"
+    "  --days=<float>       integration length in days (default 60)\n"
+    "  --seed=<int>         initial-condition seed (default 7)\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "sqg_turbulence: spin up the two-surface SQG model and check spectra\n"
-                 "  --n=<int>            grid size (default 64)\n"
-                 "  --days=<float>       integration length in days (default 60)\n"
-                 "  --seed=<int>         initial-condition seed (default 7)\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
   sqg::SqgConfig cfg;
   cfg.n = static_cast<std::size_t>(args.get_int("n", 64));
   cfg.dt = (cfg.n <= 32) ? 1800.0 : 900.0;

@@ -11,16 +11,15 @@
 
 using namespace turbda;
 
+constexpr char kUsage[] =
+    "train_surrogate: offline-pretrain the SQG-ViT surrogate, then probe skill\n"
+    "  --epochs=<int>  pretraining epochs (default 25)\n"
+    "  --pairs=<int>   transition pairs in the training set (default 96)\n"
+    "  --seed=<int>    experiment seed (default 2024)\n"
+    "(GEMM-bound layers use all hardware threads via the process-wide pool.)\n";
+
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
-  if (args.flag("help")) {
-    std::cout << "train_surrogate: offline-pretrain the SQG-ViT surrogate, then probe skill\n"
-                 "  --epochs=<int>  pretraining epochs (default 25)\n"
-                 "  --pairs=<int>   transition pairs in the training set (default 96)\n"
-                 "  --seed=<int>    experiment seed (default 2024)\n"
-                 "(GEMM-bound layers use all hardware threads via the process-wide pool.)\n";
-    return 0;
-  }
+  const io::Args args(argc, argv, kUsage);
   bench::SqgExperimentConfig cfg;
   cfg.n = 32;
   cfg.cycles = 12;

@@ -22,12 +22,6 @@ EnSF::EnSF(EnsfConfig cfg) : cfg_(cfg) {
                  "relax_spread must be in [0,1]");
 }
 
-void EnSF::analyze(Ensemble& ens, std::span<const double> y, const ObservationOperator& h,
-                   const DiagonalR& r) {
-  const Status s = analyze_impl(ens, y, h, r, AnalysisOptions{}, nullptr);
-  TURBDA_REQUIRE(s.ok(), "EnSF analysis failed — " << s.to_string());
-}
-
 Status EnSF::try_analyze(Ensemble& ens, std::span<const double> y, const ObservationOperator& h,
                          const DiagonalR& r, const AnalysisOptions& opts, AnalysisStats* stats) {
   try {

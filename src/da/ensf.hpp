@@ -106,13 +106,9 @@ class EnSF final : public Filter {
  public:
   explicit EnSF(EnsfConfig cfg);
 
-  void analyze(Ensemble& ensemble, std::span<const double> y, const ObservationOperator& h,
-               const DiagonalR& r) override;
-
   /// Recoverable entry point: a masked observation contributes a zero
   /// residual to the likelihood score (exact excision) and r_scale uniformly
-  /// deflates R^{-1}; with default options this is bitwise-identical to
-  /// analyze().
+  /// deflates R^{-1}.
   Status try_analyze(Ensemble& ensemble, std::span<const double> y,
                      const ObservationOperator& h, const DiagonalR& r,
                      const AnalysisOptions& opts = {}, AnalysisStats* stats = nullptr) override;

@@ -15,12 +15,6 @@ ETKF::ETKF(EtkfConfig cfg) : cfg_(cfg) {
   TURBDA_REQUIRE(cfg_.rtps >= 0.0 && cfg_.rtps < 1.0, "RTPS factor must be in [0,1)");
 }
 
-void ETKF::analyze(Ensemble& ens, std::span<const double> y, const ObservationOperator& h,
-                   const DiagonalR& r) {
-  const Status s = analyze_impl(ens, y, h, r, AnalysisOptions{}, nullptr);
-  TURBDA_REQUIRE(s.ok(), "ETKF analysis failed — " << s.to_string());
-}
-
 Status ETKF::try_analyze(Ensemble& ens, std::span<const double> y, const ObservationOperator& h,
                          const DiagonalR& r, const AnalysisOptions& opts, AnalysisStats* stats) {
   try {

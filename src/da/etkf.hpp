@@ -16,9 +16,6 @@ class ETKF final : public Filter {
  public:
   explicit ETKF(EtkfConfig cfg);
 
-  void analyze(Ensemble& ensemble, std::span<const double> y, const ObservationOperator& h,
-               const DiagonalR& r) override;
-
   /// Recoverable entry point: supports QC masks (masked observations carry
   /// zero weight in R^{-1} — exact excision) and uniform R inflation; a
   /// non-convergent transform eigensolve returns kNonConvergent with the

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/status.hpp"
 #include "da/ensemble.hpp"
 #include "da/observation.hpp"
@@ -74,34 +75,26 @@ class Filter {
   }
 
   /// Transforms the forecast (prior) ensemble into the analysis (posterior)
-  /// ensemble given observations y with error model R. Throws turbda::Error
-  /// on contract violations and unrecoverable solver failures.
+  /// ensemble given observations y with error model R: try_analyze() with
+  /// default options, a failure thrown as turbda::Error naming the filter.
   virtual void analyze(Ensemble& ensemble, std::span<const double> y,
-                       const ObservationOperator& h, const DiagonalR& r) = 0;
+                       const ObservationOperator& h, const DiagonalR& r) {
+    const Status s = try_analyze(ensemble, y, h, r);
+    TURBDA_REQUIRE(s.ok(), name() << " analysis failed — " << s.to_string());
+  }
 
-  /// Recoverable-error entry point used by the streaming runner: like
-  /// analyze() but honoring QC options and reporting failure as a Status
-  /// instead of an exception, so the driver can degrade (forecast-only
-  /// cycle) rather than abort the run. Contract: when the returned Status is
-  /// not ok, the implementation either left the ensemble untouched or the
-  /// caller must restore it from its own backup — EnSF/ETKF/LETKF all
-  /// guarantee the former for their recoverable failures. The default
-  /// implementation supports only trivial options and maps turbda::Error
-  /// from analyze() into a Status.
+  /// The one analysis entry point, used by the streaming runner: honours QC
+  /// options and reports failure as a Status instead of an exception, so the
+  /// driver can degrade (forecast-only cycle) rather than abort the run.
+  /// Contract: when the returned Status is not ok, the implementation either
+  /// left the ensemble untouched or the caller must restore it from its own
+  /// backup — EnSF/ETKF/LETKF all guarantee the former for their
+  /// recoverable failures, and return a turbda::Error raised inside the
+  /// analysis as kFailed.
   virtual Status try_analyze(Ensemble& ensemble, std::span<const double> y,
                              const ObservationOperator& h, const DiagonalR& r,
-                             const AnalysisOptions& opts = {}, AnalysisStats* stats = nullptr) {
-    if (stats != nullptr) *stats = AnalysisStats{.obs_total = y.size()};
-    if (opts.r_scale != 1.0 || !opts.obs_mask.empty())
-      return Status(StatusCode::kUnsupported,
-                    name() + ": r_scale / obs_mask analysis options not supported");
-    try {
-      analyze(ensemble, y, h, r);
-    } catch (const Error& e) {
-      return Status(StatusCode::kFailed, e.what());
-    }
-    return Status::Ok();
-  }
+                             const AnalysisOptions& opts = {},
+                             AnalysisStats* stats = nullptr) = 0;
 
   /// Checkpoint support: append any cross-cycle mutable state to `out`
   /// (EnSF's cycle counter; stateless filters append nothing). Returns false

@@ -323,12 +323,6 @@ const LETKF::Plan& LETKF::plan_for(const ObservationOperator& h, const DiagonalR
 
 void LETKF::prepare(const ObservationOperator& h, const DiagonalR& r) { (void)plan_for(h, r); }
 
-void LETKF::analyze(Ensemble& ens, std::span<const double> y, const ObservationOperator& h,
-                    const DiagonalR& r) {
-  const Status s = analyze_impl(ens, y, h, r, AnalysisOptions{}, nullptr);
-  TURBDA_REQUIRE(s.ok(), "LETKF analysis failed — " << s.to_string());
-}
-
 Status LETKF::try_analyze(Ensemble& ens, std::span<const double> y, const ObservationOperator& h,
                           const DiagonalR& r, const AnalysisOptions& opts, AnalysisStats* stats) {
   try {

@@ -146,9 +146,6 @@ class LETKF final : public Filter {
   /// correctness and never changes results.
   void prepare(const ObservationOperator& h, const DiagonalR& r) override;
 
-  void analyze(Ensemble& ensemble, std::span<const double> y, const ObservationOperator& h,
-               const DiagonalR& r) override;
-
   /// Recoverable entry point. QC options are applied at gather time — the
   /// localization weight of a masked observation becomes 0 and every weight
   /// is divided by r_scale — so the cached network plan stays valid. A local

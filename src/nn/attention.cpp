@@ -11,8 +11,8 @@ using tensor::gemm;
 using tensor::Trans;
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t embed, std::size_t heads,
-                                               std::size_t tokens, double attn_dropout,
-                                               rng::Rng* rng, const std::string& name)
+                                               std::size_t tokens, rng::Rng* rng,
+                                               const std::string& name)
     : c_(embed),
       h_(heads),
       t_(tokens),
@@ -21,8 +21,7 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t embed, std::size_t he
       wq_(embed, embed, *rng, name + ".q"),
       wk_(embed, embed, *rng, name + ".k"),
       wv_(embed, embed, *rng, name + ".v"),
-      wo_(embed, embed, *rng, name + ".o"),
-      attn_drop_(attn_dropout, rng) {
+      wo_(embed, embed, *rng, name + ".o") {
   TURBDA_REQUIRE(embed % heads == 0, "embed dim must be divisible by heads");
 }
 
@@ -61,19 +60,9 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
     }
   }
 
-  // Attention dropout acts on the whole (B*h*T, T) probability tensor; keep
-  // the pre-dropout probabilities for the softmax backward.
-  {
-    Tensor a2 = attn_;
-    a2.reshape({b * h_ * t_, t_});
-    a2 = attn_drop_.forward(a2);
-    a2.reshape({b * h_, t_, t_});
-    attn_used_ = std::move(a2);
-  }
-
   for (std::size_t s = 0; s < b; ++s) {
     for (std::size_t hd = 0; hd < h_; ++hd) {
-      const double* ap = attn_used_.data() + (s * h_ + hd) * t_ * t_;
+      const double* ap = attn_.data() + (s * h_ + hd) * t_ * t_;
       const double* vp = v_.data() + s * t_ * c_ + hd * dh_;
       double* op = concat_.data() + s * t_ * c_ + hd * dh_;
       // out = A V  (T x dh), written into the head's column block.
@@ -88,19 +77,16 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
   const std::size_t b = grad_out.extent(0) / t_;
   const Tensor d_concat = wo_.backward(grad_out);
 
-  // dA on the post-dropout path for the whole tensor, then route through the
-  // dropout mask before the softmax backward.
-  const std::size_t bh = b * h_;
-  Tensor da_used({bh * t_, t_});
+  // dA = dO V^T for every (sample, head), ahead of the softmax backward.
+  Tensor da({b * h_ * t_, t_});
   for (std::size_t s = 0; s < b; ++s) {
     for (std::size_t hd = 0; hd < h_; ++hd) {
       const double* vp = v_.data() + s * t_ * c_ + hd * dh_;
       const double* dop = d_concat.data() + s * t_ * c_ + hd * dh_;
-      double* dap = da_used.data() + (s * h_ + hd) * t_ * t_;
+      double* dap = da.data() + (s * h_ + hd) * t_ * t_;
       gemm(Trans::No, Trans::Yes, t_, t_, dh_, 1.0, dop, c_, vp, c_, dap, t_);
     }
   }
-  const Tensor da_all = attn_drop_.backward(da_used);
 
   Tensor dq({b * t_, c_}), dk({b * t_, c_}), dv({b * t_, c_});
   std::vector<double> ds(t_ * t_);
@@ -108,17 +94,16 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
   for (std::size_t s = 0; s < b; ++s) {
     for (std::size_t hd = 0; hd < h_; ++hd) {
       const double* ap = attn_.data() + (s * h_ + hd) * t_ * t_;
-      const double* aup = attn_used_.data() + (s * h_ + hd) * t_ * t_;
       const double* qp = q_.data() + s * t_ * c_ + hd * dh_;
       const double* kp = k_.data() + s * t_ * c_ + hd * dh_;
       const double* dop = d_concat.data() + s * t_ * c_ + hd * dh_;
-      const double* dap = da_all.data() + (s * h_ + hd) * t_ * t_;
+      const double* dap = da.data() + (s * h_ + hd) * t_ * t_;
       double* dqp = dq.data() + s * t_ * c_ + hd * dh_;
       double* dkp = dk.data() + s * t_ * c_ + hd * dh_;
       double* dvp = dv.data() + s * t_ * c_ + hd * dh_;
 
-      // dV = A_used^T dO.
-      gemm(Trans::Yes, Trans::No, t_, dh_, t_, 1.0, aup, t_, dop, c_, dvp, c_);
+      // dV = A^T dO.
+      gemm(Trans::Yes, Trans::No, t_, dh_, t_, 1.0, ap, t_, dop, c_, dvp, c_);
 
       // Softmax backward per row: dS_ij = A_ij (dA_ij - sum_j dA_ij A_ij).
       for (std::size_t i = 0; i < t_; ++i) {
@@ -147,11 +132,6 @@ void MultiHeadSelfAttention::collect_params(std::vector<Param*>& out) {
   wk_.collect_params(out);
   wv_.collect_params(out);
   wo_.collect_params(out);
-}
-
-void MultiHeadSelfAttention::set_training(bool training) {
-  Module::set_training(training);
-  attn_drop_.set_training(training);
 }
 
 }  // namespace turbda::nn

@@ -12,24 +12,21 @@ class MultiHeadSelfAttention final : public Module {
  public:
   /// `tokens` is the fixed sequence length T; forward infers the batch from
   /// rows / T. embed must be divisible by heads.
-  MultiHeadSelfAttention(std::size_t embed, std::size_t heads, std::size_t tokens,
-                         double attn_dropout, rng::Rng* rng, const std::string& name = "attn");
+  MultiHeadSelfAttention(std::size_t embed, std::size_t heads, std::size_t tokens, rng::Rng* rng,
+                         const std::string& name = "attn");
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
-  void set_training(bool training) override;
 
  private:
   std::size_t c_, h_, t_, dh_;
   double scale_;
   Linear wq_, wk_, wv_, wo_;
-  Dropout attn_drop_;
 
   // Cached activations for backward.
   Tensor q_, k_, v_;   // (B*T, C)
-  Tensor attn_;        // (B*heads, T, T) softmax probabilities (pre-dropout)
-  Tensor attn_used_;   // (B*heads, T, T) post-dropout (== attn_ in eval)
+  Tensor attn_;        // (B*heads, T, T) softmax probabilities
   Tensor concat_;      // (B*T, C) pre-projection
 };
 

@@ -147,77 +147,4 @@ Tensor Gelu::backward(const Tensor& grad_out) {
   return dx;
 }
 
-// --------------------------------------------------------------- Dropout ---
-
-Dropout::Dropout(double p, rng::Rng* rng) : p_(p), rng_(rng) {
-  TURBDA_REQUIRE(p >= 0.0 && p < 1.0, "dropout probability must be in [0,1)");
-}
-
-Tensor Dropout::forward(const Tensor& x) {
-  if (!training_ || p_ == 0.0) {
-    mask_ = Tensor();  // identity in backward
-    return x;
-  }
-  mask_.reset(x.shape());
-  const double keep_scale = 1.0 / (1.0 - p_);
-  auto mf = mask_.flat();
-  for (double& m : mf) m = rng_->bernoulli(p_) ? 0.0 : keep_scale;
-  Tensor y = x;
-  auto yf = y.flat();
-  for (std::size_t i = 0; i < yf.size(); ++i) yf[i] *= mf[i];
-  return y;
-}
-
-Tensor Dropout::backward(const Tensor& grad_out) {
-  if (mask_.empty()) return grad_out;
-  Tensor dx = grad_out;
-  auto df = dx.flat();
-  const auto mf = mask_.flat();
-  for (std::size_t i = 0; i < df.size(); ++i) df[i] *= mf[i];
-  return dx;
-}
-
-// -------------------------------------------------------------- DropPath ---
-
-DropPath::DropPath(double p, std::size_t tokens, rng::Rng* rng)
-    : p_(p), tokens_(tokens), rng_(rng) {
-  TURBDA_REQUIRE(p >= 0.0 && p < 1.0, "droppath probability must be in [0,1)");
-  TURBDA_REQUIRE(tokens >= 1, "droppath needs tokens per sample");
-}
-
-Tensor DropPath::forward(const Tensor& x) {
-  if (!training_ || p_ == 0.0) {
-    keep_.clear();
-    return x;
-  }
-  const std::size_t rows = x.extent(0);
-  TURBDA_REQUIRE(rows % tokens_ == 0, "DropPath: rows not divisible by tokens per sample");
-  const std::size_t b = rows / tokens_;
-  keep_.resize(b);
-  const double keep_scale = 1.0 / (1.0 - p_);
-  for (auto& k : keep_) k = rng_->bernoulli(p_) ? 0.0 : keep_scale;
-  Tensor y = x;
-  for (std::size_t s = 0; s < b; ++s) {
-    if (keep_[s] == 1.0) continue;
-    for (std::size_t t = 0; t < tokens_; ++t) {
-      auto row = y.row(s * tokens_ + t);
-      for (double& v : row) v *= keep_[s];
-    }
-  }
-  return y;
-}
-
-Tensor DropPath::backward(const Tensor& grad_out) {
-  if (keep_.empty()) return grad_out;
-  Tensor dx = grad_out;
-  for (std::size_t s = 0; s < keep_.size(); ++s) {
-    if (keep_[s] == 1.0) continue;
-    for (std::size_t t = 0; t < tokens_; ++t) {
-      auto row = dx.row(s * tokens_ + t);
-      for (double& v : row) v *= keep_[s];
-    }
-  }
-  return dx;
-}
-
 }  // namespace turbda::nn

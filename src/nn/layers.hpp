@@ -1,4 +1,4 @@
-// Basic layers: Linear, LayerNorm, GELU, Dropout, DropPath.
+// Basic layers: Linear, LayerNorm, GELU.
 #pragma once
 
 #include <memory>
@@ -15,9 +15,6 @@ class Linear final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
-
-  [[nodiscard]] std::size_t in_features() const { return in_; }
-  [[nodiscard]] std::size_t out_features() const { return out_; }
 
   Param weight;  ///< (in, out)
   Param bias;    ///< (out)
@@ -56,38 +53,6 @@ class Gelu final : public Module {
 
  private:
   Tensor x_;
-};
-
-/// Inverted dropout: scales kept activations by 1/(1-p) during training.
-class Dropout final : public Module {
- public:
-  Dropout(double p, rng::Rng* rng);
-
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  double p_;
-  rng::Rng* rng_;
-  Tensor mask_;
-};
-
-/// DropPath / stochastic depth: zeroes a residual *branch* for entire
-/// samples. The branch output rows are grouped in blocks of `tokens` rows
-/// per sample; a dropped sample has all its rows zeroed (scaled 1/(1-p)
-/// otherwise).
-class DropPath final : public Module {
- public:
-  DropPath(double p, std::size_t tokens, rng::Rng* rng);
-
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  double p_;
-  std::size_t tokens_;
-  rng::Rng* rng_;
-  std::vector<double> keep_;  // per-sample multiplier
 };
 
 }  // namespace turbda::nn

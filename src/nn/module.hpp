@@ -44,14 +44,6 @@ class Module {
 
   /// Append pointers to all learnable parameters (stable order).
   virtual void collect_params(std::vector<Param*>& /*out*/) {}
-
-  /// Train/eval switch (dropout & droppath act only in training).
-  virtual void set_training(bool training) { training_ = training; }
-
-  [[nodiscard]] bool training() const { return training_; }
-
- protected:
-  bool training_ = true;
 };
 
 /// Truncated-normal-ish init used for all weight matrices (std scaled by

@@ -43,12 +43,6 @@ void AdamW::zero_grad() {
   for (Param* p : params_) p->zero_grad();
 }
 
-std::size_t AdamW::state_size() const {
-  std::size_t n = 0;
-  for (const auto& m : m_) n += m.size();
-  return 2 * n;
-}
-
 double clip_grad_norm(const std::vector<Param*>& params, double max_norm) {
   double sq = 0.0;
   for (const Param* p : params)

@@ -1,6 +1,5 @@
 // Optimization: AdamW, gradient clipping and a warmup-cosine LR schedule —
-// the standard recipe for ViT training (paper §III-B notes Adam's 2x
-// parameter-sized optimizer state, which is what ZeRO/FSDP shard).
+// the standard recipe for ViT training (paper §III-B).
 #pragma once
 
 #include <vector>
@@ -28,11 +27,6 @@ class AdamW {
 
   void set_lr(double lr) { cfg_.lr = lr; }
   [[nodiscard]] double lr() const { return cfg_.lr; }
-  [[nodiscard]] long steps_done() const { return t_; }
-
-  /// First/second moment state sizes in doubles — 2x parameters, the "2X for
-  /// Adam optimizer" of the paper's memory budget.
-  [[nodiscard]] std::size_t state_size() const;
 
  private:
   std::vector<Param*> params_;

@@ -34,28 +34,16 @@ void FieldScaler::denormalize(std::span<double> state) const {
 // ------------------------------------------------------ SurrogateForecast ---
 
 SurrogateForecast::SurrogateForecast(std::shared_ptr<ViT> vit, FieldScaler scaler)
-    : vit_(std::move(vit)), scaler_(scaler) {
-  vit_->set_training(false);
-}
+    : vit_(std::move(vit)), scaler_(scaler) {}
 
 void SurrogateForecast::forecast(std::span<double> state) {
   TURBDA_REQUIRE(state.size() == dim(), "SurrogateForecast: state size mismatch");
   Tensor x({1, dim()});
   std::copy(state.begin(), state.end(), x.flat().begin());
   scaler_.normalize(x.flat());
-  vit_->set_training(false);
   const Tensor y = vit_->forward(x);
   std::copy(y.flat().begin(), y.flat().end(), state.begin());
   scaler_.denormalize(state);
-}
-
-void SurrogateForecast::forecast_batch(Tensor& states) {
-  TURBDA_REQUIRE(states.rank() == 2 && states.extent(1) == dim(),
-                 "forecast_batch: states must be (M, D)");
-  scaler_.normalize(states.flat());
-  vit_->set_training(false);
-  states = vit_->forward(states);
-  scaler_.denormalize(states.flat());
 }
 
 // ------------------------------------------------------- SurrogateTrainer ---
@@ -69,7 +57,6 @@ TrainStats SurrogateTrainer::train_batch(const Tensor& x, const Tensor& y) {
   Tensor xn = x, yn = y;
   scaler_.normalize(xn.flat());
   scaler_.normalize(yn.flat());
-  vit_->set_training(true);
   opt_.zero_grad();
   const Tensor pred = vit_->forward(xn);
   Tensor grad;
@@ -110,7 +97,6 @@ std::vector<double> SurrogateTrainer::fit(const Tensor& xs, const Tensor& ys, in
     }
     epoch_losses.push_back(sum_loss / static_cast<double>(n));
   }
-  vit_->set_training(false);
   return epoch_losses;
 }
 
@@ -144,7 +130,6 @@ TrainStats OnlineTrainer::observe_transition(std::span<const double> prev_analys
     Tensor xn = xb, yn = yb;
     scaler_.normalize(xn.flat());
     scaler_.normalize(yn.flat());
-    vit_->set_training(true);
     opt_.zero_grad();
     const Tensor pred = vit_->forward(xn);
     Tensor grad;
@@ -153,7 +138,6 @@ TrainStats OnlineTrainer::observe_transition(std::span<const double> prev_analys
     last.grad_norm = clip_grad_norm(vit_->parameters(), 1.0);
     opt_.step();
   }
-  vit_->set_training(false);
   return last;
 }
 

@@ -43,17 +43,6 @@ class SurrogateForecast final : public models::ForecastModel {
   void forecast(std::span<double> state) override;
   [[nodiscard]] std::string name() const override { return "vit-surrogate"; }
 
-  /// Batched forecast of a whole ensemble (one ViT forward). This Tensor
-  /// overload is deliberately NOT the implementation of the inherited
-  /// span-based forecast_batch() virtual: the fused ViT forward matches
-  /// per-member forwards only to ~1e-10 (test_nn), while the virtual's
-  /// contract — which the cycling runners' bitwise replay invariants rest
-  /// on — requires exact equality with sequential forecast() calls. The
-  /// using-declaration keeps the base (member-sequential) overload visible
-  /// alongside this one.
-  using models::ForecastModel::forecast_batch;
-  void forecast_batch(Tensor& states);
-
   [[nodiscard]] ViT& vit() { return *vit_; }
   [[nodiscard]] const FieldScaler& scaler() const { return scaler_; }
 

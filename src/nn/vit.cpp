@@ -25,18 +25,13 @@ std::size_t VitConfig::param_count() const {
 
 // ------------------------------------------------------------------- MLP ---
 
-Mlp::Mlp(std::size_t embed, std::size_t hidden, double dropout, rng::Rng* rng,
-         const std::string& name)
-    : fc1_(embed, hidden, *rng, name + ".fc1"),
-      fc2_(hidden, embed, *rng, name + ".fc2"),
-      drop_(dropout, rng) {}
+Mlp::Mlp(std::size_t embed, std::size_t hidden, rng::Rng* rng, const std::string& name)
+    : fc1_(embed, hidden, *rng, name + ".fc1"), fc2_(hidden, embed, *rng, name + ".fc2") {}
 
-Tensor Mlp::forward(const Tensor& x) {
-  return fc2_.forward(drop_.forward(act_.forward(fc1_.forward(x))));
-}
+Tensor Mlp::forward(const Tensor& x) { return fc2_.forward(act_.forward(fc1_.forward(x))); }
 
 Tensor Mlp::backward(const Tensor& grad_out) {
-  return fc1_.backward(act_.backward(drop_.backward(fc2_.backward(grad_out))));
+  return fc1_.backward(act_.backward(fc2_.backward(grad_out)));
 }
 
 void Mlp::collect_params(std::vector<Param*>& out) {
@@ -44,35 +39,28 @@ void Mlp::collect_params(std::vector<Param*>& out) {
   fc2_.collect_params(out);
 }
 
-void Mlp::set_training(bool training) {
-  Module::set_training(training);
-  drop_.set_training(training);
-}
-
 // --------------------------------------------------------- TransformerBlock
 
 TransformerBlock::TransformerBlock(const VitConfig& cfg, rng::Rng* rng, const std::string& name)
     : ln1_(cfg.embed_dim, name + ".ln1"),
       ln2_(cfg.embed_dim, name + ".ln2"),
-      attn_(cfg.embed_dim, cfg.heads, cfg.tokens(), cfg.attn_dropout, rng, name + ".attn"),
-      mlp_(cfg.embed_dim, cfg.mlp_hidden(), cfg.dropout, rng, name + ".mlp"),
-      dp1_(cfg.droppath, cfg.tokens(), rng),
-      dp2_(cfg.droppath, cfg.tokens(), rng) {}
+      attn_(cfg.embed_dim, cfg.heads, cfg.tokens(), rng, name + ".attn"),
+      mlp_(cfg.embed_dim, cfg.mlp_hidden(), rng, name + ".mlp") {}
 
 Tensor TransformerBlock::forward(const Tensor& x) {
   Tensor y = x;
-  y += dp1_.forward(attn_.forward(ln1_.forward(x)));
+  y += attn_.forward(ln1_.forward(x));
   Tensor z = y;
-  z += dp2_.forward(mlp_.forward(ln2_.forward(y)));
+  z += mlp_.forward(ln2_.forward(y));
   return z;
 }
 
 Tensor TransformerBlock::backward(const Tensor& grad_out) {
-  // z = y + dp2(mlp(ln2(y)));  dy = dz + ln2^T mlp^T dp2^T dz
+  // z = y + mlp(ln2(y));  dy = dz + ln2^T mlp^T dz
   Tensor dy = grad_out;
-  dy += ln2_.backward(mlp_.backward(dp2_.backward(grad_out)));
+  dy += ln2_.backward(mlp_.backward(grad_out));
   Tensor dx = dy;
-  dx += ln1_.backward(attn_.backward(dp1_.backward(dy)));
+  dx += ln1_.backward(attn_.backward(dy));
   return dx;
 }
 
@@ -81,16 +69,6 @@ void TransformerBlock::collect_params(std::vector<Param*>& out) {
   attn_.collect_params(out);
   ln2_.collect_params(out);
   mlp_.collect_params(out);
-}
-
-void TransformerBlock::set_training(bool training) {
-  Module::set_training(training);
-  ln1_.set_training(training);
-  ln2_.set_training(training);
-  attn_.set_training(training);
-  mlp_.set_training(training);
-  dp1_.set_training(training);
-  dp2_.set_training(training);
 }
 
 // ------------------------------------------------------------- PatchEmbed ---
@@ -161,7 +139,6 @@ ViT::ViT(const VitConfig& cfg)
       rng_(cfg.seed),
       embed_(cfg, &rng_),
       pos_("pos_embed"),
-      embed_drop_(cfg.dropout, &rng_),
       final_ln_(cfg.embed_dim, "final_ln"),
       head_(cfg.embed_dim, cfg.patch_dim(), rng_, "head") {
   TURBDA_REQUIRE(cfg.embed_dim % cfg.heads == 0, "embed_dim must be divisible by heads");
@@ -187,7 +164,6 @@ Tensor ViT::forward(const Tensor& x) {
       auto row = h.row(s * t + tok);
       for (std::size_t j = 0; j < cfg_.embed_dim; ++j) row[j] += pos_.value(tok, j);
     }
-  h = embed_drop_.forward(h);
   for (auto& b : blocks_) h = b->forward(h);
   h = final_ln_.forward(h);
   const Tensor inc_patches = head_.forward(h);
@@ -203,7 +179,6 @@ Tensor ViT::backward(const Tensor& grad_out) {
   Tensor dh = head_.backward(dpatches);
   dh = final_ln_.backward(dh);
   for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) dh = (*it)->backward(dh);
-  dh = embed_drop_.backward(dh);
   const std::size_t t = cfg_.tokens();
   for (std::size_t s = 0; s < batch_; ++s)
     for (std::size_t tok = 0; tok < t; ++tok) {
@@ -221,13 +196,6 @@ void ViT::collect_params(std::vector<Param*>& out) {
   for (auto& b : blocks_) b->collect_params(out);
   final_ln_.collect_params(out);
   head_.collect_params(out);
-}
-
-void ViT::set_training(bool training) {
-  Module::set_training(training);
-  embed_drop_.set_training(training);
-  for (auto& b : blocks_) b->set_training(training);
-  final_ln_.set_training(training);
 }
 
 std::vector<Param*> ViT::parameters() {

@@ -4,9 +4,11 @@
 //   field -> PatchEmbed -> +pos -> [LN -> MHSA -> +res, LN -> MLP -> +res]*L
 //         -> LN -> head -> field increment;  prediction = input + increment.
 //
-// Dropout and DropPath regularize exactly as in the paper. The architecture
-// knobs (embed dim, heads, MLP ratio, depth, patch) are those swept in the
-// Fig. 6 kernel-sizing study and fixed in Table II.
+// It has no dropout or stochastic depth, so a forward pass is a pure
+// function of the weights and the input, and training and forecasting run
+// the same layers. The architecture knobs (embed dim, heads, MLP ratio,
+// depth, patch) are those swept in the Fig. 6 kernel-sizing study and fixed
+// in Table II.
 #pragma once
 
 #include <memory>
@@ -25,9 +27,6 @@ struct VitConfig {
   std::size_t depth = 2;
   std::size_t heads = 4;
   double mlp_ratio = 4.0;
-  double dropout = 0.0;
-  double droppath = 0.0;
-  double attn_dropout = 0.0;
   std::uint64_t seed = 1;
 
   [[nodiscard]] std::size_t tokens() const { return (image / patch) * (image / patch); }
@@ -42,25 +41,22 @@ struct VitConfig {
   [[nodiscard]] std::size_t param_count() const;
 };
 
-/// MLP: Linear -> GELU -> Dropout -> Linear (paper Fig. 2; its width ratio
-/// dominates the parameter count).
+/// MLP: Linear -> GELU -> Linear (paper Fig. 2; its width ratio dominates
+/// the parameter count).
 class Mlp final : public Module {
  public:
-  Mlp(std::size_t embed, std::size_t hidden, double dropout, rng::Rng* rng,
-      const std::string& name);
+  Mlp(std::size_t embed, std::size_t hidden, rng::Rng* rng, const std::string& name);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
-  void set_training(bool training) override;
 
  private:
   Linear fc1_, fc2_;
   Gelu act_;
-  Dropout drop_;
 };
 
-/// Pre-norm transformer block with DropPath on both residual branches.
+/// Pre-norm transformer block: x + MHSA(LN(x)), then y + MLP(LN(y)).
 class TransformerBlock final : public Module {
  public:
   TransformerBlock(const VitConfig& cfg, rng::Rng* rng, const std::string& name);
@@ -68,13 +64,11 @@ class TransformerBlock final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
-  void set_training(bool training) override;
 
  private:
   LayerNorm ln1_, ln2_;
   MultiHeadSelfAttention attn_;
   Mlp mlp_;
-  DropPath dp1_, dp2_;
 };
 
 /// Patchify: (B, state_dim) -> (B*T, patch_dim) and its inverse. The state
@@ -109,7 +103,6 @@ class ViT final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
-  void set_training(bool training) override;
 
   [[nodiscard]] const VitConfig& config() const { return cfg_; }
 
@@ -127,7 +120,6 @@ class ViT final : public Module {
   rng::Rng rng_;
   PatchEmbed embed_;
   Param pos_;  ///< learned positional embedding (T, E)
-  Dropout embed_drop_;
   std::vector<std::unique_ptr<TransformerBlock>> blocks_;
   LayerNorm final_ln_;
   Linear head_;

@@ -1,6 +1,5 @@
 #include "stream/faulty_stream.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/bytes.hpp"
@@ -36,9 +35,9 @@ void FaultyStream::produce(int cycle) {
   std::vector<ObsBatch> extra;
   for (ObsBatch& b : fresh) {
     corrupt(b, extra);
-    pending_.push_back(std::move(b));
+    pending_.push(std::move(b));
   }
-  for (ObsBatch& b : extra) pending_.push_back(std::move(b));
+  for (ObsBatch& b : extra) pending_.push(std::move(b));
 }
 
 void FaultyStream::corrupt(ObsBatch& b, std::vector<ObsBatch>& extra) {
@@ -103,13 +102,7 @@ void FaultyStream::collect(double now_cycles, std::vector<ObsBatch>& out) {
     return;
   }
   std::lock_guard<std::mutex> lk(mu_);
-  const std::size_t first = out.size();
-  auto it = std::stable_partition(pending_.begin(), pending_.end(),
-                                  [&](const ObsBatch& b) { return b.arrival_cycles > now_cycles; });
-  for (auto p = it; p != pending_.end(); ++p) out.push_back(std::move(*p));
-  pending_.erase(it, pending_.end());
-  std::sort(out.begin() + static_cast<long>(first), out.end(),
-            [](const ObsBatch& a, const ObsBatch& b) { return a.cycle < b.cycle; });
+  pending_.collect(now_cycles, out);
 }
 
 FaultCounters FaultyStream::counters() const {
@@ -122,13 +115,7 @@ bool FaultyStream::save_state(std::vector<std::uint8_t>& out) const {
   std::vector<std::uint8_t> inner_blob;
   if (!inner_.save_state(inner_blob)) return false;
   std::lock_guard<std::mutex> lk(mu_);
-  bytes::put_u64(out, pending_.size());
-  for (const ObsBatch& b : pending_) {
-    bytes::put_i32(out, b.cycle);
-    bytes::put_f64(out, b.valid_cycles);
-    bytes::put_f64(out, b.arrival_cycles);
-    bytes::put_f64_span(out, b.y);
-  }
+  pending_.save(out);
   bytes::put_u64(out, stuck_.size());
   for (const auto& [ch, st] : stuck_) {
     bytes::put_i32(out, ch);
@@ -148,17 +135,9 @@ bool FaultyStream::save_state(std::vector<std::uint8_t>& out) const {
 bool FaultyStream::restore_state(std::span<const std::uint8_t> in) {
   if (disabled()) return inner_.restore_state(in);
   bytes::Reader rd(in);
-  const std::uint64_t n_pending = rd.u64();
-  std::vector<ObsBatch> pending;
-  for (std::uint64_t i = 0; i < n_pending && rd.ok(); ++i) {
-    ObsBatch b;
-    b.cycle = rd.i32();
-    b.valid_cycles = rd.f64();
-    b.arrival_cycles = rd.f64();
-    // Truncated batches legitimately carry fewer than obs_dim values.
-    if (!rd.f64_vec(b.y) || b.y.size() > inner_.obs_dim()) return false;
-    pending.push_back(std::move(b));
-  }
+  BatchQueue pending;
+  // Truncated batches legitimately carry fewer than obs_dim values.
+  if (!pending.restore(rd, 0, inner_.obs_dim())) return false;
   const std::uint64_t n_stuck = rd.u64();
   std::map<std::int32_t, std::pair<std::int32_t, double>> stuck;
   for (std::uint64_t i = 0; i < n_stuck && rd.ok(); ++i) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "rng/rng.hpp"
+#include "stream/batch_queue.hpp"
 #include "stream/observation_stream.hpp"
 
 namespace turbda::stream {
@@ -39,7 +40,7 @@ struct FaultConfig {
   double nan_prob = 0.0;      ///< value becomes NaN
   double inf_prob = 0.0;      ///< value becomes +/-Inf
   double outlier_prob = 0.0;  ///< value becomes physically absurd
-  double outlier_scale = 1e6; ///< outlier magnitude: y -> (y + 1) * scale
+  static constexpr double outlier_scale = 1e6;  ///< outlier magnitude: y -> (y + 1) * scale
 
   // Per-batch faults.
   double stuck_prob = 0.0;   ///< a random channel freezes at its current value
@@ -89,7 +90,7 @@ class FaultyStream final : public ObservationStream {
     return cfg_.nan_prob == 0.0 && cfg_.inf_prob == 0.0 && cfg_.outlier_prob == 0.0 &&
            cfg_.stuck_prob == 0.0 && cfg_.duplicate_prob == 0.0 && cfg_.truncate_prob == 0.0;
   }
-  /// Corrupts one batch in place; may append a duplicate to pending_.
+  /// Corrupts one batch in place; may append a duplicate to `extra`.
   /// Called with mu_ held.
   void corrupt(ObsBatch& b, std::vector<ObsBatch>& extra);
 
@@ -98,7 +99,7 @@ class FaultyStream final : public ObservationStream {
   rng::Rng rng_fault_;  ///< substream parent; keyed per batch cycle
 
   mutable std::mutex mu_;  ///< guards pending_, stuck_ and counters_
-  std::vector<ObsBatch> pending_;
+  BatchQueue pending_;
   /// channel -> (windows remaining, frozen value); std::map for
   /// deterministic iteration and serialization order.
   std::map<std::int32_t, std::pair<std::int32_t, double>> stuck_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/bytes.hpp"
@@ -26,8 +27,8 @@ IngestStream::IngestStream(IngestStreamConfig cfg, std::unique_ptr<IngestSource>
       source_(std::move(source)),
       h_(h),
       r_(r),
-      queue_(cfg.queue_capacity),
-      backoff_(cfg.backoff) {
+      backoff_(cfg.backoff),
+      queue_(cfg.queue_capacity) {
   TURBDA_REQUIRE(source_ != nullptr, "IngestStream needs a transport");
   TURBDA_REQUIRE(cfg_.read_timeout_ms > 0 && cfg_.produce_timeout_ms > 0 &&
                      cfg_.stale_after_ms >= cfg_.read_timeout_ms && cfg_.truth_buffer >= 1,
@@ -36,10 +37,7 @@ IngestStream::IngestStream(IngestStreamConfig cfg, std::unique_ptr<IngestSource>
 
 bool IngestStream::window_complete(int cycle) const {
   std::lock_guard<std::mutex> lk(mu_);
-  if (high_water_ < cycle) return false;
-  for (const auto& [c, v] : ring_)
-    if (c == cycle) return true;
-  return false;
+  return high_water_ >= cycle && ring_.find(cycle) != nullptr;
 }
 
 void IngestStream::drain_decoder(int cycle) {
@@ -48,7 +46,7 @@ void IngestStream::drain_decoder(int cycle) {
   // decode more than truth_buffer windows ahead of `cycle`, and a count
   // bound would evict the truths the consumer has not reached yet.
   const int oldest_kept = cycle - cfg_.truth_buffer + 1;
-  std::erase_if(ring_, [oldest_kept](const auto& e) { return e.first < oldest_kept; });
+  ring_.keep_from(oldest_kept);
   DecodedFrame f;
   while (decoder_.next(f)) {
     switch (f.kind) {
@@ -56,17 +54,10 @@ void IngestStream::drain_decoder(int cycle) {
         high_water_ = std::max(high_water_, f.obs.cycle);
         queue_.push(std::move(f.obs));
         break;
-      case FrameKind::kTruth: {
+      case FrameKind::kTruth:
         high_water_ = std::max(high_water_, f.cycle);
-        bool keep = f.cycle >= oldest_kept;
-        for (const auto& [c, v] : ring_)
-          if (c == f.cycle) {
-            keep = false;
-            break;
-          }
-        if (keep) ring_.emplace_back(f.cycle, std::move(f.state));
+        if (f.cycle >= oldest_kept) ring_.add(f.cycle, std::move(f.state));
         break;
-      }
       case FrameKind::kHeartbeat:
         high_water_ = std::max(high_water_, f.cycle);
         break;
@@ -148,9 +139,9 @@ void IngestStream::produce(int cycle) {
 
 void IngestStream::collect(double now_cycles, std::vector<ObsBatch>& out) {
   TURBDA_SPAN("ingest.collect");
+  std::lock_guard<std::mutex> lk(mu_);
   std::vector<ObsBatch> got;
   queue_.collect(now_cycles, got);
-  std::lock_guard<std::mutex> lk(mu_);
   for (ObsBatch& b : got) {
     // Ledger dedup applies only to full-shape batches: a truncated frame
     // must not block the complete retransmission that could recover it.
@@ -169,28 +160,16 @@ void IngestStream::collect(double now_cycles, std::vector<ObsBatch>& out) {
 
 std::span<const double> IngestStream::truth(int cycle) const {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [c, v] : ring_)
-    if (c == cycle) return {v.data(), v.size()};
-  return {};
+  const std::vector<double>* state = ring_.find(cycle);
+  return state != nullptr ? std::span<const double>(*state) : std::span<const double>();
 }
 
 bool IngestStream::save_state(std::vector<std::uint8_t>& out) const {
-  const std::vector<ObsBatch> pending = queue_.snapshot();
   std::lock_guard<std::mutex> lk(mu_);
   bytes::put_i32(out, high_water_);
   bytes::put_blob(out, delivered_);
-  bytes::put_u64(out, pending.size());
-  for (const ObsBatch& b : pending) {
-    bytes::put_i32(out, b.cycle);
-    bytes::put_f64(out, b.valid_cycles);
-    bytes::put_f64(out, b.arrival_cycles);
-    bytes::put_f64_span(out, b.y);
-  }
-  bytes::put_u64(out, ring_.size());
-  for (const auto& [c, v] : ring_) {
-    bytes::put_i32(out, c);
-    bytes::put_f64_span(out, v);
-  }
+  queue_.save(out);
+  ring_.save(out);
   bytes::put_u64(out, reconnects_);
   bytes::put_u64(out, heartbeat_timeouts_);
   bytes::put_u64(out, duplicates_dropped_);
@@ -208,25 +187,11 @@ bool IngestStream::restore_state(std::span<const std::uint8_t> in) {
   bytes::Reader rd(in);
   const std::int32_t high_water = rd.i32();
   std::vector<std::uint8_t> delivered;
-  if (!rd.blob(delivered)) return false;
-  const std::uint64_t n_pending = rd.u64();
-  std::vector<ObsBatch> pending;
-  for (std::uint64_t i = 0; i < n_pending && rd.ok(); ++i) {
-    ObsBatch b;
-    b.cycle = rd.i32();
-    b.valid_cycles = rd.f64();
-    b.arrival_cycles = rd.f64();
-    if (!rd.f64_vec(b.y) || b.y.size() > h_.obs_dim()) return false;
-    pending.push_back(std::move(b));
-  }
-  const std::uint64_t n_ring = rd.u64();
-  std::deque<std::pair<std::int32_t, std::vector<double>>> ring;
-  for (std::uint64_t i = 0; i < n_ring && rd.ok(); ++i) {
-    const std::int32_t c = rd.i32();
-    std::vector<double> v;
-    if (!rd.f64_vec(v)) return false;
-    ring.emplace_back(c, std::move(v));
-  }
+  BatchQueue pending(cfg_.queue_capacity);
+  TruthRing ring;
+  if (!rd.blob(delivered) || !pending.restore(rd, 0, h_.obs_dim()) ||
+      !ring.restore(rd, 0, std::numeric_limits<std::size_t>::max()))
+    return false;
   const std::uint64_t reconnects = rd.u64();
   const std::uint64_t hb_timeouts = rd.u64();
   const std::uint64_t dups = rd.u64();
@@ -239,9 +204,9 @@ bool IngestStream::restore_state(std::span<const std::uint8_t> in) {
   base.heartbeats = rd.u64();
   if (!rd.done()) return false;
 
-  queue_.restore(std::move(pending));
-  queue_.set_drops(qdrops);
   std::lock_guard<std::mutex> lk(mu_);
+  queue_ = std::move(pending);
+  queue_.set_drops(qdrops);
   high_water_ = high_water;
   delivered_ = std::move(delivered);
   ring_ = std::move(ring);

@@ -21,13 +21,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "stream/batch_queue.hpp"
 #include "stream/ingest/backoff.hpp"
-#include "stream/ingest/ingest_queue.hpp"
 #include "stream/ingest/ingest_source.hpp"
 #include "stream/ingest/wire.hpp"
 #include "stream/observation_stream.hpp"
@@ -100,12 +99,12 @@ class IngestStream final : public ObservationStream {
   const da::ObservationOperator& h_;
   const da::DiagonalR& r_;
   FrameDecoder decoder_;
-  IngestQueue queue_;
   Backoff backoff_;
   bool connected_once_ = false;
 
-  mutable std::mutex mu_;  ///< guards ring_, delivered_, stats below
-  std::deque<std::pair<std::int32_t, std::vector<double>>> ring_;  ///< (cycle, truth)
+  mutable std::mutex mu_;  ///< guards queue_, ring_, delivered_, stats below
+  BatchQueue queue_;       ///< drop-oldest at cfg_.queue_capacity
+  TruthRing ring_;
   std::vector<std::uint8_t> delivered_;  ///< per-window delivered-batch ledger
   std::int32_t high_water_ = -1;
   std::uint64_t reconnects_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bytes.hpp"
+#include "stream/batch_queue.hpp"
 #include "stream/checkpoint.hpp"  // crc32
 
 namespace turbda::stream::ingest {
@@ -23,10 +24,7 @@ void frame(std::vector<std::uint8_t>& payload, std::vector<std::uint8_t>& out) {
 void encode_obs_frame(const ObsBatch& b, std::vector<std::uint8_t>& out) {
   std::vector<std::uint8_t> payload;
   payload.push_back(static_cast<std::uint8_t>(FrameKind::kObs));
-  bytes::put_i32(payload, b.cycle);
-  bytes::put_f64(payload, b.valid_cycles);
-  bytes::put_f64(payload, b.arrival_cycles);
-  bytes::put_f64_span(payload, b.y);
+  put_batch(payload, b);
   frame(payload, out);
 }
 
@@ -117,10 +115,7 @@ bool FrameDecoder::next(DecodedFrame& out) {
     bool parsed = false;
     switch (kind) {
       case FrameKind::kObs:
-        out.obs.cycle = pr.i32();
-        out.obs.valid_cycles = pr.f64();
-        out.obs.arrival_cycles = pr.f64();
-        parsed = pr.f64_vec(out.obs.y) && pr.done();
+        parsed = read_batch(pr, out.obs) && pr.done();
         break;
       case FrameKind::kTruth:
         out.cycle = pr.i32();

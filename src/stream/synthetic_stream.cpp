@@ -1,7 +1,5 @@
 #include "stream/synthetic_stream.hpp"
 
-#include <algorithm>
-
 #include "common/bytes.hpp"
 #include "common/check.hpp"
 
@@ -51,27 +49,19 @@ void SyntheticStream::produce(int cycle) {
   b.arrival_cycles = b.valid_cycles + cfg_.latency_cycles + jitter;
 
   std::lock_guard<std::mutex> lk(mu_);
-  ring_.emplace_back(cycle, truth_);
-  while (ring_.size() > static_cast<std::size_t>(cfg_.truth_buffer)) ring_.pop_front();
+  ring_.add(cycle, truth_);
+  ring_.keep_from(cycle - cfg_.truth_buffer + 1);
   ++produced_;
   if (dropped) {
     ++dropped_;
   } else {
-    pending_.push_back(std::move(b));
+    pending_.push(std::move(b));
   }
 }
 
 void SyntheticStream::collect(double now_cycles, std::vector<ObsBatch>& out) {
   std::lock_guard<std::mutex> lk(mu_);
-  const std::size_t first = out.size();
-  auto it = std::stable_partition(
-      pending_.begin(), pending_.end(),
-      [&](const ObsBatch& b) { return b.arrival_cycles > now_cycles; });
-  for (auto p = it; p != pending_.end(); ++p) out.push_back(std::move(*p));
-  pending_.erase(it, pending_.end());
-  // Stragglers assimilate before fresher batches: deliver in window order.
-  std::sort(out.begin() + static_cast<long>(first), out.end(),
-            [](const ObsBatch& a, const ObsBatch& b) { return a.cycle < b.cycle; });
+  pending_.collect(now_cycles, out);
 }
 
 bool SyntheticStream::save_state(std::vector<std::uint8_t>& out) const {
@@ -79,18 +69,8 @@ bool SyntheticStream::save_state(std::vector<std::uint8_t>& out) const {
   bytes::put_f64_span(out, truth_);
   bytes::put_i32(out, produced_);
   bytes::put_i32(out, dropped_);
-  bytes::put_u64(out, pending_.size());
-  for (const ObsBatch& b : pending_) {
-    bytes::put_i32(out, b.cycle);
-    bytes::put_f64(out, b.valid_cycles);
-    bytes::put_f64(out, b.arrival_cycles);
-    bytes::put_f64_span(out, b.y);
-  }
-  bytes::put_u64(out, ring_.size());
-  for (const auto& [c, state] : ring_) {
-    bytes::put_i32(out, c);
-    bytes::put_f64_span(out, state);
-  }
+  pending_.save(out);
+  ring_.save(out);
   return true;
 }
 
@@ -100,25 +80,12 @@ bool SyntheticStream::restore_state(std::span<const std::uint8_t> in) {
   if (!rd.f64_vec(truth) || truth.size() != truth_model_.dim()) return false;
   const int produced = rd.i32();
   const int dropped = rd.i32();
-  const std::uint64_t n_pending = rd.u64();
-  std::vector<ObsBatch> pending;
-  for (std::uint64_t i = 0; i < n_pending && rd.ok(); ++i) {
-    ObsBatch b;
-    b.cycle = rd.i32();
-    b.valid_cycles = rd.f64();
-    b.arrival_cycles = rd.f64();
-    if (!rd.f64_vec(b.y) || b.y.size() != h_.obs_dim()) return false;
-    pending.push_back(std::move(b));
-  }
-  const std::uint64_t n_ring = rd.u64();
-  std::deque<std::pair<int, std::vector<double>>> ring;
-  for (std::uint64_t i = 0; i < n_ring && rd.ok(); ++i) {
-    const int c = rd.i32();
-    std::vector<double> state;
-    if (!rd.f64_vec(state) || state.size() != truth_model_.dim()) return false;
-    ring.emplace_back(c, std::move(state));
-  }
-  if (!rd.done() || produced < 0 || dropped < 0) return false;
+  BatchQueue pending;
+  TruthRing ring;
+  if (!pending.restore(rd, h_.obs_dim(), h_.obs_dim()) ||
+      !ring.restore(rd, truth_model_.dim(), truth_model_.dim()) || !rd.done() || produced < 0 ||
+      dropped < 0)
+    return false;
   std::lock_guard<std::mutex> lk(mu_);
   truth_ = std::move(truth);
   produced_ = produced;
@@ -130,9 +97,8 @@ bool SyntheticStream::restore_state(std::span<const std::uint8_t> in) {
 
 std::span<const double> SyntheticStream::truth(int cycle) const {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [c, state] : ring_)
-    if (c == cycle) return state;
-  return {};
+  const std::vector<double>* state = ring_.find(cycle);
+  return state != nullptr ? std::span<const double>(*state) : std::span<const double>();
 }
 
 }  // namespace turbda::stream

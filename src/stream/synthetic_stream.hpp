@@ -14,12 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <vector>
 
 #include "models/forecast_model.hpp"
 #include "rng/rng.hpp"
+#include "stream/batch_queue.hpp"
 #include "stream/observation_stream.hpp"
 
 namespace turbda::stream {
@@ -61,9 +61,6 @@ class SyntheticStream final : public ObservationStream {
   /// Truth state after the most recent produce(): an OSSE's final truth.
   [[nodiscard]] const std::vector<double>& latest_truth() const { return truth_; }
 
-  [[nodiscard]] int batches_produced() const { return produced_; }
-  [[nodiscard]] int batches_dropped() const { return dropped_; }
-
   /// Checkpointing: the RNG substream families are consumed statelessly (one
   /// derived stream per cycle), so the mutable state is just the truth
   /// state, the undelivered queue, the truth ring and the counters. The
@@ -82,8 +79,8 @@ class SyntheticStream final : public ObservationStream {
   std::vector<double> truth_;
 
   mutable std::mutex mu_;  ///< guards pending_, ring_ and the counters
-  std::vector<ObsBatch> pending_;
-  std::deque<std::pair<int, std::vector<double>>> ring_;  ///< (cycle, truth copy)
+  BatchQueue pending_;
+  TruthRing ring_;
   int produced_ = 0;
   int dropped_ = 0;
 };

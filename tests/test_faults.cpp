@@ -77,11 +77,6 @@ class FlakyFilter final : public da::Filter {
   explicit FlakyFilter(int fail_call, bool throws = false)
       : inner_(da::EtkfConfig{.rtps = 0.4}), fail_call_(fail_call), throws_(throws) {}
 
-  void analyze(da::Ensemble& ens, std::span<const double> y, const da::ObservationOperator& h,
-               const da::DiagonalR& r) override {
-    inner_.analyze(ens, y, h, r);
-  }
-
   Status try_analyze(da::Ensemble& ens, std::span<const double> y,
                      const da::ObservationOperator& h, const da::DiagonalR& r,
                      const da::AnalysisOptions& opts, da::AnalysisStats* stats) override {

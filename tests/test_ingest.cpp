@@ -6,7 +6,8 @@
 // run drops are applied with age-dependent R inflation, bitwise reproducibly
 // across thread counts and through a v4 checkpoint/resume, and a damaged wire
 // capture replayed through IngestStream cycles bitwise like the
-// SyntheticStream it was recorded from.
+// SyntheticStream it was recorded from. The save_state bytes of the three
+// checkpointable streams are pinned to recorded constants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,12 +25,14 @@
 
 #include "bitwise_equal.hpp"
 #include "common/bytes.hpp"
+#include "fnv1a.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
 #include "rng/rng.hpp"
+#include "stream/batch_queue.hpp"
 #include "stream/checkpoint.hpp"
+#include "stream/faulty_stream.hpp"
 #include "stream/ingest/backoff.hpp"
-#include "stream/ingest/ingest_queue.hpp"
 #include "stream/ingest/ingest_stream.hpp"
 #include "stream/ingest/socket_stream.hpp"
 #include "stream/ingest/tail_stream.hpp"
@@ -255,15 +258,15 @@ TEST(Backoff, ScheduleIsDeterministicCappedAndJitterBounded) {
   EXPECT_EQ(c.delay_for_attempt(50), 160.0);  // saturates at the cap
 }
 
-// ------------------------------------------------------------ ingest queue ---
+// ------------------------------------------------------------- batch queue ---
 
-TEST(IngestQueue, DropOldestUnderBackpressure) {
-  ingest::IngestQueue q(3);
+TEST(BatchQueue, DropOldestUnderBackpressure) {
+  stream::BatchQueue q(3);
   for (int w = 0; w < 5; ++w) {
     auto b = make_batch(w);
     b.arrival_cycles = 0.0;
-    const bool clean = q.push(std::move(b));
-    EXPECT_EQ(clean, w < 3) << "window " << w;
+    q.push(std::move(b));
+    EXPECT_EQ(q.drops(), w < 3 ? 0u : static_cast<std::uint64_t>(w - 2)) << "window " << w;
   }
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.drops(), 2u);
@@ -275,8 +278,8 @@ TEST(IngestQueue, DropOldestUnderBackpressure) {
   EXPECT_EQ(out[2].cycle, 4);
 }
 
-TEST(IngestQueue, CollectGatesOnArrivalAndSortsByCycle) {
-  ingest::IngestQueue q(8);
+TEST(BatchQueue, CollectGatesOnArrivalAndSortsByCycle) {
+  stream::BatchQueue q(8);
   // Pushed out of order; gated by virtual arrival, delivered in cycle order.
   q.push(make_batch(2));  // arrival 3.0
   q.push(make_batch(0));  // arrival 1.0
@@ -834,6 +837,124 @@ TEST(DeepOverlap, K3CheckpointResumeIsBitwiseAcrossThreadCounts) {
   EXPECT_EQ(data.next_cycle, 7);
   ASSERT_EQ(data.ring.size(), 3u);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(data.ring[static_cast<std::size_t>(i)].cycle, 4 + i);
+}
+
+// -------------------------------------------------- pinned stream bytes ---
+
+/// FNV-1a over every batch in order: window, both stamps and the values.
+std::uint64_t hash_batches(const std::vector<stream::ObsBatch>& batches) {
+  Fnv1a h;
+  for (const auto& b : batches)
+    h.add(std::vector<double>{static_cast<double>(b.cycle), b.valid_cycles, b.arrival_cycles})
+        .add(b.y);
+  return h.value();
+}
+
+/// Restores `blob` into a freshly built stream and saves it again: the same
+/// bytes must come back.
+void expect_restore_resaves(stream::ObservationStream& fresh,
+                            const std::vector<std::uint8_t>& blob) {
+  ASSERT_TRUE(fresh.restore_state(blob));
+  std::vector<std::uint8_t> again;
+  ASSERT_TRUE(fresh.save_state(again));
+  EXPECT_TRUE(again == blob);
+}
+
+TEST(StreamCheckpoint, SaveStateBytesMatchRecordedConstants) {
+  // The three checkpointable streams, each collected partway so batches are
+  // still in flight: a SyntheticStream with latency, jitter (out-of-order
+  // arrivals), dropouts and a short truth ring; the same stream under every
+  // content fault; and an IngestStream replaying a capture recorded from it
+  // with duplicated obs frames. Their save_state bytes, the capture and the
+  // collected batches are pinned to constants recorded before the streams
+  // shared one batch queue, truth ring and batch codec. An FMA build
+  // (TURBDA_NATIVE) may contract Lorenz-96's multiply-adds, which moves
+  // every value, so there only the restore round trips are checked.
+  stream::SyntheticStreamConfig sc;
+  sc.seed = 5;
+  sc.latency_cycles = 0.4;
+  sc.jitter_cycles = 1.7;
+  sc.dropout_prob = 0.2;
+  sc.truth_buffer = 5;
+  Lorenz96Config mc;
+  mc.dim = kDim;
+  mc.steps_per_window = 5;
+  da::IdentityObs h(kDim);
+  da::DiagonalR r(kDim, 1.0);
+  const auto truth0 = spun_up_truth();
+  constexpr int kWindows = 12;
+  const auto drive = [](stream::ObservationStream& s) {
+    std::vector<stream::ObsBatch> got;
+    for (int k = 0; k < kWindows; ++k) {
+      s.produce(k);
+      s.collect(static_cast<double>(k) + 1.0, got);
+    }
+    return got;
+  };
+  const auto save = [](const stream::ObservationStream& s) {
+    std::vector<std::uint8_t> blob;
+    EXPECT_TRUE(s.save_state(blob));
+    return blob;
+  };
+
+  Lorenz96 m_syn(mc), m_syn2(mc);
+  stream::SyntheticStream syn(sc, m_syn, h, r, truth0);
+  const auto syn_got = drive(syn);
+  const auto syn_blob = save(syn);
+  stream::SyntheticStream syn2(sc, m_syn2, h, r, truth0);
+  expect_restore_resaves(syn2, syn_blob);
+
+  stream::FaultConfig fc;
+  fc.nan_prob = 0.05;
+  fc.outlier_prob = 0.05;
+  fc.stuck_prob = 0.5;
+  fc.duplicate_prob = 0.4;
+  fc.truncate_prob = 0.3;
+  Lorenz96 m_inner(mc), m_inner2(mc);
+  stream::SyntheticStream inner(sc, m_inner, h, r, truth0);
+  stream::FaultyStream faulty(fc, inner);
+  const auto faulty_got = drive(faulty);
+  const auto faulty_blob = save(faulty);
+  stream::SyntheticStream inner2(sc, m_inner2, h, r, truth0);
+  stream::FaultyStream faulty2(fc, inner2);
+  expect_restore_resaves(faulty2, faulty_blob);
+
+  Lorenz96 m_rec(mc);
+  stream::SyntheticStream rec(sc, m_rec, h, r, truth0);
+  std::vector<std::uint8_t> capture;
+  std::uint64_t seq = 0;
+  for (int w = 0; w < kWindows; ++w) {
+    rec.produce(w);
+    std::vector<stream::ObsBatch> sent;
+    rec.collect(std::numeric_limits<double>::infinity(), sent);
+    for (const auto& b : sent) {
+      ingest::encode_obs_frame(b, capture);
+      if (b.cycle % 3 == 0) ingest::encode_obs_frame(b, capture);  // a retransmission
+    }
+    ingest::encode_truth_frame(w, rec.truth(w), capture);
+    ingest::encode_heartbeat_frame(w, seq++, capture);
+  }
+  const std::string path = temp_path("pinned_capture.bin");
+  write_file(path, capture);
+  ingest::IngestStreamConfig ic = replay_config();
+  ic.truth_buffer = 5;
+  ingest::IngestStream wire(ic, make_tail(path), h, r);
+  const auto wire_got = drive(wire);
+  const auto wire_blob = save(wire);
+  EXPECT_GE(wire.stats().duplicates_dropped, 1u);
+  ingest::IngestStream wire2(ic, make_tail(path), h, r);
+  expect_restore_resaves(wire2, wire_blob);
+  std::remove(path.c_str());
+
+#if !defined(__FMA__)
+  EXPECT_EQ(Fnv1a().add(syn_blob).value(), 0xd30c0fa9f12fe689ull);
+  EXPECT_EQ(hash_batches(syn_got), 0xd43ec981b28f6651ull);
+  EXPECT_EQ(Fnv1a().add(faulty_blob).value(), 0x47261cc8bc31584aull);
+  EXPECT_EQ(hash_batches(faulty_got), 0x226cd8af46a1ee12ull);
+  EXPECT_EQ(Fnv1a().add(capture).value(), 0x9fc3c1cbb274d0c3ull);
+  EXPECT_EQ(Fnv1a().add(wire_blob).value(), 0xfb681d738580953cull);
+  EXPECT_EQ(hash_batches(wire_got), 0xd43ec981b28f6651ull);
+#endif
 }
 
 // -------------------------------------------------------- metrics schema ---

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "io/args.hpp"
 #include "io/csv.hpp"
@@ -92,6 +93,39 @@ TEST(Args, FlagsAndValues) {
   EXPECT_EQ(a.get_int("missing", 7), 7);
   EXPECT_DOUBLE_EQ(a.get_double("rate", 0.0), 0.5);
   EXPECT_EQ(a.get_str("name", ""), "abc");
+}
+
+TEST(ArgsDeathTest, RefusesUnknownFlagsAndMalformedNumbers) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  static constexpr char kUsage[] =
+      "prog: usage text\n"
+      "  --cycles=<int>  cycles\n"
+      "  --rate=<f>      rate\n"
+      "  --full          a flag\n";
+  // Parses `args` after a program name and reads both numbers; `usage`
+  // false gives the unchecked parser the cycle benchmark uses.
+  const auto parse = [](std::vector<const char*> args, bool usage = true) {
+    args.insert(args.begin(), "prog");
+    const io::Args a(static_cast<int>(args.size()), const_cast<char**>(args.data()),
+                     usage ? kUsage : "");
+    return a.get_int("cycles", 1) + static_cast<long>(a.get_double("rate", 0.0));
+  };
+  EXPECT_EQ(parse({"--cycles=3", "--rate=2.5", "--full"}), 5);
+  EXPECT_EQ(parse({"stray", "--no-such-flag"}, false), 1);
+
+  using testing::ExitedWithCode;
+  EXPECT_EXIT(parse({"--no-measure"}), ExitedWithCode(2), "unknown argument '--no-measure'");
+  EXPECT_EXIT(parse({"--cycle=3"}), ExitedWithCode(2), "unknown argument '--cycle=3'");
+  EXPECT_EXIT(parse({"--full", "stray"}), ExitedWithCode(2), "unknown argument 'stray'");
+  EXPECT_EXIT(parse({"--cycles=abc"}), ExitedWithCode(2), "--cycles needs an integer, got 'abc'");
+  EXPECT_EXIT(parse({"--cycles="}), ExitedWithCode(2), "--cycles needs an integer, got ''");
+  EXPECT_EXIT(parse({"--cycles"}), ExitedWithCode(2), "--cycles needs a value");
+  EXPECT_EXIT(parse({"--rate=0.5x"}), ExitedWithCode(2), "--rate needs a number, got '0.5x'");
+  EXPECT_EXIT(parse({"--cycles=abc"}, false), ExitedWithCode(2), "--cycles needs an integer");
+  // The refusal prints the usage after the reason; --help prints it to
+  // stdout and exits 0 whatever else is given.
+  EXPECT_EXIT(parse({"--cycle=3"}), ExitedWithCode(2), "--rate=<f>");
+  EXPECT_EXIT(parse({"--help", "--no-measure"}), ExitedWithCode(0), "");
 }
 
 TEST(ScaledForecast, RoundTripsUnits) {

@@ -23,6 +23,7 @@
 #include <limits>
 #include <vector>
 
+#include "fnv1a.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 
@@ -36,21 +37,6 @@ constexpr std::size_t W = simd::kLaneBatch;
 
 static_assert(sizeof(Kernels) == 30 * sizeof(void (*)()),
               "every simd::Kernels entry needs a runner and constants below");
-
-/// FNV-1a (64-bit) over the bytes of every output buffer, in call order.
-class Hash {
- public:
-  template <class T>
-  Hash& add(const std::vector<T>& v) {
-    const auto* p = reinterpret_cast<const unsigned char*>(v.data());
-    for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) h_ = (h_ ^ p[i]) * 0x100000001b3ull;
-    return *this;
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 /// Values i * 2^-52 for integers i in [-2^52, 2^52) from a 64-bit LCG: exact
 /// doubles in [-1, 1) with full 53-bit significands, so products round and
@@ -87,7 +73,7 @@ std::uint64_t run_pass_first(const Kernels& k) {
   Inputs in(1);
   auto d = in.vec(16);  // n = 8 complex
   k.pass_first(d.data(), d.size(), -1.0);
-  return Hash().add(d).value();
+  return Fnv1a().add(d).value();
 }
 
 std::uint64_t run_pass_radix4(const Kernels& k) {
@@ -95,7 +81,7 @@ std::uint64_t run_pass_radix4(const Kernels& k) {
   auto d = in.vec(64);  // n = 32, half = 4: two blocks
   const auto tw = in.vec(8), tw1 = in.vec(16);
   k.pass_radix4(d.data(), 32, 4, tw.data(), tw1.data());
-  return Hash().add(d).value();
+  return Fnv1a().add(d).value();
 }
 
 std::uint64_t run_pass_radix2(const Kernels& k) {
@@ -103,7 +89,7 @@ std::uint64_t run_pass_radix2(const Kernels& k) {
   auto d = in.vec(32);  // n = 16, half = 4: two blocks
   const auto tw = in.vec(8);
   k.pass_radix2(d.data(), 16, 4, tw.data());
-  return Hash().add(d).value();
+  return Fnv1a().add(d).value();
 }
 
 // h = 32: bins 1-14 in the vector body, bin 15 in the scalar remainder.
@@ -112,7 +98,7 @@ std::uint64_t run_rfft_pack(const Kernels& k) {
   auto s = in.vec(66);
   const auto w = in.vec(64);
   k.rfft_pack(s.data(), w.data(), 32);
-  return Hash().add(s).value();
+  return Fnv1a().add(s).value();
 }
 
 std::uint64_t run_rfft_unpack(const Kernels& k) {
@@ -120,7 +106,7 @@ std::uint64_t run_rfft_unpack(const Kernels& k) {
   auto s = in.vec(66);
   const auto w = in.vec(64);
   k.rfft_unpack(s.data(), w.data(), 32);
-  return Hash().add(s).value();
+  return Fnv1a().add(s).value();
 }
 
 // Lane transforms: m = 2 side by side at stride 3, so the gaps between
@@ -129,7 +115,7 @@ std::uint64_t run_lane_pass_first(const Kernels& k) {
   Inputs in(6);
   auto d = in.vec(8 * 3 * 2 * W);  // n = 8
   k.lane_pass_first(d.data(), 8, 3, 2, -1.0);
-  return Hash().add(d).value();
+  return Fnv1a().add(d).value();
 }
 
 std::uint64_t run_lane_pass_radix4(const Kernels& k) {
@@ -137,7 +123,7 @@ std::uint64_t run_lane_pass_radix4(const Kernels& k) {
   auto d = in.vec(16 * 3 * 2 * W);  // n = 16, half = 2: two blocks
   const auto tw = in.vec(4), tw1 = in.vec(8);
   k.lane_pass_radix4(d.data(), 16, 3, 2, 2, tw.data(), tw1.data());
-  return Hash().add(d).value();
+  return Fnv1a().add(d).value();
 }
 
 std::uint64_t run_lane_pass_radix2(const Kernels& k) {
@@ -145,7 +131,7 @@ std::uint64_t run_lane_pass_radix2(const Kernels& k) {
   auto d = in.vec(8 * 3 * 2 * W);  // n = 8, half = 2: two blocks
   const auto tw = in.vec(4);
   k.lane_pass_radix2(d.data(), 8, 3, 2, 2, tw.data());
-  return Hash().add(d).value();
+  return Fnv1a().add(d).value();
 }
 
 // h = 5: two element pairs through the transposes, then the h == 1 style tail.
@@ -157,7 +143,7 @@ std::uint64_t run_lane_rows_in(const Kernels& k) {
   const auto bitrev = identity(5);
   auto s = in.vec(5 * 2 * W);
   k.lane_rows_in(x, 5, bitrev.data(), s.data());
-  return Hash().add(s).value();
+  return Fnv1a().add(s).value();
 }
 
 std::uint64_t run_lane_rfft_pack(const Kernels& k) {
@@ -165,7 +151,7 @@ std::uint64_t run_lane_rfft_pack(const Kernels& k) {
   auto s = in.vec(9 * 2 * W);  // h = 8
   const auto w = in.vec(16);
   k.lane_rfft_pack(s.data(), w.data(), 8);
-  return Hash().add(s).value();
+  return Fnv1a().add(s).value();
 }
 
 // nb = 2 blocks, three of four rows stored: row 3 of out keeps its input.
@@ -174,7 +160,7 @@ std::uint64_t run_lane_cols_in(const Kernels& k) {
   const auto s = in.vec(4 * 2 * 2 * W);
   auto out = in.vec(4 * 2 * 2 * W);
   k.lane_cols_in(s.data(), 2, 3, out.data());
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 // cols = 6: one whole block, then two columns of the next.
@@ -183,7 +169,7 @@ std::uint64_t run_lane_cols_out(const Kernels& k) {
   const auto row = in.vec(2 * 2 * W);
   auto out = in.vec(14);
   k.lane_cols_out(row.data(), 6, out.data());
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 std::uint64_t run_lane_rfft_unpack(const Kernels& k) {
@@ -193,7 +179,7 @@ std::uint64_t run_lane_rfft_unpack(const Kernels& k) {
   const auto bitrev = identity(8);
   auto out = in.vec(8 * 2 * W);
   k.lane_rfft_unpack(s.data(), w.data(), 8, 0.375, bitrev.data(), out.data());
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 std::uint64_t run_lane_rows_out(const Kernels& k) {
@@ -203,7 +189,7 @@ std::uint64_t run_lane_rows_out(const Kernels& k) {
   for (std::size_t l = 0; l < W; ++l) rows.push_back(in.vec(10));
   double* const out[W] = {rows[0].data(), rows[1].data(), rows[2].data(), rows[3].data()};
   k.lane_rows_out(s.data(), 5, 0.375, out);
-  Hash h;
+  Fnv1a h;
   for (const auto& r : rows) h.add(r);
   return h.value();
 }
@@ -216,7 +202,7 @@ std::uint64_t run_rot_rows(const Kernels& k) {
   auto p = in.vec(7), q = in.vec(7);
   const double c = in.next(), s = in.next();
   k.rot_rows(p.data(), q.data(), 7, c, s);
-  return Hash().add(p).add(q).value();
+  return Fnv1a().add(p).add(q).value();
 }
 
 std::uint64_t run_scale(const Kernels& k) {
@@ -224,7 +210,7 @@ std::uint64_t run_scale(const Kernels& k) {
   const auto x = in.vec(7);
   auto out = in.vec(7);
   k.scale(out.data(), x.data(), 7, in.next());
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 // m = 6 columns: one four-column block, then two single columns; k = 3.
@@ -234,7 +220,7 @@ std::uint64_t run_baccum_rows(const Kernels& k) {
   const auto x = in.vec(5 * W);   // ldx = 2
   const auto y = in.vec(20 * W);  // ldy = 7
   k.baccum_rows(acc.data(), x.data(), 2, y.data(), 7, 3, 6);
-  return Hash().add(acc).value();
+  return Fnv1a().add(acc).value();
 }
 
 std::uint64_t run_bscale(const Kernels& k) {
@@ -242,7 +228,7 @@ std::uint64_t run_bscale(const Kernels& k) {
   const auto x = in.vec(3 * W), alpha = in.vec(W);
   auto out = in.vec(3 * W);
   k.bscale(out.data(), x.data(), 3, alpha.data());
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 std::uint64_t run_bscale_shift(const Kernels& k) {
@@ -250,7 +236,7 @@ std::uint64_t run_bscale_shift(const Kernels& k) {
   const auto x = in.vec(3 * W), shift = in.vec(W);
   auto out = in.vec(3 * W);
   k.bscale_shift(out.data(), x.data(), 3, in.next(), shift.data());
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 // Four symmetric 5 x 5 problems: two converge, one skips its small pivots
@@ -274,7 +260,7 @@ std::uint64_t run_bjacobi_sweeps(const Kernels& k) {
   std::vector<std::uint8_t> converged(W, 2);
   k.bjacobi_sweeps(m.data(), vt.data(), n, 6, tol_sq.data(), skip_sq.data(), sweeps.data(),
                    off_sq.data(), converged.data());
-  return Hash().add(m).add(vt).add(sweeps).add(off_sq).add(converged).value();
+  return Fnv1a().add(m).add(vt).add(sweeps).add(off_sq).add(converged).value();
 }
 
 std::uint64_t run_axpy(const Kernels& k) {
@@ -282,7 +268,7 @@ std::uint64_t run_axpy(const Kernels& k) {
   const auto x = in.vec(7);
   auto out = in.vec(7);
   k.axpy(out.data(), x.data(), 7, in.next());
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 // alpha = 4, lim = 1/2: some products clamp, some do not.
@@ -291,7 +277,7 @@ std::uint64_t run_clamped_axpy(const Kernels& k) {
   const auto x = in.vec(7);
   auto out = in.vec(7);
   k.clamped_axpy(out.data(), x.data(), 7, 4.0, 0.5);
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 // 7 rows (a five-row tile, then two), n = 13 columns (a two-Vec tile, a
@@ -301,7 +287,7 @@ std::uint64_t run_matmul_rows(const Kernels& k) {
   const auto a = in.vec(7 * 4), b = in.vec(3 * 13);
   auto out = in.vec(7 * 13);
   k.matmul_rows(out.data(), a.data(), 4, 7, b.data(), 3, 13);
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 // Seven pairs (a whole step, then three lanes of the next), with the 64-bit
@@ -309,7 +295,7 @@ std::uint64_t run_matmul_rows(const Kernels& k) {
 std::uint64_t run_gaussian_pairs(const Kernels& k) {
   std::vector<double> out(2 * 7 + 1, -7.0);
   k.gaussian_pairs(out.data(), 7, 0xfffffffdull, 0x0123456789abcdefull, 0xfedcba9876543210ull);
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 // ---- SQG pointwise ----
@@ -323,7 +309,7 @@ std::uint64_t run_sqg_pass1(const Kernels& k) {
   auto ps = in.vec(10), lanes = in.vec(40);
   k.sqg_pass1(ps.data(), lanes.data(), t0.data(), t1.data(), th.data(), ik2.data(), ca2.data(),
               cb2.data(), kx2.data(), ky2.data(), 10);
-  return Hash().add(ps).add(lanes).value();
+  return Fnv1a().add(ps).add(lanes).value();
 }
 
 std::uint64_t run_sqg_jacobian(const Kernels& k) {
@@ -331,7 +317,7 @@ std::uint64_t run_sqg_jacobian(const Kernels& k) {
   const auto gu = in.vec(7), gv = in.vec(7), gtx = in.vec(7), gty = in.vec(7);
   auto gj = in.vec(7);
   k.sqg_jacobian(gj.data(), gu.data(), gv.data(), gtx.data(), gty.data(), 7);
-  return Hash().add(gj).value();
+  return Fnv1a().add(gj).value();
 }
 
 std::uint64_t run_sqg_combine(const Kernels& k) {
@@ -340,7 +326,7 @@ std::uint64_t run_sqg_combine(const Kernels& k) {
              op_p = in.vec(10);
   auto dth = in.vec(10);
   k.sqg_combine(dth.data(), th.data(), ps.data(), jc.data(), op_t.data(), op_p.data(), 10);
-  return Hash().add(dth).value();
+  return Fnv1a().add(dth).value();
 }
 
 std::uint64_t run_mul_inplace(const Kernels& k) {
@@ -348,7 +334,7 @@ std::uint64_t run_mul_inplace(const Kernels& k) {
   auto s = in.vec(7);
   const auto d2 = in.vec(7);
   k.mul_inplace(s.data(), d2.data(), 7);
-  return Hash().add(s).value();
+  return Fnv1a().add(s).value();
 }
 
 std::uint64_t run_add_scaled(const Kernels& k) {
@@ -356,7 +342,7 @@ std::uint64_t run_add_scaled(const Kernels& k) {
   const auto x = in.vec(7), y = in.vec(7);
   auto out = in.vec(7);
   k.add_scaled(out.data(), x.data(), y.data(), 7, in.next());
-  return Hash().add(out).value();
+  return Fnv1a().add(out).value();
 }
 
 std::uint64_t run_rk4_update(const Kernels& k) {
@@ -364,7 +350,7 @@ std::uint64_t run_rk4_update(const Kernels& k) {
   auto x = in.vec(7);
   const auto k1 = in.vec(7), k2 = in.vec(7), k3 = in.vec(7), k4 = in.vec(7);
   k.rk4_update(x.data(), k1.data(), k2.data(), k3.data(), k4.data(), 7, in.next());
-  return Hash().add(x).value();
+  return Fnv1a().add(x).value();
 }
 
 struct Entry {

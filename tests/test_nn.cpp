@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 
+#include "fnv1a.hpp"
 #include "nn/attention.hpp"
 #include "nn/layers.hpp"
 #include "nn/optim.hpp"
@@ -36,7 +37,6 @@ double probe_loss(Module& m, const Tensor& x, const Tensor& c) {
 /// Checks both input gradient and every parameter gradient of a module by
 /// central finite differences.
 void grad_check(Module& m, const Tensor& x, double tol = 1e-6, double eps = 1e-5) {
-  m.set_training(false);  // deterministic forward
   Rng crng(999);
   Tensor y0 = m.forward(x);
   Tensor c(y0.shape());
@@ -146,60 +146,9 @@ TEST(Gelu, GradCheck) {
   grad_check(g, x);
 }
 
-TEST(Dropout, IdentityInEval) {
-  Rng rng(6);
-  Dropout d(0.5, &rng);
-  d.set_training(false);
-  const Tensor x = random_tensor({3, 7}, rng);
-  const Tensor y = d.forward(x);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y.flat()[i], x.flat()[i]);
-}
-
-TEST(Dropout, DropsAboutPAndScales) {
-  Rng rng(7);
-  Dropout d(0.25, &rng);
-  d.set_training(true);
-  const Tensor x = Tensor::full({100, 100}, 1.0);
-  const Tensor y = d.forward(x);
-  int zeros = 0;
-  for (double v : y.flat()) {
-    if (v == 0.0) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(v, 1.0 / 0.75, 1e-12);
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 1e4, 0.25, 0.02);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Rng rng(8);
-  Dropout d(0.5, &rng);
-  d.set_training(true);
-  const Tensor x = Tensor::full({10, 10}, 1.0);
-  const Tensor y = d.forward(x);
-  const Tensor dx = d.backward(Tensor::full({10, 10}, 1.0));
-  for (std::size_t i = 0; i < y.size(); ++i) EXPECT_DOUBLE_EQ(dx.flat()[i], y.flat()[i]);
-}
-
-TEST(DropPath, ZeroesWholeSamples) {
-  Rng rng(9);
-  const std::size_t tokens = 4;
-  DropPath dp(0.5, tokens, &rng);
-  dp.set_training(true);
-  const Tensor x = Tensor::full({8 * tokens, 3}, 1.0);  // 8 samples
-  const Tensor y = dp.forward(x);
-  for (std::size_t s = 0; s < 8; ++s) {
-    const double v0 = y(s * tokens, 0);
-    for (std::size_t t = 0; t < tokens; ++t)
-      for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(y(s * tokens + t, j), v0);
-    EXPECT_TRUE(v0 == 0.0 || std::abs(v0 - 2.0) < 1e-12);
-  }
-}
-
 TEST(Attention, GradCheck) {
   Rng rng(10);
-  MultiHeadSelfAttention attn(8, 2, 3, 0.0, &rng);
+  MultiHeadSelfAttention attn(8, 2, 3, &rng);
   const Tensor x = random_tensor({2 * 3, 8}, rng);  // B=2, T=3
   grad_check(attn, x, 1e-5);
 }
@@ -209,8 +158,7 @@ TEST(Attention, TokenPermutationEquivariance) {
   // permutations within a sample.
   Rng rng(11);
   const std::size_t t = 4, c = 8;
-  MultiHeadSelfAttention attn(c, 2, t, 0.0, &rng);
-  attn.set_training(false);
+  MultiHeadSelfAttention attn(c, 2, t, &rng);
   const Tensor x = random_tensor({t, c}, rng);
   const Tensor y = attn.forward(x);
   // Swap tokens 1 and 2.
@@ -226,7 +174,7 @@ TEST(Attention, TokenPermutationEquivariance) {
 
 TEST(Mlp, GradCheck) {
   Rng rng(12);
-  Mlp mlp(6, 12, 0.0, &rng, "mlp");
+  Mlp mlp(6, 12, &rng, "mlp");
   const Tensor x = random_tensor({4, 6}, rng);
   grad_check(mlp, x, 1e-5);
 }
@@ -269,7 +217,6 @@ TEST(ViT, InitialModelIsIdentity) {
   cfg.heads = 4;
   cfg.depth = 2;
   ViT vit(cfg);
-  vit.set_training(false);
   Rng rng(15);
   const Tensor x = random_tensor({2, cfg.state_dim()}, rng);
   const Tensor y = vit.forward(x);
@@ -344,8 +291,6 @@ TEST(ViT, StateVectorRoundTrip) {
   b.load_state_vector(sv);
   Rng rng(17);
   const Tensor x = random_tensor({1, cfg.state_dim()}, rng);
-  a.set_training(false);
-  b.set_training(false);
   const Tensor ya = a.forward(x);
   const Tensor yb = b.forward(x);
   for (std::size_t i = 0; i < ya.size(); ++i) EXPECT_DOUBLE_EQ(ya.flat()[i], yb.flat()[i]);
@@ -370,16 +315,18 @@ TEST(ViT, SameBitsAtEverySimdLevel) {
   // nn's products run on the dispatched matmul_rows kernel, which has no FMA
   // variant, so one forward, backward and AdamW step on fixed inputs must
   // give the same output and parameter bits at every SIMD level. The shapes
-  // put the MLP products above gemm's row-partition threshold.
+  // put the MLP products above gemm's row-partition threshold. The bits are
+  // also pinned to a constant recorded before the regularizers (dropout,
+  // stochastic depth, attention dropout) were removed, with their rates at 0:
+  // at rate 0 each returned its input and drew nothing from the RNG. An FMA
+  // build (TURBDA_NATIVE) may contract the layers' own multiply-adds, so
+  // there the levels agree with each other but not with the constant.
   VitConfig cfg;
   cfg.image = 32;
   cfg.patch = 4;
   cfg.embed_dim = 32;
   cfg.heads = 4;
   cfg.depth = 2;
-  cfg.dropout = 0.1;
-  cfg.droppath = 0.1;
-  cfg.attn_dropout = 0.1;
   cfg.seed = 31;
   Rng rng(32);
   const Tensor x = random_tensor({4, cfg.state_dim()}, rng);
@@ -416,6 +363,9 @@ TEST(ViT, SameBitsAtEverySimdLevel) {
         << simd::simd_level_name(lv) << " differs from scalar";
   }
   simd::force_simd_level(orig);
+#if !defined(__FMA__)
+  EXPECT_EQ(Fnv1a().add(ref).value(), 0xe7cd9efd0cfbb8f8ull);
+#endif
 }
 
 TEST(AdamW, MinimizesQuadratic) {
@@ -450,13 +400,6 @@ TEST(AdamW, WeightDecayShrinks) {
     opt.step();
   }
   for (std::size_t i = 0; i < 4; ++i) EXPECT_LT(w.value(i), 1.0);
-}
-
-TEST(AdamW, StateSizeIsTwiceParams) {
-  Param w("w");
-  w.reset_shape({10});
-  AdamW opt({&w}, AdamWConfig{});
-  EXPECT_EQ(opt.state_size(), 20u);
 }
 
 TEST(Optim, ClipGradNorm) {
@@ -536,35 +479,6 @@ TEST(Surrogate, LearnsLinearShiftDynamics) {
   SurrogateTrainer trainer(vit, sc, AdamWConfig{.lr = 3e-3});
   const auto losses = trainer.fit(xs, ys, /*epochs=*/30, /*batch=*/16, 3e-3, rng);
   EXPECT_LT(losses.back(), 0.35 * losses.front());
-}
-
-TEST(Surrogate, ForecastBatchMatchesSingle) {
-  VitConfig cfg;
-  cfg.image = 8;
-  cfg.patch = 4;
-  cfg.embed_dim = 8;
-  cfg.heads = 2;
-  cfg.depth = 1;
-  cfg.seed = 23;
-  auto vit = std::make_shared<ViT>(cfg);
-  Rng rng(24);
-  for (Param* p : vit->parameters())
-    if (p->name == "head.weight") init_trunc_normal(p->value, 0.05, rng);
-  FieldScaler sc;  // identity-ish default
-  SurrogateForecast f(vit, sc);
-
-  Tensor batch({3, cfg.state_dim()});
-  rng.fill_gaussian(batch.flat());
-  std::vector<std::vector<double>> singles;
-  for (std::size_t s = 0; s < 3; ++s) {
-    std::vector<double> v(batch.row(s).begin(), batch.row(s).end());
-    f.forecast(v);
-    singles.push_back(std::move(v));
-  }
-  f.forecast_batch(batch);
-  for (std::size_t s = 0; s < 3; ++s)
-    for (std::size_t i = 0; i < cfg.state_dim(); ++i)
-      EXPECT_NEAR(batch(s, i), singles[s][i], 1e-10);
 }
 
 TEST(OnlineTrainer, BufferAndStepsRun) {
