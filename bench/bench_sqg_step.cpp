@@ -1,20 +1,23 @@
 // SQG forecast hot-path bench: times the real-FFT pair, the tendency's
-// Jacobian spectrum (per-field: four pruned inverses, the grid product and
-// a pruned forward; fused: one Fft2D::product_half_pruned_lanes call), the
-// spectral tendency, and the full RK4 step at n = 64/128/256 on one thread,
-// plus the member-parallel ensemble forecast (the paper's throughput axis)
-// across thread counts. Reports the active FFT SIMD dispatch level (scalar /
-// avx2 / avx2fma) and per-row hardware context, emits a machine-readable
-// BENCH_sqg.json so later PRs can track the perf trajectory, and verifies
-// that the fused Jacobian spectrum is bitwise the per-field one and that
-// every multi-threaded ensemble forecast is bitwise identical to the serial
-// one.
+// Jacobian spectrum (per-field: four double pruned inverses, the double grid
+// product and a pruned forward; fused: one single-precision
+// Fft2D::product_half_pruned_lanes call), the spectral tendency, and the
+// full RK4 step at n = 64/128/256 on one thread, plus the member-parallel
+// ensemble forecast (the paper's throughput axis) across thread counts.
+// Reports the active FFT SIMD dispatch level (scalar / avx2 / avx2fma) and
+// per-row hardware context, emits a machine-readable BENCH_sqg.json so later
+// PRs can track the perf trajectory, and exits 1 unless the fused Jacobian
+// spectrum is bitwise the same at the scalar and avx2 levels and within
+// kFusedRelBound of the per-field one, and every multi-threaded ensemble
+// forecast is bitwise identical to the serial one.
 //
 //   build/bench_sqg_step [--sizes=64,128,256] [--threads=1,<hw>]
 //                        [--members=20] [--reps=3] [--json=BENCH_sqg.json]
 //                        [--smoke]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <complex>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -63,12 +66,19 @@ double best_ms(int reps, int iters, F&& fn) {
   return best;
 }
 
+/// Largest |fused - per-field| over the largest |per-field| bin the fused
+/// Jacobian spectrum may show: float rounding through two 2-D transforms
+/// and the product. Measured 1.2e-7 to 1.3e-7 here at n = 32..256 (and up
+/// to 3.4e-7 on the random spectra of Fft2dLanes.WithinFloatBoundOfPerField).
+constexpr double kFusedRelBound = 1e-6;
+
 /// Single-thread kernel timings at one grid size.
 struct Kernels {
   double fft_half_ms = 0.0;   // forward_half + inverse_half
-  double jac_field_ms = 0.0;  // four inverse_half_pruned, sqg_jacobian, forward_half_pruned
+  double jac_field_ms = 0.0;  // four inverse_half_pruned, grid product, forward_half_pruned
   double jac_fused_ms = 0.0;  // one product_half_pruned_lanes call, input restore included
-  bool jac_bitwise = true;    // fused spectrum == per-field spectrum
+  double jac_rel_err = 0.0;   // max |fused - per-field| / max |per-field|
+  bool jac_levels_bitwise = true;  // fused spectrum: scalar == avx2
   double tendency_ms = 0.0;
   double step_ms = 0.0;
 };
@@ -143,13 +153,12 @@ int main(int argc, char** argv) {
     // spectra, per-field vs fused. The fused call consumes its input, so its
     // timing includes restoring the lane buffer from a copy.
     const std::size_t kc = model.kcut();
-    const auto jacobian = simd::active_kernels().sqg_jacobian;
     std::vector<std::vector<fft::Cplx>> spec4(simd::kLaneBatch,
                                               std::vector<fft::Cplx>(fft.half_size()));
     std::vector<std::vector<double>> field4(simd::kLaneBatch, std::vector<double>(nn));
     std::vector<double> gj(nn);
     std::vector<fft::Cplx> jac_field(fft.half_size()), jac_fused(fft.half_size());
-    simd::LaneBuffer lanes0(2 * simd::kLaneBatch * fft.half_size()), lanes(lanes0.size());
+    simd::FloatLaneBuffer lanes0(2 * simd::kLaneBatch * fft.half_size()), lanes(lanes0.size());
     for (std::size_t l = 0; l < simd::kLaneBatch; ++l) {
       const std::size_t at = (l % 2) * nn;
       std::vector<double> g(theta.begin() + static_cast<long>(at),
@@ -158,23 +167,40 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < nn; ++i) g[i] = g[(i + n + 1) % nn] * g[i];
       fft.forward_half_pruned(g, spec4[l], kc);
       for (std::size_t p = 0; p < fft.half_size(); ++p) {
-        lanes0[2 * simd::kLaneBatch * p + l] = spec4[l][p].real();
-        lanes0[2 * simd::kLaneBatch * p + simd::kLaneBatch + l] = spec4[l][p].imag();
+        lanes0[2 * simd::kLaneBatch * p + l] = static_cast<float>(spec4[l][p].real());
+        lanes0[2 * simd::kLaneBatch * p + simd::kLaneBatch + l] =
+            static_cast<float>(spec4[l][p].imag());
       }
     }
     k.jac_field_ms = best_ms(reps, fft_iters, [&] {
       for (std::size_t l = 0; l < simd::kLaneBatch; ++l)
         fft.inverse_half_pruned(spec4[l], field4[l], kc);
-      jacobian(gj.data(), field4[0].data(), field4[1].data(), field4[2].data(), field4[3].data(),
-               nn);
+      for (std::size_t i = 0; i < nn; ++i)
+        gj[i] = field4[0][i] * field4[2][i] + field4[1][i] * field4[3][i];
       fft.forward_half_pruned(gj, jac_field, kc);
     });
-    k.jac_fused_ms = best_ms(reps, fft_iters, [&] {
+    const auto fused = [&](std::vector<fft::Cplx>& out) {
       std::copy(lanes0.begin(), lanes0.end(), lanes.begin());
-      fft.product_half_pruned_lanes(lanes, jacobian, jac_fused, kc);
-    });
-    k.jac_bitwise = std::memcmp(jac_field.data(), jac_fused.data(),
-                                jac_field.size() * sizeof(fft::Cplx)) == 0;
+      fft.product_half_pruned_lanes(lanes, simd::active_kernels().sqg_jacobian, out, kc);
+    };
+    k.jac_fused_ms = best_ms(reps, fft_iters, [&] { fused(jac_fused); });
+    double err = 0.0, mag = 0.0;
+    for (std::size_t p = 0; p < jac_field.size(); ++p) {
+      err = std::max(err, std::abs(jac_fused[p] - jac_field[p]));
+      mag = std::max(mag, std::abs(jac_field[p]));
+    }
+    k.jac_rel_err = err / mag;
+    if (simd::simd_level_available(simd::SimdLevel::Avx2)) {
+      const simd::SimdLevel level = simd::active_simd_level();
+      std::vector<fft::Cplx> at_scalar(fft.half_size()), at_avx2(fft.half_size());
+      simd::force_simd_level(simd::SimdLevel::Scalar);
+      fused(at_scalar);
+      simd::force_simd_level(simd::SimdLevel::Avx2);
+      fused(at_avx2);
+      simd::force_simd_level(level);
+      k.jac_levels_bitwise = std::memcmp(at_scalar.data(), at_avx2.data(),
+                                         at_scalar.size() * sizeof(fft::Cplx)) == 0;
+    }
 
     // Spectral tendency (the RK4 inner kernel).
     std::vector<fft::Cplx> tspec(model.spec_dim()), tout(model.spec_dim());
@@ -234,12 +260,18 @@ int main(int argc, char** argv) {
   t.print();
 
   bool all_bitwise = true, fused_bitwise = true;
+  double fused_err = 0.0;
   for (const auto& r : results) {
     all_bitwise = all_bitwise && r.bitwise;
-    fused_bitwise = fused_bitwise && r.kernels.jac_bitwise;
+    fused_bitwise = fused_bitwise && r.kernels.jac_levels_bitwise;
+    fused_err = std::max(fused_err, r.kernels.jac_rel_err);
   }
-  std::cout << "\nFused Jacobian spectra bitwise identical to per-field: "
+  const bool fused_close = fused_err <= kFusedRelBound;
+  std::cout << "\nFused Jacobian spectra bitwise identical at scalar and avx2: "
             << (fused_bitwise ? "yes" : "NO") << "\n";
+  std::cout << "Fused Jacobian spectra within " << kFusedRelBound
+            << " of per-field (largest relative difference " << fused_err
+            << "): " << (fused_close ? "yes" : "NO") << "\n";
   std::cout << "Multi-threaded ensemble forecasts bitwise identical to 1 thread: "
             << (all_bitwise ? "yes" : "NO") << "\n";
 
@@ -258,7 +290,8 @@ int main(int argc, char** argv) {
       js << ", \"fft_half_pair_ms\": " << r.kernels.fft_half_ms
          << ", \"jacobian_field_ms\": " << r.kernels.jac_field_ms
          << ", \"jacobian_fused_ms\": " << r.kernels.jac_fused_ms
-         << ", \"jacobian_bitwise\": " << (r.kernels.jac_bitwise ? "true" : "false")
+         << ", \"jacobian_rel_err\": " << r.kernels.jac_rel_err
+         << ", \"jacobian_levels_bitwise\": " << (r.kernels.jac_levels_bitwise ? "true" : "false")
          << ", \"tendency_ms\": " << r.kernels.tendency_ms
          << ", \"rk4_step_ms\": " << r.kernels.step_ms;
     }
@@ -268,5 +301,5 @@ int main(int argc, char** argv) {
   }
   js << "  ]\n}\n";
   std::cout << "Machine-readable timings written to " << json_path << ".\n";
-  return all_bitwise && fused_bitwise ? 0 : 1;
+  return all_bitwise && fused_bitwise && fused_close ? 0 : 1;
 }

@@ -372,7 +372,10 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   const double inv_m = 1.0 / static_cast<double>(m);
   const double inv_m1 = 1.0 / static_cast<double>(m - 1);
   std::vector<double> xbar(d, 0.0), prior_sd(rtps ? d : 0);
-  Tensor xbT({d, m});
+  if (xT_.size() < d * m) xT_.resize(d * m);
+  const auto xbT = [x = xT_.data(), m](std::size_t g, std::size_t k) -> double& {
+    return x[g * m + k];
+  };
   parallel::parallel_for(
       d,
       [&](std::size_t b, std::size_t e) {
@@ -428,8 +431,10 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
         4096, cfg_.n_threads);
   }
 
-  // Output analysis, column-major like xbT.
-  Tensor xaT({d, m});
+  // Output analysis, in place of xbT: a column's row is read only by the
+  // combine or keep_forecast that then writes it, once, by the chunk that
+  // owns the column.
+  const auto& xaT = xbT;
   const double sqm1 = std::sqrt(static_cast<double>(m - 1));
   const auto keep_forecast = [&](std::size_t g) {
     for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xbar[g] + xbT(g, k);

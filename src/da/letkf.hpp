@@ -56,6 +56,7 @@
 // identity transform to its neighbours.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 
 #include "da/filter.hpp"
@@ -170,6 +171,10 @@ class LETKF final : public Filter {
   /// True when a cached plan for some network is currently held (tests).
   [[nodiscard]] bool has_plan() const { return plan_ != nullptr; }
 
+  /// Overwrites the work tensor kept across analyses with v (tests: an
+  /// analysis must never read what an earlier one left there).
+  void poison_work(double v) { std::fill(xT_.begin(), xT_.end(), v); }
+
  private:
   struct Plan;
 
@@ -183,6 +188,11 @@ class LETKF final : public Filter {
   LetkfConfig cfg_;
   std::unique_ptr<Plan> plan_;
   LetkfTimings timings_;
+  // Column-major d x m prior perturbations, overwritten in place by the
+  // analysis. It only grows, so an analysis pays no zero fill or
+  // first-touch page faults for it; each analysis writes every element
+  // before reading it.
+  std::vector<double> xT_;
 };
 
 }  // namespace turbda::da

@@ -11,7 +11,17 @@ namespace turbda::fft {
 
 namespace {
 
-constexpr std::size_t kLaneElem = 2 * simd::kLaneBatch;  // doubles per lane-batched element
+constexpr std::size_t kLaneElem = 2 * simd::kLaneBatch;  // floats per lane-batched element
+
+/// Interleaved (re, im) float copy of a complex double table.
+std::vector<float> to_float(const std::vector<Cplx>& w) {
+  std::vector<float> out(2 * w.size());
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    out[2 * k] = static_cast<float>(w[k].real());
+    out[2 * k + 1] = static_cast<float>(w[k].imag());
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -30,6 +40,8 @@ Fft1D::Fft1D(std::size_t n) : n_(n) {
   }
   stage_fwd_.resize(static_cast<std::size_t>(log2n_) + 1);
   stage_inv_.resize(static_cast<std::size_t>(log2n_) + 1);
+  lane_fwd_.resize(stage_fwd_.size());
+  lane_inv_.resize(stage_inv_.size());
   for (int s = 3; s <= log2n_; ++s) {
     const std::size_t len = std::size_t{1} << s;
     const std::size_t half = len / 2;
@@ -42,6 +54,8 @@ Fft1D::Fft1D(std::size_t n) : n_(n) {
       fwd[k] = Cplx(std::cos(ang), std::sin(ang));
       inv[k] = std::conj(fwd[k]);
     }
+    lane_fwd_[static_cast<std::size_t>(s)] = to_float(fwd);
+    lane_inv_[static_cast<std::size_t>(s)] = to_float(inv);
   }
 }
 
@@ -93,7 +107,7 @@ void Fft1D::transform(std::span<Cplx> x, bool inverse) const {
   }
 }
 
-void Fft1D::transform_lanes(double* d, std::size_t stride, std::size_t m, bool inverse) const {
+void Fft1D::transform_lanes(float* d, std::size_t stride, std::size_t m, bool inverse) const {
   const std::size_t es = kLaneElem * stride;
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t j = bitrev_[i];
@@ -102,25 +116,23 @@ void Fft1D::transform_lanes(double* d, std::size_t stride, std::size_t m, bool i
   stages_lanes(d, stride, m, inverse);
 }
 
-void Fft1D::stages_lanes(double* d, std::size_t stride, std::size_t m, bool inverse) const {
+void Fft1D::stages_lanes(float* d, std::size_t stride, std::size_t m, bool inverse) const {
   if (n_ == 1) return;
   const std::size_t es = kLaneElem * stride;
   const simd::Kernels& kr = simd::active_kernels();
   if (n_ == 2) {
     for (std::size_t c = 0; c < kLaneElem * m; ++c) {
-      const double u = d[c], t = d[es + c];
+      const float u = d[c], t = d[es + c];
       d[c] = u + t;
       d[es + c] = u - t;
     }
   } else {
-    kr.lane_pass_first(d, n_, stride, m, inverse ? 1.0 : -1.0);
+    kr.lane_pass_first(d, n_, stride, m, inverse ? 1.0f : -1.0f);
   }
   // The stage sequence of transform(): fused radix-2^2 pairs, then the odd
   // stage.
-  const auto& stages = inverse ? stage_inv_ : stage_fwd_;
-  const auto tw = [&stages](int s) {
-    return reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
-  };
+  const auto& stages = inverse ? lane_inv_ : lane_fwd_;
+  const auto tw = [&stages](int s) { return stages[static_cast<std::size_t>(s)].data(); };
   int s = 3;
   for (; s + 1 <= log2n_; s += 2)
     kr.lane_pass_radix4(d, n_, stride, m, std::size_t{1} << (s - 1), tw(s), tw(s + 1));
@@ -153,6 +165,7 @@ Rfft1D::Rfft1D(std::size_t n) : n_(n), h_(n / 2), half_(rfft_half_length(n)) {
     const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
     w_[k] = Cplx(std::cos(ang), std::sin(ang));
   }
+  lane_w_ = to_float(w_);
 }
 
 void Rfft1D::forward(std::span<const double> x, std::span<Cplx> spec) const {
@@ -187,20 +200,26 @@ void Rfft1D::inverse_inplace(std::span<Cplx> spec, std::span<double> x) const {
   }
 }
 
-void Rfft1D::forward_lanes(const double* const* x, double* spec) const {
+void Rfft1D::forward_lanes(const float* const* x, float* spec) const {
   const simd::Kernels& kr = simd::active_kernels();
   kr.lane_rows_in(x, h_, half_.bitrev_.data(), spec);
   half_.stages_lanes(spec, 1, 1, /*inverse=*/false);
-  kr.lane_rfft_pack(spec, reinterpret_cast<const double*>(w_.data()), h_);
+  kr.lane_rfft_pack(spec, lane_w_.data(), h_);
 }
 
-void Rfft1D::inverse_lanes(const double* spec, double pre_scale, double* work,
-                           double* const* x) const {
+void Rfft1D::inverse_lanes(const float* spec, std::size_t rs, std::size_t count,
+                           std::size_t cols, float pre_scale, float* work,
+                           float* const* x) const {
   const simd::Kernels& kr = simd::active_kernels();
-  kr.lane_rfft_unpack(spec, reinterpret_cast<const double*>(w_.data()), h_, pre_scale,
-                      half_.bitrev_.data(), work);
-  half_.stages_lanes(work, 1, 1, /*inverse=*/true);
-  kr.lane_rows_out(work, h_, h_ > 1 ? 1.0 / static_cast<double>(h_) : 1.0, x);
+  // The half-length inverse's 1/h rides on the split's scale (h is a power
+  // of two, so the product is exact).
+  const float scale = h_ > 1 ? pre_scale / static_cast<float>(h_) : pre_scale;
+  for (std::size_t r = 0; r < count; ++r)
+    kr.lane_rfft_unpack(spec + r * rs, lane_w_.data(), h_, cols, scale, half_.bitrev_.data(),
+                        count, work + r * kLaneElem);
+  half_.stages_lanes(work, count, count, /*inverse=*/true);
+  for (std::size_t r = 0; r < count; ++r)
+    kr.lane_rows_out(work + r * kLaneElem, count, h_, x + simd::kLaneBatch * r);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,8 +230,10 @@ void Rfft1D::inverse_lanes(const double* spec, double pre_scale, double* work,
 namespace {
 
 constexpr std::size_t kTransposeBlock = 32;  // 16 KiB src + 16 KiB dst tiles
-constexpr unsigned kAllLanes = (1u << simd::kLaneBatch) - 1;
 constexpr std::size_t kLaneColumns = 4;  // lane transforms per column-pass kernel call
+// Float rows of the product transform's scratch: four grid rows of each of
+// four spectrum rows, and four product rows.
+constexpr std::size_t kProductRows = (simd::kLaneBatch + 1) * simd::kLaneBatch;
 
 /// Transposes `src` (r x c, row stride `ls`) into `dst` (c x r, row stride
 /// `lds`).
@@ -244,34 +265,31 @@ void batch_inverse(Cplx* data, std::size_t count, std::size_t len, const Fft1D& 
   }
 }
 
-/// Bit l set when lane l of the column (n elements, `es` doubles apart)
-/// holds an entry other than ±0.
-unsigned live_lanes(const double* col, std::size_t n, std::size_t es) {
-  unsigned live = 0;
-  for (std::size_t i = 0; i < n && live != kAllLanes; ++i) {
-    const double* e = col + i * es;
-    for (std::size_t l = 0; l < simd::kLaneBatch; ++l)
-      if (e[l] != 0.0 || e[simd::kLaneBatch + l] != 0.0) live |= 1u << l;
-  }
-  return live;
+/// True when every entry of the n points (`es` floats apart, `w` floats
+/// each) is ±0.
+bool all_zero_points(const float* d, std::size_t n, std::size_t es, std::size_t w) {
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < w; ++c)
+      if (d[i * es + c] != 0.0f) return false;
+  return true;
 }
 
-/// Per-thread scratch: two buffers, 64-byte aligned so no lane element
-/// straddles a cache line, each with one use at a time. `a` holds the
-/// per-field inverse's row spectra, or the lane forward's column buffer and
-/// lane row spectrum. `b` holds the inverse's transposed columns, a column
-/// group's saved lanes, or the product transform's grid rows and
-/// half-length row transform.
+/// Per-thread scratch, 64-byte aligned so no lane element straddles a cache
+/// line. The per-field inverse uses `a` (its row spectra) and `b` (its
+/// transposed columns); the lane paths use `fa` (the forward's column
+/// buffer and lane row spectrum) and `fb` (the forward's float grid rows,
+/// or the product transform's grid rows, product rows and half-length row
+/// transform).
 struct Scratch {
-  using Buffer = std::vector<Cplx, simd::LaneAllocator<Cplx>>;
-  Buffer a, b;
+  template <class T>
+  using Buffer = std::vector<T, simd::LaneAllocator<T>>;
+  Buffer<Cplx> a, b;
+  Buffer<float> fa, fb;
 
-  static Cplx* cplx(Buffer& buf, std::size_t n) {
+  template <class T>
+  static T* get(Buffer<T>& buf, std::size_t n) {
     if (buf.size() < n) buf.resize(n);
     return buf.data();
-  }
-  static double* doubles(Buffer& buf, std::size_t n) {
-    return reinterpret_cast<double*>(cplx(buf, (n + 1) / 2));
   }
 };
 
@@ -283,12 +301,10 @@ Scratch& scratch(std::size_t n0, std::size_t n1) {
   thread_local Scratch s;
   const std::size_t nh = n1 / 2 + 1;
   const std::size_t nb = (nh + simd::kLaneBatch - 1) / simd::kLaneBatch;  // unpruned blocks
-  // In Cplx: the inverse's rows; the forward's column buffer and row spectrum.
-  s.a.reserve(std::max(n0 * nh, (n0 + simd::kLaneBatch) * nb * kLaneElem / 2));
-  // The inverse's columns; a saved column group; four grid, four product
-  // and one work row.
-  s.b.reserve(std::max({n0 * nh, n0 * kLaneColumns * kLaneElem / 2,
-                        (2 * simd::kLaneBatch * n1 + kLaneElem * (n1 / 2)) / 2}));
+  s.a.reserve(n0 * nh);
+  s.b.reserve(n0 * nh);
+  s.fa.reserve((n0 + simd::kLaneBatch) * nb * kLaneElem);
+  s.fb.reserve(kProductRows * n1 + simd::kLaneBatch * kLaneElem * (n1 / 2));
   return s;
 }
 
@@ -297,52 +313,22 @@ Scratch& scratch(std::size_t n0, std::size_t n1) {
 Fft2D::Fft2D(std::size_t n0, std::size_t n1) : n0_(n0), n1_(n1), col_(n0), rrow_(n1) {}
 
 // ---------------------------------------------------------------------------
-// The lane forward: rows r2c four at a time (one row per lane, samples stored
-// straight into their bit-reversed slots), one 4x4 transpose per column
-// block into the compact buffer of the min(kcut, n1/2) + 1 retained columns,
-// the columns in place on lanes, and one de-interleaving store. The pruned
-// forward masks |my| > kcut rows for free while writing the packed output.
+// The lane forward, in single precision: rows r2c four at a time (one row
+// per lane, samples stored straight into their bit-reversed slots), one
+// in-half 4x4 transpose per column block into the compact buffer of the
+// min(kcut, n1/2) + 1 retained columns, the columns in place on lanes, and
+// one widening de-interleaving store. The pruned forward masks |my| > kcut
+// rows for free while writing the packed output.
 // ---------------------------------------------------------------------------
 
-void Fft2D::column_lanes(double* d, std::size_t stride, std::size_t count, bool inverse) const {
+void Fft2D::column_lanes(float* d, std::size_t stride, std::size_t count, bool inverse) const {
   if (n0_ == 1) return;
-  // An all-±0 column keeps its bits: the per-field inverse and the
-  // forward's row-column definition never transform it. A group with no
-  // live lane is skipped; lanes transformed alongside live ones are
-  // restored from a copy afterwards: column mx = 0 of the two
-  // i kx-derivatives in the product transform's inverse, or every column
-  // but mx = 0 of a field constant along x in the forward. The 8 x 2 plan
-  // at kcut 4 needs the restore: with theta_x and theta_y all ±0, the
-  // product's zero signs come from the dead lanes, and without it they
-  // differ from the per-field transforms' at every dispatch level
-  // (Fft2dLanes.MatchesPerFieldBitwiseAtEveryLevel).
-  const std::size_t es = kLaneElem * stride;           // doubles between a column's points
-  const std::size_t block = kLaneElem * kLaneColumns;  // doubles per saved group row
-  double* saved = Scratch::doubles(scratch(n0_, n1_).b, n0_ * block);
+  const std::size_t es = kLaneElem * stride;  // floats between a column's points
   for (std::size_t j0 = 0; j0 < count; j0 += kLaneColumns) {
     const std::size_t m = std::min(kLaneColumns, count - j0);
-    double* blk = d + j0 * kLaneElem;
-    unsigned live[kLaneColumns] = {};
-    bool any = false, all = true;
-    for (std::size_t c = 0; c < m; ++c) {
-      live[c] = live_lanes(blk + c * kLaneElem, n0_, es);
-      any = any || live[c] != 0;
-      all = all && live[c] == kAllLanes;
-    }
-    if (!any) continue;
-    if (!all)
-      for (std::size_t i = 0; i < n0_; ++i)
-        std::copy(blk + i * es, blk + i * es + m * kLaneElem, saved + i * block);
-    col_.transform_lanes(blk, stride, m, inverse);
-    if (!all)
-      for (std::size_t i = 0; i < n0_; ++i)
-        for (std::size_t c = 0; c < m; ++c)
-          for (std::size_t l = 0; l < simd::kLaneBatch; ++l)
-            if (!(live[c] & (1u << l))) {
-              const std::size_t at = c * kLaneElem + l;
-              blk[i * es + at] = saved[i * block + at];
-              blk[i * es + at + simd::kLaneBatch] = saved[i * block + at + simd::kLaneBatch];
-            }
+    float* blk = d + j0 * kLaneElem;
+    if (!all_zero_points(blk, n0_, es, m * kLaneElem))
+      col_.transform_lanes(blk, stride, m, inverse);
   }
 }
 
@@ -352,15 +338,15 @@ void Fft2D::forward_lanes(Rows&& rows, std::span<Cplx> hspec, std::size_t kcut) 
   const std::size_t nh = half_cols();
   const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
   const std::size_t nb = (cols + simd::kLaneBatch - 1) / simd::kLaneBatch;  // column blocks
-  const std::size_t cs = kLaneElem * nb;  // doubles per column-buffer row
+  const std::size_t cs = kLaneElem * nb;  // floats per column-buffer row
   const std::size_t spec_elems = std::max(nh, simd::kLaneBatch * nb);
-  double* colbuf = Scratch::doubles(scratch(n0_, n1_).a, n0_ * cs + kLaneElem * spec_elems);
-  double* spec = colbuf + n0_ * cs;
+  float* colbuf = Scratch::get(scratch(n0_, n1_).fa, n0_ * cs + kLaneElem * spec_elems);
+  float* spec = colbuf + n0_ * cs;
   // The last block's columns past n1/2 read +0 (their lanes are discarded).
-  std::fill(spec + kLaneElem * nh, spec + kLaneElem * spec_elems, 0.0);
+  std::fill(spec + kLaneElem * nh, spec + kLaneElem * spec_elems, 0.0f);
   for (std::size_t i0 = 0; i0 < n0_; i0 += simd::kLaneBatch) {
     const std::size_t nrows = std::min(simd::kLaneBatch, n0_ - i0);
-    const double* x[simd::kLaneBatch];
+    const float* x[simd::kLaneBatch];
     rows(i0, nrows, x);
     for (std::size_t r = nrows; r < simd::kLaneBatch; ++r) x[r] = x[nrows - 1];  // n0 < 4
     rrow_.forward_lanes(x, spec);
@@ -388,17 +374,24 @@ void Fft2D::forward_half_pruned(std::span<const double> grid, std::span<Cplx> hs
   TURBDA_REQUIRE(grid.size() == n0_ * n1_ && hspec.size() == half_size(),
                  "forward_half: wrong buffer sizes (" << grid.size() << ", " << hspec.size()
                                                       << ")");
+  // Each batch's grid rows are rounded to float on entry.
+  float* rows_f = Scratch::get(scratch(n0_, n1_).fb, simd::kLaneBatch * n1_);
   forward_lanes(
-      [&](std::size_t i0, std::size_t nrows, const double** x) {
-        for (std::size_t r = 0; r < nrows; ++r) x[r] = grid.data() + (i0 + r) * n1_;
+      [&](std::size_t i0, std::size_t nrows, const float** x) {
+        for (std::size_t r = 0; r < nrows; ++r) {
+          const double* g = grid.data() + (i0 + r) * n1_;
+          float* row = rows_f + r * n1_;
+          for (std::size_t j = 0; j < n1_; ++j) row[j] = static_cast<float>(g[j]);
+          x[r] = row;
+        }
       },
       hspec, kcut);
 }
 
 // ---------------------------------------------------------------------------
-// Per-field inverse: cache-blocked transpose of the first min(kcut, n1/2) + 1
-// columns, their column FFTs, transpose back, row c2r. The pruned inverse
-// never touches the column transforms of truncated bins.
+// Per-field inverse (double): cache-blocked transpose of the first
+// min(kcut, n1/2) + 1 columns, their column FFTs, transpose back, row c2r.
+// The pruned inverse never touches the column transforms of truncated bins.
 // ---------------------------------------------------------------------------
 
 void Fft2D::inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
@@ -411,11 +404,11 @@ void Fft2D::inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> g
   const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
   Scratch& sc = scratch(n0_, n1_);
 
-  Cplx* tbuf = Scratch::cplx(sc.b, cols * n0_);
+  Cplx* tbuf = Scratch::get(sc.b, cols * n0_);
   transpose_blocked(hspec.data(), nh, tbuf, n0_, n0_, cols);
   batch_inverse(tbuf, cols, n0_, col_);
 
-  Cplx* hbuf = Scratch::cplx(sc.a, n0_ * nh);
+  Cplx* hbuf = Scratch::get(sc.a, n0_ * nh);
   if (cols < nh) {  // truncated tail bins are identically zero
     for (std::size_t i = 0; i < n0_; ++i)
       std::fill(hbuf + i * nh + cols, hbuf + (i + 1) * nh, Cplx(0.0, 0.0));
@@ -427,17 +420,19 @@ void Fft2D::inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> g
 }
 
 // ---------------------------------------------------------------------------
-// Fused product transform: four half spectra in one lane-interleaved buffer.
-// The column pass runs in place down the strided columns (no transposes),
-// kLaneColumns adjacent columns per kernel call. Each row then goes through
-// the lane Rfft1D split (into bit-reversed slots), the half-length transform
-// and the de-interleaving store into four grid rows, and the caller's
-// product of those rows fills one product row; every four product rows
+// Fused product transform, in single precision: four half spectra in one
+// lane-interleaved buffer. The column pass runs in place down the strided
+// columns (no transposes), kLaneColumns adjacent columns per kernel call.
+// Every four spectrum rows then go through the lane Rfft1D split (into
+// bit-reversed slots, the four rows side by side; the truncated bins read
+// as +0 without being loaded), one half-length stage sequence and the
+// de-interleaving stores into sixteen grid rows; the caller's product of
+// each row's four fields fills one product row, and the four product rows
 // enter the lane forward. The column transform's 1/n0 factor is applied by
-// the row split as it loads each element.
+// the row split.
 // ---------------------------------------------------------------------------
 
-void Fft2D::product_half_pruned_lanes(std::span<double> lanes, RowProduct row_product,
+void Fft2D::product_half_pruned_lanes(std::span<float> lanes, RowProduct row_product,
                                       std::span<Cplx> hspec, std::size_t kcut) const {
   TURBDA_SPAN("fft.half_product_lanes");
   TURBDA_REQUIRE(lanes.size() == kLaneElem * half_size() && hspec.size() == half_size(),
@@ -446,29 +441,26 @@ void Fft2D::product_half_pruned_lanes(std::span<double> lanes, RowProduct row_pr
                      << kLaneElem * half_size() << ", " << half_size() << ")");
   const std::size_t nh = half_cols();
   const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
-  const std::size_t rs = kLaneElem * nh;  // doubles per spectrum row
-  double* d = lanes.data();
+  const std::size_t rs = kLaneElem * nh;  // floats per spectrum row
+  float* d = lanes.data();
   column_lanes(d, nh, cols, /*inverse=*/true);
 
-  // The column pass is done with `b`; the forward's column pass reclaims it
-  // after the last row.
-  double* g =
-      Scratch::doubles(scratch(n0_, n1_).b, 2 * simd::kLaneBatch * n1_ + kLaneElem * (n1_ / 2));
-  double* const out[simd::kLaneBatch] = {g, g + n1_, g + 2 * n1_, g + 3 * n1_};
-  double* const product = g + simd::kLaneBatch * n1_;
-  double* const work = product + simd::kLaneBatch * n1_;
-  const double col_scale = (n0_ > 1) ? 1.0 / static_cast<double>(n0_) : 1.0;
+  // The forward uses `fa`; the rows live in `fb`: grid row l of spectrum
+  // row i0 + r at out[4 r + l], then the product rows, then the row
+  // transforms' work.
+  constexpr std::size_t kL = simd::kLaneBatch;
+  float* g = Scratch::get(scratch(n0_, n1_).fb, kProductRows * n1_ + kL * kLaneElem * (n1_ / 2));
+  float* out[kL * kL];
+  for (std::size_t q = 0; q < kL * kL; ++q) out[q] = g + q * n1_;
+  float* const product = g + kL * kL * n1_;
+  float* const work = product + kL * n1_;
+  const float col_scale = (n0_ > 1) ? 1.0f / static_cast<float>(n0_) : 1.0f;
   forward_lanes(
-      [&](std::size_t i0, std::size_t nrows, const double** x) {
+      [&](std::size_t i0, std::size_t nrows, const float** x) {
+        rrow_.inverse_lanes(d + i0 * rs, rs, nrows, cols, col_scale, work, out);
         for (std::size_t r = 0; r < nrows; ++r) {
-          double* row = d + (i0 + r) * rs;
-          // Truncated bins enter the rows as +0, as inverse_half_pruned's
-          // zero fill leaves them (the caller's buffer may hold anything
-          // there).
-          std::fill(row + cols * kLaneElem, row + rs, 0.0);
-          rrow_.inverse_lanes(row, col_scale, work, out);
-          double* p = product + r * n1_;
-          row_product(p, out[0], out[1], out[2], out[3], n1_);
+          float* p = product + r * n1_;
+          row_product(p, out[kL * r], out[kL * r + 1], out[kL * r + 2], out[kL * r + 3], n1_);
           x[r] = p;
         }
       },

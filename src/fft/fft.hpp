@@ -15,12 +15,18 @@
 // transpose, batched contiguous column transforms and a transpose back. The
 // fused product transform (Fft2D::product_half_pruned_lanes) takes four
 // fields' half spectra lane-interleaved, one per SIMD lane, inverts their
-// columns in place down their stride, and then finishes four grid rows at a
-// time: each row's c2r, a caller-supplied pointwise product of the four
-// fields, and the product rows' lane forward. No grid is ever stored. Every
-// lane repeats the IEEE operations of the 1-D transforms (Rfft1D::forward
-// per row, Fft1D::forward per retained column), so the 2-D results are
-// bitwise those per-row and per-column sequences at every dispatch level.
+// columns in place down their stride, and then finishes four spectrum rows
+// at a time: their c2r, a caller-supplied pointwise product of the four
+// fields, and the product rows' lane forward. No grid is ever stored.
+//
+// Precision: the 1-D plans and the per-field inverse are double. The lane
+// transforms — the forward, and so forward_half/_pruned, and the fused
+// product transform — run in single precision, one lane element per 8-float
+// register, with twiddles rounded once from the double tables; they take
+// and return double grids and spectra. Their bits are the same at the
+// scalar and avx2 levels and at every thread count; against the double
+// row-column transforms they differ by float rounding (the forward within
+// 1e-6 and the product within 1.5e-6 of the largest bin, test-enforced).
 // All transforms run on the calling thread (callers parallelize across
 // independent fields, e.g. ensemble members, never inside one transform).
 // Convention matches numpy: forward unnormalized, inverse carries the 1/N
@@ -56,14 +62,14 @@ class Fft1D {
   friend class Fft2D;
 
   void transform(std::span<Cplx> x, bool inverse) const;
-  /// Unnormalized transforms of m adjacent lane-batched transforms (layout
-  /// in simd/kernels.hpp) whose points sit in natural order: the
-  /// bit-reversal swaps, then stages_lanes. The inverse's caller applies
-  /// the 1/n factor.
-  void transform_lanes(double* d, std::size_t stride, std::size_t m, bool inverse) const;
-  /// The butterfly stages of transform() alone, on lane-batched points
-  /// already in bit-reversed order.
-  void stages_lanes(double* d, std::size_t stride, std::size_t m, bool inverse) const;
+  /// Unnormalized single-precision transforms of m adjacent lane-batched
+  /// transforms (layout in simd/kernels.hpp) whose points sit in natural
+  /// order: the bit-reversal swaps, then stages_lanes. The inverse's caller
+  /// applies the 1/n factor.
+  void transform_lanes(float* d, std::size_t stride, std::size_t m, bool inverse) const;
+  /// The butterfly stages of transform() alone, in single precision, on
+  /// lane-batched points already in bit-reversed order.
+  void stages_lanes(float* d, std::size_t stride, std::size_t m, bool inverse) const;
 
   std::size_t n_;
   int log2n_;
@@ -72,6 +78,8 @@ class Fft1D {
   // stage_fwd_[s][k] = exp(-2πi k / 2^s), k < 2^(s-1). Stages 1 and 2
   // (butterfly lengths 2 and 4) use exact ±1/±i factors and carry no tables.
   std::vector<std::vector<Cplx>> stage_fwd_, stage_inv_;
+  // The same tables rounded to float, interleaved (re, im), for the lanes.
+  std::vector<std::vector<float>> lane_fwd_, lane_inv_;
 };
 
 /// 1-D real-to-complex / complex-to-real FFT plan (half-spectrum, Hermitian
@@ -97,19 +105,23 @@ class Rfft1D {
  private:
   friend class Fft2D;
 
-  /// forward on four rows at once, one per lane: x[l] holds n samples, and
-  /// `spec` receives the h + 1 bins as one contiguous lane-batched row.
-  void forward_lanes(const double* const* x, double* spec) const;
-  /// inverse_inplace on one contiguous lane-batched row of h + 1 elements,
-  /// each first scaled by pre_scale; `spec` is only read, `work` (h
-  /// elements) holds the half-length transform, and lane l's samples go to
-  /// x[l][0..n).
-  void inverse_lanes(const double* spec, double pre_scale, double* work,
-                     double* const* x) const;
+  /// forward in single precision on four rows at once, one per lane: x[l]
+  /// holds n samples, and `spec` receives the h + 1 bins as one contiguous
+  /// lane-batched row.
+  void forward_lanes(const float* const* x, float* spec) const;
+  /// inverse_inplace in single precision on `count` <= 4 contiguous
+  /// lane-batched rows of h + 1 elements (row r at spec + r * rs floats)
+  /// whose elements k >= cols are +0 (never read), scaled by pre_scale.
+  /// `spec` is only read; `work` (4 h elements) holds the count half-length
+  /// transforms side by side, run by one stage sequence; lane l of row r
+  /// goes to x[4 r + l][0..n).
+  void inverse_lanes(const float* spec, std::size_t rs, std::size_t count, std::size_t cols,
+                     float pre_scale, float* work, float* const* x) const;
 
   std::size_t n_, h_;  // h_ = n/2
   Fft1D half_;
-  std::vector<Cplx> w_;  // exp(-2πi k / n), k <= n/4
+  std::vector<Cplx> w_;     // exp(-2πi k / n), k <= n/4
+  std::vector<float> lane_w_;  // w_ rounded to float, interleaved (re, im)
 };
 
 /// 2-D real FFT plan over row-major (n0 x n1) grids, n0 a power of two and
@@ -146,7 +158,8 @@ class Fft2D {
 
   /// As forward_half, but computes only the bins with |mx| <= kcut and
   /// |my| <= kcut and writes exact zeros to the rest — the column transforms
-  /// of the truncated bins are skipped entirely.
+  /// of the truncated bins are skipped entirely. Both run on the single-
+  /// precision lanes: the grid rows are rounded to float on entry.
   void forward_half_pruned(std::span<const double> grid, std::span<Cplx> hspec,
                            std::size_t kcut) const;
 
@@ -157,40 +170,37 @@ class Fft2D {
   void inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
                            std::size_t kcut) const;
 
-  /// Pointwise product of four grid rows in lane order:
+  /// Pointwise product of four float grid rows in lane order:
   /// out[x] = f(r0[x], r1[x], r2[x], r3[x]) for x < n.
-  using RowProduct = void (*)(double* out, const double* r0, const double* r1, const double* r2,
-                              const double* r3, std::size_t n);
+  using RowProduct = void (*)(float* out, const float* r0, const float* r1, const float* r2,
+                              const float* r3, std::size_t n);
 
   /// forward_half_pruned(P, hspec, kcut) of the grid P = row_product(g0, g1,
   /// g2, g3), where g_l = inverse_half_pruned(spectrum l, kcut), without
-  /// storing any grid. `lanes` holds the four half spectra lane-interleaved:
-  /// bin (i, j) is the 8 doubles at lanes[8 (i half_cols() + j)], the real
-  /// parts of spectra 0..3, then their imaginary parts (simd::LaneBuffer
-  /// keeps each bin in one cache line). The four column inverses run in
-  /// lockstep, one per SIMD lane; then each grid row is inverted and
-  /// multiplied, and every four product rows enter the forward's lane r2c.
-  /// Every row passes the same kernels in the same order as the per-field
-  /// calls, so for an elementwise row_product `hspec` receives exactly their
-  /// bits at the same SIMD level. Bins with mx > kcut are never read;
-  /// `lanes` is consumed as scratch.
-  void product_half_pruned_lanes(std::span<double> lanes, RowProduct row_product,
+  /// storing any grid, in single precision. `lanes` holds the four half
+  /// spectra lane-interleaved: bin (i, j) is the 8 floats at
+  /// lanes[8 (i half_cols() + j)], the real parts of spectra 0..3, then
+  /// their imaginary parts (simd::FloatLaneBuffer keeps each bin in one
+  /// 32-byte block). The four column inverses run in lockstep, one per SIMD
+  /// lane; then each grid row is inverted and multiplied, and every four
+  /// product rows enter the forward's lane r2c. Bins with mx > kcut are
+  /// never read; `lanes` is consumed as scratch.
+  void product_half_pruned_lanes(std::span<float> lanes, RowProduct row_product,
                                  std::span<Cplx> hspec, std::size_t kcut) const;
 
  private:
-  /// The one forward: rows(i0, nrows, x) points x[0..nrows) at grid rows
-  /// i0.. (nrows = 4, fewer only when n0 < 4); they go through the lane r2c
-  /// four at a time, their retained columns into the compact column buffer,
-  /// and after the column pass hspec receives the retained bins and exact
-  /// +0 everywhere else.
+  /// The one forward: rows(i0, nrows, x) points x[0..nrows) at float grid
+  /// rows i0.. (nrows = 4, fewer only when n0 < 4); they go through the lane
+  /// r2c four at a time, their retained columns into the compact column
+  /// buffer, and after the column pass hspec receives the retained bins,
+  /// widened to double, and exact +0 everywhere else.
   template <class Rows>
   void forward_lanes(Rows&& rows, std::span<Cplx> hspec, std::size_t kcut) const;
 
   /// Transforms `count` lane-batched columns of n0 points (stride `stride`
-  /// elements, side by side at d) in place, four per kernel call. A lane
-  /// whose column is all ±0 keeps its bits, as a column the 1-D transforms
-  /// skip.
-  void column_lanes(double* d, std::size_t stride, std::size_t count, bool inverse) const;
+  /// elements, side by side at d) in place, four per kernel call, skipping
+  /// every group of four whose entries are all ±0.
+  void column_lanes(float* d, std::size_t stride, std::size_t count, bool inverse) const;
 
   std::size_t n0_, n1_;
   Fft1D col_;

@@ -3,12 +3,14 @@
 // simd/kernels_avx2.cpp, both through simd/kernel_table.hpp) and per
 // multiply-add mode (kFma).
 //
-// The lane choreography is identical for every instantiation: four doubles
-// per vector, complex numbers as interleaved (re, im) pairs, two complex
-// elements per vector. With kFma == false each lane operation is exactly one
-// IEEE operation, so the VecScalar and VecAvx2 instantiations are bitwise
-// identical; with kFma == true the complex multiplies fuse into
-// fmaddsub/fmsubadd (~1 ulp per butterfly from the unfused reference).
+// The per-field kernels (pass_first .. rfft_unpack) are double precision:
+// four doubles per vector, complex numbers as interleaved (re, im) pairs,
+// two complex elements per vector. The lane kernels below them are single
+// precision on V::F32, one eight-float register per lane element. With
+// kFma == false each lane operation is exactly one IEEE operation, so the
+// VecScalar and VecAvx2 instantiations are bitwise identical; with kFma ==
+// true the complex multiplies fuse (~1 ulp per butterfly from the unfused
+// reference).
 //
 // The Rfft1D pack/unpack scalar remainder loops repeat the pre-SIMD scalar
 // arithmetic verbatim; every TU including this header is compiled with
@@ -24,7 +26,7 @@ namespace turbda::fft::detail {
 
 using simd::cmul;
 using simd::cmul_conj;
-using simd::transpose4;
+using simd::transpose4_halves;
 
 /// Stages of butterfly length 2 and 4 fused (exact ±1/±i twiddles). Per
 /// 4-complex block: A = [z0+z1 | z0-z1], D = [z2+z3 | -+i (z2-z3)],
@@ -184,160 +186,148 @@ void rfft_unpack_impl(double* s, const double* w, std::size_t h) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched kernels: V::kWidth independent transforms advance in
-// lockstep, one per lane. Element k of transform c is the 2 * kWidth doubles
-// at d + (k * stride + c) * 2 * kWidth: the kWidth real parts, then the
-// kWidth imaginary parts. `stride` is the element distance between
-// successive points of one transform (n/2 + 1 for an in-place column of a
-// half spectrum, the block count for the forward's compact column buffer, 1
-// for a row), and the m transforms of one call sit side by side (adjacent
-// columns or column blocks). Every lane performs the IEEE operations of the
-// per-field kernels above on its own values in the same order — fused where
-// their vector bodies fuse under kFma, unfused where their scalar remainders
-// run — so each lane is bitwise the per-field result at every level.
+// Lane-batched kernels, in single precision: four independent transforms
+// advance in lockstep, one per lane. Element k of transform c is the eight
+// floats at d + (k * stride + c) * 8 — the four real parts, then the four
+// imaginary parts — and is one V::F32 register. `stride` is the element
+// distance between successive points of one transform (n/2 + 1 for an
+// in-place column of a half spectrum, the block count for the forward's
+// compact column buffer, 1 for a row), and the m transforms of one call sit
+// side by side (adjacent columns or column blocks). A lane never reads
+// another lane, and every entry runs one fixed sequence of IEEE float
+// operations, fused under kFma wherever a multiply feeds an add, so the
+// Scalar and Avx2 tables give the same bits. A complex multiply by a
+// twiddle w = (wr, wi), shared by all lanes, is w * b = wr b + [-wi | wi]
+// swap(b): one multiply, one multiply-add and one half swap.
 // ---------------------------------------------------------------------------
 
-/// w * b per lane with the operation order of cmul's fmaddsub.
-template <bool kFma, class V>
-inline void lane_cmul(V wr, V wi, V br, V bi, V& re, V& im) {
-  re = V::template mul_sub<kFma>(wr, br, wi * bi);
-  im = V::template mul_add<kFma>(wr, bi, wi * br);
+/// Floats per lane element.
+inline constexpr std::size_t kLaneFloats = 8;
+
+/// w * b for the twiddle (wr, wis = [-wi | +wi]) and sb = swap_halves(b).
+template <bool kFma, class F>
+inline F lane_cmul(F wr, F wis, F b, F sb) {
+  return F::template mul_add<kFma>(wr, b, wis * sb);
 }
 
-/// Lane pass_first_impl: stages of length 2 and 4 fused over n >= 4 points.
-/// The -+i rotation multiplies by -isign and isign, as cs * rot does.
+/// Twiddle w[0] + i w[1] in lane_cmul's form; conj(w) when kConj.
+template <bool kConj = false, class F>
+inline void lane_twiddle(const float* w, F& wr, F& wis) {
+  wr = F::broadcast(w[0]);
+  wis = kConj ? F::broadcast(w[1]).neg_hi() : F::broadcast(w[1]).neg_lo();
+}
+
+/// Stages of length 2 and 4 fused over n >= 4 points (exact ±1/±i
+/// twiddles): a0 = z0 + z1, a1 = z0 - z1, a2 = z2 + z3, and a3 = z2 - z3
+/// rotated by -isign i, then a0 ± a2 and a1 ± a3.
 template <class V>
-void lane_pass_first_impl(double* d, std::size_t n, std::size_t stride, std::size_t m,
-                          double isign) {
-  constexpr std::size_t W = V::kWidth;
-  const std::size_t es = 2 * W * stride;
-  const V mrot = V::broadcast(-isign), prot = V::broadcast(isign);
+void lane_pass_first_impl(float* d, std::size_t n, std::size_t stride, std::size_t m,
+                          float isign) {
+  using F = typename V::F32;
+  const std::size_t es = kLaneFloats * stride;
+  const F rot = F::broadcast(-isign).neg_hi();  // [-isign | +isign]
   for (std::size_t base = 0; base < n; base += 4) {
     for (std::size_t c = 0; c < m; ++c) {
-      double* p0 = d + base * es + 2 * W * c;
-      double* p1 = p0 + es;
-      double* p2 = p1 + es;
-      double* p3 = p2 + es;
-      const V r0 = V::loadu(p0), i0 = V::loadu(p0 + W);
-      const V r1 = V::loadu(p1), i1 = V::loadu(p1 + W);
-      const V r2 = V::loadu(p2), i2 = V::loadu(p2 + W);
-      const V r3 = V::loadu(p3), i3 = V::loadu(p3 + W);
-      const V a0r = r0 + r1, a0i = i0 + i1;
-      const V a1r = r0 - r1, a1i = i0 - i1;
-      const V a2r = r2 + r3, a2i = i2 + i3;
-      const V a3r = r2 - r3, a3i = i2 - i3;
-      const V b3r = a3i * mrot, b3i = a3r * prot;
-      (a0r + a2r).storeu(p0);
-      (a0i + a2i).storeu(p0 + W);
-      (a1r + b3r).storeu(p1);
-      (a1i + b3i).storeu(p1 + W);
-      (a0r - a2r).storeu(p2);
-      (a0i - a2i).storeu(p2 + W);
-      (a1r - b3r).storeu(p3);
-      (a1i - b3i).storeu(p3 + W);
+      float* p0 = d + base * es + kLaneFloats * c;
+      float* p1 = p0 + es;
+      float* p2 = p1 + es;
+      float* p3 = p2 + es;
+      const F z0 = F::loadu(p0), z1 = F::loadu(p1);
+      const F z2 = F::loadu(p2), z3 = F::loadu(p3);
+      const F a0 = z0 + z1, a1 = z0 - z1;
+      const F a2 = z2 + z3, a3 = z2 - z3;
+      const F b3 = a3.swap_halves() * rot;
+      (a0 + a2).storeu(p0);
+      (a1 + b3).storeu(p1);
+      (a0 - a2).storeu(p2);
+      (a1 - b3).storeu(p3);
     }
   }
 }
 
-/// Lane pass_radix4_impl: stages s and s+1 fused, any half >= 1.
+/// Fused radix-2² pass (stages s and s+1), any half >= 1: blocks of 4 half
+/// points, stage-s twiddles tw, stage-(s+1) twiddles tw1 (interleaved
+/// (re, im) floats).
 template <class V, bool kFma>
-void lane_pass_radix4_impl(double* d, std::size_t n, std::size_t stride, std::size_t m,
-                           std::size_t half, const double* tw, const double* tw1) {
-  constexpr std::size_t W = V::kWidth;
-  const std::size_t es = 2 * W * stride;
+void lane_pass_radix4_impl(float* d, std::size_t n, std::size_t stride, std::size_t m,
+                           std::size_t half, const float* tw, const float* tw1) {
+  using F = typename V::F32;
+  const std::size_t es = kLaneFloats * stride;
   const std::size_t qs = half * es;
   for (std::size_t base = 0; base < n; base += 4 * half) {
     for (std::size_t k = 0; k < half; ++k) {
-      const V wr = V::broadcast(tw[2 * k]), wi = V::broadcast(tw[2 * k + 1]);
-      const V v0r = V::broadcast(tw1[2 * k]), v0i = V::broadcast(tw1[2 * k + 1]);
-      const V v1r = V::broadcast(tw1[2 * (k + half)]);
-      const V v1i = V::broadcast(tw1[2 * (k + half) + 1]);
+      F wr, wis, v0r, v0is, v1r, v1is;
+      lane_twiddle(tw + 2 * k, wr, wis);
+      lane_twiddle(tw1 + 2 * k, v0r, v0is);
+      lane_twiddle(tw1 + 2 * (k + half), v1r, v1is);
       for (std::size_t c = 0; c < m; ++c) {
-        double* p0 = d + (base + k) * es + 2 * W * c;
-        double* p1 = p0 + qs;
-        double* p2 = p1 + qs;
-        double* p3 = p2 + qs;
-        V tbr, tbi, tdr, tdi;
-        lane_cmul<kFma>(wr, wi, V::loadu(p1), V::loadu(p1 + W), tbr, tbi);
-        lane_cmul<kFma>(wr, wi, V::loadu(p3), V::loadu(p3 + W), tdr, tdi);
-        const V ar = V::loadu(p0), ai = V::loadu(p0 + W);
-        const V cr = V::loadu(p2), ci = V::loadu(p2 + W);
-        const V uar = ar + tbr, uai = ai + tbi;
-        const V ubr = ar - tbr, ubi = ai - tbi;
-        const V ucr = cr + tdr, uci = ci + tdi;
-        const V udr = cr - tdr, udi = ci - tdi;
-        V tcr, tci, ter, tei;
-        lane_cmul<kFma>(v0r, v0i, ucr, uci, tcr, tci);
-        lane_cmul<kFma>(v1r, v1i, udr, udi, ter, tei);
-        (uar + tcr).storeu(p0);
-        (uai + tci).storeu(p0 + W);
-        (uar - tcr).storeu(p2);
-        (uai - tci).storeu(p2 + W);
-        (ubr + ter).storeu(p1);
-        (ubi + tei).storeu(p1 + W);
-        (ubr - ter).storeu(p3);
-        (ubi - tei).storeu(p3 + W);
+        float* p0 = d + (base + k) * es + kLaneFloats * c;
+        float* p1 = p0 + qs;
+        float* p2 = p1 + qs;
+        float* p3 = p2 + qs;
+        const F b = F::loadu(p1), e = F::loadu(p3);
+        const F tb = lane_cmul<kFma>(wr, wis, b, b.swap_halves());
+        const F td = lane_cmul<kFma>(wr, wis, e, e.swap_halves());
+        const F a = F::loadu(p0), cc = F::loadu(p2);
+        const F ua = a + tb, ub = a - tb;
+        const F uc = cc + td, ud = cc - td;
+        const F tc = lane_cmul<kFma>(v0r, v0is, uc, uc.swap_halves());
+        const F te = lane_cmul<kFma>(v1r, v1is, ud, ud.swap_halves());
+        (ua + tc).storeu(p0);
+        (ua - tc).storeu(p2);
+        (ub + te).storeu(p1);
+        (ub - te).storeu(p3);
       }
     }
   }
 }
 
-/// Lane pass_radix2_impl: the odd remaining stage, any half >= 1.
+/// Single radix-2 pass (the odd remaining stage), any half >= 1.
 template <class V, bool kFma>
-void lane_pass_radix2_impl(double* d, std::size_t n, std::size_t stride, std::size_t m,
-                           std::size_t half, const double* tw) {
-  constexpr std::size_t W = V::kWidth;
-  const std::size_t es = 2 * W * stride;
+void lane_pass_radix2_impl(float* d, std::size_t n, std::size_t stride, std::size_t m,
+                           std::size_t half, const float* tw) {
+  using F = typename V::F32;
+  const std::size_t es = kLaneFloats * stride;
   for (std::size_t base = 0; base < n; base += 2 * half) {
     for (std::size_t k = 0; k < half; ++k) {
-      const V wr = V::broadcast(tw[2 * k]), wi = V::broadcast(tw[2 * k + 1]);
+      F wr, wis;
+      lane_twiddle(tw + 2 * k, wr, wis);
       for (std::size_t c = 0; c < m; ++c) {
-        double* lo = d + (base + k) * es + 2 * W * c;
-        double* hi = lo + half * es;
-        V tr, ti;
-        lane_cmul<kFma>(wr, wi, V::loadu(hi), V::loadu(hi + W), tr, ti);
-        const V ur = V::loadu(lo), ui = V::loadu(lo + W);
-        (ur + tr).storeu(lo);
-        (ui + ti).storeu(lo + W);
-        (ur - tr).storeu(hi);
-        (ui - ti).storeu(hi + W);
+        float* lo = d + (base + k) * es + kLaneFloats * c;
+        float* hi = lo + half * es;
+        const F h = F::loadu(hi);
+        const F t = lane_cmul<kFma>(wr, wis, h, h.swap_halves());
+        const F u = F::loadu(lo);
+        (u + t).storeu(lo);
+        (u - t).storeu(hi);
       }
     }
   }
-}
-
-/// First bin of rfft_pack_impl's / rfft_unpack_impl's scalar remainder:
-/// bins k < kv go through their vector bodies (two per iteration).
-inline std::size_t rfft_vector_end(std::size_t h) {
-  std::size_t kv = 1;
-  while (2 * kv + 2 < h) kv += 2;
-  return kv;
 }
 
 /// Four real rows into one lane row in bit-reversed order: lane l of
 /// element j is the pair (x[l][2j], x[l][2j + 1]) Rfft1D::forward packs as
-/// z[j], stored at element bitrev[j]. One 4x4 transpose per two elements.
+/// z[j], stored at element bitrev[j]. One in-half transpose and four half
+/// concats per four elements.
 template <class V>
-void lane_rows_in_impl(const double* const* x, std::size_t h, const std::size_t* bitrev,
-                       double* s) {
+void lane_rows_in_impl(const float* const* x, std::size_t h, const std::size_t* bitrev,
+                       float* s) {
+  using F = typename V::F32;
   constexpr std::size_t W = V::kWidth;
-  constexpr std::size_t es = 2 * W;
   std::size_t j = 0;
-  for (; j + 2 <= h; j += 2) {
-    V r0 = V::loadu(x[0] + 2 * j);
-    V r1 = V::loadu(x[1] + 2 * j);
-    V r2 = V::loadu(x[2] + 2 * j);
-    V r3 = V::loadu(x[3] + 2 * j);
-    transpose4(r0, r1, r2, r3);  // re(j), im(j), re(j + 1), im(j + 1)
-    double* p = s + bitrev[j] * es;
-    double* q = s + bitrev[j + 1] * es;
-    r0.storeu(p);
-    r1.storeu(p + W);
-    r2.storeu(q);
-    r3.storeu(q + W);
+  for (; j + 4 <= h; j += 4) {
+    F r0 = F::loadu(x[0] + 2 * j);
+    F r1 = F::loadu(x[1] + 2 * j);
+    F r2 = F::loadu(x[2] + 2 * j);
+    F r3 = F::loadu(x[3] + 2 * j);
+    transpose4_halves(r0, r1, r2, r3);  // r_q: samples q and q + 4 of the four rows
+    F::concat_lo(r0, r1).storeu(s + bitrev[j] * kLaneFloats);
+    F::concat_lo(r2, r3).storeu(s + bitrev[j + 1] * kLaneFloats);
+    F::concat_hi(r0, r1).storeu(s + bitrev[j + 2] * kLaneFloats);
+    F::concat_hi(r2, r3).storeu(s + bitrev[j + 3] * kLaneFloats);
   }
-  for (; j < h; ++j) {  // h == 1
-    double* p = s + bitrev[j] * es;
+  for (; j < h; ++j) {  // h < 4
+    float* p = s + bitrev[j] * kLaneFloats;
     for (std::size_t l = 0; l < W; ++l) {
       p[l] = x[l][2 * j];
       p[W + l] = x[l][2 * j + 1];
@@ -345,180 +335,135 @@ void lane_rows_in_impl(const double* const* x, std::size_t h, const std::size_t*
   }
 }
 
-/// Lane Rfft1D forward combine over one contiguous row of h + 1 elements,
-/// after the half-length transform: bin 0 becomes (re + im, +0) and bin h
-/// (re - im, +0) of the old bin 0, as Rfft1D::forward computes them; then
-/// rfft_pack_impl's bins and the conj of bin h/2. Bins its vector body
-/// covers take that body's operations (fused under kFma, its conj and
-/// negations as the same sign flips); the ones it hands to its scalar
-/// remainder take the remainder's unfused ones.
+/// Rfft1D forward combine over one contiguous row of h + 1 elements, after
+/// the half-length transform: bin 0 becomes (re + im, +0) and bin h
+/// (re - im, +0) of the old bin 0; for 0 < k < h/2, with E = (Z[k] +
+/// conj Z[h-k]) / 2 and O = -i (Z[k] - conj Z[h-k]) / 2, X[k] = E + w^k O
+/// and X[h-k] = conj(E) - conj(w^k O); bin h/2 is conjugated (w^(h/2) = -i).
 template <class V, bool kFma>
-void lane_rfft_pack_impl(double* s, const double* w, std::size_t h) {
-  constexpr std::size_t W = V::kWidth;
-  constexpr std::size_t es = 2 * W;
-  const V half_v = V::broadcast(0.5);
-  const V zero = V::broadcast(0.0);
+void lane_rfft_pack_impl(float* s, const float* w, std::size_t h) {
+  using F = typename V::F32;
+  const F half_v = F::broadcast(0.5f);
   {
-    const V z0r = V::loadu(s), z0i = V::loadu(s + W);
-    (z0r + z0i).storeu(s);
-    zero.storeu(s + W);
-    (z0r - z0i).storeu(s + h * es);
-    zero.storeu(s + h * es + W);
+    const F z0 = F::loadu(s);
+    const F sw = z0.swap_halves();
+    (z0 + sw).zero_hi().storeu(s);
+    (z0 - sw).zero_hi().storeu(s + h * kLaneFloats);
   }
-  const std::size_t kv = rfft_vector_end(h);
   for (std::size_t k = 1; k < h - k; ++k) {
-    double* pk = s + k * es;
-    double* pc = s + (h - k) * es;
-    const V zkr = V::loadu(pk), zki = V::loadu(pk + W);
-    const V zcr = V::loadu(pc), zci = V::loadu(pc + W);
-    const V wr = V::broadcast(w[2 * k]), wi = V::broadcast(w[2 * k + 1]);
-    const V er = half_v * (zkr + zcr);
-    V ei, tr, ti, mi;
-    if (k < kv) {
-      ei = half_v * (zki + zci.neg());
-      const V or_ = half_v * (zci - zki.neg());
-      const V oi = half_v * (zcr + zkr.neg());
-      lane_cmul<kFma>(wr, wi, or_, oi, tr, ti);
-      mi = ti + ei.neg();
-    } else {
-      ei = half_v * (zki - zci);
-      const V or_ = half_v * (zki + zci);
-      const V oi = half_v * (zcr - zkr);
-      tr = wr * or_ - wi * oi;
-      ti = wr * oi + wi * or_;
-      mi = ti - ei;
-    }
-    (er + tr).storeu(pk);
-    (ei + ti).storeu(pk + W);
-    (er - tr).storeu(pc);
-    mi.storeu(pc + W);
+    float* pk = s + k * kLaneFloats;
+    float* pc = s + (h - k) * kLaneFloats;
+    const F zk = F::loadu(pk), zc = F::loadu(pc);
+    F wr, wis;
+    lane_twiddle(w + 2 * k, wr, wis);
+    const F e = half_v * (zk + zc.neg_hi());
+    const F so = half_v * (zc - zk.neg_hi());  // swap_halves(O)
+    const F t = lane_cmul<kFma>(wr, wis, so.swap_halves(), so);
+    (e + t).storeu(pk);
+    (e.neg_hi() - t.neg_hi()).storeu(pc);
   }
-  if (h >= 2) {  // w^(h/2) = -i exactly: conj
-    double* p = s + (h / 2) * es + W;
-    V::loadu(p).neg().storeu(p);
+  if (h >= 2) {
+    float* p = s + (h / 2) * kLaneFloats;
+    F::loadu(p).neg_hi().storeu(p);
   }
 }
 
-/// Lane Rfft1D inverse split over one contiguous row of h + 1 elements: the
-/// bin-0 fold, rfft_unpack_impl's bins, and the conj of bin h/2, each result
-/// element k stored at element bitrev[k] of out. Every element is first
-/// multiplied by pre_scale (the column transform's 1/n0, deferred to here:
-/// x * s0 is the same IEEE operation either way). Bins that
-/// rfft_unpack_impl's vector body covers fuse under kFma; the ones it hands
-/// to its scalar remainder stay unfused.
-template <class V, bool kFma>
-void lane_rfft_unpack_impl(const double* s, const double* w, std::size_t h, double pre_scale,
-                           const std::size_t* bitrev, double* out) {
-  constexpr std::size_t W = V::kWidth;
-  constexpr std::size_t es = 2 * W;
-  const V half_v = V::broadcast(0.5);
-  const V sc = V::broadcast(pre_scale);
-  {
-    const V e0 = V::loadu(s) * sc;
-    const V eh = V::loadu(s + h * es) * sc;
-    (half_v * (e0 + eh)).storeu(out);  // bitrev[0] == 0
-    (half_v * (e0 - eh)).storeu(out + W);
-  }
-  const std::size_t kv = rfft_vector_end(h);
-  for (std::size_t k = 1; k < h - k; ++k) {
-    const double* pk = s + k * es;
-    const double* pc = s + (h - k) * es;
-    const V ar = V::loadu(pk) * sc, ai = V::loadu(pk + W) * sc;
-    const V br = V::loadu(pc) * sc, bi = V::loadu(pc + W) * sc;
-    const V er = half_v * (ar + br), ei = half_v * (ai - bi);
-    const V otr = half_v * (ar - br), oti = half_v * (ai + bi);
-    const V wr = V::broadcast(w[2 * k]), wi = V::broadcast(w[2 * k + 1]);
-    V or_, oi;
-    if (k < kv) {
-      or_ = V::template mul_add<kFma>(wr, otr, wi * oti);
-      oi = V::template mul_sub<kFma>(wr, oti, wi * otr);
-    } else {
-      or_ = wr * otr + wi * oti;
-      oi = wr * oti - wi * otr;
-    }
-    double* qk = out + bitrev[k] * es;
-    double* qc = out + bitrev[h - k] * es;
-    (er - oi).storeu(qk);
-    (ei + or_).storeu(qk + W);
-    (er + oi).storeu(qc);
-    (or_ - ei).storeu(qc + W);
-  }
-  if (h >= 2) {  // w^(h/2) = -i exactly: conj
-    const double* p = s + (h / 2) * es;
-    double* q = out + bitrev[h / 2] * es;
-    (V::loadu(p) * sc).storeu(q);
-    (V::loadu(p + W) * sc).neg().storeu(q + W);
-  }
-}
-
-/// One four-row batch's lane row spectrum (lane r = grid row r) into nb
-/// column blocks (lane c = spectral column 4b + c): per block, one 4x4
-/// transpose of the real parts and one of the imaginary parts. Rows
-/// r < nrows are stored, row r at out + r * nb * 2 * kWidth.
+/// Moves one four-row batch's lane row spectrum (4 nb elements, lane r =
+/// row r) into nb column blocks (lane c = spectral column 4b + c): one
+/// in-half 4x4 transpose per block. Rows r < nrows are stored, row r at
+/// out + r * nb * 8.
 template <class V>
-void lane_cols_in_impl(const double* s, std::size_t nb, std::size_t nrows, double* out) {
-  constexpr std::size_t W = V::kWidth;
-  constexpr std::size_t es = 2 * W;
-  const std::size_t rs = nb * es;
+void lane_cols_in_impl(const float* s, std::size_t nb, std::size_t nrows, float* out) {
+  using F = typename V::F32;
+  const std::size_t rs = nb * kLaneFloats;
   for (std::size_t b = 0; b < nb; ++b) {
-    const double* p = s + W * b * es;
-    V re[W] = {V::loadu(p), V::loadu(p + es), V::loadu(p + 2 * es), V::loadu(p + 3 * es)};
-    V im[W] = {V::loadu(p + W), V::loadu(p + es + W), V::loadu(p + 2 * es + W),
-               V::loadu(p + 3 * es + W)};
-    transpose4(re[0], re[1], re[2], re[3]);
-    transpose4(im[0], im[1], im[2], im[3]);
-    for (std::size_t r = 0; r < nrows; ++r) {
-      re[r].storeu(out + r * rs + b * es);
-      im[r].storeu(out + r * rs + b * es + W);
-    }
+    const float* p = s + 4 * b * kLaneFloats;
+    F r[4] = {F::loadu(p), F::loadu(p + kLaneFloats), F::loadu(p + 2 * kLaneFloats),
+              F::loadu(p + 3 * kLaneFloats)};
+    transpose4_halves(r[0], r[1], r[2], r[3]);
+    for (std::size_t i = 0; i < nrows; ++i) r[i].storeu(out + i * rs + b * kLaneFloats);
   }
 }
 
-/// De-interleaves one column-buffer row (lane c of block b = column 4b + c)
-/// into `cols` interleaved (re, im) bins: out[2j] = re(j), out[2j + 1] =
+/// Widens one column-buffer row (lane c of block b = column 4b + c) into
+/// `cols` interleaved (re, im) double bins: out[2j] = re(j), out[2j + 1] =
 /// im(j).
 template <class V>
-void lane_cols_out_impl(const double* row, std::size_t cols, double* out) {
+void lane_cols_out_impl(const float* row, std::size_t cols, double* out) {
   constexpr std::size_t W = V::kWidth;
-  constexpr std::size_t es = 2 * W;
   std::size_t b = 0;
   for (; W * (b + 1) <= cols; ++b) {
-    const V re = V::loadu(row + b * es), im = V::loadu(row + b * es + W);
+    const V re = V::load_f32(row + b * kLaneFloats), im = V::load_f32(row + b * kLaneFloats + W);
     const V lo = V::unpack_lo(re, im), hi = V::unpack_hi(re, im);
-    V::concat_lo(lo, hi).storeu(out + b * es);
-    V::concat_hi(lo, hi).storeu(out + b * es + W);
+    V::concat_lo(lo, hi).storeu(out + 2 * W * b);
+    V::concat_hi(lo, hi).storeu(out + 2 * W * b + W);
   }
   for (std::size_t j = W * b; j < cols; ++j) {
-    out[2 * j] = row[b * es + (j - W * b)];
-    out[2 * j + 1] = row[b * es + W + (j - W * b)];
+    out[2 * j] = row[b * kLaneFloats + (j - W * b)];
+    out[2 * j + 1] = row[b * kLaneFloats + W + (j - W * b)];
   }
 }
 
-/// Scales the h elements of a transformed row by `scale` and de-interleaves
-/// them into kWidth real output rows: out[l][2j] = re_l(j) * scale,
-/// out[l][2j + 1] = im_l(j) * scale (the Rfft1D real-sample unpacking).
+/// Rfft1D inverse split of one contiguous row of h + 1 elements, scaled by
+/// pre_scale: elements k >= cols read as +0 and are never loaded. With A =
+/// X[k], B = X[h-k], E = (A + conj B) / 2 and O = conj(w^k) (A - conj B) / 2,
+/// element k of the result is E + iO and element h-k is conj(E) + i conj(O)
+/// (the bin-0 fold and the conj of bin h/2 included), stored at element
+/// bitrev[k] * stride of out, where the half-length transform then reads it
+/// in place. The scale rides on the halving (pre_scale / 2 is one
+/// multiply), so a power-of-two pre_scale costs no rounding.
+template <class V, bool kFma>
+void lane_rfft_unpack_impl(const float* s, const float* w, std::size_t h, std::size_t cols,
+                           float pre_scale, const std::size_t* bitrev, std::size_t stride,
+                           float* out) {
+  const std::size_t es = kLaneFloats * stride;
+  using F = typename V::F32;
+  const F zero = F::broadcast(0.0f);
+  const auto bin = [&](std::size_t k) { return k < cols ? F::loadu(s + k * kLaneFloats) : zero; };
+  const F hs = F::broadcast(0.5f * pre_scale);
+  {
+    const F e0 = bin(0), eh = bin(h);
+    (hs * (F::concat_lo(e0, e0) + F::concat_lo(eh, eh).neg_hi())).storeu(out);  // bitrev[0] == 0
+  }
+  for (std::size_t k = 1; k < h - k; ++k) {
+    const F a = bin(k), b = bin(h - k);
+    F wr, wic;
+    lane_twiddle</*kConj=*/true>(w + 2 * k, wr, wic);
+    const F e = hs * (a + b.neg_hi());
+    const F ot = hs * (a - b.neg_hi());
+    const F so = lane_cmul<kFma>(wr, wic, ot, ot.swap_halves()).swap_halves();  // [oi | or]
+    (e + so.neg_lo()).storeu(out + bitrev[k] * es);
+    (e.neg_hi() + so).storeu(out + bitrev[h - k] * es);
+  }
+  if (h >= 2) (F::broadcast(pre_scale) * bin(h / 2)).neg_hi().storeu(out + bitrev[h / 2] * es);
+}
+
+/// De-interleaves the h elements of a transformed row (element j at
+/// s + j * stride * 8) into four real rows: out[l][2j] = re_l(j),
+/// out[l][2j + 1] = im_l(j) (the Rfft1D real-sample unpacking). Four half
+/// concats and one in-half transpose per four elements.
 template <class V>
-void lane_rows_out_impl(const double* s, std::size_t h, double scale, double* const* out) {
+void lane_rows_out_impl(const float* s, std::size_t stride, std::size_t h, float* const* out) {
+  using F = typename V::F32;
   constexpr std::size_t W = V::kWidth;
-  constexpr std::size_t es = 2 * W;
-  const V sc = V::broadcast(scale);
+  const std::size_t es = kLaneFloats * stride;
   std::size_t j = 0;
-  for (; j + 2 <= h; j += 2) {
-    const double* p = s + j * es;
-    V r0 = V::loadu(p) * sc;
-    V r1 = V::loadu(p + W) * sc;
-    V r2 = V::loadu(p + es) * sc;
-    V r3 = V::loadu(p + es + W) * sc;
-    transpose4(r0, r1, r2, r3);
+  for (; j + 4 <= h; j += 4) {
+    const float* p = s + j * es;
+    const F e0 = F::loadu(p), e1 = F::loadu(p + es);
+    const F e2 = F::loadu(p + 2 * es), e3 = F::loadu(p + 3 * es);
+    F r0 = F::concat_lo(e0, e2), r1 = F::concat_hi(e0, e2);
+    F r2 = F::concat_lo(e1, e3), r3 = F::concat_hi(e1, e3);
+    transpose4_halves(r0, r1, r2, r3);
     r0.storeu(out[0] + 2 * j);
     r1.storeu(out[1] + 2 * j);
     r2.storeu(out[2] + 2 * j);
     r3.storeu(out[3] + 2 * j);
   }
-  for (; j < h; ++j) {  // h == 1
+  for (; j < h; ++j) {  // h < 4
     for (std::size_t l = 0; l < W; ++l) {
-      out[l][2 * j] = s[j * es + l] * scale;
-      out[l][2 * j + 1] = s[j * es + W + l] * scale;
+      out[l][2 * j] = s[j * es + l];
+      out[l][2 * j + 1] = s[j * es + W + l];
     }
   }
 }

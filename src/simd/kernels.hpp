@@ -22,8 +22,14 @@
 //    lane_pass_first, the lane data movers (lane_rows_in/out,
 //    lane_cols_in/out), scale, bscale, clamped_axpy, matmul_rows,
 //    gaussian_pairs and mul_inplace.
-//  - Bitwise agreement between two code paths (two levels, or a lane kernel
-//    and its per-field reference) holds only up to NaN payloads wherever
+//  - Precision: every entry computes in double except the nine lane FFT
+//    entries and sqg_jacobian, which compute in float, and sqg_pass1, which
+//    computes in double and stores float. The float entries are bitwise
+//    across levels like the rest; against the double arithmetic they
+//    replace they differ by float rounding (the README's FFT section gives
+//    the measured bound).
+//  - Bitwise agreement between two code paths (two levels, or two
+//    instantiations of one kernel) holds only up to NaN payloads wherever
 //    two NaNs meet: an add or multiply of two NaNs returns one operand's
 //    payload, and the compiler may commute the operands. Tests that feed
 //    NaN therefore compare NaN positions, not payloads.
@@ -59,6 +65,9 @@ struct LaneAllocator {
 
 /// Lane-interleaved SoA buffer (element e of problem l at buf[e * kLaneBatch + l]).
 using LaneBuffer = std::vector<double, LaneAllocator<double>>;
+/// The single-precision lane buffer of the FFT lane entries (one element,
+/// 2 * kLaneBatch floats, per 32 bytes).
+using FloatLaneBuffer = std::vector<float, LaneAllocator<float>>;
 
 struct Kernels {
   // ---- FFT butterflies (Fft1D, Rfft1D, Fft2D) ----
@@ -81,53 +90,59 @@ struct Kernels {
   /// Rfft1D inverse Hermitian split for the same bin range.
   void (*rfft_unpack)(double* spec, const double* w, std::size_t h);
 
-  // Lane-batched FFT entries (Fft2D's forward and fused product transform).
-  // Four transforms per call, one per Vec lane: element k of transform c is
-  // the 8 doubles at d + (k * stride + c) * 8 (four real parts, then four
-  // imaginary parts); m transforms sit side by side. A lane holds one field
-  // (the product transform's column inverses), one grid row (the row r2c)
-  // or one spectral column (the forward's column pass). Each lane repeats
-  // the per-field entry's IEEE operations above, so it is bitwise that
-  // result. The row entries write bit-reversed slots, so no row transform
+  // Lane-batched FFT entries (Fft2D's forward and fused product transform),
+  // in single precision. Four transforms per call, one per lane: element k
+  // of transform c is the 8 floats at d + (k * stride + c) * 8 (four real
+  // parts, then four imaginary parts), one V::F32 register; m transforms
+  // sit side by side. A lane holds one field (the product transform's
+  // column inverses), one grid row (the row r2c/c2r) or one spectral column
+  // (the forward's column pass). Twiddle tables are interleaved (re, im)
+  // floats: the double tables rounded once. Each entry runs one fixed
+  // sequence of float operations per lane, so the Scalar and Avx2 tables
+  // give the same bits; they approximate the double per-field entries
+  // above to float precision (the README's FFT section gives the measured
+  // error). The row entries write bit-reversed slots, so no row transform
   // runs a permutation pass.
 
-  /// pass_first over n >= 4 points of m adjacent transforms (isign as
-  /// pass_first).
-  void (*lane_pass_first)(double* d, std::size_t n, std::size_t stride, std::size_t m,
-                          double isign);
-  /// pass_radix4 (any half >= 1).
-  void (*lane_pass_radix4)(double* d, std::size_t n, std::size_t stride, std::size_t m,
-                           std::size_t half, const double* tw, const double* tw1);
-  /// pass_radix2 (any half >= 1).
-  void (*lane_pass_radix2)(double* d, std::size_t n, std::size_t stride, std::size_t m,
-                           std::size_t half, const double* tw);
+  /// Stages of length 2 and 4 over n >= 4 points of m adjacent transforms
+  /// (isign as pass_first).
+  void (*lane_pass_first)(float* d, std::size_t n, std::size_t stride, std::size_t m,
+                          float isign);
+  /// Fused radix-2² pass (stages s and s+1), any half >= 1.
+  void (*lane_pass_radix4)(float* d, std::size_t n, std::size_t stride, std::size_t m,
+                           std::size_t half, const float* tw, const float* tw1);
+  /// Single radix-2 pass (the odd remaining stage), any half >= 1.
+  void (*lane_pass_radix2)(float* d, std::size_t n, std::size_t stride, std::size_t m,
+                           std::size_t half, const float* tw);
   /// Rfft1D forward packing of four real rows x[0..4) of 2h samples: lane l
   /// of element j is (x[l][2j], x[l][2j + 1]), stored at element bitrev[j]
   /// of the contiguous row spec.
-  void (*lane_rows_in)(const double* const* x, std::size_t h, const std::size_t* bitrev,
-                       double* spec);
+  void (*lane_rows_in)(const float* const* x, std::size_t h, const std::size_t* bitrev,
+                       float* spec);
   /// Rfft1D forward combine of one contiguous row of h + 1 elements after
-  /// the half-length transform: the bin-0 fold, rfft_pack's bins (fused in
-  /// its vector body, unfused in its scalar remainder), the conj of bin h/2
-  /// and the Nyquist bin h.
-  void (*lane_rfft_pack)(double* spec, const double* w, std::size_t h);
+  /// the half-length transform: the bin-0 fold, the Hermitian combine of
+  /// bins k and h-k, the conj of bin h/2 and the Nyquist bin h.
+  void (*lane_rfft_pack)(float* spec, const float* w, std::size_t h);
   /// Moves one four-row batch's lane row spectrum (4 nb elements, lane r =
   /// row r) into nb column blocks (lane c = column 4b + c of block b): one
-  /// 4x4 transpose of the real and of the imaginary parts per block. Rows
-  /// r < nrows are written, row r to out + r * nb * 8.
-  void (*lane_cols_in)(const double* spec, std::size_t nb, std::size_t nrows, double* out);
-  /// De-interleaves one column-buffer row (lane c of block b = column
-  /// 4b + c) into the first `cols` interleaved (re, im) bins at out.
-  void (*lane_cols_out)(const double* row, std::size_t cols, double* out);
-  /// Rfft1D inverse split of one contiguous row of h + 1 elements (bin-0
-  /// fold, rfft_unpack's bins, conj of bin h/2), every element first scaled
-  /// by pre_scale; element k of the result goes to element bitrev[k] of out
-  /// (h elements), which the half-length transform then reads in place.
-  void (*lane_rfft_unpack)(const double* spec, const double* w, std::size_t h, double pre_scale,
-                           const std::size_t* bitrev, double* out);
-  /// Scales h row elements by `scale` and writes lane l's (re, im) pairs to
-  /// the 2h real samples out[l][0..2h).
-  void (*lane_rows_out)(const double* spec, std::size_t h, double scale, double* const* out);
+  /// in-half 4x4 transpose per block. Rows r < nrows are written, row r to
+  /// out + r * nb * 8.
+  void (*lane_cols_in)(const float* spec, std::size_t nb, std::size_t nrows, float* out);
+  /// Widens one column-buffer row (lane c of block b = column 4b + c) into
+  /// the first `cols` interleaved (re, im) double bins at out.
+  void (*lane_cols_out)(const float* row, std::size_t cols, double* out);
+  /// Rfft1D inverse split of one contiguous row of h + 1 elements, scaled by
+  /// pre_scale (bin-0 fold, the Hermitian split of bins k and h-k, conj of
+  /// bin h/2); elements k >= cols read as +0 and are never loaded. Element
+  /// k of the result goes to element bitrev[k] * stride of out, where the
+  /// half-length transform then reads it in place.
+  void (*lane_rfft_unpack)(const float* spec, const float* w, std::size_t h, std::size_t cols,
+                           float pre_scale, const std::size_t* bitrev, std::size_t stride,
+                           float* out);
+  /// Writes lane l's (re, im) pairs of h row elements (element j at
+  /// spec + j * stride * 8) to the 2h real samples out[l][0..2h).
+  void (*lane_rows_out)(const float* spec, std::size_t stride, std::size_t h,
+                        float* const* out);
 
   // ---- Small dense (LETKF, eigensolvers, products, EnSF) ----
 
@@ -219,18 +234,20 @@ struct Kernels {
   ///   dtx = +i kx th,  dty = +i ky th       (theta gradients)
   /// An i*k multiply is a pair swap plus sign flips — exact bit operations,
   /// so the pass matches the scalar complex spelling bitwise (unfused).
-  /// The four derivative spectra are stored lane-interleaved for
-  /// Fft2D::product_half_pruned_lanes: bin p is the 8 doubles at
+  /// The four derivative spectra are computed in double and stored
+  /// lane-interleaved, rounded to float, for
+  /// Fft2D::product_half_pruned_lanes: bin p is the 8 floats at
   /// lanes[8p..8p+7], the real parts of duh, dvh, dtx, dty, then their
-  /// imaginary parts (nd doubles of ps, 4 nd doubles of lanes).
-  void (*sqg_pass1)(double* ps, double* lanes, const double* t0, const double* t1,
+  /// imaginary parts (nd doubles of ps, 4 nd floats of lanes).
+  void (*sqg_pass1)(double* ps, float* lanes, const double* t0, const double* t1,
                     const double* th, const double* ik2, const double* ca2, const double* cb2,
                     const double* kx2, const double* ky2, std::size_t nd);
-  /// Grid-space advection product: gj[i] = gu[i]*gtx[i] + gv[i]*gty[i].
-  /// The inputs come in pass 1's lane order (u, v, theta_x, theta_y), so
-  /// the entry is an Fft2D::RowProduct; nd counts grid points.
-  void (*sqg_jacobian)(double* gj, const double* gu, const double* gv, const double* gtx,
-                       const double* gty, std::size_t nd);
+  /// Grid-space advection product, in float on one grid row:
+  /// gj[i] = gu[i]*gtx[i] + gv[i]*gty[i]. The inputs come in pass 1's lane
+  /// order (u, v, theta_x, theta_y), so the entry is an Fft2D::RowProduct;
+  /// n counts grid points.
+  void (*sqg_jacobian)(float* gj, const float* gu, const float* gv, const float* gtx,
+                       const float* gty, std::size_t n);
   /// Linear-physics combine, complex per bin (operator tables interleaved):
   /// dth = op_t * th + op_p * ps - jc.
   void (*sqg_combine)(double* dth, const double* th, const double* ps, const double* jc,

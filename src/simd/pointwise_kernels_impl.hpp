@@ -5,11 +5,12 @@
 // FMA contractions are the explicit kFma instantiations.
 //
 // All main loops advance four doubles (two interleaved complex bins) per
-// iteration; the scalar tails spell out the identical IEEE operation
-// sequence, so a kernel's result does not depend on where the vector loop
-// ends. `kFma` selects fused multiply-adds (the Avx2Fma table) — the scalar
-// tails fuse through std::fma in that case, which is bitwise identical to
-// the hardware instruction.
+// iteration, except sqg_jacobian, which advances eight floats of one grid
+// row; the scalar tails spell out the identical IEEE operation sequence, so
+// a kernel's result does not depend on where the vector loop ends. `kFma`
+// selects fused multiply-adds (the Avx2Fma table) — the scalar tails fuse
+// through std::fma in that case, which is bitwise identical to the hardware
+// instruction.
 #pragma once
 
 #include <cmath>
@@ -17,15 +18,16 @@
 
 namespace turbda::simd::detail {
 
-/// a*b + c, fused to one rounding when kFma (matches Vec::mul_add lane-wise).
-template <bool kFma>
-[[nodiscard]] inline double fmadd1(double a, double b, double c) {
+/// a*b + c, fused to one rounding when kFma (matches Vec::mul_add lane-wise;
+/// T is double or float).
+template <bool kFma, class T>
+[[nodiscard]] inline T fmadd1(T a, T b, T c) {
   if constexpr (kFma) return std::fma(a, b, c);
   return a * b + c;
 }
 
 template <class V, bool kFma>
-void sqg_pass1_impl(double* ps, double* lanes, const double* t0, const double* t1,
+void sqg_pass1_impl(double* ps, float* lanes, const double* t0, const double* t1,
                     const double* th, const double* ik2, const double* ca2, const double* cb2,
                     const double* kx2, const double* ky2, std::size_t nd) {
   constexpr std::size_t W = V::kWidth;
@@ -46,12 +48,13 @@ void sqg_pass1_impl(double* ps, double* lanes, const double* t0, const double* t
     V dx = (kxv * sth).neg_even();  // +i kx theta
     V dy = (kyv * sth).neg_even();  // +i ky theta
     // Rows [re p, im p, re p+1, im p+1] of the four fields become the lane
-    // elements of bins p and p+1: 16 contiguous doubles at lanes + 4 i.
+    // elements of bins p and p+1, rounded to float: 16 contiguous floats at
+    // lanes + 4 i.
     transpose4(du, dv, dx, dy);
-    du.storeu(lanes + 4 * i);
-    dv.storeu(lanes + 4 * i + 4);
-    dx.storeu(lanes + 4 * i + 8);
-    dy.storeu(lanes + 4 * i + 12);
+    du.store_f32(lanes + 4 * i);
+    dv.store_f32(lanes + 4 * i + 4);
+    dx.store_f32(lanes + 4 * i + 8);
+    dy.store_f32(lanes + 4 * i + 12);
   }
   for (; i + 1 < nd; i += 2) {
     const double pr = ik2[i] * fmadd1<kFma>(t1[i], ca2[i], -(t0[i] * cb2[i]));
@@ -60,30 +63,31 @@ void sqg_pass1_impl(double* ps, double* lanes, const double* t0, const double* t
     ps[i + 1] = pi;
     const double tr = th[i];
     const double ti = th[i + 1];
-    double* re = lanes + 4 * i;  // bin i/2: four real parts, then four imaginary
-    double* im = re + 4;
-    re[0] = ky2[i] * pi;
-    im[0] = -(ky2[i + 1] * pr);
-    re[1] = -(kx2[i] * pi);
-    im[1] = kx2[i + 1] * pr;
-    re[2] = -(kx2[i] * ti);
-    im[2] = kx2[i + 1] * tr;
-    re[3] = -(ky2[i] * ti);
-    im[3] = ky2[i + 1] * tr;
+    float* re = lanes + 4 * i;  // bin i/2: four real parts, then four imaginary
+    float* im = re + 4;
+    re[0] = static_cast<float>(ky2[i] * pi);
+    im[0] = static_cast<float>(-(ky2[i + 1] * pr));
+    re[1] = static_cast<float>(-(kx2[i] * pi));
+    im[1] = static_cast<float>(kx2[i + 1] * pr);
+    re[2] = static_cast<float>(-(kx2[i] * ti));
+    im[2] = static_cast<float>(kx2[i + 1] * tr);
+    re[3] = static_cast<float>(-(ky2[i] * ti));
+    im[3] = static_cast<float>(ky2[i + 1] * tr);
   }
 }
 
 template <class V, bool kFma>
-void sqg_jacobian_impl(double* gj, const double* gu, const double* gv, const double* gtx,
-                       const double* gty, std::size_t nd) {
-  constexpr std::size_t W = V::kWidth;
+void sqg_jacobian_impl(float* gj, const float* gu, const float* gv, const float* gtx,
+                       const float* gty, std::size_t n) {
+  using F = typename V::F32;
+  constexpr std::size_t W = F::kWidth;
   std::size_t i = 0;
-  for (; i + W <= nd; i += W) {
-    V::template mul_add<kFma>(V::loadu(gu + i), V::loadu(gtx + i),
-                              V::loadu(gv + i) * V::loadu(gty + i))
+  for (; i + W <= n; i += W) {
+    F::template mul_add<kFma>(F::loadu(gu + i), F::loadu(gtx + i),
+                              F::loadu(gv + i) * F::loadu(gty + i))
         .storeu(gj + i);
   }
-  for (; i < nd; ++i) gj[i] = fmadd1<kFma>(gu[i], gtx[i], gv[i] * gty[i]);
+  for (; i < n; ++i) gj[i] = fmadd1<kFma>(gu[i], gtx[i], gv[i] * gty[i]);
 }
 
 template <class V, bool kFma>

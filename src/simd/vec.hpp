@@ -17,11 +17,20 @@
 // work of lane kernels — counter-based RNG rounds and exponent-field tricks
 // — whose every operation is exact, so it is identical in both backends.
 //
+// And a float companion, `V::F32`: eight floats, the register of one
+// single-precision lane element of the FFT (four real parts, then four
+// imaginary parts; see simd/kernels.hpp). It has load/store, broadcast,
+// +/-/*, fused and unfused multiply-add, sign flips of either 128-bit half,
+// the half swap and concat, and the per-half unpack and pair shuffles that
+// build a 4x4 transpose within each half. V converts to and from it four
+// lanes at a time (load_f32 widens four floats, store_f32 rounds to nearest).
+//
 // Two interchangeable backends implement that interface:
 //
-//  - VecScalar: portable C++ emulation, four doubles in an array. One IEEE
-//    operation per lane operation, so a kernel instantiated with VecScalar is
-//    the bitwise reference for the same kernel instantiated with VecAvx2.
+//  - VecScalar: portable C++ emulation, four doubles (VecF32Scalar: eight
+//    floats) in an array. One IEEE operation per lane operation, so a
+//    kernel instantiated with VecScalar is the bitwise reference for the
+//    same kernel instantiated with VecAvx2.
 //    Translation units that instantiate it are compiled with
 //    -ffp-contract=off and auto-vectorization disabled (see CMakeLists.txt)
 //    so the emulation never silently grows FMA contractions.
@@ -83,10 +92,90 @@ struct VecU64Scalar {
   }
 };
 
+/// Eight floats emulated in scalar code: VecScalar's float companion. Each
+/// op is one IEEE float operation per lane (the TUs that instantiate it are
+/// built with FLT_EVAL_METHOD 0, so nothing is evaluated wider).
+struct VecF32Scalar {
+  static constexpr std::size_t kWidth = 8;
+  float v[kWidth];
+
+  [[nodiscard]] static VecF32Scalar loadu(const float* p) {
+    VecF32Scalar r;
+    for (std::size_t i = 0; i < kWidth; ++i) r.v[i] = p[i];
+    return r;
+  }
+  void storeu(float* p) const {
+    for (std::size_t i = 0; i < kWidth; ++i) p[i] = v[i];
+  }
+  [[nodiscard]] static VecF32Scalar broadcast(float x) { return {{x, x, x, x, x, x, x, x}}; }
+
+  friend VecF32Scalar operator+(VecF32Scalar a, VecF32Scalar b) {
+    for (std::size_t i = 0; i < kWidth; ++i) a.v[i] = a.v[i] + b.v[i];
+    return a;
+  }
+  friend VecF32Scalar operator-(VecF32Scalar a, VecF32Scalar b) {
+    for (std::size_t i = 0; i < kWidth; ++i) a.v[i] = a.v[i] - b.v[i];
+    return a;
+  }
+  friend VecF32Scalar operator*(VecF32Scalar a, VecF32Scalar b) {
+    for (std::size_t i = 0; i < kWidth; ++i) a.v[i] = a.v[i] * b.v[i];
+    return a;
+  }
+  /// a * b + c; fused to one rounding when kFma (std::fma on floats is
+  /// correctly rounded, so it matches vfmadd...ps exactly).
+  template <bool kFma>
+  [[nodiscard]] static VecF32Scalar mul_add(VecF32Scalar a, VecF32Scalar b, VecF32Scalar c) {
+    if constexpr (kFma) {
+      for (std::size_t i = 0; i < kWidth; ++i) a.v[i] = std::fma(a.v[i], b.v[i], c.v[i]);
+      return a;
+    } else {
+      return a * b + c;
+    }
+  }
+
+  /// Lanes 0..3 negated (sign-bit flip).
+  [[nodiscard]] VecF32Scalar neg_lo() const {
+    return {{-v[0], -v[1], -v[2], -v[3], v[4], v[5], v[6], v[7]}};
+  }
+  /// Lanes 4..7 negated (sign-bit flip).
+  [[nodiscard]] VecF32Scalar neg_hi() const {
+    return {{v[0], v[1], v[2], v[3], -v[4], -v[5], -v[6], -v[7]}};
+  }
+  /// Lanes 4..7 replaced by +0.
+  [[nodiscard]] VecF32Scalar zero_hi() const {
+    return {{v[0], v[1], v[2], v[3], 0.0f, 0.0f, 0.0f, 0.0f}};
+  }
+  [[nodiscard]] VecF32Scalar swap_halves() const {
+    return {{v[4], v[5], v[6], v[7], v[0], v[1], v[2], v[3]}};
+  }
+  /// [a.lo | b.lo] and [a.hi | b.hi].
+  [[nodiscard]] static VecF32Scalar concat_lo(VecF32Scalar a, VecF32Scalar b) {
+    return {{a.v[0], a.v[1], a.v[2], a.v[3], b.v[0], b.v[1], b.v[2], b.v[3]}};
+  }
+  [[nodiscard]] static VecF32Scalar concat_hi(VecF32Scalar a, VecF32Scalar b) {
+    return {{a.v[4], a.v[5], a.v[6], a.v[7], b.v[4], b.v[5], b.v[6], b.v[7]}};
+  }
+  /// Per half: [a0 b0 a1 b1] (vunpcklps) and [a2 b2 a3 b3] (vunpckhps).
+  [[nodiscard]] static VecF32Scalar unpack_lo(VecF32Scalar a, VecF32Scalar b) {
+    return {{a.v[0], b.v[0], a.v[1], b.v[1], a.v[4], b.v[4], a.v[5], b.v[5]}};
+  }
+  [[nodiscard]] static VecF32Scalar unpack_hi(VecF32Scalar a, VecF32Scalar b) {
+    return {{a.v[2], b.v[2], a.v[3], b.v[3], a.v[6], b.v[6], a.v[7], b.v[7]}};
+  }
+  /// Per half: [a0 a1 b0 b1] and [a2 a3 b2 b3] (vshufps 0x44 / 0xee).
+  [[nodiscard]] static VecF32Scalar pairs_lo(VecF32Scalar a, VecF32Scalar b) {
+    return {{a.v[0], a.v[1], b.v[0], b.v[1], a.v[4], a.v[5], b.v[4], b.v[5]}};
+  }
+  [[nodiscard]] static VecF32Scalar pairs_hi(VecF32Scalar a, VecF32Scalar b) {
+    return {{a.v[2], a.v[3], b.v[2], b.v[3], a.v[6], a.v[7], b.v[6], b.v[7]}};
+  }
+};
+
 /// Four-double vector emulated in scalar code. Bitwise reference backend.
 struct VecScalar {
   static constexpr std::size_t kWidth = 4;
   using Bits = VecU64Scalar;
+  using F32 = VecF32Scalar;
   double v[kWidth];
 
   [[nodiscard]] static VecScalar loadu(const double* p) {
@@ -101,6 +190,13 @@ struct VecScalar {
   [[nodiscard]] static VecScalar broadcast(double x) { return VecScalar{{x, x, x, x}}; }
   [[nodiscard]] static VecScalar lanes(double l0, double l1, double l2, double l3) {
     return VecScalar{{l0, l1, l2, l3}};
+  }
+  /// Four floats widened (exact) / the lanes rounded to float (to nearest).
+  [[nodiscard]] static VecScalar load_f32(const float* p) {
+    return VecScalar{{p[0], p[1], p[2], p[3]}};
+  }
+  void store_f32(float* p) const {
+    for (std::size_t i = 0; i < kWidth; ++i) p[i] = static_cast<float>(v[i]);
   }
 
   friend VecScalar operator+(VecScalar a, VecScalar b) {
@@ -288,15 +384,71 @@ struct VecU64Avx2 {
   }
 };
 
+/// Eight floats on an AVX2 register: VecAvx2's float companion.
+struct VecF32Avx2 {
+  static constexpr std::size_t kWidth = 8;
+  __m256 v;
+
+  [[nodiscard]] static VecF32Avx2 loadu(const float* p) { return {_mm256_loadu_ps(p)}; }
+  void storeu(float* p) const { _mm256_storeu_ps(p, v); }
+  [[nodiscard]] static VecF32Avx2 broadcast(float x) { return {_mm256_set1_ps(x)}; }
+
+  friend VecF32Avx2 operator+(VecF32Avx2 a, VecF32Avx2 b) { return {_mm256_add_ps(a.v, b.v)}; }
+  friend VecF32Avx2 operator-(VecF32Avx2 a, VecF32Avx2 b) { return {_mm256_sub_ps(a.v, b.v)}; }
+  friend VecF32Avx2 operator*(VecF32Avx2 a, VecF32Avx2 b) { return {_mm256_mul_ps(a.v, b.v)}; }
+  template <bool kFma>
+  [[nodiscard]] static VecF32Avx2 mul_add(VecF32Avx2 a, VecF32Avx2 b, VecF32Avx2 c) {
+    if constexpr (kFma) {
+      return {_mm256_fmadd_ps(a.v, b.v, c.v)};
+    } else {
+      return a * b + c;
+    }
+  }
+
+  [[nodiscard]] VecF32Avx2 neg_lo() const {
+    return {_mm256_xor_ps(v, _mm256_setr_ps(-0.0f, -0.0f, -0.0f, -0.0f, 0.0f, 0.0f, 0.0f, 0.0f))};
+  }
+  [[nodiscard]] VecF32Avx2 neg_hi() const {
+    return {_mm256_xor_ps(v, _mm256_setr_ps(0.0f, 0.0f, 0.0f, 0.0f, -0.0f, -0.0f, -0.0f, -0.0f))};
+  }
+  [[nodiscard]] VecF32Avx2 zero_hi() const {
+    return {_mm256_blend_ps(v, _mm256_setzero_ps(), 0xF0)};
+  }
+  [[nodiscard]] VecF32Avx2 swap_halves() const { return {_mm256_permute2f128_ps(v, v, 0x01)}; }
+  [[nodiscard]] static VecF32Avx2 concat_lo(VecF32Avx2 a, VecF32Avx2 b) {
+    return {_mm256_permute2f128_ps(a.v, b.v, 0x20)};
+  }
+  [[nodiscard]] static VecF32Avx2 concat_hi(VecF32Avx2 a, VecF32Avx2 b) {
+    return {_mm256_permute2f128_ps(a.v, b.v, 0x31)};
+  }
+  [[nodiscard]] static VecF32Avx2 unpack_lo(VecF32Avx2 a, VecF32Avx2 b) {
+    return {_mm256_unpacklo_ps(a.v, b.v)};
+  }
+  [[nodiscard]] static VecF32Avx2 unpack_hi(VecF32Avx2 a, VecF32Avx2 b) {
+    return {_mm256_unpackhi_ps(a.v, b.v)};
+  }
+  [[nodiscard]] static VecF32Avx2 pairs_lo(VecF32Avx2 a, VecF32Avx2 b) {
+    return {_mm256_shuffle_ps(a.v, b.v, 0x44)};
+  }
+  [[nodiscard]] static VecF32Avx2 pairs_hi(VecF32Avx2 a, VecF32Avx2 b) {
+    return {_mm256_shuffle_ps(a.v, b.v, 0xEE)};
+  }
+};
+
 /// Four-double vector on AVX2 registers. Same interface as VecScalar; only
 /// available in translation units compiled with -mavx2.
 struct VecAvx2 {
   static constexpr std::size_t kWidth = 4;
   using Bits = VecU64Avx2;
+  using F32 = VecF32Avx2;
   __m256d v;
 
   [[nodiscard]] static VecAvx2 loadu(const double* p) { return VecAvx2{_mm256_loadu_pd(p)}; }
   void storeu(double* p) const { _mm256_storeu_pd(p, v); }
+  [[nodiscard]] static VecAvx2 load_f32(const float* p) {
+    return VecAvx2{_mm256_cvtps_pd(_mm_loadu_ps(p))};
+  }
+  void store_f32(float* p) const { _mm_storeu_ps(p, _mm256_cvtpd_ps(v)); }
   [[nodiscard]] static VecAvx2 broadcast(double x) { return VecAvx2{_mm256_set1_pd(x)}; }
   [[nodiscard]] static VecAvx2 lanes(double l0, double l1, double l2, double l3) {
     return VecAvx2{_mm256_set_pd(l3, l2, l1, l0)};
@@ -421,6 +573,19 @@ inline void transpose4(V& r0, V& r1, V& r2, V& r3) {
   r1 = V::concat_lo(hi01, hi23);
   r2 = V::concat_hi(lo01, lo23);
   r3 = V::concat_hi(hi01, hi23);
+}
+
+/// 4x4 transpose within each 128-bit half of four float registers: on
+/// return lane j of half h of r_i is lane i of half h of the input r_j.
+/// Pure lane moves, no arithmetic.
+template <class F>
+inline void transpose4_halves(F& r0, F& r1, F& r2, F& r3) {
+  const F t0 = F::unpack_lo(r0, r1), t1 = F::unpack_hi(r0, r1);
+  const F t2 = F::unpack_lo(r2, r3), t3 = F::unpack_hi(r2, r3);
+  r0 = F::pairs_lo(t0, t2);
+  r1 = F::pairs_hi(t0, t2);
+  r2 = F::pairs_lo(t1, t3);
+  r3 = F::pairs_hi(t1, t3);
 }
 
 }  // namespace turbda::simd

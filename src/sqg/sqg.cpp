@@ -208,7 +208,7 @@ void SqgModel::square_tendency(const double* theta, double* out, SqgWorkspace& w
   const std::size_t lvl = 2 * ns_;  // doubles per level
   const double* t0 = theta;
   const double* t1 = theta + lvl;
-  double* lanes = ws.lanes.data();
+  float* lanes = ws.lanes.data();
   const double* jc = dview(ws.jac.data());
 
   for (std::size_t l = 0; l < 2; ++l) {
@@ -230,7 +230,7 @@ void SqgModel::square_tendency(const double* theta, double* out, SqgWorkspace& w
     });
     for (std::size_t i = kcut_ + 1; i < cfg_.n - kcut_; ++i)
       std::fill_n(lanes + 2 * simd::kLaneBatch * i * nh_, 2 * simd::kLaneBatch * (kcut_ + 1),
-                  0.0);
+                  0.0f);
 
     // Nonlinear advection J(psi, theta) = u theta_x + v theta_y: the four
     // pruned c2r transforms run in lockstep, one per Vec lane, and each grid

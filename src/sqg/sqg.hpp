@@ -97,9 +97,9 @@ struct SqgWorkspace {
   std::size_t n = 0;                         ///< grid points per side
   std::vector<Cplx> psi;                     // streamfunction, both levels
   // The four derivative half-spectra of one level (-psi_y, psi_x, theta_x,
-  // theta_y), lane-interleaved for Fft2D::product_half_pruned_lanes:
-  // 8 doubles per bin.
-  simd::LaneBuffer lanes;
+  // theta_y), lane-interleaved in single precision for
+  // Fft2D::product_half_pruned_lanes: 8 floats per bin.
+  simd::FloatLaneBuffer lanes;
   std::vector<Cplx> jac;                     // Jacobian half-spectrum
   std::vector<Cplx> k1, k2, k3, k4, stage, spec;  // RK4 stages (2 n(n/2+1) each)
   std::vector<Cplx> spec2, psi2, wutil;      // diagnostics (ke/cfl/init)

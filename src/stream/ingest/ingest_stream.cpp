@@ -97,6 +97,12 @@ void IngestStream::produce(int cycle) {
   const auto t0 = Clock::now();
   const auto budget_left = [&] { return static_cast<double>(cfg_.produce_timeout_ms) - ms_since(t0); };
 
+  // The truth ring is pruned on every call, not only when a read decodes
+  // frames: a capture decoded in one read would otherwise keep every truth.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    ring_.keep_from(cycle - cfg_.truth_buffer + 1);
+  }
   if (!connected_once_) reconnect(budget_left());
 
   std::vector<std::uint8_t> rbuf(64 * 1024);

@@ -925,6 +925,32 @@ TEST(Letkf, CoarseGridBitwiseAcrossThreadsAndLevels) {
   simd::force_simd_level(orig);
 }
 
+TEST(Letkf, ReusedWorkTensorsGiveFreshBits) {
+  // The d x m prior-perturbation and analysis tensors persist across
+  // analyses. A filter whose tensors are NaN-filled after a first analysis
+  // gives the same bits on its second as a fresh filter, at stride 2
+  // (cutoff 12) and stride 1 (cutoff 3): every element is written before it
+  // is read.
+  for (const double cutoff : {12.0, 3.0}) {
+    CoarseGridCase c(43);
+    c.cfg.cutoff_m = cutoff;
+    c.cfg.rtps = 0.3;
+    EXPECT_EQ(letkf_coarse_stride(c.cfg), cutoff > 10.0 ? 2u : 1u);
+    const SubsampleObs h = c.h();
+    const DiagonalR r = c.r();
+    LETKF fresh(c.cfg), reused(c.cfg);
+    Ensemble a(c.kMembers, c.kDim), b(c.kMembers, c.kDim);
+    b.data() = c.prior.data();
+    reused.analyze(b, c.y, h, r);
+    reused.poison_work(std::numeric_limits<double>::quiet_NaN());
+    a.data() = c.prior.data();
+    b.data() = c.prior.data();
+    fresh.analyze(a, c.y, h, r);
+    reused.analyze(b, c.y, h, r);
+    EXPECT_TRUE(c.same_bits(a, b)) << "cutoff " << cutoff;
+  }
+}
+
 TEST(Letkf, CoarseGridUnobservedColumnsKeepForecast) {
   // One observation at (0, 0) of a 32x32 grid with a 12-cell cutoff
   // (stride 2): a column without local observations keeps the forecast bit

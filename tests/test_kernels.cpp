@@ -12,9 +12,12 @@
 // The inputs are integers scaled by powers of two (exact conversions only),
 // so this TU computes no rounded value of its own and its bits do not
 // depend on how it is compiled (-march=native included). The FFT entries
-// take arbitrary finite twiddles and an identity bit-reversal table.
+// take arbitrary finite twiddles and an identity bit-reversal table; the
+// single-precision entries (the nine lane FFT entries, sqg_jacobian and
+// sqg_pass1's lane store) take float inputs of the same construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -54,6 +57,20 @@ class Inputs {
   std::vector<double> vec(std::size_t n) {
     std::vector<double> v(n);
     for (double& x : v) x = next();
+    return v;
+  }
+
+  /// Values i * 2^-23 for integers i in [-2^23, 2^23): exact floats in
+  /// [-1, 1) with full 24-bit significands.
+  float nextf() {
+    state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+    const auto i = static_cast<std::int64_t>(state_ >> 40) - (std::int64_t{1} << 23);
+    return static_cast<float>(std::ldexp(static_cast<double>(i), -23));
+  }
+
+  std::vector<float> vecf(std::size_t n) {
+    std::vector<float> v(n);
+    for (float& x : v) x = nextf();
     return v;
   }
 
@@ -109,47 +126,47 @@ std::uint64_t run_rfft_unpack(const Kernels& k) {
   return Fnv1a().add(s).value();
 }
 
-// Lane transforms: m = 2 side by side at stride 3, so the gaps between
-// them must come back untouched.
+// Lane transforms (float): m = 2 side by side at stride 3, so the gaps
+// between them must come back untouched.
 std::uint64_t run_lane_pass_first(const Kernels& k) {
   Inputs in(6);
-  auto d = in.vec(8 * 3 * 2 * W);  // n = 8
-  k.lane_pass_first(d.data(), 8, 3, 2, -1.0);
+  auto d = in.vecf(8 * 3 * 2 * W);  // n = 8
+  k.lane_pass_first(d.data(), 8, 3, 2, -1.0f);
   return Fnv1a().add(d).value();
 }
 
 std::uint64_t run_lane_pass_radix4(const Kernels& k) {
   Inputs in(7);
-  auto d = in.vec(16 * 3 * 2 * W);  // n = 16, half = 2: two blocks
-  const auto tw = in.vec(4), tw1 = in.vec(8);
+  auto d = in.vecf(16 * 3 * 2 * W);  // n = 16, half = 2: two blocks
+  const auto tw = in.vecf(4), tw1 = in.vecf(8);
   k.lane_pass_radix4(d.data(), 16, 3, 2, 2, tw.data(), tw1.data());
   return Fnv1a().add(d).value();
 }
 
 std::uint64_t run_lane_pass_radix2(const Kernels& k) {
   Inputs in(8);
-  auto d = in.vec(8 * 3 * 2 * W);  // n = 8, half = 2: two blocks
-  const auto tw = in.vec(4);
+  auto d = in.vecf(8 * 3 * 2 * W);  // n = 8, half = 2: two blocks
+  const auto tw = in.vecf(4);
   k.lane_pass_radix2(d.data(), 8, 3, 2, 2, tw.data());
   return Fnv1a().add(d).value();
 }
 
-// h = 5: two element pairs through the transposes, then the h == 1 style tail.
+// h = 5: four elements through the transpose, then one through the tail.
 std::uint64_t run_lane_rows_in(const Kernels& k) {
   Inputs in(9);
-  std::vector<std::vector<double>> rows;
-  for (std::size_t l = 0; l < W; ++l) rows.push_back(in.vec(10));
-  const double* x[W] = {rows[0].data(), rows[1].data(), rows[2].data(), rows[3].data()};
+  std::vector<std::vector<float>> rows;
+  for (std::size_t l = 0; l < W; ++l) rows.push_back(in.vecf(10));
+  const float* x[W] = {rows[0].data(), rows[1].data(), rows[2].data(), rows[3].data()};
   const auto bitrev = identity(5);
-  auto s = in.vec(5 * 2 * W);
+  auto s = in.vecf(5 * 2 * W);
   k.lane_rows_in(x, 5, bitrev.data(), s.data());
   return Fnv1a().add(s).value();
 }
 
 std::uint64_t run_lane_rfft_pack(const Kernels& k) {
   Inputs in(10);
-  auto s = in.vec(9 * 2 * W);  // h = 8
-  const auto w = in.vec(16);
+  auto s = in.vecf(9 * 2 * W);  // h = 8
+  const auto w = in.vecf(16);
   k.lane_rfft_pack(s.data(), w.data(), 8);
   return Fnv1a().add(s).value();
 }
@@ -157,38 +174,44 @@ std::uint64_t run_lane_rfft_pack(const Kernels& k) {
 // nb = 2 blocks, three of four rows stored: row 3 of out keeps its input.
 std::uint64_t run_lane_cols_in(const Kernels& k) {
   Inputs in(11);
-  const auto s = in.vec(4 * 2 * 2 * W);
-  auto out = in.vec(4 * 2 * 2 * W);
+  const auto s = in.vecf(4 * 2 * 2 * W);
+  auto out = in.vecf(4 * 2 * 2 * W);
   k.lane_cols_in(s.data(), 2, 3, out.data());
   return Fnv1a().add(out).value();
 }
 
-// cols = 6: one whole block, then two columns of the next.
+// cols = 6: one whole block, then two columns of the next (float to double).
 std::uint64_t run_lane_cols_out(const Kernels& k) {
   Inputs in(12);
-  const auto row = in.vec(2 * 2 * W);
+  const auto row = in.vecf(2 * 2 * W);
   auto out = in.vec(14);
   k.lane_cols_out(row.data(), 6, out.data());
   return Fnv1a().add(out).value();
 }
 
+// h = 8, cols = 6: bins 6..8 hold NaN and must read as +0; the results go
+// to every other element (stride 2) of out, whose other elements keep
+// their input.
 std::uint64_t run_lane_rfft_unpack(const Kernels& k) {
   Inputs in(13);
-  const auto s = in.vec(9 * 2 * W);  // h = 8
-  const auto w = in.vec(16);
+  auto s = in.vecf(9 * 2 * W);
+  std::fill(s.begin() + 6 * 2 * W, s.end(), std::numeric_limits<float>::quiet_NaN());
+  const auto w = in.vecf(16);
   const auto bitrev = identity(8);
-  auto out = in.vec(8 * 2 * W);
-  k.lane_rfft_unpack(s.data(), w.data(), 8, 0.375, bitrev.data(), out.data());
+  auto out = in.vecf(16 * 2 * W);
+  k.lane_rfft_unpack(s.data(), w.data(), 8, 6, 0.375f, bitrev.data(), 2, out.data());
   return Fnv1a().add(out).value();
 }
 
+// h = 5 elements at stride 2: four through the transpose, one through the
+// tail.
 std::uint64_t run_lane_rows_out(const Kernels& k) {
   Inputs in(14);
-  const auto s = in.vec(5 * 2 * W);  // h = 5
-  std::vector<std::vector<double>> rows;
-  for (std::size_t l = 0; l < W; ++l) rows.push_back(in.vec(10));
-  double* const out[W] = {rows[0].data(), rows[1].data(), rows[2].data(), rows[3].data()};
-  k.lane_rows_out(s.data(), 5, 0.375, out);
+  const auto s = in.vecf(10 * 2 * W);
+  std::vector<std::vector<float>> rows;
+  for (std::size_t l = 0; l < W; ++l) rows.push_back(in.vecf(10));
+  float* const out[W] = {rows[0].data(), rows[1].data(), rows[2].data(), rows[3].data()};
+  k.lane_rows_out(s.data(), 2, 5, out);
   Fnv1a h;
   for (const auto& r : rows) h.add(r);
   return h.value();
@@ -306,17 +329,19 @@ std::uint64_t run_sqg_pass1(const Kernels& k) {
   Inputs in(24);
   const auto t0 = in.vec(10), t1 = in.vec(10), th = in.vec(10), ik2 = in.vec(10),
              ca2 = in.vec(10), cb2 = in.vec(10), kx2 = in.vec(10), ky2 = in.vec(10);
-  auto ps = in.vec(10), lanes = in.vec(40);
+  auto ps = in.vec(10);
+  auto lanes = in.vecf(40);
   k.sqg_pass1(ps.data(), lanes.data(), t0.data(), t1.data(), th.data(), ik2.data(), ca2.data(),
               cb2.data(), kx2.data(), ky2.data(), 10);
   return Fnv1a().add(ps).add(lanes).value();
 }
 
+// Float: n = 11, one eight-wide Vec, then a three-element tail.
 std::uint64_t run_sqg_jacobian(const Kernels& k) {
   Inputs in(25);
-  const auto gu = in.vec(7), gv = in.vec(7), gtx = in.vec(7), gty = in.vec(7);
-  auto gj = in.vec(7);
-  k.sqg_jacobian(gj.data(), gu.data(), gv.data(), gtx.data(), gty.data(), 7);
+  const auto gu = in.vecf(11), gv = in.vecf(11), gtx = in.vecf(11), gty = in.vecf(11);
+  auto gj = in.vecf(11);
+  k.sqg_jacobian(gj.data(), gu.data(), gv.data(), gtx.data(), gty.data(), 11);
   return Fnv1a().add(gj).value();
 }
 
@@ -366,15 +391,15 @@ const Entry kEntries[] = {
     {"pass_radix2", run_pass_radix2, {0xb5605267737911da, 0xb5605267737911da, 0xfe14bc3edecfb9ac}},
     {"rfft_pack", run_rfft_pack, {0x433e9f70d4839258, 0x433e9f70d4839258, 0xa744cdeb42eaa17c}},
     {"rfft_unpack", run_rfft_unpack, {0xaf2315e207e45da9, 0xaf2315e207e45da9, 0xf1419d4fadb9f7ab}},
-    {"lane_pass_first", run_lane_pass_first, {0xaf954b5f30262c3b, 0xaf954b5f30262c3b, 0xaf954b5f30262c3b}},
-    {"lane_pass_radix4", run_lane_pass_radix4, {0xcb39ba2166ab9c9d, 0xcb39ba2166ab9c9d, 0x29dd1b7b106d4d93}},
-    {"lane_pass_radix2", run_lane_pass_radix2, {0xe3314491657feaca, 0xe3314491657feaca, 0x271dc8a20a72995e}},
-    {"lane_rows_in", run_lane_rows_in, {0x73c28567dfeaebc4, 0x73c28567dfeaebc4, 0x73c28567dfeaebc4}},
-    {"lane_rfft_pack", run_lane_rfft_pack, {0x2d6b6a033e92a692, 0x2d6b6a033e92a692, 0x50f362df8daaa0a4}},
-    {"lane_cols_in", run_lane_cols_in, {0x021f926ff1ff4471, 0x021f926ff1ff4471, 0x021f926ff1ff4471}},
-    {"lane_cols_out", run_lane_cols_out, {0x4221b2d8562a4a98, 0x4221b2d8562a4a98, 0x4221b2d8562a4a98}},
-    {"lane_rfft_unpack", run_lane_rfft_unpack, {0x46426ae81ac22ee2, 0x46426ae81ac22ee2, 0xe673039269d9941a}},
-    {"lane_rows_out", run_lane_rows_out, {0x0deffc359acec1d0, 0x0deffc359acec1d0, 0x0deffc359acec1d0}},
+    {"lane_pass_first", run_lane_pass_first, {0x219cc47d650460c1, 0x219cc47d650460c1, 0x219cc47d650460c1}},
+    {"lane_pass_radix4", run_lane_pass_radix4, {0xbe2e88d81301cb5b, 0xbe2e88d81301cb5b, 0xcfd8603d87b95f1b}},
+    {"lane_pass_radix2", run_lane_pass_radix2, {0xff5ab27eed4a2f6e, 0xff5ab27eed4a2f6e, 0x41d46e7604ec4e98}},
+    {"lane_rows_in", run_lane_rows_in, {0x59b3dba6c0cdd5c2, 0x59b3dba6c0cdd5c2, 0x59b3dba6c0cdd5c2}},
+    {"lane_rfft_pack", run_lane_rfft_pack, {0x908a228a64aade6b, 0x908a228a64aade6b, 0x03961e19ec33de43}},
+    {"lane_cols_in", run_lane_cols_in, {0xaaf02747fccc6323, 0xaaf02747fccc6323, 0xaaf02747fccc6323}},
+    {"lane_cols_out", run_lane_cols_out, {0xd8fa95e028d0cf91, 0xd8fa95e028d0cf91, 0xd8fa95e028d0cf91}},
+    {"lane_rfft_unpack", run_lane_rfft_unpack, {0x26b2e656aae4acbe, 0x26b2e656aae4acbe, 0xb9d045abd5a07641}},
+    {"lane_rows_out", run_lane_rows_out, {0x1c6cc62d18c42c5e, 0x1c6cc62d18c42c5e, 0x1c6cc62d18c42c5e}},
     {"rot_rows", run_rot_rows, {0x55bc0ac72650c6bc, 0x55bc0ac72650c6bc, 0xc813b1559c334a96}},
     {"scale", run_scale, {0x3f658fd458e60092, 0x3f658fd458e60092, 0x3f658fd458e60092}},
     {"baccum_rows", run_baccum_rows, {0xa6a9cafe1a8919f3, 0xa6a9cafe1a8919f3, 0x8143da3c9a87dcb5}},
@@ -385,8 +410,8 @@ const Entry kEntries[] = {
     {"clamped_axpy", run_clamped_axpy, {0x40bea175b56617f7, 0x40bea175b56617f7, 0x40bea175b56617f7}},
     {"matmul_rows", run_matmul_rows, {0x1f25e420523f14fd, 0x1f25e420523f14fd, 0x1f25e420523f14fd}},
     {"gaussian_pairs", run_gaussian_pairs, {0xae90686e0a15a823, 0xae90686e0a15a823, 0xae90686e0a15a823}},
-    {"sqg_pass1", run_sqg_pass1, {0x5a5592d939dbdef6, 0x5a5592d939dbdef6, 0x00bda23b024169ad}},
-    {"sqg_jacobian", run_sqg_jacobian, {0x5a1ae24d72d87339, 0x5a1ae24d72d87339, 0x351b7b62aa78cdca}},
+    {"sqg_pass1", run_sqg_pass1, {0xcbd6d8a0c0bd9180, 0xcbd6d8a0c0bd9180, 0x3e0a3cc7a552e424}},
+    {"sqg_jacobian", run_sqg_jacobian, {0x13fa2fd9c06d0fed, 0x13fa2fd9c06d0fed, 0x10a53343c658bc3d}},
     {"sqg_combine", run_sqg_combine, {0xd21dd1be741f2dae, 0xd21dd1be741f2dae, 0xa07ab43807b68d9f}},
     {"mul_inplace", run_mul_inplace, {0x2e99bab4753a893e, 0x2e99bab4753a893e, 0x2e99bab4753a893e}},
     {"add_scaled", run_add_scaled, {0xd7db329484532829, 0xd7db329484532829, 0x2f66d72e2c86285d}},

@@ -2,6 +2,7 @@
 // grid sizes, ensemble sizes and filter configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/math_utils.hpp"
@@ -32,7 +33,11 @@ TEST_P(SqgGridP, SpectralRoundTripAndRealness) {
   model.to_spectral(theta, spec);
   std::vector<double> back(model.dim());
   model.to_grid(spec, back);
-  for (std::size_t i = 0; i < theta.size(); ++i) ASSERT_NEAR(back[i], theta[i], 1e-8);
+  // to_spectral runs in float; worst measured 4.4e-7 on these unit-rms
+  // fields (n = 16, 32, 64).
+  double err = 0.0;
+  for (std::size_t i = 0; i < theta.size(); ++i) err = std::max(err, std::abs(back[i] - theta[i]));
+  EXPECT_LE(err, 2e-6);
 }
 
 TEST_P(SqgGridP, EadyGrowthRateIsGridIndependent) {

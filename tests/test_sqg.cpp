@@ -48,7 +48,11 @@ TEST(Sqg, SpectralGridRoundTrip) {
   model.to_spectral(theta, spec);
   std::vector<double> back(model.dim());
   model.to_grid(spec, back);
-  for (std::size_t i = 0; i < theta.size(); ++i) EXPECT_NEAR(back[i], theta[i], 1e-9);
+  // to_spectral runs in float; worst measured 3.0e-7 on this unit-rms
+  // field.
+  double err = 0.0;
+  for (std::size_t i = 0; i < theta.size(); ++i) err = std::max(err, std::abs(back[i] - theta[i]));
+  EXPECT_LE(err, 1.5e-6);
 }
 
 TEST(Sqg, RandomInitHitsRequestedRms) {
@@ -319,9 +323,10 @@ struct DenseFft2D {
 
 // Reference implementation on the full Hermitian-redundant n x n spectrum,
 // replicating the pre-half-spectrum solver path: dense complex transforms,
-// five separate per-point passes and explicit dealias/Ekman branches. The
-// production half-spectrum path computes the same dynamics through different
-// arithmetic and must agree to ~machine precision.
+// five separate per-point passes and explicit dealias/Ekman branches, all in
+// double. The production half-spectrum path computes the same dynamics
+// through different arithmetic, its lane transforms in single precision, and
+// must agree to float precision.
 struct FullSpectrumReference {
   explicit FullSpectrumReference(const SqgConfig& c)
       : cfg(c), n(c.n), nn(n * n), fft(n), kx(nn), ky(nn), ksq(nn), inv_kappa(nn),
@@ -461,7 +466,7 @@ TEST(Sqg, HalfSpectrumTendencyMatchesFullSpectrumReference) {
   ref.to_spectral(theta, fs);
   ref.tendency(fs, fout);
 
-  double scale = 0.0;
+  double scale = 0.0, err = 0.0;
   for (const auto& v : fout) scale = std::max(scale, std::abs(v));
   ASSERT_GT(scale, 0.0);
   for (std::size_t l = 0; l < 2; ++l)
@@ -469,9 +474,11 @@ TEST(Sqg, HalfSpectrumTendencyMatchesFullSpectrumReference) {
       for (std::size_t mx = 0; mx <= n / 2; ++mx) {
         const Cplx want = fout[l * nn + jy * n + mx];
         const Cplx got = hout[l * ns + jy * nh + mx];
-        ASSERT_NEAR(got.real(), want.real(), 1e-12 * scale) << l << "," << jy << "," << mx;
-        ASSERT_NEAR(got.imag(), want.imag(), 1e-12 * scale) << l << "," << jy << "," << mx;
+        err = std::max(err, std::abs(got - want));
       }
+  // The state's forward and the Jacobian transform run in float; worst
+  // measured 1.2e-7.
+  EXPECT_LE(err / scale, 5e-7);
 }
 
 TEST(Sqg, HalfSpectrumStepMatchesFullSpectrumReference) {
@@ -488,10 +495,41 @@ TEST(Sqg, HalfSpectrumStepMatchesFullSpectrumReference) {
   model.step(a, 5, ws);
   ref.step(b, 5);
 
-  double scale = 0.0;
+  double scale = 0.0, err = 0.0;
   for (double v : b) scale = std::max(scale, std::abs(v));
   ASSERT_GT(scale, 0.0);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], b[i], 1e-12 * scale) << i;
+  for (std::size_t i = 0; i < a.size(); ++i) err = std::max(err, std::abs(a[i] - b[i]));
+  // Five steps with float transforms; worst measured 1.2e-7.
+  EXPECT_LE(err / scale, 5e-7);
+}
+
+// The single-precision forecast against the double reference over one
+// 3 h window (12 steps of 900 s) at n = 64, from a state spun up for 10
+// days into developed turbulence with the OSSE physics (2 K rms start,
+// Ekman 200 m/s, 3 h hyperdiffusion): the largest grid difference, in
+// Kelvin, stays below 5e-4 K (worst measured 1.3e-4 K, on a
+// field whose largest |theta| is about 190 K).
+TEST(Sqg, ThreeHourWindowMatchesDoubleReferenceInKelvin) {
+  SqgConfig cfg;
+  cfg.n = 64;
+  cfg.r_ekman = 200.0;
+  cfg.diff_efold = 3.0 * 3600.0;
+  SqgModel model(cfg);
+  const double kelvin = models::sqg_kelvin_scale(300.0, cfg.f);
+  Rng rng(79);
+  std::vector<double> spun(model.dim());
+  model.random_init(spun, rng, 2.0 / kelvin, 4);
+  model.advance(spun, 10.0 * 86400);
+  auto a = spun, b = spun;
+  model.step(a, 12);
+  FullSpectrumReference ref(cfg);
+  ref.step(b, 12);
+  double err = 0.0, amp = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    err = std::max(err, std::abs(a[i] - b[i]) * kelvin);
+    amp = std::max(amp, std::abs(b[i]) * kelvin);
+  }
+  EXPECT_LE(err, 5e-4) << "largest |theta| " << amp << " K";
 }
 
 // --- the dealiased square ----------------------------------------------------
