@@ -1,7 +1,8 @@
 // SQG forecast hot-path bench: times the real-FFT pair, the tendency's
-// Jacobian spectrum (per-field: four double pruned inverses, the double grid
-// product and a pruned forward; fused: one single-precision
-// Fft2D::product_half_pruned_lanes call), the spectral tendency, and the
+// Jacobian spectrum (per-field: four lane pruned inverses, the double grid
+// product and a lane pruned forward; fused: one
+// Fft2D::product_half_pruned_lanes call, every transform in single
+// precision on the lanes either way), the spectral tendency, and the
 // full RK4 step at n = 64/128/256 on one thread, plus the member-parallel
 // ensemble forecast (the paper's throughput axis) across thread counts.
 // Reports the active FFT SIMD dispatch level (scalar / avx2 / avx2fma) and

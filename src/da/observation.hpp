@@ -44,8 +44,6 @@ class ObservationOperator {
   [[nodiscard]] virtual std::optional<std::vector<ObsLocation>> locations() const {
     return std::nullopt;
   }
-
-  [[nodiscard]] virtual bool is_linear() const = 0;
 };
 
 /// h(x) = x. The paper's Fig. 4/5 setting: "the entire SQG state is directly
@@ -84,8 +82,6 @@ class IdentityObs final : public ObservationOperator {
               ObsLocation{static_cast<int>(i), static_cast<int>(j), static_cast<int>(l)};
     return locs;
   }
-
-  [[nodiscard]] bool is_linear() const override { return true; }
 
  private:
   std::size_t dim_, nx_, ny_, nlev_;
@@ -151,8 +147,6 @@ class SubsampleObs final : public ObservationOperator {
     return locs_;
   }
 
-  [[nodiscard]] bool is_linear() const override { return true; }
-
   [[nodiscard]] const std::vector<std::size_t>& indices() const { return idx_; }
 
  private:
@@ -181,8 +175,6 @@ class ArctanObs final : public ObservationOperator {
                    "ArctanObs: size mismatch");
     for (std::size_t i = 0; i < dim_; ++i) out[i] = r[i] / (1.0 + x[i] * x[i]);
   }
-
-  [[nodiscard]] bool is_linear() const override { return false; }
 
  private:
   std::size_t dim_;

@@ -13,14 +13,16 @@ namespace {
 
 constexpr std::size_t kLaneElem = 2 * simd::kLaneBatch;  // floats per lane-batched element
 
-/// Interleaved (re, im) float copy of a complex double table.
-std::vector<float> to_float(const std::vector<Cplx>& w) {
-  std::vector<float> out(2 * w.size());
-  for (std::size_t k = 0; k < w.size(); ++k) {
-    out[2 * k] = static_cast<float>(w[k].real());
-    out[2 * k + 1] = static_cast<float>(w[k].imag());
+/// exp(-2πi k / n) for k < count, or its conjugate, rounded once from double
+/// to float and interleaved (re, im).
+std::vector<float> twiddles(std::size_t n, std::size_t count, bool conj) {
+  std::vector<float> w(2 * count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+    w[2 * k] = static_cast<float>(std::cos(ang));
+    w[2 * k + 1] = static_cast<float>(conj ? -std::sin(ang) : std::sin(ang));
   }
-  return out;
+  return w;
 }
 
 }  // namespace
@@ -38,72 +40,12 @@ Fft1D::Fft1D(std::size_t n) : n_(n) {
     for (int b = 0; b < log2n_; ++b) r |= ((i >> b) & 1u) << (log2n_ - 1 - b);
     bitrev_[i] = r;
   }
-  stage_fwd_.resize(static_cast<std::size_t>(log2n_) + 1);
-  stage_inv_.resize(static_cast<std::size_t>(log2n_) + 1);
-  lane_fwd_.resize(stage_fwd_.size());
-  lane_inv_.resize(stage_inv_.size());
+  lane_fwd_.resize(static_cast<std::size_t>(log2n_) + 1);
+  lane_inv_.resize(lane_fwd_.size());
   for (int s = 3; s <= log2n_; ++s) {
     const std::size_t len = std::size_t{1} << s;
-    const std::size_t half = len / 2;
-    auto& fwd = stage_fwd_[static_cast<std::size_t>(s)];
-    auto& inv = stage_inv_[static_cast<std::size_t>(s)];
-    fwd.resize(half);
-    inv.resize(half);
-    for (std::size_t k = 0; k < half; ++k) {
-      const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(len);
-      fwd[k] = Cplx(std::cos(ang), std::sin(ang));
-      inv[k] = std::conj(fwd[k]);
-    }
-    lane_fwd_[static_cast<std::size_t>(s)] = to_float(fwd);
-    lane_inv_[static_cast<std::size_t>(s)] = to_float(inv);
-  }
-}
-
-void Fft1D::transform(std::span<Cplx> x, bool inverse) const {
-  TURBDA_REQUIRE(x.size() == n_, "FFT input length " << x.size() << " != plan length " << n_);
-  if (n_ == 1) return;
-  // The butterflies run on the raw (re, im) doubles — std::complex guarantees
-  // array-compatible layout — through the runtime-dispatched SIMD kernels
-  // (scalar / AVX2 / AVX2+FMA; see simd/kernels.hpp).
-  double* d = reinterpret_cast<double*>(x.data());
-  // Bit-reversal permutation.
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(x[i], x[j]);
-  }
-  const simd::Kernels& kr = simd::active_kernels();
-  // Stages len = 2 and 4 fused: twiddles are exactly 1 and -i (forward) /
-  // +i (inverse), so the 4-point butterfly carries no multiplies at all.
-  if (n_ == 2) {
-    const double ur = d[0], ui = d[1], tr = d[2], ti = d[3];
-    d[0] = ur + tr;
-    d[1] = ui + ti;
-    d[2] = ur - tr;
-    d[3] = ui - ti;
-  } else {
-    kr.pass_first(d, 2 * n_, inverse ? 1.0 : -1.0);
-  }
-  const auto& stages = inverse ? stage_inv_ : stage_fwd_;
-  int s = 3;
-  // Fused radix-2^2 pairs: one pass performs stages s and s+1 back to back
-  // on each 2^(s+1)-point block, with the exact same per-element arithmetic
-  // (and thus bitwise results) as two separate passes.
-  for (; s + 1 <= log2n_; s += 2) {
-    const std::size_t half = std::size_t{1} << (s - 1);  // half of stage s
-    const double* tw = reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
-    const double* tw1 =
-        reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s) + 1].data());
-    kr.pass_radix4(d, n_, half, tw, tw1);
-  }
-  // Odd stage count: one remaining plain radix-2 pass.
-  if (s <= log2n_) {
-    const std::size_t half = std::size_t{1} << (s - 1);
-    const double* tw = reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
-    kr.pass_radix2(d, n_, half, tw);
-  }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n_);
-    for (auto& v : x) v *= scale;
+    lane_fwd_[static_cast<std::size_t>(s)] = twiddles(len, len / 2, /*conj=*/false);
+    lane_inv_[static_cast<std::size_t>(s)] = twiddles(len, len / 2, /*conj=*/true);
   }
 }
 
@@ -129,8 +71,7 @@ void Fft1D::stages_lanes(float* d, std::size_t stride, std::size_t m, bool inver
   } else {
     kr.lane_pass_first(d, n_, stride, m, inverse ? 1.0f : -1.0f);
   }
-  // The stage sequence of transform(): fused radix-2^2 pairs, then the odd
-  // stage.
+  // Fused radix-2^2 pairs, then the odd stage.
   const auto& stages = inverse ? lane_inv_ : lane_fwd_;
   const auto tw = [&stages](int s) { return stages[static_cast<std::size_t>(s)].data(); };
   int s = 3;
@@ -159,46 +100,8 @@ std::size_t rfft_half_length(std::size_t n) {
 }
 }  // namespace
 
-Rfft1D::Rfft1D(std::size_t n) : n_(n), h_(n / 2), half_(rfft_half_length(n)) {
-  w_.resize(h_ / 2 + 1);
-  for (std::size_t k = 0; k < w_.size(); ++k) {
-    const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-    w_[k] = Cplx(std::cos(ang), std::sin(ang));
-  }
-  lane_w_ = to_float(w_);
-}
-
-void Rfft1D::forward(std::span<const double> x, std::span<Cplx> spec) const {
-  TURBDA_REQUIRE(x.size() == n_ && spec.size() >= spec_size(),
-                 "rfft forward: bad buffer sizes (" << x.size() << ", " << spec.size() << ")");
-  const std::size_t h = h_;
-  for (std::size_t j = 0; j < h; ++j) spec[j] = Cplx(x[2 * j], x[2 * j + 1]);
-  half_.forward(spec.first(h));
-  const Cplx z0 = spec[0];
-  spec[0] = Cplx(z0.real() + z0.imag(), 0.0);
-  const Cplx dc_mirror(z0.real() - z0.imag(), 0.0);
-  simd::active_kernels().rfft_pack(reinterpret_cast<double*>(spec.data()),
-                                   reinterpret_cast<const double*>(w_.data()), h);
-  if (h >= 2) spec[h / 2] = std::conj(spec[h / 2]);  // w^(h/2) = -i, exactly
-  spec[h] = dc_mirror;
-}
-
-void Rfft1D::inverse_inplace(std::span<Cplx> spec, std::span<double> x) const {
-  TURBDA_REQUIRE(x.size() == n_ && spec.size() >= spec_size(),
-                 "rfft inverse: bad buffer sizes (" << x.size() << ", " << spec.size() << ")");
-  const std::size_t h = h_;
-  const double e0 = spec[0].real();
-  const double eh = spec[h].real();
-  spec[0] = Cplx(0.5 * (e0 + eh), 0.5 * (e0 - eh));
-  simd::active_kernels().rfft_unpack(reinterpret_cast<double*>(spec.data()),
-                                     reinterpret_cast<const double*>(w_.data()), h);
-  if (h >= 2) spec[h / 2] = std::conj(spec[h / 2]);
-  half_.inverse(spec.first(h));
-  for (std::size_t j = 0; j < h; ++j) {
-    x[2 * j] = spec[j].real();
-    x[2 * j + 1] = spec[j].imag();
-  }
-}
+Rfft1D::Rfft1D(std::size_t n)
+    : n_(n), h_(n / 2), half_(rfft_half_length(n)), lane_w_(twiddles(n, h_ / 2 + 1, /*conj=*/false)) {}
 
 void Rfft1D::forward_lanes(const float* const* x, float* spec) const {
   const simd::Kernels& kr = simd::active_kernels();
@@ -229,40 +132,14 @@ void Rfft1D::inverse_lanes(const float* spec, std::size_t rs, std::size_t count,
 
 namespace {
 
-constexpr std::size_t kTransposeBlock = 32;  // 16 KiB src + 16 KiB dst tiles
 constexpr std::size_t kLaneColumns = 4;  // lane transforms per column-pass kernel call
-// Float rows of the product transform's scratch: four grid rows of each of
-// four spectrum rows, and four product rows.
+// Float rows of the row c2r's scratch: four grid rows of each of four
+// spectrum rows, and the product transform's four product rows.
 constexpr std::size_t kProductRows = (simd::kLaneBatch + 1) * simd::kLaneBatch;
 
-/// Transposes `src` (r x c, row stride `ls`) into `dst` (c x r, row stride
-/// `lds`).
-void transpose_blocked(const Cplx* src, std::size_t ls, Cplx* dst, std::size_t lds, std::size_t r,
-                       std::size_t c) {
-  for (std::size_t i0 = 0; i0 < r; i0 += kTransposeBlock) {
-    const std::size_t i1 = std::min(r, i0 + kTransposeBlock);
-    for (std::size_t j0 = 0; j0 < c; j0 += kTransposeBlock) {
-      const std::size_t j1 = std::min(c, j0 + kTransposeBlock);
-      for (std::size_t i = i0; i < i1; ++i)
-        for (std::size_t j = j0; j < j1; ++j) dst[j * lds + i] = src[i * ls + j];
-    }
-  }
-}
-
-bool all_zero(const Cplx* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    if (p[i].real() != 0.0 || p[i].imag() != 0.0) return false;
-  return true;
-}
-
-/// Inverse-transforms `count` contiguous rows of length `len`, skipping
-/// all-zero rows (a transform of zeros is zeros; the SQG tendency inverts
-/// dealiased spectra whose outer third of rows vanishes identically).
-void batch_inverse(Cplx* data, std::size_t count, std::size_t len, const Fft1D& plan) {
-  for (std::size_t i = 0; i < count; ++i) {
-    Cplx* row = data + i * len;
-    if (!all_zero(row, len)) plan.inverse(std::span<Cplx>(row, len));
-  }
+/// True when spectrum row i of an n0-row half spectrum holds |my| <= kcut.
+bool row_retained(std::size_t i, std::size_t n0, std::size_t kcut) {
+  return (i <= n0 / 2 ? i : n0 - i) <= kcut;
 }
 
 /// True when every entry of the n points (`es` floats apart, `w` floats
@@ -275,19 +152,15 @@ bool all_zero_points(const float* d, std::size_t n, std::size_t es, std::size_t 
 }
 
 /// Per-thread scratch, 64-byte aligned so no lane element straddles a cache
-/// line. The per-field inverse uses `a` (its row spectra) and `b` (its
-/// transposed columns); the lane paths use `fa` (the forward's column
-/// buffer and lane row spectrum) and `fb` (the forward's float grid rows,
-/// or the product transform's grid rows, product rows and half-length row
-/// transform).
+/// line: `fa` holds the forward's column buffer and lane row spectrum, or
+/// the per-field inverse's lane spectrum; `fb` the forward's float grid
+/// rows, or the row c2r's grid rows, product rows and half-length row
+/// transforms.
 struct Scratch {
-  template <class T>
-  using Buffer = std::vector<T, simd::LaneAllocator<T>>;
-  Buffer<Cplx> a, b;
-  Buffer<float> fa, fb;
+  using Buffer = std::vector<float, simd::LaneAllocator<float>>;
+  Buffer fa, fb;
 
-  template <class T>
-  static T* get(Buffer<T>& buf, std::size_t n) {
+  static float* get(Buffer& buf, std::size_t n) {
     if (buf.size() < n) buf.resize(n);
     return buf.data();
   }
@@ -301,11 +174,28 @@ Scratch& scratch(std::size_t n0, std::size_t n1) {
   thread_local Scratch s;
   const std::size_t nh = n1 / 2 + 1;
   const std::size_t nb = (nh + simd::kLaneBatch - 1) / simd::kLaneBatch;  // unpruned blocks
-  s.a.reserve(n0 * nh);
-  s.b.reserve(n0 * nh);
-  s.fa.reserve((n0 + simd::kLaneBatch) * nb * kLaneElem);
+  s.fa.reserve(std::max((n0 + simd::kLaneBatch) * nb, n0 * nh) * kLaneElem);
   s.fb.reserve(kProductRows * n1 + simd::kLaneBatch * kLaneElem * (n1 / 2));
   return s;
+}
+
+/// The row c2r's destinations in `fb`: grid row l of spectrum row r of a
+/// four-row batch at out[4 r + l], then four product rows, then the
+/// half-length transforms' work.
+struct RowScratch {
+  float* out[simd::kLaneBatch * simd::kLaneBatch];
+  float* product;
+  float* work;
+};
+
+RowScratch row_scratch(std::size_t n0, std::size_t n1) {
+  constexpr std::size_t kL = simd::kLaneBatch;
+  float* g = Scratch::get(scratch(n0, n1).fb, kProductRows * n1 + kL * kLaneElem * (n1 / 2));
+  RowScratch rs;
+  for (std::size_t q = 0; q < kL * kL; ++q) rs.out[q] = g + q * n1;
+  rs.product = g + kL * kL * n1;
+  rs.work = rs.product + kL * n1;
+  return rs;
 }
 
 }  // namespace
@@ -354,13 +244,10 @@ void Fft2D::forward_lanes(Rows&& rows, std::span<Cplx> hspec, std::size_t kcut) 
   }
   column_lanes(colbuf, nb, nb, /*inverse=*/false);
 
-  const long rowcut = static_cast<long>(std::min(kcut, n0_ / 2));
   for (std::size_t i = 0; i < n0_; ++i) {
     Cplx* out = hspec.data() + i * nh;
-    const long my =
-        (i <= n0_ / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n0_);
     std::size_t kept = 0;
-    if (std::labs(my) <= rowcut) {
+    if (row_retained(i, n0_, kcut)) {
       kr.lane_cols_out(colbuf + i * cs, cols, reinterpret_cast<double*>(out));
       kept = cols;
     }
@@ -389,9 +276,12 @@ void Fft2D::forward_half_pruned(std::span<const double> grid, std::span<Cplx> hs
 }
 
 // ---------------------------------------------------------------------------
-// Per-field inverse (double): cache-blocked transpose of the first
-// min(kcut, n1/2) + 1 columns, their column FFTs, transpose back, row c2r.
-// The pruned inverse never touches the column transforms of truncated bins.
+// Per-field inverse, in single precision on lane 0: the retained square goes
+// into lane 0 of a lane spectrum that holds only the retained columns (the
+// other lanes, and the rows with |my| > kcut, are +0), the columns transform
+// in place, every four spectrum rows go through the lane c2r side by side,
+// and lane 0's grid rows are widened into the grid. The column transform's
+// 1/n0 factor is applied by the row split.
 // ---------------------------------------------------------------------------
 
 void Fft2D::inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
@@ -402,21 +292,28 @@ void Fft2D::inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> g
                                                       << ")");
   const std::size_t nh = half_cols();
   const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
-  Scratch& sc = scratch(n0_, n1_);
-
-  Cplx* tbuf = Scratch::get(sc.b, cols * n0_);
-  transpose_blocked(hspec.data(), nh, tbuf, n0_, n0_, cols);
-  batch_inverse(tbuf, cols, n0_, col_);
-
-  Cplx* hbuf = Scratch::get(sc.a, n0_ * nh);
-  if (cols < nh) {  // truncated tail bins are identically zero
-    for (std::size_t i = 0; i < n0_; ++i)
-      std::fill(hbuf + i * nh + cols, hbuf + (i + 1) * nh, Cplx(0.0, 0.0));
+  const std::size_t rs = kLaneElem * cols;  // floats per lane spectrum row
+  float* d = Scratch::get(scratch(n0_, n1_).fa, n0_ * rs);
+  for (std::size_t i = 0; i < n0_; ++i) {
+    float* row = d + i * rs;
+    std::fill(row, row + rs, 0.0f);
+    if (!row_retained(i, n0_, kcut)) continue;
+    const Cplx* in = hspec.data() + i * nh;
+    for (std::size_t j = 0; j < cols; ++j) {
+      row[kLaneElem * j] = static_cast<float>(in[j].real());
+      row[kLaneElem * j + simd::kLaneBatch] = static_cast<float>(in[j].imag());
+    }
   }
-  transpose_blocked(tbuf, n0_, hbuf, nh, cols, n0_);
+  column_lanes(d, cols, cols, /*inverse=*/true);
 
-  for (std::size_t i = 0; i < n0_; ++i)
-    rrow_.inverse_inplace(std::span<Cplx>(hbuf + i * nh, nh), grid.subspan(i * n1_, n1_));
+  RowScratch g = row_scratch(n0_, n1_);
+  const float col_scale = 1.0f / static_cast<float>(n0_);
+  for (std::size_t i0 = 0; i0 < n0_; i0 += simd::kLaneBatch) {
+    const std::size_t nrows = std::min(simd::kLaneBatch, n0_ - i0);
+    rrow_.inverse_lanes(d + i0 * rs, rs, nrows, cols, col_scale, g.work, g.out);
+    for (std::size_t r = 0; r < nrows; ++r)
+      std::copy_n(g.out[simd::kLaneBatch * r], n1_, grid.data() + (i0 + r) * n1_);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -445,22 +342,17 @@ void Fft2D::product_half_pruned_lanes(std::span<float> lanes, RowProduct row_pro
   float* d = lanes.data();
   column_lanes(d, nh, cols, /*inverse=*/true);
 
-  // The forward uses `fa`; the rows live in `fb`: grid row l of spectrum
-  // row i0 + r at out[4 r + l], then the product rows, then the row
-  // transforms' work.
+  // The forward uses `fa`; the rows live in `fb`.
   constexpr std::size_t kL = simd::kLaneBatch;
-  float* g = Scratch::get(scratch(n0_, n1_).fb, kProductRows * n1_ + kL * kLaneElem * (n1_ / 2));
-  float* out[kL * kL];
-  for (std::size_t q = 0; q < kL * kL; ++q) out[q] = g + q * n1_;
-  float* const product = g + kL * kL * n1_;
-  float* const work = product + kL * n1_;
-  const float col_scale = (n0_ > 1) ? 1.0f / static_cast<float>(n0_) : 1.0f;
+  RowScratch g = row_scratch(n0_, n1_);
+  const float col_scale = 1.0f / static_cast<float>(n0_);
   forward_lanes(
       [&](std::size_t i0, std::size_t nrows, const float** x) {
-        rrow_.inverse_lanes(d + i0 * rs, rs, nrows, cols, col_scale, work, out);
+        rrow_.inverse_lanes(d + i0 * rs, rs, nrows, cols, col_scale, g.work, g.out);
         for (std::size_t r = 0; r < nrows; ++r) {
-          float* p = product + r * n1_;
-          row_product(p, out[kL * r], out[kL * r + 1], out[kL * r + 2], out[kL * r + 3], n1_);
+          float* p = g.product + r * n1_;
+          float* const* in = g.out + kL * r;
+          row_product(p, in[0], in[1], in[2], in[3], n1_);
           x[r] = p;
         }
       },

@@ -2,31 +2,33 @@
 //
 // Iterative radix-2 Cooley–Tukey with per-stage contiguous twiddle tables and
 // specialized length-2/4 stages (power-of-two sizes; the paper's grids are
-// 64, 128, 256). Real grids go through a half-spectrum real transform
-// (Rfft1D): an n-point r2c/c2r costs one n/2-point complex FFT plus an O(n)
-// Hermitian (un)packing pass — half the flops and memory traffic of the
-// complex round trip. A real 2-D field has one spectral layout, the packed
-// half spectrum (Fft2D). Fft2D's forward runs on SIMD lanes: the rows go
-// through the r2c four at a time, one row per lane, each sample stored
-// straight into its bit-reversed slot; one 4x4 transpose per column block
-// moves the retained columns into a compact buffer, four columns per lane
-// batch, where they transform in place; one de-interleaving store writes
-// the spectrum. The per-field inverse runs the rows, a cache-blocked
-// transpose, batched contiguous column transforms and a transpose back. The
-// fused product transform (Fft2D::product_half_pruned_lanes) takes four
-// fields' half spectra lane-interleaved, one per SIMD lane, inverts their
-// columns in place down their stride, and then finishes four spectrum rows
-// at a time: their c2r, a caller-supplied pointwise product of the four
-// fields, and the product rows' lane forward. No grid is ever stored.
+// 64, 128, 256). Real grids go through a half-spectrum real transform: an
+// n-point r2c/c2r costs one n/2-point complex FFT plus an O(n) Hermitian
+// (un)packing pass — half the flops and memory traffic of the complex round
+// trip. A real 2-D field has one spectral layout, the packed half spectrum
+// (Fft2D); the 1-D plans Fft1D and Rfft1D are its plan details and have no
+// public transform.
 //
-// Precision: the 1-D plans and the per-field inverse are double. The lane
-// transforms — the forward, and so forward_half/_pruned, and the fused
-// product transform — run in single precision, one lane element per 8-float
-// register, with twiddles rounded once from the double tables; they take
-// and return double grids and spectra. Their bits are the same at the
-// scalar and avx2 levels and at every thread count; against the double
-// row-column transforms they differ by float rounding (the forward within
-// 1e-6 and the product within 1.5e-6 of the largest bin, test-enforced).
+// Every transform runs on SIMD lanes (layout in simd/kernels.hpp). The
+// forward takes the rows through the r2c four at a time, one row per lane,
+// each sample stored straight into its bit-reversed slot; one 4x4 transpose
+// per column block moves the retained columns into a compact buffer, four
+// columns per lane batch, where they transform in place; one widening
+// de-interleaving store writes the spectrum. The inverse transforms the
+// retained columns in place down their stride, then every four spectrum rows
+// go through the lane c2r side by side. The per-field inverse carries its
+// field in lane 0 and widens lane 0's rows into the grid; the fused product
+// transform (Fft2D::product_half_pruned_lanes) carries four fields, one per
+// lane, and multiplies each grid row's four fields straight into the
+// forward's lane r2c, so it never stores a grid.
+//
+// Precision: every transform computes in single precision, one lane element
+// per 8-float register, with twiddles rounded once from double; it takes and
+// returns double grids and spectra. Its bits are the same at the scalar and
+// avx2 levels and at every thread count; against the double definitions it
+// differs by float rounding (test-enforced: the forward within 1e-6 of the
+// largest bin, the inverse within 1e-6 of the largest grid value, the product
+// within 1.5e-6 of the largest bin).
 // All transforms run on the calling thread (callers parallelize across
 // independent fields, e.g. ensemble members, never inside one transform).
 // Convention matches numpy: forward unnormalized, inverse carries the 1/N
@@ -44,84 +46,66 @@ namespace turbda::fft {
 
 using Cplx = std::complex<double>;
 
-/// 1-D complex FFT plan of fixed power-of-two length.
+/// 1-D complex FFT plan of fixed power-of-two length: Fft2D's column
+/// transform and Rfft1D's half-length transform.
 class Fft1D {
  public:
   explicit Fft1D(std::size_t n);
-
-  [[nodiscard]] std::size_t size() const { return n_; }
-
-  /// In-place forward DFT: X[k] = sum_j x[j] exp(-2πi jk / n).
-  void forward(std::span<Cplx> x) const { transform(x, /*inverse=*/false); }
-
-  /// In-place inverse DFT with 1/n normalization.
-  void inverse(std::span<Cplx> x) const { transform(x, /*inverse=*/true); }
 
  private:
   friend class Rfft1D;
   friend class Fft2D;
 
-  void transform(std::span<Cplx> x, bool inverse) const;
   /// Unnormalized single-precision transforms of m adjacent lane-batched
   /// transforms (layout in simd/kernels.hpp) whose points sit in natural
   /// order: the bit-reversal swaps, then stages_lanes. The inverse's caller
   /// applies the 1/n factor.
   void transform_lanes(float* d, std::size_t stride, std::size_t m, bool inverse) const;
-  /// The butterfly stages of transform() alone, in single precision, on
-  /// lane-batched points already in bit-reversed order.
+  /// The butterfly stages alone, on lane-batched points already in
+  /// bit-reversed order: lengths 2 and 4 fused, then fused radix-2² pairs,
+  /// then the odd stage.
   void stages_lanes(float* d, std::size_t stride, std::size_t m, bool inverse) const;
 
   std::size_t n_;
   int log2n_;
   std::vector<std::size_t> bitrev_;
-  // Per-stage twiddles for stage lengths >= 8, contiguous per stage:
-  // stage_fwd_[s][k] = exp(-2πi k / 2^s), k < 2^(s-1). Stages 1 and 2
-  // (butterfly lengths 2 and 4) use exact ±1/±i factors and carry no tables.
-  std::vector<std::vector<Cplx>> stage_fwd_, stage_inv_;
-  // The same tables rounded to float, interleaved (re, im), for the lanes.
+  // Per-stage twiddles for stage lengths >= 8, contiguous per stage and
+  // interleaved (re, im) floats: lane_fwd_[s][k] = exp(-2πi k / 2^s),
+  // k < 2^(s-1), rounded once from double; lane_inv_ holds their conjugates.
+  // Stages 1 and 2 (butterfly lengths 2 and 4) use exact ±1/±i factors and
+  // carry no tables.
   std::vector<std::vector<float>> lane_fwd_, lane_inv_;
 };
 
 /// 1-D real-to-complex / complex-to-real FFT plan (half-spectrum, Hermitian
-/// packing). Length must be an even power of two (>= 2); odd sizes are
-/// rejected. The spectrum holds the n/2 + 1 non-redundant bins X[0..n/2];
-/// the remaining bins of the full transform follow from X[n-k] = conj(X[k]).
+/// packing): Fft2D's row transform. Length must be an even power of two
+/// (>= 2); odd sizes are rejected. A row's spectrum holds the n/2 + 1
+/// non-redundant bins X[0..n/2]; the remaining bins of the full transform
+/// follow from X[n-k] = conj(X[k]).
 class Rfft1D {
  public:
   explicit Rfft1D(std::size_t n);
 
-  [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] std::size_t spec_size() const { return n_ / 2 + 1; }
-
-  /// Forward r2c (unnormalized): x is n real samples, spec receives the
-  /// n/2 + 1 half-spectrum bins.
-  void forward(std::span<const double> x, std::span<Cplx> spec) const;
-
-  /// Inverse c2r with the 1/n factor. `spec` must be the half spectrum of a
-  /// real signal (imaginary parts of bins 0 and n/2 are ignored round-off);
-  /// it is reused as scratch (contents are destroyed).
-  void inverse_inplace(std::span<Cplx> spec, std::span<double> x) const;
-
  private:
   friend class Fft2D;
 
-  /// forward in single precision on four rows at once, one per lane: x[l]
-  /// holds n samples, and `spec` receives the h + 1 bins as one contiguous
-  /// lane-batched row.
+  /// Forward r2c (unnormalized) in single precision on four rows at once,
+  /// one per lane: x[l] holds n samples, and `spec` receives the h + 1 bins
+  /// as one contiguous lane-batched row.
   void forward_lanes(const float* const* x, float* spec) const;
-  /// inverse_inplace in single precision on `count` <= 4 contiguous
-  /// lane-batched rows of h + 1 elements (row r at spec + r * rs floats)
-  /// whose elements k >= cols are +0 (never read), scaled by pre_scale.
-  /// `spec` is only read; `work` (4 h elements) holds the count half-length
-  /// transforms side by side, run by one stage sequence; lane l of row r
-  /// goes to x[4 r + l][0..n).
+  /// Inverse c2r with the 1/n factor, scaled by pre_scale, in single
+  /// precision on `count` <= 4 lane-batched rows (row r at spec + r * rs
+  /// floats) of which only elements k < cols are read (the rest count as
+  /// +0, so a row may hold just those cols elements). `spec` is only
+  /// read; `work` (4 h elements) holds the count half-length transforms side
+  /// by side, run by one stage sequence; lane l of row r goes to
+  /// x[4 r + l][0..n).
   void inverse_lanes(const float* spec, std::size_t rs, std::size_t count, std::size_t cols,
                      float pre_scale, float* work, float* const* x) const;
 
   std::size_t n_, h_;  // h_ = n/2
   Fft1D half_;
-  std::vector<Cplx> w_;     // exp(-2πi k / n), k <= n/4
-  std::vector<float> lane_w_;  // w_ rounded to float, interleaved (re, im)
+  std::vector<float> lane_w_;  // exp(-2πi k / n), k <= n/4, in float, interleaved (re, im)
 };
 
 /// 2-D real FFT plan over row-major (n0 x n1) grids, n0 a power of two and
@@ -134,9 +118,9 @@ class Rfft1D {
 /// The *_pruned variants additionally exploit a square spectral truncation
 /// |mx| <= kcut, |my| <= kcut (the SQG 2/3 dealias rule): the forward computes
 /// only the retained bins and writes exact zeros elsewhere (the truncation
-/// comes for free), the inverse skips the column transforms of bins the
-/// caller guarantees are zero. Both skip roughly a third of the butterfly
-/// work at kcut = n/3.
+/// comes for free), the inverse never reads a bin outside the square and
+/// skips the column transforms of the truncated columns. Both skip roughly a
+/// third of the butterfly work at kcut = n/3.
 class Fft2D {
  public:
   Fft2D(std::size_t n0, std::size_t n1);
@@ -153,7 +137,8 @@ class Fft2D {
 
   /// Packed half spectrum -> real grid. `hspec` must be the half spectrum of
   /// a real field, possibly scaled by real or conjugate-symmetric spectral
-  /// factors; `hspec` is not modified.
+  /// factors; `hspec` is not modified. Runs on the single-precision lanes:
+  /// the bins are rounded to float on entry.
   void inverse_half(std::span<const Cplx> hspec, std::span<double> grid) const;
 
   /// As forward_half, but computes only the bins with |mx| <= kcut and
@@ -163,10 +148,9 @@ class Fft2D {
   void forward_half_pruned(std::span<const double> grid, std::span<Cplx> hspec,
                            std::size_t kcut) const;
 
-  /// As inverse_half, but skips the column transforms for mx > kcut. The
-  /// caller must guarantee hspec is zero outside the |mx| <= kcut,
-  /// |my| <= kcut square (e.g. a spectrum produced by forward_half_pruned,
-  /// scaled pointwise) — the truncated columns are skipped entirely.
+  /// inverse_half of hspec truncated to the |mx| <= kcut, |my| <= kcut
+  /// square: bins outside it are never read, whatever they hold, and the
+  /// column transforms of mx > kcut are skipped entirely.
   void inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
                            std::size_t kcut) const;
 
@@ -184,7 +168,8 @@ class Fft2D {
   /// 32-byte block). The four column inverses run in lockstep, one per SIMD
   /// lane; then each grid row is inverted and multiplied, and every four
   /// product rows enter the forward's lane r2c. Bins with mx > kcut are
-  /// never read; `lanes` is consumed as scratch.
+  /// never read; the retained columns' bins with |my| > kcut must be ±0
+  /// (the SQG tendency writes +0 there); `lanes` is consumed as scratch.
   void product_half_pruned_lanes(std::span<float> lanes, RowProduct row_product,
                                  std::span<Cplx> hspec, std::size_t kcut) const;
 

@@ -3,19 +3,14 @@
 // simd/kernels_avx2.cpp, both through simd/kernel_table.hpp) and per
 // multiply-add mode (kFma).
 //
-// The per-field kernels (pass_first .. rfft_unpack) are double precision:
-// four doubles per vector, complex numbers as interleaved (re, im) pairs,
-// two complex elements per vector. The lane kernels below them are single
-// precision on V::F32, one eight-float register per lane element. With
-// kFma == false each lane operation is exactly one IEEE operation, so the
-// VecScalar and VecAvx2 instantiations are bitwise identical; with kFma ==
-// true the complex multiplies fuse (~1 ulp per butterfly from the unfused
-// reference).
-//
-// The Rfft1D pack/unpack scalar remainder loops repeat the pre-SIMD scalar
-// arithmetic verbatim; every TU including this header is compiled with
+// Every kernel is single precision on V::F32, one eight-float register per
+// lane element; the data movers that meet the double spectra widen exactly.
+// With kFma == false each lane operation is exactly one IEEE operation, so
+// the VecScalar and VecAvx2 instantiations are bitwise identical; with kFma
+// == true the complex multiplies fuse (~1 ulp per butterfly from the
+// unfused reference). Every TU including this header is compiled with
 // -ffp-contract=off and auto-vectorization off (see CMakeLists.txt) so the
-// compiler cannot contract or re-vectorize them.
+// compiler cannot contract or re-vectorize the scalar emulation.
 #pragma once
 
 #include <cstddef>
@@ -24,166 +19,7 @@
 
 namespace turbda::fft::detail {
 
-using simd::cmul;
-using simd::cmul_conj;
 using simd::transpose4_halves;
-
-/// Stages of butterfly length 2 and 4 fused (exact ±1/±i twiddles). Per
-/// 4-complex block: A = [z0+z1 | z0-z1], D = [z2+z3 | -+i (z2-z3)],
-/// outputs A±D.
-template <class V>
-void pass_first_impl(double* d, std::size_t n2, double isign) {
-  const V rot = V::lanes(1.0, 1.0, -isign, isign);
-  for (std::size_t base = 0; base < n2; base += 8) {
-    double* p = d + base;
-    const V r0 = V::loadu(p);
-    const V r1 = V::loadu(p + 4);
-    const V sw0 = r0.swap_halves();
-    const V sw1 = r1.swap_halves();
-    const V s0 = r0 + sw0, d0 = r0 - sw0;
-    const V s1 = r1 + sw1, d1 = r1 - sw1;
-    const V a = V::concat_lo(s0, d0);                        // [a0 | a1]
-    const V c = V::concat_lo(s1, d1);                        // [a2 | a3]
-    const V cs = c.swap_pairs();                             // [a2 im/re | a3 im/re]
-    const V dd = V::template blend<0b1100>(c, cs * rot);     // [a2 | b3]
-    (a + dd).storeu(p);
-    (a - dd).storeu(p + 4);
-  }
-}
-
-/// Fused radix-2² pass (stages s and s+1); half >= 4 and even, so the
-/// two-complex-per-iteration loop has no tail.
-template <class V, bool kFma>
-void pass_radix4_impl(double* d, std::size_t n, std::size_t half, const double* tw,
-                      const double* tw1) {
-  const std::size_t len4 = 4 * half;
-  for (std::size_t base = 0; base < n; base += len4) {
-    double* p0 = d + 2 * base;
-    double* p1 = p0 + 2 * half;
-    double* p2 = p1 + 2 * half;
-    double* p3 = p2 + 2 * half;
-    for (std::size_t k = 0; k < half; k += 2) {
-      const V w = V::loadu(tw + 2 * k);
-      const V a = V::loadu(p0 + 2 * k);
-      const V b = V::loadu(p1 + 2 * k);
-      const V c = V::loadu(p2 + 2 * k);
-      const V e = V::loadu(p3 + 2 * k);
-      const V tb = cmul<kFma>(w, b);
-      const V td = cmul<kFma>(w, e);
-      const V ua = a + tb, ub = a - tb;
-      const V uc = c + td, ud = c - td;
-      const V v0 = V::loadu(tw1 + 2 * k);
-      const V v1 = V::loadu(tw1 + 2 * (k + half));
-      const V tc = cmul<kFma>(v0, uc);
-      const V te = cmul<kFma>(v1, ud);
-      (ua + tc).storeu(p0 + 2 * k);
-      (ua - tc).storeu(p2 + 2 * k);
-      (ub + te).storeu(p1 + 2 * k);
-      (ub - te).storeu(p3 + 2 * k);
-    }
-  }
-}
-
-/// Single radix-2 pass (the odd remaining stage); half >= 4 and even.
-template <class V, bool kFma>
-void pass_radix2_impl(double* d, std::size_t n, std::size_t half, const double* tw) {
-  for (std::size_t base = 0; base < n; base += 2 * half) {
-    double* lo = d + 2 * base;
-    double* hi = lo + 2 * half;
-    for (std::size_t k = 0; k < half; k += 2) {
-      const V w = V::loadu(tw + 2 * k);
-      const V h = V::loadu(hi + 2 * k);
-      const V u = V::loadu(lo + 2 * k);
-      const V t = cmul<kFma>(w, h);
-      (u + t).storeu(lo + 2 * k);
-      (u - t).storeu(hi + 2 * k);
-    }
-  }
-}
-
-// Rfft1D Hermitian pack/unpack. Bins k and h-k are updated together; the
-// vector loop walks two bins from each end per iteration (the mirrored pair
-// is loaded/stored through one 128-bit-half swap), and hands the last one or
-// two middle bins to a scalar remainder with the identical arithmetic.
-
-/// Forward combine X[k] = E[k] + w^k O[k], X[h-k] = conj(E[k] - w^k O[k])
-/// with E, O the even/odd-sample transforms recovered from the half-length
-/// spectrum: E = (Z[k] + conj(Z[h-k]))/2, O = -i (Z[k] - conj(Z[h-k]))/2.
-template <class V, bool kFma>
-void rfft_pack_impl(double* s, const double* w, std::size_t h) {
-  const V half_v = V::broadcast(0.5);
-  std::size_t k = 1;
-  for (; 2 * k + 2 < h; k += 2) {
-    const std::size_t mbase = 2 * (h - k - 1);
-    const V fwd = V::loadu(s + 2 * k);
-    const V mir = V::loadu(s + mbase).swap_halves();  // [z(h-k) | z(h-k-1)]
-    const V e = half_v * (fwd + mir.conj());
-    const V fwds = fwd.swap_pairs();
-    const V mirs = mir.swap_pairs();
-    const V o = half_v * V::addsub(mirs, fwds.neg());
-    const V t = cmul<kFma>(V::loadu(w + 2 * k), o);
-    const V outk = e + t;
-    // Mirror bin (er - tr, ti - ei): negating the (e - t) subtraction would
-    // flip the sign of an exactly-zero imaginary lane (-(x - x) is -0.0,
-    // ti - ei is +0.0), so build it as an addsub of negated operands — x +
-    // (-y) is the same IEEE operation as x - y, keeping the unfused
-    // reference bitwise.
-    const V x = V::template blend<0b1010>(e, t);        // [er ti | ...]
-    const V y = V::template blend<0b1010>(t, e.neg());  // [tr -ei | ...]
-    const V outkc = V::addsub(x, y);
-    outk.storeu(s + 2 * k);
-    outkc.swap_halves().storeu(s + mbase);
-  }
-  for (; k < h - k; ++k) {  // scalar remainder, same arithmetic
-    const std::size_t kc = h - k;
-    const double zkr = s[2 * k], zki = s[2 * k + 1];
-    const double zcr = s[2 * kc], zci = s[2 * kc + 1];
-    const double er = 0.5 * (zkr + zcr), ei = 0.5 * (zki - zci);
-    const double or_ = 0.5 * (zki + zci), oi = 0.5 * (zcr - zkr);
-    const double wr = w[2 * k], wi = w[2 * k + 1];
-    const double tr = wr * or_ - wi * oi, ti = wr * oi + wi * or_;
-    s[2 * k] = er + tr;
-    s[2 * k + 1] = ei + ti;
-    s[2 * kc] = er - tr;
-    s[2 * kc + 1] = ti - ei;
-  }
-}
-
-/// Inverse of the combine: recover E and w^k O from X[k], X[h-k], undo the
-/// twiddle with conj(w), and store Z[k] = E + iO, Z[h-k] = conj(E) + i conj(O).
-template <class V, bool kFma>
-void rfft_unpack_impl(double* s, const double* w, std::size_t h) {
-  const V half_v = V::broadcast(0.5);
-  std::size_t k = 1;
-  for (; 2 * k + 2 < h; k += 2) {
-    const std::size_t mbase = 2 * (h - k - 1);
-    const V fwd = V::loadu(s + 2 * k);
-    const V mir = V::loadu(s + mbase).swap_halves();
-    const V e = half_v * V::addsub(fwd, mir.neg());
-    const V ot = half_v * V::addsub(fwd, mir);
-    const V o = cmul_conj<kFma>(V::loadu(w + 2 * k), ot);
-    const V os = o.swap_pairs();  // [oi or_ | ...]
-    const V outk = V::addsub(e, os);
-    const V x = V::template blend<0b1010>(e, os);  // [er or_ | ...]
-    const V y = V::template blend<0b1010>(os, e);  // [oi ei | ...]
-    const V outkc = V::addsub(x, y.neg());
-    outk.storeu(s + 2 * k);
-    outkc.swap_halves().storeu(s + mbase);
-  }
-  for (; k < h - k; ++k) {  // scalar remainder, same arithmetic
-    const std::size_t kc = h - k;
-    const double ar = s[2 * k], ai = s[2 * k + 1];
-    const double br = s[2 * kc], bi = s[2 * kc + 1];
-    const double er = 0.5 * (ar + br), ei = 0.5 * (ai - bi);
-    const double otr = 0.5 * (ar - br), oti = 0.5 * (ai + bi);
-    const double wr = w[2 * k], wi = w[2 * k + 1];
-    const double or_ = wr * otr + wi * oti, oi = wr * oti - wi * otr;
-    s[2 * k] = er - oi;
-    s[2 * k + 1] = ei + or_;
-    s[2 * kc] = er + oi;
-    s[2 * kc + 1] = or_ - ei;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Lane-batched kernels, in single precision: four independent transforms
@@ -191,8 +27,10 @@ void rfft_unpack_impl(double* s, const double* w, std::size_t h) {
 // floats at d + (k * stride + c) * 8 — the four real parts, then the four
 // imaginary parts — and is one V::F32 register. `stride` is the element
 // distance between successive points of one transform (n/2 + 1 for an
-// in-place column of a half spectrum, the block count for the forward's
-// compact column buffer, 1 for a row), and the m transforms of one call sit
+// in-place column of the fused transform's half spectrum, the retained
+// column count for the per-field inverse's, the block count for the
+// forward's compact column buffer, 1 for a row), and the m transforms of one
+// call sit
 // side by side (adjacent columns or column blocks). A lane never reads
 // another lane, and every entry runs one fixed sequence of IEEE float
 // operations, fused under kFma wherever a multiply feeds an add, so the

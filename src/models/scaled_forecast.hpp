@@ -31,8 +31,6 @@ class ScaledForecast final : public ForecastModel {
   /// The wrapper itself touches only the caller's state slice.
   [[nodiscard]] bool concurrent_safe() const override { return inner_.concurrent_safe(); }
 
-  [[nodiscard]] double scale() const { return scale_; }
-
  private:
   ForecastModel& inner_;
   double scale_;

@@ -116,10 +116,6 @@ class Rng {
     if (i < out.size()) out[i] = gaussian();
   }
 
-  void fill_uniform(std::span<double> out, double lo = 0.0, double hi = 1.0) {
-    for (double& x : out) x = uniform(lo, hi);
-  }
-
   /// Uniform integer in [0, n).
   std::uint64_t uniform_int(std::uint64_t n) {
     // Lemire's multiply-shift rejection-free-enough method with rejection

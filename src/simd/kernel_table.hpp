@@ -20,11 +20,6 @@ constexpr Kernels kernel_table() {
   namespace fd = fft::detail;
   return {
       // FFT butterflies
-      .pass_first = fd::pass_first_impl<V>,
-      .pass_radix4 = fd::pass_radix4_impl<V, kFma>,
-      .pass_radix2 = fd::pass_radix2_impl<V, kFma>,
-      .rfft_pack = fd::rfft_pack_impl<V, kFma>,
-      .rfft_unpack = fd::rfft_unpack_impl<V, kFma>,
       .lane_pass_first = fd::lane_pass_first_impl<V>,
       .lane_pass_radix4 = fd::lane_pass_radix4_impl<V, kFma>,
       .lane_pass_radix2 = fd::lane_pass_radix2_impl<V, kFma>,

@@ -18,16 +18,15 @@
 //    on thread count or on where a vector loop ends.
 //  - The Avx2Fma table contracts multiplies into fused multiply-adds (one
 //    rounding instead of two, ~1 ulp per operation). An entry without an FMA
-//    variant gives the same bits in all three tables: pass_first,
-//    lane_pass_first, the lane data movers (lane_rows_in/out,
-//    lane_cols_in/out), scale, bscale, clamped_axpy, matmul_rows,
-//    gaussian_pairs and mul_inplace.
-//  - Precision: every entry computes in double except the nine lane FFT
-//    entries and sqg_jacobian, which compute in float, and sqg_pass1, which
-//    computes in double and stores float. The float entries are bitwise
-//    across levels like the rest; against the double arithmetic they
-//    replace they differ by float rounding (the README's FFT section gives
-//    the measured bound).
+//    variant gives the same bits in all three tables: lane_pass_first, the
+//    lane data movers (lane_rows_in/out, lane_cols_in/out), scale, bscale,
+//    clamped_axpy, matmul_rows, gaussian_pairs and mul_inplace.
+//  - Precision: the nine FFT entries and sqg_jacobian compute in float,
+//    sqg_pass1 computes in double and stores float, and every other entry
+//    computes in double. The float entries are bitwise across levels like
+//    the rest; against the double arithmetic of their definitions they
+//    differ by float rounding (the README's FFT section gives the measured
+//    bound).
 //  - Bitwise agreement between two code paths (two levels, or two
 //    instantiations of one kernel) holds only up to NaN payloads wherever
 //    two NaNs meet: an add or multiply of two NaNs returns one operand's
@@ -71,41 +70,22 @@ using FloatLaneBuffer = std::vector<float, LaneAllocator<float>>;
 
 struct Kernels {
   // ---- FFT butterflies (Fft1D, Rfft1D, Fft2D) ----
-  // Buffers are raw interleaved (re, im) doubles (std::complex
-  // array-compatible layout).
-
-  /// Stages of butterfly length 2 and 4 fused (exact ±1/±i twiddles), over
-  /// the whole bit-reversed array: n2 = 2 * n doubles, n >= 4 complex.
-  /// isign = -1 forward, +1 inverse.
-  void (*pass_first)(double* d, std::size_t n2, double isign);
-  /// Fused radix-2² pass (stages s and s+1): blocks of 4 * half complex,
-  /// stage-s twiddles tw, stage-(s+1) twiddles tw1; half >= 4 and even.
-  void (*pass_radix4)(double* d, std::size_t n, std::size_t half, const double* tw,
-                      const double* tw1);
-  /// Single radix-2 pass (the odd remaining stage); half >= 4 and even.
-  void (*pass_radix2)(double* d, std::size_t n, std::size_t half, const double* tw);
-  /// Rfft1D forward Hermitian combine for bins k in [1, h-k): spec holds
-  /// h + 1 interleaved complex bins, w the exp(-2πi k / n) twiddles.
-  void (*rfft_pack)(double* spec, const double* w, std::size_t h);
-  /// Rfft1D inverse Hermitian split for the same bin range.
-  void (*rfft_unpack)(double* spec, const double* w, std::size_t h);
-
-  // Lane-batched FFT entries (Fft2D's forward and fused product transform),
-  // in single precision. Four transforms per call, one per lane: element k
-  // of transform c is the 8 floats at d + (k * stride + c) * 8 (four real
-  // parts, then four imaginary parts), one V::F32 register; m transforms
-  // sit side by side. A lane holds one field (the product transform's
-  // column inverses), one grid row (the row r2c/c2r) or one spectral column
-  // (the forward's column pass). Twiddle tables are interleaved (re, im)
-  // floats: the double tables rounded once. Each entry runs one fixed
+  // Lane-batched, in single precision. Four transforms per call, one per
+  // lane: element k of transform c is the 8 floats at d + (k * stride + c) *
+  // 8 (four real parts, then four imaginary parts), one V::F32 register; m
+  // transforms sit side by side. A lane holds one field (the column inverses:
+  // the fused product transform's four fields, or the per-field inverse's
+  // one field in lane 0), one grid row (the row r2c/c2r) or one spectral
+  // column (the forward's column pass). Twiddle tables are interleaved
+  // (re, im) floats, rounded once from double. Each entry runs one fixed
   // sequence of float operations per lane, so the Scalar and Avx2 tables
-  // give the same bits; they approximate the double per-field entries
-  // above to float precision (the README's FFT section gives the measured
-  // error). The row entries write bit-reversed slots, so no row transform
-  // runs a permutation pass.
+  // give the same bits; they approximate the double definitions to float
+  // precision (the README's FFT section gives the measured error). The row
+  // entries write bit-reversed slots, so no row transform runs a
+  // permutation pass.
 
-  /// Stages of length 2 and 4 over n >= 4 points of m adjacent transforms
-  /// (isign as pass_first).
+  /// Stages of length 2 and 4 over n >= 4 points of m adjacent transforms;
+  /// isign = -1 forward, +1 inverse.
   void (*lane_pass_first)(float* d, std::size_t n, std::size_t stride, std::size_t m,
                           float isign);
   /// Fused radix-2² pass (stages s and s+1), any half >= 1.

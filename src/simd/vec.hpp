@@ -1,11 +1,11 @@
 // Portable SIMD value type: the one vector abstraction in the tree.
 //
 // `Vec` models a 256-bit register of four doubles with the small fixed set of
-// lane operations the FFT butterflies and the LETKF dense kernels need:
-// load/store, broadcast, +/-/*, fused and unfused multiply-add, the
-// addsub/fmaddsub family for interleaved complex pairs, in-register shuffles
-// (pair swap, even/odd duplicate, 128-bit half swap and concat, unpack,
-// blend, and the 4x4 transpose built from them), and — for the
+// lane operations the dense, SQG pointwise and RNG kernels need: load/store
+// (and four floats widened or rounded), broadcast, +/-/*, fused and unfused
+// multiply-add/-sub, addsub/fmaddsub for interleaved complex pairs, sign
+// flips, in-register shuffles (pair swap, even/odd duplicate, 128-bit half
+// concat, unpack, and the 4x4 transpose built from them), and — for the
 // lane-batched solvers — correctly-rounded / and sqrt (IEEE-exact in both
 // backends, so lane arithmetic matches the scalar spelling bitwise),
 // min/max, ordered compares producing all-ones lane masks, sign-bit select
@@ -188,9 +188,6 @@ struct VecScalar {
     p[3] = v[3];
   }
   [[nodiscard]] static VecScalar broadcast(double x) { return VecScalar{{x, x, x, x}}; }
-  [[nodiscard]] static VecScalar lanes(double l0, double l1, double l2, double l3) {
-    return VecScalar{{l0, l1, l2, l3}};
-  }
   /// Four floats widened (exact) / the lanes rounded to float (to nearest).
   [[nodiscard]] static VecScalar load_f32(const float* p) {
     return VecScalar{{p[0], p[1], p[2], p[3]}};
@@ -313,22 +310,10 @@ struct VecScalar {
       return addsub(a * b, c);
     }
   }
-  /// a*b +/- c per even/odd lane (fused when kFma). The unfused form negates
-  /// c and reuses addsub: x - (-y) is the same IEEE operation as x + y.
-  template <bool kFma>
-  [[nodiscard]] static VecScalar fmsubadd(VecScalar a, VecScalar b, VecScalar c) {
-    if constexpr (kFma) {
-      return VecScalar{{std::fma(a.v[0], b.v[0], c.v[0]), std::fma(a.v[1], b.v[1], -c.v[1]),
-                        std::fma(a.v[2], b.v[2], c.v[2]), std::fma(a.v[3], b.v[3], -c.v[3])}};
-    } else {
-      return addsub(a * b, c.neg());
-    }
-  }
 
   [[nodiscard]] VecScalar swap_pairs() const { return VecScalar{{v[1], v[0], v[3], v[2]}}; }
   [[nodiscard]] VecScalar dup_even() const { return VecScalar{{v[0], v[0], v[2], v[2]}}; }
   [[nodiscard]] VecScalar dup_odd() const { return VecScalar{{v[1], v[1], v[3], v[3]}}; }
-  [[nodiscard]] VecScalar swap_halves() const { return VecScalar{{v[2], v[3], v[0], v[1]}}; }
   /// [a0, a1, b0, b1] — low 128-bit halves of a and b.
   [[nodiscard]] static VecScalar concat_lo(VecScalar a, VecScalar b) {
     return VecScalar{{a.v[0], a.v[1], b.v[0], b.v[1]}};
@@ -345,14 +330,6 @@ struct VecScalar {
   [[nodiscard]] static VecScalar unpack_hi(VecScalar a, VecScalar b) {
     return VecScalar{{a.v[1], b.v[1], a.v[3], b.v[3]}};
   }
-  /// Per-lane select: bit i of kMask set -> lane i from b, else from a.
-  template <int kMask>
-  [[nodiscard]] static VecScalar blend(VecScalar a, VecScalar b) {
-    return VecScalar{{(kMask & 1) ? b.v[0] : a.v[0], (kMask & 2) ? b.v[1] : a.v[1],
-                      (kMask & 4) ? b.v[2] : a.v[2], (kMask & 8) ? b.v[3] : a.v[3]}};
-  }
-  /// All lanes negated (sign-bit flip, exact for ±0 and NaN payloads).
-  [[nodiscard]] VecScalar neg() const { return VecScalar{{-v[0], -v[1], -v[2], -v[3]}}; }
   /// Odd (imaginary) lanes negated: complex conjugate of interleaved pairs.
   [[nodiscard]] VecScalar conj() const { return VecScalar{{v[0], -v[1], v[2], -v[3]}}; }
   /// Even (real) lanes negated.
@@ -450,9 +427,6 @@ struct VecAvx2 {
   }
   void store_f32(float* p) const { _mm_storeu_ps(p, _mm256_cvtpd_ps(v)); }
   [[nodiscard]] static VecAvx2 broadcast(double x) { return VecAvx2{_mm256_set1_pd(x)}; }
-  [[nodiscard]] static VecAvx2 lanes(double l0, double l1, double l2, double l3) {
-    return VecAvx2{_mm256_set_pd(l3, l2, l1, l0)};
-  }
 
   friend VecAvx2 operator+(VecAvx2 a, VecAvx2 b) { return VecAvx2{_mm256_add_pd(a.v, b.v)}; }
   friend VecAvx2 operator-(VecAvx2 a, VecAvx2 b) { return VecAvx2{_mm256_sub_pd(a.v, b.v)}; }
@@ -509,19 +483,10 @@ struct VecAvx2 {
       return addsub(a * b, c);
     }
   }
-  template <bool kFma>
-  [[nodiscard]] static VecAvx2 fmsubadd(VecAvx2 a, VecAvx2 b, VecAvx2 c) {
-    if constexpr (kFma) {
-      return VecAvx2{_mm256_fmsubadd_pd(a.v, b.v, c.v)};
-    } else {
-      return addsub(a * b, c.neg());
-    }
-  }
 
   [[nodiscard]] VecAvx2 swap_pairs() const { return VecAvx2{_mm256_permute_pd(v, 0x5)}; }
   [[nodiscard]] VecAvx2 dup_even() const { return VecAvx2{_mm256_movedup_pd(v)}; }
   [[nodiscard]] VecAvx2 dup_odd() const { return VecAvx2{_mm256_permute_pd(v, 0xF)}; }
-  [[nodiscard]] VecAvx2 swap_halves() const { return VecAvx2{_mm256_permute2f128_pd(v, v, 0x01)}; }
   [[nodiscard]] static VecAvx2 concat_lo(VecAvx2 a, VecAvx2 b) {
     return VecAvx2{_mm256_permute2f128_pd(a.v, b.v, 0x20)};
   }
@@ -533,13 +498,6 @@ struct VecAvx2 {
   }
   [[nodiscard]] static VecAvx2 unpack_hi(VecAvx2 a, VecAvx2 b) {
     return VecAvx2{_mm256_unpackhi_pd(a.v, b.v)};
-  }
-  template <int kMask>
-  [[nodiscard]] static VecAvx2 blend(VecAvx2 a, VecAvx2 b) {
-    return VecAvx2{_mm256_blend_pd(a.v, b.v, kMask)};
-  }
-  [[nodiscard]] VecAvx2 neg() const {
-    return VecAvx2{_mm256_xor_pd(v, _mm256_set1_pd(-0.0))};
   }
   [[nodiscard]] VecAvx2 conj() const {
     return VecAvx2{_mm256_xor_pd(v, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0))};
@@ -555,12 +513,6 @@ struct VecAvx2 {
 template <bool kFma, class V>
 [[nodiscard]] inline V cmul(V w, V b) {
   return V::template fmaddsub<kFma>(w.dup_even(), b, w.dup_odd() * b.swap_pairs());
-}
-
-/// conj(w) * b on two interleaved (re, im) complex pairs.
-template <bool kFma, class V>
-[[nodiscard]] inline V cmul_conj(V w, V b) {
-  return V::template fmsubadd<kFma>(w.dup_even(), b, w.dup_odd() * b.swap_pairs());
 }
 
 /// In-register 4x4 transpose: on return r_i holds lane i of the inputs,

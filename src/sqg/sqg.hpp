@@ -182,8 +182,8 @@ class SqgModel {
 
   // --- spectral-space accessors used by tests -------------------------------
   // All spectral spans are spec_dim() long (two packed half spectra).
-  // to_spectral truncates to the dealiased set; to_grid assumes its input is
-  // so truncated (every spectrum the model produces is).
+  // to_spectral truncates to the dealiased set; to_grid reads only that set
+  // (bins outside it are never read, whatever they hold).
   void to_spectral(std::span<const double> theta_grid, std::span<Cplx> theta_spec) const;
   void to_grid(std::span<const Cplx> theta_spec, std::span<double> theta_grid) const;
   void invert(std::span<const Cplx> theta_spec, std::span<Cplx> psi_spec) const;

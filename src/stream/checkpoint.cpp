@@ -22,7 +22,7 @@ constexpr std::array<std::uint32_t, 256> make_crc_table() {
 
 constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
-// The v4 encoding of one row: each for_each_metric field in order, int as
+// The v5 encoding of one row: each for_each_metric field in order, int as
 // i32, double as f64, bool as one byte.
 void put_metrics(std::vector<std::uint8_t>& out, const StreamCycleMetrics& m) {
   for_each_metric(m, [&](const char*, const auto& v) {
@@ -60,7 +60,17 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 }
 
 Status save_checkpoint(const std::string& path, const CheckpointData& data) {
+  // The payload's size, reserved once: the fixed fields, the length-prefixed
+  // vectors and blobs, and the metric rows (one probe row gives their size).
+  std::vector<std::uint8_t> row;
+  put_metrics(row, StreamCycleMetrics{});
+  std::size_t size = 3 * 8 + 3 * 4 + 7 * 8 + data.rng_modelerr.size() +
+                     8 * data.ensemble.size() + data.applied.size() +
+                     data.stream_state.size() + data.filter_state.size() +
+                     data.metrics.size() * row.size();
+  for (const auto& s : data.ring) size += 4 + 8 + 8 * s.increment.size();
   std::vector<std::uint8_t> payload;
+  payload.reserve(size);
   bytes::put_u64(payload, data.seed);
   bytes::put_u64(payload, data.n_members);
   bytes::put_u64(payload, data.dim);
@@ -80,17 +90,17 @@ Status save_checkpoint(const std::string& path, const CheckpointData& data) {
   bytes::put_u64(payload, data.metrics.size());
   for (const auto& m : data.metrics) put_metrics(payload, m);
 
-  std::vector<std::uint8_t> file;
-  file.reserve(payload.size() + 20);
-  bytes::put_u32(file, kCheckpointMagic);
-  bytes::put_u32(file, kCheckpointVersion);
-  bytes::put_u64(file, payload.size());
-  file.insert(file.end(), payload.begin(), payload.end());
-  bytes::put_u32(file, crc32(payload));
+  std::vector<std::uint8_t> header, trailer;
+  bytes::put_u32(header, kCheckpointMagic);
+  bytes::put_u32(header, kCheckpointVersion);
+  bytes::put_u64(header, payload.size());
+  bytes::put_u32(trailer, crc32(payload));
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status(StatusCode::kIoError, "cannot open checkpoint file for write: " + path);
-  out.write(reinterpret_cast<const char*>(file.data()), static_cast<std::streamsize>(file.size()));
+  for (const auto* part : {&header, &payload, &trailer})
+    out.write(reinterpret_cast<const char*>(part->data()),
+              static_cast<std::streamsize>(part->size()));
   out.flush();
   if (!out) return Status(StatusCode::kIoError, "checkpoint write failed: " + path);
   return Status::Ok();

@@ -27,7 +27,8 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4B434454u;  // "TDCK" LE
 // v4: one ring for every depth: overlap_depth echoes the effective depth
 //     (0 = Serial), ring entries hold {cycle, increment}; the schedule byte
 //     and the K = 1 prior/post buffers are gone.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// v5: SyntheticStream's state no longer holds a dropped-batch counter.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Everything a snapshot holds. The config echo fields let resume() refuse a
 /// checkpoint taken under a different setup instead of diverging silently.

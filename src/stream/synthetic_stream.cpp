@@ -52,11 +52,7 @@ void SyntheticStream::produce(int cycle) {
   ring_.add(cycle, truth_);
   ring_.keep_from(cycle - cfg_.truth_buffer + 1);
   ++produced_;
-  if (dropped) {
-    ++dropped_;
-  } else {
-    pending_.push(std::move(b));
-  }
+  if (!dropped) pending_.push(std::move(b));
 }
 
 void SyntheticStream::collect(double now_cycles, std::vector<ObsBatch>& out) {
@@ -68,7 +64,6 @@ bool SyntheticStream::save_state(std::vector<std::uint8_t>& out) const {
   std::lock_guard<std::mutex> lk(mu_);
   bytes::put_f64_span(out, truth_);
   bytes::put_i32(out, produced_);
-  bytes::put_i32(out, dropped_);
   pending_.save(out);
   ring_.save(out);
   return true;
@@ -79,17 +74,14 @@ bool SyntheticStream::restore_state(std::span<const std::uint8_t> in) {
   std::vector<double> truth;
   if (!rd.f64_vec(truth) || truth.size() != truth_model_.dim()) return false;
   const int produced = rd.i32();
-  const int dropped = rd.i32();
   BatchQueue pending;
   TruthRing ring;
   if (!pending.restore(rd, h_.obs_dim(), h_.obs_dim()) ||
-      !ring.restore(rd, truth_model_.dim(), truth_model_.dim()) || !rd.done() || produced < 0 ||
-      dropped < 0)
+      !ring.restore(rd, truth_model_.dim(), truth_model_.dim()) || !rd.done() || produced < 0)
     return false;
   std::lock_guard<std::mutex> lk(mu_);
   truth_ = std::move(truth);
   produced_ = produced;
-  dropped_ = dropped;
   pending_ = std::move(pending);
   ring_ = std::move(ring);
   return true;

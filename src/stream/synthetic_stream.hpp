@@ -82,7 +82,6 @@ class SyntheticStream final : public ObservationStream {
   BatchQueue pending_;
   TruthRing ring_;
   int produced_ = 0;
-  int dropped_ = 0;
 };
 
 }  // namespace turbda::stream

@@ -142,7 +142,7 @@ stream::StreamCycleMetrics distinct_row(int r) {
           .checkpoint_ms = b + 24.5, .cycle_ms = b + 25.5, .pool_idle_frac = 0.25 + 0.5 * r};
 }
 
-TEST(Checkpoint, FormatV4BytesArePinnedAndEveryMetricRoundTrips) {
+TEST(Checkpoint, FormatV5BytesArePinnedAndEveryMetricRoundTrips) {
   stream::CheckpointData d;
   d.seed = 0x0123456789abcdefULL;
   d.n_members = 2;
@@ -163,12 +163,12 @@ TEST(Checkpoint, FormatV4BytesArePinnedAndEveryMetricRoundTrips) {
   std::ifstream in(path, std::ios::binary);
   const std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
                                        std::istreambuf_iterator<char>());
-  // The bytes format v4 has always written for this snapshot: a change to
-  // the row layout must come with a kCheckpointVersion bump and a new pin.
+  // The bytes format v5 writes for this snapshot: a change to the row
+  // layout must come with a kCheckpointVersion bump and a new pin.
   // The CRC skips the 4-byte trailer, because a CRC-32 taken over data
   // followed by that data's own CRC-32 is the same whatever the data.
   ASSERT_EQ(file.size(), 558u);
-  EXPECT_EQ(stream::crc32(std::span(file).first(file.size() - 4)), 0x9efa670au);
+  EXPECT_EQ(stream::crc32(std::span(file).first(file.size() - 4)), 0xfccbe00cu);
 
   stream::CheckpointData back;
   ASSERT_TRUE(stream::load_checkpoint(path, back).ok());
@@ -406,18 +406,18 @@ TEST(Checkpoint, MetricsRowsOutOfStepWithTheCycleIndexAreRefused) {
 }
 
 TEST(Checkpoint, PreviousFormatVersionIsRefused) {
-  const std::string path = temp_path("ckpt_v3.bin");
+  const std::string path = temp_path("ckpt_v4.bin");
   auto old = make_snapshot(path);
   ASSERT_GT(old.size(), 8u);
-  // Restamp the little-endian version field as 3, the last format that
-  // carried the schedule byte and the K = 1 prior/post buffers.
-  old[4] = 3;
+  // Restamp the little-endian version field as 4, the last format whose
+  // SyntheticStream state carried a dropped-batch counter.
+  old[4] = 4;
   old[5] = old[6] = old[7] = 0;
   write_bytes(path, old);
   stream::CheckpointData data;
   const Status s = stream::load_checkpoint(path, data);
   EXPECT_EQ(s.code(), StatusCode::kUnsupported);
-  EXPECT_NE(s.message().find("version 3"), std::string::npos) << s.to_string();
+  EXPECT_NE(s.message().find("version 4"), std::string::npos) << s.to_string();
   std::remove(path.c_str());
 }
 

@@ -70,7 +70,6 @@ TEST(Observation, IdentityApplyAdjoint) {
   EXPECT_EQ(y, x);
   h.adjoint(x, y, out);
   EXPECT_EQ(out, x);
-  EXPECT_TRUE(h.is_linear());
 }
 
 TEST(Observation, IdentityGridLocations) {
@@ -114,7 +113,6 @@ TEST(Observation, ArctanAdjointMatchesFiniteDifference) {
     for (std::size_t o = 0; o < 3; ++o) jr += (yp[o] - ym[o]) / (2 * eps) * r[o];
     EXPECT_NEAR(out[i], jr, 1e-8);
   }
-  EXPECT_FALSE(h.is_linear());
 }
 
 TEST(Observation, DiagonalRPerturbAndInverse) {

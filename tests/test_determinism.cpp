@@ -116,9 +116,10 @@ TEST(Determinism, LetkfIndependentOfSimdLevel) {
 }
 
 TEST(Determinism, SqgStepIndependentOfSimdLevel) {
-  // The whole forecast: pass 1's lane-interleaved store, the lane-batched
-  // inverse transforms, the per-field forwards and the pointwise kernels all
-  // repeat the scalar IEEE operation order on the Avx2 level.
+  // The whole forecast: the lane forward, pass 1's lane-interleaved store,
+  // the fused Jacobian transforms, to_grid's lane-0 inverse and the
+  // pointwise kernels all repeat the scalar IEEE operation order on the Avx2
+  // level.
   if (!simd::simd_level_available(simd::SimdLevel::Avx2)) GTEST_SKIP() << "no AVX2";
   const simd::SimdLevel before = simd::active_simd_level();
   for (const std::size_t n : {32u, 128u}) {

@@ -14,6 +14,7 @@
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 
+#include "dft_reference.hpp"
 #include "simd_level_guard.hpp"
 
 namespace turbda::fft {
@@ -21,20 +22,6 @@ namespace {
 
 using turbda::rng::Rng;
 using turbda::test::SimdLevelGuard;
-
-std::vector<Cplx> naive_dft(const std::vector<Cplx>& x) {
-  const std::size_t n = x.size();
-  std::vector<Cplx> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    Cplx s(0.0, 0.0);
-    for (std::size_t j = 0; j < n; ++j) {
-      const double ang = -kTwoPi * static_cast<double>(k * j) / static_cast<double>(n);
-      s += x[j] * Cplx(std::cos(ang), std::sin(ang));
-    }
-    out[k] = s;
-  }
-  return out;
-}
 
 /// exp(-2πi k / n), k < n.
 std::vector<Cplx> roots(std::size_t n) {
@@ -86,162 +73,17 @@ double rel_err(const std::vector<T>& got, const std::vector<T>& want) {
   return e == 0.0 ? 0.0 : e / max_abs(want);
 }
 
-/// Rfft1D inverse of a copy of `spec` (inverse_inplace consumes its input).
-std::vector<double> rfft_inverse(const Rfft1D& plan, std::vector<Cplx> spec) {
-  std::vector<double> x(plan.size());
-  plan.inverse_inplace(spec, x);
-  return x;
-}
-
-class Fft1dP : public ::testing::TestWithParam<int> {};
-
-TEST_P(Fft1dP, MatchesNaiveDft) {
-  const auto n = static_cast<std::size_t>(GetParam());
-  Rng rng(3 + n);
-  std::vector<Cplx> x(n);
-  for (auto& v : x) v = Cplx(rng.gaussian(), rng.gaussian());
-  const auto want = naive_dft(x);
-  Fft1D plan(n);
-  auto got = x;
-  plan.forward(got);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(got[i].real(), want[i].real(), 1e-9 * static_cast<double>(n));
-    EXPECT_NEAR(got[i].imag(), want[i].imag(), 1e-9 * static_cast<double>(n));
+/// `spec` (an n0 x (n1/2 + 1) half spectrum) with every bin outside the
+/// |mx|, |my| <= kcut square set to (outside, outside).
+std::vector<Cplx> in_square(std::vector<Cplx> spec, std::size_t n0, std::size_t n1,
+                            std::size_t kcut, double outside = 0.0) {
+  const std::size_t nh = n1 / 2 + 1;
+  for (std::size_t i = 0; i < n0; ++i) {
+    const std::size_t my = (i <= n0 / 2) ? i : n0 - i;  // |my|
+    for (std::size_t j = 0; j < nh; ++j)
+      if (j > kcut || my > kcut) spec[i * nh + j] = Cplx(outside, outside);
   }
-}
-
-TEST_P(Fft1dP, RoundTripIdentity) {
-  const auto n = static_cast<std::size_t>(GetParam());
-  Rng rng(17 + n);
-  std::vector<Cplx> x(n);
-  for (auto& v : x) v = Cplx(rng.gaussian(), rng.gaussian());
-  const auto orig = x;
-  Fft1D plan(n);
-  plan.forward(x);
-  plan.inverse(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(x[i].real(), orig[i].real(), 1e-10);
-    EXPECT_NEAR(x[i].imag(), orig[i].imag(), 1e-10);
-  }
-}
-
-TEST_P(Fft1dP, ParsevalHolds) {
-  const auto n = static_cast<std::size_t>(GetParam());
-  Rng rng(23 + n);
-  std::vector<Cplx> x(n);
-  for (auto& v : x) v = Cplx(rng.gaussian(), rng.gaussian());
-  double grid = 0.0;
-  for (const auto& v : x) grid += std::norm(v);
-  Fft1D plan(n);
-  plan.forward(x);
-  double spec = 0.0;
-  for (const auto& v : x) spec += std::norm(v);
-  EXPECT_NEAR(spec, grid * static_cast<double>(n), 1e-8 * grid * static_cast<double>(n));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, Fft1dP, ::testing::Values(1, 2, 4, 8, 16, 64, 256));
-
-TEST(Fft1d, RejectsNonPowerOfTwo) { EXPECT_THROW(Fft1D(12), Error); }
-
-TEST(Fft1d, DeltaFunctionIsFlat) {
-  Fft1D plan(8);
-  std::vector<Cplx> x(8, Cplx(0, 0));
-  x[0] = Cplx(1, 0);
-  plan.forward(x);
-  for (const auto& v : x) {
-    EXPECT_NEAR(v.real(), 1.0, 1e-12);
-    EXPECT_NEAR(v.imag(), 0.0, 1e-12);
-  }
-}
-
-TEST(Fft1d, SingleModeLandsInRightBin) {
-  const std::size_t n = 32;
-  Fft1D plan(n);
-  std::vector<Cplx> x(n);
-  const int m = 5;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double ang = kTwoPi * m * static_cast<double>(j) / static_cast<double>(n);
-    x[j] = Cplx(std::cos(ang), 0.0);
-  }
-  plan.forward(x);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double expect = (k == 5 || k == n - 5) ? static_cast<double>(n) / 2.0 : 0.0;
-    EXPECT_NEAR(std::abs(x[k]), expect, 1e-9);
-  }
-}
-
-// --- real transform (half-spectrum Hermitian packing) -----------------------
-
-class Rfft1dP : public ::testing::TestWithParam<int> {};
-
-TEST_P(Rfft1dP, MatchesNaiveDftOnHalfSpectrum) {
-  const auto n = static_cast<std::size_t>(GetParam());
-  Rng rng(101 + n);
-  std::vector<double> x(n);
-  rng.fill_gaussian(x);
-  std::vector<Cplx> full(n);
-  for (std::size_t i = 0; i < n; ++i) full[i] = Cplx(x[i], 0.0);
-  const auto want = naive_dft(full);
-  Rfft1D plan(n);
-  std::vector<Cplx> got(plan.spec_size());
-  plan.forward(x, got);
-  for (std::size_t k = 0; k <= n / 2; ++k) {
-    EXPECT_NEAR(got[k].real(), want[k].real(), 1e-9 * static_cast<double>(n)) << "bin " << k;
-    EXPECT_NEAR(got[k].imag(), want[k].imag(), 1e-9 * static_cast<double>(n)) << "bin " << k;
-  }
-}
-
-TEST_P(Rfft1dP, RoundTripToMachinePrecision) {
-  const auto n = static_cast<std::size_t>(GetParam());
-  Rng rng(211 + n);
-  std::vector<double> x(n);
-  rng.fill_gaussian(x);
-  const auto orig = x;
-  Rfft1D plan(n);
-  std::vector<Cplx> spec(plan.spec_size());
-  plan.forward(x, spec);
-  x = rfft_inverse(plan, spec);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], orig[i], 1e-12);
-}
-
-TEST_P(Rfft1dP, ParsevalHoldsWithHermitianWeights) {
-  const auto n = static_cast<std::size_t>(GetParam());
-  Rng rng(307 + n);
-  std::vector<double> x(n);
-  rng.fill_gaussian(x);
-  double grid = 0.0;
-  for (double v : x) grid += v * v;
-  Rfft1D plan(n);
-  std::vector<Cplx> spec(plan.spec_size());
-  plan.forward(x, spec);
-  // Interior bins stand in for themselves and their conjugate mirror.
-  double s = std::norm(spec[0]) + std::norm(spec[n / 2]);
-  for (std::size_t k = 1; k < n / 2; ++k) s += 2.0 * std::norm(spec[k]);
-  EXPECT_NEAR(s, grid * static_cast<double>(n), 1e-8 * grid * static_cast<double>(n));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, Rfft1dP, ::testing::Values(2, 4, 8, 16, 64, 256));
-
-TEST(Rfft1d, RejectsOddAndNonPowerOfTwoSizes) {
-  EXPECT_THROW(Rfft1D(0), Error);
-  EXPECT_THROW(Rfft1D(1), Error);
-  EXPECT_THROW(Rfft1D(7), Error);   // odd
-  EXPECT_THROW(Rfft1D(12), Error);  // even, not a power of two
-}
-
-TEST(Rfft1d, SingleModeLandsInRightBin) {
-  const std::size_t n = 32;
-  Rfft1D plan(n);
-  std::vector<double> x(n);
-  const int m = 5;
-  for (std::size_t j = 0; j < n; ++j)
-    x[j] = std::cos(kTwoPi * m * static_cast<double>(j) / static_cast<double>(n));
-  std::vector<Cplx> spec(plan.spec_size());
-  plan.forward(x, spec);
-  for (std::size_t k = 0; k <= n / 2; ++k) {
-    const double expect = (k == 5) ? static_cast<double>(n) / 2.0 : 0.0;
-    EXPECT_NEAR(std::abs(spec[k]), expect, 1e-9);
-  }
+  return spec;
 }
 
 TEST(Fft2d, PlaneWaveSpectralDerivativeIsExact) {
@@ -266,8 +108,8 @@ TEST(Fft2d, PlaneWaveSpectralDerivativeIsExact) {
       const double x = static_cast<double>(jx) / static_cast<double>(n);
       want[jy * n + jx] = -kTwoPi * m * std::sin(kTwoPi * m * x);
     }
-  // The forward runs in float: |derivative| <= 6 pi ~ 19; worst measured
-  // error 1.15e-5.
+  // The transforms run in float: |derivative| <= 6 pi ~ 19; worst measured
+  // error 1.27e-5.
   EXPECT_LE(max_abs_diff(deriv, want), 5e-5);
 }
 
@@ -305,14 +147,14 @@ TEST(Fft2d, HalfRoundTripToFloatPrecision) {
     plan.forward_half(g, h);
     std::vector<double> back(n0 * n1);
     plan.inverse_half(h, back);
-    // Unit-variance gaussians through the float forward and the double
-    // inverse; worst measured 3.8e-7.
+    // Unit-variance gaussians through the float forward and the float
+    // inverse; worst measured 7.4e-7.
     EXPECT_LE(max_abs_diff(back, g), 2e-6) << n0 << "x" << n1;
   }
 }
 
 TEST(Fft2d, PrunedHalfMatchesMaskedUnpruned) {
-  const std::size_t n = 32, nh = n / 2 + 1;
+  const std::size_t n = 32;
   Rng rng(71);
   std::vector<double> g(n * n);
   rng.fill_gaussian(g);
@@ -322,11 +164,7 @@ TEST(Fft2d, PrunedHalfMatchesMaskedUnpruned) {
     // bins zeroed.
     std::vector<Cplx> ref(plan.half_size());
     plan.forward_half(g, ref);
-    for (std::size_t i = 0; i < n; ++i) {
-      const long my = (i <= n / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n);
-      for (std::size_t j = 0; j < nh; ++j)
-        if (j > kcut || std::labs(my) > static_cast<long>(kcut)) ref[i * nh + j] = Cplx(0.0, 0.0);
-    }
+    ref = in_square(ref, n, n, kcut);
     std::vector<Cplx> pruned(plan.half_size());
     plan.forward_half_pruned(g, pruned, kcut);
     for (std::size_t p = 0; p < ref.size(); ++p) {
@@ -340,40 +178,6 @@ TEST(Fft2d, PrunedHalfMatchesMaskedUnpruned) {
     plan.inverse_half_pruned(ref, b, kcut);
     for (std::size_t p = 0; p < a.size(); ++p) ASSERT_NEAR(a[p], b[p], 1e-13) << p;
   }
-}
-
-/// forward_half_pruned by its definition, from the public 1-D plans alone:
-/// Rfft1D::forward on every row, then Fft1D::forward on each retained column
-/// (mx <= min(kcut, n1/2)) unless it is all ±0, which keeps its bits; the
-/// retained bins of rows with |my| <= kcut are copied and every other bin
-/// is +0.
-std::vector<Cplx> row_column_forward(const std::vector<double>& g, std::size_t n0,
-                                     std::size_t n1, std::size_t kcut) {
-  const std::size_t nh = n1 / 2 + 1;
-  const std::size_t cols = std::min(kcut, n1 / 2) + 1;
-  const long rowcut = static_cast<long>(std::min(kcut, n0 / 2));
-  const Rfft1D row_plan(n1);
-  const Fft1D col_plan(n0);
-  std::vector<Cplx> rows(n0 * nh);
-  for (std::size_t i = 0; i < n0; ++i)
-    row_plan.forward(std::span<const double>(g.data() + i * n1, n1),
-                     std::span<Cplx>(rows.data() + i * nh, nh));
-  std::vector<Cplx> out(n0 * nh, Cplx(0.0, 0.0));
-  std::vector<Cplx> col(n0);
-  for (std::size_t j = 0; j < cols; ++j) {
-    bool zero = true;
-    for (std::size_t i = 0; i < n0; ++i) {
-      col[i] = rows[i * nh + j];
-      zero = zero && col[i].real() == 0.0 && col[i].imag() == 0.0;
-    }
-    if (!zero) col_plan.forward(col);
-    for (std::size_t i = 0; i < n0; ++i) {
-      const long my =
-          (i <= n0 / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n0);
-      if (std::labs(my) <= rowcut) out[i * nh + j] = col[i];
-    }
-  }
-  return out;
 }
 
 /// Bitwise equality of two spectra except that any NaN matches any NaN.
@@ -457,10 +261,10 @@ TEST(Fft2d, ForwardSameBitsAtScalarAndAvx2) {
   }
 }
 
-// The forward against its double row-column definition at every level, on
-// the finite inputs: within 1e-6 of the largest reference bin (float
-// rounding of the input and through both passes; worst measured
-// 2.2e-7), exact zeros included.
+// The forward against the double oracle at every level, on the finite
+// inputs: within 1e-6 of the largest reference bin (float rounding of the
+// input and through both passes; worst measured 2.2e-7), exact zeros
+// included.
 TEST(Fft2d, ForwardWithinFloatBoundOfRowColumnReference) {
   SimdLevelGuard guard;
   for (const simd::SimdLevel level :
@@ -472,12 +276,84 @@ TEST(Fft2d, ForwardWithinFloatBoundOfRowColumnReference) {
       for (const ForwardInput& in : forward_inputs(n0, n1)) {
         if (!in.finite) continue;
         for (const std::size_t kcut : {n / 3, n / 2, n}) {
-          const std::vector<Cplx> want = row_column_forward(in.g, n0, n1, kcut);
+          const std::vector<Cplx> want = in_square(test::forward_half(in.g, n0, n1), n0, n1, kcut);
           const std::vector<Cplx> got = lane_forward(plan, in.g, kcut);
           EXPECT_LE(rel_err(got, want), 1e-6)
               << simd::simd_level_name(level) << " " << n0 << "x" << n1 << " kcut=" << kcut
               << " " << in.name;
         }
+      }
+    }
+  }
+}
+
+/// The inverse's inputs on an n0 x n1 grid: the half spectrum of a random
+/// field, truncated to the |mx|, |my| <= kcut square, with the column block
+/// 4..7 all ±0 when n1 >= 32 (a dead group of four columns among live ones)
+/// and `outside` in every bin outside the square.
+std::vector<Cplx> inverse_input(std::size_t n0, std::size_t n1, std::size_t kcut,
+                                double outside) {
+  Rng rng(701 + n0 * n1 + kcut);
+  std::vector<double> g(n0 * n1);
+  rng.fill_gaussian(g);
+  std::vector<Cplx> spec = test::forward_half(g, n0, n1);
+  const std::size_t nh = n1 / 2 + 1;
+  if (n1 >= 32)
+    for (std::size_t i = 0; i < n0; ++i)
+      for (std::size_t j = 4; j < 8; ++j) spec[i * nh + j] = Cplx(i % 3 == 0 ? -0.0 : 0.0, 0.0);
+  return in_square(spec, n0, n1, kcut, outside);
+}
+
+std::vector<double> lane_inverse(const Fft2D& plan, const std::vector<Cplx>& spec,
+                                 std::size_t kcut) {
+  std::vector<double> out(plan.rows() * plan.cols());
+  if (kcut >= std::max(plan.rows(), plan.cols()))
+    plan.inverse_half(spec, out);
+  else
+    plan.inverse_half_pruned(spec, out, kcut);
+  return out;
+}
+
+// The inverse runs on the single-precision lanes, its field in lane 0. Its
+// bits are the same at the scalar and avx2 levels, pruned (kcut n/3, n/2)
+// and unpruned, and a NaN in every bin outside the square never reaches
+// the grid.
+TEST(Fft2d, InverseSameBitsAtScalarAndAvx2) {
+  if (!simd::simd_level_available(simd::SimdLevel::Avx2)) GTEST_SKIP() << "no AVX2";
+  SimdLevelGuard guard;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [n0, n1] : forward_shapes()) {
+    const Fft2D plan(n0, n1);
+    const std::size_t n = std::max(n0, n1);
+    for (const std::size_t kcut : {n / 3, n / 2, n}) {
+      const std::vector<Cplx> spec = inverse_input(n0, n1, kcut, nan);
+      ASSERT_TRUE(simd::force_simd_level(simd::SimdLevel::Scalar));
+      const std::vector<double> scalar = lane_inverse(plan, spec, kcut);
+      ASSERT_TRUE(simd::force_simd_level(simd::SimdLevel::Avx2));
+      const std::vector<double> avx2 = lane_inverse(plan, spec, kcut);
+      EXPECT_EQ(0, std::memcmp(scalar.data(), avx2.data(), scalar.size() * sizeof(double)))
+          << n0 << "x" << n1 << " kcut=" << kcut;
+      for (const double v : scalar) ASSERT_TRUE(std::isfinite(v)) << n0 << "x" << n1;
+    }
+  }
+}
+
+// The inverse against the double oracle at every level: within 1e-6 of the
+// largest grid value (float rounding of the bins and through both passes;
+// worst measured 2.4e-7).
+TEST(Fft2d, InverseWithinFloatBoundOfDoubleReference) {
+  SimdLevelGuard guard;
+  for (const simd::SimdLevel level :
+       {simd::SimdLevel::Scalar, simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
+    if (!simd::force_simd_level(level)) continue;
+    for (const auto& [n0, n1] : forward_shapes()) {
+      const Fft2D plan(n0, n1);
+      const std::size_t n = std::max(n0, n1);
+      for (const std::size_t kcut : {n / 3, n / 2, n}) {
+        const std::vector<Cplx> spec = inverse_input(n0, n1, kcut, 0.0);
+        const std::vector<double> want = test::inverse_half(spec, n0, n1);
+        EXPECT_LE(rel_err(lane_inverse(plan, spec, kcut), want), 1e-6)
+            << simd::simd_level_name(level) << " " << n0 << "x" << n1 << " kcut=" << kcut;
       }
     }
   }
@@ -491,94 +367,6 @@ TEST(SimdDispatch, ScalarLevelIsAlwaysAvailable) {
   EXPECT_TRUE(simd::force_simd_level(simd::SimdLevel::Scalar));
   EXPECT_EQ(simd::active_simd_level(), simd::SimdLevel::Scalar);
   EXPECT_STREQ(simd::simd_level_name(simd::SimdLevel::Scalar), "scalar");
-}
-
-// Every dispatched kernel (first pass, fused radix-2^2, odd radix-2, rfft
-// pack/unpack) against the forced-scalar reference: the Avx2 level performs
-// the identical IEEE operations lane-parallel and must match bitwise; the
-// Avx2Fma level contracts the twiddle multiplies and must agree to ~1 ulp
-// per butterfly (1e-12 here). The size sweep covers even and odd stage
-// counts and the vector-remainder paths of the rfft kernels.
-TEST(SimdDispatch, Fft1dMatchesScalarAcrossLevels) {
-  SimdLevelGuard guard;
-  for (const std::size_t n : {8u, 16u, 32u, 64u, 128u, 256u, 512u}) {
-    Rng rng(101 + n);
-    std::vector<Cplx> x0(n);
-    for (auto& v : x0) v = Cplx(rng.gaussian(), rng.gaussian());
-    Fft1D plan(n);
-    ASSERT_TRUE(simd::force_simd_level(simd::SimdLevel::Scalar));
-    auto fwd_ref = x0;
-    plan.forward(fwd_ref);
-    auto inv_ref = x0;
-    plan.inverse(inv_ref);
-    double scale = 0.0;
-    for (const auto& v : fwd_ref) scale = std::max(scale, std::abs(v));
-
-    for (const simd::SimdLevel level : {simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
-      if (!simd::simd_level_available(level)) continue;
-      ASSERT_TRUE(simd::force_simd_level(level));
-      auto fwd = x0;
-      plan.forward(fwd);
-      auto inv = x0;
-      plan.inverse(inv);
-      if (level == simd::SimdLevel::Avx2) {
-        EXPECT_EQ(0, std::memcmp(fwd.data(), fwd_ref.data(), n * sizeof(Cplx)))
-            << "n=" << n << " level=" << simd::simd_level_name(level);
-        EXPECT_EQ(0, std::memcmp(inv.data(), inv_ref.data(), n * sizeof(Cplx)))
-            << "n=" << n << " level=" << simd::simd_level_name(level);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_NEAR(fwd[i].real(), fwd_ref[i].real(), 1e-12 * scale) << n << "," << i;
-          ASSERT_NEAR(fwd[i].imag(), fwd_ref[i].imag(), 1e-12 * scale) << n << "," << i;
-          ASSERT_NEAR(inv[i].real(), inv_ref[i].real(), 1e-12) << n << "," << i;
-          ASSERT_NEAR(inv[i].imag(), inv_ref[i].imag(), 1e-12) << n << "," << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdDispatch, Rfft1dMatchesScalarAcrossLevels) {
-  SimdLevelGuard guard;
-  for (const std::size_t n : {8u, 16u, 32u, 64u, 128u, 256u, 512u}) {
-    Rng rng(211 + n);
-    // Degenerate inputs matter as much as random ones: a delta or constant
-    // row makes whole pack/unpack lanes exactly zero, which is where a
-    // sign-of-zero slip in the vector kernels would hide from gaussians.
-    std::vector<std::vector<double>> inputs(3, std::vector<double>(n, 0.0));
-    rng.fill_gaussian(inputs[0]);
-    inputs[1][0] = 1.0;                                    // delta
-    for (std::size_t j = 0; j < n; ++j) inputs[2][j] = 0.25;  // constant
-    for (const auto& x : inputs) {
-      Rfft1D plan(n);
-      std::vector<Cplx> spec_ref(plan.spec_size());
-      ASSERT_TRUE(simd::force_simd_level(simd::SimdLevel::Scalar));
-      plan.forward(x, spec_ref);
-      const std::vector<double> back_ref = rfft_inverse(plan, spec_ref);
-      double scale = 0.0;
-      for (const auto& v : spec_ref) scale = std::max(scale, std::abs(v));
-
-      for (const simd::SimdLevel level : {simd::SimdLevel::Avx2, simd::SimdLevel::Avx2Fma}) {
-        if (!simd::simd_level_available(level)) continue;
-        ASSERT_TRUE(simd::force_simd_level(level));
-        std::vector<Cplx> spec(plan.spec_size());
-        plan.forward(x, spec);
-        const std::vector<double> back = rfft_inverse(plan, spec);
-        if (level == simd::SimdLevel::Avx2) {
-          EXPECT_EQ(0, std::memcmp(spec.data(), spec_ref.data(), spec.size() * sizeof(Cplx)))
-              << "n=" << n;
-          EXPECT_EQ(0, std::memcmp(back.data(), back_ref.data(), n * sizeof(double)))
-              << "n=" << n;
-        } else {
-          for (std::size_t i = 0; i < spec.size(); ++i) {
-            ASSERT_NEAR(spec[i].real(), spec_ref[i].real(), 1e-12 * scale) << n << "," << i;
-            ASSERT_NEAR(spec[i].imag(), spec_ref[i].imag(), 1e-12 * scale) << n << "," << i;
-          }
-          for (std::size_t i = 0; i < n; ++i) ASSERT_NEAR(back[i], back_ref[i], 1e-12) << n;
-        }
-      }
-    }
-  }
 }
 
 // --- fused product transform ------------------------------------------------
@@ -664,11 +452,11 @@ TEST(Fft2dLanes, SameBitsAtScalarAndAvx2) {
   }
 }
 
-// The fused transform against its double three-call definition at every
-// level: four double inverse_half_pruned grids, the product u theta_x +
-// v theta_y in double over the whole grid, then the double row-column
-// forward. Within 1.5e-6 of the largest reference bin (worst
-// measured 3.4e-7).
+// The fused transform against its double three-step definition at every
+// level, through the double oracle: the four grids, the product u theta_x +
+// v theta_y in double over the whole grid, then the forward truncated to
+// the square. Within 1.5e-6 of the largest reference bin (worst measured
+// 3.4e-7).
 TEST(Fft2dLanes, WithinFloatBoundOfPerField) {
   SimdLevelGuard guard;
   for (const simd::SimdLevel level :
@@ -681,12 +469,13 @@ TEST(Fft2dLanes, WithinFloatBoundOfPerField) {
           Rng rng(401 + n0 + n1 + kcut);
           const Spectra spec = lane_test_spectra(n0, n1, kcut, -0.0, dead_theta, rng);
           const std::vector<Cplx> got = fused_product(plan, spec, kcut);
-          Grids g(kLanes, std::vector<double>(n0 * n1));
-          for (std::size_t l = 0; l < kLanes; ++l) plan.inverse_half_pruned(spec[l], g[l], kcut);
+          Grids g(kLanes);
+          for (std::size_t l = 0; l < kLanes; ++l) g[l] = test::inverse_half(spec[l], n0, n1);
           std::vector<double> product(n0 * n1);
           for (std::size_t i = 0; i < n0 * n1; ++i)
             product[i] = g[0][i] * g[2][i] + g[1][i] * g[3][i];
-          const std::vector<Cplx> want = row_column_forward(product, n0, n1, kcut);
+          const std::vector<Cplx> want =
+              in_square(test::forward_half(product, n0, n1), n0, n1, kcut);
           EXPECT_LE(rel_err(got, want), 1.5e-6)
               << simd::simd_level_name(level) << " " << n0 << "x" << n1 << " kcut=" << kcut
               << (dead_theta ? " dead theta" : "");

@@ -4,7 +4,7 @@
 // transports feeding IngestStream (dedup ledger, reconnects, save/restore),
 // and the deep-overlap (K > 1) RealtimeRunner schedule — late batches a K=1
 // run drops are applied with age-dependent R inflation, bitwise reproducibly
-// across thread counts and through a v4 checkpoint/resume, and a damaged wire
+// across thread counts and through a v5 checkpoint/resume, and a damaged wire
 // capture replayed through IngestStream cycles bitwise like the
 // SyntheticStream it was recorded from. The save_state bytes of the three
 // checkpointable streams are pinned to recorded constants.
@@ -805,7 +805,7 @@ TEST(DeepOverlap, CheckpointResumeIsBitwiseAcrossThreadCounts) {
   // stream re-reads the capture from the top and relies on its ledger.
   for (const Feed feed : {Feed::kSynthetic, Feed::kWireReplay}) {
     SCOPED_TRACE(feed == Feed::kSynthetic ? "synthetic" : "wire replay");
-    // The snapshot carries the staged-analysis ring (v4 format) — cycles 5
+    // The snapshot carries the staged-analysis ring (v5 format) — cycles 5
     // and 6 had analyses staged but not yet applied when it was written.
     const auto data = expect_deep_resume_bitwise(2, feed);
     EXPECT_EQ(data.overlap_depth, 2);
@@ -953,9 +953,9 @@ TEST(StreamCheckpoint, SaveStateBytesMatchRecordedConstants) {
   std::remove(path.c_str());
 
 #if !defined(__FMA__)
-  EXPECT_EQ(Fnv1a().add(syn_blob).value(), 0xd30c0fa9f12fe689ull);
+  EXPECT_EQ(Fnv1a().add(syn_blob).value(), 0x3db3702bc433bf5eull);
   EXPECT_EQ(hash_batches(syn_got), 0xd43ec981b28f6651ull);
-  EXPECT_EQ(Fnv1a().add(faulty_blob).value(), 0x47261cc8bc31584aull);
+  EXPECT_EQ(Fnv1a().add(faulty_blob).value(), 0x3a3f45da88ffc51dull);
   EXPECT_EQ(hash_batches(faulty_got), 0x226cd8af46a1ee12ull);
   EXPECT_EQ(Fnv1a().add(capture).value(), 0x9fc3c1cbb274d0c3ull);
   EXPECT_EQ(Fnv1a().add(wire_blob).value(), 0x33007ad1c0c1bca0ull);

@@ -13,7 +13,7 @@
 // so this TU computes no rounded value of its own and its bits do not
 // depend on how it is compiled (-march=native included). The FFT entries
 // take arbitrary finite twiddles and an identity bit-reversal table; the
-// single-precision entries (the nine lane FFT entries, sqg_jacobian and
+// single-precision entries (the nine FFT entries, sqg_jacobian and
 // sqg_pass1's lane store) take float inputs of the same construction.
 #include <gtest/gtest.h>
 
@@ -38,7 +38,7 @@ using simd::SimdLevel;
 
 constexpr std::size_t W = simd::kLaneBatch;
 
-static_assert(sizeof(Kernels) == 30 * sizeof(void (*)()),
+static_assert(sizeof(Kernels) == 25 * sizeof(void (*)()),
               "every simd::Kernels entry needs a runner and constants below");
 
 /// Values i * 2^-52 for integers i in [-2^52, 2^52) from a 64-bit LCG: exact
@@ -85,46 +85,6 @@ std::vector<std::size_t> identity(std::size_t n) {
 }
 
 // ---- FFT butterflies ----
-
-std::uint64_t run_pass_first(const Kernels& k) {
-  Inputs in(1);
-  auto d = in.vec(16);  // n = 8 complex
-  k.pass_first(d.data(), d.size(), -1.0);
-  return Fnv1a().add(d).value();
-}
-
-std::uint64_t run_pass_radix4(const Kernels& k) {
-  Inputs in(2);
-  auto d = in.vec(64);  // n = 32, half = 4: two blocks
-  const auto tw = in.vec(8), tw1 = in.vec(16);
-  k.pass_radix4(d.data(), 32, 4, tw.data(), tw1.data());
-  return Fnv1a().add(d).value();
-}
-
-std::uint64_t run_pass_radix2(const Kernels& k) {
-  Inputs in(3);
-  auto d = in.vec(32);  // n = 16, half = 4: two blocks
-  const auto tw = in.vec(8);
-  k.pass_radix2(d.data(), 16, 4, tw.data());
-  return Fnv1a().add(d).value();
-}
-
-// h = 32: bins 1-14 in the vector body, bin 15 in the scalar remainder.
-std::uint64_t run_rfft_pack(const Kernels& k) {
-  Inputs in(4);
-  auto s = in.vec(66);
-  const auto w = in.vec(64);
-  k.rfft_pack(s.data(), w.data(), 32);
-  return Fnv1a().add(s).value();
-}
-
-std::uint64_t run_rfft_unpack(const Kernels& k) {
-  Inputs in(5);
-  auto s = in.vec(66);
-  const auto w = in.vec(64);
-  k.rfft_unpack(s.data(), w.data(), 32);
-  return Fnv1a().add(s).value();
-}
 
 // Lane transforms (float): m = 2 side by side at stride 3, so the gaps
 // between them must come back untouched.
@@ -386,11 +346,6 @@ struct Entry {
 
 // clang-format off
 const Entry kEntries[] = {
-    {"pass_first", run_pass_first, {0xa34d7ddae86a11aa, 0xa34d7ddae86a11aa, 0xa34d7ddae86a11aa}},
-    {"pass_radix4", run_pass_radix4, {0xb6469d033a13f4f8, 0xb6469d033a13f4f8, 0xb6e810c3a358a09d}},
-    {"pass_radix2", run_pass_radix2, {0xb5605267737911da, 0xb5605267737911da, 0xfe14bc3edecfb9ac}},
-    {"rfft_pack", run_rfft_pack, {0x433e9f70d4839258, 0x433e9f70d4839258, 0xa744cdeb42eaa17c}},
-    {"rfft_unpack", run_rfft_unpack, {0xaf2315e207e45da9, 0xaf2315e207e45da9, 0xf1419d4fadb9f7ab}},
     {"lane_pass_first", run_lane_pass_first, {0x219cc47d650460c1, 0x219cc47d650460c1, 0x219cc47d650460c1}},
     {"lane_pass_radix4", run_lane_pass_radix4, {0xbe2e88d81301cb5b, 0xbe2e88d81301cb5b, 0xcfd8603d87b95f1b}},
     {"lane_pass_radix2", run_lane_pass_radix2, {0xff5ab27eed4a2f6e, 0xff5ab27eed4a2f6e, 0x41d46e7604ec4e98}},
@@ -419,7 +374,7 @@ const Entry kEntries[] = {
 };
 // clang-format on
 
-static_assert(std::size(kEntries) == 30);
+static_assert(std::size(kEntries) == 25);
 
 TEST(Kernels, EveryEntryKeepsItsBitsAtEveryLevel) {
   for (const auto level : {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx2Fma}) {
