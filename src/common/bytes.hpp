@@ -1,20 +1,27 @@
 // Little-endian byte (de)serialization for checkpoint blobs.
 //
 // Every checkpointable component appends itself to a byte vector through
-// these writers and parses itself back through Reader. Explicit per-byte
-// shifts make the encoding identical on any host, and Reader is fail-soft:
-// past-the-end reads latch a failure flag and return zeros instead of
-// touching out-of-range memory, so callers validate once at the end with
-// ok() — corrupt input can never turn into UB, only into a refused restore.
+// these writers and parses itself back through Reader. Scalars are written
+// with per-byte shifts; a double array is one memcpy of its little-endian
+// IEEE words, so the header refuses to build on a big-endian host rather
+// than keep a byte-swapping branch no build would test. Reader is
+// fail-soft: past-the-end reads and lengths that exceed what is left latch
+// a failure flag and return zeros instead of touching out-of-range memory,
+// so callers validate once at the end with ok() — corrupt input can never
+// turn into UB or an exception, only into a refused restore.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace turbda::bytes {
+
+static_assert(std::endian::native == std::endian::little,
+              "the byte codecs copy double arrays as little-endian words");
 
 inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -34,7 +41,9 @@ inline void put_f64(std::vector<std::uint8_t>& out, double v) {
 
 inline void put_f64_span(std::vector<std::uint8_t>& out, std::span<const double> v) {
   put_u64(out, v.size());
-  for (double x : v) put_f64(out, x);
+  const std::size_t at = out.size();
+  out.resize(at + 8 * v.size());
+  if (!v.empty()) std::memcpy(out.data() + at, v.data(), 8 * v.size());
 }
 
 inline void put_blob(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> v) {
@@ -69,13 +78,16 @@ class Reader {
 
   double f64() { return std::bit_cast<double>(u64()); }
 
-  /// Length-prefixed double vector; latches failure on absurd lengths.
+  /// Length-prefixed double vector; latches failure on a count longer than
+  /// the bytes left (tested by division: 8 * n wraps for n >= 2^61).
   bool f64_vec(std::vector<double>& out) {
     const std::uint64_t n = u64();
-    if (!need(8 * n)) return false;
+    if (n > remaining() / 8) fail_ = true;
+    if (!ok()) return false;
     out.resize(n);
-    for (auto& x : out) x = f64();
-    return ok();
+    if (n != 0) std::memcpy(out.data(), in_.data() + at_, 8 * n);
+    at_ += 8 * n;
+    return true;
   }
 
   /// Length-prefixed byte vector.

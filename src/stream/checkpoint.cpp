@@ -1,7 +1,10 @@
 #include "stream/checkpoint.hpp"
 
 #include <array>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <type_traits>
 
 #include "common/bytes.hpp"
@@ -10,17 +13,43 @@ namespace turbda::stream {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables for the reflected polynomial: kCrc[0] is the bytewise
+// table, and kCrc[s][b] is the register after byte b and then s zero bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t s = 1; s < 8; ++s)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
   return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrc = make_crc_tables();
+
+/// Advances the running CRC register `c` over `data`, eight bytes per step
+/// (the caller inverts before the first piece and after the last). The
+/// word load is little-endian, which bytes.hpp asserts of the host.
+std::uint32_t crc32_update(std::uint32_t c, std::span<const std::uint8_t> data) {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^ kCrc[5][(lo >> 16) & 0xFFu] ^
+        kCrc[4][lo >> 24] ^ kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return c;
+}
 
 // The v5 encoding of one row: each for_each_metric field in order, int as
 // i32, double as f64, bool as one byte.
@@ -51,17 +80,51 @@ void read_metrics(bytes::Reader& rd, StreamCycleMetrics& m) {
   });
 }
 
+/// The payload on its way to the file: each piece is folded into the
+/// running CRC and written as it comes. Small fields are staged by the
+/// bytes:: writers; double arrays and blobs go straight from the caller's
+/// vectors, so nothing the size of the snapshot is allocated.
+struct PayloadSink {
+  explicit PayloadSink(std::ofstream& f) : file(f) {}
+
+  std::ofstream& file;
+  std::vector<std::uint8_t> staged;
+  std::uint32_t crc = 0xFFFFFFFFu;
+
+  /// Writes `b` outside the CRC.
+  void write(std::span<const std::uint8_t> b) {
+    file.write(reinterpret_cast<const char*>(b.data()), static_cast<std::streamsize>(b.size()));
+  }
+  /// Folds the staged fields, then `bulk`, into the CRC and writes them.
+  void emit(std::span<const std::uint8_t> bulk = {}) {
+    for (const auto piece : {std::span<const std::uint8_t>(staged), bulk}) {
+      crc = crc32_update(crc, piece);
+      write(piece);
+    }
+    staged.clear();
+  }
+  /// The bytes bytes::put_blob writes.
+  void blob(std::span<const std::uint8_t> v) {
+    bytes::put_u64(staged, v.size());
+    emit(v);
+  }
+  /// The bytes bytes::put_f64_span writes.
+  void f64_span(std::span<const double> v) {
+    bytes::put_u64(staged, v.size());
+    emit({reinterpret_cast<const std::uint8_t*>(v.data()), 8 * v.size()});
+  }
+};
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return crc32_update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
 
 Status save_checkpoint(const std::string& path, const CheckpointData& data) {
-  // The payload's size, reserved once: the fixed fields, the length-prefixed
-  // vectors and blobs, and the metric rows (one probe row gives their size).
+  // The payload's size, for the header: the fixed fields, the
+  // length-prefixed vectors and blobs, and the metric rows (one probe row
+  // gives their size).
   std::vector<std::uint8_t> row;
   put_metrics(row, StreamCycleMetrics{});
   std::size_t size = 3 * 8 + 3 * 4 + 7 * 8 + data.rng_modelerr.size() +
@@ -69,50 +132,69 @@ Status save_checkpoint(const std::string& path, const CheckpointData& data) {
                      data.stream_state.size() + data.filter_state.size() +
                      data.metrics.size() * row.size();
   for (const auto& s : data.ring) size += 4 + 8 + 8 * s.increment.size();
-  std::vector<std::uint8_t> payload;
-  payload.reserve(size);
-  bytes::put_u64(payload, data.seed);
-  bytes::put_u64(payload, data.n_members);
-  bytes::put_u64(payload, data.dim);
-  bytes::put_i32(payload, data.cycles);
-  bytes::put_i32(payload, data.overlap_depth);
-  bytes::put_i32(payload, data.next_cycle);
-  bytes::put_blob(payload, data.rng_modelerr);
-  bytes::put_f64_span(payload, data.ensemble);
-  bytes::put_u64(payload, data.ring.size());
+
+  // Written beside the live snapshot and renamed over it, so a process
+  // killed mid-write leaves the last good snapshot in place.
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return Status(StatusCode::kIoError, "cannot open checkpoint file for write: " + tmp);
+  PayloadSink sink(out);
+  std::vector<std::uint8_t> frame;  // the header, then the trailer
+  bytes::put_u32(frame, kCheckpointMagic);
+  bytes::put_u32(frame, kCheckpointVersion);
+  bytes::put_u64(frame, size);
+  sink.write(frame);
+
+  bytes::put_u64(sink.staged, data.seed);
+  bytes::put_u64(sink.staged, data.n_members);
+  bytes::put_u64(sink.staged, data.dim);
+  bytes::put_i32(sink.staged, data.cycles);
+  bytes::put_i32(sink.staged, data.overlap_depth);
+  bytes::put_i32(sink.staged, data.next_cycle);
+  sink.blob(data.rng_modelerr);
+  sink.f64_span(data.ensemble);
+  bytes::put_u64(sink.staged, data.ring.size());
   for (const auto& s : data.ring) {
-    bytes::put_i32(payload, s.cycle);
-    bytes::put_f64_span(payload, s.increment);
+    bytes::put_i32(sink.staged, s.cycle);
+    sink.f64_span(s.increment);
   }
-  bytes::put_blob(payload, data.applied);
-  bytes::put_blob(payload, data.stream_state);
-  bytes::put_blob(payload, data.filter_state);
-  bytes::put_u64(payload, data.metrics.size());
-  for (const auto& m : data.metrics) put_metrics(payload, m);
+  sink.blob(data.applied);
+  sink.blob(data.stream_state);
+  sink.blob(data.filter_state);
+  bytes::put_u64(sink.staged, data.metrics.size());
+  for (const auto& m : data.metrics) {
+    put_metrics(sink.staged, m);
+    sink.emit();
+  }
+  sink.emit();
 
-  std::vector<std::uint8_t> header, trailer;
-  bytes::put_u32(header, kCheckpointMagic);
-  bytes::put_u32(header, kCheckpointVersion);
-  bytes::put_u64(header, payload.size());
-  bytes::put_u32(trailer, crc32(payload));
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status(StatusCode::kIoError, "cannot open checkpoint file for write: " + path);
-  for (const auto* part : {&header, &payload, &trailer})
-    out.write(reinterpret_cast<const char*>(part->data()),
-              static_cast<std::streamsize>(part->size()));
-  out.flush();
-  if (!out) return Status(StatusCode::kIoError, "checkpoint write failed: " + path);
+  frame.clear();
+  bytes::put_u32(frame, sink.crc ^ 0xFFFFFFFFu);
+  sink.write(frame);
+  out.close();
+  std::error_code ec;
+  if (!out) {
+    std::filesystem::remove(tmp, ec);
+    return Status(StatusCode::kIoError, "checkpoint write failed: " + tmp);
+  }
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::filesystem::remove(tmp, ec);
+    return Status(StatusCode::kIoError, "cannot replace checkpoint file: " + path);
+  }
   return Status::Ok();
 }
 
 Status load_checkpoint(const std::string& path, CheckpointData& data) {
+  std::error_code ec;
+  const auto size = static_cast<std::size_t>(std::filesystem::file_size(path, ec));
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status(StatusCode::kIoError, "cannot open checkpoint file: " + path);
-  std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
+  if (ec || !in) return Status(StatusCode::kIoError, "cannot open checkpoint file: " + path);
+  const auto file = std::make_unique_for_overwrite<std::uint8_t[]>(size);  // the read fills it
+  if (!in.read(reinterpret_cast<char*>(file.get()), static_cast<std::streamsize>(size)))
+    return Status(StatusCode::kIoError, "checkpoint read failed: " + path);
 
-  bytes::Reader rd(file);
+  bytes::Reader rd({file.get(), size});
   const std::uint32_t magic = rd.u32();
   if (!rd.ok()) return Status(StatusCode::kCorruptData, "checkpoint truncated: no header");
   if (magic != kCheckpointMagic)

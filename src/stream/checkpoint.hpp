@@ -59,11 +59,16 @@ struct CheckpointData {
   std::vector<StreamCycleMetrics> metrics;  ///< rows already produced
 };
 
-/// CRC-32 (IEEE, reflected 0xEDB88320) over `data` — exposed for tests.
+/// CRC-32 (IEEE, reflected 0xEDB88320) over `data`, eight bytes per table
+/// step; the wire codec frames with it too.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
 
-/// Atomically-ordered write: serialize, then emit header + payload + CRC in
-/// one stream. Returns kIoError when the file cannot be written.
+/// Streams header + payload + CRC into `path + ".tmp"`, folding each piece
+/// into the CRC as it is written (the double arrays straight from `data`),
+/// then renames that file over `path`. The replace is atomic against the
+/// process dying mid-write, which leaves the previous snapshot in place,
+/// but not against power loss: nothing is fsync'd. Returns kIoError, with
+/// the temporary file removed, when the write or the rename fails.
 [[nodiscard]] Status save_checkpoint(const std::string& path, const CheckpointData& data);
 
 /// Validates magic, version, length and CRC before decoding; on any failure

@@ -8,14 +8,18 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "bitwise_equal.hpp"
+#include "common/bytes.hpp"
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
@@ -103,6 +107,30 @@ TEST(Checkpoint, Crc32MatchesKnownVector) {
   EXPECT_EQ(stream::crc32({}), 0x00000000u);
 }
 
+/// The definition the table-driven crc32 must equal: one byte at a time,
+/// one shift-and-xor per bit.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Checkpoint, Crc32MatchesBytewiseDefinition) {
+  std::mt19937_64 gen(2024);
+  std::vector<std::uint8_t> buf(3u << 20);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(gen());
+  const std::span<const std::uint8_t> all(buf);
+  // Every tail length past the eight-byte steps, at every start alignment.
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 300; ++len)
+      ASSERT_EQ(stream::crc32(all.subspan(off, len)), crc32_bytewise(all.subspan(off, len)))
+          << "offset " << off << " length " << len;
+  EXPECT_EQ(stream::crc32(all), crc32_bytewise(all));
+}
+
 TEST(Checkpoint, RngStateRoundTripsMidSequence) {
   rng::Rng a(12345);
   std::vector<double> warm(7);
@@ -182,6 +210,77 @@ TEST(Checkpoint, FormatV5BytesArePinnedAndEveryMetricRoundTrips) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
           << "row " << k << " column " << i;
   }
+  std::remove(path.c_str());
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), 8 * a.size()) == 0;
+}
+
+TEST(Checkpoint, MultiMiBSnapshotRoundTripsAndTrailerIsCrcOfPayload) {
+  // ~6 MB of doubles in three arrays, with odd sizes everywhere, so the
+  // streamed CRC's eight-byte steps straddle every piece boundary. The
+  // doubles are random bit patterns, NaN payloads and subnormals among
+  // them, and must come back as they went in.
+  std::mt19937_64 gen(7);
+  const auto random_doubles = [&gen](std::size_t n) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = std::bit_cast<double>(gen());
+    return v;
+  };
+  const auto random_bytes = [&gen](std::size_t n) {
+    std::vector<std::uint8_t> v(n);
+    for (auto& x : v) x = static_cast<std::uint8_t>(gen());
+    return v;
+  };
+  stream::CheckpointData d;
+  d.seed = 99;
+  d.n_members = 13;
+  d.dim = 20011;
+  d.cycles = 9;
+  d.overlap_depth = 2;
+  d.next_cycle = 5;
+  d.rng_modelerr = random_bytes(rng::Rng::kStateBytes);
+  d.ensemble = random_doubles(d.n_members * d.dim);
+  d.ring.push_back({3, random_doubles(d.n_members * d.dim)});
+  d.ring.push_back({4, random_doubles(d.n_members * d.dim)});
+  d.applied = random_bytes(9);
+  d.stream_state = random_bytes(1001);
+  d.filter_state = random_bytes(3);
+  d.metrics = {distinct_row(0), distinct_row(1), distinct_row(2)};
+
+  const std::string path = temp_path("ckpt_large.bin");
+  ASSERT_TRUE(stream::save_checkpoint(path, d).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  const auto file = file_bytes(path);
+  ASSERT_GT(file.size(), 3 * 8 * d.ensemble.size());
+  bytes::Reader tr{std::span(file).last(4)};
+  EXPECT_EQ(tr.u32(), stream::crc32(std::span(file).subspan(16, file.size() - 20)));
+
+  stream::CheckpointData back;
+  ASSERT_TRUE(stream::load_checkpoint(path, back).ok());
+  EXPECT_EQ(back.seed, d.seed);
+  EXPECT_EQ(back.n_members, d.n_members);
+  EXPECT_EQ(back.dim, d.dim);
+  EXPECT_EQ(back.cycles, d.cycles);
+  EXPECT_EQ(back.overlap_depth, d.overlap_depth);
+  EXPECT_EQ(back.next_cycle, d.next_cycle);
+  EXPECT_EQ(back.rng_modelerr, d.rng_modelerr);
+  EXPECT_TRUE(same_bits(back.ensemble, d.ensemble));
+  ASSERT_EQ(back.ring.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(back.ring[k].cycle, d.ring[k].cycle);
+    EXPECT_TRUE(same_bits(back.ring[k].increment, d.ring[k].increment)) << "slot " << k;
+  }
+  EXPECT_EQ(back.applied, d.applied);
+  EXPECT_EQ(back.stream_state, d.stream_state);
+  EXPECT_EQ(back.filter_state, d.filter_state);
+  expect_metrics_bitwise_equal(d.metrics, back.metrics);
   std::remove(path.c_str());
 }
 
@@ -357,6 +456,69 @@ TEST(Checkpoint, CorruptSnapshotsAreRefusedWithPreciseStatus) {
   EXPECT_EQ(s.code(), StatusCode::kUnsupported);
   EXPECT_NE(s.message().find("version"), std::string::npos) << s.to_string();
 
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, LyingEnsembleCountIsCorruptData) {
+  // A CRC-valid snapshot whose ensemble claims 2^61 + 1 doubles: 8 * n wraps
+  // to 8, which must not pass for "enough bytes left".
+  stream::CheckpointData d;
+  d.n_members = 2;
+  d.dim = 3;
+  d.rng_modelerr = {1, 2, 3, 4, 5};
+  d.ensemble = {0.5, -1.25, 2.0, 3.5, -4.75, 6.0};
+  const std::string path = temp_path("ckpt_lying_count.bin");
+  ASSERT_TRUE(stream::save_checkpoint(path, d).ok());
+  auto file = file_bytes(path);
+  // Header 16, seed/members/dim 24, cycles/depth/next 12, the 5-byte RNG blob.
+  const std::size_t at = 16 + 24 + 12 + 8 + d.rng_modelerr.size();
+  std::vector<std::uint8_t> count;
+  bytes::put_u64(count, d.ensemble.size());
+  ASSERT_TRUE(std::equal(count.begin(), count.end(), file.begin() + static_cast<long>(at)));
+  count.clear();
+  bytes::put_u64(count, (std::uint64_t{1} << 61) + 1);
+  std::copy(count.begin(), count.end(), file.begin() + static_cast<long>(at));
+  std::vector<std::uint8_t> crc;
+  bytes::put_u32(crc, stream::crc32(std::span(file).subspan(16, file.size() - 20)));
+  std::copy(crc.begin(), crc.end(), file.end() - 4);
+  write_bytes(path, {file.begin(), file.end()});
+
+  stream::CheckpointData back;
+  Status s = Status::Ok();
+  EXPECT_NO_THROW(s = stream::load_checkpoint(path, back));
+  EXPECT_EQ(s.code(), StatusCode::kCorruptData) << s.to_string();
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FailedSaveLeavesThePreviousSnapshotInPlace) {
+  const std::string path = temp_path("ckpt_replace.bin");
+  const std::string tmp = path + ".tmp";
+  const auto good = make_snapshot(path);
+  EXPECT_FALSE(std::filesystem::exists(tmp));  // every periodic save renamed its file
+  stream::CheckpointData d;
+  ASSERT_TRUE(stream::load_checkpoint(path, d).ok());
+  auto newer = d;
+  ++newer.next_cycle;
+
+  // A directory where the temporary file goes: the write cannot start.
+  std::filesystem::create_directory(tmp);
+  EXPECT_EQ(stream::save_checkpoint(path, newer).code(), StatusCode::kIoError);
+  std::filesystem::remove(tmp);
+  stream::CheckpointData back;
+  ASSERT_TRUE(stream::load_checkpoint(path, back).ok());
+  EXPECT_EQ(back.next_cycle, d.next_cycle);
+  const auto kept = file_bytes(path);
+  ASSERT_EQ(kept.size(), good.size());
+  EXPECT_EQ(std::memcmp(kept.data(), good.data(), kept.size()), 0);
+
+  // A non-empty directory where the snapshot goes: the write succeeds, the
+  // rename fails, and the temporary file is removed.
+  const std::string dir_path = temp_path("ckpt_replace_dir");
+  std::filesystem::create_directories(dir_path + "/occupied");
+  EXPECT_EQ(stream::save_checkpoint(dir_path, newer).code(), StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(dir_path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::exists(dir_path + "/occupied"));
+  std::filesystem::remove_all(dir_path);
   std::remove(path.c_str());
 }
 

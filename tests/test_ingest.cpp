@@ -209,6 +209,36 @@ TEST(Wire, ImplausibleLengthIsTreatedAsCorruption) {
   EXPECT_EQ(dec.last_error().code(), StatusCode::kCorruptData);
 }
 
+TEST(Wire, LyingDoubleCountIsCountedCorruptNotThrown) {
+  // A CRC-valid truth frame whose state claims 2^61 + 1 doubles, with eight
+  // bytes behind the count: 8 * n wraps to 8, which must not pass for
+  // "enough bytes left".
+  std::vector<std::uint8_t> payload;
+  payload.push_back(static_cast<std::uint8_t>(ingest::FrameKind::kTruth));
+  bytes::put_i32(payload, 2);
+  bytes::put_u64(payload, (std::uint64_t{1} << 61) + 1);
+  bytes::put_f64(payload, 1.5);
+  std::vector<std::uint8_t> bytes;
+  bytes::put_u32(bytes, ingest::kWireMagic);
+  bytes::put_u32(bytes, ingest::kWireVersion);
+  bytes::put_u64(bytes, payload.size());
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  bytes::put_u32(bytes, stream::crc32(payload));
+  ingest::encode_truth_frame(3, make_truth(3), bytes);  // good frame behind the bad one
+
+  ingest::FrameDecoder dec;
+  dec.feed(bytes);
+  ingest::DecodedFrame f;
+  bool decoded = false;
+  EXPECT_NO_THROW(decoded = dec.next(f));
+  ASSERT_TRUE(decoded);
+  EXPECT_EQ(f.kind, ingest::FrameKind::kTruth);
+  EXPECT_EQ(f.cycle, 3);
+  EXPECT_EQ(f.state, make_truth(3));
+  EXPECT_EQ(dec.stats().frames_corrupt, 1u);
+  EXPECT_EQ(dec.last_error().code(), StatusCode::kCorruptData);
+}
+
 TEST(Wire, TornFrameRecoveredFromRetransmission) {
   // A connection died mid-frame; the reconnecting feeder retransmits the
   // whole frame. The torn prefix must be shed, the retransmission decoded.
