@@ -32,7 +32,26 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> pt(std::move(task));
+  // The span and the busy counts are recorded inside the packaged task,
+  // which makes the future ready only after its callable returns: a caller
+  // resuming on the future finds them complete, and may clear the trace.
+  // The guard counts a task that throws too.
+  std::packaged_task<void()> pt([this, task = std::move(task)] {
+    struct BusyGuard {
+      ThreadPool& pool;
+      std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+      ~BusyGuard() {
+        const auto dt = std::chrono::steady_clock::now() - t0;
+        pool.busy_ns_.fetch_add(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()),
+            std::memory_order_relaxed);
+        pool.tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+      }
+    } busy{*this};
+    TURBDA_SPAN("pool.task");
+    task();
+  });
   auto fut = pt.get_future();
   {
     std::lock_guard lk(mu_);
@@ -106,17 +125,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       head_ = (head_ + 1) % ring_.size();
       --queued_;
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      TURBDA_SPAN("pool.task");
-      task();
-    }
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    busy_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()),
-        std::memory_order_relaxed);
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    task();
   }
 }
 

@@ -51,8 +51,10 @@ class ThreadPool {
 
   /// Cumulative utilization counters, maintained by workers with relaxed
   /// atomics (two clock reads per task — negligible against the coarse
-  /// chunk tasks this pool runs). Callers diff busy_ns across an interval
-  /// to derive idle fractions: idle = 1 - Δbusy / (Δwall * size()).
+  /// chunk tasks this pool runs). A task is counted before its future is
+  /// ready, so a read right after parallel_for returns includes every chunk
+  /// of that call. Callers diff busy_ns across an interval to derive idle
+  /// fractions: idle = 1 - Δbusy / (Δwall * size()).
   struct Stats {
     std::uint64_t busy_ns = 0;        ///< total ns workers spent inside tasks
     std::uint64_t tasks_executed = 0; ///< tasks completed by workers

@@ -21,14 +21,9 @@ double ms_since(Clock::time_point t0) {
 
 }  // namespace
 
-IngestStream::IngestStream(IngestStreamConfig cfg, std::unique_ptr<IngestSource> source,
+IngestStream::IngestStream(IngestStreamConfig cfg, std::unique_ptr<TailStream> source,
                            const da::ObservationOperator& h, const da::DiagonalR& r)
-    : cfg_(cfg),
-      source_(std::move(source)),
-      h_(h),
-      r_(r),
-      backoff_(cfg.backoff),
-      queue_(cfg.queue_capacity) {
+    : cfg_(cfg), source_(std::move(source)), h_(h), r_(r), queue_(cfg.queue_capacity) {
   TURBDA_REQUIRE(source_ != nullptr, "IngestStream needs a transport");
   TURBDA_REQUIRE(cfg_.read_timeout_ms > 0 && cfg_.produce_timeout_ms > 0 &&
                      cfg_.stale_after_ms >= cfg_.read_timeout_ms && cfg_.truth_buffer >= 1,
@@ -69,7 +64,7 @@ void IngestStream::drain_decoder(int cycle) {
 
 void IngestStream::reconnect(double budget_ms) {
   const auto t0 = Clock::now();
-  for (;;) {
+  for (std::uint64_t attempts = 1;; ++attempts) {
     const Status s = source_->connect();
     if (s.ok()) {
       {
@@ -78,17 +73,15 @@ void IngestStream::reconnect(double budget_ms) {
       }
       if (connected_once_) TURBDA_TRACE_INSTANT("ingest.reconnect");
       connected_once_ = true;
-      backoff_.reset();
       return;
     }
-    if (source_->exhausted()) return;  // produce() turns this into a verdict
     TURBDA_REQUIRE(s.code() == StatusCode::kUnavailable,
                    "ingest transport failure — " << s.to_string());
-    const double delay = backoff_.next_delay_ms();
-    TURBDA_REQUIRE(ms_since(t0) + delay <= budget_ms,
+    // Reopening a local file is all there is to retry: one poll slice apart.
+    TURBDA_REQUIRE(ms_since(t0) + cfg_.read_timeout_ms <= budget_ms,
                    "ingest: transport did not come back within the produce timeout ("
-                       << backoff_.attempts() << " attempts)");
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay));
+                       << attempts << " attempts)");
+    std::this_thread::sleep_for(std::chrono::milliseconds(cfg_.read_timeout_ms));
   }
 }
 
@@ -122,9 +115,8 @@ void IngestStream::produce(int cycle) {
     } else if (s.code() == StatusCode::kTimeout) {
       quiet_ms += static_cast<double>(cfg_.read_timeout_ms);
       if (quiet_ms >= static_cast<double>(cfg_.stale_after_ms) && !source_->exhausted()) {
-        // Heartbeats flow even through idle windows, so a silent link is a
-        // dead link: tear it down and let backoff bring it (or its
-        // replacement) back.
+        // Heartbeats flow even through idle windows, so a silent feed is a
+        // dead one: reopen the file, which picks up a replacement.
         TURBDA_TRACE_INSTANT("ingest.stale");
         {
           std::lock_guard<std::mutex> lk(mu_);

@@ -1,5 +1,7 @@
 #include "stream/ingest/tail_stream.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -15,11 +17,21 @@ Status TailStream::connect() {
   std::FILE* f = std::fopen(cfg_.path.c_str(), "rb");
   if (f == nullptr)
     return Status(StatusCode::kUnavailable, "tail file not present: " + cfg_.path);
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) != 0) {
+    std::fclose(f);
+    return Status(StatusCode::kUnavailable, "tail file not readable: " + cfg_.path);
+  }
+  // fseek past EOF succeeds, so a replaced file must be recognized by its
+  // identity: another file (renamed over the path) or a shorter one
+  // (truncated in place) is read from the top; the ledger drops the
+  // windows that replays.
+  if (st.st_dev != dev_ || st.st_ino != ino_ || st.st_size < offset_) offset_ = 0;
+  dev_ = st.st_dev;
+  ino_ = st.st_ino;
   if (std::fseek(f, offset_, SEEK_SET) != 0) {
-    // Shorter than what we already consumed: the feeder replaced the file.
-    // Restart from the top — replayed frames dedup downstream.
-    std::rewind(f);
-    offset_ = 0;
+    std::fclose(f);
+    return Status(StatusCode::kUnavailable, "tail file not seekable: " + cfg_.path);
   }
   f_ = f;
   return Status::Ok();

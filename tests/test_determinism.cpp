@@ -1,11 +1,15 @@
 // Thread-count determinism: LETKF and EnSF analyses and the member-parallel
-// SQG ensemble forecast loop must be bitwise identical for 1, 2 and
-// hardware_concurrency() worker threads, and the row-parallel GEMM must
-// match a serial reference bitwise. This is the contract that makes the
-// parallel hot path safe to enable by default. The LETKF analysis and the
-// SQG forecast are also bitwise identical under the Scalar and Avx2 levels.
+// SQG ensemble forecast loop must be bitwise identical for every thread
+// count of thread_counts() — 0 (the pool plus the caller: hw + 1 chunks, a
+// split no explicit count makes), 1, 2, hardware_concurrency() and twice
+// that (more than the pool can run at once, so parallel_for's max_par clamp
+// decides the split) — and the row-parallel GEMM must match a serial
+// reference bitwise. This is the contract that makes the parallel hot path
+// safe to enable by default. The LETKF analysis and the SQG forecast are
+// also bitwise identical under the Scalar and Avx2 levels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -51,7 +55,8 @@ struct SmallCase {
 };
 
 std::vector<std::size_t> thread_counts() {
-  return {1, 2, std::max<std::size_t>(1, std::thread::hardware_concurrency())};
+  const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return {0, 1, 2, hw, 2 * hw};
 }
 
 void expect_bitwise_equal(const da::Ensemble& a, const da::Ensemble& b, std::size_t n_threads) {

@@ -1,7 +1,9 @@
 // Live-ingestion tests: the CRC-framed wire protocol (round-trip, torn and
-// corrupt frames, resynchronization, version/length refusal), deterministic
-// reconnect backoff, bounded drop-oldest queueing, replay and live-socket
-// transports feeding IngestStream (dedup ledger, reconnects, save/restore),
+// corrupt frames, resynchronization, version/length refusal, and a seeded
+// mutation run over a whole capture), bounded drop-oldest queueing, the
+// TailStream transport (replay; follow mode reopening a file renamed over
+// its path or truncated in place) feeding IngestStream (dedup ledger, a
+// followed feed that survives mid-frame feeder restarts, save/restore),
 // and the deep-overlap (K > 1) RealtimeRunner schedule — late batches a K=1
 // run drops are applied with age-dependent R inflation, bitwise reproducibly
 // across thread counts and through a v5 checkpoint/resume, and a damaged wire
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -32,9 +35,7 @@
 #include "stream/batch_queue.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/faulty_stream.hpp"
-#include "stream/ingest/backoff.hpp"
 #include "stream/ingest/ingest_stream.hpp"
-#include "stream/ingest/socket_stream.hpp"
 #include "stream/ingest/tail_stream.hpp"
 #include "stream/ingest/wire.hpp"
 #include "stream/realtime_runner.hpp"
@@ -257,35 +258,164 @@ TEST(Wire, TornFrameRecoveredFromRetransmission) {
   EXPECT_GE(dec.stats().frames_resynced, 1u);
 }
 
-// ---------------------------------------------------------------- backoff ---
+// ------------------------------------------------------ decoder mutations ---
 
-TEST(Backoff, ScheduleIsDeterministicCappedAndJitterBounded) {
-  ingest::BackoffConfig bc;
-  bc.base_ms = 10.0;
-  bc.cap_ms = 160.0;
-  bc.multiplier = 2.0;
-  bc.jitter_frac = 0.2;
-  bc.seed = 1234;
-  ingest::Backoff a(bc), b(bc);
-  for (int i = 0; i < 12; ++i) {
-    const double da = a.next_delay_ms();
-    EXPECT_EQ(da, b.next_delay_ms()) << "attempt " << i;
-    EXPECT_EQ(da, a.delay_for_attempt(static_cast<std::uint64_t>(i)));  // pure function
-    const double nominal = std::min(10.0 * std::pow(2.0, i), 160.0);
-    EXPECT_GE(da, nominal * 0.8);
-    EXPECT_LE(da, nominal * 1.2);
+/// The bytes `f` was decoded from, if it came from an encoder: every frame
+/// kind encodes canonically, so a decoded frame re-encodes to its source.
+std::vector<std::uint8_t> reencode(const ingest::DecodedFrame& f) {
+  std::vector<std::uint8_t> out;
+  switch (f.kind) {
+    case ingest::FrameKind::kObs:
+      ingest::encode_obs_frame(f.obs, out);
+      break;
+    case ingest::FrameKind::kTruth:
+      ingest::encode_truth_frame(f.cycle, f.state, out);
+      break;
+    case ingest::FrameKind::kHeartbeat:
+      ingest::encode_heartbeat_frame(f.cycle, f.seq, out);
+      break;
   }
-  EXPECT_EQ(a.attempts(), 12u);
-  a.reset();
-  EXPECT_EQ(a.attempts(), 0u);
-  EXPECT_EQ(a.next_delay_ms(), b.delay_for_attempt(0));
+  return out;
+}
 
-  ingest::BackoffConfig plain = bc;
-  plain.jitter_frac = 0.0;
-  ingest::Backoff c(plain);
-  EXPECT_EQ(c.next_delay_ms(), 10.0);
-  EXPECT_EQ(c.next_delay_ms(), 20.0);
-  EXPECT_EQ(c.delay_for_attempt(50), 160.0);  // saturates at the cap
+TEST(Wire, MutatedCapturesNeverThrowAndDecodeOnlySourceFrames) {
+  // A fixed budget of seeded mutations of one valid capture: bit flips,
+  // truncations, frame-length lies, splices of valid frames, and payload
+  // damage resealed with a valid CRC (bit flips, or a lying value count:
+  // CRC-valid garbage for the payload parsers). Each mutant is fed in
+  // random-sized chunks. next() must never throw, every frame it returns
+  // must be bytewise a source frame (or the resealed one), and the frames
+  // wholly ahead of the first changed byte must all come out, in order.
+  // Mutation i draws from substream i of the seed, so a failure replays
+  // alone.
+  constexpr std::uint64_t kSeed = 0x5EED2024;
+  constexpr int kMutations = 2000;
+  SCOPED_TRACE(testing::Message() << "fuzz seed 0x" << std::hex << kSeed);
+
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::uint64_t seq = 0;
+  for (int w = 0; w < 4; ++w) {
+    frames.emplace_back();
+    ingest::encode_obs_frame(make_batch(w), frames.back());
+    frames.emplace_back();
+    ingest::encode_truth_frame(w, make_truth(w), frames.back());
+    frames.emplace_back();
+    ingest::encode_heartbeat_frame(w, seq++, frames.back());
+  }
+  std::vector<std::uint8_t> capture;
+  std::vector<std::size_t> starts;  // frame i spans [starts[i], starts[i + 1])
+  for (const auto& f : frames) {
+    starts.push_back(capture.size());
+    capture.insert(capture.end(), f.begin(), f.end());
+  }
+  starts.push_back(capture.size());
+
+  const rng::Rng root(kSeed);
+  for (int i = 0; i < kMutations; ++i) {
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    rng::Rng rng = root.substream(static_cast<std::uint64_t>(i));
+    const auto below = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng.next_u64() % n);
+    };
+    // A count that lies: plausible (it may hold back the frames behind a
+    // header that carries it), just past the frame bound, one whose byte
+    // size 8 n wraps to a few bytes, or one near 2^64.
+    const auto lying_count = [&]() -> std::uint64_t {
+      switch (below(4)) {
+        case 0:
+          return below(ingest::kMaxFramePayloadBytes + 1);
+        case 1:
+          return ingest::kMaxFramePayloadBytes + 1 + below(1u << 20);
+        case 2:
+          return (std::uint64_t{1} << (61 + below(3))) + below(16);
+        default:
+          return ~std::uint64_t{0} - below(64);
+      }
+    };
+    std::vector<std::uint8_t> bytes = capture;
+    std::vector<std::uint8_t> resealed;
+    std::size_t first_changed = bytes.size();
+    switch (below(5)) {
+      case 0:  // bit flips
+        for (std::size_t n = 1 + below(8); n > 0; --n) {
+          const std::size_t at = below(bytes.size());
+          bytes[at] ^= static_cast<std::uint8_t>(1u << below(8));
+          first_changed = std::min(first_changed, at);
+        }
+        break;
+      case 1: {  // truncation: a torn tail, or a lost span
+        const std::size_t at = below(bytes.size());
+        const std::size_t len = below(2) == 0 ? bytes.size() - at : 1 + below(bytes.size() - at);
+        const auto first = bytes.begin() + static_cast<long>(at);
+        bytes.erase(first, first + static_cast<long>(len));
+        first_changed = at;
+        break;
+      }
+      case 2: {  // a frame length that lies
+        const std::size_t at = starts[below(frames.size())] + 8;
+        const std::uint64_t lie = lying_count();
+        for (std::size_t b = 0; b < 8; ++b)
+          bytes[at + b] = static_cast<std::uint8_t>(lie >> (8 * b));
+        first_changed = at;
+        break;
+      }
+      case 3: {  // splice: a valid frame, or its head, inserted anywhere
+        const auto& f = frames[below(frames.size())];
+        const std::size_t len = below(2) == 0 ? f.size() : 1 + below(f.size());
+        const std::size_t at = below(bytes.size() + 1);
+        bytes.insert(bytes.begin() + static_cast<long>(at), f.begin(),
+                     f.begin() + static_cast<long>(len));
+        first_changed = at;
+        break;
+      }
+      default: {  // payload damage under a recomputed CRC
+        const std::size_t k = below(frames.size());
+        std::vector<std::uint8_t> payload(frames[k].begin() + ingest::kWireHeaderBytes,
+                                          frames[k].end() - 4);
+        // An obs payload counts its values at byte 21, a truth payload its
+        // state at byte 5 (a heartbeat's sequence number sits there).
+        const std::size_t count_at =
+            payload[0] == static_cast<std::uint8_t>(ingest::FrameKind::kObs) ? 21 : 5;
+        if (below(2) == 0) {
+          const std::uint64_t lie = lying_count();
+          for (std::size_t b = 0; b < 8; ++b)
+            payload[count_at + b] = static_cast<std::uint8_t>(lie >> (8 * b));
+        } else {
+          for (std::size_t n = 1 + below(3); n > 0; --n)
+            payload[below(payload.size())] ^= static_cast<std::uint8_t>(1u << below(8));
+        }
+        resealed.assign(frames[k].begin(), frames[k].begin() + ingest::kWireHeaderBytes);
+        resealed.insert(resealed.end(), payload.begin(), payload.end());
+        bytes::put_u32(resealed, stream::crc32(payload));
+        std::copy(resealed.begin(), resealed.end(), bytes.begin() + static_cast<long>(starts[k]));
+        first_changed = starts[k];
+        break;
+      }
+    }
+
+    ingest::FrameDecoder dec;
+    std::vector<std::vector<std::uint8_t>> out;
+    for (std::size_t pos = 0; pos < bytes.size();) {
+      const std::size_t n = std::min(bytes.size() - pos, 1 + below(96));
+      dec.feed(std::span<const std::uint8_t>(bytes).subspan(pos, n));
+      pos += n;
+      ingest::DecodedFrame f;
+      for (;;) {
+        bool more = false;
+        ASSERT_NO_THROW(more = dec.next(f));
+        if (!more) break;
+        out.push_back(reencode(f));
+      }
+    }
+    for (const auto& f : out)
+      ASSERT_TRUE(f == resealed || std::find(frames.begin(), frames.end(), f) != frames.end())
+          << "decoded a frame of " << f.size() << " bytes that no encoder wrote";
+    std::size_t intact = 0;
+    while (intact < frames.size() && starts[intact + 1] <= first_changed) ++intact;
+    ASSERT_GE(out.size(), intact);
+    for (std::size_t k = 0; k < intact; ++k) ASSERT_EQ(out[k], frames[k]) << "frame " << k;
+    EXPECT_EQ(dec.stats().frames_decoded, out.size());
+  }
 }
 
 // ------------------------------------------------------------- batch queue ---
@@ -505,72 +635,169 @@ TEST(IngestStream, SaveRestoreKeepsLedgerAcrossTransportReplay) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------------- loopback socket ---
+// ------------------------------------------------ followed file, restarts ---
 
-TEST(SocketIngest, LoopbackSurvivesFeederKillAndCorruptFrames) {
-  ingest::SocketStreamConfig scfg;
-  scfg.port = 0;  // kernel-assigned
-  scfg.connect_timeout_ms = 50;
-  auto src = std::make_unique<ingest::SocketStream>(scfg);
-  ingest::SocketStream* raw = src.get();
-  // First accept attempt times out (no feeder yet) but resolves the port.
-  EXPECT_EQ(raw->connect().code(), StatusCode::kUnavailable);
-  const std::uint16_t port = raw->bound_port();
-  ASSERT_NE(port, 0);
+std::vector<std::uint8_t> byte_pattern(std::size_t n, std::uint8_t salt) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 13 + salt);
+  return v;
+}
+
+void append_file(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::app);
+  f.write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(f.good());
+}
+
+/// The feeder's restart: a complete new file renamed over the path.
+void replace_file(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  write_file(path + ".tmp", bytes);
+  ASSERT_EQ(0, std::rename((path + ".tmp").c_str(), path.c_str()));
+}
+
+/// Everything a followed file holds past the stream's offset.
+std::vector<std::uint8_t> read_available(ingest::TailStream& t) {
+  std::vector<std::uint8_t> out, buf(64);
+  for (;;) {
+    std::size_t got = 0;
+    const Status s = t.read_some(buf, 1, got);
+    if (!s.ok()) {
+      EXPECT_EQ(s.code(), StatusCode::kTimeout) << s.to_string();
+      return out;
+    }
+    out.insert(out.end(), buf.begin(), buf.begin() + static_cast<long>(got));
+  }
+}
+
+TEST(TailStream, FollowRereadsAFileRenamedOverThePath) {
+  const std::string path = temp_path("tail_renamed.bin");
+  const auto first = byte_pattern(100, 1);
+  write_file(path, first);
+  ingest::TailStream t({.path = path, .stop_at_eof = false});
+  ASSERT_TRUE(t.connect().ok());
+  EXPECT_EQ(read_available(t), first);
+
+  // A restarted feeder renames a shorter file over the path, then appends:
+  // both are read whole, from its byte 0.
+  const auto second = byte_pattern(60, 2);
+  replace_file(path, second);
+  t.close();
+  ASSERT_TRUE(t.connect().ok());
+  EXPECT_EQ(read_available(t), second);
+  const auto appended = byte_pattern(70, 3);
+  append_file(path, appended);
+  EXPECT_EQ(read_available(t), appended);
+
+  // A replacement longer than the consumed offset is a new file too.
+  const auto third = byte_pattern(200, 4);
+  replace_file(path, third);
+  t.close();
+  ASSERT_TRUE(t.connect().ok());
+  EXPECT_EQ(read_available(t), third);
+  std::remove(path.c_str());
+}
+
+TEST(TailStream, FollowRereadsAFileTruncatedInPlace) {
+  const std::string path = temp_path("tail_truncated.bin");
+  const auto first = byte_pattern(100, 5);
+  write_file(path, first);
+  ingest::TailStream t({.path = path, .stop_at_eof = false});
+  ASSERT_TRUE(t.connect().ok());
+  EXPECT_EQ(read_available(t), first);
+
+  // The same file, rewritten shorter: a reopen reads it from byte 0.
+  const auto second = byte_pattern(40, 6);
+  write_file(path, second);
+  EXPECT_TRUE(read_available(t).empty());
+  t.close();
+  ASSERT_TRUE(t.connect().ok());
+  EXPECT_EQ(read_available(t), second);
+
+  // The same file at the same length or longer keeps its offset.
+  const auto appended = byte_pattern(30, 7);
+  append_file(path, appended);
+  t.close();
+  ASSERT_TRUE(t.connect().ok());
+  EXPECT_EQ(read_available(t), appended);
+  std::remove(path.c_str());
+}
+
+TEST(IngestStream, FollowSurvivesFeederRestartsAndCorruptFrames) {
+  // A feeder thread writes the followed file and dies mid-frame kKills
+  // times. Each restart replays the last two windows it sent, then adds
+  // one: most rewrite the file from the top (a temporary file renamed over
+  // the path), one appends after the torn frame. The feeder waits on the
+  // consumer's progress, never on a timed sleep, so the consumer sees every
+  // dead feed and every rotation.
+  const std::string path = temp_path("ingest_follow.bin");
+  std::remove(path.c_str());
+  constexpr int kKills = 3;
+  constexpr int kAppendingRestart = 2;
+
+  ingest::IngestStreamConfig ic;
+  ic.read_timeout_ms = 5;
+  ic.stale_after_ms = 50;
+  ic.produce_timeout_ms = 20000;
+  da::IdentityObs h(kObsDim);
+  da::DiagonalR r(kObsDim, 1.0);
+  ingest::IngestStream s(
+      ic, std::make_unique<ingest::TailStream>(ingest::TailStreamConfig{.path = path}), h, r);
 
   auto& tracer = telemetry::TraceCollector::instance();
   tracer.enable();
-  constexpr int kKills = 3;
-  std::thread feeder([port] {
-    ingest::SocketWriter w;
-    const auto dial = [&] {
-      while (!w.connect("127.0.0.1", port, 50).ok())
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::atomic<int> delivered{-1};  // the last window the consumer collected
+  std::atomic<bool> consumer_failed{false};
+  std::thread feeder([&] {
+    const auto wait_for = [&](const auto& done) {
+      while (!done() && !consumer_failed.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     };
     std::uint64_t seq = 0;
-    std::vector<std::uint8_t> buf;
-    dial();
-    // Window 0 arrives once corrupted and once intact.
-    {
-      std::vector<std::uint8_t> bad;
-      ingest::encode_obs_frame(make_batch(0, kObsDim), bad);
-      bad[ingest::kWireHeaderBytes + 2] ^= 0xFFu;
-      buf.insert(buf.end(), bad.begin(), bad.end());
-    }
-    append_window(0, buf, seq);
-    for (int kill = 1; kill <= kKills; ++kill) {
-      append_window(kill, buf, seq);
-      // The kill: the feeder dies mid-frame. Half a heartbeat is on the wire
-      // and the socket closes, as the kernel closes a dead process's socket.
+    const auto torn_heartbeat = [&](int w, std::vector<std::uint8_t>& out) {
       std::vector<std::uint8_t> torn;
-      ingest::encode_heartbeat_frame(kill, seq++, torn);
-      buf.insert(buf.end(), torn.begin(), torn.begin() + static_cast<long>(torn.size() / 2));
-      (void)w.send_all(buf);
-      w.close();
-      dial();
-      // A restarted feeder cannot know what survived: replay, then continue.
+      ingest::encode_heartbeat_frame(w, seq++, torn);
+      out.insert(out.end(), torn.begin(), torn.begin() + static_cast<long>(torn.size() / 2));
+    };
+    // The first run: window 0 once corrupted and once intact, then window 1,
+    // then the first kill.
+    std::vector<std::uint8_t> buf;
+    ingest::encode_obs_frame(make_batch(0, kObsDim), buf);
+    buf[ingest::kWireHeaderBytes + 2] ^= 0xFFu;
+    append_window(0, buf, seq);
+    append_window(1, buf, seq);
+    torn_heartbeat(1, buf);
+    replace_file(path, buf);
+    for (int restart = 1; restart <= kKills; ++restart) {
+      wait_for([&] { return delivered.load() >= restart; });
+      // A restarted feeder cannot know what survived: replay, then continue
+      // (and die again, but for the last time).
       buf.clear();
-      append_window(kill - 1, buf, seq);
-      append_window(kill, buf, seq);
+      append_window(restart - 1, buf, seq);
+      append_window(restart, buf, seq);
+      append_window(restart + 1, buf, seq);
+      if (restart < kKills) torn_heartbeat(restart + 1, buf);
+      if (restart == kAppendingRestart) {
+        // This one comes back after the consumer has given the dead feed
+        // up and reopened the file.
+        const std::uint64_t before = s.stats().reconnects;
+        wait_for([&] { return s.stats().reconnects > before; });
+        append_file(path, buf);
+      } else {
+        replace_file(path, buf);
+      }
     }
-    append_window(kKills + 1, buf, seq);
-    (void)w.send_all(buf);
-    w.close();
   });
 
-  ingest::IngestStreamConfig ic;
-  ic.read_timeout_ms = 10;
-  ic.stale_after_ms = 500;
-  ic.produce_timeout_ms = 20000;
-  ic.backoff.base_ms = 5.0;
-  ic.backoff.cap_ms = 50.0;
-  da::IdentityObs h(kObsDim);
-  da::DiagonalR r(kObsDim, 1.0);
-  ingest::IngestStream s(ic, std::move(src), h, r);
   std::vector<stream::ObsBatch> got;
-  for (int k = 0; k <= kKills + 1; ++k) {
-    s.produce(k);
-    s.collect(static_cast<double>(k) + 1.0, got);
+  try {
+    for (int k = 0; k <= kKills + 1; ++k) {
+      s.produce(k);
+      s.collect(static_cast<double>(k) + 1.0, got);
+      delivered.store(k);
+    }
+  } catch (const std::exception& e) {
+    consumer_failed.store(true);
+    ADD_FAILURE() << e.what();
   }
   feeder.join();
   tracer.disable();
@@ -578,8 +805,8 @@ TEST(SocketIngest, LoopbackSurvivesFeederKillAndCorruptFrames) {
   for (const auto& thread : tracer.snapshot())
     for (const auto& span : thread.spans) traced.emplace_back(span.name);
   tracer.clear();
-  for (const char* name :
-       {"ingest.produce", "ingest.collect", "ingest.frame_corrupt", "ingest.reconnect"})
+  for (const char* name : {"ingest.produce", "ingest.collect", "ingest.frame_corrupt",
+                           "ingest.reconnect", "ingest.stale"})
     EXPECT_NE(std::find(traced.begin(), traced.end(), name), traced.end()) << name;
 
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kKills + 2));
@@ -587,8 +814,10 @@ TEST(SocketIngest, LoopbackSurvivesFeederKillAndCorruptFrames) {
     expect_batches_equal(make_batch(w, kObsDim), got[static_cast<std::size_t>(w)]);
   const auto st = s.stats();
   EXPECT_GE(st.reconnects, static_cast<std::uint64_t>(kKills));
+  EXPECT_GE(st.heartbeat_timeouts, static_cast<std::uint64_t>(kKills));
   EXPECT_GE(st.wire.frames_corrupt, 1u);
   EXPECT_GE(st.duplicates_dropped, 1u);  // the replayed windows
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- deep-overlap scheduling ---

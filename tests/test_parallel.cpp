@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -52,16 +53,17 @@ TEST(ThreadPool, StatsAccumulateBusyTimeAndTaskCount) {
     futs.push_back(pool.submit(
         [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }));
   for (auto& f : futs) f.get();
-  // The worker updates its stats *after* fulfilling the task's future, so
-  // give the last increment a moment to land before asserting.
-  auto after = pool.stats();
-  for (int spin = 0; spin < 200 && after.tasks_executed - before.tasks_executed < 8u; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    after = pool.stats();
-  }
+  // A task is counted before its future is ready, so the read right after
+  // the last get() sees every task.
+  const auto after = pool.stats();
   EXPECT_EQ(after.tasks_executed - before.tasks_executed, 8u);
   // 8 x 2ms of sleeping must register as busy time (allow scheduler slack).
   EXPECT_GE(after.busy_ns - before.busy_ns, 8'000'000u);
+
+  const std::uint64_t done = pool.stats().tasks_executed;
+  EXPECT_THROW(pool.submit([] { throw std::runtime_error("task failed"); }).get(),
+               std::runtime_error);
+  EXPECT_EQ(pool.stats().tasks_executed, done + 1);  // a throwing task is counted too
 }
 
 }  // namespace
