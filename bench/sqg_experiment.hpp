@@ -137,17 +137,14 @@ struct SqgExperiment {
     rmat_ = std::make_unique<da::DiagonalR>(model->dim(), cfg.obs_error_var);
     da::IdentityObs& h = *obs_;
     da::DiagonalR& r = *rmat_;
-
     merr_ = std::make_unique<models::ModelErrorProcess>(
         models::ModelErrorConfig{.reference_scale = clim_rms});
-    models::ModelErrorProcess& me = *merr_;
 
     stream::RealtimeConfig rc;
     rc.n_members = cfg.members;
     rc.cycles = cfg.cycles;
     rc.window_hours = cfg.window_hours;
     rc.seed = cfg.seed + 99;
-    rc.inject_model_error = (surrogate == nullptr);
     rc.init_spread = cfg.init_spread_k;
     rc.n_forecast_threads = cfg.forecast_threads;
 
@@ -158,7 +155,8 @@ struct SqgExperiment {
         surrogate ? static_cast<models::ForecastModel&>(*surrogate) : physics;
     stream_ = std::make_unique<stream::SyntheticStream>(
         stream::SyntheticStreamConfig{.seed = rc.seed}, truth_model, h, r, truth0_k);
-    runner_ = std::make_unique<stream::RealtimeRunner>(rc, *stream_, fcst, filter, &me);
+    runner_ = std::make_unique<stream::RealtimeRunner>(rc, *stream_, fcst, filter,
+                                                       surrogate ? nullptr : merr_.get());
 
     if (cfg.clim_init) {
       // Initial ensemble from the climatological pool (paper: "random

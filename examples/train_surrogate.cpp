@@ -60,11 +60,12 @@ int main(int argc, char** argv) {
             << "  ViT surrogate: " << io::Table::num(err_sur / probes, 3) << " K\n"
             << "  persistence:   " << io::Table::num(err_per / probes, 3) << " K\n";
 
-  // Online adaptation: feed analysis-like transitions and watch the loss.
+  // Online adaptation: fine-tune the pretrained surrogate itself on
+  // analysis-like transitions and watch the loss.
   std::cout << "\nOnline fine-tuning from streamed transitions (the paper's real-time "
                "adaptation):\n";
-  nn::OnlineTrainer online(std::make_shared<nn::ViT>(surrogate->vit().config()),
-                           surrogate->scaler(), nn::AdamWConfig{.lr = 1e-3}, 32, 2);
+  nn::OnlineTrainer online(surrogate->vit(), surrogate->scaler(), nn::AdamWConfig{.lr = 1e-3},
+                           32, 2);
   rng::Rng orng(99);
   std::vector<double> prev_k(exp.model->dim()), next_k(exp.model->dim());
   for (std::size_t i = 0; i < prev_k.size(); ++i) prev_k[i] = state[i] * exp.kelvin;

@@ -236,11 +236,11 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
 
         double* zp = zm.data();
         dk.scale(zp, zp, d, c0);
-        dk.axpy(zp, wx.data() + (m - mb) * d, d, c1);
+        dk.add_scaled(zp, zp, wx.data() + (m - mb) * d, d, c1);
         // Clamp the per-step likelihood displacement: with very small R the
         // likelihood drift is stiff and explicit Euler would blow up.
         dk.clamped_axpy(zp, like_grad.data(), d, cl, cfg_.max_like_step);
-        dk.axpy(zp, noise.data(), d, noise_sd);
+        dk.add_scaled(zp, zp, noise.data(), d, noise_sd);
         bt.update_ms += ph.lap_ms();
       }
     }

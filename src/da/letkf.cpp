@@ -615,20 +615,12 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.gram_ms += ph.milliseconds();
 
-      // A non-convergent local solve never crosses a thread boundary as an
-      // exception: with fallback enabled the column keeps its forecast and
-      // cycling continues; otherwise the throw is marshalled by parallel_for
-      // to the calling thread, and xaT is simply discarded.
+      // A non-convergent local solve keeps its node's forecast (below) and
+      // cycling continues.
       if (tm) ph.reset();
       tensor::jacobi_eigh_batch(amatb.data(), n, W, vb.data(), wlb.data(), cfg_.eigh_max_sweeps,
                                 einfos, &eigh_scratch);
       if (tm) pt.eigh_ms += ph.milliseconds();
-      for (std::size_t l = 0; l < n_real; ++l)
-        if (!einfos[l].converged)
-          TURBDA_REQUIRE(cfg_.eigh_fallback,
-                         "jacobi_eigh: not converged after "
-                             << einfos[l].sweeps << " sweeps (off-diagonal Frobenius "
-                             << einfos[l].off_fro << ")");
 
       // Ensemble-space weights. Non-converged lanes hold the benign identity
       // eigensystem; their results are discarded below.
@@ -900,12 +892,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     }
   };
 
-  try {
-    parallel::parallel_for(cfg_.n_levels * nj, solve_intervals, 1, cfg_.n_threads);
-  } catch (const Error& e) {
-    // eigh_fallback == false: the whole analysis fails, ensemble untouched.
-    return Status(StatusCode::kNonConvergent, e.what());
-  }
+  parallel::parallel_for(cfg_.n_levels * nj, solve_intervals, 1, cfg_.n_threads);
   if (stats != nullptr) {
     stats->solver_failures = solver_failures;
     stats->fallback_columns = fallback_columns;

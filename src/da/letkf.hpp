@@ -85,15 +85,10 @@ struct LetkfConfig {
   /// default — the clock calls are pure overhead in production runs).
   bool collect_timings = false;
 
-  /// Sweep budget for the per-node symmetric eigensolves.
+  /// Sweep budget for the per-node symmetric eigensolves. A node whose
+  /// solve uses it up keeps its forecast, and so does every column blended
+  /// from it (counted in AnalysisStats); the analysis continues.
   int eigh_max_sweeps = 50;
-
-  /// When a local eigensolve exhausts its sweep budget: true keeps the
-  /// forecast for that node and every column blended from it (counted in
-  /// AnalysisStats) and the analysis continues; false rethrows the solver
-  /// error on the calling thread — the whole analysis fails and the ensemble
-  /// is left untouched.
-  bool eigh_fallback = true;
 };
 
 /// Cumulative per-phase breakdown of analyze() (see
@@ -150,12 +145,10 @@ class LETKF final : public Filter {
   /// Recoverable entry point. QC options are applied at gather time — the
   /// localization weight of a masked observation becomes 0 and every weight
   /// is divided by r_scale — so the cached network plan stays valid. A local
-  /// eigensolve failure degrades per the eigh_fallback policy: with fallback
-  /// on, the failed node and every column whose blend would read its weights
-  /// keep the forecast (stats: solver_failures counts the failed solves,
-  /// fallback_columns those columns); with fallback off the Status is
-  /// kNonConvergent and the ensemble is untouched (the analysis buffer is
-  /// only written back after every column is done).
+  /// eigensolve that exhausts eigh_max_sweeps never fails the analysis: the
+  /// failed node and every column whose blend would read its weights keep
+  /// the forecast (stats: solver_failures counts the failed solves,
+  /// fallback_columns those columns).
   Status try_analyze(Ensemble& ensemble, std::span<const double> y,
                      const ObservationOperator& h, const DiagonalR& r,
                      const AnalysisOptions& opts = {}, AnalysisStats* stats = nullptr) override;

@@ -16,8 +16,8 @@ QcReport apply_quality_control(const QcConfig& cfg, std::span<double> y,
   rep.checked = p;
   mask.assign(p, 1);
   if (cfg.enabled && cfg.stale_r_inflation > 0.0 && age_cycles > 0) {
-    rep.r_scale = std::min(1.0 + static_cast<double>(age_cycles) * cfg.stale_r_inflation,
-                           cfg.max_r_scale);
+    rep.r_scale =
+        std::min(1.0 + static_cast<double>(age_cycles) * cfg.stale_r_inflation, kMaxRScale);
   }
   if (!cfg.enabled) return rep;
 

@@ -28,6 +28,10 @@
 
 namespace turbda::da {
 
+/// Ceiling of every age-dependent R inflation: QC's stale_r_inflation and
+/// the runner's deep-late clamp.
+inline constexpr double kMaxRScale = 16.0;
+
 struct QcConfig {
   /// Off passes every value. On, non-finite values (NaN/Inf) are always
   /// rejected, then the gates below apply.
@@ -45,10 +49,9 @@ struct QcConfig {
 
   /// Age-dependent observation-error inflation: a batch assimilated
   /// `age` cycles after its valid time gets r_scale = 1 + age * this,
-  /// clamped to max_r_scale. 0 keeps r_scale = 1. Replaces the hard
+  /// clamped to kMaxRScale. 0 keeps r_scale = 1. Replaces the hard
   /// staleness discard: late information still helps, just less.
   double stale_r_inflation = 0.0;
-  double max_r_scale = 16.0;
 };
 
 /// What one QC pass decided, for the per-cycle metrics row.

@@ -32,19 +32,10 @@ class ModelErrorProcess {
  public:
   explicit ModelErrorProcess(ModelErrorConfig cfg) : cfg_(cfg) {}
 
-  /// Applies one window's worth of model error to `state`.
-  void apply(std::span<double> state, rng::Rng& rng) const {
-    for (std::size_t c = 0; c < cfg_.probabilities.size(); ++c) {
-      if (!rng.bernoulli(cfg_.probabilities[c])) continue;
-      const double sd = cfg_.amplitudes[c] * cfg_.reference_scale;
-      for (double& x : state) x += rng.gaussian(0.0, sd);
-    }
-  }
-
-  /// Draws one window's error realization without applying it. Used when the
-  /// same imperfection afflicts every ensemble member (a systematic model
-  /// bias per window): the ensemble spread cannot see such errors, which is
-  /// what breaks covariance-based filters in the paper's Fig. 4.
+  /// Draws one window's error realization. The runner adds the same draw to
+  /// every ensemble member (a systematic model bias per window): the
+  /// ensemble spread cannot see such errors, which is what breaks
+  /// covariance-based filters in the paper's Fig. 4.
   [[nodiscard]] std::vector<double> sample(std::size_t dim, rng::Rng& rng) const {
     std::vector<double> err(dim, 0.0);
     for (std::size_t c = 0; c < cfg_.probabilities.size(); ++c) {

@@ -105,8 +105,8 @@ std::vector<double> SurrogateTrainer::fit(const Tensor& xs, const Tensor& ys, in
 OnlineTrainer::OnlineTrainer(std::shared_ptr<ViT> vit, const FieldScaler& scaler,
                              AdamWConfig opt_cfg, std::size_t buffer_capacity,
                              int steps_per_cycle)
-    : vit_(std::move(vit)), scaler_(scaler), opt_(vit_->parameters(), opt_cfg),
-      capacity_(buffer_capacity), steps_(steps_per_cycle) {
+    : trainer_(std::move(vit), scaler, opt_cfg), capacity_(buffer_capacity),
+      steps_(steps_per_cycle) {
   TURBDA_REQUIRE(capacity_ >= 1 && steps_ >= 0, "bad online-trainer configuration");
 }
 
@@ -127,16 +127,7 @@ TrainStats OnlineTrainer::observe_transition(std::span<const double> prev_analys
       std::copy(pr.first.begin(), pr.first.end(), xb.row(i).begin());
       std::copy(pr.second.begin(), pr.second.end(), yb.row(i).begin());
     }
-    Tensor xn = xb, yn = yb;
-    scaler_.normalize(xn.flat());
-    scaler_.normalize(yn.flat());
-    opt_.zero_grad();
-    const Tensor pred = vit_->forward(xn);
-    Tensor grad;
-    last.loss = mse_loss(pred, yn, grad);
-    vit_->backward(grad);
-    last.grad_norm = clip_grad_norm(vit_->parameters(), 1.0);
-    opt_.step();
+    last = trainer_.train_batch(xb, yb);
   }
   return last;
 }

@@ -43,7 +43,9 @@ class SurrogateForecast final : public models::ForecastModel {
   void forecast(std::span<double> state) override;
   [[nodiscard]] std::string name() const override { return "vit-surrogate"; }
 
-  [[nodiscard]] ViT& vit() { return *vit_; }
+  /// The network forecast() runs: an OnlineTrainer built on it fine-tunes
+  /// what this model forecasts with.
+  [[nodiscard]] const std::shared_ptr<ViT>& vit() const { return vit_; }
   [[nodiscard]] const FieldScaler& scaler() const { return scaler_; }
 
  private:
@@ -83,7 +85,8 @@ class SurrogateTrainer {
 /// The real-time adaptation loop: keeps a rolling replay buffer of analysis
 /// transitions (x_{k-1}^a -> x_k^a) and fine-tunes the surrogate a few steps
 /// every assimilation cycle, which is the workload the paper scales on
-/// Frontier.
+/// Frontier. Each step is one SurrogateTrainer::train_batch on up to 8
+/// pairs drawn from the buffer.
 class OnlineTrainer {
  public:
   OnlineTrainer(std::shared_ptr<ViT> vit, const FieldScaler& scaler, AdamWConfig opt_cfg,
@@ -97,9 +100,7 @@ class OnlineTrainer {
   [[nodiscard]] std::size_t buffered() const { return pairs_.size(); }
 
  private:
-  std::shared_ptr<ViT> vit_;
-  FieldScaler scaler_;
-  AdamW opt_;
+  SurrogateTrainer trainer_;
   std::size_t capacity_;
   int steps_;
   std::deque<std::pair<std::vector<double>, std::vector<double>>> pairs_;

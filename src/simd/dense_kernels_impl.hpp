@@ -212,22 +212,7 @@ void bjacobi_sweeps_impl(double* m, double* vt, std::size_t n, int max_sweeps,
   for (std::size_t l = 0; l < W; ++l) converged[l] = ((am >> l) & 1) != 0 ? 0 : 1;
 }
 
-// ---- Contiguous elementwise helpers ----
-
-template <class V, bool kFma>
-void axpy_impl(double* out, const double* in, std::size_t n, double alpha) {
-  const V va = V::broadcast(alpha);
-  std::size_t i = 0;
-  for (; i + V::kWidth <= n; i += V::kWidth)
-    V::template mul_add<kFma>(va, V::loadu(in + i), V::loadu(out + i)).storeu(out + i);
-  for (; i < n; ++i) {
-    if constexpr (kFma) {
-      out[i] = std::fma(alpha, in[i], out[i]);
-    } else {
-      out[i] = alpha * in[i] + out[i];
-    }
-  }
-}
+// ---- EnSF's clamped likelihood step ----
 
 template <class V>
 void clamped_axpy_impl(double* out, const double* in, std::size_t n, double alpha, double lim) {

@@ -36,7 +36,6 @@ constexpr Kernels kernel_table() {
       .bscale = detail::bscale_impl<V>,
       .bscale_shift = detail::bscale_shift_impl<V, kFma>,
       .bjacobi_sweeps = detail::bjacobi_sweeps_impl<V, kFma>,
-      .axpy = detail::axpy_impl<V, kFma>,
       .clamped_axpy = detail::clamped_axpy_impl<V>,
       .matmul_rows = detail::matmul_rows_impl<V>,
       .gaussian_pairs = detail::gaussian_pairs_impl<V>,

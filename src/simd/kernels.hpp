@@ -169,12 +169,9 @@ struct Kernels {
                          const double* tol_sq, const double* skip_sq, int* sweeps,
                          double* off_sq, std::uint8_t* converged);
 
-  // Contiguous elementwise helpers (EnSF per-sample updates).
-
-  /// out[i] += alpha * in[i].
-  void (*axpy)(double* out, const double* in, std::size_t n, double alpha);
-  /// out[i] += clamp(alpha * in[i], -lim, +lim), with vmaxpd/vminpd tie
-  /// semantics in the clamp.
+  /// EnSF's per-sample likelihood step (its other updates are scale and
+  /// add_scaled): out[i] += clamp(alpha * in[i], -lim, +lim), with
+  /// vmaxpd/vminpd tie semantics in the clamp.
   void (*clamped_axpy)(double* out, const double* in, std::size_t n, double alpha, double lim);
 
   /// Row-major product (tensor::gemm, EnSF score logits and means): out = A B
@@ -234,7 +231,8 @@ struct Kernels {
                       const double* op_t, const double* op_p, std::size_t nd);
   /// s[i] *= d2[i] (pair-duplicated real decay; the hyperdiffusion multiply).
   void (*mul_inplace)(double* s, const double* d2, std::size_t nd);
-  /// out[i] = x[i] + alpha * y[i] (the RK4 stage combine; out may alias x).
+  /// out[i] = x[i] + alpha * y[i] (the RK4 stage combine and EnSF's
+  /// per-sample update; out may alias x).
   void (*add_scaled)(double* out, const double* x, const double* y, std::size_t nd, double alpha);
   /// x[i] += c * (k1[i] + 2 k2[i] + 2 k3[i] + k4[i]) (the RK4 update).
   void (*rk4_update)(double* x, const double* k1, const double* k2, const double* k3,

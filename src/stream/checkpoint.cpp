@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <type_traits>
 
@@ -67,17 +68,22 @@ void put_metrics(std::vector<std::uint8_t>& out, const StreamCycleMetrics& m) {
   });
 }
 
-void read_metrics(bytes::Reader& rd, StreamCycleMetrics& m) {
+/// False on a bool byte other than 0 or 1: put_metrics never writes one.
+bool read_metrics(bytes::Reader& rd, StreamCycleMetrics& m) {
+  bool flags_ok = true;
   for_each_metric(m, [&](const char*, auto& v) {
     using T = std::remove_cvref_t<decltype(v)>;
     if constexpr (std::is_same_v<T, bool>) {
-      v = rd.u8() != 0;
+      const std::uint8_t b = rd.u8();
+      flags_ok = flags_ok && b <= 1;
+      v = b != 0;
     } else if constexpr (std::is_same_v<T, int>) {
       v = rd.i32();
     } else {
       v = rd.f64();
     }
   });
+  return flags_ok;
 }
 
 /// The payload on its way to the file: each piece is folded into the
@@ -236,11 +242,14 @@ Status load_checkpoint(const std::string& path, CheckpointData& data) {
   data.metrics.clear();
   for (std::uint64_t i = 0; i < n_metrics && pr.ok(); ++i) {
     StreamCycleMetrics m;
-    read_metrics(pr, m);
+    if (!read_metrics(pr, m))
+      return Status(StatusCode::kCorruptData, "checkpoint metrics flag is neither 0 nor 1");
     data.metrics.push_back(m);
   }
   if (!pr.done()) return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
-  if (data.ensemble.size() != data.n_members * data.dim)
+  // Checked by division first: n_members * dim can wrap to the ensemble's size.
+  if ((data.dim != 0 && data.n_members > std::numeric_limits<std::uint64_t>::max() / data.dim) ||
+      data.ensemble.size() != data.n_members * data.dim)
     return Status(StatusCode::kCorruptData, "checkpoint ensemble size inconsistent");
   for (const auto& s : data.ring)
     if (s.increment.size() != data.ensemble.size())

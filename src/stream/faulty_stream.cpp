@@ -144,8 +144,12 @@ bool FaultyStream::restore_state(std::span<const std::uint8_t> in) {
     const std::int32_t ch = rd.i32();
     const std::int32_t rem = rd.i32();
     const double val = rd.f64();
-    if (rem < 1) return false;
-    stuck[ch] = {rem, val};
+    // save_state writes each channel once, in increasing order, and only
+    // channels of the observation vector.
+    const bool in_order = stuck.empty() || ch > stuck.rbegin()->first;
+    if (rem < 1 || !in_order || ch < 0 || static_cast<std::size_t>(ch) >= inner_.obs_dim())
+      return false;
+    stuck.emplace_hint(stuck.end(), ch, std::pair{rem, val});
   }
   FaultCounters ctr;
   ctr.nan_values = rd.u64();

@@ -56,6 +56,16 @@ Status TailStream::read_some(std::span<std::uint8_t> buf, int timeout_ms, std::s
       exhausted_ = true;
       return Status(StatusCode::kTimeout, "replay file fully consumed");
     }
+    // EOF in follow mode: a feeder restart that renamed a new file over the
+    // path, or truncated this one, is seen here, and the caller's reopen
+    // reads it from byte 0 within one poll slice instead of after a
+    // staleness timeout.
+    struct stat st {};
+    if (::stat(cfg_.path.c_str(), &st) == 0 &&
+        (st.st_dev != dev_ || st.st_ino != ino_ || st.st_size < offset_)) {
+      close();
+      return Status(StatusCode::kUnavailable, "tail file replaced: " + cfg_.path);
+    }
     if (waited_ms >= timeout_ms)
       return Status(StatusCode::kTimeout, "no appended bytes within timeout");
     // EOF in follow mode: clear the latched EOF flag and wait for appends.

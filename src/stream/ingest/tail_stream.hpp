@@ -5,9 +5,10 @@
 // Two behaviors from one knob:
 //   - follow mode (stop_at_eof = false): EOF means "no new bytes yet" — the
 //     read reports kTimeout and the caller keeps polling. A feeder restart
-//     is survived by a reopen: when the path now names another file (a new
-//     one renamed over it) or a file shorter than what was consumed
-//     (truncated in place), connect() reads it from byte 0, and the
+//     is survived by a reopen: when, at EOF, the path names another file (a
+//     new one renamed over it) or a file shorter than what was consumed
+//     (truncated in place), the read closes the file and reports
+//     kUnavailable; connect() then reads it from byte 0, and the
 //     IngestStream ledger drops the windows that replays.
 //   - replay mode (stop_at_eof = true): the file is complete before the run
 //     starts; EOF flips exhausted() and the consumer drains out. Replay is
@@ -20,7 +21,7 @@
 //   Ok           — `got` bytes were read (> 0);
 //   kTimeout     — nothing arrived within the wait; the feed may be idle or
 //                  dead — staleness detection above decides which;
-//   kUnavailable — the file is absent or unreadable; close() and connect()
+//   kUnavailable — the file is absent, unreadable or replaced; connect()
 //                  again;
 //   anything else — a non-retryable transport failure.
 #pragma once
@@ -55,7 +56,8 @@ class TailStream {
   /// file or a shorter one. kUnavailable while the file is absent.
   /// Idempotent when already open.
   Status connect();
-  /// Reads up to buf.size() bytes, waiting at most timeout_ms for appends.
+  /// Reads up to buf.size() bytes, waiting at most timeout_ms for appends;
+  /// kUnavailable, with the file closed, once the path names a replacement.
   Status read_some(std::span<std::uint8_t> buf, int timeout_ms, std::size_t& got);
   /// Closes the file; connect() reopens it.
   void close();

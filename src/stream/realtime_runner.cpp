@@ -84,9 +84,6 @@ RealtimeRunner::RealtimeRunner(RealtimeConfig cfg, ObservationStream& stream,
                      (cfg_.spread_ceiling == 0.0 || cfg_.spread_floor < cfg_.spread_ceiling),
                  "bad spread-watchdog configuration");
   TURBDA_REQUIRE(cfg_.checkpoint_every >= 0, "bad checkpoint configuration");
-  if (cfg_.inject_model_error)
-    TURBDA_REQUIRE(model_error_ != nullptr,
-                   "inject_model_error requires a ModelErrorProcess instance");
 }
 
 const da::Ensemble& RealtimeRunner::ensemble() const {
@@ -95,33 +92,26 @@ const da::Ensemble& RealtimeRunner::ensemble() const {
 }
 
 std::vector<double> RealtimeRunner::draw_shared_error(int cycle) const {
-  if (!(cfg_.inject_model_error && cfg_.model_error_shared)) return {};
+  if (model_error_ == nullptr) return {};
   rng::Rng r_me = rng_modelerr_->substream(static_cast<std::uint64_t>(cycle));
   return model_error_->sample(forecast_model_.dim(), r_me);
 }
 
-/// Identical to the offline OSSE member loop: disjoint state rows +
-/// counter-based model-error substreams make it bitwise invariant to the
-/// thread count, the schedule, and the block partition (forecast_batch is
-/// the member-sequential loop).
-void RealtimeRunner::forecast_block(int cycle, std::size_t b, std::size_t e,
+/// Identical to the offline OSSE member loop: disjoint state rows and one
+/// window-keyed error draw make it bitwise invariant to the thread count,
+/// the schedule, and the block partition (forecast_batch is the
+/// member-sequential loop).
+void RealtimeRunner::forecast_block(std::size_t b, std::size_t e,
                                     const std::vector<double>& shared_err) {
   TURBDA_SPAN("runner.forecast_block");
   const std::size_t d = forecast_model_.dim();
   // Ensemble members are contiguous rows, so the block is one dense span.
   std::span<double> block(ens_->member(b).data(), (e - b) * d);
   forecast_model_.forecast_batch(block, e - b);
-  if (cfg_.inject_model_error) {
-    for (std::size_t m = b; m < e; ++m) {
-      if (cfg_.model_error_shared) {
-        auto row = ens_->member(m);
-        for (std::size_t i = 0; i < row.size(); ++i) row[i] += shared_err[i];
-      } else {
-        rng::Rng r_me = rng_modelerr_->substream(
-            static_cast<std::uint64_t>(cycle) * cfg_.n_members + m + 1000000);
-        model_error_->apply(ens_->member(m), r_me);
-      }
-    }
+  if (shared_err.empty()) return;
+  for (std::size_t m = b; m < e; ++m) {
+    auto row = ens_->member(m);
+    for (std::size_t i = 0; i < row.size(); ++i) row[i] += shared_err[i];
   }
 }
 
@@ -129,11 +119,10 @@ void RealtimeRunner::forecast_members(int cycle) {
   const std::vector<double> shared_err = draw_shared_error(cycle);
   if (forecast_model_.concurrent_safe() && cfg_.n_forecast_threads != 1) {
     parallel::parallel_for(
-        cfg_.n_members,
-        [&](std::size_t b, std::size_t e) { forecast_block(cycle, b, e, shared_err); },
+        cfg_.n_members, [&](std::size_t b, std::size_t e) { forecast_block(b, e, shared_err); },
         /*min_grain=*/1, cfg_.n_forecast_threads);
   } else {
-    forecast_block(cycle, 0, cfg_.n_members, shared_err);
+    forecast_block(0, cfg_.n_members, shared_err);
   }
 }
 
@@ -209,8 +198,7 @@ void RealtimeRunner::assimilate_batches(da::Ensemble& target, std::vector<ObsBat
       // cutoff gets its R inflated by age before it may touch the ensemble.
       opts.r_scale = std::max(
           opts.r_scale,
-          std::min(1.0 + static_cast<double>(age) * kLateRInflation,
-                   cfg_.qc.max_r_scale));
+          std::min(1.0 + static_cast<double>(age) * kLateRInflation, da::kMaxRScale));
       cm.max_r_scale = std::max(cm.max_r_scale, opts.r_scale);
     }
     da::AnalysisStats st;
@@ -529,8 +517,8 @@ void RealtimeRunner::run_cycles(int start_cycle, std::vector<StreamCycleMetrics>
       const std::size_t chunk = (cfg_.n_members + par - 1) / par;
       for (std::size_t b = 0; b < cfg_.n_members; b += chunk) {
         const std::size_t e = std::min(b + chunk, cfg_.n_members);
-        tasks.push_back(pool.submit(
-            [this, k1, b, e, &shared_err] { forecast_block(k1, b, e, shared_err); }));
+        tasks.push_back(
+            pool.submit([this, b, e, &shared_err] { forecast_block(b, e, shared_err); }));
       }
 
       // Inline analysis on the caller thread: its internal parallel_for

@@ -67,8 +67,6 @@ struct RealtimeConfig {
   double window_hours = 12.0;  ///< time axis for the metrics
   double init_spread = 1.0;    ///< initial member perturbation stddev
   std::uint64_t seed = 42;     ///< must match the stream's seed for OSSE replay
-  bool inject_model_error = false;
-  bool model_error_shared = true;
   /// Worker threads for the member forecast loop (0 = all pool workers,
   /// 1 = serial); bitwise identical for any value.
   std::size_t n_forecast_threads = 0;
@@ -78,7 +76,7 @@ struct RealtimeConfig {
   /// applied K cycles after it was staged, stretching straggler admission by
   /// K-1 cycles (see the schedule notes above). A deep-late batch (age beyond
   /// max_stale_cycles) admitted through the ring gets r_scale >=
-  /// 1 + 0.5 * age, clamped by qc.max_r_scale, even when QC is off — deep-late
+  /// 1 + 0.5 * age, clamped by da::kMaxRScale, even when QC is off — deep-late
   /// information is never taken at face value.
   int overlap_depth = 1;
   /// Grace period beyond the window end (in window units) before a batch
@@ -208,8 +206,9 @@ using CycleHook = std::function<void(int, std::span<const double>)>;
 
 class RealtimeRunner {
  public:
-  /// `filter == nullptr` runs forecast-only (free run). `model_error` is
-  /// required when cfg.inject_model_error is set.
+  /// `filter == nullptr` runs forecast-only (free run). A non-null
+  /// `model_error` switches model error on: after each window's forecast,
+  /// every member gets the same draw of it (see draw_shared_error).
   RealtimeRunner(RealtimeConfig cfg, ObservationStream& stream,
                  models::ForecastModel& forecast_model, da::Filter* filter,
                  const models::ModelErrorProcess* model_error = nullptr);
@@ -239,16 +238,16 @@ class RealtimeRunner {
  private:
   struct CollectResult;
 
-  /// Window-`cycle` shared model-error realization (empty unless configured).
+  /// Window-`cycle` model-error realization, added to every member (empty
+  /// without a ModelErrorProcess).
   [[nodiscard]] std::vector<double> draw_shared_error(int cycle) const;
-  /// Forecast + model error for the contiguous member block [b, e) — the
-  /// single definition every ring depth uses, so the bitwise
-  /// serial==overlapped invariant cannot drift apart. Each worker thread
-  /// owns one block and advances it through ForecastModel::forecast_batch,
-  /// the member-sequential loop; this fan-out is the forecast's only
-  /// parallelism.
-  void forecast_block(int cycle, std::size_t b, std::size_t e,
-                      const std::vector<double>& shared_err);
+  /// Forecast + the window's model error (`shared_err`, empty when off) for
+  /// the contiguous member block [b, e) — the single definition every ring
+  /// depth uses, so the bitwise serial==overlapped invariant cannot drift
+  /// apart. Each worker thread owns one block and advances it through
+  /// ForecastModel::forecast_batch, the member-sequential loop; this fan-out
+  /// is the forecast's only parallelism.
+  void forecast_block(std::size_t b, std::size_t e, const std::vector<double>& shared_err);
   void forecast_members(int cycle);
   CollectResult collect_batches(int cycle);
   /// Free-run path: batches are produced but never analyzed — drain them so

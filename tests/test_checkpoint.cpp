@@ -1,8 +1,8 @@
 // Checkpoint/restart tests: the snapshot format (CRC, version, refusal of
-// corrupt files), Rng state round-trips, and the hard invariant that a
-// resumed cycling run continues *bitwise identically* to the uninterrupted
-// one — for both schedules, across thread counts, and under fault injection
-// with QC active.
+// corrupt files, seeded mutations of a whole snapshot), Rng state
+// round-trips, and the hard invariant that a resumed cycling run continues
+// *bitwise identically* to the uninterrupted one — for both schedules,
+// across thread counts, and under fault injection with QC active.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bitwise_equal.hpp"
+#include "mutation.hpp"
 #include "common/bytes.hpp"
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
@@ -83,7 +84,6 @@ CkptRun run_stack(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
     s = &*faulty;
   }
   auto filter = make_filter(kind);
-  rc.inject_model_error = model_error;
   stream::RealtimeRunner runner(rc, *s, fcst_model, filter.get(), model_error ? &me : nullptr);
   CkptRun out;
   if (resume.empty()) {
@@ -487,7 +487,95 @@ TEST(Checkpoint, LyingEnsembleCountIsCorruptData) {
   Status s = Status::Ok();
   EXPECT_NO_THROW(s = stream::load_checkpoint(path, back));
   EXPECT_EQ(s.code(), StatusCode::kCorruptData) << s.to_string();
+
+  // A member count whose product with dim wraps to the ensemble's size, 0.
+  stream::CheckpointData wrap;
+  wrap.n_members = std::uint64_t{1} << 63;
+  wrap.dim = 2;
+  ASSERT_TRUE(stream::save_checkpoint(path, wrap).ok());
+  EXPECT_EQ(stream::load_checkpoint(path, back).code(), StatusCode::kCorruptData);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, MutatedSnapshotsNeverThrowAndSaveBackToTheirOwnBytes) {
+  // A fixed budget of seeded mutations (mutation.hpp: bit flips,
+  // truncations, lying counts, splices) of one valid snapshot, fed to
+  // load_checkpoint three ways: as damage to the whole file, which the
+  // header and the CRC must refuse; as damage to the payload resealed under
+  // a true length and a valid CRC, which reaches the payload decoder; and as
+  // a lying header length. load_checkpoint never throws, and a snapshot it
+  // accepts saves back to exactly the bytes it was read from. Mutation i
+  // draws from substream i of the seed.
+  constexpr std::uint64_t kSeed = 0x5EED2025;
+  constexpr int kMutations = 3000;
+  SCOPED_TRACE(testing::Message() << "fuzz seed 0x" << std::hex << kSeed);
+
+  stream::CheckpointData d;
+  d.seed = 7;
+  d.n_members = 2;
+  d.dim = 3;
+  d.cycles = 6;
+  d.overlap_depth = 2;
+  d.next_cycle = 3;
+  d.rng_modelerr = {1, 2, 3, 4, 5};
+  d.ensemble = {0.5, -1.25, 2.0, 3.5, -4.75, 6.0};
+  d.ring.push_back({1, {0.125, 0.25, 0.375, 0.5, 0.625, 0.75}});
+  d.ring.push_back({2, {-0.125, -0.25, -0.375, -0.5, -0.625, -0.75}});
+  d.applied = {1, 1, 1, 0, 0, 0};
+  d.stream_state = {9, 8, 7};
+  d.filter_state = {6, 5};
+  d.metrics = {distinct_row(0), distinct_row(1), distinct_row(2)};
+  const std::string path = temp_path("ckpt_fuzz.bin");
+  const std::string resaved = temp_path("ckpt_fuzz_resaved.bin");
+  ASSERT_TRUE(stream::save_checkpoint(path, d).ok());
+  const std::vector<std::uint8_t> file = file_bytes(path);
+  const std::vector<std::uint8_t> payload(file.begin() + 16, file.end() - 4);
+  const auto file_counts = count_offsets(file);
+  const auto payload_counts = count_offsets(payload);
+  const auto seal = [](const std::vector<std::uint8_t>& p) {
+    std::vector<std::uint8_t> out;
+    bytes::put_u32(out, stream::kCheckpointMagic);
+    bytes::put_u32(out, stream::kCheckpointVersion);
+    bytes::put_u64(out, p.size());
+    out.insert(out.end(), p.begin(), p.end());
+    bytes::put_u32(out, stream::crc32(p));
+    return out;
+  };
+  ASSERT_TRUE(seal(payload) == file);
+
+  const rng::Rng root(kSeed);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    Mutator mut(root.substream(static_cast<std::uint64_t>(i)));
+    std::vector<std::uint8_t> bytes = file;
+    switch (mut.below(6)) {
+      case 0:
+      case 1:
+        mut.mutate(bytes, file_counts, file);
+        break;
+      case 2:
+        mut.lie_at(bytes, 8);  // the header's payload length
+        break;
+      default: {
+        std::vector<std::uint8_t> p = payload;
+        mut.mutate(p, payload_counts, payload);
+        bytes = seal(p);
+        break;
+      }
+    }
+    write_bytes(path, {bytes.begin(), bytes.end()});
+    stream::CheckpointData back;
+    Status s = Status::Ok();
+    ASSERT_NO_THROW(s = stream::load_checkpoint(path, back));
+    if (!s.ok()) continue;
+    ++accepted;
+    ASSERT_TRUE(stream::save_checkpoint(resaved, back).ok());
+    ASSERT_TRUE(file_bytes(resaved) == bytes) << "an accepted snapshot saves back to other bytes";
+  }
+  EXPECT_GT(accepted, 0);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 TEST(Checkpoint, FailedSaveLeavesThePreviousSnapshotInPlace) {

@@ -183,8 +183,8 @@ TEST(Determinism, EnsfMinibatchIndependentOfThreadCount) {
 }
 
 TEST(Determinism, EnsembleForecastIndependentOfThreadCount) {
-  // Member-parallel OSSE forecasts (with per-member counter-based model
-  // error) must reproduce the serial member loop bitwise.
+  // Member-parallel OSSE forecasts (with the window's shared model error)
+  // must reproduce the serial member loop bitwise.
   auto run_osse = [](std::size_t n_forecast_threads) {
     sqg::SqgConfig mc;
     mc.n = 16;
@@ -200,8 +200,6 @@ TEST(Determinism, EnsembleForecastIndependentOfThreadCount) {
     rc.n_members = 6;
     rc.cycles = 2;
     rc.seed = 99;
-    rc.inject_model_error = true;
-    rc.model_error_shared = false;  // per-member substreams on the hot loop
     rc.n_forecast_threads = n_forecast_threads;
 
     rng::Rng rng(31337);

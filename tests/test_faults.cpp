@@ -304,11 +304,12 @@ TEST(QualityControl, StaleInflationIsClamped) {
   da::QcConfig qc;
   qc.enabled = true;
   qc.stale_r_inflation = 1.0;
-  qc.max_r_scale = 4.0;
   std::vector<double> y{0.0, 0.0};
   std::vector<std::uint8_t> mask;
-  const auto rep = da::apply_quality_control(qc, y, h, r, ens, /*age_cycles=*/10, mask);
-  EXPECT_EQ(rep.r_scale, 4.0);
+  // 1 + 20 * 1.0 = 21 is past the cap; 1 + 10 * 1.0 = 11 is not.
+  const auto rep = da::apply_quality_control(qc, y, h, r, ens, /*age_cycles=*/20, mask);
+  EXPECT_EQ(rep.r_scale, da::kMaxRScale);
+  EXPECT_EQ(da::apply_quality_control(qc, y, h, r, ens, /*age_cycles=*/10, mask).r_scale, 11.0);
 }
 
 TEST(QualityControl, FullyMaskedAnalysisKeepsPrior) {
@@ -643,7 +644,6 @@ TEST(LetkfFallback, ExhaustedSweepBudgetKeepsForecastColumns) {
   // A single Jacobi sweep cannot converge these 16x16 local problems.
   auto lc = letkf_grid_config();
   lc.eigh_max_sweeps = 1;
-  lc.eigh_fallback = true;
   da::LETKF letkf(lc);
 
   da::AnalysisStats st;
@@ -662,39 +662,6 @@ TEST(LetkfFallback, ExhaustedSweepBudgetKeepsForecastColumns) {
   for (std::size_t m = 0; m < ens.size(); ++m)
     for (std::size_t i = 0; i < kDim; ++i)
       EXPECT_TRUE(std::isfinite(ens.member(m)[i]));
-}
-
-TEST(LetkfFallback, DisabledFallbackFailsWithoutTouchingEnsemble) {
-  rng::Rng rng(13);
-  da::Ensemble ens(16, kDim);
-  std::vector<double> base(kDim, 0.0);
-  rng.fill_gaussian(base, 0.0, 3.0);
-  ens.init_perturbed(base, 1.5, rng);
-  const auto prior = ens.data();
-
-  da::IdentityObs h(kDim, kNx, kNy, kLev);
-  da::DiagonalR r(kDim, 0.04);
-  std::vector<double> y(kDim);
-  h.apply(base, y);
-  rng::Rng r_obs(14);
-  r.perturb(y, r_obs);
-
-  auto lc = letkf_grid_config();
-  lc.eigh_max_sweeps = 1;
-  lc.eigh_fallback = false;
-  da::LETKF letkf(lc);
-
-  da::AnalysisStats st;
-  const Status s = letkf.try_analyze(ens, y, h, r, {}, &st);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kNonConvergent);
-  for (std::size_t m = 0; m < ens.size(); ++m)
-    for (std::size_t i = 0; i < kDim; ++i)
-      EXPECT_EQ(ens.member(m)[i], prior(m, i));
-
-  // The legacy throwing entry point surfaces the same failure as a
-  // catchable Error on the calling thread (not an escaped worker exception).
-  EXPECT_THROW(letkf.analyze(ens, y, h, r), Error);
 }
 
 // ------------------------------------------------- acceptance scenario -----

@@ -9,7 +9,8 @@
 // across thread counts and through a v5 checkpoint/resume, and a damaged wire
 // capture replayed through IngestStream cycles bitwise like the
 // SyntheticStream it was recorded from. The save_state bytes of the three
-// checkpointable streams are pinned to recorded constants.
+// checkpointable streams are pinned to recorded constants, and their
+// restore_state is fed seeded mutations of those bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "bitwise_equal.hpp"
 #include "common/bytes.hpp"
 #include "fnv1a.hpp"
+#include "mutation.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
 #include "rng/rng.hpp"
@@ -669,6 +671,15 @@ std::vector<std::uint8_t> read_available(ingest::TailStream& t) {
   }
 }
 
+/// A followed file whose path now names a replacement: the read at EOF
+/// reports kUnavailable and closes the file, so connect() reopens the path.
+void expect_replaced(ingest::TailStream& t) {
+  std::vector<std::uint8_t> buf(64);
+  std::size_t got = 0;
+  EXPECT_EQ(t.read_some(buf, 1, got).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(got, 0u);
+}
+
 TEST(TailStream, FollowRereadsAFileRenamedOverThePath) {
   const std::string path = temp_path("tail_renamed.bin");
   const auto first = byte_pattern(100, 1);
@@ -681,7 +692,7 @@ TEST(TailStream, FollowRereadsAFileRenamedOverThePath) {
   // both are read whole, from its byte 0.
   const auto second = byte_pattern(60, 2);
   replace_file(path, second);
-  t.close();
+  expect_replaced(t);
   ASSERT_TRUE(t.connect().ok());
   EXPECT_EQ(read_available(t), second);
   const auto appended = byte_pattern(70, 3);
@@ -691,7 +702,7 @@ TEST(TailStream, FollowRereadsAFileRenamedOverThePath) {
   // A replacement longer than the consumed offset is a new file too.
   const auto third = byte_pattern(200, 4);
   replace_file(path, third);
-  t.close();
+  expect_replaced(t);
   ASSERT_TRUE(t.connect().ok());
   EXPECT_EQ(read_available(t), third);
   std::remove(path.c_str());
@@ -708,8 +719,7 @@ TEST(TailStream, FollowRereadsAFileTruncatedInPlace) {
   // The same file, rewritten shorter: a reopen reads it from byte 0.
   const auto second = byte_pattern(40, 6);
   write_file(path, second);
-  EXPECT_TRUE(read_available(t).empty());
-  t.close();
+  expect_replaced(t);
   ASSERT_TRUE(t.connect().ok());
   EXPECT_EQ(read_available(t), second);
 
@@ -719,6 +729,44 @@ TEST(TailStream, FollowRereadsAFileTruncatedInPlace) {
   t.close();
   ASSERT_TRUE(t.connect().ok());
   EXPECT_EQ(read_available(t), appended);
+  std::remove(path.c_str());
+}
+
+TEST(IngestStream, FollowReopensARenamedFileWithoutWaitingForStaleness) {
+  // The feeder restarts by renaming a new file over the followed path.
+  // Staleness is set beyond the produce timeout, so only the check at EOF
+  // can deliver the next window.
+  const std::string path = temp_path("ingest_renamed.bin");
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t seq = 0;
+  append_window(0, bytes, seq);
+  write_file(path, bytes);
+  ingest::IngestStreamConfig ic;
+  ic.read_timeout_ms = 5;
+  ic.produce_timeout_ms = 5000;
+  ic.stale_after_ms = 60000;
+  da::IdentityObs h(kObsDim);
+  da::DiagonalR r(kObsDim, 1.0);
+  ingest::IngestStream s(
+      ic, std::make_unique<ingest::TailStream>(ingest::TailStreamConfig{.path = path}), h, r);
+  std::vector<stream::ObsBatch> got;
+  s.produce(0);
+  s.collect(1.0, got);
+
+  // The restarted feeder replays window 0, then publishes window 1.
+  bytes.clear();
+  append_window(0, bytes, seq);
+  append_window(1, bytes, seq);
+  replace_file(path, bytes);
+  EXPECT_NO_THROW(s.produce(1));
+  s.collect(2.0, got);
+  ASSERT_EQ(got.size(), 2u);
+  for (int w = 0; w <= 1; ++w)
+    expect_batches_equal(make_batch(w, kObsDim), got[static_cast<std::size_t>(w)]);
+  const auto st = s.stats();
+  EXPECT_EQ(st.heartbeat_timeouts, 0u);
+  EXPECT_EQ(st.reconnects, 1u);
+  EXPECT_EQ(st.duplicates_dropped, 1u);
   std::remove(path.c_str());
 }
 
@@ -814,7 +862,9 @@ TEST(IngestStream, FollowSurvivesFeederRestartsAndCorruptFrames) {
     expect_batches_equal(make_batch(w, kObsDim), got[static_cast<std::size_t>(w)]);
   const auto st = s.stats();
   EXPECT_GE(st.reconnects, static_cast<std::uint64_t>(kKills));
-  EXPECT_GE(st.heartbeat_timeouts, static_cast<std::uint64_t>(kKills));
+  // A renamed-over file is reopened at EOF; only the appending restart, a
+  // feed gone silent, has to wait out stale_after_ms.
+  EXPECT_GE(st.heartbeat_timeouts, 1u);
   EXPECT_GE(st.wire.frames_corrupt, 1u);
   EXPECT_GE(st.duplicates_dropped, 1u);  // the replayed windows
   std::remove(path.c_str());
@@ -1119,70 +1169,62 @@ void expect_restore_resaves(stream::ObservationStream& fresh,
   EXPECT_TRUE(again == blob);
 }
 
-TEST(StreamCheckpoint, SaveStateBytesMatchRecordedConstants) {
-  // The three checkpointable streams, each collected partway so batches are
-  // still in flight: a SyntheticStream with latency, jitter (out-of-order
-  // arrivals), dropouts and a short truth ring; the same stream under every
-  // content fault; and an IngestStream replaying a capture recorded from it
-  // with duplicated obs frames. Their save_state bytes, the capture and the
-  // collected batches are pinned to constants recorded before the streams
-  // shared one batch queue, truth ring and batch codec. An FMA build
-  // (TURBDA_NATIVE) may contract Lorenz-96's multiply-adds, which moves
-  // every value, so there only the restore round trips are checked.
+constexpr int kPinnedWindows = 12;
+
+/// The pinned streams' delivery: latency, jitter (out-of-order arrivals),
+/// dropouts and a short truth ring.
+stream::SyntheticStreamConfig pinned_delivery() {
   stream::SyntheticStreamConfig sc;
   sc.seed = 5;
   sc.latency_cycles = 0.4;
   sc.jitter_cycles = 1.7;
   sc.dropout_prob = 0.2;
   sc.truth_buffer = 5;
+  return sc;
+}
+
+Lorenz96Config pinned_model() {
   Lorenz96Config mc;
   mc.dim = kDim;
   mc.steps_per_window = 5;
-  da::IdentityObs h(kDim);
-  da::DiagonalR r(kDim, 1.0);
-  const auto truth0 = spun_up_truth();
-  constexpr int kWindows = 12;
-  const auto drive = [](stream::ObservationStream& s) {
-    std::vector<stream::ObsBatch> got;
-    for (int k = 0; k < kWindows; ++k) {
-      s.produce(k);
-      s.collect(static_cast<double>(k) + 1.0, got);
-    }
-    return got;
-  };
-  const auto save = [](const stream::ObservationStream& s) {
-    std::vector<std::uint8_t> blob;
-    EXPECT_TRUE(s.save_state(blob));
-    return blob;
-  };
+  return mc;
+}
 
-  Lorenz96 m_syn(mc), m_syn2(mc);
-  stream::SyntheticStream syn(sc, m_syn, h, r, truth0);
-  const auto syn_got = drive(syn);
-  const auto syn_blob = save(syn);
-  stream::SyntheticStream syn2(sc, m_syn2, h, r, truth0);
-  expect_restore_resaves(syn2, syn_blob);
-
+/// Every content fault.
+stream::FaultConfig pinned_faults() {
   stream::FaultConfig fc;
   fc.nan_prob = 0.05;
   fc.outlier_prob = 0.05;
   fc.stuck_prob = 0.5;
   fc.duplicate_prob = 0.4;
   fc.truncate_prob = 0.3;
-  Lorenz96 m_inner(mc), m_inner2(mc);
-  stream::SyntheticStream inner(sc, m_inner, h, r, truth0);
-  stream::FaultyStream faulty(fc, inner);
-  const auto faulty_got = drive(faulty);
-  const auto faulty_blob = save(faulty);
-  stream::SyntheticStream inner2(sc, m_inner2, h, r, truth0);
-  stream::FaultyStream faulty2(fc, inner2);
-  expect_restore_resaves(faulty2, faulty_blob);
+  return fc;
+}
 
-  Lorenz96 m_rec(mc);
-  stream::SyntheticStream rec(sc, m_rec, h, r, truth0);
+/// Produces and collects kPinnedWindows windows; collection lags
+/// production, so batches are still in flight at the end.
+std::vector<stream::ObsBatch> drive(stream::ObservationStream& s) {
+  std::vector<stream::ObsBatch> got;
+  for (int k = 0; k < kPinnedWindows; ++k) {
+    s.produce(k);
+    s.collect(static_cast<double>(k) + 1.0, got);
+  }
+  return got;
+}
+
+std::vector<std::uint8_t> saved_state(const stream::ObservationStream& s) {
+  std::vector<std::uint8_t> blob;
+  EXPECT_TRUE(s.save_state(blob));
+  return blob;
+}
+
+/// The wire capture of `rec`'s first kPinnedWindows windows: every batch it
+/// released (every third window's twice), then the window's truth and
+/// heartbeat.
+std::vector<std::uint8_t> record_capture(stream::SyntheticStream& rec) {
   std::vector<std::uint8_t> capture;
   std::uint64_t seq = 0;
-  for (int w = 0; w < kWindows; ++w) {
+  for (int w = 0; w < kPinnedWindows; ++w) {
     rec.produce(w);
     std::vector<stream::ObsBatch> sent;
     rec.collect(std::numeric_limits<double>::infinity(), sent);
@@ -1193,20 +1235,58 @@ TEST(StreamCheckpoint, SaveStateBytesMatchRecordedConstants) {
     ingest::encode_truth_frame(w, rec.truth(w), capture);
     ingest::encode_heartbeat_frame(w, seq++, capture);
   }
+  return capture;
+}
+
+TEST(StreamCheckpoint, SaveStateBytesMatchRecordedConstants) {
+  // The three checkpointable streams, each collected partway so batches are
+  // still in flight: a SyntheticStream (pinned_delivery); the same stream
+  // under every content fault; and an IngestStream replaying a capture
+  // recorded from it with duplicated obs frames. Their save_state bytes, the
+  // capture and the collected batches are pinned to constants recorded
+  // before the streams shared one batch queue, truth ring and batch codec.
+  // An FMA build (TURBDA_NATIVE) may contract Lorenz-96's multiply-adds,
+  // which moves every value, so there only the restore round trips are
+  // checked.
+  const auto sc = pinned_delivery();
+  const auto mc = pinned_model();
+  da::IdentityObs h(kDim);
+  da::DiagonalR r(kDim, 1.0);
+  const auto truth0 = spun_up_truth();
+
+  Lorenz96 m_syn(mc), m_syn2(mc);
+  stream::SyntheticStream syn(sc, m_syn, h, r, truth0);
+  const auto syn_got = drive(syn);
+  const auto syn_blob = saved_state(syn);
+  stream::SyntheticStream syn2(sc, m_syn2, h, r, truth0);
+  expect_restore_resaves(syn2, syn_blob);
+
+  Lorenz96 m_inner(mc), m_inner2(mc);
+  stream::SyntheticStream inner(sc, m_inner, h, r, truth0);
+  stream::FaultyStream faulty(pinned_faults(), inner);
+  const auto faulty_got = drive(faulty);
+  const auto faulty_blob = saved_state(faulty);
+  stream::SyntheticStream inner2(sc, m_inner2, h, r, truth0);
+  stream::FaultyStream faulty2(pinned_faults(), inner2);
+  expect_restore_resaves(faulty2, faulty_blob);
+
+  Lorenz96 m_rec(mc);
+  stream::SyntheticStream rec(sc, m_rec, h, r, truth0);
+  const std::vector<std::uint8_t> capture = record_capture(rec);
   const std::string path = temp_path("pinned_capture.bin");
   write_file(path, capture);
   ingest::IngestStreamConfig ic = replay_config();
   ic.truth_buffer = 5;
   ingest::IngestStream wire(ic, make_tail(path), h, r);
   const auto wire_got = drive(wire);
-  const auto wire_blob = save(wire);
+  const auto wire_blob = saved_state(wire);
   EXPECT_GE(wire.stats().duplicates_dropped, 1u);
   // The capture fits one read, so produce(0) decodes every truth; the ring
   // still holds only the last truth_buffer windows.
   int truths_held = 0;
-  for (int k = 0; k < kWindows; ++k) truths_held += wire.truth(k).empty() ? 0 : 1;
+  for (int k = 0; k < kPinnedWindows; ++k) truths_held += wire.truth(k).empty() ? 0 : 1;
   EXPECT_EQ(truths_held, ic.truth_buffer);
-  EXPECT_FALSE(wire.truth(kWindows - 1).empty());
+  EXPECT_FALSE(wire.truth(kPinnedWindows - 1).empty());
   ingest::IngestStream wire2(ic, make_tail(path), h, r);
   expect_restore_resaves(wire2, wire_blob);
   std::remove(path.c_str());
@@ -1220,6 +1300,88 @@ TEST(StreamCheckpoint, SaveStateBytesMatchRecordedConstants) {
   EXPECT_EQ(Fnv1a().add(wire_blob).value(), 0x33007ad1c0c1bca0ull);
   EXPECT_EQ(hash_batches(wire_got), 0xd43ec981b28f6651ull);
 #endif
+}
+
+/// Feeds kMutations seeded mutations of `blob` (mutation.hpp) to `target`'s
+/// restore_state, mutant i from substream i of `root`: it never throws, an
+/// accepted mutant saves back to exactly its own bytes, and a refused one
+/// leaves the state the stream held.
+void fuzz_restore(stream::ObservationStream& target, const std::vector<std::uint8_t>& blob,
+                  const rng::Rng& root) {
+  constexpr int kMutations = 2000;
+  const auto counts = count_offsets(blob);
+  ASSERT_TRUE(target.restore_state(blob));
+  std::vector<std::uint8_t> held = saved_state(target);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    Mutator mut(root.substream(static_cast<std::uint64_t>(i)));
+    std::vector<std::uint8_t> bytes = blob;
+    mut.mutate(bytes, counts, blob);
+    bool ok = false;
+    ASSERT_NO_THROW(ok = target.restore_state(bytes));
+    std::vector<std::uint8_t> now = saved_state(target);
+    if (ok) {
+      ++accepted;
+      ASSERT_TRUE(now == bytes) << "an accepted blob saves back to other bytes";
+      held = std::move(now);
+    } else {
+      ASSERT_TRUE(now == held) << "a refused blob changed the stream's state";
+    }
+  }
+  EXPECT_GT(accepted, 0);
+}
+
+TEST(StreamCheckpoint, MutatedStateBlobsNeverThrowAndSaveBackToTheirOwnBytes) {
+  // The pinned streams' blobs, mutated and restored into fresh twins.
+  constexpr std::uint64_t kSeed = 0x5EED2026;
+  SCOPED_TRACE(testing::Message() << "fuzz seed 0x" << std::hex << kSeed);
+  const rng::Rng root(kSeed);
+  const auto sc = pinned_delivery();
+  const auto mc = pinned_model();
+  da::IdentityObs h(kDim);
+  da::DiagonalR r(kDim, 1.0);
+  const auto truth0 = spun_up_truth();
+
+  Lorenz96 m_syn(mc), m_syn2(mc);
+  stream::SyntheticStream syn(sc, m_syn, h, r, truth0);
+  (void)drive(syn);
+  stream::SyntheticStream syn2(sc, m_syn2, h, r, truth0);
+  {
+    SCOPED_TRACE("SyntheticStream, substream 0");
+    fuzz_restore(syn2, saved_state(syn), root.substream(0));
+  }
+
+  // A channel freezes every window and stays frozen, so the blob holds
+  // several stuck channels, in channel order.
+  stream::FaultConfig fc = pinned_faults();
+  fc.stuck_prob = 1.0;
+  fc.stuck_cycles = kPinnedWindows;
+  Lorenz96 m_inner(mc), m_inner2(mc);
+  stream::SyntheticStream inner(sc, m_inner, h, r, truth0);
+  stream::FaultyStream faulty(fc, inner);
+  (void)drive(faulty);
+  stream::SyntheticStream inner2(sc, m_inner2, h, r, truth0);
+  stream::FaultyStream faulty2(fc, inner2);
+  {
+    SCOPED_TRACE("FaultyStream, substream 1");
+    fuzz_restore(faulty2, saved_state(faulty), root.substream(1));
+  }
+
+  Lorenz96 m_rec(mc);
+  stream::SyntheticStream rec(sc, m_rec, h, r, truth0);
+  const std::string path = temp_path("fuzzed_capture.bin");
+  write_file(path, record_capture(rec));
+  ingest::IngestStreamConfig ic = replay_config();
+  ic.truth_buffer = 5;
+  ingest::IngestStream wire(ic, make_tail(path), h, r);
+  (void)drive(wire);
+  ingest::IngestStream wire2(ic, make_tail(path), h, r);
+  {
+    SCOPED_TRACE("IngestStream, substream 2");
+    fuzz_restore(wire2, saved_state(wire), root.substream(2));
+  }
+  std::remove(path.c_str());
 }
 
 // -------------------------------------------------------- metrics schema ---

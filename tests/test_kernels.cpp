@@ -38,7 +38,7 @@ using simd::SimdLevel;
 
 constexpr std::size_t W = simd::kLaneBatch;
 
-static_assert(sizeof(Kernels) == 25 * sizeof(void (*)()),
+static_assert(sizeof(Kernels) == 24 * sizeof(void (*)()),
               "every simd::Kernels entry needs a runner and constants below");
 
 /// Values i * 2^-52 for integers i in [-2^52, 2^52) from a 64-bit LCG: exact
@@ -246,14 +246,6 @@ std::uint64_t run_bjacobi_sweeps(const Kernels& k) {
   return Fnv1a().add(m).add(vt).add(sweeps).add(off_sq).add(converged).value();
 }
 
-std::uint64_t run_axpy(const Kernels& k) {
-  Inputs in(21);
-  const auto x = in.vec(7);
-  auto out = in.vec(7);
-  k.axpy(out.data(), x.data(), 7, in.next());
-  return Fnv1a().add(out).value();
-}
-
 // alpha = 4, lim = 1/2: some products clamp, some do not.
 std::uint64_t run_clamped_axpy(const Kernels& k) {
   Inputs in(22);
@@ -361,7 +353,6 @@ const Entry kEntries[] = {
     {"bscale", run_bscale, {0x3c83f08e810d8c87, 0x3c83f08e810d8c87, 0x3c83f08e810d8c87}},
     {"bscale_shift", run_bscale_shift, {0xec3374cc11bd2c62, 0xec3374cc11bd2c62, 0x6a070c7be5d682f2}},
     {"bjacobi_sweeps", run_bjacobi_sweeps, {0x0ed3d3d9d7ffe4c9, 0x0ed3d3d9d7ffe4c9, 0x812350b0b2e85626}},
-    {"axpy", run_axpy, {0xc9218efbfee741fd, 0xc9218efbfee741fd, 0x0135f240c13ee21f}},
     {"clamped_axpy", run_clamped_axpy, {0x40bea175b56617f7, 0x40bea175b56617f7, 0x40bea175b56617f7}},
     {"matmul_rows", run_matmul_rows, {0x1f25e420523f14fd, 0x1f25e420523f14fd, 0x1f25e420523f14fd}},
     {"gaussian_pairs", run_gaussian_pairs, {0xae90686e0a15a823, 0xae90686e0a15a823, 0xae90686e0a15a823}},
@@ -374,7 +365,7 @@ const Entry kEntries[] = {
 };
 // clang-format on
 
-static_assert(std::size(kEntries) == 25);
+static_assert(std::size(kEntries) == 24);
 
 TEST(Kernels, EveryEntryKeepsItsBitsAtEveryLevel) {
   for (const auto level : {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx2Fma}) {

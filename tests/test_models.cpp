@@ -99,8 +99,7 @@ TEST(ModelError, EmpiricalVarianceMatchesExpectation) {
   const int trials = 400;
   double sum_var = 0.0;
   for (int t = 0; t < trials; ++t) {
-    std::vector<double> x(dim, 0.0);
-    proc.apply(x, rng);
+    const std::vector<double> x = proc.sample(dim, rng);
     double v = 0.0;
     for (double xi : x) v += xi * xi;
     sum_var += v / static_cast<double>(dim);
@@ -114,21 +113,19 @@ TEST(ModelError, ZeroProbabilityNeverFires) {
   cfg.probabilities = {0.0, 0.0, 0.0, 0.0};
   ModelErrorProcess proc(cfg);
   Rng rng(12);
-  std::vector<double> x(100, 0.0);
-  for (int t = 0; t < 50; ++t) proc.apply(x, rng);
-  for (double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
+  for (int t = 0; t < 50; ++t)
+    for (double v : proc.sample(100, rng)) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(ModelError, ErrorsAreWhiteInTime) {
-  // Successive applications must be uncorrelated: corr of increments ~ 0.
+  // Successive draws must be uncorrelated: corr of increments ~ 0.
   ModelErrorConfig cfg;
   cfg.probabilities = {1.0, 0.0, 0.0, 0.0};  // always fire first component
   ModelErrorProcess proc(cfg);
   Rng rng(13);
   const std::size_t dim = 2000;
-  std::vector<double> inc1(dim, 0.0), inc2(dim, 0.0);
-  proc.apply(inc1, rng);
-  proc.apply(inc2, rng);
+  const std::vector<double> inc1 = proc.sample(dim, rng);
+  const std::vector<double> inc2 = proc.sample(dim, rng);
   double c01 = 0.0, v1 = 0.0, v2 = 0.0;
   for (std::size_t i = 0; i < dim; ++i) {
     c01 += inc1[i] * inc2[i];

@@ -76,7 +76,6 @@ RunResult run_realtime(stream::SyntheticStreamConfig sc, stream::RealtimeConfig 
 
   const auto truth0 = spun_up_truth();
   stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-  rc.inject_model_error = model_error;
   stream::RealtimeRunner runner(rc, s, fcst_model, use_filter ? &filter : nullptr,
                                 model_error ? &me : nullptr);
   std::vector<int> hooked_cycles;
@@ -124,21 +123,15 @@ std::vector<stream::StreamCycleMetrics> legacy_osse_run(
   for (int k = 0; k < cfg.cycles; ++k) {
     truth_model.forecast(truth);
     std::vector<double> shared_err;
-    if (cfg.inject_model_error && cfg.model_error_shared) {
+    if (model_error != nullptr) {
       rng::Rng r_me = rng_modelerr.substream(static_cast<std::uint64_t>(k));
       shared_err = model_error->sample(d, r_me);
     }
     for (std::size_t m = 0; m < cfg.n_members; ++m) {
       forecast_model.forecast(ens.member(m));
-      if (cfg.inject_model_error) {
-        if (cfg.model_error_shared) {
-          auto row = ens.member(m);
-          for (std::size_t i = 0; i < d; ++i) row[i] += shared_err[i];
-        } else {
-          rng::Rng r_me = rng_modelerr.substream(
-              static_cast<std::uint64_t>(k) * cfg.n_members + m + 1000000);
-          model_error->apply(ens.member(m), r_me);
-        }
+      if (model_error != nullptr) {
+        auto row = ens.member(m);
+        for (std::size_t i = 0; i < d; ++i) row[i] += shared_err[i];
       }
     }
     stream::StreamCycleMetrics cm;
@@ -161,7 +154,7 @@ std::vector<stream::StreamCycleMetrics> legacy_osse_run(
   return metrics;
 }
 
-void expect_osse_matches_legacy(bool use_filter, bool model_error, bool shared) {
+void expect_osse_matches_legacy(bool use_filter, bool model_error) {
   Lorenz96Config mc;
   mc.dim = kDim;
   mc.steps_per_window = 10;
@@ -173,8 +166,6 @@ void expect_osse_matches_legacy(bool use_filter, bool model_error, bool shared) 
   cfg.cycles = 8;
   cfg.n_members = 8;
   cfg.seed = 4242;
-  cfg.inject_model_error = model_error;
-  cfg.model_error_shared = shared;
   cfg.n_forecast_threads = 1;
 
   const auto truth0 = spun_up_truth();
@@ -206,19 +197,15 @@ void expect_osse_matches_legacy(bool use_filter, bool model_error, bool shared) 
 }
 
 TEST(StreamOsse, ZeroLatencyReproducesLegacyLoopBitwise) {
-  expect_osse_matches_legacy(/*use_filter=*/true, /*model_error=*/false, /*shared=*/true);
+  expect_osse_matches_legacy(/*use_filter=*/true, /*model_error=*/false);
 }
 
 TEST(StreamOsse, ZeroLatencyReproducesLegacyLoopWithSharedModelError) {
-  expect_osse_matches_legacy(true, true, true);
-}
-
-TEST(StreamOsse, ZeroLatencyReproducesLegacyLoopWithPerMemberModelError) {
-  expect_osse_matches_legacy(true, true, false);
+  expect_osse_matches_legacy(true, true);
 }
 
 TEST(StreamOsse, FreeRunReproducesLegacyLoopBitwise) {
-  expect_osse_matches_legacy(/*use_filter=*/false, false, true);
+  expect_osse_matches_legacy(/*use_filter=*/false, false);
 }
 
 // ------------------------------------------------ delivery-schedule tests ---
