@@ -62,7 +62,10 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
   // +/-max_like_step pull every Euler step, so refuse the batch before any
   // state (ensemble, cycle counter) changes.
   if (Status s = check_observations_finite("EnSF", y, opts); !s.ok()) return s;
+  // The likelihood's weights R^{-1} / r_scale, once per analysis.
   const double inv_r_scale = 1.0 / opts.r_scale;
+  std::vector<double> r_weight(h.obs_dim());
+  for (std::size_t i = 0; i < r_weight.size(); ++i) r_weight[i] = inv_r_scale / r.variance(i);
   if (stats != nullptr) {
     *stats = AnalysisStats{.obs_total = h.obs_dim()};
     if (mask != nullptr)
@@ -97,10 +100,11 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
     xsq[j] = s;
   }
   // X^T (d x M), the score kernel's operand: row k holds every member's
-  // component k.
+  // component k. And X in float, the weighted mean's operand.
   std::vector<double> xt(d * big_m);
   for (std::size_t k = 0; k < d; ++k)
     for (std::size_t j = 0; j < big_m; ++j) xt[k * big_m + j] = forecast.data()[j * d + k];
+  const std::vector<float> xf(forecast.data(), forecast.data() + big_m * d);
 
   const int n_steps = cfg_.euler_steps;
   const double dt = 1.0 / n_steps;
@@ -137,9 +141,12 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
     const auto& dk = simd::active_kernels();
     const std::size_t rows = me - mb;
     std::vector<double> logits(rows * batch), wx(rows * d);
-    // The minibatch of forecast members, as rows and transposed.
-    std::vector<double> xb(step_idx.empty() ? 0 : batch * d), xbt(xb.size());
-    std::vector<double> hx(h.obs_dim()), resid(h.obs_dim()), rinv_resid(h.obs_dim());
+    std::vector<float> weights(rows * batch);
+    // The minibatch of forecast members, as float rows and transposed.
+    const std::size_t gathered = step_idx.empty() ? 0 : batch * d;
+    std::vector<float> xbf(gathered);
+    std::vector<double> xbt(gathered);
+    std::vector<double> hx(h.obs_dim()), rinv_resid(h.obs_dim());
     std::vector<double> like_grad(d), noise(d);
 
     // Initial diffused samples: Z ~ N(0, I) at pseudo-time t = 1, each row
@@ -162,19 +169,17 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
       const double damping = (1.0 - t) * cfg_.likelihood_strength;
 
       // This step's score targets: the whole forecast, or the minibatch
-      // gathered into block-local rows and their transpose.
-      const double* x = forecast.data();
+      // gathered into block-local float rows and their transpose.
+      const float* x = xf.data();
       const double* xtb = xt.data();
       const std::size_t* idx = nullptr;
       if (!step_idx.empty()) {
         idx = step_idx.data() + step * batch;
-        for (std::size_t j = 0; j < batch; ++j) {
-          const auto src = forecast.row(idx[j]);
-          std::copy(src.begin(), src.end(), xb.begin() + j * d);
-        }
+        for (std::size_t j = 0; j < batch; ++j)
+          std::copy_n(xf.begin() + idx[j] * d, d, xbf.begin() + j * d);
         for (std::size_t k = 0; k < d; ++k)
           for (std::size_t j = 0; j < batch; ++j) xbt[k * batch + j] = xt[k * big_m + idx[j]];
-        x = xb.data();
+        x = xbf.data();
         xtb = xbt.data();
       }
 
@@ -196,19 +201,21 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
           denom += row[j];
         }
         const double inv = 1.0 / denom;
-        for (std::size_t j = 0; j < batch; ++j) row[j] *= inv;
+        for (std::size_t j = 0; j < batch; ++j)
+          weights[i * batch + j] = static_cast<float>(row[j] * inv);
       }
       bt.softmax_ms += ph.lap_ms();
 
-      // Weighted member average: wx = W X  (sum_j w_j x_j per sample).
-      dk.matmul_rows(wx.data(), logits.data(), batch, rows, x, batch, d);
+      // Weighted member average in float: wx = W X  (sum_j w_j x_j per
+      // sample). Each output sums `batch` terms of the forecast's magnitude,
+      // so float rounding stays far below the step's noise.
+      dk.matmul_rows_f32(wx.data(), weights.data(), batch, rows, x, batch, d);
       bt.mean_ms += ph.lap_ms();
 
       // Euler–Maruyama update of each sample. The per-element update
       //   z += -(b z - sigma^2 s_prior) dt + clamp(sigma^2 h grad dt) + noise
       // with the prior score s_prior = -(z - alpha wx)/beta^2 (Eq. 15) is
-      // regrouped by input vector so each pass is one contiguous
-      // runtime-dispatched kernel:
+      // regrouped by input vector into one runtime-dispatched pass:
       //   z = c0 z + c1 wx + clamp(cl grad, +/-max_like_step) + noise_sd xi.
       const double noise_sd = std::sqrt(std::max(sigma_sq, 0.0) * dt);
       const double c0 = 1.0 - (b_t + sigma_sq / beta_sq) * dt;
@@ -217,15 +224,12 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
       for (std::size_t m = mb; m < me; ++m) {
         auto zm = z.row(m);
 
-        // Likelihood score at z_m: J_h^T R^{-1} (y - h(z)). QC-masked
-        // observations get a zero residual (their raw value is never
-        // touched), and r_scale uniformly deflates the R^{-1} weighting.
+        // Likelihood score at z_m: J_h^T R^{-1} (y - h(z)) / r_scale. A
+        // QC-masked observation is selected away, never multiplied, so its
+        // raw value (NaN, say) contributes an exact 0.
         h.apply(zm, hx);
         for (std::size_t i = 0; i < hx.size(); ++i)
-          resid[i] = (mask != nullptr && mask[i] == 0) ? 0.0 : y[i] - hx[i];
-        r.apply_inverse(resid, rinv_resid);
-        if (opts.r_scale != 1.0)
-          dk.scale(rinv_resid.data(), rinv_resid.data(), rinv_resid.size(), inv_r_scale);
+          rinv_resid[i] = (mask != nullptr && mask[i] == 0) ? 0.0 : (y[i] - hx[i]) * r_weight[i];
         h.adjoint(zm, rinv_resid, like_grad);
         bt.likelihood_ms += ph.lap_ms();
 
@@ -234,13 +238,11 @@ Status EnSF::analyze_impl(Ensemble& ens, std::span<const double> y,
         sample_rng[m].fill_gaussian_lanes(noise);
         bt.noise_ms += ph.lap_ms();
 
-        double* zp = zm.data();
-        dk.scale(zp, zp, d, c0);
-        dk.add_scaled(zp, zp, wx.data() + (m - mb) * d, d, c1);
-        // Clamp the per-step likelihood displacement: with very small R the
-        // likelihood drift is stiff and explicit Euler would blow up.
-        dk.clamped_axpy(zp, like_grad.data(), d, cl, cfg_.max_like_step);
-        dk.add_scaled(zp, zp, noise.data(), d, noise_sd);
+        // The clamp bounds the per-step likelihood displacement: with very
+        // small R the likelihood drift is stiff and explicit Euler would
+        // blow up.
+        dk.ensf_update(zm.data(), wx.data() + (m - mb) * d, like_grad.data(), noise.data(), d, c0,
+                       c1, cl, cfg_.max_like_step, noise_sd);
         bt.update_ms += ph.lap_ms();
       }
     }

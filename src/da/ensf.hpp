@@ -18,15 +18,17 @@
 // the shared forecast, and every sample draws its noise from its own
 // counter-based substream. That is what makes the method embarrassingly
 // parallel over samples (§III-A-3). The noise comes from
-// rng::Rng::fill_gaussian_lanes: four Philox blocks and a polynomial
-// Box–Muller per Vec step, within ~3e-15 of rng::Rng::gaussian and the same
-// bits at every SIMD level. The analysis is one fan-out over
-// contiguous sample blocks, each integrating its own rows of Z through every
-// Euler step: its rows of the score logits z X^T (against X^T, transposed
-// once per analysis) and of the weighted mean W X on the dispatched
-// simd::Kernels::matmul_rows kernel, the softmax, then each sample's
-// likelihood score, noise and update, in block-local scratch allocated once
-// per analysis.
+// rng::Rng::fill_gaussian_lanes: eight Philox blocks and a float Box–Muller
+// per step, rng::Rng::gaussian's draws at float precision and the same bits
+// at every SIMD level. The analysis is one fan-out over contiguous sample
+// blocks, each integrating its own rows of Z through every Euler step: its
+// rows of the score logits z X^T in double (simd::Kernels::matmul_rows,
+// against X^T, transposed once per analysis), the softmax, the weighted
+// mean W X in float (matmul_rows_f32, float weights against a float copy of
+// X made once per analysis), then each sample's likelihood score, noise and
+// one fused update pass (ensf_update), in block-local scratch allocated once
+// per analysis. Float rounding in the noise and the mean is ~1e-7 relative,
+// far below each Euler step's own noise.
 #pragma once
 
 #include <cstdint>
@@ -94,10 +96,10 @@ struct EnsfConfig {
 struct EnsfTimings {
   double score_ms = 0.0;       ///< minibatch gather + z X^T score logits (worker-summed)
   double softmax_ms = 0.0;     ///< softmax score weights W (worker-summed)
-  double mean_ms = 0.0;        ///< weighted member mean W X (worker-summed)
+  double mean_ms = 0.0;        ///< float weighted member mean W X (worker-summed)
   double likelihood_ms = 0.0;  ///< likelihood score J_h^T R^{-1} (y - h(z)) (worker-summed)
   double noise_ms = 0.0;       ///< Gaussian draws, initial Z included (worker-summed)
-  double update_ms = 0.0;      ///< Euler–Maruyama update kernels (worker-summed)
+  double update_ms = 0.0;      ///< fused Euler–Maruyama update (worker-summed)
   double total_ms = 0.0;       ///< whole analyze() calls incl. setup and RTPS (wall)
   std::size_t analyses = 0;
 };

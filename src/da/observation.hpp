@@ -201,13 +201,6 @@ class DiagonalR {
     for (std::size_t i = 0; i < y.size(); ++i) y[i] += rng.gaussian(0.0, std::sqrt(var_[i]));
   }
 
-  /// out_i = r_i / var_i (applies R^{-1}).
-  void apply_inverse(std::span<const double> r, std::span<double> out) const {
-    TURBDA_REQUIRE(r.size() == var_.size() && out.size() == var_.size(),
-                   "DiagonalR: size mismatch");
-    for (std::size_t i = 0; i < r.size(); ++i) out[i] = r[i] / var_[i];
-  }
-
  private:
   std::vector<double> var_;
 };

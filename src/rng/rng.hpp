@@ -4,9 +4,10 @@
 // gaussian() and fill_gaussian() are the scalar reference: Box–Muller with
 // libm log/sin/cos, one Philox block per pair. They seed every benchmark
 // input, so their bits never change. fill_gaussian_lanes() reads the same
-// blocks through a dispatched lane kernel with polynomial log/sincos: each
-// value is within a few ulp of the reference, and its bits are the same at
-// every SIMD level.
+// blocks and uniforms through a dispatched lane kernel that computes log,
+// sqrt and sin/cos in float: each value is the reference's at float
+// precision (README, "EnSF analysis", gives the measured bound), and its
+// bits are the same at every SIMD level.
 #pragma once
 
 #include <cmath>
@@ -90,8 +91,8 @@ class Rng {
   /// whole pairs then come from the kernel, one Philox block each, and an
   /// odd last value from gaussian(), which caches its sin half. A stream left
   /// partway through a block by uniform() or next_u32() falls back to
-  /// fill_gaussian(). Either way each value matches fill_gaussian()'s to a
-  /// few ulp (~3e-15), and the stream ends where fill_gaussian() leaves it.
+  /// fill_gaussian(). Either way each value matches fill_gaussian()'s at
+  /// float precision, and the stream ends where fill_gaussian() leaves it.
   void fill_gaussian_lanes(std::span<double> out) {
     std::size_t i = 0;
     if (have_cached_ && !out.empty()) out[i++] = gaussian();

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "rng/philox.hpp"
 #include "simd/vec.hpp"
@@ -48,14 +49,6 @@ void rot_rows_impl(double* p, double* q, std::size_t n, double c, double s) {
       q[i] = s * a + c * b;
     }
   }
-}
-
-template <class V>
-void scale_impl(double* out, const double* in, std::size_t n, double alpha) {
-  const V va = V::broadcast(alpha);
-  std::size_t i = 0;
-  for (; i + V::kWidth <= n; i += V::kWidth) (va * V::loadu(in + i)).storeu(out + i);
-  for (; i < n; ++i) out[i] = alpha * in[i];
 }
 
 // ---- Lane-batched kernels ----
@@ -212,36 +205,51 @@ void bjacobi_sweeps_impl(double* m, double* vt, std::size_t n, int max_sweeps,
   for (std::size_t l = 0; l < W; ++l) converged[l] = ((am >> l) & 1) != 0 ? 0 : 1;
 }
 
-// ---- EnSF's clamped likelihood step ----
+// ---- EnSF's Euler–Maruyama update ----
+//
+// One pass per sample instead of four: per element the same operations in
+// the same order as the scale, add_scaled, clamped likelihood step and
+// add_scaled calls it replaces, so it has their bits at every level (the
+// two scaled adds fused under kFma, as add_scaled is).
 
-template <class V>
-void clamped_axpy_impl(double* out, const double* in, std::size_t n, double alpha, double lim) {
-  const V va = V::broadcast(alpha);
-  const V vlo = V::broadcast(-lim);
-  const V vhi = V::broadcast(lim);
+template <class V, bool kFma>
+void ensf_update_impl(double* z, const double* wx, const double* grad, const double* noise,
+                      std::size_t n, double c0, double c1, double cl, double lim,
+                      double noise_sd) {
+  constexpr std::size_t W = V::kWidth;
+  const V vc0 = V::broadcast(c0), vc1 = V::broadcast(c1), vcl = V::broadcast(cl);
+  const V vlo = V::broadcast(-lim), vhi = V::broadcast(lim), vsd = V::broadcast(noise_sd);
   std::size_t i = 0;
-  for (; i + V::kWidth <= n; i += V::kWidth) {
-    const V t = V::min(V::max(va * V::loadu(in + i), vlo), vhi);
-    (V::loadu(out + i) + t).storeu(out + i);
+  for (; i + W <= n; i += W) {
+    V zi = vc0 * V::loadu(z + i);
+    zi = V::template mul_add<kFma>(vc1, V::loadu(wx + i), zi);
+    zi = zi + V::min(V::max(vcl * V::loadu(grad + i), vlo), vhi);
+    V::template mul_add<kFma>(vsd, V::loadu(noise + i), zi).storeu(z + i);
   }
+  const auto fmadd = [](double a, double b, double c) {
+    if constexpr (kFma) return std::fma(a, b, c);
+    return a * b + c;
+  };
   for (; i < n; ++i) {
-    double t = alpha * in[i];
+    double t = cl * grad[i];
     t = t > -lim ? t : -lim;  // vmaxpd semantics
     t = t < lim ? t : lim;    // vminpd semantics
-    out[i] = out[i] + t;
+    z[i] = fmadd(noise_sd, noise[i], fmadd(c1, wx[i], c0 * z[i]) + t);
   }
 }
 
 // ---- Row-major products: tensor::gemm and EnSF's score products ----
 //
-// Each output element starts at +0.0 and adds the unfused products in
-// ascending reduction index. There is no kFma variant, so every level gives
-// the same bits, and an element's value does not depend on which tile
-// computed it. A register tile of up to kProductRows rows by kProductVecs
-// vectors keeps its accumulators in registers for the whole reduction, and
-// each load of B serves every row of the tile, so B is read once per row
-// group. The tile helpers are static for the reason given at gaussian_pairs
-// below.
+// One kernel text, two element types: T = double (matmul_rows) runs on V,
+// T = float (matmul_rows_f32, EnSF's W X) on V::F32 and widens each sum to
+// double on store. Each output element starts at +0 and adds the unfused
+// products in ascending reduction index. There is no kFma variant, so every
+// level gives the same bits, and an element's value does not depend on
+// which tile computed it. A register tile of up to kProductRows rows by
+// kProductVecs vectors keeps its accumulators in registers for the whole
+// reduction, and each load of B serves every row of the tile, so B is read
+// once per row group. The tile helpers are static for the reason given at
+// gaussian_pairs below.
 
 // Ten accumulators: 5 x 2 measured fastest for both EnSF products, at a
 // 4-thread block's 5 rows and at the whole 20-member ensemble (README,
@@ -249,52 +257,66 @@ void clamped_axpy_impl(double* out, const double* in, std::size_t n, double alph
 inline constexpr std::size_t kProductRows = 5;
 inline constexpr std::size_t kProductVecs = 2;
 
-/// out[r*n + v*W + l] = sum_p a[r*lda + p] * b[p*n + v*W + l] for r < R, v < NV.
-template <class V, std::size_t R, std::size_t NV>
-static void product_tile(double* out, const double* a, std::size_t lda, const double* b,
-                         std::size_t k, std::size_t n) {
-  constexpr std::size_t W = V::kWidth;
-  V acc[R][NV];
+/// The register a product over T runs on.
+template <class V, class T>
+using ProductVec = std::conditional_t<std::is_same_v<T, float>, typename V::F32, V>;
+
+/// out[r*n + v*PW + l] = sum_p a[r*lda + p] * b[p*n + v*PW + l] for r < R,
+/// v < NV, PW the register's width.
+template <class V, class T, std::size_t R, std::size_t NV>
+static void product_tile(double* out, const T* a, std::size_t lda, const T* b, std::size_t k,
+                         std::size_t n) {
+  using P = ProductVec<V, T>;
+  constexpr std::size_t PW = P::kWidth;
+  P acc[R][NV];
   for (auto& row : acc)
-    for (V& v : row) v = V::broadcast(0.0);
+    for (P& v : row) v = P::broadcast(T{0});
   for (std::size_t p = 0; p < k; ++p) {
-    V bv[NV];
-    for (std::size_t v = 0; v < NV; ++v) bv[v] = V::loadu(b + p * n + v * W);
+    P bv[NV];
+    for (std::size_t v = 0; v < NV; ++v) bv[v] = P::loadu(b + p * n + v * PW);
     for (std::size_t r = 0; r < R; ++r) {
-      const V s = V::broadcast(a[r * lda + p]);
+      const P s = P::broadcast(a[r * lda + p]);
       for (std::size_t v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + s * bv[v];
     }
   }
   for (std::size_t r = 0; r < R; ++r)
-    for (std::size_t v = 0; v < NV; ++v) acc[r][v].storeu(out + r * n + v * W);
+    for (std::size_t v = 0; v < NV; ++v) {
+      double* o = out + r * n + v * PW;
+      if constexpr (std::is_same_v<T, float>) {
+        V::from_f32_lo(acc[r][v]).storeu(o);
+        V::from_f32_hi(acc[r][v]).storeu(o + V::kWidth);
+      } else {
+        acc[r][v].storeu(o);
+      }
+    }
 }
 
 /// product_tile shrunk to rows x vecs (1 <= rows <= R, 1 <= vecs <= NV).
-template <class V, std::size_t R, std::size_t NV>
-static void product_tile_upto(std::size_t rows, std::size_t vecs, double* out, const double* a,
-                              std::size_t lda, const double* b, std::size_t k, std::size_t n) {
+template <class V, class T, std::size_t R, std::size_t NV>
+static void product_tile_upto(std::size_t rows, std::size_t vecs, double* out, const T* a,
+                              std::size_t lda, const T* b, std::size_t k, std::size_t n) {
   if constexpr (R > 1)
-    if (rows < R) return product_tile_upto<V, R - 1, NV>(rows, vecs, out, a, lda, b, k, n);
+    if (rows < R) return product_tile_upto<V, T, R - 1, NV>(rows, vecs, out, a, lda, b, k, n);
   if constexpr (NV > 1)
-    if (vecs < NV) return product_tile_upto<V, R, NV - 1>(rows, vecs, out, a, lda, b, k, n);
-  product_tile<V, R, NV>(out, a, lda, b, k, n);
+    if (vecs < NV) return product_tile_upto<V, T, R, NV - 1>(rows, vecs, out, a, lda, b, k, n);
+  product_tile<V, T, R, NV>(out, a, lda, b, k, n);
 }
 
-template <class V>
-void matmul_rows_impl(double* out, const double* a, std::size_t lda, std::size_t rows,
-                      const double* b, std::size_t k, std::size_t n) {
-  constexpr std::size_t W = V::kWidth;
-  const std::size_t vecs = n / W;
+template <class V, class T>
+void matmul_rows_impl(double* out, const T* a, std::size_t lda, std::size_t rows, const T* b,
+                      std::size_t k, std::size_t n) {
+  constexpr std::size_t PW = ProductVec<V, T>::kWidth;
+  const std::size_t vecs = n / PW;
   for (std::size_t i = 0; i < rows; i += kProductRows) {
     const std::size_t live = std::min(kProductRows, rows - i);
-    const double* ai = a + i * lda;
+    const T* ai = a + i * lda;
     double* oi = out + i * n;
     for (std::size_t v = 0; v < vecs; v += kProductVecs)
-      product_tile_upto<V, kProductRows, kProductVecs>(live, std::min(kProductVecs, vecs - v),
-                                                       oi + v * W, ai, lda, b + v * W, k, n);
+      product_tile_upto<V, T, kProductRows, kProductVecs>(
+          live, std::min(kProductVecs, vecs - v), oi + v * PW, ai, lda, b + v * PW, k, n);
     for (std::size_t r = 0; r < live; ++r)
-      for (std::size_t c = vecs * W; c < n; ++c) {
-        double s = 0.0;
+      for (std::size_t c = vecs * PW; c < n; ++c) {
+        T s = 0;
         for (std::size_t p = 0; p < k; ++p) s = s + ai[r * lda + p] * b[p * n + c];
         oi[r * n + c] = s;
       }
@@ -303,150 +325,182 @@ void matmul_rows_impl(double* out, const double* a, std::size_t lda, std::size_t
 
 // ---- Gaussian noise: Philox4x32-10 blocks and Box–Muller on Vec lanes ----
 //
-// Only unfused + - * / and sqrt (all correctly rounded), exact integer ops
-// and bit copies, so there is no kFma variant and every level gives the
-// same bits. The helpers are static: with vague linkage the linker keeps one
+// The Philox rounds, the uniforms and both argument reductions run exactly
+// on four double lanes; log, sqrt and the sin/cos polynomials run on eight
+// float lanes, two Philox groups at once. Only unfused + - * / and sqrt (all
+// correctly rounded), exact integer ops, round-to-nearest conversions and
+// bit copies, so there is no kFma variant and every level gives the same
+// bits. The helpers are static: with vague linkage the linker keeps one
 // TU's copy for the whole program, and a copy from a TU built without the
 // kernel flags (a test under -march=native) would put FMAs into the kernel.
 
-/// ln(x) per lane for positive normal x: the fdlibm/musl log. x = 2^k (1 + f)
-/// with 1 + f in [sqrt(2)/2, sqrt(2)), s = f / (2 + f), and
-/// log(1 + f) = f - hfsq + s (hfsq + R(s^2)), R the Lg1-Lg7 minimax
-/// polynomial. Error below 1 ulp.
+/// The uniforms of the eight Philox4x32-10 blocks ctr .. ctr + 7 in two
+/// groups of four lanes (group g holds blocks ctr + 4g .. ctr + 4g + 3).
+/// Block j has counter words 0-1 = j (64-bit, the carry rng::Rng applies),
+/// words 2-3 = stream, and the 64-bit key; its words w0..w3 give
+/// u1 = 1 - ((w1:w0) >> 11) 2^-53 and u2 = ((w3:w2) >> 11) 2^-53, exactly
+/// as rng::Rng::uniform. The two groups' rounds interleave and share the
+/// key schedule. Forced inline: gaussian_pairs calls it twice, and out of
+/// line its uniforms go through memory (the scalar table ran 1.8x slower).
 template <class V>
-[[nodiscard]] static V lane_log(V x) {
+[[gnu::always_inline]] static inline void philox_uniforms(std::uint64_t ctr, std::uint64_t stream,
+                                                          std::uint64_t key, V u1[2], V u2[2]) {
   using U = typename V::Bits;
-  // Biasing the high word by 0x3ff00000 - 0x3fe6a09e moves the exponent
-  // step from 1 to sqrt(2)/2; the mantissa is then re-based on sqrt(2)/2.
-  const U ix = x.bits() + U::broadcast(std::uint64_t{0x3ff00000 - 0x3fe6a09e} << 32);
-  // k = exponent - 1023, exact through the 2^52 exponent trick.
-  const V k = V::from_bits((ix >> 52) | U::broadcast(0x4330000000000000)) -
-              V::broadcast(0x1p52 + 1023.0);
-  const V m = V::from_bits((ix & U::broadcast(0x000fffffffffffff)) +
-                           U::broadcast(std::uint64_t{0x3fe6a09e} << 32));
-  constexpr double kLg1 = 6.666666666666735130e-01, kLg2 = 3.999999999940941908e-01,
-                   kLg3 = 2.857142874366239149e-01, kLg4 = 2.222219843214978396e-01,
-                   kLg5 = 1.818357216161805012e-01, kLg6 = 1.531383769920937332e-01,
-                   kLg7 = 1.479819860511658591e-01;
-  constexpr double kLn2Hi = 6.93147180369123816490e-01, kLn2Lo = 1.90821492927058770002e-10;
-  const auto c = [](double v) { return V::broadcast(v); };
-  const V f = m - c(1.0);
-  const V hfsq = c(0.5) * f * f;
-  const V s = f / (c(2.0) + f);
-  const V z = s * s;
-  const V w = z * z;
-  const V t1 = w * (c(kLg2) + w * (c(kLg4) + w * c(kLg6)));
-  const V t2 = z * (c(kLg1) + w * (c(kLg3) + w * (c(kLg5) + w * c(kLg7))));
-  const V r = t2 + t1;
+  using rng::Philox4x32;
+  const U mul0 = U::broadcast(Philox4x32::kMul0);
+  const U mul1 = U::broadcast(Philox4x32::kMul1);
+  const U lo32 = U::broadcast(0xffffffff);
+  // Words live in the low halves of 64-bit lanes. The high halves collect
+  // junk (c1 = p1, not lo(p1); the keys grow past 32 bits), but no junk bit
+  // ever moves into a low half: xor and + carry nothing down, vpmuludq
+  // reads only low halves, and >> 32 applies only to the clean 64-bit
+  // products. The output words are trimmed once at the end.
+  U c0[2], c1[2], c2[2], c3[2];
+  for (std::size_t g = 0; g < 2; ++g) {
+    const U c = U::broadcast(ctr + 4 * g) + U::lanes(0, 1, 2, 3);
+    c0[g] = c;
+    c1[g] = c >> 32;
+    c2[g] = U::broadcast(stream);
+    c3[g] = U::broadcast(stream >> 32);
+  }
+  U k0 = U::broadcast(key), k1 = U::broadcast(key >> 32);
+  for (int r = 0; r < 10; ++r) {
+    for (std::size_t g = 0; g < 2; ++g) {
+      const U p0 = U::mul_u32(mul0, c0[g]);
+      const U p1 = U::mul_u32(mul1, c2[g]);
+      c0[g] = (p1 >> 32) ^ c1[g] ^ k0;
+      c1[g] = p1;
+      c2[g] = (p0 >> 32) ^ c3[g] ^ k1;
+      c3[g] = p0;
+    }
+    k0 = k0 + U::broadcast(Philox4x32::kWeyl0);
+    k1 = k1 + U::broadcast(Philox4x32::kWeyl1);
+  }
+  // (w_hi:w_lo) >> 11 is below 2^53: its high 21 and low 32 bits become
+  // exact doubles by the 2^84 / 2^52 exponent trick (AVX2 has no int64 ->
+  // double conversion), and their sum is exact.
+  const auto u53 = [&](U w_lo, U w_hi) {
+    const U x = ((w_hi << 32) | (w_lo & lo32)) >> 11;
+    const V hi = V::from_bits((x >> 32) | U::broadcast(0x4530000000000000)) -
+                 V::broadcast(0x1p84 + 0x1p52);
+    const V lo = V::from_bits((x & lo32) | U::broadcast(0x4330000000000000));
+    return (hi + lo) * V::broadcast(0x1.0p-53);
+  };
+  for (std::size_t g = 0; g < 2; ++g) {
+    u1[g] = V::broadcast(1.0) - u53(c0[g], c1[g]);
+    u2[g] = u53(c2[g], c3[g]);
+  }
+}
+
+/// ln(x) in float for the positive normal doubles x_lo (lanes 0-3) and x_hi
+/// (lanes 4-7). fdlibm's exponent split runs in double: x = 2^k (1 + f)
+/// with 1 + f in [sqrt(2)/2, sqrt(2)), so f = (1 + f) - 1 is exact, and
+/// only f is rounded to float. So ln x keeps float relative precision where
+/// x itself would round to 1.0f. musl's logf then gives
+/// log(1 + f) = f - hfsq + s (hfsq + R(s^2)), s = f / (2 + f), R the
+/// Lg1-Lg4 minimax polynomial (error below 1 ulp).
+template <class V>
+[[nodiscard]] static typename V::F32 lane_log(V x_lo, V x_hi) {
+  using F = typename V::F32;
+  using U = typename V::Bits;
+  const auto split = [](V x, V& k, V& f) {
+    // Biasing the high word by 0x3ff00000 - 0x3fe6a09e moves the exponent
+    // step from 1 to sqrt(2)/2; the mantissa is then re-based on sqrt(2)/2.
+    const U ix = x.bits() + U::broadcast(std::uint64_t{0x3ff00000 - 0x3fe6a09e} << 32);
+    // k = exponent - 1023, exact through the 2^52 exponent trick.
+    k = V::from_bits((ix >> 52) | U::broadcast(0x4330000000000000)) -
+        V::broadcast(0x1p52 + 1023.0);
+    f = V::from_bits((ix & U::broadcast(0x000fffffffffffff)) +
+                     U::broadcast(std::uint64_t{0x3fe6a09e} << 32)) -
+        V::broadcast(1.0);
+  };
+  V k_lo, f_lo, k_hi, f_hi;
+  split(x_lo, k_lo, f_lo);
+  split(x_hi, k_hi, f_hi);
+  const F k = V::to_f32(k_lo, k_hi), f = V::to_f32(f_lo, f_hi);
+  constexpr float kLg1 = 0xaaaaaa.0p-24f, kLg2 = 0xccce13.0p-25f, kLg3 = 0x91e9ee.0p-25f,
+                  kLg4 = 0xf89e26.0p-26f;
+  constexpr float kLn2Hi = 6.9313812256e-01f, kLn2Lo = 9.0580006145e-06f;
+  const auto c = [](float v) { return F::broadcast(v); };
+  const F s = f / (c(2.0f) + f);
+  const F z = s * s;
+  const F w = z * z;
+  const F t1 = w * (c(kLg2) + w * c(kLg4));
+  const F t2 = z * (c(kLg1) + w * c(kLg3));
+  const F r = t2 + t1;
+  const F hfsq = c(0.5f) * f * f;
   return s * (hfsq + r) + k * c(kLn2Lo) - hfsq + f + k * c(kLn2Hi);
 }
 
-/// sin(2 pi u) and cos(2 pi u) per lane for u in [0, 1). The argument is
-/// reduced exactly in quarter turns: y = 4u, q = nearest integer to y,
-/// r = y - q in [-1/2, 1/2]; fdlibm's __kernel_sin / __kernel_cos evaluate
-/// theta = r pi/2 on [-pi/4, pi/4], and q mod 4 swaps and negates them by
-/// bit copies.
+/// sin(2 pi u) and cos(2 pi u) at float precision for u in [0, 1), lanes
+/// 0-3 from u_lo and 4-7 from u_hi, returned widened to double ([0] the
+/// low lanes). The argument is reduced exactly in double, in quarter turns:
+/// y = 4u, q = nearest integer to y, r = y - q in [-1/2, 1/2]. Only r is
+/// rounded to float; Cephes' sinf / cosf polynomials evaluate theta = r pi/2
+/// on [-pi/4, pi/4], and q mod 4 then swaps and negates the widened values
+/// by bit copies.
 template <class V>
-static void lane_sincos_2pi(V u, V& sin_out, V& cos_out) {
-  constexpr double kS1 = -1.66666666666666324348e-01, kS2 = 8.33333333332248946124e-03,
-                   kS3 = -1.98412698298579493134e-04, kS4 = 2.75573137070700676789e-06,
-                   kS5 = -2.50507602534068634195e-08, kS6 = 1.58969099521155010221e-10;
-  constexpr double kC1 = 4.16666666666666019037e-02, kC2 = -1.38888888888741095749e-03,
-                   kC3 = 2.48015872894767294178e-05, kC4 = -2.75573143513906633035e-07,
-                   kC5 = 2.08757232129817482790e-09, kC6 = -1.13596475577881948265e-11;
-  const auto c = [](double v) { return V::broadcast(v); };
-  const V magic = c(0x1.8p52);  // y + magic rounds y to an integer
-  const V y = c(4.0) * u;
-  const V qm = y + magic;  // q sits in the low mantissa bits
-  const V x = (y - (qm - magic)) * c(1.57079632679489661923);
-  const V z = x * x;
-  const V w = z * z;
-  // __kernel_sin(x, 0)
-  const V sr = c(kS2) + z * (c(kS3) + z * c(kS4)) + z * w * (c(kS5) + z * c(kS6));
-  const V sn = x + z * x * (c(kS1) + z * sr);
-  // __kernel_cos(x, 0)
-  const V cr =
-      z * (c(kC1) + z * (c(kC2) + z * c(kC3))) + w * w * (c(kC4) + z * (c(kC5) + z * c(kC6)));
-  const V hz = c(0.5) * z;
-  const V cw = c(1.0) - hz;
-  const V cs = cw + (((c(1.0) - cw) - hz) + z * cr);
+static void lane_sincos_2pi(V u_lo, V u_hi, V sin_out[2], V cos_out[2]) {
+  using F = typename V::F32;
+  const V magic = V::broadcast(0x1.8p52);  // y + magic rounds y to an integer
+  const V y_lo = V::broadcast(4.0) * u_lo, y_hi = V::broadcast(4.0) * u_hi;
+  const V q_lo = y_lo + magic, q_hi = y_hi + magic;  // q sits in the low mantissa bits
+  constexpr float kS1 = -1.6666654611e-1f, kS2 = 8.3321608736e-3f, kS3 = -1.9515295891e-4f;
+  constexpr float kC1 = 4.166664568298827e-2f, kC2 = -1.388731625493765e-3f,
+                  kC3 = 2.443315711809948e-5f;
+  const auto c = [](float v) { return F::broadcast(v); };
+  const F x = V::to_f32(y_lo - (q_lo - magic), y_hi - (q_hi - magic)) * c(1.57079632679489661923f);
+  const F z = x * x;
+  const F sn = x + z * x * (c(kS1) + z * (c(kS2) + z * c(kS3)));
+  const F cs = c(1.0f) - c(0.5f) * z + z * z * (c(kC1) + z * (c(kC2) + z * c(kC3)));
   // Quadrant q mod 4: odd q swaps sin and cos; sin is negated for q = 2, 3
   // and cos for q = 1, 2.
-  const typename V::Bits q = qm.bits();
-  const V odd = V::from_bits(q << 63);
-  sin_out = V::from_bits(V::select(odd, cs, sn).bits() ^ ((q >> 1) << 63));
-  cos_out = V::from_bits(V::select(odd, sn, cs).bits() ^ ((q ^ (q >> 1)) << 63));
+  const V sn_w[2] = {V::from_f32_lo(sn), V::from_f32_hi(sn)};
+  const V cs_w[2] = {V::from_f32_lo(cs), V::from_f32_hi(cs)};
+  const typename V::Bits q[2] = {q_lo.bits(), q_hi.bits()};
+  for (std::size_t g = 0; g < 2; ++g) {
+    const V odd = V::from_bits(q[g] << 63);
+    sin_out[g] = V::from_bits(V::select(odd, cs_w[g], sn_w[g]).bits() ^ ((q[g] >> 1) << 63));
+    cos_out[g] =
+        V::from_bits(V::select(odd, sn_w[g], cs_w[g]).bits() ^ ((q[g] ^ (q[g] >> 1)) << 63));
+  }
 }
 
-/// The exact double of a lane integer below 2^53 (AVX2 has no int64 ->
-/// double conversion): its high 21 and low 32 bits become exact doubles by
-/// the 2^84 / 2^52 exponent trick, and their sum is exact.
-template <class V>
-[[nodiscard]] static V u53_to_double(typename V::Bits x) {
-  using U = typename V::Bits;
-  const V hi = V::from_bits((x >> 32) | U::broadcast(0x4530000000000000)) -
-               V::broadcast(0x1p84 + 0x1p52);
-  const V lo = V::from_bits((x & U::broadcast(0xffffffff)) | U::broadcast(0x4330000000000000));
-  return hi + lo;
-}
-
-/// Box–Muller pairs from consecutive Philox4x32-10 blocks, four blocks per
-/// step, one per lane. Block j has counter words 0-1 = block + j (64-bit,
-/// the carry rng::Rng applies), words 2-3 = stream, and the 64-bit key; its
-/// words w0..w3 give u1 = 1 - ((w1:w0) >> 11) 2^-53 and
-/// u2 = ((w3:w2) >> 11) 2^-53, exactly as rng::Rng::uniform, and the pair
-/// (r cos 2 pi u2, r sin 2 pi u2), r = sqrt(-2 ln u1), lands at out[2j],
-/// out[2j + 1]. A last partial step runs the same lanes and stores only the
-/// live ones.
+/// Box–Muller pairs from consecutive Philox4x32-10 blocks, eight blocks per
+/// step in two groups of four lanes: block j (the uniforms of
+/// philox_uniforms) gives the pair (r cos 2 pi u2, r sin 2 pi u2),
+/// r = sqrt(-2 ln u1), at out[2j], out[2j + 1]. r, cos and sin are floats,
+/// so each value is rng::Rng::gaussian's at float precision. A last partial
+/// step runs the same lanes and stores only the live ones. Each step draws
+/// the next step's blocks before its own Box–Muller, so the two independent
+/// chains interleave (~5% faster than one after the other).
 template <class V>
 void gaussian_pairs_impl(double* out, std::size_t pairs, std::uint64_t block,
                          std::uint64_t stream, std::uint64_t key) {
-  using U = typename V::Bits;
-  using rng::Philox4x32;
+  using F = typename V::F32;
   constexpr std::size_t W = V::kWidth;
-  const U mul0 = U::broadcast(Philox4x32::kMul0);
-  const U mul1 = U::broadcast(Philox4x32::kMul1);
-  const U weyl0 = U::broadcast(Philox4x32::kWeyl0);
-  const U weyl1 = U::broadcast(Philox4x32::kWeyl1);
-  const U lo32 = U::broadcast(0xffffffff);
-  const U lane = U::lanes(0, 1, 2, 3);
-  const V scale = V::broadcast(0x1.0p-53);
-  for (std::size_t p = 0; p < pairs; p += W) {
-    // Words live in the low halves of 64-bit lanes. The high halves collect
-    // junk (c1 = p1, not lo(p1); the keys grow past 32 bits), but no junk
-    // bit ever moves into a low half: xor and + carry nothing down,
-    // vpmuludq reads only low halves, and >> 32 applies only to the clean
-    // 64-bit products. The output words are trimmed once at the end.
-    const U ctr = U::broadcast(block + p) + lane;
-    U c0 = ctr, c1 = ctr >> 32;
-    U c2 = U::broadcast(stream), c3 = U::broadcast(stream >> 32);
-    U k0 = U::broadcast(key), k1 = U::broadcast(key >> 32);
-    for (int r = 0; r < 10; ++r) {
-      const U p0 = U::mul_u32(mul0, c0);
-      const U p1 = U::mul_u32(mul1, c2);
-      c0 = (p1 >> 32) ^ c1 ^ k0;
-      c1 = p1;
-      c2 = (p0 >> 32) ^ c3 ^ k1;
-      c3 = p0;
-      k0 = k0 + weyl0;
-      k1 = k1 + weyl1;
+  V u1[2], u2[2];
+  philox_uniforms(block, stream, key, u1, u2);
+  for (std::size_t p = 0; p < pairs; p += 2 * W) {
+    V next_u1[2], next_u2[2];
+    philox_uniforms(block + p + 2 * W, stream, key, next_u1, next_u2);
+    const F rad = F::sqrt(F::broadcast(-2.0f) * lane_log(u1[0], u1[1]));
+    const V r[2] = {V::from_f32_lo(rad), V::from_f32_hi(rad)};
+    V sn[2], cs[2];
+    lane_sincos_2pi(u2[0], u2[1], sn, cs);
+    double tail[4 * W];
+    double* const dst = p + 2 * W <= pairs ? out + 2 * p : tail;
+    for (std::size_t g = 0; g < 2; ++g) {
+      // Interleave to (cos, sin) pairs in lane order.
+      const V g_cos = r[g] * cs[g], g_sin = r[g] * sn[g];
+      const V p02 = V::unpack_lo(g_cos, g_sin), p13 = V::unpack_hi(g_cos, g_sin);
+      V::concat_lo(p02, p13).storeu(dst + 2 * W * g);
+      V::concat_hi(p02, p13).storeu(dst + 2 * W * g + W);
     }
-    const V u1 = V::broadcast(1.0) - u53_to_double<V>(((c1 << 32) | (c0 & lo32)) >> 11) * scale;
-    const V u2 = u53_to_double<V>(((c3 << 32) | (c2 & lo32)) >> 11) * scale;
-    const V rad = V::sqrt(V::broadcast(-2.0) * lane_log(u1));
-    V sn, cs;
-    lane_sincos_2pi(u2, sn, cs);
-    const V g_cos = rad * cs, g_sin = rad * sn;
-    // Interleave to (cos, sin) pairs in lane order.
-    const V p02 = V::unpack_lo(g_cos, g_sin), p13 = V::unpack_hi(g_cos, g_sin);
-    if (p + W <= pairs) {
-      V::concat_lo(p02, p13).storeu(out + 2 * p);
-      V::concat_hi(p02, p13).storeu(out + 2 * p + W);
-    } else {
-      double tail[2 * W];
-      V::concat_lo(p02, p13).storeu(tail);
-      V::concat_hi(p02, p13).storeu(tail + W);
-      std::memcpy(out + 2 * p, tail, 2 * (pairs - p) * sizeof(double));
+    if (dst == tail) std::memcpy(out + 2 * p, tail, 2 * (pairs - p) * sizeof(double));
+    for (std::size_t g = 0; g < 2; ++g) {
+      u1[g] = next_u1[g];
+      u2[g] = next_u2[g];
     }
   }
 }

@@ -31,13 +31,13 @@ constexpr Kernels kernel_table() {
       .lane_rows_out = fd::lane_rows_out_impl<V>,
       // Small dense
       .rot_rows = detail::rot_rows_impl<V, kFma>,
-      .scale = detail::scale_impl<V>,
       .baccum_rows = detail::baccum_rows_impl<V, kFma>,
       .bscale = detail::bscale_impl<V>,
       .bscale_shift = detail::bscale_shift_impl<V, kFma>,
       .bjacobi_sweeps = detail::bjacobi_sweeps_impl<V, kFma>,
-      .clamped_axpy = detail::clamped_axpy_impl<V>,
-      .matmul_rows = detail::matmul_rows_impl<V>,
+      .ensf_update = detail::ensf_update_impl<V, kFma>,
+      .matmul_rows = detail::matmul_rows_impl<V, double>,
+      .matmul_rows_f32 = detail::matmul_rows_impl<V, float>,
       .gaussian_pairs = detail::gaussian_pairs_impl<V>,
       // SQG pointwise
       .sqg_pass1 = detail::sqg_pass1_impl<V, kFma>,

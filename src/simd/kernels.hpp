@@ -19,14 +19,16 @@
 //  - The Avx2Fma table contracts multiplies into fused multiply-adds (one
 //    rounding instead of two, ~1 ulp per operation). An entry without an FMA
 //    variant gives the same bits in all three tables: lane_pass_first, the
-//    lane data movers (lane_rows_in/out, lane_cols_in/out), scale, bscale,
-//    clamped_axpy, matmul_rows, gaussian_pairs and mul_inplace.
-//  - Precision: the nine FFT entries and sqg_jacobian compute in float,
-//    sqg_pass1 computes in double and stores float, and every other entry
+//    lane data movers (lane_rows_in/out, lane_cols_in/out), bscale,
+//    matmul_rows, matmul_rows_f32, gaussian_pairs and mul_inplace.
+//  - Precision: the nine FFT entries, sqg_jacobian and matmul_rows_f32
+//    compute in float, sqg_pass1 computes in double and stores float,
+//    gaussian_pairs computes its uniforms and argument reductions exactly in
+//    double and its log, sqrt and sin/cos in float, and every other entry
 //    computes in double. The float entries are bitwise across levels like
 //    the rest; against the double arithmetic of their definitions they
-//    differ by float rounding (the README's FFT section gives the measured
-//    bound).
+//    differ by float rounding (the README's FFT and EnSF sections give the
+//    measured bounds).
 //  - Bitwise agreement between two code paths (two levels, or two
 //    instantiations of one kernel) holds only up to NaN payloads wherever
 //    two NaNs meet: an add or multiply of two NaNs returns one operand's
@@ -129,8 +131,6 @@ struct Kernels {
   /// Givens rotation of two contiguous rows:
   /// (p[i], q[i]) <- (c*p[i] - s*q[i], s*p[i] + c*q[i]).
   void (*rot_rows)(double* p, double* q, std::size_t n, double c, double s);
-  /// out[i] = alpha * in[i].
-  void (*scale)(double* out, const double* in, std::size_t n, double alpha);
 
   // Lane-batched dense entries: kLaneBatch independent problems advance in
   // lockstep, one per Vec lane, over lane-interleaved structure-of-arrays
@@ -169,25 +169,34 @@ struct Kernels {
                          const double* tol_sq, const double* skip_sq, int* sweeps,
                          double* off_sq, std::uint8_t* converged);
 
-  /// EnSF's per-sample likelihood step (its other updates are scale and
-  /// add_scaled): out[i] += clamp(alpha * in[i], -lim, +lim), with
-  /// vmaxpd/vminpd tie semantics in the clamp.
-  void (*clamped_axpy)(double* out, const double* in, std::size_t n, double alpha, double lim);
+  /// EnSF's Euler–Maruyama update of one sample, per element:
+  ///   z = c0 z;  z += c1 wx;  z += clamp(cl grad, -lim, +lim);
+  ///   z += noise_sd noise,
+  /// the two scaled adds fused under Avx2Fma (add_scaled's arithmetic), the
+  /// clamp with vmaxpd/vminpd tie semantics.
+  void (*ensf_update)(double* z, const double* wx, const double* grad, const double* noise,
+                      std::size_t n, double c0, double c1, double cl, double lim,
+                      double noise_sd);
 
-  /// Row-major product (tensor::gemm, EnSF score logits and means): out = A B
-  /// for `rows` rows of A (row stride lda) and a k x n B:
+  /// Row-major product (tensor::gemm, EnSF score logits): out = A B for
+  /// `rows` rows of A (row stride lda) and a k x n B:
   /// out[i*n + c] = sum_p a[i*lda + p] * b[p*n + c]. Each element starts at
   /// +0.0 and adds the unfused products in ascending p.
   void (*matmul_rows)(double* out, const double* a, std::size_t lda, std::size_t rows,
                       const double* b, std::size_t k, std::size_t n);
+  /// matmul_rows on float A and B (EnSF's weighted mean W X): the same sum
+  /// in float, widened to double on store.
+  void (*matmul_rows_f32)(double* out, const float* a, std::size_t lda, std::size_t rows,
+                          const float* b, std::size_t k, std::size_t n);
 
   /// Gaussian noise (EnSF): 2 * pairs standard normals, one Box–Muller pair
   /// per Philox4x32-10 block: block j has 64-bit counter block + j in words
   /// 0-1 and `stream` in words 2-3 under `key`, and gives (r cos, r sin) at
   /// out[2j], out[2j + 1]. These are the blocks and uniforms
-  /// rng::Rng::gaussian reads; log and sincos are in-tree polynomials, so
-  /// each value differs from it by a few ulp. rng::Rng::fill_gaussian_lanes
-  /// is the caller.
+  /// rng::Rng::gaussian reads; r, cos and sin are computed in float, so
+  /// each value is the reference's at float precision (README, "EnSF
+  /// analysis", gives the measured bound). rng::Rng::fill_gaussian_lanes is
+  /// the caller.
   void (*gaussian_pairs)(double* out, std::size_t pairs, std::uint64_t block,
                          std::uint64_t stream, std::uint64_t key);
 

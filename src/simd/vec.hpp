@@ -19,11 +19,14 @@
 //
 // And a float companion, `V::F32`: eight floats, the register of one
 // single-precision lane element of the FFT (four real parts, then four
-// imaginary parts; see simd/kernels.hpp). It has load/store, broadcast,
-// +/-/*, fused and unfused multiply-add, sign flips of either 128-bit half,
-// the half swap and concat, and the per-half unpack and pair shuffles that
-// build a 4x4 transpose within each half. V converts to and from it four
-// lanes at a time (load_f32 widens four floats, store_f32 rounds to nearest).
+// imaginary parts; see simd/kernels.hpp), and of the float halves of the
+// EnSF noise and mean kernels. It has load/store, broadcast, +/-/*,
+// correctly-rounded / and sqrt, fused and unfused multiply-add, sign flips
+// of either 128-bit half, the half swap and concat, and the per-half unpack
+// and pair shuffles that build a 4x4 transpose within each half. V converts
+// to and from it four lanes at a time, through memory (load_f32 widens four
+// floats, store_f32 rounds to nearest) or in registers (to_f32 rounds two
+// Vs into one F32, from_f32_lo / from_f32_hi widen either half).
 //
 // Two interchangeable backends implement that interface:
 //
@@ -121,6 +124,15 @@ struct VecF32Scalar {
     for (std::size_t i = 0; i < kWidth; ++i) a.v[i] = a.v[i] * b.v[i];
     return a;
   }
+  /// Lane division and square root, correctly rounded (vdivps / vsqrtps).
+  friend VecF32Scalar operator/(VecF32Scalar a, VecF32Scalar b) {
+    for (std::size_t i = 0; i < kWidth; ++i) a.v[i] = a.v[i] / b.v[i];
+    return a;
+  }
+  [[nodiscard]] static VecF32Scalar sqrt(VecF32Scalar a) {
+    for (std::size_t i = 0; i < kWidth; ++i) a.v[i] = std::sqrt(a.v[i]);
+    return a;
+  }
   /// a * b + c; fused to one rounding when kFma (std::fma on floats is
   /// correctly rounded, so it matches vfmadd...ps exactly).
   template <bool kFma>
@@ -195,6 +207,16 @@ struct VecScalar {
   void store_f32(float* p) const {
     for (std::size_t i = 0; i < kWidth; ++i) p[i] = static_cast<float>(v[i]);
   }
+  /// lo's lanes rounded to float in lanes 0..3, hi's in lanes 4..7.
+  [[nodiscard]] static F32 to_f32(VecScalar lo, VecScalar hi) {
+    F32 r;
+    lo.store_f32(r.v);
+    hi.store_f32(r.v + kWidth);
+    return r;
+  }
+  /// Lanes 0..3 / 4..7 of f widened (exact).
+  [[nodiscard]] static VecScalar from_f32_lo(F32 f) { return load_f32(f.v); }
+  [[nodiscard]] static VecScalar from_f32_hi(F32 f) { return load_f32(f.v + kWidth); }
 
   friend VecScalar operator+(VecScalar a, VecScalar b) {
     return VecScalar{{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2], a.v[3] + b.v[3]}};
@@ -373,6 +395,8 @@ struct VecF32Avx2 {
   friend VecF32Avx2 operator+(VecF32Avx2 a, VecF32Avx2 b) { return {_mm256_add_ps(a.v, b.v)}; }
   friend VecF32Avx2 operator-(VecF32Avx2 a, VecF32Avx2 b) { return {_mm256_sub_ps(a.v, b.v)}; }
   friend VecF32Avx2 operator*(VecF32Avx2 a, VecF32Avx2 b) { return {_mm256_mul_ps(a.v, b.v)}; }
+  friend VecF32Avx2 operator/(VecF32Avx2 a, VecF32Avx2 b) { return {_mm256_div_ps(a.v, b.v)}; }
+  [[nodiscard]] static VecF32Avx2 sqrt(VecF32Avx2 a) { return {_mm256_sqrt_ps(a.v)}; }
   template <bool kFma>
   [[nodiscard]] static VecF32Avx2 mul_add(VecF32Avx2 a, VecF32Avx2 b, VecF32Avx2 c) {
     if constexpr (kFma) {
@@ -426,6 +450,16 @@ struct VecAvx2 {
     return VecAvx2{_mm256_cvtps_pd(_mm_loadu_ps(p))};
   }
   void store_f32(float* p) const { _mm_storeu_ps(p, _mm256_cvtpd_ps(v)); }
+  [[nodiscard]] static F32 to_f32(VecAvx2 lo, VecAvx2 hi) {
+    return {_mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo.v)),
+                                 _mm256_cvtpd_ps(hi.v), 1)};
+  }
+  [[nodiscard]] static VecAvx2 from_f32_lo(F32 f) {
+    return VecAvx2{_mm256_cvtps_pd(_mm256_castps256_ps128(f.v))};
+  }
+  [[nodiscard]] static VecAvx2 from_f32_hi(F32 f) {
+    return VecAvx2{_mm256_cvtps_pd(_mm256_extractf128_ps(f.v, 1))};
+  }
   [[nodiscard]] static VecAvx2 broadcast(double x) { return VecAvx2{_mm256_set1_pd(x)}; }
 
   friend VecAvx2 operator+(VecAvx2 a, VecAvx2 b) { return VecAvx2{_mm256_add_pd(a.v, b.v)}; }

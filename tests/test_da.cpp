@@ -115,13 +115,8 @@ TEST(Observation, ArctanAdjointMatchesFiniteDifference) {
   }
 }
 
-TEST(Observation, DiagonalRPerturbAndInverse) {
+TEST(Observation, DiagonalRPerturb) {
   DiagonalR r(std::vector<double>{4.0, 9.0});
-  std::vector<double> v{1.0, 1.0}, out(2);
-  r.apply_inverse(v, out);
-  EXPECT_DOUBLE_EQ(out[0], 0.25);
-  EXPECT_DOUBLE_EQ(out[1], 1.0 / 9.0);
-
   Rng rng(2);
   double s2_0 = 0.0;
   const int n = 5000;
@@ -1255,10 +1250,11 @@ TEST(Ensf, HandlesNonlinearArctanObs) {
 
 /// The EnSF analysis on the plain per-step schedule: each Euler step draws
 /// its minibatch at the top of the step, runs the score GEMM, the softmax and
-/// the weighted mean over all samples at once, then each sample's
-/// likelihood, noise and update through the same dispatched kernels, with
-/// the RTPS pass at the end. `cycle` keys the analysis stream: the filter's
-/// cycle counter after the call (1 for a fresh filter's first analysis).
+/// the float weighted mean over all samples at once, then each sample's
+/// likelihood (residuals times R^{-1} / r_scale, masked ones selected to 0),
+/// noise and fused update through the same dispatched kernels, with the RTPS
+/// pass at the end. `cycle` keys the analysis stream: the filter's cycle
+/// counter after the call (1 for a fresh filter's first analysis).
 void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
                              const ObservationOperator& h, const DiagonalR& r,
                              const AnalysisOptions& opts, const EnsfConfig& cfg,
@@ -1277,6 +1273,10 @@ void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
   for (std::size_t j = 0; j < big_m; ++j)
     for (double v : forecast.row(j)) xsq[j] += v * v;
 
+  const std::vector<float> xf(forecast.data(), forecast.data() + big_m * d);
+  std::vector<double> r_weight(p);
+  for (std::size_t i = 0; i < p; ++i) r_weight[i] = (1.0 / opts.r_scale) / r.variance(i);
+
   tensor::Tensor z({big_m, d});
   for (std::size_t m = 0; m < big_m; ++m) sample_rng[m].fill_gaussian_lanes(z.row(m));
   const std::size_t batch =
@@ -1284,9 +1284,10 @@ void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
   std::vector<std::size_t> batch_idx(big_m);
   std::iota(batch_idx.begin(), batch_idx.end(), std::size_t{0});
   tensor::Tensor xb({batch, d});
-  std::vector<double> xbsq(batch);
+  std::vector<float> xbf(batch * d), weights(big_m * batch);
+  std::vector<double> xbsq(batch), wx(big_m * d);
   const auto& dk = simd::active_kernels();
-  std::vector<double> hx(p), resid(p), rinv_resid(p), grad(d), noise(d);
+  std::vector<double> hx(p), rinv_resid(p), grad(d), noise(d);
   const double dt = 1.0 / cfg.euler_steps;
   for (int step = 0; step < cfg.euler_steps; ++step) {
     const double t = 1.0 - step * dt;
@@ -1297,15 +1298,18 @@ void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
     const double damping = (1.0 - t) * cfg.likelihood_strength;
 
     const tensor::Tensor* x = &forecast;
+    const float* x_f = xf.data();
     const std::vector<double>* x_sq = &xsq;
     if (batch < big_m) {
       rng.shuffle(std::span<std::size_t>(batch_idx));
       for (std::size_t j = 0; j < batch; ++j) {
         const auto src = forecast.row(batch_idx[j]);
         std::copy(src.begin(), src.end(), xb.row(j).begin());
+        std::copy_n(xf.begin() + batch_idx[j] * d, d, xbf.begin() + j * d);
         xbsq[j] = xsq[batch_idx[j]];
       }
       x = &xb;
+      x_f = xbf.data();
       x_sq = &xbsq;
     }
     tensor::Tensor w = tensor::matmul_nt(z, *x, 1);
@@ -1322,9 +1326,10 @@ void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
         denom += row[j];
       }
       const double inv = 1.0 / denom;
-      for (std::size_t j = 0; j < batch; ++j) row[j] *= inv;
+      for (std::size_t j = 0; j < batch; ++j)
+        weights[m * batch + j] = static_cast<float>(row[j] * inv);
     }
-    const tensor::Tensor wx = tensor::matmul(w, *x, 1);
+    dk.matmul_rows_f32(wx.data(), weights.data(), batch, big_m, x_f, batch, d);
 
     const double noise_sd = std::sqrt(std::max(sigma_sq, 0.0) * dt);
     const double c0 = 1.0 - (b_t + sigma_sq / beta_sq) * dt;
@@ -1334,17 +1339,13 @@ void ensf_per_step_reference(Ensemble& ens, std::span<const double> y,
       auto zm = z.row(m);
       h.apply(zm, hx);
       for (std::size_t i = 0; i < p; ++i)
-        resid[i] = (!opts.obs_mask.empty() && opts.obs_mask[i] == 0) ? 0.0 : y[i] - hx[i];
-      r.apply_inverse(resid, rinv_resid);
-      if (opts.r_scale != 1.0)
-        dk.scale(rinv_resid.data(), rinv_resid.data(), p, 1.0 / opts.r_scale);
+        rinv_resid[i] = (!opts.obs_mask.empty() && opts.obs_mask[i] == 0)
+                            ? 0.0
+                            : (y[i] - hx[i]) * r_weight[i];
       h.adjoint(zm, rinv_resid, grad);
       sample_rng[m].fill_gaussian_lanes(noise);
-      double* zp = zm.data();
-      dk.scale(zp, zp, d, c0);
-      dk.add_scaled(zp, zp, wx.row(m).data(), d, c1);
-      dk.clamped_axpy(zp, grad.data(), d, cl, cfg.max_like_step);
-      dk.add_scaled(zp, zp, noise.data(), d, noise_sd);
+      dk.ensf_update(zm.data(), wx.data() + m * d, grad.data(), noise.data(), d, c0, c1, cl,
+                     cfg.max_like_step, noise_sd);
     }
   }
   ens.data() = std::move(z);
@@ -1530,6 +1531,45 @@ TEST(Ensf, RefusesUnmaskedNonFiniteObservations) {
     EXPECT_EQ(filter.cycles_done(), 1u);
     for (const double v : work.data().flat()) ASSERT_TRUE(std::isfinite(v));
   }
+}
+
+TEST(Ensf, MaskedNaNObservationMatchesMaskedZeroBitwise) {
+  // The likelihood selects a masked observation's term to 0 and never
+  // multiplies it, so a NaN behind the mask (0 x NaN would be NaN) gives
+  // the same analysis bit for bit as a 0 there, with r_scale != 1 too, for
+  // the raw and the stabilized filter at every SIMD level.
+  Rng rng(34);
+  const std::size_t m = 9, d = 40;
+  const Ensemble prior = make_gaussian_ensemble(m, d, rng);
+  std::vector<double> y_nan(d);
+  rng.fill_gaussian(y_nan, 0.0, 1.0);
+  y_nan[13] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> y_zero = y_nan;
+  y_zero[13] = 0.0;
+  const IdentityObs h(d);
+  const DiagonalR r(d, 0.5);
+  std::vector<std::uint8_t> mask(d, 1);
+  mask[13] = 0;
+  AnalysisOptions opts;
+  opts.obs_mask = mask;
+  opts.r_scale = 1.5;
+  const simd::SimdLevel orig = simd::active_simd_level();
+  for (const simd::SimdLevel lv : available_simd_levels()) {
+    ASSERT_TRUE(simd::force_simd_level(lv));
+    for (const EnsfConfig& cfg : {EnsfConfig{}, EnsfConfig::stabilized()}) {
+      Ensemble with_nan(m, d), with_zero(m, d);
+      with_nan.data() = prior.data();
+      with_zero.data() = prior.data();
+      EnSF f_nan(cfg), f_zero(cfg);
+      ASSERT_TRUE(f_nan.try_analyze(with_nan, y_nan, h, r, opts).ok());
+      ASSERT_TRUE(f_zero.try_analyze(with_zero, y_zero, h, r, opts).ok());
+      for (const double v : with_nan.data().flat()) ASSERT_TRUE(std::isfinite(v));
+      EXPECT_EQ(0, std::memcmp(with_nan.data().data(), with_zero.data().data(),
+                               m * d * sizeof(double)))
+          << simd::simd_level_name(lv);
+    }
+  }
+  simd::force_simd_level(orig);
 }
 
 // ------------------------------------------------------------------ OSSE ---

@@ -13,14 +13,16 @@
 // so this TU computes no rounded value of its own and its bits do not
 // depend on how it is compiled (-march=native included). The FFT entries
 // take arbitrary finite twiddles and an identity bit-reversal table; the
-// single-precision entries (the nine FFT entries, sqg_jacobian and
-// sqg_pass1's lane store) take float inputs of the same construction.
+// single-precision entries (the nine FFT entries, sqg_jacobian, sqg_pass1's
+// lane store and matmul_rows_f32) take float inputs of the same
+// construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iomanip>
 #include <iterator>
 #include <limits>
@@ -188,14 +190,6 @@ std::uint64_t run_rot_rows(const Kernels& k) {
   return Fnv1a().add(p).add(q).value();
 }
 
-std::uint64_t run_scale(const Kernels& k) {
-  Inputs in(16);
-  const auto x = in.vec(7);
-  auto out = in.vec(7);
-  k.scale(out.data(), x.data(), 7, in.next());
-  return Fnv1a().add(out).value();
-}
-
 // m = 6 columns: one four-column block, then two single columns; k = 3.
 std::uint64_t run_baccum_rows(const Kernels& k) {
   Inputs in(17);
@@ -246,13 +240,14 @@ std::uint64_t run_bjacobi_sweeps(const Kernels& k) {
   return Fnv1a().add(m).add(vt).add(sweeps).add(off_sq).add(converged).value();
 }
 
-// alpha = 4, lim = 1/2: some products clamp, some do not.
-std::uint64_t run_clamped_axpy(const Kernels& k) {
+// cl = 4, lim = 1/2: some likelihood steps clamp, some do not.
+std::uint64_t run_ensf_update(const Kernels& k) {
   Inputs in(22);
-  const auto x = in.vec(7);
-  auto out = in.vec(7);
-  k.clamped_axpy(out.data(), x.data(), 7, 4.0, 0.5);
-  return Fnv1a().add(out).value();
+  const auto wx = in.vec(7), grad = in.vec(7), noise = in.vec(7);
+  auto z = in.vec(7);
+  const double c0 = in.next(), c1 = in.next(), noise_sd = in.next();
+  k.ensf_update(z.data(), wx.data(), grad.data(), noise.data(), 7, c0, c1, 4.0, 0.5, noise_sd);
+  return Fnv1a().add(z).value();
 }
 
 // 7 rows (a five-row tile, then two), n = 13 columns (a two-Vec tile, a
@@ -265,11 +260,22 @@ std::uint64_t run_matmul_rows(const Kernels& k) {
   return Fnv1a().add(out).value();
 }
 
-// Seven pairs (a whole step, then three lanes of the next), with the 64-bit
-// block counter crossing its 32-bit carry; one guard value after them.
+// Float: 7 rows, n = 29 columns (a two-register tile, a one-register tile,
+// five scalar columns), k = 3, lda = 4; the sums widen to double.
+std::uint64_t run_matmul_rows_f32(const Kernels& k) {
+  Inputs in(21);
+  const auto a = in.vecf(7 * 4), b = in.vecf(3 * 29);
+  auto out = in.vec(7 * 29);
+  k.matmul_rows_f32(out.data(), a.data(), 4, 7, b.data(), 3, 29);
+  return Fnv1a().add(out).value();
+}
+
+// Eleven pairs (a whole eight-pair step, then three lanes of the next), with
+// the 64-bit block counter crossing its 32-bit carry; one guard value after
+// them.
 std::uint64_t run_gaussian_pairs(const Kernels& k) {
-  std::vector<double> out(2 * 7 + 1, -7.0);
-  k.gaussian_pairs(out.data(), 7, 0xfffffffdull, 0x0123456789abcdefull, 0xfedcba9876543210ull);
+  std::vector<double> out(2 * 11 + 1, -7.0);
+  k.gaussian_pairs(out.data(), 11, 0xfffffffdull, 0x0123456789abcdefull, 0xfedcba9876543210ull);
   return Fnv1a().add(out).value();
 }
 
@@ -348,14 +354,14 @@ const Entry kEntries[] = {
     {"lane_rfft_unpack", run_lane_rfft_unpack, {0x26b2e656aae4acbe, 0x26b2e656aae4acbe, 0xb9d045abd5a07641}},
     {"lane_rows_out", run_lane_rows_out, {0x1c6cc62d18c42c5e, 0x1c6cc62d18c42c5e, 0x1c6cc62d18c42c5e}},
     {"rot_rows", run_rot_rows, {0x55bc0ac72650c6bc, 0x55bc0ac72650c6bc, 0xc813b1559c334a96}},
-    {"scale", run_scale, {0x3f658fd458e60092, 0x3f658fd458e60092, 0x3f658fd458e60092}},
     {"baccum_rows", run_baccum_rows, {0xa6a9cafe1a8919f3, 0xa6a9cafe1a8919f3, 0x8143da3c9a87dcb5}},
     {"bscale", run_bscale, {0x3c83f08e810d8c87, 0x3c83f08e810d8c87, 0x3c83f08e810d8c87}},
     {"bscale_shift", run_bscale_shift, {0xec3374cc11bd2c62, 0xec3374cc11bd2c62, 0x6a070c7be5d682f2}},
     {"bjacobi_sweeps", run_bjacobi_sweeps, {0x0ed3d3d9d7ffe4c9, 0x0ed3d3d9d7ffe4c9, 0x812350b0b2e85626}},
-    {"clamped_axpy", run_clamped_axpy, {0x40bea175b56617f7, 0x40bea175b56617f7, 0x40bea175b56617f7}},
+    {"ensf_update", run_ensf_update, {0x91982329dc470e0f, 0x91982329dc470e0f, 0xd76342b4895f843f}},
     {"matmul_rows", run_matmul_rows, {0x1f25e420523f14fd, 0x1f25e420523f14fd, 0x1f25e420523f14fd}},
-    {"gaussian_pairs", run_gaussian_pairs, {0xae90686e0a15a823, 0xae90686e0a15a823, 0xae90686e0a15a823}},
+    {"matmul_rows_f32", run_matmul_rows_f32, {0x680476ecb7d39725, 0x680476ecb7d39725, 0x680476ecb7d39725}},
+    {"gaussian_pairs", run_gaussian_pairs, {0x2fecf78dde9de513, 0x2fecf78dde9de513, 0x2fecf78dde9de513}},
     {"sqg_pass1", run_sqg_pass1, {0xcbd6d8a0c0bd9180, 0xcbd6d8a0c0bd9180, 0x3e0a3cc7a552e424}},
     {"sqg_jacobian", run_sqg_jacobian, {0x13fa2fd9c06d0fed, 0x13fa2fd9c06d0fed, 0x10a53343c658bc3d}},
     {"sqg_combine", run_sqg_combine, {0xd21dd1be741f2dae, 0xd21dd1be741f2dae, 0xa07ab43807b68d9f}},
@@ -366,6 +372,51 @@ const Entry kEntries[] = {
 // clang-format on
 
 static_assert(std::size(kEntries) == 24);
+
+// The EnSF update as the four passes ensf_update replaced: z = c0 z (the
+// old scale entry), add_scaled, the clamped likelihood step (the old
+// clamped_axpy, vmaxpd/vminpd semantics) and add_scaled.
+void four_pass_update(const Kernels& k, std::vector<double>& z, const std::vector<double>& wx,
+                      const std::vector<double>& grad, const std::vector<double>& noise, double c0,
+                      double c1, double cl, double lim, double noise_sd) {
+  const std::size_t n = z.size();
+  for (std::size_t i = 0; i < n; ++i) z[i] = c0 * z[i];
+  k.add_scaled(z.data(), z.data(), wx.data(), n, c1);
+  for (std::size_t i = 0; i < n; ++i) {
+    double t = cl * grad[i];
+    t = t > -lim ? t : -lim;
+    t = t < lim ? t : lim;
+    z[i] = z[i] + t;
+  }
+  k.add_scaled(z.data(), z.data(), noise.data(), n, noise_sd);
+}
+
+TEST(Kernels, EnsfUpdateEqualsTheFourPassSequenceAtEveryLevel) {
+  // Lengths reach the vector body, the tail and both. The likelihood term
+  // clamps on both sides, hits the limit exactly, and reads one NaN (the
+  // clamp turns it into -lim at every level).
+  for (const auto level : {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx2Fma}) {
+    if (!simd::simd_level_available(level)) continue;
+    const Kernels& k = simd::kernels_for(level);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{7},
+                                std::size_t{1003}}) {
+      Inputs in(40 + n);
+      const auto wx = in.vec(n), noise = in.vec(n), z0 = in.vec(n);
+      auto grad = in.vec(n);
+      const double c0 = in.next(), c1 = in.next(), noise_sd = in.next();
+      constexpr double cl = 4.0, lim = 0.5;
+      grad[0] = lim / cl;
+      if (n > 2) grad[2] = -lim / cl;
+      if (n > 5) grad[5] = std::numeric_limits<double>::quiet_NaN();
+      std::vector<double> want = z0, got = z0;
+      four_pass_update(k, want, wx, grad, noise, c0, c1, cl, lim, noise_sd);
+      k.ensf_update(got.data(), wx.data(), grad.data(), noise.data(), n, c0, c1, cl, lim,
+                    noise_sd);
+      EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)))
+          << simd::simd_level_name(level) << ", n " << n;
+    }
+  }
+}
 
 TEST(Kernels, EveryEntryKeepsItsBitsAtEveryLevel) {
   for (const auto level : {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx2Fma}) {

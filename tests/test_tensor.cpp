@@ -269,6 +269,67 @@ TEST(MatmulRows, NonFiniteAndNegativeZeroInputsMatchNaive) {
       }
 }
 
+// --- The float row product (EnSF's weighted mean W X) -----------------------
+
+// The naive float sum as the kernel must reproduce it: the same bits, or,
+// where an FMA-enabled -march (TURBDA_NATIVE) may contract this file's
+// float sum, within the sum's rounding bound.
+::testing::AssertionResult matches_naive_f32(double got, double want, double bound) {
+#if defined(__FMA__)
+  if (std::abs(got - want) <= bound) return ::testing::AssertionSuccess();
+#else
+  (void)bound;
+  if (same_bits(got, want)) return ::testing::AssertionSuccess();
+#endif
+  return ::testing::AssertionFailure() << got << " vs naive " << want;
+}
+
+TEST(MatmulRowsF32, MatchesNaiveFloatSumAndDoubleProductOnEveryTail) {
+  // matmul_rows_f32 against a naive float sum (each element starts at +0.0f
+  // and adds the unfused float products in ascending p, then widens):
+  // bitwise at every level. And against matmul_rows on the same values in
+  // double: within the float sum's a priori bound (k + 1) 2^-24 sum |a b|.
+  // Rows cover every partial row group and two full ones; columns cover
+  // partial register tiles, lone registers and scalar columns; A's rows are
+  // padded (lda = k + 2).
+  for (std::size_t rows : {1, 2, 3, 5, 7, 11})
+    for (std::size_t k : {1, 3, 5, 20})
+      for (std::size_t n : {1, 3, 7, 8, 15, 16, 17, 300}) {
+        Rng rng(9000 + rows * 10000 + k * 1000 + n);
+        const std::size_t lda = k + 2;
+        std::vector<float> a(rows * lda), b(k * n);
+        for (float& v : a) v = static_cast<float>(std::abs(rng.gaussian()));
+        for (float& v : b) v = static_cast<float>(4.0 * rng.gaussian());
+        const std::vector<double> ad(a.begin(), a.end()), bd(b.begin(), b.end());
+        std::vector<double> want(rows * n), bound(rows * n);
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t c = 0; c < n; ++c) {
+            float s = 0.0f;
+            double mag = 0.0;
+            for (std::size_t p = 0; p < k; ++p) {
+              s = s + a[i * lda + p] * b[p * n + c];
+              mag += std::abs(ad[i * lda + p] * bd[p * n + c]);
+            }
+            want[i * n + c] = s;
+            bound[i * n + c] = static_cast<double>(k + 1) * 0x1p-24 * mag;
+          }
+        for (SimdLevel lv : available_levels()) {
+          const simd::Kernels& dk = simd::kernels_for(lv);
+          std::vector<double> got(rows * n, -1.0), dbl(rows * n, -1.0);
+          dk.matmul_rows_f32(got.data(), a.data(), lda, rows, b.data(), k, n);
+          dk.matmul_rows(dbl.data(), ad.data(), lda, rows, bd.data(), k, n);
+          for (std::size_t e = 0; e < got.size(); ++e) {
+            ASSERT_TRUE(matches_naive_f32(got[e], want[e], bound[e]))
+                << simd::simd_level_name(lv) << " rows=" << rows << " k=" << k << " n=" << n
+                << " element " << e;
+            ASSERT_LE(std::abs(got[e] - dbl[e]), bound[e])
+                << simd::simd_level_name(lv) << " rows=" << rows << " k=" << k << " n=" << n
+                << " element " << e;
+          }
+        }
+      }
+}
+
 // --- Symmetric eigensolver ---------------------------------------------------
 
 class EighP : public ::testing::TestWithParam<int> {};
